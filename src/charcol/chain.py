@@ -44,9 +44,6 @@ class ReprVector:
     def coefficient(self, label):
         return self.coeffs.get(label, 0)
 
-    def scaled(self, c) -> "ReprVector":
-        return ReprVector(self.chain_id, self.level, {k: c * v for k, v in self.coeffs.items()})
-
     def add_scaled(self, other: "ReprVector", c) -> "ReprVector":
         assert (self.chain_id, self.level) == (other.chain_id, other.level)
         coeffs = dict(self.coeffs)
@@ -73,10 +70,17 @@ def _drop_zeros(coeffs: dict) -> dict:
 
 
 class Chain:
-    """Shared machinery; subclasses provide labels, branching, and class data."""
+    """Shared machinery; subclasses provide labels, branching, and class data.
+
+    The suites need ``res_matrix`` (from which ``ind_res`` and
+    ``brute_indl_resl`` are built), the level ranges, the class data, and f_l
+    as ``poly_roots``/``poly_leading``; lifting needs ``label_level``,
+    ``pad_first_row`` and ``lift_order_less``.
+    """
 
     id: str
-    heisenberg_scaling: int
+    heisenberg_scaling: int | None  # M in Res Ind - Ind Res = M Id; None: inferred
+    min_n = 0  # the lowest level the chain has
 
     def __init__(self):
         self._res_cache: dict[int, BranchingOperator] = {}
@@ -134,10 +138,13 @@ class Chain:
             self._res_cache[n] = BranchingOperator(n, domain, codomain, matrix)
         return self._res_cache[n]
 
+    def res_matrix(self, n: int) -> SparseMatrix:
+        return self.res_operator(n).matrix
+
     def ind_res(self, n: int) -> SparseMatrix:
         """X = Ind Res at level n, i.e. Res^T Res; the McKay adjacency of Ind(t)."""
         if n not in self._x_cache:
-            res = self.res_operator(n).matrix
+            res = self.res_matrix(n)
             self._x_cache[n] = res.transpose() @ res
         return self._x_cache[n]
 
@@ -146,12 +153,28 @@ class Chain:
 
         Used only as an oracle against the falling-factorial engine.
         """
-        if not 1 <= l <= n:
-            raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-        down = self.res_operator(n).matrix
+        if not 1 <= l <= n - self.min_n:
+            raise ValueError(f"need 1 <= l <= {n - self.min_n}, got l={l}, n={n}")
+        down = self.res_matrix(n)
         for j in range(n - 1, n - l, -1):
-            down = self.res_operator(j).matrix @ down
+            down = self.res_matrix(j) @ down
         return down.transpose() @ down
+
+    def level_range(self, max_n: int) -> range:
+        """The levels n >= 1 up to max_n at which the suites compare operators."""
+        return range(1, max_n + 1)
+
+    def heisenberg_levels(self, max_n: int) -> range:
+        """The levels j whose commutator Res Ind - Ind Res the suites check."""
+        return range(0, max_n)
+
+    def poly_roots(self, l: int) -> tuple:
+        """Roots of f_l, where Ind^l Res^l = f_l(Ind Res): 0, M, ..., (l-1)M."""
+        return tuple(j * self.heisenberg_scaling for j in range(l))
+
+    def poly_leading(self, l: int) -> Fraction:
+        """Leading coefficient of f_l."""
+        return Fraction(1)
 
     def apply_res(self, vec: ReprVector) -> ReprVector:
         op = self.res_operator(vec.level)
@@ -162,6 +185,18 @@ class Chain:
         return self.from_dense(vec.level + 1, op.matrix.transpose().matvec(self.to_dense(vec)))
 
     # -- labels and classes ----------------------------------------------------
+
+    def label_level(self, label) -> int:
+        raise NotImplementedError
+
+    def pad_first_row(self, label, n: int):
+        """The label with its first row padded to level n, the rational scale in
+        front of it, and the padded slot, which ``lift_order_less`` takes."""
+        raise NotImplementedError
+
+    def lift_order_less(self, x, w, pad_slot) -> bool:
+        """The lifting order: is x strictly below w?"""
+        raise NotImplementedError
 
     def format_label(self, label) -> str:
         raise NotImplementedError
@@ -205,16 +240,18 @@ class Chain:
         """The trivial irrep's label at level n."""
         raise NotImplementedError
 
-    def ind_t_character(self, cls, k: int, n: int) -> Fraction:
-        """chi_{Ind(t)}(h) at level n for a core class at level k <= n, via the
-        class-ratio formula |G_n| |[h]_{n-1}| / (|G_{n-1}| |[h]_n|)."""
-        if k > n:
-            return Fraction(0)
-        up = self.class_size_at(cls, n)
-        down = self.class_size_at(cls, n - 1) if k <= n - 1 else 0
+    def class_size_from(self, cls, m: int, j: int) -> int:
+        """|[h]_j| for a class h given at its level m; 0 if h does not meet G_j."""
+        return self.class_size_at(self.strip_class(cls)[0], j)
+
+    def ind_t_character(self, cls, m: int) -> Fraction:
+        """chi_{Ind(t)} at level m for a class of G_m, via the class-ratio formula
+        |G_m| |[h]_{m-1}| / (|G_{m-1}| |[h]_m|); 0 when the class misses G_{m-1}."""
+        down = self.class_size_from(cls, m, m - 1)
         if down == 0:
             return Fraction(0)
-        return Fraction(self.group_order(n) * down, self.group_order(n - 1) * up)
+        up = self.class_size_from(cls, m, m)
+        return Fraction(self.group_order(m) * down, self.group_order(m - 1) * up)
 
 
 class SymmetricChain(Chain):
@@ -230,6 +267,16 @@ class SymmetricChain(Chain):
         for parent in self.basis(n):
             for child in partitions.remove_one_box(parent):
                 yield child, parent, 1
+
+    def label_level(self, label: Partition) -> int:
+        return sum(label)
+
+    def pad_first_row(self, label: Partition, n: int):
+        padded = (label[0] + n - sum(label),) + label[1:] if label else (n,)
+        return padded, 1, None
+
+    def lift_order_less(self, x: Partition, w: Partition, pad_slot) -> bool:
+        return partitions.below_first_row(x) < partitions.below_first_row(w)
 
     def format_label(self, label: Partition) -> str:
         return partitions.format_partition(label)
@@ -294,6 +341,38 @@ class WreathChain(Chain):
                         child = parent[:slot] + parent[slot + 1 :]
                     yield child, parent, mult
 
+    def label_level(self, label: WreathLabel) -> int:
+        return sum(sum(p) for _, p in label)
+
+    def pad_first_row(self, label: WreathLabel, n: int):
+        """Pads the first slot's partition, or starts slot 0 for the empty label;
+        the scale is 1/dim^pad for the slot's H-irrep."""
+        pad = n - self.label_level(label)
+        slot, part = label[0] if label else (0, ())
+        padded = ((slot, (part[0] + pad,) + part[1:] if part else (pad,)),) + label[1:]
+        dim = self._h_dims[slot]
+        return padded, Fraction(1, dim**pad) if dim > 1 else 1, slot
+
+    def lift_order_less(self, x: WreathLabel, w: WreathLabel, pad_slot) -> bool:
+        """Fewer boxes below the padded slot's first row, and no more boxes in
+        any other slot of w, with one of the two strict."""
+        bx = dict(x)
+        bw = dict(w)
+        if any(i != pad_slot and i not in bw for i in bx):
+            return False
+        first_x = partitions.below_first_row(bx.get(pad_slot, ()))
+        first_w = partitions.below_first_row(bw.get(pad_slot, ()))
+        strict_other = False
+        for i, part in bw.items():
+            if i == pad_slot:
+                continue
+            have = sum(bx.get(i, ()))
+            want = sum(part)
+            if have > want:
+                return False
+            strict_other = strict_other or have < want
+        return first_x < first_w or (first_x == first_w and strict_other)
+
     def format_label(self, label: WreathLabel) -> str:
         return hgroup.format_wreath_label(self._irrep_names, label)
 
@@ -351,6 +430,11 @@ class WreathChain(Chain):
             if all(v == 1 for v in values)
         )
         return ((idx, (n,)),) if n else ()
+
+
+def require_symmetric(chain: Chain, what: str):
+    if not isinstance(chain, SymmetricChain):
+        raise ValueError(f"{what} is defined for the symmetric chain only")
 
 
 @lru_cache(maxsize=None)

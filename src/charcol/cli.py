@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import mckay, verify
-from .chain import Chain, SymmetricChain, get_chain
+from .chain import Chain, get_chain, require_symmetric
 from .engine import character_column, odd_column
 from .hgroup import SizeBoundError, load_table
 from .lifting import lift
@@ -48,8 +49,7 @@ def _chain_for(args) -> Chain:
 
 def _output_order(chain: Chain, n: int, paper_order: bool):
     if paper_order:
-        if not isinstance(chain, SymmetricChain):
-            raise ValueError("--paper-order applies to the symmetric chain only")
+        require_symmetric(chain, "--paper-order")
         return mirrored_order(n)
     return chain.basis(n)
 
@@ -75,8 +75,7 @@ def cmd_column(args) -> int:
             [chain.format_label(lab), v] for lab, v in column.plus_part.items()
         ]
     if args.oracle:
-        if not isinstance(chain, SymmetricChain):
-            raise ValueError("--oracle uses the border-strip oracle (symmetric chain only)")
+        require_symmetric(chain, "--oracle (the border-strip oracle)")
         oracle = verify.oracle_column(column.class_label, args.n)
         payload["oracle"] = [
             [chain.format_label(lab), oracle.coeffs.get(lab, 0)] for lab in order
@@ -93,7 +92,7 @@ def cmd_column(args) -> int:
 def cmd_lift(args) -> int:
     chain = _chain_for(args)
     label = chain.parse_label(args.label)
-    level = sum(label) if isinstance(chain, SymmetricChain) else sum(sum(p) for _, p in label)
+    level = chain.label_level(label)
     if level != args.k:
         raise ValueError(f"label {args.label} lives at level {level}, not k={args.k}")
     record = lift(chain, label, args.n)
@@ -149,10 +148,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.chain in ("sym", "z2wreath"):
-        chain = get_chain(args.chain)
-    else:
-        chain = ingest_chain(args.chain)
+    chain = ingest_chain(args.chain) if os.path.isfile(args.chain) else get_chain(args.chain)
     if args.export:
         if isinstance(chain, verify.IngestedChain):
             raise ValueError("--export needs a built-in chain")

@@ -4,9 +4,9 @@ A column for a class whose support lives at level k is obtained by lifting
 the level-k character data to level n and applying
 X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's commutator scaling (1
 for symmetric groups, |H| for wreath products). For odd permutations of the
-symmetric chain, the same product in the reduced operator Y on the
-positive-character subspace gives the column's positive part, and sign
-pairing reconstructs the rest.
+symmetric chain, the same product in the reduced operator Y on one irrep of
+each conjugate pair gives the column's positive part, and sign pairing
+reconstructs the rest.
 """
 
 from __future__ import annotations
@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import verify as _verify
-from .chain import Chain, ReprVector, SymmetricChain, get_chain
+from .chain import Chain, ReprVector, get_chain, require_symmetric
 from .hgroup import GroupTable
 from .lifting import lift_column_input
-from .partitions import (
-    Partition,
-    conjugate,
-    format_partition,
-    is_odd_class,
-)
+from .partitions import Partition, conjugate, content_sum, is_odd_class
 from .sparse import SparseMatrix
 
 
@@ -48,9 +42,8 @@ class FallingFactorialPoly:
         """Apply to a dense vector as successive matvec-and-subtract passes,
         shifts ascending: (X - (l-1)M)...(X - M) X v."""
         out = list(vec)
-        for j in range(self.factors):
+        for shift in self.roots():
             nxt = x_matrix.matvec(out)
-            shift = j * self.scaling
             if shift:
                 out = [a - shift * b for a, b in zip(nxt, out)]
             else:
@@ -59,8 +52,8 @@ class FallingFactorialPoly:
 
     def matrix(self, x_matrix: SparseMatrix) -> SparseMatrix:
         out = SparseMatrix.identity(x_matrix.nrows)
-        for j in range(self.factors):
-            out = x_matrix.shift_diagonal(-j * self.scaling) @ out
+        for root in self.roots():
+            out = x_matrix.shift_diagonal(-root) @ out
         return out
 
 
@@ -132,8 +125,8 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
 
 @dataclass(frozen=True)
 class ReducedOperator:
-    """Y = pr_+(t-s) Ind Res on the span of irreps with positive character at
-    a transposition: Y(x, y) = X(x, y) - X(x, conjugate(y))."""
+    """Y = pr_+(t-s) Ind Res on the span of one irrep from each conjugate pair:
+    Y(x, y) = X(x, y) - X(x, conjugate(y))."""
 
     level: int
     plus_basis: tuple[Partition, ...]
@@ -146,20 +139,13 @@ def reduced_operator(n: int) -> ReducedOperator:
     if n < 2:
         raise ValueError("reduced_operator needs n >= 2")
     chain = get_chain("sym")
-    basis = chain.basis(n)
-    transposition = (2,) + (1,) * (n - 2)
-    sign_at_transposition = {
-        lam: _verify.mn_character(lam, transposition) for lam in basis
-    }
-    for lam, value in sign_at_transposition.items():
-        # Sign pairing must determine the column: a vanishing transposition
-        # character is only handled for self-conjugate diagrams.
-        if value == 0 and conjugate(lam) != lam:
-            raise RuntimeError(
-                f"{format_partition(lam)} has zero transposition character but is "
-                "not self-conjugate; the reduced-operator reconstruction does not apply"
-            )
-    plus = tuple(lam for lam in basis if sign_at_transposition[lam] > 0)
+    # chi_lambda at a transposition has the sign of lambda's content sum, and
+    # conjugation negates both: keep the diagram with the positive character,
+    # or the larger diagram of a pair whose character there vanishes.
+    plus = tuple(
+        lam for lam in chain.basis(n)
+        if (content_sum(lam), lam) > (content_sum(conjugate(lam)), conjugate(lam))
+    )
     x_matrix = chain.ind_res(n)
     index = chain.basis_index(n)
     entries = {}
@@ -171,11 +157,6 @@ def reduced_operator(n: int) -> ReducedOperator:
     return ReducedOperator(n, plus, SparseMatrix(len(plus), len(plus), entries))
 
 
-def unsupported_for_chain(chain: Chain, what: str):
-    if not isinstance(chain, SymmetricChain):
-        raise ValueError(f"{what} is defined for the symmetric chain only")
-
-
 def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = None,
                table: GroupTable | None = None) -> CharacterColumn:
     """Column of an odd class via the reduced operator.
@@ -185,7 +166,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     and self-conjugate diagrams get zero.
     """
     chain = chain or get_chain("sym")
-    unsupported_for_chain(chain, "odd_column")
+    require_symmetric(chain, "odd_column")
     core, k = normalize_class(chain, tau, n)
     if not is_odd_class(core):
         raise ValueError(f"class {core} is even; odd_column needs an odd permutation")

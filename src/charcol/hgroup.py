@@ -121,15 +121,6 @@ class GroupTable:
                 return i
         raise KeyError(f"class {label!r} not in table {self.name}")
 
-    def irrep_index(self, label: str) -> int:
-        for i, (lab, _, _) in enumerate(self.irreps):
-            if lab == label:
-                return i
-        raise KeyError(f"irrep {label!r} not in table {self.name}")
-
-    def value(self, irrep_label: str, class_label: str) -> int:
-        return self.irreps[self.irrep_index(irrep_label)][2][self.class_index(class_label)]
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,

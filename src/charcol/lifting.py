@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import Chain, ReprVector, SymmetricChain, get_chain
+from .chain import Chain, ReprVector, get_chain
 from .hgroup import GroupTable
-from .partitions import Partition, below_first_row
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -28,62 +28,9 @@ class LiftRecord:
     vector: ReprVector
 
 
-def _label_level(chain: Chain, label) -> int:
-    if isinstance(chain, SymmetricChain):
-        return sum(label)
-    return sum(sum(p) for _, p in label)
-
-
-def _padded(chain: Chain, label, n: int):
-    """First-row padded label at level n and the rational scale in front of it."""
-    k = _label_level(chain, label)
-    pad = n - k
-    if isinstance(chain, SymmetricChain):
-        padded = (label[0] + pad,) + label[1:] if label else (n,)
-        return padded, 1, None
-    if not label:
-        slot = 0
-        part: Partition = ()
-    else:
-        slot, part = label[0]
-    new_part = (part[0] + pad,) + part[1:] if part else (pad,)
-    padded = ((slot, new_part),) + tuple(label[1:])
-    dim = chain._h_dims[slot]
-    scale = Fraction(1, dim**pad) if dim > 1 else 1
-    return padded, scale, slot
-
-
-def _order_less(chain: Chain, x, w, pad_slot) -> bool:
-    """The lifting order: is x strictly below w?"""
-    if isinstance(chain, SymmetricChain):
-        return below_first_row(x) < below_first_row(w)
-    bx = dict(x)
-    bw = dict(w)
-    if any(i != pad_slot and i not in bw for i in bx):
-        return False
-    first_x = below_first_row(bx.get(pad_slot, ()))
-    first_w = below_first_row(bw.get(pad_slot, ()))
-    others_ok = True
-    strict_other = False
-    for i, part in bw.items():
-        if i == pad_slot:
-            continue
-        have = sum(bx.get(i, ()))
-        want = sum(part)
-        if have > want:
-            others_ok = False
-        elif have < want:
-            strict_other = True
-    if not others_ok:
-        return False
-    if first_x < first_w:
-        return True
-    return first_x <= first_w and strict_other
-
-
 def lift(chain: Chain, label, n: int) -> LiftRecord:
     """Lift an irrep label from its own level k up to level n."""
-    k = _label_level(chain, label)
+    k = chain.label_level(label)
     if n < k:
         raise ValueError(f"cannot lift a level-{k} label to level {n}")
     key = (label, n)
@@ -95,7 +42,7 @@ def lift(chain: Chain, label, n: int) -> LiftRecord:
         chain.lift_memo[key] = record
         return record
 
-    padded, scale, pad_slot = _padded(chain, label, n)
+    padded, scale, pad_slot = chain.pad_first_row(label, n)
     down = chain.unit_vector(n, padded)
     for _ in range(n - k):
         down = chain.apply_res(down)
@@ -109,7 +56,7 @@ def lift(chain: Chain, label, n: int) -> LiftRecord:
     for other, mult in sorted(down.coeffs.items()):
         if other == label:
             continue
-        assert _order_less(chain, other, label, pad_slot), (
+        assert chain.lift_order_less(other, label, pad_slot), (
             f"recursion would not descend: {other} is not below {label}"
         )
         correction = lift(chain, other, n).vector

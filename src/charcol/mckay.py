@@ -2,16 +2,16 @@
 
 The graph at level n has the irrep labels as vertices and the entries of
 Ind Res as edge weights (loops on the diagonal); the reduced graph for odd
-permutations restricts to the positive-character vertices with the reduced
-operator's weights. Exports are deterministic: identical graphs produce
-byte-identical DOT and JSON.
+permutations restricts to one vertex of each conjugate pair, with the
+reduced operator's weights. Exports are deterministic: identical graphs
+produce byte-identical DOT and JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import Chain, SymmetricChain, get_chain
+from .chain import Chain, get_chain, require_symmetric
 from .engine import reduced_operator
 from .sparse import SparseMatrix
 
@@ -55,10 +55,9 @@ def build_graph(chain: Chain, n: int) -> McKayGraph:
 
 
 def reduced_graph(n: int, chain: Chain | None = None) -> McKayGraph:
-    """The reduced graph on positive-transposition-character vertices."""
+    """The reduced graph on the reduced operator's vertices."""
     chain = chain or get_chain("sym")
-    if not isinstance(chain, SymmetricChain):
-        raise ValueError("the reduced graph is defined for the symmetric chain only")
+    require_symmetric(chain, "the reduced graph")
     red = reduced_operator(n)
     labels = tuple(chain.format_label(lab) for lab in red.plus_basis)
     return _graph_from_matrix(n, labels, red.matrix)

@@ -111,8 +111,9 @@ def below_first_row(p: Partition) -> int:
     return sum(p) - p[0] if p else 0
 
 
-def fixed_points(mu: Partition) -> int:
-    return sum(1 for x in mu if x == 1)
+def content_sum(p: Partition) -> int:
+    """Sum over the boxes of column index minus row index; conjugation negates it."""
+    return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(p))
 
 
 def strip_fixed_points(mu: Partition) -> Partition:

@@ -130,9 +130,6 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
-    def is_zero(self) -> bool:
-        return not self.data
-
     def equals_scaled_identity(self, c: Scalar) -> bool:
         if self.nrows != self.ncols:
             return False

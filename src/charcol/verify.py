@@ -253,25 +253,6 @@ def fit_chain_params(orders) -> ChainParams:
 # Class-ratio constraint and root/character correspondence
 
 
-def _class_size_from(chain, h, m: int, j: int) -> int:
-    """|[h]_j| for a class given at its level m, embedded up to level j >= m."""
-    if isinstance(chain, IngestedChain):
-        return chain.class_size_walk(h, m, j)
-    core, k = chain.strip_class(h)
-    if k > j:
-        return 0
-    return chain.class_size_at(core, j)
-
-
-def _chain_poly_value(chain, l: int, x) -> Fraction:
-    if isinstance(chain, IngestedChain):
-        return chain.fitted_params().poly_value(l, x)
-    out = Fraction(1)
-    for j in range(l):
-        out *= x - j * chain.heisenberg_scaling
-    return out
-
-
 def jeongha_class_constraint(chain, h, n: int, l: int) -> CheckResult:
     """The per-class ratio constraint for a class h given at level n - l:
 
@@ -280,36 +261,21 @@ def jeongha_class_constraint(chain, h, n: int, l: int) -> CheckResult:
     m = n - l
     if m < 0:
         raise ValueError("need l <= n")
-    size_m = _class_size_from(chain, h, m, m)
-    size_up = _class_size_from(chain, h, m, n)
-    size_prev = _class_size_from(chain, h, m, n - 1)
+    size_m = chain.class_size_from(h, m, m)
+    size_up = chain.class_size_from(h, m, n)
+    size_prev = chain.class_size_from(h, m, n - 1)
     if size_m == 0 or size_up == 0:
         raise ValueError(f"class {h} has no members at level {m}")
     chi = Fraction(chain.group_order(n) * size_prev, chain.group_order(n - 1) * size_up)
-    lhs = _chain_poly_value(chain, l, chi)
+    lhs = chain.poly_leading(l)
+    for root in chain.poly_roots(l):
+        lhs *= chi - root
     rhs = Fraction(chain.group_order(n) * size_m, chain.group_order(m) * size_up)
-    name = f"class-constraint n={n} l={l} h={_class_text(chain, h)}"
+    name = f"class-constraint n={n} l={l} h={chain.format_class(h)}"
     return CheckResult(
         name, lhs == rhs,
         detail=f"chi_Ind(t)(h) = {chi}", lhs=lhs, rhs=rhs,
     )
-
-
-def _class_text(chain, h) -> str:
-    if isinstance(chain, IngestedChain):
-        return str(h)
-    return chain.format_class(h)
-
-
-def _ind_t_value_at_own_level(chain, h, m: int) -> Fraction:
-    """chi_{Ind(t)} at level m for a class of G_m; 0 when the class misses G_{m-1}."""
-    if isinstance(chain, IngestedChain):
-        return chain.ind_t_value(h, m)
-    size_m = _class_size_from(chain, h, m, m)
-    size_down = _class_size_from(chain, h, m, m - 1)
-    if size_down == 0:
-        return Fraction(0)
-    return Fraction(chain.group_order(m) * size_down, chain.group_order(m - 1) * size_m)
 
 
 def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
@@ -322,10 +288,7 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
     """
     if chain.group_order(0) != 1:
         raise ValueError("root/character correspondence needs G_0 trivial")
-    if isinstance(chain, IngestedChain):
-        roots = set(chain.fitted_params().poly_roots(l))
-    else:
-        roots = {j * chain.heisenberg_scaling for j in range(l)}
+    roots = set(chain.poly_roots(l))
     candidates = {}
     for m in (l, l + 1):
         try:
@@ -334,7 +297,7 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
             for h in labels:
                 if h == chain.identity_class(m):
                     continue
-                values.add(_ind_t_value_at_own_level(chain, h, m))
+                values.add(chain.ind_t_character(h, m))
         except (SizeBoundError, IngestError) as exc:
             candidates[m] = {"error": str(exc)}
             continue
@@ -371,14 +334,19 @@ class IngestedLevel:
     classes: tuple[tuple[str, int, str | None], ...] | None
 
 
-class IngestedChain:
+class IngestedChain(Chain):
     """A user-supplied surjective chain: per-level Res matrices, orders, and
     optional class data with explicit upward embeddings.
 
-    Convention: the first class at each level is the identity class.
+    Convention: the first class at each level is the identity class. f_l and
+    M come from the fitted order recursion; the suites check the levels whose
+    Res matrices were supplied, and l only down to the lowest level.
     """
 
+    heisenberg_scaling = None
+
     def __init__(self, levels: list[IngestedLevel], name: str = "ingested"):
+        super().__init__()
         self.id = name
         self.levels = {lv.n: lv for lv in levels}
         ns = sorted(self.levels)
@@ -434,24 +402,23 @@ class IngestedChain:
     def group_order(self, n: int) -> int:
         return self._level(n).order
 
-    def basis_size(self, n: int) -> int:
-        return self._level(n).basis_size
-
     def res_matrix(self, n: int) -> SparseMatrix:
         res = self._level(n).res
         if res is None:
             raise IngestError(f"level {n} has no Res matrix")
         return res
 
-    def ind_res(self, n: int) -> SparseMatrix:
-        res = self.res_matrix(n)
-        return res.transpose() @ res
+    def level_range(self, max_n: int) -> range:
+        return range(max(self.min_n + 1, 1), min(self.max_n, max_n) + 1)
 
-    def brute_indl_resl(self, n: int, l: int) -> SparseMatrix:
-        down = self.res_matrix(n)
-        for j in range(n - 1, n - l, -1):
-            down = self.res_matrix(j) @ down
-        return down.transpose() @ down
+    def heisenberg_levels(self, max_n: int) -> range:
+        return range(self.min_n + 1, min(self.max_n, max_n + 1))
+
+    def poly_roots(self, l: int) -> tuple:
+        return self.fitted_params().poly_roots(l)
+
+    def poly_leading(self, l: int) -> Fraction:
+        return self.fitted_params().poly_leading(l)
 
     def classes_at(self, n: int, max_order=None):
         lv = self._level(n)
@@ -462,13 +429,16 @@ class IngestedChain:
     def identity_class(self, n: int) -> str:
         return self.classes_at(n)[0]
 
+    def format_class(self, cls: str) -> str:
+        return cls
+
     def _class_entry(self, label: str, n: int):
         for entry in self._level(n).classes or ():
             if entry[0] == label:
                 return entry
         raise IngestError(f"no class {label!r} at level {n}")
 
-    def class_size_walk(self, label: str, m: int, j: int) -> int:
+    def class_size_from(self, label: str, m: int, j: int) -> int:
         current = label
         for level in range(m, j):
             current = self._class_entry(current, level)[2]
@@ -476,7 +446,7 @@ class IngestedChain:
                 raise IngestError(f"class {label!r} at level {m} has no embedding to level {level + 1}")
         return self._class_entry(current, j)[1]
 
-    def ind_t_value(self, label: str, m: int) -> Fraction:
+    def ind_t_character(self, label: str, m: int) -> Fraction:
         """Permutation-character value via |G_m| |[h] meet G_{m-1}| / (|G_{m-1}| |[h]_m|),
         where the intersection is the union of lower classes embedding into [h]."""
         size = self._class_entry(label, m)[1]
@@ -580,18 +550,6 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None,
 # Suites
 
 
-def _res_matrix(chain, n: int) -> SparseMatrix:
-    if isinstance(chain, IngestedChain):
-        return chain.res_matrix(n)
-    return chain.res_operator(n).matrix
-
-
-def _level_range(chain, max_n: int):
-    if isinstance(chain, IngestedChain):
-        return range(max(chain.min_n + 1, 1), min(chain.max_n, max_n) + 1)
-    return range(1, max_n + 1)
-
-
 def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
     """Res Ind - Ind Res = M Id on R(G_n), with M = |H| for built-in chains
     and a consistent inferred constant for ingested ones.
@@ -601,18 +559,13 @@ def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
     both adjacent Res matrices were supplied.
     """
     checks = []
-    if isinstance(chain, IngestedChain):
-        expected = None
-        levels = range(chain.min_n + 1, min(chain.max_n, max_n + 1))
-    else:
-        expected = chain.heisenberg_scaling
-        levels = range(0, max_n)
+    expected = chain.heisenberg_scaling
     inferred = None
-    for j in levels:
-        up = _res_matrix(chain, j + 1)
+    for j in chain.heisenberg_levels(max_n):
+        up = chain.res_matrix(j + 1)
         commutator = up @ up.transpose()
-        if j >= 1 or isinstance(chain, IngestedChain):
-            down = _res_matrix(chain, j)
+        if j > chain.min_n:
+            down = chain.res_matrix(j)
             commutator = commutator - (down.transpose() @ down)
         diag = commutator[(0, 0)]
         ok = commutator.equals_scaled_identity(diag)
@@ -633,21 +586,13 @@ def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
 def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
     """Brute Ind^l Res^l against the polynomial in Ind Res, as matrices."""
     checks = []
-    params = chain.fitted_params() if isinstance(chain, IngestedChain) else None
-    for n in _level_range(chain, max_n):
+    for n in chain.level_range(max_n):
         x_matrix = chain.ind_res(n)
-        lo = chain.min_n if isinstance(chain, IngestedChain) else 0
-        for l in range(1, n - lo + 1):
+        for l in range(1, n - chain.min_n + 1):
             brute = chain.brute_indl_resl(n, l)
-            if params is None:
-                poly = SparseMatrix.identity(x_matrix.nrows)
-                for j in range(l):
-                    poly = x_matrix.shift_diagonal(-j * chain.heisenberg_scaling) @ poly
-            else:
-                poly = SparseMatrix.identity(x_matrix.nrows)
-                for root in params.poly_roots(l):
-                    poly = x_matrix.shift_diagonal(-root) @ poly
-                poly = poly.scaled(params.poly_leading(l))
+            poly = SparseMatrix.identity(x_matrix.nrows).scaled(chain.poly_leading(l))
+            for root in chain.poly_roots(l):
+                poly = x_matrix.shift_diagonal(-root) @ poly
             checks.append(CheckResult(
                 f"indres-power n={n} l={l}", brute == poly,
                 detail="Ind^l Res^l equals the polynomial in Ind Res"
@@ -659,9 +604,8 @@ def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
 def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckResult]:
     checks = []
     # (1) per-class ratio constraints at every (n, l) with class data available
-    for n in _level_range(chain, max_n):
-        lo = chain.min_n if isinstance(chain, IngestedChain) else 0
-        for l in range(1, n - lo + 1):
+    for n in chain.level_range(max_n):
+        for l in range(1, n - chain.min_n + 1):
             m = n - l
             try:
                 labels = chain.classes_at(m, max_order)
@@ -673,8 +617,9 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
                 except IngestError:
                     # class data is missing somewhere along the embedding walk
                     continue
-    # (2)-(3) the order recursion and the predicted polynomial family
-    if isinstance(chain, IngestedChain):
+    # (2)-(3) the order recursion and the predicted polynomial family; a chain
+    # without a known M takes f_l from this fit, so only the fit is checked
+    if chain.heisenberg_scaling is None:
         params = chain.fitted_params()
         checks.append(CheckResult(
             "fit-params", params.status in ("ok", "inconclusive"),
@@ -692,8 +637,8 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
         if params.status == "ok":
             for l in range(1, max_n + 1):
                 predicted = params.poly_roots(l)
-                engine_roots = tuple(j * chain.heisenberg_scaling for j in range(l))
-                ok = predicted == engine_roots and params.poly_leading(l) == 1
+                engine_roots = chain.poly_roots(l)
+                ok = predicted == engine_roots and params.poly_leading(l) == chain.poly_leading(l)
                 checks.append(CheckResult(
                     f"fit-polynomial l={l}", ok,
                     detail=f"roots {list(predicted)} vs engine {list(engine_roots)}",
@@ -722,7 +667,7 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckR
 
     checks = []
     if isinstance(chain, SymmetricChain):
-        for n in _level_range(chain, max_n):
+        for n in chain.level_range(max_n):
             for mu in enumerate_partitions(n):
                 column = engine.character_column(chain, mu, n, max_order)
                 expected = oracle_column(mu, n)
@@ -734,7 +679,7 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckR
                     if ok and norm_ok else "mismatch against oracle",
                 ))
     elif isinstance(chain, WreathChain):
-        for n in _level_range(chain, max_n):
+        for n in chain.level_range(max_n):
             try:
                 table = chain.small_table(n, max_order)
             except SizeBoundError:
@@ -786,8 +731,7 @@ SUITES = ("heisenberg", "tasyopari", "jeongha", "oracle", "lifts", "all")
 def run_suite(chain, suite: str, max_n: int, max_order: int | None = None) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    name = chain.id if hasattr(chain, "id") else "ingested"
-    report = SuiteReport(suite, name, max_n)
+    report = SuiteReport(suite, chain.id, max_n)
     if suite in ("heisenberg", "all"):
         report.checks += heisenberg_suite(chain, max_n)
     if suite in ("tasyopari", "all"):

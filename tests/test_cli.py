@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from charcol.cli import main
 from charcol.chain import get_chain
 
@@ -43,6 +45,13 @@ def test_column_odd_and_oracle_flags(capsys):
     payload = json.loads(out)
     assert payload["oracleMatches"] is True
     assert payload["plusPart"][0] == ["[6]", 1]
+
+
+def test_odd_column_from_n15(capsys):
+    code, out, _ = run(capsys, "column", "--chain", "sym", "--class", "[2]", "--n", "15",
+                       "--odd", "--oracle")
+    assert code == 0
+    assert json.loads(out)["oracleMatches"] is True
 
 
 def test_column_bad_label_is_usage_error(capsys):
@@ -144,6 +153,21 @@ def test_verify_pass_and_fail(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--chain", str(path), "--maxN", "1")
     assert code == 1
     assert "not a surjective chain" in err
+
+
+def test_verify_takes_builtin_group_names(capsys):
+    code, out, _ = run(capsys, "verify", "--chain", "trivial", "--suite", "all", "--maxN", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["chain"] == "wreath:trivial" and payload["passed"] is True
+
+
+@pytest.mark.parametrize("spec", ["/missing.json", "nope"])
+def test_verify_unknown_chain_is_usage_error(capsys, spec):
+    code, out, err = run(capsys, "verify", "--chain", spec, "--maxN", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert spec in err
 
 
 def test_verify_export_round_trip(capsys, tmp_path):

@@ -11,6 +11,7 @@ from charcol.partitions import (
     class_size,
     class_sign,
     conjugate,
+    content_sum,
     dim_irrep,
     enumerate_partitions,
     format_partition,
@@ -128,6 +129,12 @@ def test_remove_add_round_trip(p):
     for below in remove_one_box(p):
         assert sum(below) == sum(p) - 1
         assert p in add_one_box(below)
+
+
+@given(partition_strategy())
+def test_content_sum_counts_boxes_and_flips_under_conjugation(p):
+    assert content_sum(p) == sum(j - i for i, row in enumerate(p) for j in range(row))
+    assert content_sum(conjugate(p)) == -content_sum(p)
 
 
 @given(partition_strategy())
