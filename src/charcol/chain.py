@@ -5,9 +5,14 @@ and wreath-product chains over a base group H (labels are arrays pairing
 distinct H-irreps with partitions). Ind is the transpose of Res throughout,
 so X at level n is Res^T Res, a symmetric sparse integer matrix.
 
-Operators are built level by level on demand and memoized per chain
-instance; they are immutable after construction, so concurrent reads are
-safe.
+Memoized per process, because they depend only on the level: the bases
+(``partitions.enumerate_partitions``, ``hgroup.enumerate_wreath_labels``) and
+the small level-k tables (``hgroup.symmetric_group_table``,
+``hgroup.wreath_char_table``), each validated once when it is built.
+Memoized per chain instance, built level by level on demand: the basis
+indices, Res, X = Res^T Res and the lifts. A fresh chain starts with empty
+per-chain memos, and no process-wide memo holds Res, X or a lift. Everything
+memoized is immutable after construction, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ class Chain:
     min_n = 0  # the lowest level the chain has
 
     def __init__(self):
+        self._index_cache: dict[int, dict] = {}
         self._res_cache: dict[int, BranchingOperator] = {}
         self._x_cache: dict[int, SparseMatrix] = {}
         self.lift_memo: dict = {}
@@ -93,7 +99,11 @@ class Chain:
         raise NotImplementedError
 
     def basis_index(self, n: int) -> dict:
-        return {label: i for i, label in enumerate(self.basis(n))}
+        """Label -> position in ``basis(n)``; built once per level, read-only."""
+        index = self._index_cache.get(n)
+        if index is None:
+            index = self._index_cache[n] = {label: i for i, label in enumerate(self.basis(n))}
+        return index
 
     def vector(self, n: int, coeffs: dict) -> ReprVector:
         index = self.basis_index(n)
@@ -128,8 +138,8 @@ class Chain:
         if n not in self._res_cache:
             domain = self.basis(n)
             codomain = self.basis(n - 1)
-            rows = {label: i for i, label in enumerate(codomain)}
-            cols = {label: i for i, label in enumerate(domain)}
+            rows = self.basis_index(n - 1)
+            cols = self.basis_index(n)
             matrix = SparseMatrix.from_triplets(
                 len(codomain),
                 len(domain),
@@ -159,6 +169,9 @@ class Chain:
         for j in range(n - 1, n - l, -1):
             down = self.res_matrix(j) @ down
         return down.transpose() @ down
+
+    def has_level(self, n: int) -> bool:
+        return n >= self.min_n
 
     def level_range(self, max_n: int) -> range:
         """The levels n >= 1 up to max_n at which the suites compare operators."""

@@ -154,16 +154,19 @@ def load_table(path: str) -> GroupTable:
         return GroupTable.from_json_dict(json.load(fh))
 
 
-_TRIVIAL = GroupTable("trivial", 1, (("e", 1),), (("1", 1, (1,)),))
-_Z2 = GroupTable("Z2", 2, (("1", 1), ("-1", 1)), (("1", 1, (1, 1)), ("-1", 1, (1, -1))))
+# Validated once here; builtin_table hands out these immutable tables as they are.
+_TRIVIAL = GroupTable("trivial", 1, (("e", 1),), (("1", 1, (1,)),)).validate()
+_Z2 = GroupTable(
+    "Z2", 2, (("1", 1), ("-1", 1)), (("1", 1, (1, 1)), ("-1", 1, (1, -1)))
+).validate()
 
 
 def builtin_table(name: str) -> GroupTable:
     """Built-in base-group table by name, or a validated JSON file by path."""
     if name == "trivial":
-        return _TRIVIAL.validate()
+        return _TRIVIAL
     if name == "Z2":
-        return _Z2.validate()
+        return _Z2
     if os.path.exists(name):
         return load_table(name)
     raise ValueError(f"unknown group {name!r}: expected 'trivial', 'Z2', or a JSON path")
@@ -286,10 +289,19 @@ def _sym_value(lam: Partition, rho: Partition) -> int:
 
 
 def symmetric_group_table(k: int, max_order: int | None = None) -> GroupTable:
-    """Character table of S_k with partition/cycle-type text labels."""
+    """Character table of S_k with partition/cycle-type text labels.
+
+    The order bound applies on every call; each table is built and validated
+    once per process.
+    """
     bound = resolve_max_order(max_order)
     if factorial(k) > bound:
         raise SizeBoundError(factorial(k), bound, f"S_{k}")
+    return _symmetric_group_table_cached(k)
+
+
+@lru_cache(maxsize=None)
+def _symmetric_group_table_cached(k: int) -> GroupTable:
     classes = _sym_class_order(k)
     table = GroupTable(
         name=f"S{k}",
@@ -474,8 +486,10 @@ def wreath_class_size_formula(h_table: GroupTable, colored: WreathLabel) -> int:
 # Wreath irrep labels (array notation) and the brute-force character table
 
 
+@lru_cache(maxsize=None)
 def enumerate_wreath_labels(num_h_irreps: int, n: int) -> tuple[WreathLabel, ...]:
-    """Deterministic enumeration of level-n array labels.
+    """Deterministic enumeration of level-n array labels, built once per
+    (number of H-irreps, n).
 
     Ordered lexicographically by ascending support of H-irrep indices, then by
     per-slot partitions in canonical (descending lexicographic) order.

@@ -1,9 +1,10 @@
 """Sparse matrices over exact scalars (Python ints and Fractions).
 
 Everything downstream of the branching operators is exact integer or
-rational arithmetic; floats never appear. Matrices are small (the largest
-bases in practice have a few dozen labels), so clarity wins over asymptotics:
-storage is a dict keyed by (row, col) holding nonzero entries only.
+rational arithmetic; floats never appear. Storage is a dict keyed by
+(row, col) holding nonzero entries only. Bases reach thousands of labels
+(S_28 has 3,718, Z2 wr S_20 has 24,842), but Res has at most one entry per
+removable box of a label, so Res and X stay sparse.
 """
 
 from __future__ import annotations

@@ -154,7 +154,8 @@ class ChainParams:
         """Roots of the predicted f_l: 0 and C(1 + B + ... + B^(j-1)), j < l."""
         if self.status == "inconclusive":
             return (0,) if l else ()
-        assert self.status == "ok"
+        if self.status != "ok":
+            raise ValueError(f"no f_l: the order fit is a {self.status}")
         roots = [0]
         acc = 0
         power = 1
@@ -259,8 +260,8 @@ def jeongha_class_constraint(chain, h, n: int, l: int) -> CheckResult:
     f_l(|G_n| |[h]_{n-1}| / (|G_{n-1}| |[h]_n|)) == |G_n| |[h]_{n-l}| / (|G_{n-l}| |[h]_n|)
     """
     m = n - l
-    if m < 0:
-        raise ValueError("need l <= n")
+    if m < chain.min_n:
+        raise ValueError(f"level n - l = {m} is below the chain's lowest level {chain.min_n}")
     size_m = chain.class_size_from(h, m, m)
     size_up = chain.class_size_from(h, m, n)
     size_prev = chain.class_size_from(h, m, n - 1)
@@ -398,6 +399,9 @@ class IngestedChain(Chain):
             return self.levels[n]
         except KeyError:
             raise IngestError(f"level {n} is not part of the ingested chain") from None
+
+    def has_level(self, n: int) -> bool:
+        return n in self.levels
 
     def group_order(self, n: int) -> int:
         return self._level(n).order
@@ -583,10 +587,30 @@ def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
     return checks
 
 
+def _fit_check(params: ChainParams) -> CheckResult:
+    return CheckResult(
+        "fit-params", params.status in ("ok", "inconclusive"),
+        detail=f"status={params.status} B={params.B} C={params.C} {params.message}".strip(),
+    )
+
+
+def _failed_fit(chain) -> CheckResult | None:
+    """The failed fit-params check of a chain that takes f_l from an order fit
+    that found no recursion a_n = B a_{n-1} + C; None when f_l is known. The
+    checks that need f_l are skipped on such a chain."""
+    if chain.heisenberg_scaling is not None:
+        return None
+    check = _fit_check(chain.fitted_params())
+    return None if check.passed else check
+
+
 def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
     """Brute Ind^l Res^l against the polynomial in Ind Res, as matrices."""
+    levels = chain.level_range(max_n)
+    if levels and (failed := _failed_fit(chain)) is not None:
+        return [failed]
     checks = []
-    for n in chain.level_range(max_n):
+    for n in levels:
         x_matrix = chain.ind_res(n)
         for l in range(1, n - chain.min_n + 1):
             brute = chain.brute_indl_resl(n, l)
@@ -602,6 +626,9 @@ def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
 
 
 def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckResult]:
+    failed = _failed_fit(chain)
+    if failed is not None:
+        return [failed]
     checks = []
     # (1) per-class ratio constraints at every (n, l) with class data available
     for n in chain.level_range(max_n):
@@ -620,11 +647,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
     # (2)-(3) the order recursion and the predicted polynomial family; a chain
     # without a known M takes f_l from this fit, so only the fit is checked
     if chain.heisenberg_scaling is None:
-        params = chain.fitted_params()
-        checks.append(CheckResult(
-            "fit-params", params.status in ("ok", "inconclusive"),
-            detail=f"status={params.status} B={params.B} C={params.C} {params.message}".strip(),
-        ))
+        checks.append(_fit_check(chain.fitted_params()))
     else:
         orders = tuple(chain.group_order(n) for n in range(max(max_n + 1, 4)))
         params = fit_chain_params(orders)
@@ -643,8 +666,9 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
                     f"fit-polynomial l={l}", ok,
                     detail=f"roots {list(predicted)} vs engine {list(engine_roots)}",
                 ))
-    # (4) roots vs character values, where class data allows
-    if chain.group_order(0) == 1:
+    # (4) roots vs character values, where class data allows; the re-indexed
+    # statement reads levels 0 and 1
+    if chain.has_level(0) and chain.has_level(1) and chain.group_order(0) == 1:
         top = max_n - 1 if chain.group_order(1) == 1 else max_n
         for l in range(1, min(5, top) + 1):
             try:

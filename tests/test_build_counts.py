@@ -1,0 +1,44 @@
+"""Guards on how often per-level structure is built, counted rather than timed.
+
+Each test starts from cold caches, so it counts what a first run builds.
+"""
+
+from collections import Counter
+from math import factorial
+
+from charcol import hgroup
+from charcol.chain import SymmetricChain, WreathChain
+from charcol.engine import character_column, odd_column
+from charcol.hgroup import GroupTable
+from charcol.partitions import enumerate_partitions
+
+
+def test_full_s12_table_validates_each_small_table_once(monkeypatch):
+    hgroup._symmetric_group_table_cached.cache_clear()
+    validated = Counter()
+    validate = GroupTable.validate
+
+    def counting(table):
+        validated[table.name] += 1
+        return validate(table)
+
+    monkeypatch.setattr(GroupTable, "validate", counting)
+    chain = SymmetricChain()
+    n = 12
+    for mu in enumerate_partitions(n):
+        if (n - len(mu)) % 2:
+            odd_column(mu, n, chain, max_order=factorial(n))
+        else:
+            character_column(chain, mu, n, max_order=factorial(n))
+    assert validated and max(validated.values()) == 1, validated
+
+
+def test_wreath_columns_build_each_level_of_labels_once():
+    hgroup.enumerate_wreath_labels.cache_clear()
+    z2 = hgroup.builtin_table("Z2")
+    classes = [((1, (1,)),), ((0, (2,)),), ((1, (3,)),), ((0, (2,)), (1, (1,))), ((1, (2, 2)),)]
+    for cls in classes:
+        character_column(WreathChain(z2, chain_id="z2wreath"), cls, 10)
+    info = hgroup.enumerate_wreath_labels.cache_info()
+    assert info.misses <= 11  # one build per level 0..10
+    assert info.hits > info.misses

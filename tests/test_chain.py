@@ -184,3 +184,24 @@ def test_wreath_basis_size_formula():
             for a in range(n + 1)
         )
         assert len(z2c.basis(n)) == expect
+
+
+def test_fresh_wreath_chains_share_equal_bases():
+    for n in range(7):
+        assert fresh_z2().basis(n) == fresh_z2().basis(n)
+
+
+@pytest.mark.parametrize("make", [fresh_sym, fresh_z2])
+def test_basis_index_matches_basis_and_dense_round_trips(make):
+    chain = make()
+    for n in range(7):
+        basis = chain.basis(n)
+        index = chain.basis_index(n)
+        assert index is chain.basis_index(n)
+        assert list(index) == list(basis)
+        assert all(index[label] == i for i, label in enumerate(basis))
+        values = [Fraction(i, 2) - 3 for i in range(len(basis))]
+        vec = chain.from_dense(n, values)
+        assert chain.to_dense(vec) == values
+        assert chain.from_dense(n, chain.to_dense(vec)) == vec
+    assert make().basis_index(4) is not chain.basis_index(4)  # memoized per chain

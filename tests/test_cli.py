@@ -170,6 +170,27 @@ def test_verify_unknown_chain_is_usage_error(capsys, spec):
     assert spec in err
 
 
+@pytest.mark.parametrize("suite", ["tasyopari", "jeongha", "all"])
+def test_verify_reports_a_failed_order_fit(capsys, tmp_path, suite):
+    # ratios 2, 3, 2, 4 fit no recursion a_n = B a_{n-1} + C, so f_l is unknown
+    levels = [
+        {"n": n, "order": order, "basisSize": 1, **({"res": [[0, 0, 1]]} if n else {})}
+        for n, order in enumerate([1, 2, 6, 12, 48])
+    ]
+    path = tmp_path / "no-fit.json"
+    path.write_text(json.dumps({"levels": levels}))
+    code, out, err = run(capsys, "verify", "--chain", str(path), "--suite", suite,
+                         "--maxN", "4")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert failed and all(c["name"] == "fit-params" for c in failed)
+    assert "status=violation" in failed[0]["detail"]
+    assert not any(c["name"].startswith(("indres-power", "class-constraint", "roots-vs"))
+                   for c in payload["checks"])
+
+
 def test_verify_export_round_trip(capsys, tmp_path):
     out_path = tmp_path / "sym.json"
     code, _, _ = run(capsys, "verify", "--chain", "sym", "--suite", "tasyopari",

@@ -98,6 +98,26 @@ def test_symmetric_table_respects_bound():
     symmetric_group_table(8, max_order=50_000)  # explicit raise works
 
 
+def test_symmetric_table_bound_holds_after_the_table_is_cached(monkeypatch):
+    symmetric_group_table(8, max_order=50_000)
+    with pytest.raises(SizeBoundError):
+        symmetric_group_table(8, max_order=10_000)
+    monkeypatch.setenv("CHARCOL_MAX_ORDER", "50000")
+    symmetric_group_table(8)
+    monkeypatch.setenv("CHARCOL_MAX_ORDER", "10000")
+    with pytest.raises(SizeBoundError):
+        symmetric_group_table(8)
+
+
+def test_tables_and_labels_are_built_once():
+    z2 = builtin_table("Z2")
+    assert builtin_table("Z2") is z2
+    assert builtin_table("trivial") is builtin_table("trivial")
+    assert symmetric_group_table(6) is symmetric_group_table(6, max_order=720)
+    assert wreath_char_table(z2, 3) is wreath_char_table(z2, 3)
+    assert enumerate_wreath_labels(2, 6) is enumerate_wreath_labels(2, 6)
+
+
 # -- wreath elements ----------------------------------------------------------
 
 

@@ -335,6 +335,23 @@ def test_roots_report_marks_unavailable_levels():
     assert not report["evaluable"]
 
 
+@pytest.mark.parametrize("shift", [-1, 2])
+def test_jeongha_on_levels_not_starting_at_zero(shift):
+    payload = export_chain(SYM, 6)
+    for lv in payload["levels"]:
+        lv["n"] += shift
+    chain = ingest_chain(payload)
+    report = run_suite(chain, "jeongha", 6 + shift)
+    constraints = [c for c in report.checks if c.name.startswith("class-constraint")]
+    assert constraints and report.passed, [c for c in report.checks if not c.passed]
+    # every constraint reads a level the chain has, and roots-vs-characters
+    # runs only when levels 0 and 1 exist
+    assert all(int(c.name.split()[1][2:]) - int(c.name.split()[2][2:]) >= shift
+               for c in constraints)
+    has_roots = any(c.name.startswith("roots-vs-characters") for c in report.checks)
+    assert has_roots == (shift <= 0)
+
+
 def test_ingest_from_file(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(export_chain(SYM, 4)))
