@@ -24,7 +24,7 @@ from .hgroup import (
     wreath_char_table,
     wreath_class_size,
 )
-from .lifting import LiftRecord, lift, lift_column_input, lift_sym, lift_wreath
+from .lifting import LiftRecord, lift, lift_column_input
 from .verify import (
     ChainParams,
     IngestedChain,
@@ -60,8 +60,6 @@ __all__ = [
     "jeongha_class_constraint",
     "lift",
     "lift_column_input",
-    "lift_sym",
-    "lift_wreath",
     "mn_character",
     "odd_column",
     "oracle_column",

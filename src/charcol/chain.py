@@ -1,9 +1,12 @@
-"""Irrep bases per level and the branching operators Res, Ind, X = Ind Res.
+"""Irrep bases per level, the branching operators Res, Ind, X = Ind Res, and
+the polynomials f_l with Ind^l Res^l = f_l(X).
 
 Two chains are built in: the symmetric-group chain (labels are partitions)
 and wreath-product chains over a base group H (labels are arrays pairing
 distinct H-irreps with partitions). Ind is the transpose of Res throughout,
-so X at level n is Res^T Res, a symmetric sparse integer matrix.
+so X at level n is Res^T Res, a symmetric sparse integer matrix. Every chain
+hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it:
+at a number, on a dense vector, or as a matrix.
 
 Memoized per process, because they depend only on the level: the bases
 (``partitions.enumerate_partitions``, ``hgroup.enumerate_wreath_labels``) and
@@ -74,13 +77,51 @@ def _drop_zeros(coeffs: dict) -> dict:
     return {k: v for k, v in coeffs.items() if v}
 
 
+@dataclass(frozen=True)
+class FallingFactorialPoly:
+    """f_l = leading * (X - r_1)...(X - r_l) over its roots r_1, ..., r_l; with
+    no roots it is the constant ``leading``. The built-in chains' f_l is the
+    falling factorial X(X-M)...(X-(l-1)M) with leading coefficient 1."""
+
+    roots: tuple
+    leading: Fraction | int = 1
+
+    @property
+    def factors(self) -> int:
+        return len(self.roots)
+
+    def value(self, x):
+        out = self.leading
+        for root in self.roots:
+            out *= x - root
+        return out
+
+    def apply(self, x_matrix: SparseMatrix, vec: list) -> list:
+        """Apply to a dense vector as successive matvec-and-subtract passes,
+        roots in order: (X - r_l)...(X - r_1) (leading * v)."""
+        out = list(vec) if self.leading == 1 else [self.leading * v for v in vec]
+        for root in self.roots:
+            nxt = x_matrix.matvec(out)
+            if root:
+                out = [a - root * b for a, b in zip(nxt, out)]
+            else:
+                out = nxt
+        return out
+
+    def matrix(self, x_matrix: SparseMatrix) -> SparseMatrix:
+        out = SparseMatrix.identity(x_matrix.nrows).scaled(self.leading)
+        for root in self.roots:
+            out = x_matrix.shift_diagonal(-root) @ out
+        return out
+
+
 class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
 
     The suites need ``res_matrix`` (from which ``ind_res`` and
     ``brute_indl_resl`` are built), the level ranges, the class data, and f_l
-    as ``poly_roots``/``poly_leading``; lifting needs ``label_level``,
-    ``pad_first_row`` and ``lift_order_less``.
+    as ``poly(l)``; the engine applies ``poly(l)`` too; lifting needs
+    ``label_level``, ``pad_first_row`` and ``lift_order_less``.
     """
 
     id: str
@@ -174,28 +215,23 @@ class Chain:
         return n >= self.min_n
 
     def level_range(self, max_n: int) -> range:
-        """The levels n >= 1 up to max_n at which the suites compare operators."""
-        return range(1, max_n + 1)
+        """The levels above the lowest one, up to max_n, at which the suites
+        compare operators."""
+        return range(self.min_n + 1, max_n + 1)
 
     def heisenberg_levels(self, max_n: int) -> range:
         """The levels j whose commutator Res Ind - Ind Res the suites check."""
         return range(0, max_n)
 
-    def poly_roots(self, l: int) -> tuple:
-        """Roots of f_l, where Ind^l Res^l = f_l(Ind Res): 0, M, ..., (l-1)M."""
-        return tuple(j * self.heisenberg_scaling for j in range(l))
-
-    def poly_leading(self, l: int) -> Fraction:
-        """Leading coefficient of f_l."""
-        return Fraction(1)
+    def poly(self, l: int) -> FallingFactorialPoly:
+        """f_l, where Ind^l Res^l = f_l(Ind Res): roots 0, M, ..., (l-1)M."""
+        if l < 0:
+            raise ValueError("l must be non-negative")
+        return FallingFactorialPoly(tuple(j * self.heisenberg_scaling for j in range(l)))
 
     def apply_res(self, vec: ReprVector) -> ReprVector:
         op = self.res_operator(vec.level)
         return self.from_dense(vec.level - 1, op.matrix.matvec(self.to_dense(vec)))
-
-    def apply_ind(self, vec: ReprVector) -> ReprVector:
-        op = self.res_operator(vec.level + 1)
-        return self.from_dense(vec.level + 1, op.matrix.transpose().matvec(self.to_dense(vec)))
 
     # -- labels and classes ----------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Character-column computation by falling-factorial polynomials of Ind Res.
 
 A column for a class whose support lives at level k is obtained by lifting
-the level-k character data to level n and applying
-X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's commutator scaling (1
-for symmetric groups, |H| for wreath products). For odd permutations of the
-symmetric chain, the same product in the reduced operator Y on one irrep of
-each conjugate pair gives the column's positive part, and sign pairing
-reconstructs the rest.
+the level-k character data to level n and applying the chain's f_{n-k}, the
+falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
+commutator scaling (1 for symmetric groups, |H| for wreath products). For odd
+permutations of the symmetric chain, the same polynomial in the reduced
+operator Y on one irrep of each conjugate pair gives the column's positive
+part, and sign pairing reconstructs the rest.
 """
 
 from __future__ import annotations
@@ -15,59 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chain import Chain, ReprVector, get_chain, require_symmetric
+from .chain import Chain, FallingFactorialPoly, get_chain, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import lift_column_input
 from .partitions import Partition, conjugate, content_sum, is_odd_class
 from .sparse import SparseMatrix
-
-
-@dataclass(frozen=True)
-class FallingFactorialPoly:
-    """The product X(X-M)(X-2M)...(X-(factors-1)M); factors=0 is the identity."""
-
-    factors: int
-    scaling: int
-
-    def roots(self) -> tuple[int, ...]:
-        return tuple(j * self.scaling for j in range(self.factors))
-
-    def value(self, x):
-        out = 1
-        for r in self.roots():
-            out *= x - r
-        return out
-
-    def apply(self, x_matrix: SparseMatrix, vec: list) -> list:
-        """Apply to a dense vector as successive matvec-and-subtract passes,
-        shifts ascending: (X - (l-1)M)...(X - M) X v."""
-        out = list(vec)
-        for shift in self.roots():
-            nxt = x_matrix.matvec(out)
-            if shift:
-                out = [a - shift * b for a, b in zip(nxt, out)]
-            else:
-                out = nxt
-        return out
-
-    def matrix(self, x_matrix: SparseMatrix) -> SparseMatrix:
-        out = SparseMatrix.identity(x_matrix.nrows)
-        for root in self.roots():
-            out = x_matrix.shift_diagonal(-root) @ out
-        return out
-
-
-def apply_falling_factorial(x_matrix: SparseMatrix, l: int, scaling: int, vec: ReprVector,
-                            chain: Chain) -> ReprVector:
-    """f_l(X) applied to a basis-labelled vector at the matching level."""
-    if x_matrix.nrows != len(chain.basis(vec.level)):
-        raise ValueError(
-            f"operator size {x_matrix.nrows} does not match level {vec.level} basis"
-        )
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    dense = FallingFactorialPoly(l, scaling).apply(x_matrix, chain.to_dense(vec))
-    return chain.from_dense(vec.level, dense).normalized()
 
 
 @dataclass
@@ -109,11 +61,17 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
     if table is None:
         table = chain.small_table(k, max_order)
     vec = lift_column_input(chain, table, core, n)
-    out = apply_falling_factorial(
-        chain.ind_res(n), n - k, chain.heisenberg_scaling, vec, chain
-    )
+    dense = chain.poly(n - k).apply(chain.ind_res(n), chain.to_dense(vec))
+    out = chain.from_dense(n, dense).normalized()
     assert out.is_integral(), f"non-integral column for {cls} at level {n}"
-    column = CharacterColumn(chain.id, n, core, chain.embed_class(core, n), out.coeffs)
+    return _checked_column(chain, n, core, out.coeffs)
+
+
+def _checked_column(chain: Chain, n: int, core, coeffs: dict,
+                    plus_part: dict | None = None) -> CharacterColumn:
+    """The column of the class ``core`` at level n, after the checks every
+    column passes: the trivial irrep's entry is 1 and the norm is |G|/|class|."""
+    column = CharacterColumn(chain.id, n, core, chain.embed_class(core, n), coeffs, plus_part)
     assert column.coeffs.get(chain.trivial_label(n)) == 1
     class_size = chain.class_size_at(core, n)
     expected = chain.group_order(n) // class_size
@@ -179,7 +137,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
         half * (full.coefficient(lam) - full.coefficient(conjugate(lam)))
         for lam in red.plus_basis
     ]
-    plus_out = FallingFactorialPoly(n - k, 1).apply(red.matrix, plus_in)
+    plus_out = chain.poly(n - k).apply(red.matrix, plus_in)
     plus_values = {}
     for lam, value in zip(red.plus_basis, plus_out):
         value = Fraction(value)
@@ -195,10 +153,4 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
             assert conjugate(lam) == lam  # guaranteed by reduced_operator
             coeffs[lam] = 0
     coeffs = {lam: v for lam, v in coeffs.items() if v}
-    column = CharacterColumn(
-        chain.id, n, core, chain.embed_class(core, n), coeffs, plus_part=plus_values
-    )
-    assert column.coeffs.get(chain.trivial_label(n)) == 1
-    class_size = chain.class_size_at(core, n)
-    assert column.norm_squared() == chain.group_order(n) // class_size
-    return column
+    return _checked_column(chain, n, core, coeffs, plus_values)

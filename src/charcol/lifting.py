@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import Chain, ReprVector, get_chain
+from .chain import Chain, ReprVector
 from .hgroup import GroupTable
-from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -72,18 +71,6 @@ def lift(chain: Chain, label, n: int) -> LiftRecord:
     record = LiftRecord(chain.id, label, k, n, vector)
     chain.lift_memo[key] = record
     return record
-
-
-def lift_sym(w: Partition, n: int, chain: Chain | None = None) -> LiftRecord:
-    """Lift of a symmetric-group irrep; integer coefficients on first-row
-    extended diagrams."""
-    return lift(chain or get_chain("sym"), w, n)
-
-
-def lift_wreath(chain: Chain, w, n: int) -> LiftRecord:
-    """Lift of a wreath-product irrep; coefficients may be non-integral
-    rationals when the padded slot's H-irrep has dimension > 1."""
-    return lift(chain, w, n)
 
 
 def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> ReprVector:

@@ -9,6 +9,7 @@ produce byte-identical DOT and JSON.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .chain import Chain, get_chain, require_symmetric
@@ -29,14 +30,6 @@ class McKayGraph:
             data[(i, j)] = w
             data[(j, i)] = w
         return SparseMatrix(n, n, data)
-
-    def weight(self, a: str, b: str) -> int:
-        i, j = self.vertices.index(a), self.vertices.index(b)
-        i, j = min(i, j), max(i, j)
-        for x, y, w in self.edges:
-            if (x, y) == (i, j):
-                return w
-        return 0
 
 
 def _graph_from_matrix(level: int, vertices: tuple[str, ...], matrix: SparseMatrix) -> McKayGraph:
@@ -81,19 +74,9 @@ def export_json(graph: McKayGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict) -> McKayGraph:
-    return McKayGraph(
-        int(obj["n"]),
-        tuple(str(v) for v in obj["vertices"]),
-        tuple((int(i), int(j), int(w)) for i, j, w in obj["edges"]),
-    )
-
-
 def export(graph: McKayGraph, fmt: str) -> str:
-    import json as _json
-
     if fmt == "dot":
         return export_dot(graph)
     if fmt == "json":
-        return _json.dumps(export_json(graph), indent=2) + "\n"
+        return json.dumps(export_json(graph), indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r}; use 'dot' or 'json'")

@@ -68,11 +68,6 @@ def dim_irrep(p: Partition) -> int:
     return dim
 
 
-def multiplicities(mu: Partition) -> dict[int, int]:
-    """Derived view of a cycle type: part length -> count."""
-    return dict(Counter(mu))
-
-
 def class_size(mu: Partition) -> int:
     """Size of the S_n conjugacy class with cycle type mu: n!/prod(i^m_i m_i!)."""
     n = sum(mu)
@@ -92,17 +87,6 @@ def remove_one_box(p: Partition) -> list[Partition]:
         if p[i] > nxt:
             child = p[:i] + ((p[i] - 1,) if p[i] > 1 else ()) + p[i + 1 :]
             out.append(child)
-    return out
-
-
-def add_one_box(p: Partition) -> list[Partition]:
-    """Partitions covering p in Young's lattice."""
-    out = []
-    for i in range(len(p) + 1):
-        prev = p[i - 1] if i > 0 else None
-        cur = p[i] if i < len(p) else 0
-        if prev is None or prev > cur:
-            out.append(p[:i] + (cur + 1,) + p[i + 1 :] if i < len(p) else p + (1,))
     return out
 
 

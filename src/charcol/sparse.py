@@ -117,10 +117,6 @@ class SparseMatrix:
                 out[r] = out[r] + v * x
         return [_norm(x) if isinstance(x, Fraction) else x for x in out]
 
-    def triplets(self) -> list[tuple[int, int, Scalar]]:
-        """Entries as (row, col, value), sorted by (col, row) -- storage order."""
-        return [(r, c, self.data[(r, c)]) for (c, r) in sorted((c, r) for (r, c) in self.data)]
-
     def triplets_rowcol(self) -> list[tuple[int, int, Scalar]]:
         """Entries as (row, col, value), sorted by (row, col) -- dump order."""
         return [(r, c, self.data[(r, c)]) for (r, c) in sorted(self.data)]

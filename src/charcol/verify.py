@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .chain import Chain, SymmetricChain, WreathChain
+from . import engine, lifting
+from .chain import Chain, FallingFactorialPoly, SymmetricChain, WreathChain
 from .hgroup import SizeBoundError
 from .partitions import (
     Partition,
@@ -70,8 +71,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 def oracle_column(mu: Partition, n: int):
     """The exact level-n column of the class with cycle type mu, by the
     border-strip oracle alone."""
-    from . import engine  # local import; engine imports this module at load
-
     full = pad_with_fixed_points(tuple(sorted(mu, reverse=True)), n)
     coeffs = {}
     for lam in enumerate_partitions(n):
@@ -150,33 +149,24 @@ class ChainParams:
     C: int | None = None
     message: str = ""
 
-    def poly_roots(self, l: int) -> tuple[int, ...]:
-        """Roots of the predicted f_l: 0 and C(1 + B + ... + B^(j-1)), j < l."""
+    def poly(self, l: int) -> FallingFactorialPoly:
+        """The predicted f_l: roots C(1 + B + ... + B^(j-1)) for j < l (the
+        first is 0), leading coefficient B^(-l(l-1)/2); f_l = X for the
+        constant chain."""
+        if l < 0:
+            raise ValueError("l must be non-negative")
         if self.status == "inconclusive":
-            return (0,) if l else ()
+            return FallingFactorialPoly((0,) if l else ())
         if self.status != "ok":
             raise ValueError(f"no f_l: the order fit is a {self.status}")
-        roots = [0]
+        roots = []
         acc = 0
         power = 1
-        for _ in range(l - 1):
+        for _ in range(l):
+            roots.append(self.C * acc)
             acc += power
             power *= self.B
-            roots.append(self.C * acc)
-        return tuple(roots)
-
-    def poly_leading(self, l: int) -> Fraction:
-        if self.status == "inconclusive":
-            return Fraction(1)
-        return Fraction(1, self.B ** (l * (l - 1) // 2))
-
-    def poly_value(self, l: int, x) -> Fraction:
-        if self.status == "inconclusive":
-            return Fraction(x)  # f_l = X for the constant chain
-        out = self.poly_leading(l)
-        for root in self.poly_roots(l):
-            out *= x - root
-        return Fraction(out)
+        return FallingFactorialPoly(tuple(roots), Fraction(1, self.B ** (l * (l - 1) // 2)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,9 +258,7 @@ def jeongha_class_constraint(chain, h, n: int, l: int) -> CheckResult:
     if size_m == 0 or size_up == 0:
         raise ValueError(f"class {h} has no members at level {m}")
     chi = Fraction(chain.group_order(n) * size_prev, chain.group_order(n - 1) * size_up)
-    lhs = chain.poly_leading(l)
-    for root in chain.poly_roots(l):
-        lhs *= chi - root
+    lhs = chain.poly(l).value(chi)
     rhs = Fraction(chain.group_order(n) * size_m, chain.group_order(m) * size_up)
     name = f"class-constraint n={n} l={l} h={chain.format_class(h)}"
     return CheckResult(
@@ -289,7 +277,7 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
     """
     if chain.group_order(0) != 1:
         raise ValueError("root/character correspondence needs G_0 trivial")
-    roots = set(chain.poly_roots(l))
+    roots = set(chain.poly(l).roots)
     candidates = {}
     for m in (l, l + 1):
         try:
@@ -413,16 +401,13 @@ class IngestedChain(Chain):
         return res
 
     def level_range(self, max_n: int) -> range:
-        return range(max(self.min_n + 1, 1), min(self.max_n, max_n) + 1)
+        return super().level_range(min(self.max_n, max_n))
 
     def heisenberg_levels(self, max_n: int) -> range:
         return range(self.min_n + 1, min(self.max_n, max_n + 1))
 
-    def poly_roots(self, l: int) -> tuple:
-        return self.fitted_params().poly_roots(l)
-
-    def poly_leading(self, l: int) -> Fraction:
-        return self.fitted_params().poly_leading(l)
+    def poly(self, l: int) -> FallingFactorialPoly:
+        return self.fitted_params().poly(l)
 
     def classes_at(self, n: int, max_order=None):
         lv = self._level(n)
@@ -614,9 +599,7 @@ def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
         x_matrix = chain.ind_res(n)
         for l in range(1, n - chain.min_n + 1):
             brute = chain.brute_indl_resl(n, l)
-            poly = SparseMatrix.identity(x_matrix.nrows).scaled(chain.poly_leading(l))
-            for root in chain.poly_roots(l):
-                poly = x_matrix.shift_diagonal(-root) @ poly
+            poly = chain.poly(l).matrix(x_matrix)
             checks.append(CheckResult(
                 f"indres-power n={n} l={l}", brute == poly,
                 detail="Ind^l Res^l equals the polynomial in Ind Res"
@@ -659,12 +642,10 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
         ))
         if params.status == "ok":
             for l in range(1, max_n + 1):
-                predicted = params.poly_roots(l)
-                engine_roots = chain.poly_roots(l)
-                ok = predicted == engine_roots and params.poly_leading(l) == chain.poly_leading(l)
+                predicted, engine_poly = params.poly(l), chain.poly(l)
                 checks.append(CheckResult(
-                    f"fit-polynomial l={l}", ok,
-                    detail=f"roots {list(predicted)} vs engine {list(engine_roots)}",
+                    f"fit-polynomial l={l}", predicted == engine_poly,
+                    detail=f"roots {list(predicted.roots)} vs engine {list(engine_poly.roots)}",
                 ))
     # (4) roots vs character values, where class data allows; the re-indexed
     # statement reads levels 0 and 1
@@ -687,8 +668,6 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
 
 def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckResult]:
     """Engine columns against an independent source of character columns."""
-    from . import engine
-
     checks = []
     if isinstance(chain, SymmetricChain):
         for n in chain.level_range(max_n):
@@ -727,8 +706,6 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckR
 
 def lifting_suite(chain, max_n: int, max_k: int = 5) -> list[CheckResult]:
     """Res-exactness of every lift of every irrep at levels k <= max_k."""
-    from .lifting import lift
-
     checks = []
     if isinstance(chain, IngestedChain):
         return checks
@@ -738,7 +715,7 @@ def lifting_suite(chain, max_n: int, max_k: int = 5) -> list[CheckResult]:
             detail = ""
             for n in range(k, max_n + 1):
                 try:
-                    lift(chain, label, n)  # verification is built in
+                    lifting.lift(chain, label, n)  # verification is built in
                 except AssertionError as exc:
                     ok = False
                     detail = str(exc)

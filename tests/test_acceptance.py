@@ -18,9 +18,9 @@ from printed_data import (
 )
 
 from charcol.chain import get_chain
-from charcol.engine import FallingFactorialPoly, character_column, odd_column, reduced_operator
+from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import builtin_table, wreath_char_table
-from charcol.lifting import lift_sym, lift_wreath
+from charcol.lifting import lift
 from charcol.partitions import (
     class_size,
     conjugate,
@@ -102,11 +102,11 @@ def test_criterion_05_falling_factorial_oracle_equivalence():
         for n in range(1, 9):
             x = SYM.ind_res(n)
             for l in range(1, n + 1):
-                assert SYM.brute_indl_resl(n, l) == FallingFactorialPoly(l, 1).matrix(x), (n, l)
+                assert SYM.brute_indl_resl(n, l) == SYM.poly(l).matrix(x), (n, l)
         for n in range(1, 5):
             x = Z2C.ind_res(n)
             for l in range(1, n + 1):
-                assert Z2C.brute_indl_resl(n, l) == FallingFactorialPoly(l, 2).matrix(x), (n, l)
+                assert Z2C.brute_indl_resl(n, l) == Z2C.poly(l).matrix(x), (n, l)
 
     timed(5, "Ind^l Res^l = f_l(Ind Res)", 30.0, body)
 
@@ -143,7 +143,7 @@ def test_criterion_08_lifting_exactness():
         for k in range(0, 6):
             for w in enumerate_partitions(k):
                 for n in range(k, 10):
-                    vec = lift_sym(w, n).vector
+                    vec = lift(SYM, w, n).vector
                     for _ in range(n - k):
                         vec = SYM.apply_res(vec)
                     assert vec.normalized().coeffs == {w: 1}, (w, n)
@@ -158,7 +158,7 @@ def test_criterion_08_lifting_exactness():
                 (3, 1, 1): {w2: 1, v: -m, t: m * (m + 1) // 2},
             }
             for w, expect in rows.items():
-                assert lift_sym(w, n).vector.coeffs == expect, (w, n)
+                assert lift(SYM, w, n).vector.coeffs == expect, (w, n)
                 # lift of the sign-twisted row, by the printed construction
                 twisted = {conjugate(lab): c for lab, c in expect.items()}
                 vec = SYM.vector(n, twisted)
@@ -167,7 +167,7 @@ def test_criterion_08_lifting_exactness():
                 assert vec.normalized().coeffs == {conjugate(w): 1}
         # the printed wreath lift example at n in {3, 4}
         for n in (3, 4):
-            record = lift_wreath(Z2C, ((0, (1,)), (1, (1,))), n)
+            record = lift(Z2C, ((0, (1,)), (1, (1,))), n)
             assert record.vector.coeffs == {
                 ((0, (n - 1,)), (1, (1,))): 1,
                 ((0, (n,)),): -(n - 2),
@@ -200,9 +200,9 @@ def test_criterion_10_fit_and_roots():
         assert (z2_fit.status, z2_fit.B, z2_fit.C) == ("ok", 1, 2)
         for chain, fit in ((SYM, sym_fit), (Z2C, z2_fit)):
             for l in range(1, 7):
-                engine_roots = FallingFactorialPoly(l, chain.heisenberg_scaling).roots()
-                assert fit.poly_roots(l) == engine_roots, (chain.id, l)
-                assert fit.poly_leading(l) == Fraction(1)
+                engine_roots = chain.poly(l).roots
+                assert fit.poly(l).roots == engine_roots, (chain.id, l)
+                assert fit.poly(l).leading == Fraction(1)
         for l in range(1, 6):
             assert roots_vs_characters(SYM, l)["passed"], l
 

@@ -1,13 +1,13 @@
+import ast
 import itertools
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from charcol import verify
 from charcol.chain import get_chain
 from charcol.engine import (
-    FallingFactorialPoly,
-    apply_falling_factorial,
     character_column,
     normalize_class,
     odd_column,
@@ -28,6 +28,12 @@ from printed_data import PRINTED_DELTA_123, PRINTED_PLUS_COLUMNS, PRINTED_Y6
 
 SYM = get_chain("sym")
 Z2C = get_chain("z2wreath")
+
+
+def apply_poly(chain, x, l, vec):
+    """The chain's f_l(x) applied to a basis-labelled vector."""
+    dense = chain.poly(l).apply(x, chain.to_dense(vec))
+    return chain.from_dense(vec.level, dense).normalized()
 
 
 def printed_vector(column):
@@ -88,14 +94,14 @@ def test_columns_are_ind_res_eigenvectors():
 
 def test_falling_factorial_zero_is_identity():
     vec = SYM.vector(5, {(4, 1): 3, (5,): -2})
-    out = apply_falling_factorial(SYM.ind_res(5), 0, 1, vec, SYM)
+    out = apply_poly(SYM, SYM.ind_res(5), 0, vec)
     assert out.coeffs == vec.coeffs
 
 
 def test_falling_factorial_level_mismatch():
     vec = SYM.vector(4, {(4,): 1})
     with pytest.raises(ValueError):
-        apply_falling_factorial(SYM.ind_res(5), 1, 1, vec, SYM)
+        apply_poly(SYM, SYM.ind_res(5), 1, vec)
 
 
 def test_falling_factorial_matches_brute_on_basis_vectors():
@@ -106,13 +112,16 @@ def test_falling_factorial_matches_brute_on_basis_vectors():
             for i, lam in enumerate(SYM.basis(n)):
                 unit = [0] * len(SYM.basis(n))
                 unit[i] = 1
-                assert FallingFactorialPoly(l, 1).apply(x, unit) == brute.matvec(unit)
+                assert SYM.poly(l).apply(x, unit) == brute.matvec(unit)
 
 
-def test_poly_roots_and_values():
-    poly = FallingFactorialPoly(3, 2)
-    assert poly.roots() == (0, 2, 4)
+def test_falling_factorial_roots_and_values():
+    poly = Z2C.poly(3)
+    assert poly.roots == (0, 2, 4)
+    assert poly.factors == 3
     assert poly.value(6) == 6 * 4 * 2
+    with pytest.raises(ValueError):
+        SYM.poly(-1)
 
 
 # -- reduced operator and odd columns ------------------------------------------
@@ -175,7 +184,7 @@ def test_odd_columns_plus_parts_match_printed():
 def test_plus_part_of_transposition_is_y_product_on_t():
     red = reduced_operator(6)
     unit = [1, 0, 0, 0, 0]
-    assert FallingFactorialPoly(4, 1).apply(red.matrix, unit) == [1, 3, 3, 2, 1]
+    assert SYM.poly(4).apply(red.matrix, unit) == [1, 3, 3, 2, 1]
 
 
 def test_odd_column_equals_full_column():
@@ -239,7 +248,7 @@ def test_wreath_symbolic_formula_at_n3():
             ((1, (1,) * n),): -1,
         },
     )
-    out = apply_falling_factorial(Z2C.ind_res(n), n - 2, 2, formula_input, Z2C)
+    out = apply_poly(Z2C, Z2C.ind_res(n), n - 2, formula_input)
     engine = character_column(Z2C, ((0, (2,)),), n)
     assert out.coeffs == engine.coeffs
 
@@ -259,9 +268,7 @@ def test_wreath_printed_formulas_match_engine_columns():
             (((1, (2,)),), 2, {t: 1, s: -1, mt: -1, ms: 1}),
         ]
         for core, k, printed in cases:
-            out = apply_falling_factorial(
-                Z2C.ind_res(n), n - k, 2, Z2C.vector(n, printed), Z2C
-            )
+            out = apply_poly(Z2C, Z2C.ind_res(n), n - k, Z2C.vector(n, printed))
             engine = character_column(Z2C, core, n)
             assert out.coeffs == engine.coeffs, (core, n)
 
@@ -280,7 +287,8 @@ def test_wreath_columns_are_ind_res_eigenvectors():
 
 def test_apply_ind_of_trivial():
     for n in (2, 4):
-        out = SYM.apply_ind(SYM.unit_vector(n, (n,)))
+        ind = SYM.res_matrix(n + 1).transpose().matvec(SYM.to_dense(SYM.unit_vector(n, (n,))))
+        out = SYM.from_dense(n + 1, ind)
         assert out.coeffs == {(n + 1,): 1, (n, 1): 1}
 
 
@@ -323,7 +331,7 @@ def test_printed_formula_table_reproduces_columns():
         k = sum(tau)
         for n in (6, 7):
             vec = SYM.vector(n, printed_formula_input(n, tau))
-            out = apply_falling_factorial(SYM.ind_res(n), n - k, 1, vec, SYM)
+            out = apply_poly(SYM, SYM.ind_res(n), n - k, vec)
             assert out.coeffs == oracle_column(tau, n).coeffs, (tau, n)
 
 
@@ -350,3 +358,18 @@ def test_supplied_table_is_used():
 def test_class_too_large_rejected():
     with pytest.raises(ValueError):
         character_column(SYM, (7,), 6)
+
+
+def test_engine_modules_do_not_import_the_oracle():
+    # the README promises that the engine and the border-strip oracle share no
+    # code; verify imports from chain, so nothing on the engine side may import
+    # verify back
+    package = Path(verify.__file__).parent
+    for name in ("engine", "chain", "lifting", "hgroup", "partitions", "sparse"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert not any(mod.split(".")[-1] == "verify" for mod in imported), name

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charcol.partitions import (
-    add_one_box,
     below_first_row,
     class_size,
     class_sign,
@@ -16,7 +15,6 @@ from charcol.partitions import (
     enumerate_partitions,
     format_partition,
     mirrored_order,
-    multiplicities,
     pad_with_fixed_points,
     parse_partition,
     remove_one_box,
@@ -30,6 +28,17 @@ def partition_strategy(draw, max_n=12):
     k = draw(st.integers(min_value=1, max_value=n))
     bins = draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=n, max_size=n))
     return tuple(sorted(Counter(bins).values(), reverse=True))
+
+
+def add_one_box(p):
+    """Partitions covering p in Young's lattice."""
+    out = []
+    for i in range(len(p) + 1):
+        prev = p[i - 1] if i > 0 else None
+        cur = p[i] if i < len(p) else 0
+        if prev is None or prev > cur:
+            out.append(p[:i] + (cur + 1,) + p[i + 1 :] if i < len(p) else p + (1,))
+    return out
 
 
 def count_standard_tableaux(shape):
@@ -139,7 +148,7 @@ def test_content_sum_counts_boxes_and_flips_under_conjugation(p):
 
 @given(partition_strategy())
 def test_multiplicity_view(mu):
-    assert sum(i * m for i, m in multiplicities(mu).items()) == sum(mu)
+    assert sum(i * m for i, m in Counter(mu).items()) == sum(mu)
 
 
 @given(partition_strategy())

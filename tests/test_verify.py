@@ -15,6 +15,7 @@ from charcol.partitions import (
     enumerate_partitions,
     strip_fixed_points,
 )
+from charcol.sparse import SparseMatrix
 from charcol.verify import (
     SUITES,
     IngestError,
@@ -136,29 +137,43 @@ def test_class_constraint_all_z2_classes():
 def test_fit_sym_orders():
     params = fit_chain_params([factorial(n) for n in range(7)])
     assert (params.status, params.B, params.C) == ("ok", 1, 1)
-    assert params.poly_roots(4) == (0, 1, 2, 3)
-    assert params.poly_leading(4) == 1
+    assert params.poly(4).roots == (0, 1, 2, 3)
+    assert params.poly(4).leading == 1
 
 
 def test_fit_z2_orders():
     params = fit_chain_params([Z2C.group_order(n) for n in range(6)])
     assert (params.status, params.B, params.C) == ("ok", 1, 2)
-    assert params.poly_roots(3) == (0, 2, 4)
+    assert params.poly(3).roots == (0, 2, 4)
 
 
 def test_fit_hypothetical_ratios():
     params = fit_from_ratios((2, 3, 5, 9))
     assert (params.status, params.B, params.C) == ("ok", 2, -1)
     assert "no known chain" in params.message
-    assert params.poly_roots(3) == (0, -1, -3)
-    assert params.poly_leading(3) == Fraction(1, 8)
-    assert params.poly_value(2, 9) == Fraction(9 * 10, 2)  # (1/B) x (x - C) at x = 9
+    assert params.poly(3).roots == (0, -1, -3)
+    assert params.poly(3).leading == Fraction(1, 8)
+    assert params.poly(2).value(9) == Fraction(9 * 10, 2)  # (1/B) x (x - C) at x = 9
+
+
+def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
+    # B = 2, so f_l has leading coefficient 2^(-l(l-1)/2): apply, matrix and
+    # value must agree on it
+    params = fit_from_ratios((2, 3, 5, 9))
+    x = SYM.ind_res(5)
+    dim = len(SYM.basis(5))
+    vec = list(range(1, dim + 1))
+    scalar = SparseMatrix.identity(3).scaled(7)
+    for l in range(5):
+        poly = params.poly(l)
+        assert poly.apply(x, vec) == poly.matrix(x).matvec(vec), l
+        assert poly.matrix(scalar) == SparseMatrix.identity(3).scaled(poly.value(7)), l
 
 
 def test_fit_constant_is_inconclusive():
     params = fit_from_ratios((3, 3, 3, 3))
     assert params.status == "inconclusive"
-    assert params.poly_value(5, 7) == 7  # f_l = X
+    assert params.poly(5).value(7) == 7  # f_l = X
 
 
 def test_fit_non_integer_b_is_violation():
@@ -350,6 +365,12 @@ def test_jeongha_on_levels_not_starting_at_zero(shift):
                for c in constraints)
     has_roots = any(c.name.startswith("roots-vs-characters") for c in report.checks)
     assert has_roots == (shift <= 0)
+    # the suites check as many (n, l) as on the same chain starting at level 0
+    unshifted = ingest_chain(export_chain(SYM, 6))
+    for suite, prefix in (("tasyopari", "indres-power"), ("jeongha", "class-constraint")):
+        count = [sum(c.name.startswith(prefix) for c in run_suite(ch, suite, top).checks)
+                 for ch, top in ((chain, 6 + shift), (unshifted, 6))]
+        assert count[0] == count[1], (suite, count)
 
 
 def test_ingest_from_file(tmp_path):
