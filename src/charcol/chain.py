@@ -13,14 +13,16 @@ Memoized per process, because they depend only on the level: the bases
 the small level-k tables (``hgroup.symmetric_group_table``,
 ``hgroup.wreath_char_table``), each validated once when it is built.
 Memoized per chain instance, built level by level on demand: the basis
-indices, Res, X = Res^T Res and the lifts. A fresh chain starts with empty
-per-chain memos, and no process-wide memo holds Res, X or a lift. Everything
-memoized is immutable after construction, so concurrent reads are safe.
+indices, Res, X = Res^T Res and the lifts; no process-wide memo holds Res, X
+or a lift. ``apply_res`` restricts a vector label by label over its support,
+so a level's Res matrix is built only where X, a suite or an export needs it.
+Everything memoized is immutable after construction, so concurrent reads are
+safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -28,7 +30,7 @@ from math import factorial
 from . import hgroup, partitions
 from .hgroup import GroupTable, WreathLabel
 from .partitions import Partition
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _norm
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,11 @@ class ReprVector:
         return ReprVector(self.chain_id, self.level, _drop_zeros(coeffs))
 
     def is_integral(self) -> bool:
-        return all(Fraction(v).denominator == 1 for v in self.coeffs.values())
+        return all(v.denominator == 1 for v in self.coeffs.values())  # ints have one too
 
     def normalized(self) -> "ReprVector":
         """Reduce integral Fractions to ints and drop zeros."""
-        out = {}
-        for k, v in self.coeffs.items():
-            if isinstance(v, Fraction) and v.denominator == 1:
-                v = int(v)
-            if v:
-                out[k] = v
-        return ReprVector(self.chain_id, self.level, out)
+        return replace(self, coeffs={k: _norm(v) for k, v in self.coeffs.items() if v})
 
 
 def _drop_zeros(coeffs: dict) -> dict:
@@ -169,24 +165,27 @@ class Chain:
 
     # -- branching -----------------------------------------------------------
 
+    def _children(self, label) -> list:
+        """Res of one irrep: [(label at the level below, multiplicity)]."""
+        raise NotImplementedError
+
     def _res_entries(self, n: int):
         """Yield (child label at n-1, parent label at n, multiplicity)."""
-        raise NotImplementedError
+        for parent in self.basis(n):
+            for child, m in self._children(parent):
+                yield child, parent, m
 
     def res_operator(self, n: int) -> BranchingOperator:
         if n < 1:
             raise ValueError("res_operator needs n >= 1")
         if n not in self._res_cache:
-            domain = self.basis(n)
-            codomain = self.basis(n - 1)
-            rows = self.basis_index(n - 1)
-            cols = self.basis_index(n)
+            rows, cols = self.basis_index(n - 1), self.basis_index(n)
             matrix = SparseMatrix.from_triplets(
-                len(codomain),
-                len(domain),
+                len(rows),
+                len(cols),
                 ((rows[child], cols[parent], m) for child, parent, m in self._res_entries(n)),
             )
-            self._res_cache[n] = BranchingOperator(n, domain, codomain, matrix)
+            self._res_cache[n] = BranchingOperator(n, self.basis(n), self.basis(n - 1), matrix)
         return self._res_cache[n]
 
     def res_matrix(self, n: int) -> SparseMatrix:
@@ -230,8 +229,14 @@ class Chain:
         return FallingFactorialPoly(tuple(j * self.heisenberg_scaling for j in range(l)))
 
     def apply_res(self, vec: ReprVector) -> ReprVector:
-        op = self.res_operator(vec.level)
-        return self.from_dense(vec.level - 1, op.matrix.matvec(self.to_dense(vec)))
+        """Res of a vector, pushed label by label along its support."""
+        if vec.level < 1:
+            raise ValueError("apply_res needs a vector at level >= 1")
+        out: dict = {}
+        for label, c in vec.coeffs.items():
+            for child, m in self._children(label):
+                out[child] = out.get(child, 0) + m * c
+        return ReprVector(self.id, vec.level - 1, out).normalized()
 
     # -- labels and classes ----------------------------------------------------
 
@@ -312,10 +317,8 @@ class SymmetricChain(Chain):
     def basis(self, n: int) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
 
-    def _res_entries(self, n: int):
-        for parent in self.basis(n):
-            for child in partitions.remove_one_box(parent):
-                yield child, parent, 1
+    def _children(self, label: Partition) -> list:
+        return [(child, 1) for child in partitions.remove_one_box(label)]
 
     def label_level(self, label: Partition) -> int:
         return sum(label)
@@ -379,16 +382,12 @@ class WreathChain(Chain):
     def basis(self, n: int) -> tuple[WreathLabel, ...]:
         return hgroup.enumerate_wreath_labels(len(self._h_dims), n)
 
-    def _res_entries(self, n: int):
-        for parent in self.basis(n):
-            for slot, (h_idx, part) in enumerate(parent):
-                mult = self._h_dims[h_idx]
-                for smaller in partitions.remove_one_box(part):
-                    if smaller:
-                        child = parent[:slot] + ((h_idx, smaller),) + parent[slot + 1 :]
-                    else:
-                        child = parent[:slot] + parent[slot + 1 :]
-                    yield child, parent, mult
+    def _children(self, label: WreathLabel) -> list:
+        return [
+            (label[:slot] + (((h, part),) if part else ()) + label[slot + 1 :], self._h_dims[h])
+            for slot, (h, whole) in enumerate(label)
+            for part in partitions.remove_one_box(whole)
+        ]
 
     def label_level(self, label: WreathLabel) -> int:
         return sum(sum(p) for _, p in label)

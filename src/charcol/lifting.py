@@ -4,9 +4,10 @@ restricts back to w exactly.
 The construction pads the first row of the first listed diagram, scales by
 the inverse dimension power for wreath chains, and subtracts recursively
 lifted lower terms; recursion strictly descends a partial order on labels
-(boxes below the first row, then box counts in the remaining slots), which is
-asserted at runtime. Every lift is verified by composing Res before it is
-returned or memoized.
+(boxes below the first row, then box counts in the remaining slots), asserted
+at runtime. Every lift is verified by restricting it n - k times before it is
+returned or memoized. ``Chain.apply_res`` restricts label by label along the
+vector's support, so lifting builds no Res matrix.
 """
 
 from __future__ import annotations

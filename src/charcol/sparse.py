@@ -16,7 +16,7 @@ Scalar = int | Fraction
 
 def _norm(value: Scalar) -> Scalar:
     """Collapse integral Fractions back to int."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if type(value) is Fraction and value.denominator == 1:
         return int(value)
     return value
 
@@ -115,7 +115,7 @@ class SparseMatrix:
             x = vec[c]
             if x:
                 out[r] = out[r] + v * x
-        return [_norm(x) if isinstance(x, Fraction) else x for x in out]
+        return [x if type(x) is int else _norm(x) for x in out]
 
     def triplets_rowcol(self) -> list[tuple[int, int, Scalar]]:
         """Entries as (row, col, value), sorted by (row, col) -- dump order."""

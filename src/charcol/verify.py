@@ -207,6 +207,8 @@ def fit_from_ratios(ratios) -> ChainParams:
                 (), a, "violation", B=b, C=c,
                 message=f"recursion a = {b}*a + {c} fails between ratios {a[j]} and {a[j + 1]}",
             )
+    if b == 0:  # f_l's leading coefficient would be B^(-l(l-1)/2)
+        return ChainParams((), a, "violation", B=b, C=c, message="B = 0 leaves f_l undefined")
     notes = []
     if b == 1 and c >= 1:
         notes.append(f"wreath family: C = |H| = {c}")
@@ -503,11 +505,7 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None,
     """Dump a built-in chain in the ingestion format (identity class first)."""
     levels = []
     for n in range(max_n + 1):
-        entry: dict = {
-            "n": n,
-            "order": chain.group_order(n),
-            "basisSize": len(chain.basis(n)),
-        }
+        entry: dict = {"n": n, "order": chain.group_order(n), "basisSize": len(chain.basis(n))}
         if n >= 1:
             entry["res"] = [
                 [r, c, v] for r, c, v in chain.res_operator(n).matrix.triplets_rowcol()

@@ -42,3 +42,14 @@ def test_wreath_columns_build_each_level_of_labels_once():
     info = hgroup.enumerate_wreath_labels.cache_info()
     assert info.misses <= 11  # one build per level 0..10
     assert info.hits > info.misses
+
+
+def test_columns_build_res_only_at_their_own_level():
+    # lifting restricts along the support, so only X = Res^T Res at level n
+    # needs a Res matrix
+    sym = SymmetricChain()
+    character_column(sym, (4, 3), 24)
+    assert sorted(sym._res_cache) == [24] and sorted(sym._x_cache) == [24]
+    z2 = WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")
+    character_column(z2, ((0, (2,)), (1, (1,))), 10)
+    assert sorted(z2._res_cache) == [10] and sorted(z2._x_cache) == [10]

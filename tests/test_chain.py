@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charcol.chain import SymmetricChain, WreathChain, get_chain
 from charcol.hgroup import builtin_table
@@ -205,3 +206,44 @@ def test_basis_index_matches_basis_and_dense_round_trips(make):
         assert chain.to_dense(vec) == values
         assert chain.from_dense(n, chain.to_dense(vec)) == vec
     assert make().basis_index(4) is not chain.basis_index(4)  # memoized per chain
+
+
+# apply_res pushes coefficients label by label; the Res matrix is what X, the
+# suites and ``indres --dump`` use. Both must give the same restriction.
+RES_CASES = {"sym": 12, "z2wreath": 7, "trivial": 6}
+
+
+def res_by_matrix(chain, vec):
+    n = vec.level
+    return chain.from_dense(n - 1, chain.res_matrix(n).matvec(chain.to_dense(vec)))
+
+
+def typed(vec):
+    return vec.chain_id, vec.level, {label: (type(c), c) for label, c in vec.coeffs.items()}
+
+
+@pytest.mark.parametrize("spec", sorted(RES_CASES))
+def test_apply_res_matches_res_matrix_on_unit_vectors(spec):
+    chain = get_chain(spec)
+    for n in range(1, RES_CASES[spec] + 1):
+        for label in chain.basis(n):
+            vec = chain.unit_vector(n, label)
+            assert typed(chain.apply_res(vec)) == typed(res_by_matrix(chain, vec)), (n, label)
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(spec, n) for spec, top in sorted(RES_CASES.items()) for n in range(1, top + 1)]
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_apply_res_matches_res_matrix_on_sparse_rational_vectors(spec, n, data):
+    chain = get_chain(spec)
+    labels = data.draw(st.lists(st.sampled_from(chain.basis(n)), max_size=6, unique=True))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    vec = chain.vector(n, {label: data.draw(values) for label in labels})
+    assert typed(chain.apply_res(vec)) == typed(res_by_matrix(chain, vec))
+
+
+def test_apply_res_needs_level_one():
+    with pytest.raises(ValueError):
+        fresh_sym().apply_res(fresh_sym().unit_vector(0, ()))

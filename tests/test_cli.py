@@ -170,12 +170,12 @@ def test_verify_unknown_chain_is_usage_error(capsys, spec):
     assert spec in err
 
 
-@pytest.mark.parametrize("suite", ["tasyopari", "jeongha", "all"])
-def test_verify_reports_a_failed_order_fit(capsys, tmp_path, suite):
-    # ratios 2, 3, 2, 4 fit no recursion a_n = B a_{n-1} + C, so f_l is unknown
+def assert_failed_order_fit(capsys, tmp_path, suite, orders):
+    """Verify a chain of one-dimensional levels with the given orders: the
+    report fails on fit-params only and runs no check that needs f_l."""
     levels = [
         {"n": n, "order": order, "basisSize": 1, **({"res": [[0, 0, 1]]} if n else {})}
-        for n, order in enumerate([1, 2, 6, 12, 48])
+        for n, order in enumerate(orders)
     ]
     path = tmp_path / "no-fit.json"
     path.write_text(json.dumps({"levels": levels}))
@@ -189,6 +189,21 @@ def test_verify_reports_a_failed_order_fit(capsys, tmp_path, suite):
     assert "status=violation" in failed[0]["detail"]
     assert not any(c["name"].startswith(("indres-power", "class-constraint", "roots-vs"))
                    for c in payload["checks"])
+    return failed
+
+
+@pytest.mark.parametrize("suite", ["tasyopari", "jeongha", "all"])
+def test_verify_reports_a_failed_order_fit(capsys, tmp_path, suite):
+    # ratios 2, 3, 2, 4 fit no recursion a_n = B a_{n-1} + C, so f_l is unknown
+    assert_failed_order_fit(capsys, tmp_path, suite, [1, 2, 6, 12, 48])
+
+
+@pytest.mark.parametrize("suite", ["tasyopari", "jeongha", "all"])
+def test_verify_reports_an_order_fit_with_b_zero(capsys, tmp_path, suite):
+    # ratios 2, 3, 3, 3 give a_n = 0 a_{n-1} + 3; f_l's leading coefficient
+    # B^(-l(l-1)/2) is then undefined
+    failed = assert_failed_order_fit(capsys, tmp_path, suite, [1, 2, 6, 18, 54])
+    assert all("B=0 C=3" in c["detail"] and "B = 0" in c["detail"] for c in failed)
 
 
 def test_verify_export_round_trip(capsys, tmp_path):

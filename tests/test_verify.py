@@ -182,6 +182,16 @@ def test_fit_non_integer_b_is_violation():
     assert "not an integer" in params.message
 
 
+def test_fit_with_b_zero_is_violation():
+    # ratios 2, 3, 3, 3 satisfy a_n = 0 a_{n-1} + 3, but f_l's leading
+    # coefficient B^(-l(l-1)/2) is undefined for B = 0
+    params = fit_from_ratios((2, 3, 3, 3))
+    assert (params.status, params.B, params.C) == ("violation", 0, 3)
+    assert "B = 0" in params.message
+    with pytest.raises(ValueError):
+        params.poly(2)
+
+
 def test_fit_inconsistent_recursion_is_violation():
     params = fit_from_ratios((2, 3, 5, 8))
     assert params.status == "violation"
