@@ -24,7 +24,7 @@ from .hgroup import (
     wreath_char_table,
     wreath_class_size,
 )
-from .lifting import LiftRecord, lift, lift_column_input
+from .lifting import lift, lift_column_input
 from .verify import (
     ChainParams,
     IngestedChain,
@@ -45,7 +45,6 @@ __all__ = [
     "FallingFactorialPoly",
     "GroupTable",
     "IngestedChain",
-    "LiftRecord",
     "ReducedOperator",
     "ReprVector",
     "SizeBoundError",

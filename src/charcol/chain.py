@@ -13,11 +13,13 @@ Memoized per process, because they depend only on the level: the bases
 the small level-k tables (``hgroup.symmetric_group_table``,
 ``hgroup.wreath_char_table``), each validated once when it is built.
 Memoized per chain instance, built level by level on demand: the basis
-indices, Res, X = Res^T Res and the lifts; no process-wide memo holds Res, X
-or a lift. ``apply_res`` restricts a vector label by label over its support,
-so a level's Res matrix is built only where X, a suite or an export needs it.
-Everything memoized is immutable after construction, so concurrent reads are
-safe.
+indices, Res, X = Res^T Res and the lifts. ``get_chain`` is memoized too, so
+the chains it hands out keep theirs for the life of the process, and
+``engine.reduced_operator`` builds on ``get_chain("sym")``'s X; a chain built
+directly starts empty. ``apply_res`` restricts a vector label by label over
+its support, so a level's Res matrix is built only where X, a suite or an
+export needs it. Everything memoized is immutable after construction, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -53,13 +55,6 @@ class ReprVector:
 
     def coefficient(self, label):
         return self.coeffs.get(label, 0)
-
-    def add_scaled(self, other: "ReprVector", c) -> "ReprVector":
-        assert (self.chain_id, self.level) == (other.chain_id, other.level)
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + c * v
-        return ReprVector(self.chain_id, self.level, _drop_zeros(coeffs))
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.coeffs.values())  # ints have one too
@@ -279,7 +274,7 @@ class Chain:
         """The class of the same element at a higher level (add fixed points)."""
         raise NotImplementedError
 
-    def class_size_at(self, cls, n: int, max_order: int | None = None) -> int:
+    def class_size_at(self, cls, n: int) -> int:
         """Size of the embedded class at level n; 0 if the class does not meet G_n."""
         raise NotImplementedError
 
@@ -352,7 +347,7 @@ class SymmetricChain(Chain):
     def embed_class(self, cls: Partition, n: int) -> Partition:
         return partitions.pad_with_fixed_points(cls, n)
 
-    def class_size_at(self, cls: Partition, n: int, max_order: int | None = None) -> int:
+    def class_size_at(self, cls: Partition, n: int) -> int:
         if sum(cls) > n:
             return 0
         return partitions.class_size(self.embed_class(cls, n))
@@ -461,7 +456,7 @@ class WreathChain(Chain):
         out[0] = tuple(sorted(ones + (1,) * extra, reverse=True))
         return tuple(sorted(out.items()))
 
-    def class_size_at(self, cls: WreathLabel, n: int, max_order: int | None = None) -> int:
+    def class_size_at(self, cls: WreathLabel, n: int) -> int:
         if sum(sum(p) for _, p in cls) > n:
             return 0
         return hgroup.wreath_class_size_formula(self.h_table, self.embed_class(cls, n))

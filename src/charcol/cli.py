@@ -43,10 +43,6 @@ def _coeff_json(value):
     return int(value)
 
 
-def _chain_for(args) -> Chain:
-    return get_chain(args.chain)
-
-
 def _output_order(chain: Chain, n: int, paper_order: bool):
     if paper_order:
         require_symmetric(chain, "--paper-order")
@@ -55,7 +51,7 @@ def _output_order(chain: Chain, n: int, paper_order: bool):
 
 
 def cmd_column(args) -> int:
-    chain = _chain_for(args)
+    chain = get_chain(args.chain)
     cls = chain.parse_class(args.cls)
     table = load_table(args.table) if args.table else None
     if args.odd:
@@ -90,14 +86,13 @@ def cmd_column(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    chain = _chain_for(args)
+    chain = get_chain(args.chain)
     label = chain.parse_label(args.label)
     level = chain.label_level(label)
     if level != args.k:
         raise ValueError(f"label {args.label} lives at level {level}, not k={args.k}")
-    record = lift(chain, label, args.n)
     items = sorted(
-        record.vector.coeffs.items(),
+        lift(chain, label, args.n).coeffs.items(),
         key=lambda kv: chain.basis_index(args.n)[kv[0]],
     )
     payload = {chain.format_label(lab): _coeff_json(v) for lab, v in items}
@@ -106,7 +101,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_indres(args) -> int:
-    chain = _chain_for(args)
+    chain = get_chain(args.chain)
     matrix = chain.ind_res(args.n)
     order = _output_order(chain, args.n, args.paper_order)
     index = chain.basis_index(args.n)
@@ -124,7 +119,7 @@ def cmd_indres(args) -> int:
 
 
 def cmd_mckay(args) -> int:
-    chain = _chain_for(args)
+    chain = get_chain(args.chain)
     if args.reduced:
         graph = mckay.reduced_graph(args.n, chain)
     else:
@@ -134,7 +129,7 @@ def cmd_mckay(args) -> int:
 
 
 def cmd_table(args) -> int:
-    chain = _chain_for(args)
+    chain = get_chain(args.chain)
     table = chain.small_table(args.k, args.max_order)
     if args.format == "csv":
         header = "," + ",".join(lab for lab, _ in table.classes)

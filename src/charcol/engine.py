@@ -6,7 +6,9 @@ falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
 commutator scaling (1 for symmetric groups, |H| for wreath products). For odd
 permutations of the symmetric chain, the same polynomial in the reduced
 operator Y on one irrep of each conjugate pair gives the column's positive
-part, and sign pairing reconstructs the rest.
+part, and sign pairing reconstructs the rest. ``reduced_operator(n)`` is
+memoized per process and built from ``get_chain("sym")``'s X, whichever
+symmetric chain ``odd_column`` is given.
 """
 
 from __future__ import annotations
@@ -28,16 +30,9 @@ class CharacterColumn:
 
     chain_id: str
     level: int
-    class_core: object
-    class_label: object  # the same class embedded at ``level``
+    class_label: object  # the class, embedded at ``level``
     coeffs: dict
     plus_part: dict | None = None
-
-    def entries(self, chain: Chain) -> list[tuple[object, int]]:
-        return [(label, self.coeffs.get(label, 0)) for label in chain.basis(self.level)]
-
-    def dense(self, chain: Chain) -> list[int]:
-        return [value for _, value in self.entries(chain)]
 
     def norm_squared(self) -> int:
         return sum(v * v for v in self.coeffs.values())
@@ -71,7 +66,7 @@ def _checked_column(chain: Chain, n: int, core, coeffs: dict,
                     plus_part: dict | None = None) -> CharacterColumn:
     """The column of the class ``core`` at level n, after the checks every
     column passes: the trivial irrep's entry is 1 and the norm is |G|/|class|."""
-    column = CharacterColumn(chain.id, n, core, chain.embed_class(core, n), coeffs, plus_part)
+    column = CharacterColumn(chain.id, n, chain.embed_class(core, n), coeffs, plus_part)
     assert column.coeffs.get(chain.trivial_label(n)) == 1
     class_size = chain.class_size_at(core, n)
     expected = chain.group_order(n) // class_size
@@ -97,21 +92,27 @@ def reduced_operator(n: int) -> ReducedOperator:
     if n < 2:
         raise ValueError("reduced_operator needs n >= 2")
     chain = get_chain("sym")
+    basis = chain.basis(n)
     # chi_lambda at a transposition has the sign of lambda's content sum, and
     # conjugation negates both: keep the diagram with the positive character,
     # or the larger diagram of a pair whose character there vanishes.
     plus = tuple(
-        lam for lam in chain.basis(n)
+        lam for lam in basis
         if (content_sum(lam), lam) > (content_sum(conjugate(lam)), conjugate(lam))
     )
-    x_matrix = chain.ind_res(n)
-    index = chain.basis_index(n)
+    position = {lam: i for i, lam in enumerate(plus)}
     entries = {}
-    for i, row in enumerate(plus):
-        for j, col in enumerate(plus):
-            value = x_matrix[index[row], index[col]] - x_matrix[index[row], index[conjugate(col)]]
-            if value:
-                entries[(i, j)] = value
+    # one pass over the nonzeros X(x, y) with x in plus
+    for (r, c), value in chain.ind_res(n).data.items():
+        row, col = basis[r], basis[c]
+        if row not in position:
+            continue
+        if col not in position:  # -X(x, y) goes to Y(x, conjugate(y))
+            col, value = conjugate(col), -value
+            if col not in position:  # y is self-conjugate
+                continue
+        key = (position[row], position[col])
+        entries[key] = entries.get(key, 0) + value
     return ReducedOperator(n, plus, SparseMatrix(len(plus), len(plus), entries))
 
 

@@ -318,10 +318,6 @@ def _symmetric_group_table_cached(k: int) -> GroupTable:
 # Wreath products H^k x| S_k: elements, classes, labels
 
 
-def wreath_identity(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return ((0,) * k, tuple(range(k)))
-
-
 def wreath_mult(group: ConcreteGroup, x, y):
     """(a, s)(b, r) = (a * s.b, s o r) where (s.b)_i = b_{s^-1(i)}."""
     (bx, px), (by, py) = x, y

@@ -6,29 +6,20 @@ the inverse dimension power for wreath chains, and subtracts recursively
 lifted lower terms; recursion strictly descends a partial order on labels
 (boxes below the first row, then box counts in the remaining slots), asserted
 at runtime. Every lift is verified by restricting it n - k times before it is
-returned or memoized. ``Chain.apply_res`` restricts label by label along the
-vector's support, so lifting builds no Res matrix.
+returned (a ``ReprVector``) and memoized in ``chain.lift_memo`` under
+(label, n). ``Chain.apply_res`` restricts label by label along the vector's
+support, so lifting builds no Res matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import Chain, ReprVector
 from .hgroup import GroupTable
 
 
-@dataclass(frozen=True)
-class LiftRecord:
-    chain_id: str
-    source: object
-    source_level: int
-    level: int
-    vector: ReprVector
-
-
-def lift(chain: Chain, label, n: int) -> LiftRecord:
+def lift(chain: Chain, label, n: int) -> ReprVector:
     """Lift an irrep label from its own level k up to level n."""
     k = chain.label_level(label)
     if n < k:
@@ -38,9 +29,8 @@ def lift(chain: Chain, label, n: int) -> LiftRecord:
     if cached is not None:
         return cached
     if n == k:
-        record = LiftRecord(chain.id, label, k, n, chain.unit_vector(n, label))
-        chain.lift_memo[key] = record
-        return record
+        vector = chain.lift_memo[key] = chain.unit_vector(n, label)
+        return vector
 
     padded, scale, pad_slot = chain.pad_first_row(label, n)
     down = chain.unit_vector(n, padded)
@@ -52,16 +42,17 @@ def lift(chain: Chain, label, n: int) -> LiftRecord:
         f"{down.coefficient(label)}, expected {expected}"
     )
 
-    vector = ReprVector(chain.id, n, {padded: scale})
+    coeffs = {padded: scale}
     for other, mult in sorted(down.coeffs.items()):
         if other == label:
             continue
         assert chain.lift_order_less(other, label, pad_slot), (
             f"recursion would not descend: {other} is not below {label}"
         )
-        correction = lift(chain, other, n).vector
-        vector = vector.add_scaled(correction, -(scale * mult))
-    vector = vector.normalized()
+        c = -(scale * mult)
+        for w, v in lift(chain, other, n).coeffs.items():
+            coeffs[w] = coeffs.get(w, 0) + c * v
+    vector = ReprVector(chain.id, n, coeffs).normalized()
 
     check = vector
     for _ in range(n - k):
@@ -69,9 +60,8 @@ def lift(chain: Chain, label, n: int) -> LiftRecord:
     assert check.normalized().coeffs == {label: 1}, (
         f"lift of {label} to level {n} fails Res^{n - k} verification: {check.coeffs}"
     )
-    record = LiftRecord(chain.id, label, k, n, vector)
-    chain.lift_memo[key] = record
-    return record
+    chain.lift_memo[key] = vector
+    return vector
 
 
 def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> ReprVector:
@@ -88,11 +78,11 @@ def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> ReprVecto
         raise ValueError(
             f"class {class_text!r} not present in table {table.name}; classes: {available}"
         )
-    out = ReprVector(chain.id, n, {})
+    coeffs: dict = {}
     for irrep_label, _, values in table.irreps:
         chi = values[col]
         if not chi:
             continue
-        w = chain.parse_label(irrep_label)
-        out = out.add_scaled(lift(chain, w, n).vector, chi)
-    return out.normalized()
+        for w, v in lift(chain, chain.parse_label(irrep_label), n).coeffs.items():
+            coeffs[w] = coeffs.get(w, 0) + chi * v
+    return ReprVector(chain.id, n, coeffs).normalized()

@@ -23,14 +23,6 @@ class McKayGraph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]  # (i, j, weight) with i <= j
 
-    def adjacency(self) -> SparseMatrix:
-        n = len(self.vertices)
-        data = {}
-        for i, j, w in self.edges:
-            data[(i, j)] = w
-            data[(j, i)] = w
-        return SparseMatrix(n, n, data)
-
 
 def _graph_from_matrix(level: int, vertices: tuple[str, ...], matrix: SparseMatrix) -> McKayGraph:
     edges = []

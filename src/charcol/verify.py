@@ -29,7 +29,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     pad_with_fixed_points,
-    strip_fixed_points,
 )
 from .sparse import SparseMatrix
 
@@ -77,9 +76,7 @@ def oracle_column(mu: Partition, n: int):
         value = mn_character(lam, full)
         if value:
             coeffs[lam] = value
-    return engine.CharacterColumn(
-        "sym", n, strip_fixed_points(full), full, coeffs
-    )
+    return engine.CharacterColumn("sym", n, full, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +497,7 @@ def ingest_chain(source) -> IngestedChain:
     return IngestedChain(levels, name=str(obj.get("name", "ingested")))
 
 
-def export_chain(chain: Chain, max_n: int, max_order: int | None = None,
-                 include_classes: bool = True) -> dict:
+def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict:
     """Dump a built-in chain in the ingestion format (identity class first)."""
     levels = []
     for n in range(max_n + 1):
@@ -510,25 +506,24 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None,
             entry["res"] = [
                 [r, c, v] for r, c, v in chain.res_operator(n).matrix.triplets_rowcol()
             ]
-        if include_classes:
-            try:
-                labels = chain.classes_at(n, max_order)
-            except SizeBoundError:
-                labels = None
-            if labels is not None:
-                identity = chain.identity_class(n)
-                ordered = [identity] + [lab for lab in labels if lab != identity]
-                rows = []
-                for lab in ordered:
-                    core, _ = chain.strip_class(lab)
-                    row = {
-                        "label": chain.format_class(lab),
-                        "size": chain.class_size_at(core, n),
-                    }
-                    if n < max_n:
-                        row["embedsTo"] = chain.format_class(chain.embed_class(core, n + 1))
-                    rows.append(row)
-                entry["classes"] = rows
+        try:
+            labels = chain.classes_at(n, max_order)
+        except SizeBoundError:
+            labels = None
+        if labels is not None:
+            identity = chain.identity_class(n)
+            ordered = [identity] + [lab for lab in labels if lab != identity]
+            rows = []
+            for lab in ordered:
+                core, _ = chain.strip_class(lab)
+                row = {
+                    "label": chain.format_class(lab),
+                    "size": chain.class_size_at(core, n),
+                }
+                if n < max_n:
+                    row["embedsTo"] = chain.format_class(chain.embed_class(core, n + 1))
+                rows.append(row)
+            entry["classes"] = rows
         levels.append(entry)
     return {"name": chain.id, "levels": levels}
 
@@ -552,8 +547,7 @@ def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
         up = chain.res_matrix(j + 1)
         commutator = up @ up.transpose()
         if j > chain.min_n:
-            down = chain.res_matrix(j)
-            commutator = commutator - (down.transpose() @ down)
+            commutator = commutator - chain.ind_res(j)
         diag = commutator[(0, 0)]
         ok = commutator.equals_scaled_identity(diag)
         if expected is not None:
@@ -702,12 +696,12 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckR
     return checks
 
 
-def lifting_suite(chain, max_n: int, max_k: int = 5) -> list[CheckResult]:
-    """Res-exactness of every lift of every irrep at levels k <= max_k."""
+def lifting_suite(chain, max_n: int) -> list[CheckResult]:
+    """Res-exactness of every lift of every irrep at levels k <= 5."""
     checks = []
     if isinstance(chain, IngestedChain):
         return checks
-    for k in range(0, min(max_k, max_n) + 1):
+    for k in range(0, min(5, max_n) + 1):
         for label in chain.basis(k):
             ok = True
             detail = ""

@@ -143,7 +143,7 @@ def test_criterion_08_lifting_exactness():
         for k in range(0, 6):
             for w in enumerate_partitions(k):
                 for n in range(k, 10):
-                    vec = lift(SYM, w, n).vector
+                    vec = lift(SYM, w, n)
                     for _ in range(n - k):
                         vec = SYM.apply_res(vec)
                     assert vec.normalized().coeffs == {w: 1}, (w, n)
@@ -158,7 +158,7 @@ def test_criterion_08_lifting_exactness():
                 (3, 1, 1): {w2: 1, v: -m, t: m * (m + 1) // 2},
             }
             for w, expect in rows.items():
-                assert lift(SYM, w, n).vector.coeffs == expect, (w, n)
+                assert lift(SYM, w, n).coeffs == expect, (w, n)
                 # lift of the sign-twisted row, by the printed construction
                 twisted = {conjugate(lab): c for lab, c in expect.items()}
                 vec = SYM.vector(n, twisted)
@@ -167,8 +167,8 @@ def test_criterion_08_lifting_exactness():
                 assert vec.normalized().coeffs == {conjugate(w): 1}
         # the printed wreath lift example at n in {3, 4}
         for n in (3, 4):
-            record = lift(Z2C, ((0, (1,)), (1, (1,))), n)
-            assert record.vector.coeffs == {
+            vec = lift(Z2C, ((0, (1,)), (1, (1,))), n)
+            assert vec.coeffs == {
                 ((0, (n - 1,)), (1, (1,))): 1,
                 ((0, (n,)),): -(n - 2),
             }

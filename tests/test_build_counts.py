@@ -7,10 +7,11 @@ from collections import Counter
 from math import factorial
 
 from charcol import hgroup
-from charcol.chain import SymmetricChain, WreathChain
-from charcol.engine import character_column, odd_column
+from charcol.chain import SymmetricChain, WreathChain, get_chain
+from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions
+from charcol.sparse import SparseMatrix
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
@@ -53,3 +54,21 @@ def test_columns_build_res_only_at_their_own_level():
     z2 = WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")
     character_column(z2, ((0, (2,)), (1, (1,))), 10)
     assert sorted(z2._res_cache) == [10] and sorted(z2._x_cache) == [10]
+
+
+def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):
+    # Y is built in one pass over X's nonzeros, not by looking up X(x, y) and
+    # X(x, conjugate(y)) for every pair of the plus basis; X itself is built
+    # first, so only the reads count
+    x_matrix = get_chain("sym").ind_res(18)
+    reads = 0
+    getitem = SparseMatrix.__getitem__
+
+    def counting(matrix, rc):
+        nonlocal reads
+        reads += 1
+        return getitem(matrix, rc)
+
+    monkeypatch.setattr(SparseMatrix, "__getitem__", counting)
+    reduced_operator.__wrapped__(18)
+    assert reads <= len(x_matrix.data), (reads, len(x_matrix.data))

@@ -36,6 +36,11 @@ def apply_poly(chain, x, l, vec):
     return chain.from_dense(vec.level, dense).normalized()
 
 
+def dense_column(chain, column):
+    """The column's entries in ``chain.basis`` order, zeros included."""
+    return [column.coeffs.get(label, 0) for label in chain.basis(column.level)]
+
+
 def printed_vector(column):
     return tuple(column.coeffs.get(p, 0) for p in mirrored_order(column.level))
 
@@ -57,7 +62,7 @@ def test_identity_column_is_dimension_vector():
 
 def test_transposition_column_s4():
     column = character_column(SYM, (2,), 4)
-    dense = column.dense(SYM)
+    dense = dense_column(SYM, column)
     assert dense == [mn_character(p, (2, 1, 1)) for p in enumerate_partitions(4)]
     assert dense == [1, 1, 0, -1, -1]
 
@@ -77,7 +82,9 @@ def test_column_norm_identity():
 
 def test_column_orthogonality():
     for n in (5, 7):
-        cols = {mu: character_column(SYM, mu, n).dense(SYM) for mu in enumerate_partitions(n)}
+        cols = {
+            mu: dense_column(SYM, character_column(SYM, mu, n)) for mu in enumerate_partitions(n)
+        }
         for a, b in itertools.combinations(cols, 2):
             assert sum(x * y for x, y in zip(cols[a], cols[b])) == 0
 
@@ -87,7 +94,7 @@ def test_columns_are_ind_res_eigenvectors():
     for n in range(1, 8):
         x = SYM.ind_res(n)
         for mu in enumerate_partitions(n):
-            dense = character_column(SYM, mu, n).dense(SYM)
+            dense = dense_column(SYM, character_column(SYM, mu, n))
             fixed = sum(1 for part in mu if part == 1)
             assert x.matvec(dense) == [fixed * v for v in dense]
 
@@ -142,6 +149,19 @@ def test_reduced_operator_n2():
 def test_reduced_operator_n4_plus_basis():
     # characters at a transposition: 1, 1, 0, -1, -1
     assert reduced_operator(4).plus_basis == ((4,), (3, 1))
+
+
+def test_reduced_operator_matches_its_definition_on_dense_x():
+    # Y(x, y) = X(x, y) - X(x, conjugate(y)) for x, y in the plus basis
+    for n in range(2, 17):
+        red = reduced_operator(n)
+        x = SYM.ind_res(n).to_dense()
+        index = SYM.basis_index(n)
+        expected = [
+            [x[index[a]][index[b]] - x[index[a]][index[conjugate(b)]] for b in red.plus_basis]
+            for a in red.plus_basis
+        ]
+        assert red.matrix.to_dense() == expected, n
 
 
 def test_reduced_operator_rejects_n1():
@@ -233,7 +253,7 @@ def test_wreath_columns_match_brute_table():
 
 def test_wreath_identity_column_small():
     column = character_column(Z2C, (), 2)
-    assert column.dense(Z2C) == [1, 1, 2, 1, 1]
+    assert dense_column(Z2C, column) == [1, 1, 2, 1, 1]
 
 
 def test_wreath_symbolic_formula_at_n3():
@@ -281,7 +301,7 @@ def test_wreath_columns_are_ind_res_eigenvectors():
             column = character_column(Z2C, cls, n)
             value = Z2C.ind_t_character(cls, n)
             assert value.denominator == 1
-            dense = column.dense(Z2C)
+            dense = dense_column(Z2C, column)
             assert x.matvec(dense) == [int(value) * v for v in dense], (n, cls)
 
 

@@ -21,7 +21,6 @@ from charcol.hgroup import (
     wreath_class_size_formula,
     wreath_classes,
     wreath_elements,
-    wreath_identity,
     wreath_inverse,
     wreath_irrep_dim,
     wreath_mult,
@@ -133,8 +132,9 @@ def wreath_pair(draw, k=3):
 def test_wreath_inverse(args):
     group, x, _ = args
     k = len(x[1])
-    assert wreath_mult(group, x, wreath_inverse(group, x)) == wreath_identity(k)
-    assert wreath_mult(group, wreath_inverse(group, x), x) == wreath_identity(k)
+    identity = ((0,) * k, tuple(range(k)))
+    assert wreath_mult(group, x, wreath_inverse(group, x)) == identity
+    assert wreath_mult(group, wreath_inverse(group, x), x) == identity
 
 
 @given(wreath_pair(), st.integers(0, 47))
@@ -149,7 +149,7 @@ def test_wreath_associative(args, pick):
 
 def test_colored_type_of_identity():
     z2 = concrete_base(builtin_table("Z2"))
-    assert colored_cycle_type(z2, wreath_identity(3)) == identity_colored_type(3)
+    assert colored_cycle_type(z2, ((0,) * 3, tuple(range(3)))) == identity_colored_type(3)
 
 
 # -- wreath conjugacy classes -------------------------------------------------

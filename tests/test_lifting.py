@@ -19,8 +19,8 @@ def res_power(chain, vec, steps):
 def test_trivial_lifts_to_trivial():
     for k in (0, 1, 3, 5):
         for n in range(k, 9):
-            rec = lift(SYM, (k,) if k else (), n)
-            assert rec.vector.coeffs == {(n,) if n else (): 1}
+            vec = lift(SYM, (k,) if k else (), n)
+            assert vec.coeffs == {(n,) if n else (): 1}
 
 
 def test_lift_is_memoized():
@@ -33,8 +33,8 @@ def test_p_lift_formula():
     # [3,2] lifts to p - (n-5) v + (n-5)(n-4)/2 t on first-row-extended diagrams
     for n in (6, 7, 8, 9):
         m = n - 5
-        rec = lift(SYM, (3, 2), n)
-        assert rec.vector.coeffs == {
+        vec = lift(SYM, (3, 2), n)
+        assert vec.coeffs == {
             (n - 2, 2): 1,
             (n - 1, 1): -m,
             (n,): m * (m + 1) // 2,
@@ -44,8 +44,8 @@ def test_p_lift_formula():
 def test_wedge_lift_formula():
     for n in (7, 8, 9):
         m = n - 5
-        rec = lift(SYM, (3, 1, 1), n)
-        assert rec.vector.coeffs == {
+        vec = lift(SYM, (3, 1, 1), n)
+        assert vec.coeffs == {
             (n - 2, 1, 1): 1,
             (n - 1, 1): -m,
             (n,): m * (m + 1) // 2,
@@ -65,7 +65,7 @@ def test_s5_lift_table_all_rows():
             (3, 1, 1): {w2: 1, v: -m, t: m * (m + 1) // 2},
         }
         for w, expect in plus_rows.items():
-            assert lift(SYM, w, n).vector.coeffs == expect
+            assert lift(SYM, w, n).coeffs == expect
         # sp, sv, s rows: conjugate every diagram in the corresponding plus row
         for w, expect in plus_rows.items():
             sw = conjugate(w)
@@ -78,24 +78,24 @@ def test_lift_exactness_all_k_up_to_5():
     for k in range(0, 6):
         for w in enumerate_partitions(k):
             for n in range(k, 10):
-                rec = lift(SYM, w, n)
-                assert res_power(SYM, rec.vector, n - k).coeffs == {w: 1}
+                vec = lift(SYM, w, n)
+                assert res_power(SYM, vec, n - k).coeffs == {w: 1}
 
 
 def test_triangular_support():
     for k in (3, 4, 5):
         for w in enumerate_partitions(k):
             for n in (k + 2, k + 4):
-                rec = lift(SYM, w, n)
+                vec = lift(SYM, w, n)
                 bound = below_first_row(w)
-                assert all(below_first_row(lab) <= bound for lab in rec.vector.coeffs)
+                assert all(below_first_row(lab) <= bound for lab in vec.coeffs)
 
 
 def test_wreath_lift_printed_example():
     # (1,-1; t,t) lifts to (1^{n-1},-1; t,t) - (n-2)(1^n; t)
     for n in (3, 4, 5):
-        rec = lift(Z2C, ((0, (1,)), (1, (1,))), n)
-        assert rec.vector.coeffs == {
+        vec = lift(Z2C, ((0, (1,)), (1, (1,))), n)
+        assert vec.coeffs == {
             ((0, (n - 1,)), (1, (1,))): 1,
             ((0, (n,)),): -(n - 2),
         }
@@ -104,12 +104,12 @@ def test_wreath_lift_printed_example():
 def test_wreath_trivial_and_sign_slots():
     # (U^k; t) lifts to (U^n; t) for one-dimensional U
     for n in (3, 4):
-        rec = lift(Z2C, ((1, (2,)),), n)
-        assert rec.vector.coeffs == {((1, (n,)),): 1}
+        vec = lift(Z2C, ((1, (2,)),), n)
+        assert vec.coeffs == {((1, (n,)),): 1}
     # (U^k; s): the systematic lift differs from the direct (U^n; s) preimage,
     # but both restrict back exactly
-    rec = lift(Z2C, ((1, (1, 1)),), 4)
-    assert res_power(Z2C, rec.vector, 2).coeffs == {((1, (1, 1)),): 1}
+    vec = lift(Z2C, ((1, (1, 1)),), 4)
+    assert res_power(Z2C, vec, 2).coeffs == {((1, (1, 1)),): 1}
     direct = Z2C.vector(4, {((1, (1, 1, 1, 1)),): 1})
     assert res_power(Z2C, direct, 2).coeffs == {((1, (1, 1)),): 1}
 
@@ -118,8 +118,8 @@ def test_wreath_lift_exactness_small():
     for k in (0, 1, 2):
         for w in Z2C.basis(k):
             for n in range(k, 5):
-                rec = lift(Z2C, w, n)
-                assert res_power(Z2C, rec.vector, n - k).coeffs == {w: 1}
+                vec = lift(Z2C, w, n)
+                assert res_power(Z2C, vec, n - k).coeffs == {w: 1}
 
 
 def test_lift_rejects_downward():
@@ -153,6 +153,6 @@ def test_column_input_unknown_class():
 def test_wreath_lift_scaling_is_rational_by_design():
     # with one-dimensional built-in H's every lift is integral; the vector
     # type still carries exact rationals
-    rec = lift(Z2C, ((0, (1,)), (1, (1,))), 4)
-    assert rec.vector.is_integral()
-    assert isinstance(Fraction(rec.vector.coefficient(((0, (4,)),))), Fraction)
+    vec = lift(Z2C, ((0, (1,)), (1, (1,))), 4)
+    assert vec.is_integral()
+    assert isinstance(Fraction(vec.coefficient(((0, (4,)),))), Fraction)

@@ -1,0 +1,48 @@
+"""Package code has package callers.
+
+Every function, method and class defined under ``src/charcol`` (dunders
+aside) must be named, as an ``ast.Name`` or an ``ast.Attribute``, somewhere
+in ``src/charcol`` or ``bench`` outside its own definition, or be imported in
+``charcol/__init__.py``. Code that only the tests call belongs in the tests.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "charcol"
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_package_definition_has_a_caller_or_is_exported():
+    package = {path: parse(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    bench = [parse(path) for path in sorted((ROOT / "bench").rglob("*.py"))]
+    uses = defaultdict(list)
+    for tree in [*package.values(), *bench]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].append(node)
+    exported = {
+        alias.name
+        for node in ast.walk(package[PACKAGE / "__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = []
+    for path, tree in package.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITION) or node.name in exported:
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            inside = {id(inner) for inner in ast.walk(node)}
+            if all(id(use) in inside for use in uses[node.name]):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unused, "defined but never used outside the tests:\n" + "\n".join(unused)
