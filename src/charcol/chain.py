@@ -17,9 +17,9 @@ indices, Res, X = Res^T Res and the lifts. ``get_chain`` is memoized too, so
 the chains it hands out keep theirs for the life of the process, and
 ``engine.reduced_operator`` builds on ``get_chain("sym")``'s X; a chain built
 directly starts empty. ``apply_res`` restricts a vector label by label over
-its support, so a level's Res matrix is built only where X, a suite or an
-export needs it. Everything memoized is immutable after construction, so
-concurrent reads are safe.
+its support, so lifting builds no matrix: a column at level n builds Res at n
+and no X, and X is built for the suites, exports and McKay graphs. Everything
+memoized is immutable after construction, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ class FallingFactorialPoly:
             out *= x - root
         return out
 
-    def apply(self, x_matrix: SparseMatrix, vec: list) -> list:
-        """Apply to a dense vector as successive matvec-and-subtract passes,
-        roots in order: (X - r_l)...(X - r_1) (leading * v)."""
+    def apply(self, times_x, vec: list) -> list:
+        """(X - r_l)...(X - r_1) (leading * v) on a dense vector, roots in
+        order, where ``times_x(v)`` returns X v as a dense list."""
         out = list(vec) if self.leading == 1 else [self.leading * v for v in vec]
         for root in self.roots:
-            nxt = x_matrix.matvec(out)
+            nxt = times_x(out)
             if root:
                 out = [a - root * b for a, b in zip(nxt, out)]
             else:

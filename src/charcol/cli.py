@@ -104,11 +104,8 @@ def cmd_indres(args) -> int:
     chain = get_chain(args.chain)
     matrix = chain.ind_res(args.n)
     order = _output_order(chain, args.n, args.paper_order)
-    index = chain.basis_index(args.n)
-    perm = [index[lab] for lab in order]
-    entries = sorted(
-        (perm.index(r), perm.index(c), v) for r, c, v in matrix.triplets_rowcol()
-    )
+    position = {chain.basis_index(args.n)[lab]: i for i, lab in enumerate(order)}
+    entries = sorted((position[r], position[c], v) for (r, c), v in matrix.data.items())
     payload = {
         "n": args.n,
         "basis": [chain.format_label(lab) for lab in order],

@@ -3,11 +3,12 @@
 A column for a class whose support lives at level k is obtained by lifting
 the level-k character data to level n and applying the chain's f_{n-k}, the
 falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
-commutator scaling (1 for symmetric groups, |H| for wreath products). For odd
-permutations of the symmetric chain, the same polynomial in the reduced
-operator Y on one irrep of each conjugate pair gives the column's positive
-part, and sign pairing reconstructs the rest. ``reduced_operator(n)`` is
-memoized per process and built from ``get_chain("sym")``'s X, whichever
+commutator scaling (1 for symmetric groups, |H| for wreath products). Each
+factor multiplies by X = Ind Res as Ind(Res v), so a column never builds X.
+For odd permutations of the symmetric chain, the same polynomial in the
+reduced operator Y on one irrep of each conjugate pair gives the column's
+positive part, and sign pairing reconstructs the rest. ``reduced_operator(n)``
+is memoized per process and built from ``get_chain("sym")``'s X, whichever
 symmetric chain ``odd_column`` is given.
 """
 
@@ -50,13 +51,15 @@ def normalize_class(chain: Chain, cls, n: int):
 
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
                      table: GroupTable | None = None) -> CharacterColumn:
-    """delta for the class at level n: f_{n-k}(X) applied to the lifted
-    level-k column input. Exact; the column-norm identity is asserted."""
+    """delta at level n: f_{n-k}(X), with X v as Ind(Res v), applied to the
+    lifted level-k column input. Exact; the column-norm identity is asserted."""
     core, k = normalize_class(chain, cls, n)
     if table is None:
         table = chain.small_table(k, max_order)
     vec = lift_column_input(chain, table, core, n)
-    dense = chain.poly(n - k).apply(chain.ind_res(n), chain.to_dense(vec))
+    res = chain.res_matrix(n)
+    ind = res.transpose()
+    dense = chain.poly(n - k).apply(lambda v: ind.matvec(res.matvec(v)), chain.to_dense(vec))
     out = chain.from_dense(n, dense).normalized()
     assert out.is_integral(), f"non-integral column for {cls} at level {n}"
     return _checked_column(chain, n, core, out.coeffs)
@@ -138,7 +141,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
         half * (full.coefficient(lam) - full.coefficient(conjugate(lam)))
         for lam in red.plus_basis
     ]
-    plus_out = chain.poly(n - k).apply(red.matrix, plus_in)
+    plus_out = chain.poly(n - k).apply(red.matrix.matvec, plus_in)
     plus_values = {}
     for lam, value in zip(red.plus_basis, plus_out):
         value = Fraction(value)

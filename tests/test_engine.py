@@ -4,6 +4,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charcol import verify
 from charcol.chain import get_chain
@@ -14,6 +15,7 @@ from charcol.engine import (
     reduced_operator,
 )
 from charcol.hgroup import SizeBoundError, builtin_table, wreath_char_table
+from charcol.lifting import lift_column_input
 from charcol.partitions import (
     class_size,
     conjugate,
@@ -32,7 +34,7 @@ Z2C = get_chain("z2wreath")
 
 def apply_poly(chain, x, l, vec):
     """The chain's f_l(x) applied to a basis-labelled vector."""
-    dense = chain.poly(l).apply(x, chain.to_dense(vec))
+    dense = chain.poly(l).apply(x.matvec, chain.to_dense(vec))
     return chain.from_dense(vec.level, dense).normalized()
 
 
@@ -119,7 +121,7 @@ def test_falling_factorial_matches_brute_on_basis_vectors():
             for i, lam in enumerate(SYM.basis(n)):
                 unit = [0] * len(SYM.basis(n))
                 unit[i] = 1
-                assert SYM.poly(l).apply(x, unit) == brute.matvec(unit)
+                assert SYM.poly(l).apply(x.matvec, unit) == brute.matvec(unit)
 
 
 def test_falling_factorial_roots_and_values():
@@ -129,6 +131,60 @@ def test_falling_factorial_roots_and_values():
     assert poly.value(6) == 6 * 4 * 2
     with pytest.raises(ValueError):
         SYM.poly(-1)
+
+
+FACTORED_CASES = {"sym": 12, "z2wreath": 7, "trivial": 6}
+
+
+def factored_and_x_routes(chain, n, vec):
+    """poly(l) applied to a dense vector for every l <= n, multiplying by X as
+    Ind(Res v) and by the built X, each entry paired with its exact type."""
+    res, x = chain.res_matrix(n), chain.ind_res(n)
+    ind = res.transpose()
+    for l in range(n + 1):
+        poly = chain.poly(l)
+        factored = poly.apply(lambda v: ind.matvec(res.matvec(v)), vec)
+        built = poly.apply(x.matvec, vec)
+        yield l, [(type(v), v) for v in factored], [(type(v), v) for v in built]
+
+
+@pytest.mark.parametrize("spec", sorted(FACTORED_CASES))
+def test_factored_product_equals_x_route_on_unit_vectors(spec):
+    chain = get_chain(spec)
+    for n in range(1, FACTORED_CASES[spec] + 1):
+        dim = len(chain.basis(n))
+        for i in range(dim):
+            unit = [0] * dim
+            unit[i] = 1
+            for l, factored, built in factored_and_x_routes(chain, n, unit):
+                assert factored == built, (n, i, l)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(spec, n) for spec, top in sorted(FACTORED_CASES.items()) for n in range(1, top + 1)],
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_factored_product_equals_x_route_on_sparse_rational_vectors(spec, n, data):
+    chain = get_chain(spec)
+    dim = len(chain.basis(n))
+    positions = data.draw(st.lists(st.integers(0, dim - 1), max_size=6, unique=True))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    vec = [0] * dim
+    for i in positions:
+        vec[i] = data.draw(values)
+    for l, factored, built in factored_and_x_routes(chain, n, vec):
+        assert factored == built, l
+
+
+@pytest.mark.parametrize("cls, n", [((3,), 20), ((2, 2), 20), ((4, 3), 22), ((5,), 22)])
+def test_engine_columns_equal_poly_of_built_x_times_lift(cls, n):
+    core, k = normalize_class(SYM, cls, n)
+    vec = lift_column_input(SYM, SYM.small_table(k), core, n)
+    dense = SYM.poly(n - k).apply(SYM.ind_res(n).matvec, SYM.to_dense(vec))
+    expected = SYM.from_dense(n, dense).normalized().coeffs
+    assert character_column(SYM, cls, n).coeffs == expected
 
 
 # -- reduced operator and odd columns ------------------------------------------
@@ -204,7 +260,7 @@ def test_odd_columns_plus_parts_match_printed():
 def test_plus_part_of_transposition_is_y_product_on_t():
     red = reduced_operator(6)
     unit = [1, 0, 0, 0, 0]
-    assert SYM.poly(4).apply(red.matrix, unit) == [1, 3, 3, 2, 1]
+    assert SYM.poly(4).apply(red.matrix.matvec, unit) == [1, 3, 3, 2, 1]
 
 
 def test_odd_column_equals_full_column():

@@ -171,7 +171,7 @@ def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
     scalar = SparseMatrix.identity(3).scaled(7)
     for l in range(5):
         poly = params.poly(l)
-        assert poly.apply(x, vec) == poly.matrix(x).matvec(vec), l
+        assert poly.apply(x.matvec, vec) == poly.matrix(x).matvec(vec), l
         assert poly.matrix(scalar) == SparseMatrix.identity(3).scaled(poly.value(7)), l
 
 
