@@ -13,20 +13,20 @@ Memoized per process, because they depend only on the level: the bases
 the small level-k tables (``hgroup.symmetric_group_table``,
 ``hgroup.wreath_char_table``), each validated once when it is built.
 Memoized per chain instance, built level by level on demand: the basis
-indices, Res, X = Res^T Res and the lifts. ``get_chain`` is memoized too, so
-the chains it hands out keep theirs for the life of the process, and
-``engine.reduced_operator`` builds on ``get_chain("sym")``'s X; a chain built
-directly starts empty. ``apply_res`` restricts a vector label by label over
-its support, so lifting builds no matrix: a column at level n builds Res at n
-and no X, and X is built for the suites, exports and McKay graphs. Everything
-memoized is immutable after construction, so concurrent reads are safe.
+indices, Res (as branching-graph edges), X = Res^T Res and the lifts.
+``get_chain`` is memoized too, so the chains it hands out keep theirs for the
+life of the process, and ``engine.reduced_operator`` builds on
+``get_chain("sym")``'s X; a chain built directly starts empty. ``apply_res``
+restricts along the support, so lifting builds no matrix, and a column builds
+Res's edges at its level and no sparse matrix. Only Res's ``parents`` and
+``matrix`` are filled in later, on first use, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from . import hgroup, partitions
@@ -37,12 +37,40 @@ from .sparse import SparseMatrix, _norm
 
 @dataclass(frozen=True)
 class BranchingOperator:
-    """Sparse matrix of Res at one level: rows index level n-1, cols level n."""
+    """Res at level n as branching-graph edges: ``children[j]`` lists the level-(n-1)
+    positions under level-n position j, m times for multiplicity m."""
 
     level: int
     domain: tuple
     codomain: tuple
-    matrix: SparseMatrix
+    children: tuple
+
+    @cached_property
+    def parents(self) -> tuple:
+        parents = [[] for _ in self.codomain]
+        for j, below in enumerate(self.children):
+            for i in below:
+                parents[i].append(j)
+        return tuple(map(tuple, parents))
+
+    @cached_property
+    def matrix(self) -> SparseMatrix:
+        edges = ((i, j, 1) for j, below in enumerate(self.children) for i in below)
+        return SparseMatrix.from_triplets(len(self.codomain), len(self.domain), edges)
+
+    def times_x(self, vec: list) -> list:
+        """X v = Ind(Res v): scatter each nonzero coefficient down the edges, then up."""
+        down = [0] * len(self.codomain)
+        for c, below in zip(vec, self.children):
+            if c:
+                for i in below:
+                    down[i] += c
+        out = [0] * len(self.domain)
+        for d, above in zip(down, self.parents):
+            if d:
+                for j in above:
+                    out[j] += d
+        return [x if type(x) is int else _norm(x) for x in out]
 
 
 @dataclass
@@ -164,23 +192,14 @@ class Chain:
         """Res of one irrep: [(label at the level below, multiplicity)]."""
         raise NotImplementedError
 
-    def _res_entries(self, n: int):
-        """Yield (child label at n-1, parent label at n, multiplicity)."""
-        for parent in self.basis(n):
-            for child, m in self._children(parent):
-                yield child, parent, m
-
     def res_operator(self, n: int) -> BranchingOperator:
         if n < 1:
             raise ValueError("res_operator needs n >= 1")
         if n not in self._res_cache:
-            rows, cols = self.basis_index(n - 1), self.basis_index(n)
-            matrix = SparseMatrix.from_triplets(
-                len(rows),
-                len(cols),
-                ((rows[child], cols[parent], m) for child, parent, m in self._res_entries(n)),
-            )
-            self._res_cache[n] = BranchingOperator(n, self.basis(n), self.basis(n - 1), matrix)
+            rows = self.basis_index(n - 1)
+            children = tuple(tuple(i for child, m in self._children(p) for i in (rows[child],) * m)
+                             for p in self.basis(n))
+            self._res_cache[n] = BranchingOperator(n, self.basis(n), self.basis(n - 1), children)
         return self._res_cache[n]
 
     def res_matrix(self, n: int) -> SparseMatrix:

@@ -4,7 +4,7 @@ A column for a class whose support lives at level k is obtained by lifting
 the level-k character data to level n and applying the chain's f_{n-k}, the
 falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
 commutator scaling (1 for symmetric groups, |H| for wreath products). Each
-factor multiplies by X = Ind Res as Ind(Res v), so a column never builds X.
+factor multiplies by X = Ind Res along Res's edges, so a column builds no X.
 For odd permutations of the symmetric chain, the same polynomial in the
 reduced operator Y on one irrep of each conjugate pair gives the column's
 positive part, and sign pairing reconstructs the rest. ``reduced_operator(n)``
@@ -51,15 +51,13 @@ def normalize_class(chain: Chain, cls, n: int):
 
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
                      table: GroupTable | None = None) -> CharacterColumn:
-    """delta at level n: f_{n-k}(X), with X v as Ind(Res v), applied to the
-    lifted level-k column input. Exact; the column-norm identity is asserted."""
+    """delta at level n: f_{n-k}(X), with X v as Ind(Res v) along Res's edges,
+    applied to the lifted level-k input. Exact; the column norm is asserted."""
     core, k = normalize_class(chain, cls, n)
     if table is None:
         table = chain.small_table(k, max_order)
     vec = lift_column_input(chain, table, core, n)
-    res = chain.res_matrix(n)
-    ind = res.transpose()
-    dense = chain.poly(n - k).apply(lambda v: ind.matvec(res.matvec(v)), chain.to_dense(vec))
+    dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, chain.to_dense(vec))
     out = chain.from_dense(n, dense).normalized()
     assert out.is_integral(), f"non-integral column for {cls} at level {n}"
     return _checked_column(chain, n, core, out.coeffs)

@@ -64,7 +64,9 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.ncols, self.nrows, {(c, r): v for (r, c), v in self.data.items()})
+        out = SparseMatrix(self.ncols, self.nrows)
+        out.data = {(c, r): v for (r, c), v in self.data.items()}  # already valid entries
+        return out
 
     def _check_same_shape(self, other: "SparseMatrix"):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -45,17 +45,30 @@ def test_wreath_columns_build_each_level_of_labels_once():
     assert info.hits > info.misses
 
 
-def test_columns_build_res_only_at_their_own_level():
-    # lifting restricts along the support, and f_l multiplies by X as
-    # Ind(Res v), so a column builds Res at its own level n and never X
+def test_columns_build_res_only_at_their_own_level(monkeypatch):
+    # lifting restricts along the support, and f_l multiplies by X along
+    # Res's edges, so a column builds Res at its own level n, never X, and no
+    # sparse matrix at all: Res's matrix form stays unbuilt
+    built = 0
+    init = SparseMatrix.__init__
+
+    def counting(matrix, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counting)
     sym = SymmetricChain()
     character_column(sym, (4, 3), 24)
     assert sorted(sym._res_cache) == [24]
     assert sorted(sym._x_cache) == []
+    assert "matrix" not in vars(sym.res_operator(24))
     z2 = WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")
     character_column(z2, ((0, (2,)), (1, (1,))), 10)
     assert sorted(z2._res_cache) == [10]
     assert sorted(z2._x_cache) == []
+    assert "matrix" not in vars(z2.res_operator(10))
+    assert built == 0
 
 
 def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcol.chain import SymmetricChain, WreathChain, get_chain
-from charcol.hgroup import builtin_table
+from charcol.hgroup import GroupTable, builtin_table
 from charcol.partitions import enumerate_partitions
+from charcol.verify import run_suite
 
 
 def fresh_sym():
@@ -15,6 +16,16 @@ def fresh_sym():
 
 def fresh_z2():
     return WreathChain(builtin_table("Z2"))
+
+
+# S3 with classes e, t (transpositions), c (3-cycles) and irreps of dims 1, 1, 2:
+# its standard irrep makes Res entries of 2 in S3 wr S_n
+S3 = GroupTable(
+    "S3",
+    6,
+    (("e", 1), ("t", 3), ("c", 2)),
+    (("triv", 1, (1, 1, 1)), ("sgn", 1, (1, -1, 1)), ("std", 2, (2, 0, -1))),
+)
 
 
 def test_get_chain_is_memoized():
@@ -80,6 +91,35 @@ def test_wreath_res_multiplicity_is_h_dim():
     z2c = fresh_z2()
     op = z2c.res_operator(3)
     assert all(v == 1 for _, _, v in op.matrix.triplets_rowcol())
+
+
+def test_s3_wreath_res_has_multiplicity_two_edges():
+    s3c = WreathChain(S3)
+    for n in range(1, 6):
+        op = s3c.res_operator(n)
+        assert max(s3c.res_matrix(n).data.values()) == 2, n
+        rows = s3c.basis_index(n - 1)
+        counted = {}
+        for j, parent in enumerate(op.domain):
+            for child, m in s3c._children(parent):
+                counted[(rows[child], j)] = counted.get((rows[child], j), 0) + m
+        assert op.matrix.data == counted, n
+        x = s3c.ind_res(n)
+        dim = len(op.domain)
+        for i in range(dim):
+            unit = [0] * dim
+            unit[i] = 1
+            assert op.times_x(unit) == x.matvec(unit), (n, i)
+
+
+@pytest.mark.parametrize("suite, checks", [("heisenberg", 4), ("tasyopari", 10)])
+def test_s3_wreath_suites_pass(suite, checks):
+    # the wreath theorem for a non-abelian H: M = |S3| = 6, f_l roots 0, 6, 12
+    s3c = WreathChain(S3)
+    assert s3c.poly(3).roots == (0, 6, 12)
+    report = run_suite(s3c, suite, 4)
+    assert len(report.checks) == checks
+    assert all(check.passed for check in report.checks), report.checks
 
 
 def test_ind_res_level_two():

@@ -137,13 +137,12 @@ FACTORED_CASES = {"sym": 12, "z2wreath": 7, "trivial": 6}
 
 
 def factored_and_x_routes(chain, n, vec):
-    """poly(l) applied to a dense vector for every l <= n, multiplying by X as
-    Ind(Res v) and by the built X, each entry paired with its exact type."""
-    res, x = chain.res_matrix(n), chain.ind_res(n)
-    ind = res.transpose()
+    """poly(l) applied to a dense vector for every l <= n, multiplying by X
+    along Res's edges and by the built X, each entry paired with its exact type."""
+    times_x, x = chain.res_operator(n).times_x, chain.ind_res(n)
     for l in range(n + 1):
         poly = chain.poly(l)
-        factored = poly.apply(lambda v: ind.matvec(res.matvec(v)), vec)
+        factored = poly.apply(times_x, vec)
         built = poly.apply(x.matvec, vec)
         yield l, [(type(v), v) for v in factored], [(type(v), v) for v in built]
 
