@@ -13,12 +13,13 @@ Memoized per process, because they depend only on the level: the bases
 the small level-k tables (``hgroup.symmetric_group_table``,
 ``hgroup.wreath_char_table``), each validated once when it is built.
 Memoized per chain instance, built level by level on demand: the basis
-indices, Res (as branching-graph edges), X = Res^T Res and the lifts.
-``get_chain`` is memoized too, so the chains it hands out keep theirs for the
-life of the process, and ``engine.reduced_operator`` builds on
-``get_chain("sym")``'s X; a chain built directly starts empty. ``apply_res``
-restricts along the support, so lifting builds no matrix, and a column builds
-Res's edges at its level and no sparse matrix. Only Res's ``parents`` and
+indices, Res (as branching-graph edges), X = Res^T Res, the lifts and the
+children of each label ``apply_res`` meets. ``get_chain`` is memoized too, so
+the chains it hands out keep theirs for the life of the process, and
+``engine.reduced_operator`` builds on ``get_chain("sym")``'s X; a chain built
+directly starts empty, and its memos go when it does. ``apply_res`` restricts
+along the support, so lifting builds no matrix, and a column builds Res's
+edges at its level and no sparse matrix. Only Res's ``parents`` and
 ``matrix`` are filled in later, on first use, so concurrent reads are safe.
 """
 
@@ -152,6 +153,7 @@ class Chain:
         self._res_cache: dict[int, BranchingOperator] = {}
         self._x_cache: dict[int, SparseMatrix] = {}
         self.lift_memo: dict = {}
+        self._below: dict = {}  # label -> _children(label), for the labels apply_res has met
 
     # -- bases ---------------------------------------------------------------
 
@@ -189,16 +191,15 @@ class Chain:
     # -- branching -----------------------------------------------------------
 
     def _children(self, label) -> list:
-        """Res of one irrep: [(label at the level below, multiplicity)]."""
+        """Res of one irrep: the labels one level below, m times for multiplicity m."""
         raise NotImplementedError
 
     def res_operator(self, n: int) -> BranchingOperator:
         if n < 1:
             raise ValueError("res_operator needs n >= 1")
         if n not in self._res_cache:
-            rows = self.basis_index(n - 1)
-            children = tuple(tuple(i for child, m in self._children(p) for i in (rows[child],) * m)
-                             for p in self.basis(n))
+            row = self.basis_index(n - 1).__getitem__
+            children = tuple(tuple(map(row, self._children(p))) for p in self.basis(n))
             self._res_cache[n] = BranchingOperator(n, self.basis(n), self.basis(n - 1), children)
         return self._res_cache[n]
 
@@ -243,13 +244,17 @@ class Chain:
         return FallingFactorialPoly(tuple(j * self.heisenberg_scaling for j in range(l)))
 
     def apply_res(self, vec: ReprVector) -> ReprVector:
-        """Res of a vector, pushed label by label along its support."""
+        """Res of a vector, pushed label by label along its support; lifts
+        restrict the same labels many times, so their children are memoized."""
         if vec.level < 1:
             raise ValueError("apply_res needs a vector at level >= 1")
         out: dict = {}
         for label, c in vec.coeffs.items():
-            for child, m in self._children(label):
-                out[child] = out.get(child, 0) + m * c
+            below = self._below.get(label)
+            if below is None:
+                below = self._below[label] = self._children(label)
+            for child in below:
+                out[child] = out.get(child, 0) + c
         return ReprVector(self.id, vec.level - 1, out).normalized()
 
     # -- labels and classes ----------------------------------------------------
@@ -331,8 +336,7 @@ class SymmetricChain(Chain):
     def basis(self, n: int) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
 
-    def _children(self, label: Partition) -> list:
-        return [(child, 1) for child in partitions.remove_one_box(label)]
+    _children = staticmethod(partitions.remove_one_box)
 
     def label_level(self, label: Partition) -> int:
         return sum(label)
@@ -397,11 +401,12 @@ class WreathChain(Chain):
         return hgroup.enumerate_wreath_labels(len(self._h_dims), n)
 
     def _children(self, label: WreathLabel) -> list:
-        return [
-            (label[:slot] + (((h, part),) if part else ()) + label[slot + 1 :], self._h_dims[h])
-            for slot, (h, whole) in enumerate(label)
-            for part in partitions.remove_one_box(whole)
-        ]
+        out = []
+        for slot, (h, whole) in enumerate(label):
+            head, tail = label[:slot], label[slot + 1 :]
+            for part in partitions.remove_one_box(whole):
+                out += [head + ((h, part),) + tail if part else head + tail] * self._h_dims[h]
+        return out
 
     def label_level(self, label: WreathLabel) -> int:
         return sum(sum(p) for _, p in label)
@@ -467,7 +472,7 @@ class WreathChain(Chain):
         k = sum(sum(p) for _, p in cls)
         extra = n - k
         if extra < 0:
-            raise ValueError(f"class {cls} does not fit at level {n}")
+            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {n}")
         if extra == 0:
             return cls
         out = dict(cls)

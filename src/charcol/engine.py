@@ -43,7 +43,7 @@ def normalize_class(chain: Chain, cls, n: int):
     """Strip fixed points, returning (core class, core level k >= 1)."""
     core, k = chain.strip_class(cls)
     if k > n:
-        raise ValueError(f"class {cls} does not fit inside level {n}")
+        raise ValueError(f"class {chain.format_class(cls)!r} does not fit inside level {n}")
     if k == 0:
         return chain.identity_class(1), 1
     return core, k

@@ -8,7 +8,8 @@ lifted lower terms; recursion strictly descends a partial order on labels
 at runtime. Every lift is verified by restricting it n - k times before it is
 returned (a ``ReprVector``) and memoized in ``chain.lift_memo`` under
 (label, n). ``Chain.apply_res`` restricts label by label along the vector's
-support, so lifting builds no Res matrix.
+support, so lifting builds no Res matrix, and memoizes each label's children
+on the chain.
 """
 
 from __future__ import annotations

@@ -32,16 +32,18 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-
-    def gen(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in gen(total - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    out, parts = [], [n] if n else []
+    while True:
+        out.append(tuple(parts))
+        ones = 0
+        while parts and parts[-1] == 1:
+            ones += parts.pop()
+        if not parts:
+            return tuple(out)
+        # the next one down: lower the last part above 1, refill with its new size
+        size = parts.pop() - 1
+        whole, rest = divmod(size + 1 + ones, size)
+        parts += [size] * whole + ([rest] if rest else [])
 
 
 def conjugate(p: Partition) -> Partition:
@@ -80,13 +82,14 @@ def class_size(mu: Partition) -> int:
 
 
 def remove_one_box(p: Partition) -> list[Partition]:
-    """Partitions covered by p in Young's lattice (one removable corner each)."""
-    out = []
-    for i in range(len(p)):
-        nxt = p[i + 1] if i + 1 < len(p) else 0
-        if p[i] > nxt:
-            child = p[:i] + ((p[i] - 1,) if p[i] > 1 else ()) + p[i + 1 :]
-            out.append(child)
+    """Partitions covered by p in Young's lattice: one per run of equal parts, top to bottom."""
+    out, end, i = [], len(p), 0
+    while i < end:
+        j = i + 1
+        while j < end and p[j] == p[i]:
+            j += 1
+        out.append(p[: j - 1] + (p[i] - 1,) + p[j:] if p[i] > 1 else p[: j - 1])
+        i = j
     return out
 
 

@@ -71,6 +71,23 @@ def test_columns_build_res_only_at_their_own_level(monkeypatch):
     assert built == 0
 
 
+def test_a_column_finds_each_labels_children_once_below_its_level(monkeypatch):
+    # the lifts restrict the same labels many times; apply_res memoizes their
+    # children, so only the Res build at n walks a level-n label a second time
+    walked = Counter()
+    children = SymmetricChain._children
+
+    def counting(label):
+        walked[label] += 1
+        return children(label)
+
+    monkeypatch.setattr(SymmetricChain, "_children", staticmethod(counting))
+    character_column(SymmetricChain(), (4, 3), 24)
+    assert max(walked.values()) == 2
+    assert all(count == 1 for label, count in walked.items() if sum(label) < 24)
+    assert sum(1 for label in walked if sum(label) == 24) == len(enumerate_partitions(24))
+
+
 def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):
     # Y is built in one pass over X's nonzeros, not by looking up X(x, y) and
     # X(x, conjugate(y)) for every pair of the plus basis; X itself is built

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from charcol.chain import SymmetricChain, WreathChain, get_chain
 from charcol.hgroup import GroupTable, builtin_table
+from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
 from charcol.verify import run_suite
 
@@ -101,8 +102,8 @@ def test_s3_wreath_res_has_multiplicity_two_edges():
         rows = s3c.basis_index(n - 1)
         counted = {}
         for j, parent in enumerate(op.domain):
-            for child, m in s3c._children(parent):
-                counted[(rows[child], j)] = counted.get((rows[child], j), 0) + m
+            for child in s3c._children(parent):
+                counted[(rows[child], j)] = counted.get((rows[child], j), 0) + 1
         assert op.matrix.data == counted, n
         x = s3c.ind_res(n)
         dim = len(op.domain)
@@ -215,6 +216,8 @@ def test_class_strip_embed_round_trip():
     assert core == ((0, (2,)), (1, (1,)))
     assert k == 3
     assert z2c.embed_class(core, 5) == ((0, (2, 1, 1)), (1, (1,)))
+    with pytest.raises(ValueError, match=r"^class '1:\[2\];-1:\[1\]' does not fit at level 2$"):
+        z2c.embed_class(core, 2)
 
 
 def test_wreath_basis_size_formula():
@@ -230,6 +233,17 @@ def test_wreath_basis_size_formula():
 def test_fresh_wreath_chains_share_equal_bases():
     for n in range(7):
         assert fresh_z2().basis(n) == fresh_z2().basis(n)
+
+
+@pytest.mark.parametrize("make", [fresh_sym, fresh_z2])
+def test_chains_built_directly_own_their_res_x_and_lifts(make):
+    # only bases and small tables are memoized per process, so a dropped
+    # chain takes its Res, X and lifts with it and a second chain starts empty
+    one, two = make(), make()
+    lift(one, one.trivial_label(2), 6)
+    one.ind_res(6)
+    assert one._res_cache and one._x_cache and one.lift_memo and one._below
+    assert not (two._res_cache or two._x_cache or two.lift_memo or two._below)
 
 
 @pytest.mark.parametrize("make", [fresh_sym, fresh_z2])

@@ -60,6 +60,14 @@ def test_column_bad_label_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spec, cls, n", [("sym", "[3,1]", 2), ("z2wreath", "1:[2]", 1)])
+def test_column_class_above_level_names_the_class(capsys, spec, cls, n):
+    code, out, err = run(capsys, "column", "--chain", spec, "--class", cls, "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: class '{cls}' does not fit inside level {n}\n"
+
+
 def test_column_bound_exceeded_is_exit_3(capsys):
     code, _, err = run(capsys, "column", "--chain", "sym", "--class", "[6,2]", "--n", "8")
     assert code == 3

@@ -74,6 +74,15 @@ def test_enumerate_small():
     assert enumerate_partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
+def test_enumerate_matches_the_lattice_built_box_by_box():
+    # an independent route: every partition of n covers one of n - 1
+    level = {()}
+    for n in range(1, 15):
+        level = {up for p in level for up in add_one_box(p)}
+        assert enumerate_partitions(n) == tuple(sorted(level, reverse=True)), n
+    assert [len(enumerate_partitions(n)) for n in (20, 28)] == [627, 3718]
+
+
 def test_enumerate_six_prefix():
     parts = enumerate_partitions(6)
     assert len(parts) == 11
@@ -138,6 +147,13 @@ def test_remove_add_round_trip(p):
     for below in remove_one_box(p):
         assert sum(below) == sum(p) - 1
         assert p in add_one_box(below)
+
+
+def test_remove_one_box_lists_every_covered_partition_top_to_bottom():
+    for n in range(1, 11):
+        for p in enumerate_partitions(n):
+            covered = [q for q in enumerate_partitions(n - 1) if p in add_one_box(q)]
+            assert remove_one_box(p) == sorted(covered), p
 
 
 @given(partition_strategy())
