@@ -5,8 +5,8 @@ Two chains are built in: the symmetric-group chain (labels are partitions)
 and wreath-product chains over a base group H (labels are arrays pairing
 distinct H-irreps with partitions). Ind is the transpose of Res throughout,
 so X at level n is Res^T Res, a symmetric sparse integer matrix. Every chain
-hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it:
-at a number, on a dense vector, or as a matrix.
+hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it,
+at a number or on a dense vector.
 
 Memoized per process, because they depend only on the level: the bases
 (``partitions.enumerate_partitions``, ``hgroup.enumerate_wreath_labels``) and
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import factorial
 
 from . import hgroup, partitions
@@ -128,12 +129,6 @@ class FallingFactorialPoly:
                 out = nxt
         return out
 
-    def matrix(self, x_matrix: SparseMatrix) -> SparseMatrix:
-        out = SparseMatrix.identity(x_matrix.nrows).scaled(self.leading)
-        for root in self.roots:
-            out = x_matrix.shift_diagonal(-root) @ out
-        return out
-
 
 class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
@@ -213,17 +208,16 @@ class Chain:
             self._x_cache[n] = res.transpose() @ res
         return self._x_cache[n]
 
-    def brute_indl_resl(self, n: int, l: int) -> SparseMatrix:
-        """Literal Ind^l Res^l at level n as a composed matrix product.
-
-        Used only as an oracle against the falling-factorial engine.
-        """
-        if not 1 <= l <= n - self.min_n:
-            raise ValueError(f"need 1 <= l <= {n - self.min_n}, got l={l}, n={n}")
-        down = self.res_matrix(n)
-        for j in range(n - 1, n - l, -1):
-            down = self.res_matrix(j) @ down
-        return down.transpose() @ down
+    def brute_indl_resl(self, n: int):
+        """Literal Ind^l Res^l at level n for l = 1, ..., n - min_n, each restricting
+        once more than the last: an iterator of matrix products, used only as an
+        oracle against the falling-factorial engine."""
+        if n <= self.min_n:
+            raise ValueError(f"level {n} has no level below it in chain {self.id}")
+        steps = range(n - 1, self.min_n, -1)
+        downs = accumulate(steps, lambda down, j: self.res_matrix(j) @ down,
+                           initial=self.res_matrix(n))
+        return (down.transpose() @ down for down in downs)
 
     def has_level(self, n: int) -> bool:
         return n >= self.min_n

@@ -15,7 +15,6 @@ symmetric chain ``odd_column`` is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .chain import Chain, FallingFactorialPoly, get_chain, require_symmetric  # noqa: F401
@@ -134,17 +133,13 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
         table = chain.small_table(k, max_order)
     full = lift_column_input(chain, table, core, n)
     red = reduced_operator(n)
-    half = Fraction(1, 2)
-    plus_in = [
-        half * (full.coefficient(lam) - full.coefficient(conjugate(lam)))
-        for lam in red.plus_basis
-    ]
-    plus_out = chain.poly(n - k).apply(red.matrix.matvec, plus_in)
+    # f is linear, so it runs on the integer differences and halves once
+    twice_in = [full.coefficient(lam) - full.coefficient(conjugate(lam)) for lam in red.plus_basis]
+    twice_out = chain.poly(n - k).apply(red.matrix.matvec, twice_in)
     plus_values = {}
-    for lam, value in zip(red.plus_basis, plus_out):
-        value = Fraction(value)
-        assert value.denominator == 1
-        plus_values[lam] = int(value)
+    for lam, value in zip(red.plus_basis, twice_out):
+        assert type(value) is int and value % 2 == 0, f"odd or non-integral entry at {lam}"
+        plus_values[lam] = value // 2
     coeffs = {}
     for lam in chain.basis(n):
         if lam in plus_values:

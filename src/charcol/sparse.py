@@ -10,6 +10,7 @@ removable box of a label, so Res and X stay sparse.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Scalar = int | Fraction
 
@@ -63,6 +64,13 @@ class SparseMatrix:
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
+    @classmethod
+    def _result(cls, nrows: int, ncols: int, data: dict) -> "SparseMatrix":
+        """Entries computed from valid ones: drop zeros, normalize, skip the bounds check."""
+        out = cls(nrows, ncols)
+        out.data = {rc: v if type(v) is int else _norm(v) for rc, v in data.items() if v}
+        return out
+
     def transpose(self) -> "SparseMatrix":
         out = SparseMatrix(self.ncols, self.nrows)
         out.data = {(c, r): v for (r, c), v in self.data.items()}  # already valid entries
@@ -79,13 +87,13 @@ class SparseMatrix:
         data = dict(self.data)
         for rc, v in other.data.items():
             data[rc] = data.get(rc, 0) + v
-        return SparseMatrix(self.nrows, self.ncols, data)
+        return self._result(self.nrows, self.ncols, data)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scaled(-1)
 
     def scaled(self, c: Scalar) -> "SparseMatrix":
-        return SparseMatrix(self.nrows, self.ncols, {rc: c * v for rc, v in self.data.items()})
+        return self._result(self.nrows, self.ncols, {rc: c * v for rc, v in self.data.items()})
 
     def shift_diagonal(self, c: Scalar) -> "SparseMatrix":
         """Return self + c*I (square matrices only)."""
@@ -94,7 +102,7 @@ class SparseMatrix:
         data = dict(self.data)
         for i in range(self.nrows):
             data[(i, i)] = data.get((i, i), 0) + c
-        return SparseMatrix(self.nrows, self.ncols, data)
+        return self._result(self.nrows, self.ncols, data)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -107,7 +115,7 @@ class SparseMatrix:
             for r, av in by_col.get(k, ()):
                 rc = (r, c)
                 acc[rc] = acc.get(rc, 0) + av * bv
-        return SparseMatrix(self.nrows, other.ncols, acc)
+        return self._result(self.nrows, other.ncols, acc)
 
     def matvec(self, vec: list[Scalar]) -> list[Scalar]:
         if len(vec) != self.ncols:
@@ -136,22 +144,23 @@ class SparseMatrix:
         return self.data == expect
 
     def row_rank(self) -> int:
-        """Exact rank over Q by Gaussian elimination on a dense Fraction copy."""
-        rows = [[Fraction(v) for v in row] for row in self.to_dense()]
-        rank = 0
-        col = 0
-        while rank < len(rows) and col < self.ncols:
+        """Exact rank over Q: each row is scaled to integers, then eliminated
+        fraction-free (Bareiss), so every division is exact."""
+        rows = []
+        for row in self.to_dense():
+            scale = lcm(*(v.denominator for v in row))  # an int's denominator is 1
+            rows.append([int(v * scale) for v in row])
+        rank, last_pivot = 0, 1
+        for col in range(self.ncols):
             pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
             if pivot is None:
-                col += 1
                 continue
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = 1 / rows[rank][col]
-            rows[rank] = [x * inv for x in rows[rank]]
-            for i in range(len(rows)):
-                if i != rank and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
-            col += 1
+            top, p = rows[rank], rows[rank][col]
+            for i in range(rank + 1, len(rows)):
+                f = rows[i][col]
+                rows[i] = [(p * a - f * b) // last_pivot for a, b in zip(rows[i], top)]
+            rank, last_pivot = rank + 1, p
+            if rank == len(rows):
+                break
         return rank

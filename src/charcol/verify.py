@@ -358,10 +358,11 @@ class IngestedChain(Chain):
                         f"Res at level {n} has shape {lv.res.nrows}x{lv.res.ncols}, "
                         f"expected {prev.basis_size}x{lv.basis_size}"
                     )
-                if lv.res.row_rank() != prev.basis_size:
+                rank = lv.res.row_rank()
+                if rank != prev.basis_size:
                     raise IngestError(
                         f"not a surjective chain: Res at level {n} has row rank "
-                        f"{lv.res.row_rank()} < {prev.basis_size}"
+                        f"{rank} < {prev.basis_size}"
                     )
             if lv.classes is not None:
                 total = sum(size for _, size, _ in lv.classes)
@@ -582,16 +583,25 @@ def _failed_fit(chain) -> CheckResult | None:
 
 
 def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
-    """Brute Ind^l Res^l against the polynomial in Ind Res, as matrices."""
+    """Brute Ind^l Res^l against the polynomial in Ind Res, as matrices. Both
+    grow with l: the brute side restricts once more, and the polynomial side
+    multiplies in f_l's new roots, starting over if they do not extend f_{l-1}'s."""
     levels = chain.level_range(max_n)
     if levels and (failed := _failed_fit(chain)) is not None:
         return [failed]
     checks = []
     for n in levels:
         x_matrix = chain.ind_res(n)
-        for l in range(1, n - chain.min_n + 1):
-            brute = chain.brute_indl_resl(n, l)
-            poly = chain.poly(l).matrix(x_matrix)
+        identity = SparseMatrix.identity(x_matrix.nrows)
+        roots, product = (), identity  # product = (X - r_k)...(X - r_1) over roots
+        for l, brute in enumerate(chain.brute_indl_resl(n), 1):
+            f_l = chain.poly(l)
+            if f_l.roots[: len(roots)] != roots:
+                roots, product = (), identity
+            for root in f_l.roots[len(roots):]:
+                product = x_matrix.shift_diagonal(-root) @ product
+            roots = f_l.roots
+            poly = product if f_l.leading == 1 else product.scaled(f_l.leading)
             checks.append(CheckResult(
                 f"indres-power n={n} l={l}", brute == poly,
                 detail="Ind^l Res^l equals the polynomial in Ind Res"

@@ -16,6 +16,7 @@ from printed_data import (
     PRINTED_Z2S2,
     PRINTED_Z2S2_CLASS_SIZES,
 )
+from poly_matrix import poly_matrix
 
 from charcol.chain import get_chain
 from charcol.engine import character_column, odd_column, reduced_operator
@@ -101,12 +102,14 @@ def test_criterion_05_falling_factorial_oracle_equivalence():
     def body():
         for n in range(1, 9):
             x = SYM.ind_res(n)
-            for l in range(1, n + 1):
-                assert SYM.brute_indl_resl(n, l) == SYM.poly(l).matrix(x), (n, l)
+            for l, brute in enumerate(SYM.brute_indl_resl(n), 1):
+                assert brute == poly_matrix(SYM.poly(l), x), (n, l)
+            assert l == n
         for n in range(1, 5):
             x = Z2C.ind_res(n)
-            for l in range(1, n + 1):
-                assert Z2C.brute_indl_resl(n, l) == Z2C.poly(l).matrix(x), (n, l)
+            for l, brute in enumerate(Z2C.brute_indl_resl(n), 1):
+                assert brute == poly_matrix(Z2C.poly(l), x), (n, l)
+            assert l == n
 
     timed(5, "Ind^l Res^l = f_l(Ind Res)", 30.0, body)
 

@@ -12,6 +12,7 @@ from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
+from charcol.verify import tasyopari_suite
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
@@ -104,3 +105,26 @@ def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "__getitem__", counting)
     reduced_operator.__wrapped__(18)
     assert reads <= len(x_matrix.data), (reads, len(x_matrix.data))
+
+
+def test_tasyopari_does_at_most_3n_plus_2_products_per_level(monkeypatch):
+    # both sides grow with l by one product each, plus the brute side's Gram
+    # product, so a level costs O(n) products, not O(n^2); every product at
+    # level n has dim(n) columns, which tells the levels apart
+    products = Counter()
+    matmul = SparseMatrix.__matmul__
+
+    def counting(a, b):
+        products[b.ncols] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    for chain, max_n in ((SymmetricChain(), 6), (WreathChain(hgroup.builtin_table("Z2")), 5)):
+        products.clear()
+        checks = tasyopari_suite(chain, max_n)
+        assert len(checks) == max_n * (max_n + 1) // 2 and all(c.passed for c in checks)
+        dims = {len(chain.basis(n)): n for n in range(1, max_n + 1)}
+        assert len(dims) == max_n and set(products) <= set(dims), (chain.id, products)
+        for dim, count in products.items():
+            assert count <= 3 * dims[dim] + 2, (chain.id, dims[dim], count)
+        assert sum(products.values()) <= sum(3 * n + 2 for n in range(1, max_n + 1))

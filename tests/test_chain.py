@@ -9,6 +9,7 @@ from charcol.hgroup import GroupTable, builtin_table
 from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
 from charcol.verify import run_suite
+from poly_matrix import poly_matrix
 
 
 def fresh_sym():
@@ -165,31 +166,37 @@ def test_heisenberg_identity():
 def test_brute_indl_resl_l1_equals_ind_res():
     for chain in (fresh_sym(), fresh_z2()):
         for n in (1, 2, 3, 4):
-            assert chain.brute_indl_resl(n, 1) == chain.ind_res(n)
+            assert next(chain.brute_indl_resl(n)) == chain.ind_res(n)
 
 
 def test_falling_factorial_identity_sym():
     sym = fresh_sym()
     for n in range(1, 9):
         x = sym.ind_res(n)
-        for l in range(1, n + 1):
-            assert sym.brute_indl_resl(n, l) == sym.poly(l).matrix(x)
+        brutes = list(sym.brute_indl_resl(n))
+        assert len(brutes) == n
+        for l, brute in enumerate(brutes, 1):
+            assert brute == poly_matrix(sym.poly(l), x)
 
 
 def test_falling_factorial_identity_z2():
     z2c = fresh_z2()
     for n in range(1, 5):
         x = z2c.ind_res(n)
-        for l in range(1, n + 1):
-            assert z2c.brute_indl_resl(n, l) == z2c.poly(l).matrix(x)
+        brutes = list(z2c.brute_indl_resl(n))
+        assert len(brutes) == n
+        for l, brute in enumerate(brutes, 1):
+            assert brute == poly_matrix(z2c.poly(l), x)
 
 
 def test_brute_indl_resl_rejects_bad_l():
     sym = fresh_sym()
-    with pytest.raises(ValueError):
-        sym.brute_indl_resl(3, 4)
-    with pytest.raises(ValueError):
-        sym.brute_indl_resl(3, 0)
+    # l runs over 1, ..., n - min_n and nothing else; level min_n has no l
+    assert len(list(sym.brute_indl_resl(3))) == 3
+    with pytest.raises(ValueError, match="no level below"):
+        sym.brute_indl_resl(0)
+    with pytest.raises(ValueError, match="no level below"):
+        sym.brute_indl_resl(-1)
 
 
 def test_vector_checks_labels():

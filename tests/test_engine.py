@@ -116,8 +116,9 @@ def test_falling_factorial_level_mismatch():
 def test_falling_factorial_matches_brute_on_basis_vectors():
     for n in (3, 5, 7):
         x = SYM.ind_res(n)
+        brutes = list(SYM.brute_indl_resl(n))
         for l in (1, 2, n):
-            brute = SYM.brute_indl_resl(n, l)
+            brute = brutes[l - 1]
             for i, lam in enumerate(SYM.basis(n)):
                 unit = [0] * len(SYM.basis(n))
                 unit[i] = 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -91,3 +92,70 @@ def test_row_rank():
     deficient = SparseMatrix(2, 3, {(0, 0): 1, (1, 0): 2})
     assert deficient.row_rank() == 1
     assert SparseMatrix(2, 2, {}).row_rank() == 0
+
+
+def reference_rank(matrix):
+    """Rank over Q by Gaussian elimination on a dense Fraction copy."""
+    rows = [[Fraction(v) for v in row] for row in matrix.to_dense()]
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < matrix.ncols:
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def seeded_matrices(seed, count=200):
+    """Small matrices of integer or Fraction entries, many rank-deficient (a
+    product through an inner dimension below both sides), with zero rows and
+    columns left in place."""
+    rng = random.Random(seed)
+
+    def entry(fractions):
+        value = rng.randint(-4, 4)
+        return Fraction(value, rng.randint(1, 6)) if fractions else value
+
+    for _ in range(count):
+        nrows, ncols, fractions = rng.randint(1, 7), rng.randint(1, 7), rng.random() < 0.5
+        if rng.random() < 0.5:
+            inner = rng.randint(0, min(nrows, ncols))
+            left = SparseMatrix(nrows, inner, {
+                (r, c): entry(fractions) for r in range(nrows) for c in range(inner)
+            })
+            right = SparseMatrix(inner, ncols, {
+                (r, c): entry(fractions) for r in range(inner) for c in range(ncols)
+            })
+            matrix = left @ right
+        else:
+            matrix = SparseMatrix(nrows, ncols, {
+                (r, c): entry(fractions)
+                for r in range(nrows) for c in range(ncols) if rng.random() < 0.5
+            })
+        if rng.random() < 0.5:  # clear one row and one column
+            zero_row, zero_col = rng.randrange(nrows), rng.randrange(ncols)
+            matrix = SparseMatrix(nrows, ncols, {
+                (r, c): v for (r, c), v in matrix.data.items() if r != zero_row and c != zero_col
+            })
+        yield matrix
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_rank_matches_dense_fraction_elimination(seed):
+    ranks = set()
+    for matrix in seeded_matrices(seed):
+        rank = matrix.row_rank()
+        assert rank == reference_rank(matrix), (matrix.nrows, matrix.ncols, matrix.data)
+        assert rank == matrix.transpose().row_rank()
+        ranks.add((rank, rank < min(matrix.nrows, matrix.ncols)))
+    assert (0, True) in ranks and any(deficient and rank for rank, deficient in ranks)

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcol.chain import WreathChain, get_chain
+from charcol.chain import FallingFactorialPoly, SymmetricChain, WreathChain, get_chain
 from charcol.hgroup import builtin_table
 from charcol.partitions import (
     class_sign,
@@ -29,6 +29,7 @@ from charcol.verify import (
     roots_vs_characters,
     run_suite,
 )
+from poly_matrix import poly_matrix
 
 SYM = get_chain("sym")
 Z2C = get_chain("z2wreath")
@@ -171,8 +172,8 @@ def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
     scalar = SparseMatrix.identity(3).scaled(7)
     for l in range(5):
         poly = params.poly(l)
-        assert poly.apply(x.matvec, vec) == poly.matrix(x).matvec(vec), l
-        assert poly.matrix(scalar) == SparseMatrix.identity(3).scaled(poly.value(7)), l
+        assert poly.apply(x.matvec, vec) == poly_matrix(poly, x).matvec(vec), l
+        assert poly_matrix(poly, scalar) == SparseMatrix.identity(3).scaled(poly.value(7)), l
 
 
 def test_fit_constant_is_inconclusive():
@@ -298,6 +299,30 @@ def test_zero_row_res_rejected():
         ingest_chain(bad)
 
 
+def test_rank_deficient_res_rejected_with_its_rank_computed_once(monkeypatch):
+    # no zero row, but the rows of Res at level 2 are dependent over Q
+    bad = {
+        "levels": [
+            {"n": 0, "order": 1, "basisSize": 1},
+            {"n": 1, "order": 2, "basisSize": 2, "res": [[0, 0, 1], [0, 1, 1]]},
+            {"n": 2, "order": 4, "basisSize": 3,
+             "res": [[0, 0, 2], [0, 1, 4], [1, 0, 1], [1, 1, 2], [0, 2, 6], [1, 2, 3]]},
+        ]
+    }
+    ranked = []
+    row_rank = SparseMatrix.row_rank
+
+    def counting(matrix):
+        ranked.append((matrix.nrows, matrix.ncols))
+        return row_rank(matrix)
+
+    monkeypatch.setattr(SparseMatrix, "row_rank", counting)
+    with pytest.raises(IngestError) as excinfo:
+        ingest_chain(bad)
+    assert str(excinfo.value) == "not a surjective chain: Res at level 2 has row rank 1 < 2"
+    assert ranked == [(1, 2), (2, 3)]
+
+
 def test_dimension_mismatch_rejected():
     bad = {
         "levels": [
@@ -408,6 +433,29 @@ def test_full_suite_sym():
 def test_full_suite_z2():
     report = run_suite(Z2C, "all", 3)
     assert report.passed, [c for c in report.checks if not c.passed]
+
+
+def test_tasyopari_starts_over_when_the_roots_do_not_nest():
+    # the same f_l with its roots listed last to first: f_2's roots (1, 0) do
+    # not extend f_1's (0,), so f_2(X) is rebuilt from the identity
+    class ReversedRoots(SymmetricChain):
+        def poly(self, l):
+            f_l = super().poly(l)
+            return FallingFactorialPoly(f_l.roots[::-1], f_l.leading)
+
+    report = run_suite(ReversedRoots(), "tasyopari", 6)
+    assert report.passed, [c for c in report.checks if not c.passed]
+    assert report.checks == run_suite(SYM, "tasyopari", 6).checks
+
+
+def test_tasyopari_catches_a_wrong_leading_coefficient():
+    class DoubledPoly(SymmetricChain):
+        def poly(self, l):
+            f_l = super().poly(l)
+            return FallingFactorialPoly(f_l.roots, 2 * f_l.leading)
+
+    report = run_suite(DoubledPoly(), "tasyopari", 4)
+    assert [(c.passed, c.detail) for c in report.checks] == [(False, "matrix mismatch")] * 10
 
 
 def test_heisenberg_suite_z2_to_four():
