@@ -3,8 +3,10 @@
 Two independent construction routes live here:
 
 * ``symmetric_group_table`` builds S_k character tables from Young-subgroup
-  permutation characters plus exact orthogonalization. It deliberately does
-  not touch the border-strip oracle in ``verify``; the two are cross-checked
+  permutation characters plus exact orthogonalization. The character of S_nu's
+  cosets at cycle type rho counts the ways to put each cycle of rho into a
+  row of nu so that every row is filled exactly. It deliberately does not
+  touch the border-strip oracle in ``verify``; the two are cross-checked
   against each other in the test suite.
 * ``wreath_char_table`` builds H wr S_k tables by explicit brute force over
   enumerated group elements: each array label is induced from a block
@@ -25,7 +27,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .partitions import (
     Partition,
@@ -105,7 +107,7 @@ class GroupTable:
                 )
         sizes = [size for _, size in self.classes]
         for i, (lu, _, u) in enumerate(self.irreps):
-            for j, (lw, _, w) in enumerate(self.irreps):
+            for j, (lw, _, w) in enumerate(self.irreps[i:], i):
                 inner = sum(s * a * b for s, a, b in zip(sizes, u, w))
                 expect = self.order if i == j else 0
                 if inner != expect:
@@ -212,42 +214,28 @@ def concrete_base(table: GroupTable) -> ConcreteGroup:
 
 
 @lru_cache(maxsize=None)
-def _distribute(parts: tuple[tuple[int, int], ...], bins: tuple[int, ...]) -> int:
-    """Number of ways to split the multiset of cycle lengths across bins.
+def _placements(cycles: tuple[int, ...], rows: tuple[int, ...]) -> int:
+    """Ways to put each cycle into a row so that every row is filled exactly.
 
-    ``parts`` is ((length, multiplicity), ...); each bin must receive lengths
-    summing exactly to its capacity. This is the permutation character of the
-    Young subgroup S_bins evaluated at the cycle type.
+    Both tuples are descending. The largest cycle goes into each distinct row
+    size that fits it, counted once per row of that size.
     """
-    if not bins:
-        return 1 if all(m == 0 for _, m in parts) else 0
-    target = bins[0]
-
-    def pick(idx: int, remaining: int, taken: tuple[int, ...]) -> int:
-        if remaining == 0:
-            rest = tuple(
-                (val, m - (taken[i] if i < len(taken) else 0))
-                for i, (val, m) in enumerate(parts)
-            )
-            return _distribute(rest, bins[1:])
-        if idx == len(parts):
-            return 0
-        val, mult = parts[idx]
-        total = 0
-        for c in range(0, min(mult, remaining // val) + 1):
-            ways = comb(mult, c)
-            total += ways * pick(idx + 1, remaining - c * val, taken + (c,))
-        return total
-
-    return pick(0, target, ())
+    if not cycles:
+        return 1
+    first, rest = cycles[0], cycles[1:]
+    total = 0
+    for i, size in enumerate(rows):
+        if size >= first and (i == 0 or rows[i - 1] != size):
+            left = tuple(sorted(rows[:i] + (size - first,) + rows[i + 1 :], reverse=True))
+            total += rows.count(size) * _placements(rest, left)
+    return total
 
 
 def young_permutation_character(nu: Partition, rho: Partition) -> int:
     """Character of the permutation module on cosets of S_nu, at cycle type rho."""
     if sum(nu) != sum(rho):
         raise ValueError("nu and rho must partition the same n")
-    parts = tuple(sorted(((v, list(rho).count(v)) for v in set(rho)), reverse=True))
-    return _distribute(parts, nu)
+    return _placements(tuple(sorted(rho, reverse=True)), tuple(sorted(nu, reverse=True)))
 
 
 def _sym_class_order(k: int) -> tuple[Partition, ...]:

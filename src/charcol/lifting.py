@@ -4,7 +4,7 @@ restricts back to w exactly.
 The construction pads the first row of the first listed diagram, scales by
 the inverse dimension power for wreath chains, and subtracts recursively
 lifted lower terms; recursion strictly descends a partial order on labels
-(boxes below the first row, then box counts in the remaining slots), asserted
+(boxes below the first row, then box counts in the remaining slots), checked
 at runtime. Every lift is verified by restricting it n - k times before it is
 returned (a ``ReprVector``) and memoized in ``chain.lift_memo`` under
 (label, n). ``Chain.apply_res`` restricts label by label along the vector's
@@ -18,6 +18,10 @@ from fractions import Fraction
 
 from .chain import Chain, ReprVector
 from .hgroup import GroupTable
+
+
+class InvariantError(AssertionError):
+    """A lift broke one of its exactness invariants; raised under ``python -O`` too."""
 
 
 def lift(chain: Chain, label, n: int) -> ReprVector:
@@ -38,18 +42,18 @@ def lift(chain: Chain, label, n: int) -> ReprVector:
     for _ in range(n - k):
         down = chain.apply_res(down)
     expected = 1 if scale == 1 else 1 / Fraction(scale)
-    assert down.coefficient(label) == expected, (
-        f"padding of {label} at level {n} restricts with coefficient "
-        f"{down.coefficient(label)}, expected {expected}"
-    )
+    if down.coefficient(label) != expected:
+        raise InvariantError(
+            f"padding of {label} at level {n} restricts with coefficient "
+            f"{down.coefficient(label)}, expected {expected}"
+        )
 
     coeffs = {padded: scale}
     for other, mult in sorted(down.coeffs.items()):
         if other == label:
             continue
-        assert chain.lift_order_less(other, label, pad_slot), (
-            f"recursion would not descend: {other} is not below {label}"
-        )
+        if not chain.lift_order_less(other, label, pad_slot):
+            raise InvariantError(f"recursion would not descend: {other} is not below {label}")
         c = -(scale * mult)
         for w, v in lift(chain, other, n).coeffs.items():
             coeffs[w] = coeffs.get(w, 0) + c * v
@@ -58,9 +62,10 @@ def lift(chain: Chain, label, n: int) -> ReprVector:
     check = vector
     for _ in range(n - k):
         check = chain.apply_res(check)
-    assert check.normalized().coeffs == {label: 1}, (
-        f"lift of {label} to level {n} fails Res^{n - k} verification: {check.coeffs}"
-    )
+    if check.normalized().coeffs != {label: 1}:
+        raise InvariantError(
+            f"lift of {label} to level {n} fails Res^{n - k} verification: {check.coeffs}"
+        )
     chain.lift_memo[key] = vector
     return vector
 

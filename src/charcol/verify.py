@@ -689,15 +689,11 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckR
                 table = chain.small_table(n, max_order)
             except SizeBoundError:
                 break
-            for cls_label, _ in table.classes:
+            rows = [(chain.parse_label(lab), values) for lab, _, values in table.irreps]
+            for col_idx, (cls_label, _) in enumerate(table.classes):
                 cls = chain.parse_class(cls_label)
                 column = engine.character_column(chain, cls, n, max_order)
-                col_idx = table.class_index(cls_label)
-                expected = {
-                    chain.parse_label(lab): values[col_idx]
-                    for lab, _, values in table.irreps
-                    if values[col_idx]
-                }
+                expected = {label: values[col_idx] for label, values in rows if values[col_idx]}
                 ok = column.coeffs == expected
                 checks.append(CheckResult(
                     f"oracle-column n={n} class={cls_label}", ok,
@@ -718,7 +714,7 @@ def lifting_suite(chain, max_n: int) -> list[CheckResult]:
             for n in range(k, max_n + 1):
                 try:
                     lifting.lift(chain, label, n)  # verification is built in
-                except AssertionError as exc:
+                except lifting.InvariantError as exc:
                     ok = False
                     detail = str(exc)
                     break

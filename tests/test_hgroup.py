@@ -1,5 +1,7 @@
+import itertools
 import json
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,11 +81,63 @@ def test_young_permutation_character_basics():
         assert young_permutation_character((4, 1), mu) == list(mu).count(1)
     # the regular module at the identity
     assert young_permutation_character((1, 1, 1, 1), (1, 1, 1, 1)) == factorial(4)
+    with pytest.raises(ValueError):
+        young_permutation_character((2, 1), (2,))
+
+
+@lru_cache(maxsize=None)
+def _distribute(parts: tuple[tuple[int, int], ...], bins: tuple[int, ...]) -> int:
+    """The earlier package count, kept as a reference: ways to split the
+    multiset ``parts`` = ((length, multiplicity), ...) across ``bins`` so that
+    each bin receives lengths summing exactly to its capacity."""
+    if not bins:
+        return 1 if all(m == 0 for _, m in parts) else 0
+    target = bins[0]
+
+    def pick(idx: int, remaining: int, taken: tuple[int, ...]) -> int:
+        if remaining == 0:
+            rest = tuple(
+                (val, m - (taken[i] if i < len(taken) else 0))
+                for i, (val, m) in enumerate(parts)
+            )
+            return _distribute(rest, bins[1:])
+        if idx == len(parts):
+            return 0
+        val, mult = parts[idx]
+        total = 0
+        for c in range(0, min(mult, remaining // val) + 1):
+            ways = comb(mult, c)
+            total += ways * pick(idx + 1, remaining - c * val, taken + (c,))
+        return total
+
+    return pick(0, target, ())
+
+
+def test_young_permutation_character_matches_the_earlier_count():
+    for n in range(0, 11):
+        for rho in enumerate_partitions(n):
+            parts = tuple(sorted(((v, rho.count(v)) for v in set(rho)), reverse=True))
+            for nu in enumerate_partitions(n):
+                assert young_permutation_character(nu, rho) == _distribute(parts, nu), (nu, rho)
+
+
+def test_young_permutation_character_counts_exact_fillings():
+    # every map from the cycles of rho to the rows of nu that fills each row exactly
+    for n in range(1, 7):
+        for rho in enumerate_partitions(n):
+            for nu in enumerate_partitions(n):
+                fillings = 0
+                for rows in itertools.product(range(len(nu)), repeat=len(rho)):
+                    filled = [0] * len(nu)
+                    for cycle, row in zip(rho, rows):
+                        filled[row] += cycle
+                    fillings += filled == list(nu)
+                assert young_permutation_character(nu, rho) == fillings, (nu, rho)
 
 
 def test_symmetric_table_matches_border_strip_oracle():
-    for k in range(1, 7):
-        table = symmetric_group_table(k)
+    for k in range(1, 10):
+        table = symmetric_group_table(k, max_order=factorial(k) if k >= 8 else None)
         for lab, dim, values in table.irreps:
             lam = tuple(int(x) for x in lab[1:-1].split(","))
             for (clab, _), value in zip(table.classes, values):

@@ -1,9 +1,13 @@
-"""Package code has package callers.
+"""Package code has package callers, and package modules import only what they use.
 
 Every function, method and class defined under ``src/charcol`` (dunders
 aside) must be named, as an ``ast.Name`` or an ``ast.Attribute``, somewhere
 in ``src/charcol`` or ``bench`` outside its own definition, or be imported in
 ``charcol/__init__.py``. Code that only the tests call belongs in the tests.
+
+Every name a module other than ``__init__.py`` imports must appear as an
+``ast.Name`` in that module, unless its import line carries ``# noqa: F401``
+(a deliberate re-export).
 """
 
 import ast
@@ -46,3 +50,24 @@ def test_every_package_definition_has_a_caller_or_is_exported():
             if all(id(use) in inside for use in uses[node.name]):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined but never used outside the tests:\n" + "\n".join(unused)
+
+
+def test_every_package_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in names:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -456,6 +459,29 @@ def test_tasyopari_catches_a_wrong_leading_coefficient():
 
     report = run_suite(DoubledPoly(), "tasyopari", 4)
     assert [(c.passed, c.detail) for c in report.checks] == [(False, "matrix mismatch")] * 10
+
+
+BAD_PADDING = """
+from charcol.chain import SymmetricChain
+from charcol.verify import run_suite
+
+class DoubledPadding(SymmetricChain):
+    def pad_first_row(self, label, n):
+        padded, _, slot = super().pad_first_row(label, n)
+        return padded, 2, slot
+
+checks = run_suite(DoubledPadding(), "lifts", 4).checks
+print(sum(not c.passed for c in checks), len(checks))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_lifts_suite_catches_bad_padding_with_and_without_asserts(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-c", BAD_PADDING], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["7", "12"]
 
 
 def test_heisenberg_suite_z2_to_four():
