@@ -22,7 +22,6 @@ from .hgroup import (
     builtin_table,
     symmetric_group_table,
     wreath_char_table,
-    wreath_class_size,
 )
 from .lifting import lift, lift_column_input
 from .verify import (
@@ -67,7 +66,6 @@ __all__ = [
     "run_suite",
     "symmetric_group_table",
     "wreath_char_table",
-    "wreath_class_size",
 ]
 
 __version__ = "0.1.0"

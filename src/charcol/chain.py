@@ -136,7 +136,8 @@ class Chain:
     The suites need ``res_matrix`` (from which ``ind_res`` and
     ``brute_indl_resl`` are built), the level ranges, the class data, and f_l
     as ``poly(l)``; the engine applies ``poly(l)`` too; lifting needs
-    ``label_level``, ``pad_first_row`` and ``lift_order_less``.
+    ``label_level`` and ``pad_first_row``, and checks at run time that its
+    recursion never revisits a label whose lift is still waiting.
     """
 
     id: str
@@ -257,12 +258,9 @@ class Chain:
         raise NotImplementedError
 
     def pad_first_row(self, label, n: int):
-        """The label with its first row padded to level n, the rational scale in
-        front of it, and the padded slot, which ``lift_order_less`` takes."""
-        raise NotImplementedError
-
-    def lift_order_less(self, x, w, pad_slot) -> bool:
-        """The lifting order: is x strictly below w?"""
+        """The label with its first row padded to level n, and the rational
+        scale in front of it; its restriction to the label's own level must
+        hold the label with coefficient 1 / scale."""
         raise NotImplementedError
 
     def format_label(self, label) -> str:
@@ -337,10 +335,7 @@ class SymmetricChain(Chain):
 
     def pad_first_row(self, label: Partition, n: int):
         padded = (label[0] + n - sum(label),) + label[1:] if label else (n,)
-        return padded, 1, None
-
-    def lift_order_less(self, x: Partition, w: Partition, pad_slot) -> bool:
-        return partitions.below_first_row(x) < partitions.below_first_row(w)
+        return padded, 1
 
     def format_label(self, label: Partition) -> str:
         return partitions.format_partition(label)
@@ -412,27 +407,7 @@ class WreathChain(Chain):
         slot, part = label[0] if label else (0, ())
         padded = ((slot, (part[0] + pad,) + part[1:] if part else (pad,)),) + label[1:]
         dim = self._h_dims[slot]
-        return padded, Fraction(1, dim**pad) if dim > 1 else 1, slot
-
-    def lift_order_less(self, x: WreathLabel, w: WreathLabel, pad_slot) -> bool:
-        """Fewer boxes below the padded slot's first row, and no more boxes in
-        any other slot of w, with one of the two strict."""
-        bx = dict(x)
-        bw = dict(w)
-        if any(i != pad_slot and i not in bw for i in bx):
-            return False
-        first_x = partitions.below_first_row(bx.get(pad_slot, ()))
-        first_w = partitions.below_first_row(bw.get(pad_slot, ()))
-        strict_other = False
-        for i, part in bw.items():
-            if i == pad_slot:
-                continue
-            have = sum(bx.get(i, ()))
-            want = sum(part)
-            if have > want:
-                return False
-            strict_other = strict_other or have < want
-        return first_x < first_w or (first_x == first_w and strict_other)
+        return padded, Fraction(1, dim**pad) if dim > 1 else 1
 
     def format_label(self, label: WreathLabel) -> str:
         return hgroup.format_wreath_label(self._irrep_names, label)

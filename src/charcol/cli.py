@@ -1,7 +1,8 @@
 """Command line front end.
 
 Commands: column, lift, indres, mckay, table, verify. Exit statuses:
-0 success, 1 verification failure, 2 usage error, 3 resource bound exceeded.
+0 success, 1 verification failure (a failed suite, a rejected ingested chain,
+or a broken lift invariant), 2 usage error, 3 resource bound exceeded.
 All outputs are deterministic for a given invocation; payloads carry no
 timestamps. The wreath brute-force order bound defaults to 10000 and can be
 overridden per run with --max-order or globally with CHARCOL_MAX_ORDER.
@@ -13,13 +14,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import mckay, verify
 from .chain import Chain, get_chain, require_symmetric
 from .engine import character_column, odd_column
 from .hgroup import SizeBoundError, load_table
-from .lifting import lift
+from .lifting import InvariantError, lift
 from .partitions import mirrored_order
 from .verify import IngestError, ingest_chain, run_suite
 
@@ -35,12 +35,6 @@ def _write(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _coeff_json(value):
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return int(value)
 
 
 def _output_order(chain: Chain, n: int, paper_order: bool):
@@ -95,7 +89,7 @@ def cmd_lift(args) -> int:
         lift(chain, label, args.n).coeffs.items(),
         key=lambda kv: chain.basis_index(args.n)[kv[0]],
     )
-    payload = {chain.format_label(lab): _coeff_json(v) for lab, v in items}
+    payload = {chain.format_label(lab): verify.jsonable(v) for lab, v in items}
     _write(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -227,7 +221,7 @@ def main(argv=None) -> int:
     except SizeBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except IngestError as exc:
+    except (IngestError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, KeyError) as exc:

@@ -3,10 +3,10 @@ restricts back to w exactly.
 
 The construction pads the first row of the first listed diagram, scales by
 the inverse dimension power for wreath chains, and subtracts recursively
-lifted lower terms; recursion strictly descends a partial order on labels
-(boxes below the first row, then box counts in the remaining slots), checked
-at runtime. Every lift is verified by restricting it n - k times before it is
-returned (a ``ReprVector``) and memoized in ``chain.lift_memo`` under
+lifted lower terms. The recursion never revisits a label whose lift is still
+waiting, checked at runtime: each level has finitely many labels, so that is
+what makes it end. Every lift is verified by restricting it n - k times before
+it is returned (a ``ReprVector``) and memoized in ``chain.lift_memo`` under
 (label, n). ``Chain.apply_res`` restricts label by label along the vector's
 support, so lifting builds no Res matrix, and memoizes each label's children
 on the chain.
@@ -24,8 +24,12 @@ class InvariantError(AssertionError):
     """A lift broke one of its exactness invariants; raised under ``python -O`` too."""
 
 
-def lift(chain: Chain, label, n: int) -> ReprVector:
-    """Lift an irrep label from its own level k up to level n."""
+def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> ReprVector:
+    """Lift an irrep label from its own level k up to level n.
+
+    ``_waiting`` holds the labels further up the recursion whose lifts to
+    level n are not finished; the recursion refuses to enter one of them again.
+    """
     k = chain.label_level(label)
     if n < k:
         raise ValueError(f"cannot lift a level-{k} label to level {n}")
@@ -37,7 +41,7 @@ def lift(chain: Chain, label, n: int) -> ReprVector:
         vector = chain.lift_memo[key] = chain.unit_vector(n, label)
         return vector
 
-    padded, scale, pad_slot = chain.pad_first_row(label, n)
+    padded, scale = chain.pad_first_row(label, n)
     down = chain.unit_vector(n, padded)
     for _ in range(n - k):
         down = chain.apply_res(down)
@@ -49,13 +53,16 @@ def lift(chain: Chain, label, n: int) -> ReprVector:
         )
 
     coeffs = {padded: scale}
+    waiting = _waiting | {label}
     for other, mult in sorted(down.coeffs.items()):
         if other == label:
             continue
-        if not chain.lift_order_less(other, label, pad_slot):
-            raise InvariantError(f"recursion would not descend: {other} is not below {label}")
+        if other in waiting:
+            raise InvariantError(
+                f"lifting {label} to level {n} revisits {other}, whose lift is still waiting"
+            )
         c = -(scale * mult)
-        for w, v in lift(chain, other, n).coeffs.items():
+        for w, v in lift(chain, other, n, waiting).coeffs.items():
             coeffs[w] = coeffs.get(w, 0) + c * v
     vector = ReprVector(chain.id, n, coeffs).normalized()
 

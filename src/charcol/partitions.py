@@ -93,11 +93,6 @@ def remove_one_box(p: Partition) -> list[Partition]:
     return out
 
 
-def below_first_row(p: Partition) -> int:
-    """Number of boxes not in the first row; the lifting order's rank function."""
-    return sum(p) - p[0] if p else 0
-
-
 def content_sum(p: Partition) -> int:
     """Sum over the boxes of column index minus row index; conjugation negates it."""
     return sum(row * (row - 1) // 2 - i * row for i, row in enumerate(p))

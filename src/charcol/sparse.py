@@ -58,9 +58,6 @@ class SparseMatrix:
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.data == other.data
 
-    def __hash__(self):
-        raise TypeError("SparseMatrix is not hashable")
-
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
@@ -75,22 +72,6 @@ class SparseMatrix:
         out = SparseMatrix(self.ncols, self.nrows)
         out.data = {(c, r): v for (r, c), v in self.data.items()}  # already valid entries
         return out
-
-    def _check_same_shape(self, other: "SparseMatrix"):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(
-                f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check_same_shape(other)
-        data = dict(self.data)
-        for rc, v in other.data.items():
-            data[rc] = data.get(rc, 0) + v
-        return self._result(self.nrows, self.ncols, data)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scaled(-1)
 
     def scaled(self, c: Scalar) -> "SparseMatrix":
         return self._result(self.nrows, self.ncols, {rc: c * v for rc, v in self.data.items()})
@@ -136,12 +117,6 @@ class SparseMatrix:
         for (r, c), v in self.data.items():
             rows[r][c] = v
         return rows
-
-    def equals_scaled_identity(self, c: Scalar) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        expect = {(i, i): _norm(c) for i in range(self.nrows)} if c else {}
-        return self.data == expect
 
     def row_rank(self) -> int:
         """Exact rank over Q: each row is scaled to integers, then eliminated

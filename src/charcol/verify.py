@@ -96,17 +96,19 @@ class CheckResult:
         if self.detail:
             out["detail"] = self.detail
         if self.lhs is not None:
-            out["lhs"] = _jsonable(self.lhs)
+            out["lhs"] = jsonable(self.lhs)
         if self.rhs is not None:
-            out["rhs"] = _jsonable(self.rhs)
+            out["rhs"] = jsonable(self.rhs)
         return out
 
 
-def _jsonable(value):
+def jsonable(value):
+    """An exact scalar, or a list of them, as JSON: a non-integral Fraction
+    becomes the string "p/q", an integral one an int."""
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else int(value)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -139,8 +141,6 @@ class SuiteReport:
 class ChainParams:
     """Fitted recursion a_n = B a_{n-1} + C over the provided order ratios."""
 
-    orders: tuple[int, ...]
-    ratios: tuple[int, ...]
     status: str  # "ok" | "inconclusive" | "violation"
     B: int | None = None
     C: int | None = None
@@ -165,16 +165,6 @@ class ChainParams:
             power *= self.B
         return FallingFactorialPoly(tuple(roots), Fraction(1, self.B ** (l * (l - 1) // 2)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "ratios": list(self.ratios),
-            "status": self.status,
-            "B": self.B,
-            "C": self.C,
-            "message": self.message,
-        }
-
 
 def fit_from_ratios(ratios) -> ChainParams:
     a = tuple(int(x) for x in ratios)
@@ -183,7 +173,7 @@ def fit_from_ratios(ratios) -> ChainParams:
     diffs = [a[i + 1] - a[i] for i in range(len(a) - 1)]
     if all(d == 0 for d in diffs):
         return ChainParams(
-            (), a, "inconclusive",
+            "inconclusive",
             message="constant ratios: the constant-chain case, f_l = X for all l",
         )
     pivot = next((i for i in range(len(diffs) - 1) if diffs[i] != 0), None)
@@ -192,7 +182,7 @@ def fit_from_ratios(ratios) -> ChainParams:
     num, den = diffs[pivot + 1], diffs[pivot]
     if num % den:
         return ChainParams(
-            (), a, "violation",
+            "violation",
             message=f"B = {num}/{den} is not an integer; "
             "no surjective chain with the polynomial property has these orders",
         )
@@ -201,11 +191,11 @@ def fit_from_ratios(ratios) -> ChainParams:
     for j in range(len(a) - 1):
         if a[j + 1] != b * a[j] + c:
             return ChainParams(
-                (), a, "violation", B=b, C=c,
+                "violation", B=b, C=c,
                 message=f"recursion a = {b}*a + {c} fails between ratios {a[j]} and {a[j + 1]}",
             )
     if b == 0:  # f_l's leading coefficient would be B^(-l(l-1)/2)
-        return ChainParams((), a, "violation", B=b, C=c, message="B = 0 leaves f_l undefined")
+        return ChainParams("violation", B=b, C=c, message="B = 0 leaves f_l undefined")
     notes = []
     if b == 1 and c >= 1:
         notes.append(f"wreath family: C = |H| = {c}")
@@ -214,7 +204,7 @@ def fit_from_ratios(ratios) -> ChainParams:
     if any(a[i] < i + 1 for i in range(len(a))):
         notes.append("warning: some a_n < n, impossible under the polynomial property "
                      "if orders start at |G_0|")
-    return ChainParams((), a, "ok", B=b, C=c, message="; ".join(notes))
+    return ChainParams("ok", B=b, C=c, message="; ".join(notes))
 
 
 def fit_chain_params(orders) -> ChainParams:
@@ -231,12 +221,11 @@ def fit_chain_params(orders) -> ChainParams:
         q, rem = divmod(orders[i], orders[i - 1])
         if rem:
             return ChainParams(
-                orders, (), "violation",
+                "violation",
                 message=f"|G_{i}| = {orders[i]} is not divisible by |G_{i - 1}| = {orders[i - 1]}",
             )
         ratios.append(q)
-    params = fit_from_ratios(ratios)
-    return ChainParams(orders, params.ratios, params.status, params.B, params.C, params.message)
+    return fit_from_ratios(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +325,11 @@ class IngestedChain(Chain):
     def __init__(self, levels: list[IngestedLevel], name: str = "ingested"):
         super().__init__()
         self.id = name
-        self.levels = {lv.n: lv for lv in levels}
+        self.levels = {}
+        for lv in levels:
+            if lv.n in self.levels:
+                raise IngestError(f"level {lv.n} is listed twice")
+            self.levels[lv.n] = lv
         ns = sorted(self.levels)
         if not ns:
             raise IngestError("chain has no levels")
@@ -365,6 +358,8 @@ class IngestedChain(Chain):
                         f"{rank} < {prev.basis_size}"
                     )
             if lv.classes is not None:
+                if len({lab for lab, _, _ in lv.classes}) != len(lv.classes):
+                    raise IngestError(f"level {n}: duplicate class labels")
                 total = sum(size for _, size, _ in lv.classes)
                 if total != lv.order:
                     raise IngestError(
@@ -546,11 +541,13 @@ def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
     inferred = None
     for j in chain.heisenberg_levels(max_n):
         up = chain.res_matrix(j + 1)
-        commutator = up @ up.transpose()
+        res_ind = up @ up.transpose()
         if j > chain.min_n:
-            commutator = commutator - chain.ind_res(j)
-        diag = commutator[(0, 0)]
-        ok = commutator.equals_scaled_identity(diag)
+            ind_res = chain.ind_res(j)
+        else:
+            ind_res = SparseMatrix(res_ind.nrows, res_ind.ncols)
+        diag = res_ind[(0, 0)] - ind_res[(0, 0)]
+        ok = res_ind == ind_res.shift_diagonal(diag)
         if expected is not None:
             ok = ok and diag == expected
         elif inferred is None:
@@ -663,7 +660,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
             checks.append(CheckResult(
                 f"roots-vs-characters l={l}", report["passed"],
                 detail=f"preferred level {report['preferred_level']}, "
-                f"roots {_jsonable(report['roots'])}",
+                f"roots {jsonable(report['roots'])}",
             ))
     return checks
 

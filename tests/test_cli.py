@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from charcol.cli import main
-from charcol.chain import get_chain
+from charcol.chain import SymmetricChain, get_chain
+from charcol.verify import jsonable
 
 
 def run(capsys, *argv):
@@ -225,6 +227,28 @@ def test_verify_export_round_trip(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_export_of_an_ingested_chain_is_usage_error(capsys, tmp_path):
+    chain_path = tmp_path / "sym.json"
+    code, _, _ = run(capsys, "verify", "--chain", "sym", "--suite", "heisenberg",
+                     "--maxN", "3", "--export", str(chain_path))
+    assert code == 0
+    code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--suite", "heisenberg",
+                         "--maxN", "3", "--export", str(tmp_path / "again.json"))
+    assert code == 2 and out == ""
+    assert err == "error: --export needs a built-in chain\n"
+
+
+def test_broken_lift_invariant_exits_1_with_one_line(capsys, monkeypatch):
+    pad = SymmetricChain.pad_first_row
+    monkeypatch.setattr(SymmetricChain, "pad_first_row",
+                        lambda self, label, n: (pad(self, label, n)[0], 2))
+    monkeypatch.setattr(get_chain("sym"), "lift_memo", {})
+    code, out, err = run(capsys, "lift", "--chain", "sym", "--k", "2", "--label", "[2]",
+                         "--n", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: padding of (2,) at level 4") and err.count("\n") == 1
+
+
 def test_output_to_file(capsys, tmp_path):
     target = tmp_path / "col.json"
     code, out, _ = run(capsys, "column", "--chain", "sym", "--class", "[2]", "--n", "4",
@@ -268,14 +292,11 @@ def test_table_csv(capsys):
     assert lines[2] == "[1,1],1,-1"
 
 
-def test_coeff_json_renders_fractions():
-    from fractions import Fraction
-
-    from charcol.cli import _coeff_json
-
-    assert _coeff_json(Fraction(3, 2)) == "3/2"
-    assert _coeff_json(Fraction(4, 2)) == 2
-    assert _coeff_json(-7) == -7
+def test_jsonable_renders_fractions():
+    assert jsonable(Fraction(3, 2)) == "3/2"
+    assert jsonable(Fraction(4, 2)) == 2 and type(jsonable(Fraction(4, 2))) is int
+    assert jsonable(-7) == -7
+    assert jsonable([Fraction(1, 3), (2, Fraction(-5, 1))]) == ["1/3", [2, -5]]
 
 
 def test_full_cli_verify_all_sym_maxn7(capsys):

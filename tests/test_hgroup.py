@@ -19,7 +19,6 @@ from charcol.hgroup import (
     parse_wreath_label,
     symmetric_group_table,
     wreath_char_table,
-    wreath_class_size,
     wreath_class_size_formula,
     wreath_classes,
     wreath_elements,
@@ -65,6 +64,35 @@ def test_table_validation_catches_duplicate_rows(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(TableValidationError, match="orthogonality"):
         builtin_table(str(path))
+
+
+def _table_json():
+    return {
+        "name": "T",
+        "order": 2,
+        "classes": [{"label": "e", "size": 1}, {"label": "g", "size": 1}],
+        "irreps": [
+            {"label": "t", "dim": 1, "values": [1, 1]},
+            {"label": "s", "dim": 1, "values": [1, -1]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda t: t.update(order=3), "class sizes sum to 2, not 3"),
+    (lambda t: t["irreps"].pop(), "1 irreps vs 2 classes"),
+    (lambda t: t["classes"][1].update(label="e"), "duplicate class labels"),
+    (lambda t: t["irreps"][1].update(label="t"), "duplicate irrep labels"),
+    (lambda t: t["irreps"][1].update(values=[1]), "row s has wrong length"),
+    (lambda t: t["irreps"][1].update(dim=2), "row s has values\\[0\\]=1 != dim=2"),
+    (lambda t: t.pop("order"), "malformed GroupTable JSON"),
+], ids=["sizes", "counts", "class-labels", "irrep-labels", "row-length", "dim", "malformed"])
+def test_table_validation_rejects(spoil, message):
+    table = _table_json()
+    GroupTable.from_json_dict(table)
+    spoil(table)
+    with pytest.raises(TableValidationError, match=message):
+        GroupTable.from_json_dict(table)
 
 
 def test_table_json_round_trip():
@@ -211,11 +239,11 @@ def test_colored_type_of_identity():
 
 def test_wreath_class_sizes_z2s2():
     z2 = builtin_table("Z2")
-    assert wreath_class_size(z2, ((0, (1,)), (1, (1,)))) == 2  # ((-1,1), ())
-    assert wreath_class_size(z2, ((0, (2,)),)) == 2  # ((1,1), (12))
-    assert wreath_class_size(z2, identity_colored_type(2)) == 1
-    total = sum(c.size for c in wreath_classes(z2, 2))
-    assert total == 8
+    sizes = {c.label: c.size for c in wreath_classes(z2, 2)}
+    assert sizes[((0, (1,)), (1, (1,)))] == 2  # ((-1,1), ())
+    assert sizes[((0, (2,)),)] == 2  # ((1,1), (12))
+    assert sizes[identity_colored_type(2)] == 1
+    assert sum(sizes.values()) == 8
 
 
 def test_wreath_class_formula_matches_brute():

@@ -2,12 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from charcol.chain import get_chain
-from charcol.lifting import lift, lift_column_input
-from charcol.partitions import below_first_row, conjugate, enumerate_partitions
+from charcol.chain import SymmetricChain, get_chain
+from charcol.lifting import InvariantError, lift, lift_column_input
+from charcol.partitions import conjugate, enumerate_partitions
+from charcol.verify import run_suite
 
 SYM = get_chain("sym")
 Z2C = get_chain("z2wreath")
+
+
+def below_first_row(p):
+    """Number of boxes not in the first row."""
+    return sum(p) - p[0] if p else 0
 
 
 def res_power(chain, vec, steps):
@@ -125,6 +131,31 @@ def test_wreath_lift_exactness_small():
 def test_lift_rejects_downward():
     with pytest.raises(ValueError):
         lift(SYM, (3, 2), 4)
+
+
+def test_lift_that_revisits_a_waiting_label_raises():
+    # (2) padded down its first column restricts to (2) + (1,1); the usual
+    # lift of (1,1) restricts to (1,1) + (2), so the recursion would loop
+    class PadsTwoDownItsColumn(SymmetricChain):
+        def pad_first_row(self, label, n):
+            if label == (2,):
+                return (2,) + (1,) * (n - 2), 1
+            return super().pad_first_row(label, n)
+
+    with pytest.raises(InvariantError, match="revisits"):
+        lift(PadsTwoDownItsColumn(), (2,), 3)
+
+
+def test_padding_every_first_column_lifts_exactly():
+    # the sign twist of the usual lifts: the recursion climbs in boxes below
+    # the first row ((2) meets (1,1)), yet every lift restricts back exactly
+    class PadsFirstColumn(SymmetricChain):
+        def pad_first_row(self, label, n):
+            return label + (1,) * (n - sum(label)), 1
+
+    checks = run_suite(PadsFirstColumn(), "lifts", 6).checks
+    assert len(checks) == 19
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_column_input_k3_formula():

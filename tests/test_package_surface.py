@@ -2,8 +2,13 @@
 
 Every function, method and class defined under ``src/charcol`` (dunders
 aside) must be named, as an ``ast.Name`` or an ``ast.Attribute``, somewhere
-in ``src/charcol`` or ``bench`` outside its own definition, or be imported in
-``charcol/__init__.py``. Code that only the tests call belongs in the tests.
+in ``src/charcol`` or ``bench`` outside its own definition. Being imported in
+``charcol/__init__.py`` does not count: an exported name needs a caller too.
+Code that only the tests call belongs in the tests.
+
+Uses are matched by name alone, so a method that shares its name with a
+called one still passes unseen: ``ChainParams.to_json_dict`` had no caller,
+but other classes' ``to_json_dict`` did.
 
 Every name a module other than ``__init__.py`` imports must appear as an
 ``ast.Name`` in that module, unless its import line carries ``# noqa: F401``
@@ -23,26 +28,21 @@ def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_package_definition_has_a_caller_or_is_exported():
+def test_every_package_definition_has_a_caller():
     package = {path: parse(path) for path in sorted(PACKAGE.rglob("*.py"))}
-    bench = [parse(path) for path in sorted((ROOT / "bench").rglob("*.py"))]
+    callers = [tree for path, tree in package.items() if path != PACKAGE / "__init__.py"]
+    callers += [parse(path) for path in sorted((ROOT / "bench").rglob("*.py"))]
     uses = defaultdict(list)
-    for tree in [*package.values(), *bench]:
+    for tree in callers:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses[node.id].append(node)
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].append(node)
-    exported = {
-        alias.name
-        for node in ast.walk(package[PACKAGE / "__init__.py"])
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
     unused = []
     for path, tree in package.items():
         for node in ast.walk(tree):
-            if not isinstance(node, DEFINITION) or node.name in exported:
+            if not isinstance(node, DEFINITION):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charcol.partitions import (
-    below_first_row,
     class_size,
     class_sign,
     conjugate,
@@ -135,11 +134,6 @@ def test_dim_invariant_under_conjugation():
 def test_conjugate_preserves_size(p):
     assert sum(conjugate(p)) == sum(p)
     assert conjugate(conjugate(p)) == p
-
-
-@given(partition_strategy())
-def test_boxes_below_first_row(p):
-    assert below_first_row(p) == sum(p) - p[0]
 
 
 @given(partition_strategy())

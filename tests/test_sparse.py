@@ -47,15 +47,14 @@ def test_shape_checks():
         a @ b
     with pytest.raises(ValueError):
         a.matvec([1, 2])
-    assert (a + b).data == {(0, 0): 1, (1, 2): 1}
 
 
 def test_identity_and_shift():
     eye = SparseMatrix.identity(3)
-    assert eye.equals_scaled_identity(1)
-    shifted = eye.shift_diagonal(2)
-    assert shifted.equals_scaled_identity(3)
-    assert not SparseMatrix(3, 3, {(0, 1): 1}).equals_scaled_identity(0)
+    assert eye.data == {(i, i): 1 for i in range(3)}
+    assert eye.shift_diagonal(2) == eye.scaled(3)
+    assert eye.shift_diagonal(-1) == SparseMatrix(3, 3)
+    assert SparseMatrix(3, 3, {(0, 1): 1}) != SparseMatrix(3, 3)
 
 
 def test_fractions_normalize_to_int():

@@ -21,6 +21,8 @@ from charcol.partitions import (
 from charcol.sparse import SparseMatrix
 from charcol.verify import (
     SUITES,
+    IngestedChain,
+    IngestedLevel,
     IngestError,
     export_chain,
     fit_chain_params,
@@ -264,6 +266,17 @@ def test_export_reingest_z2():
     assert report.passed, [c for c in report.checks if not c.passed]
 
 
+def test_export_omits_classes_above_the_order_bound():
+    # Z2 wr S_6 has order 46080, above the default bound of 10000
+    levels = export_chain(Z2C, 6)["levels"]
+    assert [("classes" in lv) for lv in levels] == [True] * 6 + [False]
+    assert "res" in levels[6]
+
+
+def test_z2_oracle_suite_stops_at_the_order_bound():
+    assert run_suite(Z2C, "oracle", 6).checks == run_suite(Z2C, "oracle", 5).checks
+
+
 def constant_chain_payload(levels=5):
     return {
         "name": "const",
@@ -364,6 +377,73 @@ def test_class_sizes_must_sum_to_order():
     bad["levels"][0]["classes"][0]["size"] = 2
     with pytest.raises(IngestError, match="sum"):
         ingest_chain(bad)
+
+
+def test_duplicate_class_label_rejected():
+    bad = export_chain(SYM, 5)
+    for row in bad["levels"][5]["classes"]:
+        if row["label"] == "[3,2]":
+            row["label"] = "[5]"
+    with pytest.raises(IngestError, match="level 5: duplicate class labels"):
+        ingest_chain(bad)
+
+
+def test_level_listed_twice_rejected():
+    bad = export_chain(SYM, 3)
+    bad["levels"].append(dict(bad["levels"][2]))
+    with pytest.raises(IngestError, match="level 2 is listed twice"):
+        ingest_chain(bad)
+
+
+def _first_class_not_identity(payload):
+    classes = payload["levels"][3]["classes"]
+    classes[0], classes[1] = classes[1], classes[0]
+
+
+def _embeds_to_unknown_class(payload):
+    payload["levels"][2]["classes"][0]["embedsTo"] = "[9]"
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda p: p["levels"].clear(), "chain has no levels"),
+    (_first_class_not_identity, "level 3: first class must be the identity"),
+    (_embeds_to_unknown_class, "level 2: class '\\[1,1\\]' embeds to unknown class '\\[9\\]'"),
+    (lambda p: p["levels"][1].pop("order"), "malformed level entry"),
+    (lambda p: p["levels"][1].update(res=[[0, 0]]), "malformed level entry"),
+], ids=["no-levels", "first-class", "unknown-embedding", "no-order", "short-triplet"])
+def test_ingest_rejects_a_spoiled_export(spoil, message):
+    payload = export_chain(SYM, 3)
+    spoil(payload)
+    with pytest.raises(IngestError, match=message):
+        ingest_chain(payload)
+
+
+@pytest.mark.parametrize("source", [{"name": "no levels"}, ["levels"]])
+def test_malformed_chain_json_rejected(source):
+    with pytest.raises(IngestError, match="malformed chain JSON"):
+        ingest_chain(source)
+
+
+def test_res_shape_mismatch_rejected_on_a_directly_built_chain():
+    levels = [
+        IngestedLevel(0, 1, 1, None, None),
+        IngestedLevel(1, 1, 1, SparseMatrix(1, 1, {(0, 0): 1}), None),
+        IngestedLevel(2, 2, 2, SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 1}), None),
+    ]
+    with pytest.raises(IngestError, match="Res at level 2 has shape 2x2, expected 1x2"):
+        IngestedChain(levels)
+
+
+def test_ingested_chain_reports_what_it_lacks():
+    payload = export_chain(SYM, 3)
+    payload["levels"][1]["classes"][0]["embedsTo"] = None
+    chain = ingest_chain(payload)
+    with pytest.raises(IngestError, match="level 0 has no Res matrix"):
+        chain.res_matrix(0)
+    with pytest.raises(IngestError, match="level 4 is not part of the ingested chain"):
+        chain.group_order(4)
+    with pytest.raises(IngestError, match="class '\\[1\\]' at level 1 has no embedding to level 2"):
+        chain.class_size_from("[1]", 1, 3)
 
 
 def partial_class_payload():
@@ -467,8 +547,8 @@ from charcol.verify import run_suite
 
 class DoubledPadding(SymmetricChain):
     def pad_first_row(self, label, n):
-        padded, _, slot = super().pad_first_row(label, n)
-        return padded, 2, slot
+        padded, _ = super().pad_first_row(label, n)
+        return padded, 2
 
 checks = run_suite(DoubledPadding(), "lifts", 4).checks
 print(sum(not c.passed for c in checks), len(checks))
