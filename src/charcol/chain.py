@@ -25,7 +25,7 @@ edges at its level and no sparse matrix. Only Res's ``parents`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -91,7 +91,8 @@ class ReprVector:
 
     def normalized(self) -> "ReprVector":
         """Reduce integral Fractions to ints and drop zeros."""
-        return replace(self, coeffs={k: _norm(v) for k, v in self.coeffs.items() if v})
+        coeffs = {k: _norm(v) for k, v in self.coeffs.items() if v}
+        return ReprVector(self.chain_id, self.level, coeffs)
 
 
 def _drop_zeros(coeffs: dict) -> dict:
@@ -134,8 +135,11 @@ class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
 
     The suites need ``res_matrix`` (from which ``ind_res`` and
-    ``brute_indl_resl`` are built), the level ranges, the class data, and f_l
-    as ``poly(l)``; the engine applies ``poly(l)`` too; lifting needs
+    ``brute_indl_resl`` are built), the level ranges, f_l as ``poly(l)``, and
+    the class data: ``group_order``, ``classes_at``, ``identity_class``,
+    ``format_class`` and ``class_size_from(h, m, j)`` for j above or below m,
+    on which ``ind_t_character`` is built. The engine applies ``poly(l)`` and
+    reads ``class_size_from`` for the column norm; lifting needs
     ``label_level`` and ``pad_first_row``, and checks at run time that its
     recursion never revisits a label whose lift is still waiting.
     """
@@ -290,24 +294,23 @@ class Chain:
         """The class of the same element at a higher level (add fixed points)."""
         raise NotImplementedError
 
-    def class_size_at(self, cls, n: int) -> int:
-        """Size of the embedded class at level n; 0 if the class does not meet G_n."""
-        raise NotImplementedError
-
     def classes_at(self, n: int, max_order: int | None = None) -> tuple:
         """All class labels at level n (each at its own level, unstripped)."""
         raise NotImplementedError
 
     def identity_class(self, n: int):
-        raise NotImplementedError
+        """The identity's class at level n: the empty class with n fixed points."""
+        return self.embed_class((), n)
 
     def trivial_label(self, n: int):
         """The trivial irrep's label at level n."""
         raise NotImplementedError
 
     def class_size_from(self, cls, m: int, j: int) -> int:
-        """|[h]_j| for a class h given at its level m; 0 if h does not meet G_j."""
-        return self.class_size_at(self.strip_class(cls)[0], j)
+        """|[h] meet G_j| for a class h given at level m: for j >= m the size of
+        h's class embedded at level j; for j < m the total size of the level-j
+        classes inside [h], 0 when there are none."""
+        raise NotImplementedError
 
     def ind_t_character(self, cls, m: int) -> Fraction:
         """chi_{Ind(t)} at level m for a class of G_m, via the class-ratio formula
@@ -359,16 +362,12 @@ class SymmetricChain(Chain):
     def embed_class(self, cls: Partition, n: int) -> Partition:
         return partitions.pad_with_fixed_points(cls, n)
 
-    def class_size_at(self, cls: Partition, n: int) -> int:
-        if sum(cls) > n:
-            return 0
-        return partitions.class_size(self.embed_class(cls, n))
+    def class_size_from(self, cls: Partition, m: int, j: int) -> int:
+        core, k = self.strip_class(cls)  # [h] meets S_j in one class, if k <= j
+        return partitions.class_size(self.embed_class(core, j)) if k <= j else 0
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
-
-    def identity_class(self, n: int) -> Partition:
-        return (1,) * n
 
     def trivial_label(self, n: int) -> Partition:
         return (n,) if n else ()
@@ -449,16 +448,14 @@ class WreathChain(Chain):
         out[0] = tuple(sorted(ones + (1,) * extra, reverse=True))
         return tuple(sorted(out.items()))
 
-    def class_size_at(self, cls: WreathLabel, n: int) -> int:
-        if sum(sum(p) for _, p in cls) > n:
+    def class_size_from(self, cls: WreathLabel, m: int, j: int) -> int:
+        core, k = self.strip_class(cls)  # [h] meets G_j in one class, if k <= j
+        if k > j:
             return 0
-        return hgroup.wreath_class_size_formula(self.h_table, self.embed_class(cls, n))
+        return hgroup.wreath_class_size_formula(self.h_table, self.embed_class(core, j))
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[WreathLabel, ...]:
         return tuple(c.label for c in hgroup.wreath_classes(self.h_table, n, max_order))
-
-    def identity_class(self, n: int) -> WreathLabel:
-        return hgroup.identity_colored_type(n)
 
     def trivial_label(self, n: int) -> WreathLabel:
         idx = next(

@@ -59,16 +59,16 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
     dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, chain.to_dense(vec))
     out = chain.from_dense(n, dense).normalized()
     assert out.is_integral(), f"non-integral column for {cls} at level {n}"
-    return _checked_column(chain, n, core, out.coeffs)
+    return _checked_column(chain, n, core, k, out.coeffs)
 
 
-def _checked_column(chain: Chain, n: int, core, coeffs: dict,
+def _checked_column(chain: Chain, n: int, core, k: int, coeffs: dict,
                     plus_part: dict | None = None) -> CharacterColumn:
-    """The column of the class ``core`` at level n, after the checks every
-    column passes: the trivial irrep's entry is 1 and the norm is |G|/|class|."""
+    """The column at level n of the class ``core`` at level k, after the checks
+    every column passes: the trivial irrep's entry is 1 and the norm is |G|/|class|."""
     column = CharacterColumn(chain.id, n, chain.embed_class(core, n), coeffs, plus_part)
     assert column.coeffs.get(chain.trivial_label(n)) == 1
-    class_size = chain.class_size_at(core, n)
+    class_size = chain.class_size_from(core, k, n)
     expected = chain.group_order(n) // class_size
     assert column.norm_squared() == expected, (
         f"column norm {column.norm_squared()} != |G|/|class| = {expected}"
@@ -136,18 +136,10 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     # f is linear, so it runs on the integer differences and halves once
     twice_in = [full.coefficient(lam) - full.coefficient(conjugate(lam)) for lam in red.plus_basis]
     twice_out = chain.poly(n - k).apply(red.matrix.matvec, twice_in)
-    plus_values = {}
+    plus_values, coeffs = {}, {}
     for lam, value in zip(red.plus_basis, twice_out):
         assert type(value) is int and value % 2 == 0, f"odd or non-integral entry at {lam}"
         plus_values[lam] = value // 2
-    coeffs = {}
-    for lam in chain.basis(n):
-        if lam in plus_values:
-            coeffs[lam] = plus_values[lam]
-        elif conjugate(lam) in plus_values:
-            coeffs[lam] = -plus_values[conjugate(lam)]
-        else:
-            assert conjugate(lam) == lam  # guaranteed by reduced_operator
-            coeffs[lam] = 0
-    coeffs = {lam: v for lam, v in coeffs.items() if v}
-    return _checked_column(chain, n, core, coeffs, plus_values)
+        if value:  # plus_basis has one diagram of each pair and no self-conjugate one
+            coeffs[lam], coeffs[conjugate(lam)] = value // 2, -(value // 2)
+    return _checked_column(chain, n, core, k, coeffs, plus_values)

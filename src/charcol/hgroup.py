@@ -31,7 +31,6 @@ from math import factorial
 
 from .partitions import (
     Partition,
-    check_partition,
     class_size,
     dim_irrep,
     enumerate_partitions,
@@ -621,7 +620,7 @@ def parse_wreath_label(names: list[str] | tuple[str, ...], text: str) -> WreathL
             idx = list(names).index(name.strip())
         except ValueError:
             raise ValueError(f"unknown component {name.strip()!r}; expected one of {list(names)}")
-        part = check_partition(parse_partition(part_text))
+        part = parse_partition(part_text)
         if not part:
             raise ValueError(f"empty partition in wreath label {text!r}")
         entries.append((idx, part))

@@ -118,6 +118,7 @@ class SuiteReport:
     chain: str
     max_n: int
     checks: list[CheckResult] = field(default_factory=list)
+    skipped: list[dict] = field(default_factory=list)  # levels above the order bound
 
     @property
     def passed(self) -> bool:
@@ -130,6 +131,7 @@ class SuiteReport:
             "maxN": self.max_n,
             "passed": self.passed,
             "checks": [c.to_json_dict() for c in self.checks],
+            **({"skipped": self.skipped} if self.skipped else {}),
         }
 
 
@@ -308,16 +310,18 @@ class IngestedLevel:
     order: int
     basis_size: int
     res: SparseMatrix | None
-    classes: tuple[tuple[str, int, str | None], ...] | None
+    classes: dict[str, tuple[int, str | None]] | None  # label -> (size, embedsTo), as listed
 
 
 class IngestedChain(Chain):
     """A user-supplied surjective chain: per-level Res matrices, orders, and
     optional class data with explicit upward embeddings.
 
-    Convention: the first class at each level is the identity class. f_l and
-    M come from the fitted order recursion; the suites check the levels whose
-    Res matrices were supplied, and l only down to the lowest level.
+    Convention: the first class at each level is the identity class. Class
+    sizes come from the class data: upward along ``embedsTo``, downward as the
+    sum over the classes one level down that embed into h. f_l and M come from
+    the fitted order recursion; the suites check the levels whose Res matrices
+    were supplied, and l only down to the lowest level.
     """
 
     heisenberg_scaling = None
@@ -358,18 +362,16 @@ class IngestedChain(Chain):
                         f"{rank} < {prev.basis_size}"
                     )
             if lv.classes is not None:
-                if len({lab for lab, _, _ in lv.classes}) != len(lv.classes):
-                    raise IngestError(f"level {n}: duplicate class labels")
-                total = sum(size for _, size, _ in lv.classes)
+                total = sum(size for size, _ in lv.classes.values())
                 if total != lv.order:
                     raise IngestError(
                         f"level {n}: class sizes sum to {total}, not the order {lv.order}"
                     )
-                if lv.classes and lv.classes[0][1] != 1:
+                if lv.classes and next(iter(lv.classes.values()))[0] != 1:
                     raise IngestError(f"level {n}: first class must be the identity (size 1)")
                 if n < self.max_n and self.levels[n + 1].classes is not None:
-                    targets = {lab for lab, _, _ in self.levels[n + 1].classes}
-                    for lab, _, embeds in lv.classes:
+                    targets = self.levels[n + 1].classes
+                    for lab, (_, embeds) in lv.classes.items():
                         if embeds is not None and embeds not in targets:
                             raise IngestError(
                                 f"level {n}: class {lab!r} embeds to unknown class {embeds!r}"
@@ -404,11 +406,14 @@ class IngestedChain(Chain):
     def poly(self, l: int) -> FallingFactorialPoly:
         return self.fitted_params().poly(l)
 
-    def classes_at(self, n: int, max_order=None):
-        lv = self._level(n)
-        if lv.classes is None:
+    def _classes(self, n: int) -> dict:
+        classes = self._level(n).classes
+        if classes is None:
             raise IngestError(f"level {n} has no class data")
-        return tuple(lab for lab, _, _ in lv.classes)
+        return classes
+
+    def classes_at(self, n: int, max_order=None):
+        return tuple(self._classes(n))
 
     def identity_class(self, n: int) -> str:
         return self.classes_at(n)[0]
@@ -417,34 +422,35 @@ class IngestedChain(Chain):
         return cls
 
     def _class_entry(self, label: str, n: int):
-        for entry in self._level(n).classes or ():
-            if entry[0] == label:
-                return entry
-        raise IngestError(f"no class {label!r} at level {n}")
+        try:
+            return self._classes(n)[label]
+        except KeyError:
+            raise IngestError(f"no class {label!r} at level {n}") from None
 
     def class_size_from(self, label: str, m: int, j: int) -> int:
+        if j < m:
+            self._class_entry(label, m)  # h must be a class at level m
+            return sum(self.class_size_from(lab, m - 1, j)
+                       for lab, (_, up) in self._classes(m - 1).items() if up == label)
         current = label
         for level in range(m, j):
-            current = self._class_entry(current, level)[2]
+            current = self._class_entry(current, level)[1]
             if current is None:
                 raise IngestError(f"class {label!r} at level {m} has no embedding to level {level + 1}")
-        return self._class_entry(current, j)[1]
-
-    def ind_t_character(self, label: str, m: int) -> Fraction:
-        """Permutation-character value via |G_m| |[h] meet G_{m-1}| / (|G_{m-1}| |[h]_m|),
-        where the intersection is the union of lower classes embedding into [h]."""
-        size = self._class_entry(label, m)[1]
-        below = self.levels.get(m - 1)
-        if below is None or below.classes is None:
-            raise IngestError(f"level {m - 1} has no class data")
-        meet = sum(s for _, s, embeds in below.classes if embeds == label)
-        return Fraction(self.group_order(m) * meet, self.group_order(m - 1) * size)
+        return self._class_entry(current, j)[0]
 
     def fitted_params(self) -> ChainParams:
         if self._params is None:
             orders = tuple(self.levels[n].order for n in range(self.min_n, self.max_n + 1))
             self._params = fit_chain_params(orders)
         return self._params
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; a bool, float or string is malformed, not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def ingest_chain(source) -> IngestedChain:
@@ -459,27 +465,31 @@ def ingest_chain(source) -> IngestedChain:
     except (KeyError, TypeError) as exc:
         raise IngestError(f"malformed chain JSON: {exc}") from exc
     parsed = []
-    for raw in raw_levels:
+    for pos, raw in enumerate(raw_levels):
         try:
-            n = int(raw["n"])
-            order = int(raw["order"])
-            basis_size = int(raw["basisSize"])
-            triplets = None
-            if "res" in raw and raw["res"] is not None:
-                triplets = [(int(r), int(c), int(v)) for r, c, v in raw["res"]]
-            classes = None
-            if "classes" in raw and raw["classes"] is not None:
-                classes = tuple(
-                    (str(c["label"]), int(c["size"]), c.get("embedsTo"))
-                    for c in raw["classes"]
-                )
-            parsed.append((n, order, basis_size, triplets, classes))
+            n, order, basis_size = (_integer(raw[key], key) for key in ("n", "order", "basisSize"))
+            triplets = class_rows = None
+            if raw.get("res") is not None:
+                triplets = [tuple(_integer(x, "a Res entry") for x in (r, c, v))
+                            for r, c, v in raw["res"]]
+                if any(v < 1 for _, _, v in triplets):
+                    raise ValueError("Res values must be positive")
+                if len({(r, c) for r, c, _ in triplets}) != len(triplets):
+                    raise ValueError("Res lists a (row, col) pair twice")
+            if raw.get("classes") is not None:
+                class_rows = [(str(c["label"]), (_integer(c["size"], "size"), c.get("embedsTo")))
+                              for c in raw["classes"]]
+            parsed.append((n, order, basis_size, triplets, class_rows))
         except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"malformed level entry: {exc}") from exc
+            where = raw.get("n", f"#{pos}") if isinstance(raw, dict) else f"#{pos}"
+            raise IngestError(f"level {where}: malformed level entry: {exc}") from exc
     # Res row indices live in the previous level's basis.
     parsed.sort(key=lambda item: item[0])
     levels = []
-    for i, (n, order, basis_size, triplets, classes) in enumerate(parsed):
+    for i, (n, order, basis_size, triplets, class_rows) in enumerate(parsed):
+        classes = None if class_rows is None else dict(class_rows)
+        if class_rows is not None and len(classes) != len(class_rows):
+            raise IngestError(f"level {n}: duplicate class labels")
         res = None
         if triplets is not None:
             rows = parsed[i - 1][2] if i > 0 else 0
@@ -511,13 +521,9 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
             ordered = [identity] + [lab for lab in labels if lab != identity]
             rows = []
             for lab in ordered:
-                core, _ = chain.strip_class(lab)
-                row = {
-                    "label": chain.format_class(lab),
-                    "size": chain.class_size_at(core, n),
-                }
+                row = {"label": chain.format_class(lab), "size": chain.class_size_from(lab, n, n)}
                 if n < max_n:
-                    row["embedsTo"] = chain.format_class(chain.embed_class(core, n + 1))
+                    row["embedsTo"] = chain.format_class(chain.embed_class(lab, n + 1))
                 rows.append(row)
             entry["classes"] = rows
         levels.append(entry)
@@ -665,11 +671,20 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
     return checks
 
 
-def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckResult]:
-    """Engine columns against an independent source of character columns."""
-    checks = []
-    if isinstance(chain, SymmetricChain):
-        for n in chain.level_range(max_n):
+def oracle_suite(chain, max_n: int, max_order: int | None = None):
+    """Engine columns against an independent source of character columns, as
+    (checks, skipped): the levels stop at the first one whose character table
+    is above the order bound, and that level is the one skipped entry."""
+    checks, skipped = [], []
+    if not isinstance(chain, (SymmetricChain, WreathChain)):
+        return checks, skipped
+    for n in chain.level_range(max_n):
+        try:
+            table = chain.small_table(n, max_order)
+        except SizeBoundError as exc:
+            skipped.append({"level": n, "reason": str(exc)})
+            break
+        if isinstance(chain, SymmetricChain):
             for mu in enumerate_partitions(n):
                 column = engine.character_column(chain, mu, n, max_order)
                 expected = oracle_column(mu, n)
@@ -680,12 +695,7 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckR
                     detail="engine equals border-strip oracle; norm identity holds"
                     if ok and norm_ok else "mismatch against oracle",
                 ))
-    elif isinstance(chain, WreathChain):
-        for n in chain.level_range(max_n):
-            try:
-                table = chain.small_table(n, max_order)
-            except SizeBoundError:
-                break
+        else:
             rows = [(chain.parse_label(lab), values) for lab, _, values in table.irreps]
             for col_idx, (cls_label, _) in enumerate(table.classes):
                 cls = chain.parse_class(cls_label)
@@ -696,7 +706,7 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckR
                     f"oracle-column n={n} class={cls_label}", ok,
                     detail="engine equals brute-force table column" if ok else "mismatch",
                 ))
-    return checks
+    return checks, skipped
 
 
 def lifting_suite(chain, max_n: int) -> list[CheckResult]:
@@ -735,7 +745,8 @@ def run_suite(chain, suite: str, max_n: int, max_order: int | None = None) -> Su
     if suite in ("jeongha", "all"):
         report.checks += jeongha_suite(chain, max_n, max_order)
     if suite in ("oracle", "all"):
-        report.checks += oracle_suite(chain, max_n, max_order)
+        checks, report.skipped = oracle_suite(chain, max_n, max_order)
+        report.checks += checks
     if suite in ("lifts", "all"):
         report.checks += lifting_suite(chain, max_n)
     return report

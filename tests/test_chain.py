@@ -1,10 +1,12 @@
+import ast
+import inspect
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcol.chain import SymmetricChain, WreathChain, get_chain
+from charcol.chain import Chain, SymmetricChain, WreathChain, get_chain
 from charcol.hgroup import GroupTable, builtin_table
 from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
@@ -307,3 +309,30 @@ def test_apply_res_matches_res_matrix_on_sparse_rational_vectors(spec, n, data):
 def test_apply_res_needs_level_one():
     with pytest.raises(ValueError):
         fresh_sym().apply_res(fresh_sym().unit_vector(0, ()))
+
+
+def abstract_chain_methods() -> list[str]:
+    """The ``Chain`` methods whose body, past the docstring, only raises NotImplementedError."""
+    (chain_class,) = ast.parse(inspect.getsource(Chain)).body
+    names = []
+    for node in chain_class.body:
+        if isinstance(node, ast.FunctionDef):
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            if [ast.unparse(stmt) for stmt in body] == ["raise NotImplementedError"]:
+                names.append(node.name)
+    return names
+
+
+def test_built_in_chains_define_every_abstract_chain_method():
+    abstract = abstract_chain_methods()
+    assert {"basis", "class_size_from", "classes_at", "strip_class"} <= set(abstract)
+    assert "identity_class" not in abstract  # built on embed_class
+    missing = [f"{cls.__name__}.{name}" for cls in (SymmetricChain, WreathChain)
+               for name in abstract if name not in vars(cls)]
+    assert not missing, f"built-in chains lack protocol methods: {missing}"
+
+
+def test_identity_class_is_the_empty_class_with_fixed_points():
+    assert fresh_sym().identity_class(3) == (1, 1, 1)
+    assert fresh_z2().identity_class(3) == ((0, (1, 1, 1)),)
+    assert fresh_sym().identity_class(0) == fresh_z2().identity_class(0) == ()

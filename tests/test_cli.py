@@ -172,6 +172,17 @@ def test_verify_takes_builtin_group_names(capsys):
     assert payload["chain"] == "wreath:trivial" and payload["passed"] is True
 
 
+def test_verify_oracle_reports_the_level_above_the_order_bound_as_skipped(capsys):
+    # S_8 is above the default bound 10000: the report keeps levels 1..7 and passes
+    code, out, err = run(capsys, "verify", "--chain", "sym", "--suite", "oracle", "--maxN", "10")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is True and len(payload["checks"]) == 44
+    assert [entry["level"] for entry in payload["skipped"]] == [8]
+    assert "S_8 has order 40320, above the bound 10000" in payload["skipped"][0]["reason"]
+    assert list(payload)[-1] == "skipped"
+
+
 @pytest.mark.parametrize("spec", ["/missing.json", "nope"])
 def test_verify_unknown_chain_is_usage_error(capsys, spec):
     code, out, err = run(capsys, "verify", "--chain", spec, "--maxN", "4")

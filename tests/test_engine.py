@@ -371,7 +371,7 @@ def test_apply_ind_of_trivial():
 def test_wreath_column_beyond_table_bound_uses_formula_norm():
     # level 5 is beyond any brute table we build here; the norm identity still holds
     column = character_column(Z2C, ((1, (1,)),), 5)
-    size = Z2C.class_size_at(((1, (1,)),), 5)
+    size = Z2C.class_size_from(((1, (1,)),), 1, 5)
     assert column.norm_squared() * size == Z2C.group_order(5)
 
 

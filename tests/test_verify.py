@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -274,7 +275,79 @@ def test_export_omits_classes_above_the_order_bound():
 
 
 def test_z2_oracle_suite_stops_at_the_order_bound():
-    assert run_suite(Z2C, "oracle", 6).checks == run_suite(Z2C, "oracle", 5).checks
+    report = run_suite(Z2C, "oracle", 6)
+    below = run_suite(Z2C, "oracle", 5)
+    assert report.checks == below.checks
+    # Z2 wr S_6 has order 46080: level 6 is reported as skipped, with the bound's message
+    assert report.skipped == [{
+        "level": 6,
+        "reason": "Z2 wr S_6 has order 46080, above the bound 10000; raise it via "
+        "--max-order / CHARCOL_MAX_ORDER or supply the table as GroupTable JSON",
+    }]
+    assert report.passed and report.to_json_dict()["skipped"] == report.skipped
+    assert "skipped" not in below.to_json_dict()
+
+
+def test_sym_oracle_suite_skips_the_first_level_above_the_order_bound():
+    # S_8 has order 40320, above the default bound 10000; levels 1..7 still run
+    report = run_suite(SYM, "oracle", 10)
+    assert report.passed
+    assert len(report.checks) == sum(len(enumerate_partitions(n)) for n in range(1, 8)) == 44
+    assert all(c.passed for c in report.checks)
+    assert [entry["level"] for entry in report.skipped] == [8]
+    assert report.skipped[0]["reason"].startswith("S_8 has order 40320, above the bound 10000")
+    assert report.checks == run_suite(SYM, "oracle", 7).checks
+
+
+# -- class sizes up and down the chain ----------------------------------------------
+
+CLASS_SIZE_CHAINS = {
+    "sym": (lambda: SYM, 6),
+    "z2wreath": (lambda: Z2C, 4),
+    "trivial": (lambda: WreathChain(builtin_table("trivial")), 5),
+}
+
+
+@pytest.mark.parametrize("chain_name", list(CLASS_SIZE_CHAINS))
+def test_class_sizes_agree_with_the_ingested_export_both_ways(chain_name):
+    # the built-in side uses class-size formulas, the ingested side walks embedsTo
+    make, top = CLASS_SIZE_CHAINS[chain_name]
+    chain = make()
+    ingested = ingest_chain(export_chain(chain, top))
+    compared = 0
+    for m in range(top + 1):
+        for h in chain.classes_at(m):
+            label = chain.format_class(h)
+            for j in range(max(m - 1, 0), top + 1):
+                assert chain.class_size_from(h, m, j) == ingested.class_size_from(label, m, j), (
+                    label, m, j)
+                compared += 1
+            if m >= 1:
+                assert chain.ind_t_character(h, m) == ingested.ind_t_character(label, m), (
+                    label, m)
+    assert compared > top
+
+
+def test_class_size_below_the_level_sums_the_classes_inside():
+    # [2,1,1] in S_4 meets S_3 in the transpositions (3) and S_2 in one (1);
+    # [2,2] and [4] miss S_3
+    ingested = ingest_chain(export_chain(SYM, 4))
+    cases = (("[2,1,1]", (0, 1, 3, 6)), ("[2,2]", (0, 0, 0, 3)), ("[4]", (0, 0, 0, 6)))
+    for label, sizes in cases:
+        h = SYM.parse_class(label)
+        assert [SYM.class_size_from(h, 4, j) for j in range(1, 5)] == list(sizes)
+        assert [ingested.class_size_from(label, 4, j) for j in range(1, 5)] == list(sizes)
+
+
+def test_ind_t_character_needs_class_data_one_level_down():
+    payload = export_chain(SYM, 4)
+    del payload["levels"][2]["classes"]
+    chain = ingest_chain(payload)
+    with pytest.raises(IngestError, match="level 2 has no class data"):
+        chain.ind_t_character("[2,1]", 3)
+    assert chain.ind_t_character("[2,1,1]", 4) == 2  # levels 3 and 4 have theirs
+    with pytest.raises(IngestError, match="no class '\\[9\\]' at level 4"):
+        chain.ind_t_character("[9]", 4)
 
 
 def constant_chain_payload(levels=5):
@@ -415,6 +488,44 @@ def test_ingest_rejects_a_spoiled_export(spoil, message):
     payload = export_chain(SYM, 3)
     spoil(payload)
     with pytest.raises(IngestError, match=message):
+        ingest_chain(payload)
+
+
+def _append_res_entry(entry):
+    return lambda p: p["levels"][2]["res"].append(entry)
+
+
+def _set(level, key, value):
+    return lambda p: p["levels"][level].update({key: value})
+
+
+def _set_res_value(value):
+    def spoil(payload):
+        payload["levels"][2]["res"][0][2] = value
+    return spoil
+
+
+# Each of these was once accepted: int() truncated a float or read a string, and
+# from_triplets summed repeated (row, col) entries, dropping them when they cancelled.
+@pytest.mark.parametrize("spoil, level, detail", [
+    (_set_res_value(1.7), 2, "a Res entry must be an integer, not 1.7"),
+    (_set(3, "order", 6.9), 3, "order must be an integer, not 6.9"),
+    (_append_res_entry([0, 1, -1]), 2, "Res values must be positive"),
+    (_set_res_value(-1), 2, "Res values must be positive"),
+    (_append_res_entry([0, 1, 1]), 2, "Res lists a (row, col) pair twice"),
+    (_set(1, "basisSize", "1"), 1, "basisSize must be an integer, not '1'"),
+    (_set(3, "order", True), 3, "order must be an integer, not True"),
+    (lambda p: p["levels"][4]["classes"][0].update(size=1.0), 4,
+     "size must be an integer, not 1.0"),
+    (lambda p: p["levels"][0].pop("n"), "#0", "'n'"),
+], ids=["float-res-value", "float-order", "cancelling-res-entry", "negative-res-value",
+        "repeated-res-entry", "string-basis-size", "bool-order", "float-class-size", "no-n"])
+def test_ingest_rejects_what_it_once_truncated_or_merged(spoil, level, detail):
+    payload = export_chain(SYM, 4)
+    ingest_chain(payload)  # the export itself is accepted
+    spoil(payload)
+    message = f"level {level}: malformed level entry: {detail}"
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
         ingest_chain(payload)
 
 
