@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, inf
 
 from . import hgroup, partitions
 from .hgroup import GroupTable, WreathLabel
@@ -135,7 +135,8 @@ class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
 
     The suites need ``res_matrix`` (from which ``ind_res`` and
-    ``brute_indl_resl`` are built), the level ranges, f_l as ``poly(l)``, and
+    ``brute_indl_resl`` are built), the levels ``min_n`` to ``max_n`` and the
+    ranges the suites run over, f_l as ``poly(l)``, and
     the class data: ``group_order``, ``classes_at``, ``identity_class``,
     ``format_class`` and ``class_size_from(h, m, j)`` for j above or below m,
     on which ``ind_t_character`` is built. The engine applies ``poly(l)`` and
@@ -147,6 +148,7 @@ class Chain:
     id: str
     heisenberg_scaling: int | None  # M in Res Ind - Ind Res = M Id; None: inferred
     min_n = 0  # the lowest level the chain has
+    max_n = inf  # the highest; the built-in chains have no top
 
     def __init__(self):
         self._index_cache: dict[int, dict] = {}
@@ -225,16 +227,16 @@ class Chain:
         return (down.transpose() @ down for down in downs)
 
     def has_level(self, n: int) -> bool:
-        return n >= self.min_n
+        return self.min_n <= n <= self.max_n
 
-    def level_range(self, max_n: int) -> range:
-        """The levels above the lowest one, up to max_n, at which the suites
-        compare operators."""
-        return range(self.min_n + 1, max_n + 1)
+    def level_range(self, top: int) -> range:
+        """The levels above the lowest one, up to top and the chain's own top,
+        at which the suites compare operators."""
+        return range(self.min_n + 1, min(top, self.max_n) + 1)
 
-    def heisenberg_levels(self, max_n: int) -> range:
+    def heisenberg_levels(self, top: int) -> range:
         """The levels j whose commutator Res Ind - Ind Res the suites check."""
-        return range(0, max_n)
+        return range(0, top)
 
     def poly(self, l: int) -> FallingFactorialPoly:
         """f_l, where Ind^l Res^l = f_l(Ind Res): roots 0, M, ..., (l-1)M."""
@@ -309,7 +311,7 @@ class Chain:
     def class_size_from(self, cls, m: int, j: int) -> int:
         """|[h] meet G_j| for a class h given at level m: for j >= m the size of
         h's class embedded at level j; for j < m the total size of the level-j
-        classes inside [h], 0 when there are none."""
+        classes inside [h], 0 when there are none. ValueError if h is not at level m."""
         raise NotImplementedError
 
     def ind_t_character(self, cls, m: int) -> Fraction:
@@ -364,6 +366,8 @@ class SymmetricChain(Chain):
 
     def class_size_from(self, cls: Partition, m: int, j: int) -> int:
         core, k = self.strip_class(cls)  # [h] meets S_j in one class, if k <= j
+        if k > m:
+            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {m}")
         return partitions.class_size(self.embed_class(core, j)) if k <= j else 0
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
@@ -450,6 +454,8 @@ class WreathChain(Chain):
 
     def class_size_from(self, cls: WreathLabel, m: int, j: int) -> int:
         core, k = self.strip_class(cls)  # [h] meets G_j in one class, if k <= j
+        if k > m:
+            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {m}")
         if k > j:
             return 0
         return hgroup.wreath_class_size_formula(self.h_table, self.embed_class(core, j))

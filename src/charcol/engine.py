@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .chain import Chain, FallingFactorialPoly, get_chain, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
-from .lifting import lift_column_input
+from .lifting import InvariantError, lift_column_input
 from .partitions import Partition, conjugate, content_sum, is_odd_class
 from .sparse import SparseMatrix
 
@@ -51,28 +51,30 @@ def normalize_class(chain: Chain, cls, n: int):
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
                      table: GroupTable | None = None) -> CharacterColumn:
     """delta at level n: f_{n-k}(X), with X v as Ind(Res v) along Res's edges,
-    applied to the lifted level-k input. Exact; the column norm is asserted."""
+    applied to the lifted level-k input. Exact; the column's invariants are checked."""
     core, k = normalize_class(chain, cls, n)
     if table is None:
         table = chain.small_table(k, max_order)
     vec = lift_column_input(chain, table, core, n)
     dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, chain.to_dense(vec))
     out = chain.from_dense(n, dense).normalized()
-    assert out.is_integral(), f"non-integral column for {cls} at level {n}"
+    if not out.is_integral():
+        raise InvariantError(f"non-integral column for {cls} at level {n}")
     return _checked_column(chain, n, core, k, out.coeffs)
 
 
 def _checked_column(chain: Chain, n: int, core, k: int, coeffs: dict,
                     plus_part: dict | None = None) -> CharacterColumn:
     """The column at level n of the class ``core`` at level k, after the checks
-    every column passes: the trivial irrep's entry is 1 and the norm is |G|/|class|."""
+    every column passes: the trivial irrep's entry is 1 and the norm is |G|/|class|;
+    a broken one raises InvariantError."""
     column = CharacterColumn(chain.id, n, chain.embed_class(core, n), coeffs, plus_part)
-    assert column.coeffs.get(chain.trivial_label(n)) == 1
-    class_size = chain.class_size_from(core, k, n)
-    expected = chain.group_order(n) // class_size
-    assert column.norm_squared() == expected, (
-        f"column norm {column.norm_squared()} != |G|/|class| = {expected}"
-    )
+    trivial = column.coeffs.get(chain.trivial_label(n), 0)
+    if trivial != 1:
+        raise InvariantError(f"column's trivial-irrep entry is {trivial}, not 1")
+    expected = chain.group_order(n) // chain.class_size_from(core, k, n)
+    if column.norm_squared() != expected:
+        raise InvariantError(f"column norm {column.norm_squared()} != |G|/|class| = {expected}")
     return column
 
 
@@ -138,7 +140,8 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     twice_out = chain.poly(n - k).apply(red.matrix.matvec, twice_in)
     plus_values, coeffs = {}, {}
     for lam, value in zip(red.plus_basis, twice_out):
-        assert type(value) is int and value % 2 == 0, f"odd or non-integral entry at {lam}"
+        if type(value) is not int or value % 2:
+            raise InvariantError(f"odd or non-integral entry at {lam}")
         plus_values[lam] = value // 2
         if value:  # plus_basis has one diagram of each pair and no self-conjugate one
             coeffs[lam], coeffs[conjugate(lam)] = value // 2, -(value // 2)

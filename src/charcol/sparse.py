@@ -108,10 +108,6 @@ class SparseMatrix:
                 out[r] = out[r] + v * x
         return [x if type(x) is int else _norm(x) for x in out]
 
-    def triplets_rowcol(self) -> list[tuple[int, int, Scalar]]:
-        """Entries as (row, col, value), sorted by (row, col) -- dump order."""
-        return [(r, c, self.data[(r, c)]) for (r, c) in sorted(self.data)]
-
     def to_dense(self) -> list[list[Scalar]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]
         for (r, c), v in self.data.items():

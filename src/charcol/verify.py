@@ -15,6 +15,7 @@ All comparisons are exact rational arithmetic; there are no tolerances.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -143,7 +144,7 @@ class SuiteReport:
 class ChainParams:
     """Fitted recursion a_n = B a_{n-1} + C over the provided order ratios."""
 
-    status: str  # "ok" | "inconclusive" | "violation"
+    status: str  # "ok" | "inconclusive" | "violation" | "underdetermined" (too few orders)
     B: int | None = None
     C: int | None = None
     message: str = ""
@@ -157,7 +158,7 @@ class ChainParams:
         if self.status == "inconclusive":
             return FallingFactorialPoly((0,) if l else ())
         if self.status != "ok":
-            raise ValueError(f"no f_l: the order fit is a {self.status}")
+            raise ValueError(f"no f_l from an order fit with status {self.status}")
         roots = []
         acc = 0
         power = 1
@@ -171,7 +172,8 @@ class ChainParams:
 def fit_from_ratios(ratios) -> ChainParams:
     a = tuple(int(x) for x in ratios)
     if len(a) < 3:
-        raise ValueError("need at least three consecutive ratios (four group orders)")
+        return ChainParams("underdetermined",
+                           message="need at least three consecutive ratios (four group orders)")
     diffs = [a[i + 1] - a[i] for i in range(len(a) - 1)]
     if all(d == 0 for d in diffs):
         return ChainParams(
@@ -180,7 +182,8 @@ def fit_from_ratios(ratios) -> ChainParams:
         )
     pivot = next((i for i in range(len(diffs) - 1) if diffs[i] != 0), None)
     if pivot is None:
-        raise ValueError("ratios change only at the last step; supply more orders")
+        return ChainParams("underdetermined",
+                           message="ratios change only at the last step; supply more orders")
     num, den = diffs[pivot + 1], diffs[pivot]
     if num % den:
         return ChainParams(
@@ -213,11 +216,12 @@ def fit_chain_params(orders) -> ChainParams:
     """Fit (B, C) from consecutive group orders |G_0|, |G_1|, ...
 
     Ratios must divide exactly (Lagrange); non-integer B is a constraint
-    violation, constant ratios are inconclusive (the constant chain).
+    violation, constant ratios are inconclusive (the constant chain), too few
+    orders to fix B and C underdetermined.
     """
     orders = tuple(int(x) for x in orders)
     if len(orders) < 4:
-        raise ValueError("need at least four consecutive group orders")
+        return ChainParams("underdetermined", message="need at least four consecutive group orders")
     ratios = []
     for i in range(1, len(orders)):
         q, rem = divmod(orders[i], orders[i - 1])
@@ -313,9 +317,78 @@ class IngestedLevel:
     classes: dict[str, tuple[int, str | None]] | None  # label -> (size, embedsTo), as listed
 
 
+def _typed(value, kind: type, what: str):
+    """A JSON integer, string or list as given: a bool, float or string is never
+    truncated to an integer, nor a number turned into a label."""
+    if type(value) is not kind:
+        article = {int: "an integer", str: "a string", list: "a list"}[kind]
+        raise TypeError(f"{what} must be {article}, not {value!r}")
+    return value
+
+
+def _parse_level(pos: int, raw) -> tuple:
+    """A level entry as (n, order, basisSize, Res triplets or None, classes or None)."""
+    try:
+        n, order, basis_size = (_typed(raw[key], int, key) for key in ("n", "order", "basisSize"))
+        triplets = classes = None
+        if raw.get("res") is not None:
+            triplets = [tuple(_typed(x, int, "a Res entry") for x in (r, c, v))
+                        for r, c, v in raw["res"]]
+            if any(v < 1 for _, _, v in triplets):
+                raise ValueError("Res values must be positive")
+            if len({(r, c) for r, c, _ in triplets}) != len(triplets):
+                raise ValueError("Res lists a (row, col) pair twice")
+        if raw.get("classes") is not None:
+            classes = {}
+            for c in raw["classes"]:
+                label, size = _typed(c["label"], str, "label"), _typed(c["size"], int, "size")
+                up = c.get("embedsTo")  # absent or null: no embedding listed
+                classes[label] = (size, None if up is None else _typed(up, str, "embedsTo"))
+    except (KeyError, TypeError, ValueError) as exc:
+        where = raw.get("n", f"#{pos}") if isinstance(raw, dict) else f"#{pos}"
+        raise IngestError(f"level {where}: malformed level entry: {exc}") from exc
+    if classes is not None and len(classes) != len(raw["classes"]):
+        raise IngestError(f"level {n}: duplicate class labels")
+    return n, order, basis_size, triplets, classes
+
+
+def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
+    """A parsed level, checked against the checked level below it (None for the
+    lowest level, whose Res, if listed, has no rows)."""
+    n, order, basis_size, triplets, classes = parsed
+    rows = below.basis_size if below else 0
+    res = None
+    if triplets is not None:
+        try:
+            res = SparseMatrix.from_triplets(rows, basis_size, triplets)
+        except IndexError as exc:
+            raise IngestError(f"Res at level {n} has entries outside its "
+                              f"{rows}x{basis_size} shape") from exc
+    if below is not None:
+        if res is None:
+            raise IngestError(f"level {n} is missing its Res matrix")
+        rank = res.row_rank()
+        if rank != rows:
+            raise IngestError(f"not a surjective chain: Res at level {n} "
+                              f"has row rank {rank} < {rows}")
+    if classes is not None:
+        total = sum(size for size, _ in classes.values())
+        if total != order:
+            raise IngestError(f"level {n}: class sizes sum to {total}, not the order {order}")
+        if classes and next(iter(classes.values()))[0] != 1:
+            raise IngestError(f"level {n}: first class must be the identity (size 1)")
+        for lab, (_, embeds) in below.classes.items() if below and below.classes else ():
+            if embeds is not None and embeds not in classes:
+                raise IngestError(
+                    f"level {n - 1}: class {lab!r} embeds to unknown class {embeds!r}")
+    return IngestedLevel(n, order, basis_size, res, classes)
+
+
 class IngestedChain(Chain):
-    """A user-supplied surjective chain: per-level Res matrices, orders, and
-    optional class data with explicit upward embeddings.
+    """A user-supplied surjective chain from the parsed ingestion JSON: per-level
+    Res matrices, orders, and optional class data with explicit upward
+    embeddings. Each level is parsed, the levels must be consecutive, and one
+    upward pass checks each level against the one below it (IngestError).
 
     Convention: the first class at each level is the identity class. Class
     sizes come from the class data: upward along ``embedsTo``, downward as the
@@ -326,56 +399,28 @@ class IngestedChain(Chain):
 
     heisenberg_scaling = None
 
-    def __init__(self, levels: list[IngestedLevel], name: str = "ingested"):
+    def __init__(self, obj):
         super().__init__()
-        self.id = name
-        self.levels = {}
-        for lv in levels:
-            if lv.n in self.levels:
-                raise IngestError(f"level {lv.n} is listed twice")
-            self.levels[lv.n] = lv
-        ns = sorted(self.levels)
+        try:
+            raw_levels = _typed(obj["levels"], list, "levels")
+        except (KeyError, TypeError) as exc:
+            raise IngestError(f"malformed chain JSON: {exc}") from exc
+        self.id = str(obj.get("name", "ingested"))
+        parsed = {}
+        for entry in [_parse_level(pos, raw) for pos, raw in enumerate(raw_levels)]:
+            if entry[0] in parsed:
+                raise IngestError(f"level {entry[0]} is listed twice")
+            parsed[entry[0]] = entry
+        ns = sorted(parsed)
         if not ns:
             raise IngestError("chain has no levels")
         if ns != list(range(ns[0], ns[-1] + 1)):
             raise IngestError(f"levels {ns} are not consecutive")
         self.min_n, self.max_n = ns[0], ns[-1]
+        self.levels, below = {}, None
+        for n in ns:
+            below = self.levels[n] = _checked_level(parsed[n], below)
         self._params: ChainParams | None = None
-        self._validate()
-
-    def _validate(self):
-        for n in range(self.min_n, self.max_n + 1):
-            lv = self.levels[n]
-            if n > self.min_n:
-                prev = self.levels[n - 1]
-                if lv.res is None:
-                    raise IngestError(f"level {n} is missing its Res matrix")
-                if (lv.res.nrows, lv.res.ncols) != (prev.basis_size, lv.basis_size):
-                    raise IngestError(
-                        f"Res at level {n} has shape {lv.res.nrows}x{lv.res.ncols}, "
-                        f"expected {prev.basis_size}x{lv.basis_size}"
-                    )
-                rank = lv.res.row_rank()
-                if rank != prev.basis_size:
-                    raise IngestError(
-                        f"not a surjective chain: Res at level {n} has row rank "
-                        f"{rank} < {prev.basis_size}"
-                    )
-            if lv.classes is not None:
-                total = sum(size for size, _ in lv.classes.values())
-                if total != lv.order:
-                    raise IngestError(
-                        f"level {n}: class sizes sum to {total}, not the order {lv.order}"
-                    )
-                if lv.classes and next(iter(lv.classes.values()))[0] != 1:
-                    raise IngestError(f"level {n}: first class must be the identity (size 1)")
-                if n < self.max_n and self.levels[n + 1].classes is not None:
-                    targets = self.levels[n + 1].classes
-                    for lab, (_, embeds) in lv.classes.items():
-                        if embeds is not None and embeds not in targets:
-                            raise IngestError(
-                                f"level {n}: class {lab!r} embeds to unknown class {embeds!r}"
-                            )
 
     # -- chain protocol used by the suites ----------------------------------
 
@@ -384,9 +429,6 @@ class IngestedChain(Chain):
             return self.levels[n]
         except KeyError:
             raise IngestError(f"level {n} is not part of the ingested chain") from None
-
-    def has_level(self, n: int) -> bool:
-        return n in self.levels
 
     def group_order(self, n: int) -> int:
         return self._level(n).order
@@ -397,11 +439,8 @@ class IngestedChain(Chain):
             raise IngestError(f"level {n} has no Res matrix")
         return res
 
-    def level_range(self, max_n: int) -> range:
-        return super().level_range(min(self.max_n, max_n))
-
-    def heisenberg_levels(self, max_n: int) -> range:
-        return range(self.min_n + 1, min(self.max_n, max_n + 1))
+    def heisenberg_levels(self, top: int) -> range:
+        return range(self.min_n + 1, min(self.max_n, top + 1))
 
     def poly(self, l: int) -> FallingFactorialPoly:
         return self.fitted_params().poly(l)
@@ -446,72 +485,26 @@ class IngestedChain(Chain):
         return self._params
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; a bool, float or string is malformed, not truncated."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
 def ingest_chain(source) -> IngestedChain:
-    """Load and validate a chain from the ingestion JSON (path or dict)."""
+    """Load and check a chain from the ingestion JSON (a path or the parsed dict)."""
     if isinstance(source, str):
         with open(source) as fh:
-            obj = json.load(fh)
-    else:
-        obj = source
-    try:
-        raw_levels = obj["levels"]
-    except (KeyError, TypeError) as exc:
-        raise IngestError(f"malformed chain JSON: {exc}") from exc
-    parsed = []
-    for pos, raw in enumerate(raw_levels):
-        try:
-            n, order, basis_size = (_integer(raw[key], key) for key in ("n", "order", "basisSize"))
-            triplets = class_rows = None
-            if raw.get("res") is not None:
-                triplets = [tuple(_integer(x, "a Res entry") for x in (r, c, v))
-                            for r, c, v in raw["res"]]
-                if any(v < 1 for _, _, v in triplets):
-                    raise ValueError("Res values must be positive")
-                if len({(r, c) for r, c, _ in triplets}) != len(triplets):
-                    raise ValueError("Res lists a (row, col) pair twice")
-            if raw.get("classes") is not None:
-                class_rows = [(str(c["label"]), (_integer(c["size"], "size"), c.get("embedsTo")))
-                              for c in raw["classes"]]
-            parsed.append((n, order, basis_size, triplets, class_rows))
-        except (KeyError, TypeError, ValueError) as exc:
-            where = raw.get("n", f"#{pos}") if isinstance(raw, dict) else f"#{pos}"
-            raise IngestError(f"level {where}: malformed level entry: {exc}") from exc
-    # Res row indices live in the previous level's basis.
-    parsed.sort(key=lambda item: item[0])
-    levels = []
-    for i, (n, order, basis_size, triplets, class_rows) in enumerate(parsed):
-        classes = None if class_rows is None else dict(class_rows)
-        if class_rows is not None and len(classes) != len(class_rows):
-            raise IngestError(f"level {n}: duplicate class labels")
-        res = None
-        if triplets is not None:
-            rows = parsed[i - 1][2] if i > 0 else 0
-            try:
-                res = SparseMatrix.from_triplets(rows, basis_size, triplets)
-            except IndexError as exc:
-                raise IngestError(
-                    f"Res at level {n} has entries outside its {rows}x{basis_size} shape"
-                ) from exc
-        levels.append(IngestedLevel(n, order, basis_size, res, classes))
-    return IngestedChain(levels, name=str(obj.get("name", "ingested")))
+            source = json.load(fh)
+    return IngestedChain(source)
 
 
 def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict:
-    """Dump a built-in chain in the ingestion format (identity class first)."""
+    """Dump a built-in chain in the ingestion format: each level's Res as the
+    (row, col, multiplicity) counts of its branching edges, sorted by (row, col),
+    and class rows with the identity class first; levels above the order bound
+    get no class rows."""
     levels = []
     for n in range(max_n + 1):
         entry: dict = {"n": n, "order": chain.group_order(n), "basisSize": len(chain.basis(n))}
         if n >= 1:
-            entry["res"] = [
-                [r, c, v] for r, c, v in chain.res_operator(n).matrix.triplets_rowcol()
-            ]
+            edges = Counter((i, j) for j, below in enumerate(chain.res_operator(n).children)
+                            for i in below)
+            entry["res"] = [[r, c, v] for (r, c), v in sorted(edges.items())]
         try:
             labels = chain.classes_at(n, max_order)
         except SizeBoundError:

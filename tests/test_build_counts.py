@@ -12,7 +12,7 @@ from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
-from charcol.verify import tasyopari_suite
+from charcol.verify import export_chain, tasyopari_suite
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
@@ -69,6 +69,26 @@ def test_columns_build_res_only_at_their_own_level(monkeypatch):
     assert sorted(z2._res_cache) == [10]
     assert sorted(z2._x_cache) == []
     assert "matrix" not in vars(z2.res_operator(10))
+    assert built == 0
+
+
+def test_export_writes_res_from_its_edges_and_builds_no_matrix(monkeypatch):
+    # export_chain counts Res's branching edges per (row, col); neither Res's
+    # matrix form nor X is built, on either built-in chain
+    built = 0
+    init = SparseMatrix.__init__
+
+    def counting(matrix, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counting)
+    for chain in (SymmetricChain(), WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")):
+        levels = export_chain(chain, 5)["levels"]
+        assert [lv["n"] for lv in levels if "res" in lv] == [1, 2, 3, 4, 5]
+        assert sorted(chain._res_cache) == [1, 2, 3, 4, 5] and not chain._x_cache
+        assert not any("matrix" in vars(chain.res_operator(n)) for n in range(1, 6))
     assert built == 0
 
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -54,7 +55,7 @@ def test_res_single_corner():
     sym = fresh_sym()
     op = sym.res_operator(6)
     col = op.domain.index((3, 3))
-    entries = {op.codomain[r]: v for r, c, v in op.matrix.triplets_rowcol() if c == col}
+    entries = {op.codomain[r]: v for (r, c), v in op.matrix.data.items() if c == col}
     assert entries == {(3, 2): 1}
 
 
@@ -95,7 +96,7 @@ def test_wreath_res_multiplicity_is_h_dim():
     # for one-dimensional H-irreps every removal has multiplicity 1
     z2c = fresh_z2()
     op = z2c.res_operator(3)
-    assert all(v == 1 for _, _, v in op.matrix.triplets_rowcol())
+    assert all(v == 1 for v in op.matrix.data.values())
 
 
 def test_s3_wreath_res_has_multiplicity_two_edges():
@@ -330,6 +331,24 @@ def test_built_in_chains_define_every_abstract_chain_method():
     missing = [f"{cls.__name__}.{name}" for cls in (SymmetricChain, WreathChain)
                for name in abstract if name not in vars(cls)]
     assert not missing, f"built-in chains lack protocol methods: {missing}"
+
+
+@pytest.mark.parametrize("make, cls, text, level", [
+    (fresh_sym, (5,), "[5]", 5),
+    (fresh_sym, (9,), "[9]", 9),
+    (fresh_z2, ((1, (2, 2)),), "-1:[2,2]", 4),
+], ids=["sym-5-cycle", "sym-9-cycle", "z2-class-at-4"])
+def test_class_that_does_not_fit_its_level_raises(make, cls, text, level):
+    # such a class once gave a silent 0 at level 3; at its own level it
+    # misses the level below, and there 0 still means none
+    chain = make()
+    message = f"class {text!r} does not fit at level 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        chain.class_size_from(cls, 3, 3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        chain.ind_t_character(cls, 3)
+    assert chain.class_size_from(cls, level, level - 1) == 0
+    assert chain.ind_t_character(cls, level) == 0
 
 
 def test_identity_class_is_the_empty_class_with_fixed_points():

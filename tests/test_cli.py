@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from charcol.cli import main
 from charcol.chain import SymmetricChain, get_chain
-from charcol.verify import jsonable
+from charcol.hgroup import symmetric_group_table
+from charcol.verify import export_chain, jsonable
 
 
 def run(capsys, *argv):
@@ -95,7 +99,7 @@ def test_indres_dump_matches_operator(capsys):
     payload = json.loads(out)
     assert payload["n"] == 6 and len(payload["basis"]) == 11
     sym = get_chain("sym")
-    expect = [[r, c, v] for r, c, v in sym.ind_res(6).triplets_rowcol()]
+    expect = [[r, c, v] for (r, c), v in sorted(sym.ind_res(6).data.items())]
     assert payload["entries"] == expect
 
 
@@ -225,6 +229,47 @@ def test_verify_reports_an_order_fit_with_b_zero(capsys, tmp_path, suite):
     # B^(-l(l-1)/2) is then undefined
     failed = assert_failed_order_fit(capsys, tmp_path, suite, [1, 2, 6, 18, 54])
     assert all("B=0 C=3" in c["detail"] and "B = 0" in c["detail"] for c in failed)
+
+
+@pytest.mark.parametrize("chain_json, max_n, message", [
+    (export_chain(get_chain("sym"), 2), 2, "need at least four consecutive group orders"),
+    ({"levels": [{"n": n, "order": order, "basisSize": 1, **({"res": [[0, 0, 1]]} if n else {})}
+                 for n, order in enumerate([1, 1, 1, 2])]}, 3,
+     "ratios change only at the last step; supply more orders"),
+], ids=["three-orders", "last-step-ratios"])
+def test_verify_reports_too_few_orders_to_fit(capsys, tmp_path, chain_json, max_n, message):
+    # once a usage error (exit 2) with no report
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(chain_json))
+    code, out, err = run(capsys, "verify", "--chain", str(path), "--suite", "all",
+                         "--maxN", str(max_n))
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["fit-params"] * 2
+    assert all(c["detail"] == f"status=underdetermined B=None C=None {message}"
+               for c in checks if not c["passed"])
+    code, out, _ = run(capsys, "verify", "--chain", str(path), "--suite", "heisenberg",
+                       "--maxN", str(max_n))
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_broken_column_invariant_exits_1_with_one_line(tmp_path, flags):
+    # a valid S_2 table with its two irrep labels swapped: the column's trivial
+    # entry comes out -1, which once was an assert (and under -O a wrong column)
+    table = symmetric_group_table(2).to_json_dict()
+    first, second = table["irreps"]
+    first["label"], second["label"] = second["label"], first["label"]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(table))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "charcol.cli", "column", "--chain", "sym", "--class", "[2]",
+         "--n", "4", "--table", str(path), "--format", "csv"],
+        env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: column's trivial-irrep entry is -1, not 1\n"
 
 
 def test_verify_export_round_trip(capsys, tmp_path):

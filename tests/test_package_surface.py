@@ -13,6 +13,9 @@ but other classes' ``to_json_dict`` did.
 Every name a module other than ``__init__.py`` imports must appear as an
 ``ast.Name`` in that module, unless its import line carries ``# noqa: F401``
 (a deliberate re-export).
+
+``assert`` statements vanish under ``python -O``, so invariants are checks that
+raise; no module may hold more ``assert``s than it does today.
 """
 
 import ast
@@ -50,6 +53,18 @@ def test_every_package_definition_has_a_caller():
             if all(id(use) in inside for use in uses[node.name]):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined but never used outside the tests:\n" + "\n".join(unused)
+
+
+# The most assert statements each module may hold; a module not listed may
+# hold none. Lower a count when an assert becomes a check that raises.
+MAX_ASSERTS = {"hgroup.py": 7, "mckay.py": 1, "partitions.py": 2}
+
+
+def test_no_module_gains_an_assert():
+    counts = {path.name: sum(isinstance(node, ast.Assert) for node in ast.walk(parse(path)))
+              for path in sorted(PACKAGE.rglob("*.py"))}
+    over = {name: count for name, count in counts.items() if count > MAX_ASSERTS.get(name, 0)}
+    assert not over, f"assert statements above the ratchet: {over}"
 
 
 def test_every_package_import_is_used():

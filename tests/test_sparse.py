@@ -78,13 +78,6 @@ def test_normalisation_keeps_exact_types():
     assert ReprVector("sym", 1, {(1,): 3}).is_integral()
 
 
-def test_triplet_orders():
-    a = SparseMatrix(3, 3, {(2, 0): 1, (0, 1): 2, (1, 0): 3})
-    by_col = sorted(a.triplets_rowcol(), key=lambda t: (t[1], t[0]))
-    assert by_col == [(1, 0, 3), (2, 0, 1), (0, 1, 2)]  # sorted by (col, row)
-    assert a.triplets_rowcol() == [(0, 1, 2), (1, 0, 3), (2, 0, 1)]
-
-
 def test_row_rank():
     full = SparseMatrix(2, 3, {(0, 0): 1, (1, 1): 2})
     assert full.row_rank() == 2

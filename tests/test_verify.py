@@ -23,7 +23,6 @@ from charcol.sparse import SparseMatrix
 from charcol.verify import (
     SUITES,
     IngestedChain,
-    IngestedLevel,
     IngestError,
     export_chain,
     fit_chain_params,
@@ -216,8 +215,17 @@ def test_fit_rejects_non_dividing_orders():
 
 
 def test_fit_needs_four_orders():
-    with pytest.raises(ValueError):
-        fit_chain_params((1, 2, 6))
+    # too few orders, or ratios that change only at the last step, fix no
+    # (B, C): the fit is underdetermined, a failed fit rather than an error
+    for params, message in (
+        (fit_chain_params((1, 2, 6)), "need at least four consecutive group orders"),
+        (fit_from_ratios((1, 2)), "need at least three consecutive ratios (four group orders)"),
+        (fit_from_ratios((1, 1, 2)), "ratios change only at the last step; supply more orders"),
+    ):
+        assert (params.status, params.B, params.C, params.message) == (
+            "underdetermined", None, None, message)
+        with pytest.raises(ValueError, match="order fit with status underdetermined"):
+            params.poly(2)
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 20))
@@ -265,6 +273,22 @@ def test_export_reingest_z2():
     chain = ingest_chain(payload)
     report = run_suite(chain, "all", 3)
     assert report.passed, [c for c in report.checks if not c.passed]
+
+
+# SHA-256 of json.dumps(export_chain(chain, maxN)), the bytes the benchmark's
+# export ops write; the same values are export/sym/8 and export/z2wreath/5 in
+# bench/expected.json.
+EXPORT_DIGESTS = {
+    ("sym", 8): "888902ad72d693d1b24cffd2f2fa71e0766ebf9c5d3ae4bf3dc7d819ab72c03f",
+    ("z2wreath", 5): "55466cddb7815ba3bd6baced70aa2538b1dcde9c744235d444b17932aed5a99e",
+}
+
+
+@pytest.mark.parametrize("name, max_n", list(EXPORT_DIGESTS))
+def test_export_bytes_are_unchanged(name, max_n):
+    chain = SymmetricChain() if name == "sym" else WreathChain(builtin_table("Z2"), name)
+    text = json.dumps(export_chain(chain, max_n))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DIGESTS[(name, max_n)]
 
 
 def test_export_omits_classes_above_the_order_bound():
@@ -505,8 +529,20 @@ def _set_res_value(value):
     return spoil
 
 
-# Each of these was once accepted: int() truncated a float or read a string, and
-# from_triplets summed repeated (row, col) entries, dropping them when they cancelled.
+def _set_class(level, key, value):
+    return lambda p: p["levels"][level]["classes"][0].update({key: value})
+
+
+def _number_label_and_embedding(payload):
+    # both sides agree on the number 7, which is no class label
+    _set_class(1, "label", 7)(payload)
+    _set_class(0, "embedsTo", 7)(payload)
+
+
+# Each of these was once accepted or misreported: int() truncated a float or read
+# a string, from_triplets summed repeated (row, col) entries, dropping them when
+# they cancelled, str() made the class "2.0" of a float label, and a number
+# embedsTo failed as an unknown class.
 @pytest.mark.parametrize("spoil, level, detail", [
     (_set_res_value(1.7), 2, "a Res entry must be an integer, not 1.7"),
     (_set(3, "order", 6.9), 3, "order must be an integer, not 6.9"),
@@ -518,8 +554,13 @@ def _set_res_value(value):
     (lambda p: p["levels"][4]["classes"][0].update(size=1.0), 4,
      "size must be an integer, not 1.0"),
     (lambda p: p["levels"][0].pop("n"), "#0", "'n'"),
+    (_number_label_and_embedding, 0, "embedsTo must be a string, not 7"),
+    (_set_class(1, "label", 7), 1, "label must be a string, not 7"),
+    (_set_class(2, "label", 2.0), 2, "label must be a string, not 2.0"),
+    (_set_class(2, "embedsTo", 0), 2, "embedsTo must be a string, not 0"),
 ], ids=["float-res-value", "float-order", "cancelling-res-entry", "negative-res-value",
-        "repeated-res-entry", "string-basis-size", "bool-order", "float-class-size", "no-n"])
+        "repeated-res-entry", "string-basis-size", "bool-order", "float-class-size", "no-n",
+        "number-label-and-embedding", "int-label", "float-label", "zero-embedding"])
 def test_ingest_rejects_what_it_once_truncated_or_merged(spoil, level, detail):
     payload = export_chain(SYM, 4)
     ingest_chain(payload)  # the export itself is accepted
@@ -529,20 +570,65 @@ def test_ingest_rejects_what_it_once_truncated_or_merged(spoil, level, detail):
         ingest_chain(payload)
 
 
-@pytest.mark.parametrize("source", [{"name": "no levels"}, ["levels"]])
+# levels must be a list: null and a number once ended in a TypeError traceback,
+# and a dict was read as its keys
+@pytest.mark.parametrize("source", [{"name": "no levels"}, ["levels"], {"levels": None},
+                                    {"levels": 5}, {"levels": {"n": 0}}])
 def test_malformed_chain_json_rejected(source):
     with pytest.raises(IngestError, match="malformed chain JSON"):
         ingest_chain(source)
 
 
-def test_res_shape_mismatch_rejected_on_a_directly_built_chain():
-    levels = [
-        IngestedLevel(0, 1, 1, None, None),
-        IngestedLevel(1, 1, 1, SparseMatrix(1, 1, {(0, 0): 1}), None),
-        IngestedLevel(2, 2, 2, SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 1}), None),
-    ]
-    with pytest.raises(IngestError, match="Res at level 2 has shape 2x2, expected 1x2"):
-        IngestedChain(levels)
+def test_every_ingested_chain_is_checked_when_it_is_built():
+    # IngestedChain takes the parsed JSON and runs the whole check itself;
+    # ingest_chain only loads a path (or takes the dict) and calls it
+    payload = export_chain(SYM, 4)
+    chain = IngestedChain(payload)
+    assert (chain.min_n, chain.max_n, chain.id) == (0, 4, "sym")
+    assert run_suite(chain, "all", 4).to_json_dict() == run_suite(
+        ingest_chain(payload), "all", 4).to_json_dict()
+    payload["levels"][3]["res"] = [[0, 0, 1]]  # rank 1 < 2
+    message = "not a surjective chain: Res at level 3 has row rank 1 < 2"
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        IngestedChain(payload)
+
+
+def test_ingested_levels_are_the_listed_ones():
+    # Chain defines the level range once: min_n to max_n, the ingested chain's
+    # top listed level and no top for a built-in chain
+    chain = ingest_chain(export_chain(SYM, 5))
+    assert "has_level" not in vars(type(chain)) and "level_range" not in vars(type(chain))
+    assert [n for n in range(-2, 9) if chain.has_level(n)] == [0, 1, 2, 3, 4, 5]
+    assert [n for n in range(-2, 9) if SYM.has_level(n)] == list(range(9))
+    for top in (0, 3, 7):
+        assert chain.level_range(top) == range(1, min(top, 5) + 1)
+        assert SYM.level_range(top) == range(1, top + 1)
+
+
+def one_dimensional_payload(orders):
+    return {"levels": [
+        {"n": n, "order": order, "basisSize": 1, **({"res": [[0, 0, 1]]} if n else {})}
+        for n, order in enumerate(orders)
+    ]}
+
+
+@pytest.mark.parametrize("make, top, message", [
+    (lambda: export_chain(SYM, 2), 2, "need at least four consecutive group orders"),
+    (lambda: one_dimensional_payload([1, 1, 1, 2]), 3,
+     "ratios change only at the last step; supply more orders"),
+], ids=["three-orders", "last-step-ratios"])
+def test_too_few_orders_to_fit_is_a_failed_fit_check(make, top, message):
+    # these once raised ValueError out of run_suite; the fit is underdetermined
+    chain = ingest_chain(make())
+    detail = f"status=underdetermined B=None C=None {message}"
+    for suite in ("tasyopari", "jeongha"):
+        checks = run_suite(chain, suite, top).checks
+        assert [(c.name, c.passed, c.detail) for c in checks] == [("fit-params", False, detail)]
+    report = run_suite(chain, "all", top)
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == ["fit-params"] * 2
+    assert all(c.name.startswith("heisenberg") for c in report.checks if c.passed)
+    assert run_suite(chain, "heisenberg", top).passed
 
 
 def test_ingested_chain_reports_what_it_lacks():
