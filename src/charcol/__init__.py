@@ -6,7 +6,7 @@ to lifted character vectors, with independent oracles and an exact
 constraint-verification suite alongside.
 """
 
-from .chain import BranchingOperator, Chain, ReprVector, SymmetricChain, WreathChain, get_chain
+from .chain import BranchingOperator, Chain, SymmetricChain, WreathChain, get_chain
 from .engine import (
     CharacterColumn,
     FallingFactorialPoly,
@@ -45,7 +45,6 @@ __all__ = [
     "GroupTable",
     "IngestedChain",
     "ReducedOperator",
-    "ReprVector",
     "SizeBoundError",
     "SymmetricChain",
     "TableValidationError",

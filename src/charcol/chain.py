@@ -6,7 +6,9 @@ and wreath-product chains over a base group H (labels are arrays pairing
 distinct H-irreps with partitions). Ind is the transpose of Res throughout,
 so X at level n is Res^T Res, a symmetric sparse integer matrix. Every chain
 hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it,
-at a number or on a dense vector.
+at a number or on a dense vector. A sparse vector over a level's irreps, such
+as a lift or a restriction, is a plain dict {label: coefficient} of ints and
+Fractions; ``normalized`` drops its zeros and turns integral Fractions into ints.
 
 Memoized per process, because they depend only on the level: the bases
 (``partitions.enumerate_partitions``, ``hgroup.enumerate_wreath_labels``) and
@@ -75,28 +77,9 @@ class BranchingOperator:
         return [x if type(x) is int else _norm(x) for x in out]
 
 
-@dataclass
-class ReprVector:
-    """Exact rational coefficient vector over the level-n irrep basis."""
-
-    chain_id: str
-    level: int
-    coeffs: dict
-
-    def coefficient(self, label):
-        return self.coeffs.get(label, 0)
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.coeffs.values())  # ints have one too
-
-    def normalized(self) -> "ReprVector":
-        """Reduce integral Fractions to ints and drop zeros."""
-        coeffs = {k: _norm(v) for k, v in self.coeffs.items() if v}
-        return ReprVector(self.chain_id, self.level, coeffs)
-
-
-def _drop_zeros(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v}
+def normalized(vec: dict) -> dict:
+    """A vector {label: coefficient} without its zeros, integral Fractions as ints."""
+    return {label: _norm(c) for label, c in vec.items() if c}
 
 
 @dataclass(frozen=True)
@@ -169,27 +152,6 @@ class Chain:
             index = self._index_cache[n] = {label: i for i, label in enumerate(self.basis(n))}
         return index
 
-    def vector(self, n: int, coeffs: dict) -> ReprVector:
-        index = self.basis_index(n)
-        for label in coeffs:
-            if label not in index:
-                raise ValueError(f"label {label} not in level-{n} basis of chain {self.id}")
-        return ReprVector(self.id, n, _drop_zeros(dict(coeffs)))
-
-    def unit_vector(self, n: int, label) -> ReprVector:
-        return self.vector(n, {label: 1})
-
-    def to_dense(self, vec: ReprVector) -> list:
-        index = self.basis_index(vec.level)
-        out = [0] * len(index)
-        for label, c in vec.coeffs.items():
-            out[index[label]] = c
-        return out
-
-    def from_dense(self, n: int, values) -> ReprVector:
-        basis = self.basis(n)
-        return ReprVector(self.id, n, _drop_zeros({basis[i]: v for i, v in enumerate(values)}))
-
     # -- branching -----------------------------------------------------------
 
     def _children(self, label) -> list:
@@ -244,19 +206,20 @@ class Chain:
             raise ValueError("l must be non-negative")
         return FallingFactorialPoly(tuple(j * self.heisenberg_scaling for j in range(l)))
 
-    def apply_res(self, vec: ReprVector) -> ReprVector:
-        """Res of a vector, pushed label by label along its support; lifts
-        restrict the same labels many times, so their children are memoized."""
-        if vec.level < 1:
-            raise ValueError("apply_res needs a vector at level >= 1")
+    def apply_res(self, vec: dict) -> dict:
+        """Res of a vector {label: coefficient}, pushed label by label along its
+        support; lifts restrict the same labels many times, so their children
+        are memoized (and a label is checked to lie above level 0 once)."""
         out: dict = {}
-        for label, c in vec.coeffs.items():
+        for label, c in vec.items():
             below = self._below.get(label)
             if below is None:
+                if self.label_level(label) < 1:
+                    raise ValueError("apply_res needs a vector at level >= 1")
                 below = self._below[label] = self._children(label)
             for child in below:
                 out[child] = out.get(child, 0) + c
-        return ReprVector(self.id, vec.level - 1, out).normalized()
+        return normalized(out)
 
     # -- labels and classes ----------------------------------------------------
 

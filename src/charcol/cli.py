@@ -86,7 +86,7 @@ def cmd_lift(args) -> int:
     if level != args.k:
         raise ValueError(f"label {args.label} lives at level {level}, not k={args.k}")
     items = sorted(
-        lift(chain, label, args.n).coeffs.items(),
+        lift(chain, label, args.n).items(),
         key=lambda kv: chain.basis_index(args.n)[kv[0]],
     )
     payload = {chain.format_label(lab): verify.jsonable(v) for lab, v in items}

@@ -3,8 +3,10 @@
 A column for a class whose support lives at level k is obtained by lifting
 the level-k character data to level n and applying the chain's f_{n-k}, the
 falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
-commutator scaling (1 for symmetric groups, |H| for wreath products). Each
-factor multiplies by X = Ind Res along Res's edges, so a column builds no X.
+commutator scaling (1 for symmetric groups, |H| for wreath products). The
+lifted input, a dict {label: coefficient}, is scattered into a dense vector
+through ``basis_index(n)``; each factor multiplies it by X = Ind Res along
+Res's edges, so a column builds no X.
 For odd permutations of the symmetric chain, the same polynomial in the
 reduced operator Y on one irrep of each conjugate pair gives the column's
 positive part, and sign pairing reconstructs the rest. ``reduced_operator(n)``
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chain import Chain, FallingFactorialPoly, get_chain, require_symmetric  # noqa: F401
+from .chain import Chain, FallingFactorialPoly, get_chain, normalized, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import InvariantError, lift_column_input
 from .partitions import Partition, conjugate, content_sum, is_odd_class
@@ -55,12 +57,15 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
     core, k = normalize_class(chain, cls, n)
     if table is None:
         table = chain.small_table(k, max_order)
-    vec = lift_column_input(chain, table, core, n)
-    dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, chain.to_dense(vec))
-    out = chain.from_dense(n, dense).normalized()
-    if not out.is_integral():
+    index = chain.basis_index(n)
+    dense = [0] * len(index)
+    for label, c in lift_column_input(chain, table, core, n).items():
+        dense[index[label]] = c
+    dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, dense)
+    coeffs = normalized(dict(zip(chain.basis(n), dense)))
+    if any(type(v) is not int for v in coeffs.values()):
         raise InvariantError(f"non-integral column for {cls} at level {n}")
-    return _checked_column(chain, n, core, k, out.coeffs)
+    return _checked_column(chain, n, core, k, coeffs)
 
 
 def _checked_column(chain: Chain, n: int, core, k: int, coeffs: dict,
@@ -136,7 +141,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     full = lift_column_input(chain, table, core, n)
     red = reduced_operator(n)
     # f is linear, so it runs on the integer differences and halves once
-    twice_in = [full.coefficient(lam) - full.coefficient(conjugate(lam)) for lam in red.plus_basis]
+    twice_in = [full.get(lam, 0) - full.get(conjugate(lam), 0) for lam in red.plus_basis]
     twice_out = chain.poly(n - k).apply(red.matrix.matvec, twice_in)
     plus_values, coeffs = {}, {}
     for lam, value in zip(red.plus_basis, twice_out):

@@ -30,6 +30,7 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import (
+    InvariantError,
     Partition,
     class_size,
     dim_irrep,
@@ -65,6 +66,15 @@ def resolve_max_order(value: int | None = None) -> int:
         return int(value)
     env = os.environ.get(MAX_ORDER_ENV)
     return int(env) if env else DEFAULT_MAX_ORDER
+
+
+def _typed(value, kind: type, what: str):
+    """A JSON integer, string or list as given: a bool, float or string is never
+    truncated to an integer, nor a number turned into a label."""
+    if type(value) is not kind:
+        article = {int: "an integer", str: "a string", list: "a list"}[kind]
+        raise TypeError(f"{what} must be {article}, not {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +148,12 @@ class GroupTable:
         try:
             table = cls(
                 name=str(obj["name"]),
-                order=int(obj["order"]),
-                classes=tuple((str(c["label"]), int(c["size"])) for c in obj["classes"]),
+                order=_typed(obj["order"], int, "order"),
+                classes=tuple((_typed(c["label"], str, "label"), _typed(c["size"], int, "size"))
+                              for c in obj["classes"]),
                 irreps=tuple(
-                    (str(r["label"]), int(r["dim"]), tuple(int(v) for v in r["values"]))
+                    (_typed(r["label"], str, "label"), _typed(r["dim"], int, "dim"),
+                     tuple(_typed(v, int, "a character value") for v in r["values"]))
                     for r in obj["irreps"]
                 ),
             )
@@ -260,11 +272,13 @@ def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ..
         for _, chi in rows:
             m = sum(s * a * b for s, a, b in zip(sizes, vec, chi))
             m, rem = divmod(m, order)
-            assert rem == 0
+            if rem:
+                raise InvariantError(f"orthogonalization failed at {nu}")
             if m:
                 vec = [a - m * b for a, b in zip(vec, chi)]
         norm = sum(s * a * a for s, a in zip(sizes, vec))
-        assert norm == order and vec[0] > 0, f"orthogonalization failed at {nu}"
+        if norm != order or vec[0] <= 0:
+            raise InvariantError(f"orthogonalization failed at {nu}")
         rows.append((nu, tuple(vec)))
     return tuple(rows)
 
@@ -414,14 +428,14 @@ def _wreath_classes_cached(name: str, k: int) -> tuple[WreathClass, ...]:
                     orbit.add(y)
                     frontier.append(y)
         label = colored_cycle_type(group, elem)
-        assert all(colored_cycle_type(group, y) == label for y in orbit), (
-            f"conjugation orbit of {elem} spans several colored cycle types"
-        )
+        if any(colored_cycle_type(group, y) != label for y in orbit):
+            raise InvariantError(f"conjugation orbit of {elem} spans several colored cycle types")
         idx = len(classes)
         classes.append(WreathClass(label, tuple(sorted(orbit))))
         for y in orbit:
             assigned[y] = idx
-    assert len({c.label for c in classes}) == len(classes)
+    if len({c.label for c in classes}) != len(classes):
+        raise InvariantError(f"two conjugation orbits of {name} wr S_{k} share a colored type")
     identity = identity_colored_type(k)
     ordered = [c for c in classes if c.label == identity]
     ordered += sorted((c for c in classes if c.label != identity), key=lambda c: c.label)
@@ -452,7 +466,8 @@ def wreath_class_size_formula(h_table: GroupTable, colored: WreathLabel) -> int:
             centralizer *= factorial(m) * (length * cent_h) ** m
     order = h_table.order**k * factorial(k)
     size, rem = divmod(order, centralizer)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"centralizer order of {colored} does not divide {order}")
     return size
 
 
@@ -547,7 +562,8 @@ def _induced_value(group: ConcreteGroup, label: WreathLabel, cls: WreathClass, o
     block_sizes = [sum(p) for _, p in label]
     if len(block_sizes) == 1:
         chi = _block_character(group, label, cls.representative)
-        assert chi is not None
+        if chi is None:
+            raise InvariantError(f"{label} has no block character at {cls.representative}")
         return chi
     k = sum(block_sizes)
     k_order = group.size**k
@@ -559,7 +575,8 @@ def _induced_value(group: ConcreteGroup, label: WreathLabel, cls: WreathClass, o
         if chi:
             total += chi
     value = Fraction(total * (order // cls.size), k_order)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantError(f"non-integral induced character {value} of {label}")
     return int(value)
 
 

@@ -5,26 +5,23 @@ The construction pads the first row of the first listed diagram, scales by
 the inverse dimension power for wreath chains, and subtracts recursively
 lifted lower terms. The recursion never revisits a label whose lift is still
 waiting, checked at runtime: each level has finitely many labels, so that is
-what makes it end. Every lift is verified by restricting it n - k times before
-it is returned (a ``ReprVector``) and memoized in ``chain.lift_memo`` under
-(label, n). ``Chain.apply_res`` restricts label by label along the vector's
-support, so lifting builds no Res matrix, and memoizes each label's children
-on the chain.
+what makes it end. Every lift, a dict {label: coefficient} at level n, is
+verified by restricting it n - k times before it is returned and memoized in
+``chain.lift_memo`` under (label, n). ``Chain.apply_res`` restricts label by
+label along the vector's support, so lifting builds no Res matrix, and
+memoizes each label's children on the chain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chain import Chain, ReprVector
+from .chain import Chain, normalized
 from .hgroup import GroupTable
+from .partitions import InvariantError
 
 
-class InvariantError(AssertionError):
-    """A lift broke one of its exactness invariants; raised under ``python -O`` too."""
-
-
-def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> ReprVector:
+def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> dict:
     """Lift an irrep label from its own level k up to level n.
 
     ``_waiting`` holds the labels further up the recursion whose lifts to
@@ -37,24 +34,26 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> ReprVector:
     cached = chain.lift_memo.get(key)
     if cached is not None:
         return cached
+    if label not in chain.basis_index(k):
+        raise ValueError(f"label {label} not in level-{k} basis of chain {chain.id}")
     if n == k:
-        vector = chain.lift_memo[key] = chain.unit_vector(n, label)
+        vector = chain.lift_memo[key] = {label: 1}
         return vector
 
     padded, scale = chain.pad_first_row(label, n)
-    down = chain.unit_vector(n, padded)
+    down = {padded: 1}
     for _ in range(n - k):
         down = chain.apply_res(down)
     expected = 1 if scale == 1 else 1 / Fraction(scale)
-    if down.coefficient(label) != expected:
+    if down.get(label, 0) != expected:
         raise InvariantError(
             f"padding of {label} at level {n} restricts with coefficient "
-            f"{down.coefficient(label)}, expected {expected}"
+            f"{down.get(label, 0)}, expected {expected}"
         )
 
     coeffs = {padded: scale}
     waiting = _waiting | {label}
-    for other, mult in sorted(down.coeffs.items()):
+    for other, mult in sorted(down.items()):
         if other == label:
             continue
         if other in waiting:
@@ -62,22 +61,22 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> ReprVector:
                 f"lifting {label} to level {n} revisits {other}, whose lift is still waiting"
             )
         c = -(scale * mult)
-        for w, v in lift(chain, other, n, waiting).coeffs.items():
+        for w, v in lift(chain, other, n, waiting).items():
             coeffs[w] = coeffs.get(w, 0) + c * v
-    vector = ReprVector(chain.id, n, coeffs).normalized()
+    vector = normalized(coeffs)
 
     check = vector
     for _ in range(n - k):
         check = chain.apply_res(check)
-    if check.normalized().coeffs != {label: 1}:
+    if check != {label: 1}:
         raise InvariantError(
-            f"lift of {label} to level {n} fails Res^{n - k} verification: {check.coeffs}"
+            f"lift of {label} to level {n} fails Res^{n - k} verification: {check}"
         )
     chain.lift_memo[key] = vector
     return vector
 
 
-def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> ReprVector:
+def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> dict:
     """The vector sum over irreps w of chi_w(class) times the lift of w.
 
     ``table`` is the character table at the class's own level k; its irrep
@@ -96,6 +95,6 @@ def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> ReprVecto
         chi = values[col]
         if not chi:
             continue
-        for w, v in lift(chain, chain.parse_label(irrep_label), n).coeffs.items():
+        for w, v in lift(chain, chain.parse_label(irrep_label), n).items():
             coeffs[w] = coeffs.get(w, 0) + chi * v
-    return ReprVector(chain.id, n, coeffs).normalized()
+    return normalized(coeffs)

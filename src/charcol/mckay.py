@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .chain import Chain, get_chain, require_symmetric
 from .engine import reduced_operator
+from .partitions import InvariantError
 from .sparse import SparseMatrix
 
 
@@ -28,7 +29,8 @@ def _graph_from_matrix(level: int, vertices: tuple[str, ...], matrix: SparseMatr
     edges = []
     for (r, c), v in sorted(matrix.data.items()):
         if r <= c:
-            assert matrix[(c, r)] == v, "McKay adjacency must be symmetric"
+            if matrix[(c, r)] != v:
+                raise InvariantError("McKay adjacency must be symmetric")
             edges.append((r, c, v))
     return McKayGraph(level, vertices, tuple(edges))
 

@@ -3,6 +3,7 @@
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the unique partition of 0. The same tuples serve as irrep labels
 (Young diagrams) and as conjugacy-class labels (cycle types) of S_n.
+``InvariantError`` lives here, the one module every other one imports.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ from functools import lru_cache
 from math import factorial
 
 Partition = tuple[int, ...]
+
+
+class InvariantError(AssertionError):
+    """An exact computation broke one of its invariants: a lift that does not
+    restrict back, a non-integral column, a division that leaves a remainder.
+    Raised under ``python -O`` too."""
 
 
 def check_partition(parts) -> Partition:
@@ -66,7 +73,8 @@ def dim_irrep(p: Partition) -> int:
         for h in row:
             prod *= h
     dim, rem = divmod(factorial(n), prod)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"hook product of {p} does not divide {n}!")
     return dim
 
 
@@ -77,7 +85,8 @@ def class_size(mu: Partition) -> int:
     for i, m in Counter(mu).items():
         denom *= i**m * factorial(m)
     size, rem = divmod(factorial(n), denom)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"centralizer order of {mu} does not divide {n}!")
     return size
 
 

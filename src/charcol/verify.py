@@ -22,11 +22,10 @@ from functools import lru_cache
 
 from . import engine, lifting
 from .chain import Chain, FallingFactorialPoly, SymmetricChain, WreathChain
-from .hgroup import SizeBoundError
+from .hgroup import SizeBoundError, _typed
 from .partitions import (
     Partition,
     check_partition,
-    class_size,
     enumerate_partitions,
     format_partition,
     pad_with_fixed_points,
@@ -315,15 +314,6 @@ class IngestedLevel:
     basis_size: int
     res: SparseMatrix | None
     classes: dict[str, tuple[int, str | None]] | None  # label -> (size, embedsTo), as listed
-
-
-def _typed(value, kind: type, what: str):
-    """A JSON integer, string or list as given: a bool, float or string is never
-    truncated to an integer, nor a number turned into a label."""
-    if type(value) is not kind:
-        article = {int: "an integer", str: "a string", list: "a list"}[kind]
-        raise TypeError(f"{what} must be {article}, not {value!r}")
-    return value
 
 
 def _parse_level(pos: int, raw) -> tuple:
@@ -681,12 +671,11 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None):
             for mu in enumerate_partitions(n):
                 column = engine.character_column(chain, mu, n, max_order)
                 expected = oracle_column(mu, n)
-                ok = column.coeffs == expected.coeffs
-                norm_ok = column.norm_squared() * class_size(mu) == chain.group_order(n)
+                ok = column.coeffs == expected.coeffs  # the engine checked the norm
                 checks.append(CheckResult(
-                    f"oracle-column n={n} class={format_partition(mu)}", ok and norm_ok,
+                    f"oracle-column n={n} class={format_partition(mu)}", ok,
                     detail="engine equals border-strip oracle; norm identity holds"
-                    if ok and norm_ok else "mismatch against oracle",
+                    if ok else "mismatch against oracle",
                 ))
         else:
             rows = [(chain.parse_label(lab), values) for lab, _, values in table.irreps]

@@ -13,6 +13,7 @@ from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
 from charcol.verify import run_suite
+from dense import from_dense, to_dense
 from poly_matrix import poly_matrix
 
 
@@ -76,8 +77,8 @@ def test_res_column_sums_count_corners():
 def test_res_trivial_is_trivial():
     sym = fresh_sym()
     for n in (1, 4, 8):
-        vec = sym.apply_res(sym.unit_vector(n, (n,)))
-        assert vec.coeffs == {(n - 1,) if n > 1 else (): 1}
+        vec = sym.apply_res({(n,): 1})
+        assert vec == {(n - 1,) if n > 1 else (): 1}
 
 
 def test_wreath_res_example():
@@ -85,8 +86,8 @@ def test_wreath_res_example():
     z2c = fresh_z2()
     for n in (3, 4, 5):
         label = ((0, (n - 1,)), (1, (1,)))
-        vec = z2c.apply_res(z2c.unit_vector(n, label))
-        assert vec.coeffs == {
+        vec = z2c.apply_res({label: 1})
+        assert vec == {
             ((0, (n - 2,)), (1, (1,))): 1,
             ((0, (n - 1,)),): 1,
         }
@@ -136,9 +137,9 @@ def test_ind_res_level_two():
 def test_ind_res_t_is_t_plus_v():
     sym = fresh_sym()
     for n in (3, 5, 7):
-        down = sym.apply_res(sym.unit_vector(n, (n,)))
-        out = sym.from_dense(n, sym.res_matrix(n).transpose().matvec(sym.to_dense(down)))
-        assert out.coeffs == {(n,): 1, (n - 1, 1): 1}
+        down = sym.apply_res({(n,): 1})
+        out = from_dense(sym, n, sym.res_matrix(n).transpose().matvec(to_dense(sym, n - 1, down)))
+        assert out == {(n,): 1, (n - 1, 1): 1}
 
 
 def test_ind_res_symmetry():
@@ -201,15 +202,6 @@ def test_brute_indl_resl_rejects_bad_l():
         sym.brute_indl_resl(-1)
 
 
-def test_vector_checks_labels():
-    sym = fresh_sym()
-    with pytest.raises(ValueError):
-        sym.vector(3, {(4,): 1})
-    vec = sym.vector(3, {(3,): Fraction(1, 2)})
-    assert vec.coefficient((3,)) == Fraction(1, 2)
-    assert not vec.is_integral()
-
-
 def test_group_orders():
     assert fresh_sym().group_order(5) == factorial(5)
     assert fresh_z2().group_order(3) == 8 * 6
@@ -256,7 +248,7 @@ def test_chains_built_directly_own_their_res_x_and_lifts(make):
 
 
 @pytest.mark.parametrize("make", [fresh_sym, fresh_z2])
-def test_basis_index_matches_basis_and_dense_round_trips(make):
+def test_basis_index_matches_basis(make):
     chain = make()
     for n in range(7):
         basis = chain.basis(n)
@@ -264,10 +256,6 @@ def test_basis_index_matches_basis_and_dense_round_trips(make):
         assert index is chain.basis_index(n)
         assert list(index) == list(basis)
         assert all(index[label] == i for i, label in enumerate(basis))
-        values = [Fraction(i, 2) - 3 for i in range(len(basis))]
-        vec = chain.from_dense(n, values)
-        assert chain.to_dense(vec) == values
-        assert chain.from_dense(n, chain.to_dense(vec)) == vec
     assert make().basis_index(4) is not chain.basis_index(4)  # memoized per chain
 
 
@@ -276,13 +264,12 @@ def test_basis_index_matches_basis_and_dense_round_trips(make):
 RES_CASES = {"sym": 12, "z2wreath": 7, "trivial": 6}
 
 
-def res_by_matrix(chain, vec):
-    n = vec.level
-    return chain.from_dense(n - 1, chain.res_matrix(n).matvec(chain.to_dense(vec)))
+def res_by_matrix(chain, n, vec):
+    return from_dense(chain, n - 1, chain.res_matrix(n).matvec(to_dense(chain, n, vec)))
 
 
 def typed(vec):
-    return vec.chain_id, vec.level, {label: (type(c), c) for label, c in vec.coeffs.items()}
+    return {label: (type(c), c) for label, c in vec.items()}
 
 
 @pytest.mark.parametrize("spec", sorted(RES_CASES))
@@ -290,8 +277,8 @@ def test_apply_res_matches_res_matrix_on_unit_vectors(spec):
     chain = get_chain(spec)
     for n in range(1, RES_CASES[spec] + 1):
         for label in chain.basis(n):
-            vec = chain.unit_vector(n, label)
-            assert typed(chain.apply_res(vec)) == typed(res_by_matrix(chain, vec)), (n, label)
+            vec = {label: 1}
+            assert typed(chain.apply_res(vec)) == typed(res_by_matrix(chain, n, vec)), (n, label)
 
 
 @pytest.mark.parametrize(
@@ -303,13 +290,15 @@ def test_apply_res_matches_res_matrix_on_sparse_rational_vectors(spec, n, data):
     chain = get_chain(spec)
     labels = data.draw(st.lists(st.sampled_from(chain.basis(n)), max_size=6, unique=True))
     values = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    vec = chain.vector(n, {label: data.draw(values) for label in labels})
-    assert typed(chain.apply_res(vec)) == typed(res_by_matrix(chain, vec))
+    vec = {label: data.draw(values) for label in labels}
+    assert typed(chain.apply_res(vec)) == typed(res_by_matrix(chain, n, vec))
 
 
 def test_apply_res_needs_level_one():
     with pytest.raises(ValueError):
-        fresh_sym().apply_res(fresh_sym().unit_vector(0, ()))
+        fresh_sym().apply_res({(): 1})
+    with pytest.raises(ValueError):
+        fresh_z2().apply_res({(): Fraction(1, 2)})
 
 
 def abstract_chain_methods() -> list[str]:

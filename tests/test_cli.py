@@ -339,6 +339,18 @@ def test_column_with_supplied_table(capsys, tmp_path):
     assert json.loads(out)["class"] == "1:[2,1,1]"
 
 
+def test_column_with_a_coerced_table_value_is_usage_error(capsys, tmp_path):
+    table = symmetric_group_table(2).to_json_dict()
+    table["irreps"][0]["values"][1] = 1.0
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", "[2]", "--n", "4",
+                         "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: malformed GroupTable JSON: "
+                   "a character value must be an integer, not 1.0\n")
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--chain", "sym", "--k", "2", "--format", "csv")
     assert code == 0

@@ -26,16 +26,16 @@ from charcol.partitions import (
 )
 from charcol.verify import mn_character, oracle_column
 
+from dense import from_dense, to_dense
 from printed_data import PRINTED_DELTA_123, PRINTED_PLUS_COLUMNS, PRINTED_Y6
 
 SYM = get_chain("sym")
 Z2C = get_chain("z2wreath")
 
 
-def apply_poly(chain, x, l, vec):
-    """The chain's f_l(x) applied to a basis-labelled vector."""
-    dense = chain.poly(l).apply(x.matvec, chain.to_dense(vec))
-    return chain.from_dense(vec.level, dense).normalized()
+def apply_poly(chain, x, l, n, vec):
+    """The chain's f_l(x) applied to a vector {label: coefficient} at level n."""
+    return from_dense(chain, n, chain.poly(l).apply(x.matvec, to_dense(chain, n, vec)))
 
 
 def dense_column(chain, column):
@@ -102,15 +102,13 @@ def test_columns_are_ind_res_eigenvectors():
 
 
 def test_falling_factorial_zero_is_identity():
-    vec = SYM.vector(5, {(4, 1): 3, (5,): -2})
-    out = apply_poly(SYM, SYM.ind_res(5), 0, vec)
-    assert out.coeffs == vec.coeffs
+    vec = {(4, 1): 3, (5,): -2}
+    assert apply_poly(SYM, SYM.ind_res(5), 0, 5, vec) == vec
 
 
 def test_falling_factorial_level_mismatch():
-    vec = SYM.vector(4, {(4,): 1})
     with pytest.raises(ValueError):
-        apply_poly(SYM, SYM.ind_res(5), 1, vec)
+        apply_poly(SYM, SYM.ind_res(5), 1, 4, {(4,): 1})
 
 
 def test_falling_factorial_matches_brute_on_basis_vectors():
@@ -182,8 +180,7 @@ def test_factored_product_equals_x_route_on_sparse_rational_vectors(spec, n, dat
 def test_engine_columns_equal_poly_of_built_x_times_lift(cls, n):
     core, k = normalize_class(SYM, cls, n)
     vec = lift_column_input(SYM, SYM.small_table(k), core, n)
-    dense = SYM.poly(n - k).apply(SYM.ind_res(n).matvec, SYM.to_dense(vec))
-    expected = SYM.from_dense(n, dense).normalized().coeffs
+    expected = apply_poly(SYM, SYM.ind_res(n), n - k, n, vec)
     assert character_column(SYM, cls, n).coeffs == expected
 
 
@@ -315,18 +312,15 @@ def test_wreath_identity_column_small():
 def test_wreath_symbolic_formula_at_n3():
     # X(X-2)...((1^n;t) - (1^n;s) + ((-1)^n;t) - ((-1)^n;s)) for class ((1,1),(12))
     n = 3
-    formula_input = Z2C.vector(
-        n,
-        {
-            ((0, (n,)),): 1,
-            ((0, (1,) * n),): -1,
-            ((1, (n,)),): 1,
-            ((1, (1,) * n),): -1,
-        },
-    )
-    out = apply_poly(Z2C, Z2C.ind_res(n), n - 2, formula_input)
+    formula_input = {
+        ((0, (n,)),): 1,
+        ((0, (1,) * n),): -1,
+        ((1, (n,)),): 1,
+        ((1, (1,) * n),): -1,
+    }
+    out = apply_poly(Z2C, Z2C.ind_res(n), n - 2, n, formula_input)
     engine = character_column(Z2C, ((0, (2,)),), n)
-    assert out.coeffs == engine.coeffs
+    assert out == engine.coeffs
 
 
 def test_wreath_printed_formulas_match_engine_columns():
@@ -344,9 +338,9 @@ def test_wreath_printed_formulas_match_engine_columns():
             (((1, (2,)),), 2, {t: 1, s: -1, mt: -1, ms: 1}),
         ]
         for core, k, printed in cases:
-            out = apply_poly(Z2C, Z2C.ind_res(n), n - k, Z2C.vector(n, printed))
+            out = apply_poly(Z2C, Z2C.ind_res(n), n - k, n, printed)
             engine = character_column(Z2C, core, n)
-            assert out.coeffs == engine.coeffs, (core, n)
+            assert out == engine.coeffs, (core, n)
 
 
 def test_wreath_columns_are_ind_res_eigenvectors():
@@ -363,9 +357,8 @@ def test_wreath_columns_are_ind_res_eigenvectors():
 
 def test_apply_ind_of_trivial():
     for n in (2, 4):
-        ind = SYM.res_matrix(n + 1).transpose().matvec(SYM.to_dense(SYM.unit_vector(n, (n,))))
-        out = SYM.from_dense(n + 1, ind)
-        assert out.coeffs == {(n + 1,): 1, (n, 1): 1}
+        ind = SYM.res_matrix(n + 1).transpose().matvec(to_dense(SYM, n, {(n,): 1}))
+        assert from_dense(SYM, n + 1, ind) == {(n + 1,): 1, (n, 1): 1}
 
 
 def test_wreath_column_beyond_table_bound_uses_formula_norm():
@@ -406,9 +399,8 @@ def test_printed_formula_table_reproduces_columns():
     for tau in [(2,), (3,), (2, 2), (4,), (3, 2), (5,)]:
         k = sum(tau)
         for n in (6, 7):
-            vec = SYM.vector(n, printed_formula_input(n, tau))
-            out = apply_poly(SYM, SYM.ind_res(n), n - k, vec)
-            assert out.coeffs == oracle_column(tau, n).coeffs, (tau, n)
+            out = apply_poly(SYM, SYM.ind_res(n), n - k, n, printed_formula_input(n, tau))
+            assert out == oracle_column(tau, n).coeffs, (tau, n)
 
 
 # -- misc ---------------------------------------------------------------------

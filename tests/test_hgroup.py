@@ -86,7 +86,18 @@ def _table_json():
     (lambda t: t["irreps"][1].update(values=[1]), "row s has wrong length"),
     (lambda t: t["irreps"][1].update(dim=2), "row s has values\\[0\\]=1 != dim=2"),
     (lambda t: t.pop("order"), "malformed GroupTable JSON"),
-], ids=["sizes", "counts", "class-labels", "irrep-labels", "row-length", "dim", "malformed"])
+    # read as given, never coerced: int() truncated 2.9 and -1.0 and read "1"
+    # and true as integers, and str() turned -1 into the label "-1"
+    (lambda t: t.update(order=2.9), "JSON: order must be an integer, not 2.9"),
+    (lambda t: t["classes"][1].update(size="1"), "JSON: size must be an integer, not '1'"),
+    (lambda t: t["irreps"][0].update(dim=True), "JSON: dim must be an integer, not True"),
+    (lambda t: t["irreps"][1]["values"].__setitem__(1, -1.0),
+     "JSON: a character value must be an integer, not -1.0"),
+    (lambda t: t["classes"][1].update(label=-1), "JSON: label must be a string, not -1"),
+    (lambda t: t["irreps"][1].update(label=0), "JSON: label must be a string, not 0"),
+], ids=["sizes", "counts", "class-labels", "irrep-labels", "row-length", "dim", "malformed",
+        "float-order", "string-size", "bool-dim", "float-value", "number-class-label",
+        "number-irrep-label"])
 def test_table_validation_rejects(spoil, message):
     table = _table_json()
     GroupTable.from_json_dict(table)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from charcol.chain import SymmetricChain, get_chain
+from charcol.chain import SymmetricChain, WreathChain, get_chain
+from charcol.hgroup import GroupTable, builtin_table
 from charcol.lifting import InvariantError, lift, lift_column_input
 from charcol.partitions import conjugate, enumerate_partitions
 from charcol.verify import run_suite
@@ -19,14 +20,14 @@ def below_first_row(p):
 def res_power(chain, vec, steps):
     for _ in range(steps):
         vec = chain.apply_res(vec)
-    return vec.normalized()
+    return vec
 
 
 def test_trivial_lifts_to_trivial():
     for k in (0, 1, 3, 5):
         for n in range(k, 9):
             vec = lift(SYM, (k,) if k else (), n)
-            assert vec.coeffs == {(n,) if n else (): 1}
+            assert vec == {(n,) if n else (): 1}
 
 
 def test_lift_is_memoized():
@@ -40,7 +41,7 @@ def test_p_lift_formula():
     for n in (6, 7, 8, 9):
         m = n - 5
         vec = lift(SYM, (3, 2), n)
-        assert vec.coeffs == {
+        assert vec == {
             (n - 2, 2): 1,
             (n - 1, 1): -m,
             (n,): m * (m + 1) // 2,
@@ -51,7 +52,7 @@ def test_wedge_lift_formula():
     for n in (7, 8, 9):
         m = n - 5
         vec = lift(SYM, (3, 1, 1), n)
-        assert vec.coeffs == {
+        assert vec == {
             (n - 2, 1, 1): 1,
             (n - 1, 1): -m,
             (n,): m * (m + 1) // 2,
@@ -71,13 +72,12 @@ def test_s5_lift_table_all_rows():
             (3, 1, 1): {w2: 1, v: -m, t: m * (m + 1) // 2},
         }
         for w, expect in plus_rows.items():
-            assert lift(SYM, w, n).coeffs == expect
+            assert lift(SYM, w, n) == expect
         # sp, sv, s rows: conjugate every diagram in the corresponding plus row
         for w, expect in plus_rows.items():
             sw = conjugate(w)
             twisted = {conjugate(lab): c for lab, c in expect.items()}
-            vec = SYM.vector(n, twisted)
-            assert res_power(SYM, vec, n - 5).coeffs == {sw: 1}
+            assert res_power(SYM, twisted, n - 5) == {sw: 1}
 
 
 def test_lift_exactness_all_k_up_to_5():
@@ -85,7 +85,7 @@ def test_lift_exactness_all_k_up_to_5():
         for w in enumerate_partitions(k):
             for n in range(k, 10):
                 vec = lift(SYM, w, n)
-                assert res_power(SYM, vec, n - k).coeffs == {w: 1}
+                assert res_power(SYM, vec, n - k) == {w: 1}
 
 
 def test_triangular_support():
@@ -94,14 +94,14 @@ def test_triangular_support():
             for n in (k + 2, k + 4):
                 vec = lift(SYM, w, n)
                 bound = below_first_row(w)
-                assert all(below_first_row(lab) <= bound for lab in vec.coeffs)
+                assert all(below_first_row(lab) <= bound for lab in vec)
 
 
 def test_wreath_lift_printed_example():
     # (1,-1; t,t) lifts to (1^{n-1},-1; t,t) - (n-2)(1^n; t)
     for n in (3, 4, 5):
         vec = lift(Z2C, ((0, (1,)), (1, (1,))), n)
-        assert vec.coeffs == {
+        assert vec == {
             ((0, (n - 1,)), (1, (1,))): 1,
             ((0, (n,)),): -(n - 2),
         }
@@ -111,13 +111,13 @@ def test_wreath_trivial_and_sign_slots():
     # (U^k; t) lifts to (U^n; t) for one-dimensional U
     for n in (3, 4):
         vec = lift(Z2C, ((1, (2,)),), n)
-        assert vec.coeffs == {((1, (n,)),): 1}
+        assert vec == {((1, (n,)),): 1}
     # (U^k; s): the systematic lift differs from the direct (U^n; s) preimage,
     # but both restrict back exactly
     vec = lift(Z2C, ((1, (1, 1)),), 4)
-    assert res_power(Z2C, vec, 2).coeffs == {((1, (1, 1)),): 1}
-    direct = Z2C.vector(4, {((1, (1, 1, 1, 1)),): 1})
-    assert res_power(Z2C, direct, 2).coeffs == {((1, (1, 1)),): 1}
+    assert res_power(Z2C, vec, 2) == {((1, (1, 1)),): 1}
+    direct = {((1, (1, 1, 1, 1)),): 1}
+    assert res_power(Z2C, direct, 2) == {((1, (1, 1)),): 1}
 
 
 def test_wreath_lift_exactness_small():
@@ -125,7 +125,7 @@ def test_wreath_lift_exactness_small():
         for w in Z2C.basis(k):
             for n in range(k, 5):
                 vec = lift(Z2C, w, n)
-                assert res_power(Z2C, vec, n - k).coeffs == {w: 1}
+                assert res_power(Z2C, vec, n - k) == {w: 1}
 
 
 def test_lift_rejects_downward():
@@ -166,13 +166,13 @@ def test_column_input_k3_formula():
         # the engine's lifts differ from the printed formula's lift choices,
         # so compare after applying Res^(n-3), where all lifts of one class agree
         down = res_power(SYM, vec, n - 3)
-        assert down.coeffs == {(3,): 1, (2, 1): -1, (1, 1, 1): 1}
+        assert down == {(3,): 1, (2, 1): -1, (1, 1, 1): 1}
 
 
 def test_column_input_identity_is_trivial():
     table = SYM.small_table(1)
     vec = lift_column_input(SYM, table, (1,), 6)
-    assert vec.coeffs == {(6,): 1}
+    assert vec == {(6,): 1}
 
 
 def test_column_input_unknown_class():
@@ -182,8 +182,25 @@ def test_column_input_unknown_class():
 
 
 def test_wreath_lift_scaling_is_rational_by_design():
-    # with one-dimensional built-in H's every lift is integral; the vector
-    # type still carries exact rationals
+    # with one-dimensional built-in H's every lift is integral; a two-dimensional
+    # H-irrep scales the padded label by 1/dim^pad, an exact Fraction
     vec = lift(Z2C, ((0, (1,)), (1, (1,))), 4)
-    assert vec.is_integral()
-    assert isinstance(Fraction(vec.coefficient(((0, (4,)),))), Fraction)
+    assert all(type(c) is int for c in vec.values())
+    s3c = WreathChain(GroupTable(
+        "S3", 6, (("e", 1), ("t", 3), ("c", 2)),
+        (("triv", 1, (1, 1, 1)), ("sgn", 1, (1, -1, 1)), ("std", 2, (2, 0, -1))),
+    ))
+    vec = lift(s3c, ((2, (1,)),), 3)
+    assert vec == {((2, (3,)),): Fraction(1, 4)} and type(vec[((2, (3,)),)]) is Fraction
+    assert res_power(s3c, vec, 2) == {((2, (1,)),): 1}
+
+
+def test_lift_rejects_a_foreign_label_at_every_level():
+    # (2, 3) is no partition: the same ValueError at its own level and above,
+    # where it used to be a broken padding invariant (an AssertionError)
+    for n in (5, 9):
+        with pytest.raises(ValueError, match=r"^label \(2, 3\) not in level-5 basis of chain sym$"):
+            lift(SymmetricChain(), (2, 3), n)
+    for n in (3, 4):
+        with pytest.raises(ValueError, match="not in level-3 basis"):
+            lift(WreathChain(builtin_table("Z2")), ((0, (1, 2)),), n)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from functools import partial
 
 import pytest
@@ -139,3 +142,25 @@ def test_dot_statement_count_n6():
 def test_unknown_format():
     with pytest.raises(ValueError):
         export(build_graph(SYM, 2), "png")
+
+
+# _graph_from_matrix checks the adjacency's symmetry with a raise, not an
+# assert, so the check survives python -O; lifting re-exports the same class
+ASYMMETRIC = """
+from charcol.lifting import InvariantError
+from charcol.mckay import _graph_from_matrix
+from charcol.sparse import SparseMatrix
+try:
+    _graph_from_matrix(2, ("a", "b"), SparseMatrix(2, 2, {(0, 1): 1}))
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_asymmetric_adjacency_raises_with_and_without_asserts(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-c", ASYMMETRIC], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "McKay adjacency must be symmetric\n"

@@ -15,7 +15,11 @@ Every name a module other than ``__init__.py`` imports must appear as an
 (a deliberate re-export).
 
 ``assert`` statements vanish under ``python -O``, so invariants are checks that
-raise; no module may hold more ``assert``s than it does today.
+raise; no module may hold an ``assert``.
+
+The chain protocol is meant to replace dispatch on the chain's class, so no
+module may hold more ``isinstance`` checks against a concrete chain class than
+it does today.
 """
 
 import ast
@@ -57,7 +61,7 @@ def test_every_package_definition_has_a_caller():
 
 # The most assert statements each module may hold; a module not listed may
 # hold none. Lower a count when an assert becomes a check that raises.
-MAX_ASSERTS = {"hgroup.py": 7, "mckay.py": 1, "partitions.py": 2}
+MAX_ASSERTS = {}
 
 
 def test_no_module_gains_an_assert():
@@ -65,6 +69,42 @@ def test_no_module_gains_an_assert():
               for path in sorted(PACKAGE.rglob("*.py"))}
     over = {name: count for name, count in counts.items() if count > MAX_ASSERTS.get(name, 0)}
     assert not over, f"assert statements above the ratchet: {over}"
+
+
+CHAIN_CLASSES = {"SymmetricChain", "WreathChain", "IngestedChain"}
+# The most isinstance checks against a chain class each module may hold; a
+# module not listed may hold none. Lower a count when a check becomes a method.
+MAX_CHAIN_ISINSTANCE = {"chain.py": 1, "cli.py": 1, "verify.py": 3}
+
+
+def names_a_chain_class(node) -> bool:
+    if isinstance(node, ast.Tuple):
+        return any(names_a_chain_class(elt) for elt in node.elts)
+    if isinstance(node, ast.Name):
+        return node.id in CHAIN_CLASSES
+    return isinstance(node, ast.Attribute) and node.attr in CHAIN_CLASSES
+
+
+def chain_isinstance_count(tree) -> int:
+    return sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and names_a_chain_class(node.args[1])
+        for node in ast.walk(tree)
+    )
+
+
+def test_chain_isinstance_count_sees_bare_dotted_and_tuple_classes():
+    source = ("isinstance(c, SymmetricChain)\nisinstance(c, verify.IngestedChain)\n"
+              "isinstance(c, (int, WreathChain))\nisinstance(c, int)\nisinstance(Chain, type)\n")
+    assert chain_isinstance_count(ast.parse(source)) == 3
+
+
+def test_no_module_gains_a_chain_isinstance():
+    counts = {path.name: chain_isinstance_count(parse(path)) for path in sorted(PACKAGE.rglob("*.py"))}
+    over = {name: count for name, count in counts.items()
+            if count > MAX_CHAIN_ISINSTANCE.get(name, 0)}
+    assert not over, f"isinstance checks on a chain class above the ratchet: {over}"
 
 
 def test_every_package_import_is_used():

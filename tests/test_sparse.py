@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from charcol.chain import ReprVector
+from charcol.chain import normalized
 from charcol.sparse import SparseMatrix
 
 
@@ -69,13 +69,9 @@ def test_normalisation_keeps_exact_types():
     assert out == [2, 9] and [type(x) for x in out] == [int, int]
     out = halves.matvec([1, 0])
     assert out == [Fraction(1, 2), 3] and [type(x) for x in out] == [Fraction, int]
-    vec = ReprVector("sym", 2, {(2,): Fraction(4, 2), (1, 1): Fraction(1, 2), (): Fraction(0)})
-    normal = vec.normalized()
-    assert normal.coeffs == {(2,): 2, (1, 1): Fraction(1, 2)}
-    assert type(normal.coeffs[(2,)]) is int and type(normal.coeffs[(1, 1)]) is Fraction
-    assert not ReprVector("sym", 1, {(1,): Fraction(1, 2)}).is_integral()
-    assert ReprVector("sym", 1, {(1,): Fraction(2, 1)}).is_integral()
-    assert ReprVector("sym", 1, {(1,): 3}).is_integral()
+    normal = normalized({(2,): Fraction(4, 2), (1, 1): Fraction(1, 2), (): Fraction(0)})
+    assert normal == {(2,): 2, (1, 1): Fraction(1, 2)}
+    assert type(normal[(2,)]) is int and type(normal[(1, 1)]) is Fraction
 
 
 def test_row_rank():
