@@ -24,13 +24,13 @@ from .hgroup import (
     wreath_char_table,
 )
 from .lifting import lift, lift_column_input
+from .partitions import mn_character
 from .verify import (
     ChainParams,
     IngestedChain,
     fit_chain_params,
     ingest_chain,
     jeongha_class_constraint,
-    mn_character,
     oracle_column,
     roots_vs_characters,
     run_suite,

@@ -125,13 +125,18 @@ class Chain:
     on which ``ind_t_character`` is built. The engine applies ``poly(l)`` and
     reads ``class_size_from`` for the column norm; lifting needs
     ``label_level`` and ``pad_first_row``, and checks at run time that its
-    recursion never revisits a label whose lift is still waiting.
+    recursion never revisits a label whose lift is still waiting. A chain may
+    declare two capabilities, or a suite needing one is skipped: ``reference``
+    (``reference_columns``) for the oracle, ``has_irrep_labels`` for lifts
+    and exports.
     """
 
     id: str
     heisenberg_scaling: int | None  # M in Res Ind - Ind Res = M Id; None: inferred
     min_n = 0  # the lowest level the chain has
     max_n = inf  # the highest; the built-in chains have no top
+    reference: str | None = None  # what a passing oracle check says the engine column equals
+    has_irrep_labels = False
 
     def __init__(self):
         self._index_cache: dict[int, dict] = {}
@@ -263,6 +268,11 @@ class Chain:
         """All class labels at level n (each at its own level, unstripped)."""
         raise NotImplementedError
 
+    def reference_columns(self, n: int, max_order: int | None = None) -> dict:
+        """Level n's character columns from a source independent of the engine,
+        as {class: {label: value}} without zeros; SizeBoundError above the bound."""
+        raise NotImplementedError
+
     def identity_class(self, n: int):
         """The identity's class at level n: the empty class with n fixed points."""
         return self.embed_class((), n)
@@ -292,6 +302,8 @@ class SymmetricChain(Chain):
 
     id = "sym"
     heisenberg_scaling = 1
+    reference = "border-strip oracle; norm identity holds"  # the engine checks each norm
+    has_irrep_labels = True
 
     def basis(self, n: int) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
@@ -336,12 +348,20 @@ class SymmetricChain(Chain):
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
 
+    def reference_columns(self, n: int, max_order: int | None = None) -> dict:
+        hgroup.check_order(factorial(n), max_order, f"S_{n}")
+        basis = self.basis(n)
+        return {mu: partitions.border_strip_column(mu, basis) for mu in basis}
+
     def trivial_label(self, n: int) -> Partition:
         return (n,) if n else ()
 
 
 class WreathChain(Chain):
     """The chain H^n x| S_n for a fixed base group H with integer characters."""
+
+    reference = "brute-force table column"
+    has_irrep_labels = True
 
     def __init__(self, h_table: GroupTable, chain_id: str | None = None):
         super().__init__()
@@ -425,6 +445,12 @@ class WreathChain(Chain):
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[WreathLabel, ...]:
         return tuple(c.label for c in hgroup.wreath_classes(self.h_table, n, max_order))
+
+    def reference_columns(self, n: int, max_order: int | None = None) -> dict:
+        table = self.small_table(n, max_order)
+        rows = [(self.parse_label(lab), values) for lab, _, values in table.irreps]
+        return {self.parse_class(cls): {label: values[j] for label, values in rows if values[j]}
+                for j, (cls, _) in enumerate(table.classes)}
 
     def trivial_label(self, n: int) -> WreathLabel:
         idx = next(

@@ -2,7 +2,8 @@
 
 Commands: column, lift, indres, mckay, table, verify. Exit statuses:
 0 success, 1 verification failure (a failed suite, a rejected ingested chain,
-or a broken lift invariant), 2 usage error, 3 resource bound exceeded.
+or a broken lift invariant), 2 usage error (including an output path that
+cannot be written), 3 resource bound exceeded.
 All outputs are deterministic for a given invocation; payloads carry no
 timestamps. The wreath brute-force order bound defaults to 10000 and can be
 overridden per run with --max-order or globally with CHARCOL_MAX_ORDER.
@@ -136,7 +137,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     chain = ingest_chain(args.chain) if os.path.isfile(args.chain) else get_chain(args.chain)
     if args.export:
-        if isinstance(chain, verify.IngestedChain):
+        if not chain.has_irrep_labels:
             raise ValueError("--export needs a built-in chain")
         payload = verify.export_chain(chain, args.maxN, args.max_order)
         with open(args.export, "w") as fh:
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     except (IngestError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

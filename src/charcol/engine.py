@@ -41,12 +41,10 @@ class CharacterColumn:
 
 
 def normalize_class(chain: Chain, cls, n: int):
-    """Strip fixed points, returning (core class, core level k >= 1)."""
+    """Strip fixed points, returning (core class, core level k); k = 0 for the identity."""
     core, k = chain.strip_class(cls)
     if k > n:
         raise ValueError(f"class {chain.format_class(cls)!r} does not fit inside level {n}")
-    if k == 0:
-        return chain.identity_class(1), 1
     return core, k
 
 
@@ -61,7 +59,8 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
     dense = [0] * len(index)
     for label, c in lift_column_input(chain, table, core, n).items():
         dense[index[label]] = c
-    dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, dense)
+    if n > k:  # level 0 has no Res
+        dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, dense)
     coeffs = normalized(dict(zip(chain.basis(n), dense)))
     if any(type(v) is not int for v in coeffs.values()):
         raise InvariantError(f"non-integral column for {cls} at level {n}")

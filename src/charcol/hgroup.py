@@ -6,7 +6,7 @@ Two independent construction routes live here:
   permutation characters plus exact orthogonalization. The character of S_nu's
   cosets at cycle type rho counts the ways to put each cycle of rho into a
   row of nu so that every row is filled exactly. It deliberately does not
-  touch the border-strip oracle in ``verify``; the two are cross-checked
+  touch the border-strip oracle in ``partitions``; the two are cross-checked
   against each other in the test suite.
 * ``wreath_char_table`` builds H wr S_k tables by explicit brute force over
   enumerated group elements: each array label is induced from a block
@@ -61,11 +61,13 @@ class SizeBoundError(RuntimeError):
         )
 
 
-def resolve_max_order(value: int | None = None) -> int:
-    if value is not None:
-        return int(value)
+def check_order(order: int, max_order: int | None, what: str) -> None:
+    """SizeBoundError if a group of this order is above the bound: max_order,
+    else CHARCOL_MAX_ORDER, else 10000."""
     env = os.environ.get(MAX_ORDER_ENV)
-    return int(env) if env else DEFAULT_MAX_ORDER
+    bound = int(max_order) if max_order is not None else int(env) if env else DEFAULT_MAX_ORDER
+    if order > bound:
+        raise SizeBoundError(order, bound, what)
 
 
 def _typed(value, kind: type, what: str):
@@ -295,9 +297,7 @@ def symmetric_group_table(k: int, max_order: int | None = None) -> GroupTable:
     The order bound applies on every call; each table is built and validated
     once per process.
     """
-    bound = resolve_max_order(max_order)
-    if factorial(k) > bound:
-        raise SizeBoundError(factorial(k), bound, f"S_{k}")
+    check_order(factorial(k), max_order, f"S_{k}")
     return _symmetric_group_table_cached(k)
 
 
@@ -444,10 +444,7 @@ def _wreath_classes_cached(name: str, k: int) -> tuple[WreathClass, ...]:
 
 def wreath_classes(h_table: GroupTable, k: int, max_order: int | None = None) -> tuple[WreathClass, ...]:
     group = concrete_base(h_table)
-    bound = resolve_max_order(max_order)
-    order = group.size**k * factorial(k)
-    if order > bound:
-        raise SizeBoundError(order, bound, f"{h_table.name} wr S_{k}")
+    check_order(group.size**k * factorial(k), max_order, f"{h_table.name} wr S_{k}")
     return _wreath_classes_cached(h_table.name, k)
 
 

@@ -3,7 +3,9 @@
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the unique partition of 0. The same tuples serve as irrep labels
 (Young diagrams) and as conjugacy-class labels (cycle types) of S_n.
-``InvariantError`` lives here, the one module every other one imports.
+``InvariantError`` lives here, the one module every other one imports, and
+so does the border-strip oracle ``mn_character``, which shares no code with
+the polynomial engine or with the permutation-character tables in hgroup.
 """
 
 from __future__ import annotations
@@ -140,6 +142,42 @@ def mirrored_order(n: int) -> tuple[Partition, ...]:
     head = [p for p in canonical if index[p] <= index[conjugate(p)]]
     tail = [conjugate(p) for p in reversed(head) if conjugate(p) != p]
     return tuple(head + tail)
+
+
+@lru_cache(maxsize=None)
+def mn_character(lam: Partition, mu: Partition) -> int:
+    """chi_lambda(mu) by recursive border-strip removal with sign (-1)^height.
+
+    Border strips of size r correspond to first-column hook (beta-set) moves
+    beta_i -> beta_i - r landing outside the set; the height is the number of
+    beta values jumped over.
+    """
+    lam = check_partition(lam) if lam else ()
+    mu = tuple(sorted(mu, reverse=True))
+    if sum(lam) != sum(mu):
+        raise ValueError(f"|lambda|={sum(lam)} but |mu|={sum(mu)}")
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    m = len(lam)
+    beta = tuple(lam[i] + (m - 1 - i) for i in range(m))
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for other in beta if nb < other < b)
+        new_beta = sorted(beta_set - {b} | {nb}, reverse=True)
+        # Trailing zeros of the recovered shape are empty rows.
+        new_lam = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta))
+        total += (-1) ** height * mn_character(tuple(x for x in new_lam if x > 0), rest)
+    return total
+
+
+def border_strip_column(mu: Partition, diagrams) -> dict:
+    """The column {lambda: chi_lambda(mu)} over the given diagrams, zeros dropped."""
+    return {lam: value for lam in diagrams if (value := mn_character(lam, mu))}
 
 
 def parse_partition(text: str) -> Partition:

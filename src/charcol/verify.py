@@ -1,13 +1,13 @@
-"""Independent oracles and the rigidity-constraint suite.
+"""The rigidity-constraint suites, and the border-strip oracle column.
 
-The border-strip recursion here is the yardstick every engine column is
-measured against; it shares no code with the polynomial engine or with the
-permutation-character tables in hgroup. The rest of the module checks the
-exact constraints any chain must satisfy for iterated induction-restriction
-to be polynomial in Ind Res: the per-class ratio constraint, the two-term
-order recursion a_n = B a_{n-1} + C, the resulting polynomial family, and
-the root/character-value correspondence. User-supplied chains enter through
-``ingest_chain`` and run the same checks.
+``oracle_column`` (``partitions.mn_character``) is the yardstick symmetric
+engine columns are measured against. The suites check the exact constraints
+any chain must satisfy for iterated induction-restriction to be polynomial in
+Ind Res: the per-class ratio constraint, the two-term order recursion
+a_n = B a_{n-1} + C, the resulting polynomial family, and the root/character
+correspondence; they also compare engine columns with the chain's reference
+columns, and check every lift. User-supplied chains enter through
+``ingest_chain``; a suite a chain cannot run is listed under ``skipped``.
 
 All comparisons are exact rational arithmetic; there are no tolerances.
 """
@@ -18,64 +18,22 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from . import engine, lifting
-from .chain import Chain, FallingFactorialPoly, SymmetricChain, WreathChain
+from .chain import Chain, FallingFactorialPoly
 from .hgroup import SizeBoundError, _typed
-from .partitions import (
-    Partition,
-    check_partition,
-    enumerate_partitions,
-    format_partition,
-    pad_with_fixed_points,
-)
+from .partitions import Partition, border_strip_column, enumerate_partitions, pad_with_fixed_points
 from .sparse import SparseMatrix
 
 # ---------------------------------------------------------------------------
-# Murnaghan-Nakayama oracle
-
-
-@lru_cache(maxsize=None)
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """chi_lambda(mu) by recursive border-strip removal with sign (-1)^height.
-
-    Border strips of size r correspond to first-column hook (beta-set) moves
-    beta_i -> beta_i - r landing outside the set; the height is the number of
-    beta values jumped over.
-    """
-    lam = check_partition(lam) if lam else ()
-    mu = tuple(sorted(mu, reverse=True))
-    if sum(lam) != sum(mu):
-        raise ValueError(f"|lambda|={sum(lam)} but |mu|={sum(mu)}")
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    m = len(lam)
-    beta = tuple(lam[i] + (m - 1 - i) for i in range(m))
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted(beta_set - {b} | {nb}, reverse=True)
-        # Trailing zeros of the recovered shape are empty rows.
-        new_lam = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta))
-        total += (-1) ** height * mn_character(tuple(x for x in new_lam if x > 0), rest)
-    return total
+# Border-strip oracle
 
 
 def oracle_column(mu: Partition, n: int):
     """The exact level-n column of the class with cycle type mu, by the
     border-strip oracle alone."""
     full = pad_with_fixed_points(tuple(sorted(mu, reverse=True)), n)
-    coeffs = {}
-    for lam in enumerate_partitions(n):
-        value = mn_character(lam, full)
-        if value:
-            coeffs[lam] = value
+    coeffs = border_strip_column(full, enumerate_partitions(n))
     return engine.CharacterColumn("sym", n, full, coeffs)
 
 
@@ -118,7 +76,7 @@ class SuiteReport:
     chain: str
     max_n: int
     checks: list[CheckResult] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)  # levels above the order bound
+    skipped: list[dict] = field(default_factory=list)  # suites and levels that did not run
 
     @property
     def passed(self) -> bool:
@@ -514,10 +472,10 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: each is suite(chain, max_n, max_order=None) -> (checks, skipped)
 
 
-def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
+def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
     """Res Ind - Ind Res = M Id on R(G_n), with M = |H| for built-in chains
     and a consistent inferred constant for ingested ones.
 
@@ -548,7 +506,7 @@ def heisenberg_suite(chain, max_n: int) -> list[CheckResult]:
             detail=f"Res Ind - Ind Res = {diag} * Id" if ok else "commutator is not scalar",
             lhs=diag, rhs=expected if expected is not None else inferred,
         ))
-    return checks
+    return checks, []
 
 
 def _fit_check(params: ChainParams) -> CheckResult:
@@ -568,13 +526,13 @@ def _failed_fit(chain) -> CheckResult | None:
     return None if check.passed else check
 
 
-def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
+def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
     """Brute Ind^l Res^l against the polynomial in Ind Res, as matrices. Both
     grow with l: the brute side restricts once more, and the polynomial side
     multiplies in f_l's new roots, starting over if they do not extend f_{l-1}'s."""
     levels = chain.level_range(max_n)
     if levels and (failed := _failed_fit(chain)) is not None:
-        return [failed]
+        return [failed], []
     checks = []
     for n in levels:
         x_matrix = chain.ind_res(n)
@@ -593,13 +551,13 @@ def tasyopari_suite(chain, max_n: int) -> list[CheckResult]:
                 detail="Ind^l Res^l equals the polynomial in Ind Res"
                 if brute == poly else "matrix mismatch",
             ))
-    return checks
+    return checks, []
 
 
-def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[CheckResult]:
+def jeongha_suite(chain, max_n: int, max_order: int | None = None):
     failed = _failed_fit(chain)
     if failed is not None:
-        return [failed]
+        return [failed], []
     checks = []
     # (1) per-class ratio constraints at every (n, l) with class data available
     for n in chain.level_range(max_n):
@@ -651,51 +609,35 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None) -> list[Check
                 detail=f"preferred level {report['preferred_level']}, "
                 f"roots {jsonable(report['roots'])}",
             ))
-    return checks
+    return checks, []
 
 
 def oracle_suite(chain, max_n: int, max_order: int | None = None):
-    """Engine columns against an independent source of character columns, as
-    (checks, skipped): the levels stop at the first one whose character table
-    is above the order bound, and that level is the one skipped entry."""
-    checks, skipped = [], []
-    if not isinstance(chain, (SymmetricChain, WreathChain)):
-        return checks, skipped
+    """Engine columns against the chain's reference columns, one check per
+    class: the levels stop at the first one whose reference is above the order
+    bound, and that level is the one skipped entry."""
+    if chain.reference is None:
+        return [], [{"suite": "oracle", "reason": "the chain has no reference columns"}]
+    checks = []
     for n in chain.level_range(max_n):
         try:
-            table = chain.small_table(n, max_order)
+            reference = chain.reference_columns(n, max_order)
         except SizeBoundError as exc:
-            skipped.append({"level": n, "reason": str(exc)})
-            break
-        if isinstance(chain, SymmetricChain):
-            for mu in enumerate_partitions(n):
-                column = engine.character_column(chain, mu, n, max_order)
-                expected = oracle_column(mu, n)
-                ok = column.coeffs == expected.coeffs  # the engine checked the norm
-                checks.append(CheckResult(
-                    f"oracle-column n={n} class={format_partition(mu)}", ok,
-                    detail="engine equals border-strip oracle; norm identity holds"
-                    if ok else "mismatch against oracle",
-                ))
-        else:
-            rows = [(chain.parse_label(lab), values) for lab, _, values in table.irreps]
-            for col_idx, (cls_label, _) in enumerate(table.classes):
-                cls = chain.parse_class(cls_label)
-                column = engine.character_column(chain, cls, n, max_order)
-                expected = {label: values[col_idx] for label, values in rows if values[col_idx]}
-                ok = column.coeffs == expected
-                checks.append(CheckResult(
-                    f"oracle-column n={n} class={cls_label}", ok,
-                    detail="engine equals brute-force table column" if ok else "mismatch",
-                ))
-    return checks, skipped
+            return checks, [{"level": n, "reason": str(exc)}]
+        for cls in chain.classes_at(n, max_order):
+            ok = engine.character_column(chain, cls, n, max_order).coeffs == reference[cls]
+            checks.append(CheckResult(
+                f"oracle-column n={n} class={chain.format_class(cls)}", ok,
+                detail=f"engine equals {chain.reference}" if ok else "mismatch",
+            ))
+    return checks, []
 
 
-def lifting_suite(chain, max_n: int) -> list[CheckResult]:
+def lifting_suite(chain, max_n: int, max_order: int | None = None):
     """Res-exactness of every lift of every irrep at levels k <= 5."""
+    if not chain.has_irrep_labels:
+        return [], [{"suite": "lifts", "reason": "the chain has no irrep labels"}]
     checks = []
-    if isinstance(chain, IngestedChain):
-        return checks
     for k in range(0, min(5, max_n) + 1):
         for label in chain.basis(k):
             ok = True
@@ -710,7 +652,7 @@ def lifting_suite(chain, max_n: int) -> list[CheckResult]:
             checks.append(CheckResult(
                 f"lift-exactness k={k} label={chain.format_label(label)}", ok, detail=detail,
             ))
-    return checks
+    return checks, []
 
 
 SUITES = ("heisenberg", "tasyopari", "jeongha", "oracle", "lifts", "all")
@@ -720,15 +662,11 @@ def run_suite(chain, suite: str, max_n: int, max_order: int | None = None) -> Su
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     report = SuiteReport(suite, chain.id, max_n)
-    if suite in ("heisenberg", "all"):
-        report.checks += heisenberg_suite(chain, max_n)
-    if suite in ("tasyopari", "all"):
-        report.checks += tasyopari_suite(chain, max_n)
-    if suite in ("jeongha", "all"):
-        report.checks += jeongha_suite(chain, max_n, max_order)
-    if suite in ("oracle", "all"):
-        checks, report.skipped = oracle_suite(chain, max_n, max_order)
-        report.checks += checks
-    if suite in ("lifts", "all"):
-        report.checks += lifting_suite(chain, max_n)
+    # looked up on each call, so a suite replaced on the module is the one that runs
+    suites = (heisenberg_suite, tasyopari_suite, jeongha_suite, oracle_suite, lifting_suite)
+    for name, run in zip(SUITES, suites):
+        if suite in (name, "all"):
+            checks, skipped = run(chain, max_n, max_order)
+            report.checks += checks
+            report.skipped += skipped
     return report

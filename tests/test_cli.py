@@ -138,8 +138,7 @@ def test_table_z2s2(capsys):
 
 
 def test_table_sym_matches_oracle(capsys):
-    from charcol.verify import mn_character
-    from charcol.partitions import parse_partition
+    from charcol.partitions import mn_character, parse_partition
 
     code, out, _ = run(capsys, "table", "--chain", "sym", "--k", "5")
     payload = json.loads(out)
@@ -292,6 +291,36 @@ def test_verify_export_of_an_ingested_chain_is_usage_error(capsys, tmp_path):
                          "--maxN", "3", "--export", str(tmp_path / "again.json"))
     assert code == 2 and out == ""
     assert err == "error: --export needs a built-in chain\n"
+
+
+@pytest.mark.parametrize("suite", ["oracle", "lifts"])
+def test_verify_lists_a_suite_an_ingested_chain_cannot_run_as_skipped(capsys, tmp_path, suite):
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(export_chain(SymmetricChain(), 7)))
+    code, out, _ = run(capsys, "verify", "--chain", str(chain_path), "--suite", suite,
+                       "--maxN", "5")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True and payload["checks"] == []
+    (entry,) = payload["skipped"]
+    assert entry["suite"] == suite and entry["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--chain", "sym", "--suite", "heisenberg", "--maxN", "3", "--export"],
+    ["table", "--chain", "sym", "--k", "3", "--out"],
+], ids=["export", "out"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
+@pytest.mark.parametrize("chain, cls", [("sym", "[]"), ("z2wreath", "e")])
+def test_column_at_level_zero_is_the_trivial_column(capsys, chain, cls):
+    code, out, _ = run(capsys, "column", "--chain", chain, "--class", cls, "--n", "0")
+    assert code == 0
+    assert json.loads(out)["entries"] == [[cls, 1]]
 
 
 def test_broken_lift_invariant_exits_1_with_one_line(capsys, monkeypatch):

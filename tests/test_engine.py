@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcol import verify
+from charcol import partitions, verify
 from charcol.chain import get_chain
 from charcol.engine import (
     character_column,
@@ -23,8 +23,9 @@ from charcol.partitions import (
     enumerate_partitions,
     is_odd_class,
     mirrored_order,
+    mn_character,
 )
-from charcol.verify import mn_character, oracle_column
+from charcol.verify import oracle_column
 
 from dense import from_dense, to_dense
 from printed_data import PRINTED_DELTA_123, PRINTED_PLUS_COLUMNS, PRINTED_Y6
@@ -227,7 +228,7 @@ def test_reduced_operator_does_not_call_the_oracle(monkeypatch):
         raise AssertionError("the engine called the border-strip oracle")
 
     reduced_operator.cache_clear()
-    monkeypatch.setattr(verify, "mn_character", no_oracle)
+    monkeypatch.setattr(partitions, "mn_character", no_oracle)
     assert reduced_operator(6).plus_basis == ((6,), (5, 1), (4, 2), (4, 1, 1), (3, 3))
 
 
@@ -406,9 +407,11 @@ def test_printed_formula_table_reproduces_columns():
 # -- misc ---------------------------------------------------------------------
 
 
-def test_normalize_class_identity_goes_to_level_one():
-    assert normalize_class(SYM, (1, 1, 1), 5) == ((1,), 1)
-    assert normalize_class(Z2C, (), 4) == (((0, (1,)),), 1)
+def test_normalize_class_identity_goes_to_level_zero():
+    assert normalize_class(SYM, (1, 1, 1), 5) == ((), 0)
+    assert normalize_class(SYM, (), 0) == ((), 0)
+    assert normalize_class(Z2C, (), 4) == ((), 0)
+    assert normalize_class(Z2C, ((0, (1, 1)),), 2) == ((), 0)
 
 
 def test_character_column_respects_bound():
@@ -441,3 +444,8 @@ def test_engine_modules_do_not_import_the_oracle():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 imported.update(alias.name for alias in node.names)
         assert not any(mod.split(".")[-1] == "verify" for mod in imported), name
+    # the oracle itself lives in partitions; only the symmetric chain's
+    # reference columns, which the engine never reads, call it there
+    for name in ("engine", "lifting", "hgroup", "sparse"):
+        source = (package / f"{name}.py").read_text()
+        assert "mn_character" not in source and "border_strip_column" not in source, name

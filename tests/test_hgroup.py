@@ -27,8 +27,7 @@ from charcol.hgroup import (
     wreath_mult,
     young_permutation_character,
 )
-from charcol.partitions import enumerate_partitions, format_partition
-from charcol.verify import mn_character
+from charcol.partitions import enumerate_partitions, format_partition, mn_character
 
 
 def test_builtin_trivial():

@@ -17,6 +17,7 @@ from charcol.partitions import (
     class_size,
     dim_irrep,
     enumerate_partitions,
+    mn_character,
     strip_fixed_points,
 )
 from charcol.sparse import SparseMatrix
@@ -29,7 +30,6 @@ from charcol.verify import (
     fit_from_ratios,
     ingest_chain,
     jeongha_class_constraint,
-    mn_character,
     oracle_column,
     roots_vs_characters,
     run_suite,
@@ -773,7 +773,9 @@ def test_unknown_suite():
 
 # SHA-256 of json.dumps(run_suite(chain, suite, maxN).to_json_dict(), sort_keys=True),
 # recorded before the chain classes shared one protocol; they pin every check's
-# name, detail and lhs/rhs, not only the verdict.
+# name, detail and lhs/rhs, not only the verdict. The report's ``skipped`` is
+# hashed apart from the rest and checked on its own: the built-in reports skip
+# nothing, and an ingested chain skips the oracle and lifts suites whole.
 REPORT_CHAINS = {
     "sym": (lambda: SYM, 6),
     "z2wreath": (lambda: Z2C, 4),
@@ -823,10 +825,33 @@ REPORT_DIGESTS = {
 }
 
 
+BUILT_IN_REPORT_CHAINS = {"sym", "z2wreath", "trivial"}
+SUITE_SKIPS = {
+    "oracle": {"suite": "oracle", "reason": "the chain has no reference columns"},
+    "lifts": {"suite": "lifts", "reason": "the chain has no irrep labels"},
+}
+
+
 @pytest.mark.parametrize("chain_name", list(REPORT_CHAINS))
 def test_suite_reports_are_unchanged(chain_name):
     make, max_n = REPORT_CHAINS[chain_name]
     for suite in SUITES:
         report = run_suite(make(), suite, max_n).to_json_dict()
+        skipped = report.pop("skipped", [])
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == REPORT_DIGESTS[f"{chain_name}/{suite}"], suite
+        expected = [] if chain_name in BUILT_IN_REPORT_CHAINS else [
+            entry for name, entry in SUITE_SKIPS.items() if suite in (name, "all")]
+        assert skipped == expected, suite
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SYM, lambda: Z2C, lambda: WreathChain(builtin_table("trivial")),
+    lambda: ingest_chain(export_chain(SYM, 7)),
+], ids=["sym", "z2wreath", "trivial", "ingested-sym-7"])
+@pytest.mark.parametrize("suite", SUITES[:-1])
+def test_no_suite_reports_nothing(make, suite):
+    # a suite that cannot run on a chain says so under skipped, so an empty
+    # report never reads as a pass
+    report = run_suite(make(), suite, 5)
+    assert report.checks or report.skipped
