@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from math import factorial, inf
 
 from . import hgroup, partitions
@@ -117,9 +116,9 @@ class FallingFactorialPoly:
 class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
 
-    The suites need ``res_matrix`` (from which ``ind_res`` and
-    ``brute_indl_resl`` are built), the levels ``min_n`` to ``max_n`` and the
-    ranges the suites run over, f_l as ``poly(l)``, and
+    The suites need ``res_matrix`` and ``ind_res`` (built on it), the levels
+    ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as
+    ``poly(l)``, and
     the class data: ``group_order``, ``classes_at``, ``identity_class``,
     ``format_class`` and ``class_size_from(h, m, j)`` for j above or below m,
     on which ``ind_t_character`` is built. The engine applies ``poly(l)`` and
@@ -181,17 +180,6 @@ class Chain:
             res = self.res_matrix(n)
             self._x_cache[n] = res.transpose() @ res
         return self._x_cache[n]
-
-    def brute_indl_resl(self, n: int):
-        """Literal Ind^l Res^l at level n for l = 1, ..., n - min_n, each restricting
-        once more than the last: an iterator of matrix products, used only as an
-        oracle against the falling-factorial engine."""
-        if n <= self.min_n:
-            raise ValueError(f"level {n} has no level below it in chain {self.id}")
-        steps = range(n - 1, self.min_n, -1)
-        downs = accumulate(steps, lambda down, j: self.res_matrix(j) @ down,
-                           initial=self.res_matrix(n))
-        return (down.transpose() @ down for down in downs)
 
     def has_level(self, n: int) -> bool:
         return self.min_n <= n <= self.max_n

@@ -4,7 +4,9 @@ Everything downstream of the branching operators is exact integer or
 rational arithmetic; floats never appear. Storage is a dict keyed by
 (row, col) holding nonzero entries only. Bases reach thousands of labels
 (S_28 has 3,718, Z2 wr S_20 has 24,842), but Res has at most one entry per
-removable box of a label, so Res and X stay sparse.
+removable box of a label, so Res and X stay sparse. The suites check
+operator identities on a ``PackedIdentity``, one int per row, so a
+``matvec`` applies a matrix to every column at once.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class SparseMatrix:
                     self.data[(r, c)] = _norm(v)
 
     @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
     def from_triplets(cls, nrows: int, ncols: int, triplets) -> "SparseMatrix":
         data: dict[tuple[int, int], Scalar] = {}
         for r, c, v in triplets:
@@ -61,29 +59,10 @@ class SparseMatrix:
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
-    @classmethod
-    def _result(cls, nrows: int, ncols: int, data: dict) -> "SparseMatrix":
-        """Entries computed from valid ones: drop zeros, normalize, skip the bounds check."""
-        out = cls(nrows, ncols)
-        out.data = {rc: v if type(v) is int else _norm(v) for rc, v in data.items() if v}
-        return out
-
     def transpose(self) -> "SparseMatrix":
         out = SparseMatrix(self.ncols, self.nrows)
         out.data = {(c, r): v for (r, c), v in self.data.items()}  # already valid entries
         return out
-
-    def scaled(self, c: Scalar) -> "SparseMatrix":
-        return self._result(self.nrows, self.ncols, {rc: c * v for rc, v in self.data.items()})
-
-    def shift_diagonal(self, c: Scalar) -> "SparseMatrix":
-        """Return self + c*I (square matrices only)."""
-        if self.nrows != self.ncols:
-            raise ValueError("diagonal shift needs a square matrix")
-        data = dict(self.data)
-        for i in range(self.nrows):
-            data[(i, i)] = data.get((i, i), 0) + c
-        return self._result(self.nrows, self.ncols, data)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -96,7 +75,9 @@ class SparseMatrix:
             for r, av in by_col.get(k, ()):
                 rc = (r, c)
                 acc[rc] = acc.get(rc, 0) + av * bv
-        return self._result(self.nrows, other.ncols, acc)
+        out = SparseMatrix(self.nrows, other.ncols)  # entries from valid ones: no bounds check
+        out.data = {rc: v if type(v) is int else _norm(v) for rc, v in acc.items() if v}
+        return out
 
     def matvec(self, vec: list[Scalar]) -> list[Scalar]:
         if len(vec) != self.ncols:
@@ -107,6 +88,13 @@ class SparseMatrix:
             if x:
                 out[r] = out[r] + v * x
         return [x if type(x) is int else _norm(x) for x in out]
+
+    def norm(self) -> Scalar:
+        """The infinity norm: the largest absolute row sum."""
+        sums: dict[int, Scalar] = {}
+        for (r, _), v in self.data.items():
+            sums[r] = sums.get(r, 0) + abs(v)
+        return max(sums.values(), default=0)
 
     def to_dense(self) -> list[list[Scalar]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]
@@ -135,3 +123,20 @@ class SparseMatrix:
             if rank == len(rows):
                 break
         return rank
+
+
+class PackedIdentity:
+    """The size x size identity as ``size`` ints: int j is row j, its slot i
+    (``width`` bits) holds column i, and a matvec on the rows packs the product.
+    ``bound`` is a proven bound on every entry compared, such as a product of
+    infinity norms, so each difference of two entries is below 2^width in
+    absolute value: packed rows are equal exactly when their entries are."""
+
+    def __init__(self, size: int, bound: int):
+        self.width = (2 * bound).bit_length() + 1
+        self.rows = [1 << self.width * i for i in range(size)]
+
+    def entry(self, row: int, i: int) -> int:
+        """The signed entry in slot i; the lower slots sum to under half of slot i's unit."""
+        low, half = self.width * i, 1 << self.width - 1
+        return (((row + (1 << low >> 1)) >> low) + half) % (1 << self.width) - half

@@ -18,12 +18,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from . import engine, lifting
 from .chain import Chain, FallingFactorialPoly
 from .hgroup import SizeBoundError, _typed
 from .partitions import Partition, border_strip_column, enumerate_partitions, pad_with_fixed_points
-from .sparse import SparseMatrix
+from .sparse import PackedIdentity, SparseMatrix
 
 # ---------------------------------------------------------------------------
 # Border-strip oracle
@@ -477,34 +478,29 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
 
 def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
     """Res Ind - Ind Res = M Id on R(G_n), with M = |H| for built-in chains
-    and a consistent inferred constant for ingested ones.
+    and a consistent inferred constant for ingested ones, checked on a packed
+    identity with M read as the difference's entry (0, 0); every entry
+    compared is within ||Res|| ||Ind|| + 2 ||X||.
 
     Level 0 of a built-in chain uses the empty lower ring, so the commutator
     there is Res Ind alone. Ingested chains are only checked at levels where
     both adjacent Res matrices were supplied.
     """
-    checks = []
-    expected = chain.heisenberg_scaling
-    inferred = None
+    checks, scaling = [], chain.heisenberg_scaling  # None: M is the first level's, then held
     for j in chain.heisenberg_levels(max_n):
         up = chain.res_matrix(j + 1)
-        res_ind = up @ up.transpose()
-        if j > chain.min_n:
-            ind_res = chain.ind_res(j)
-        else:
-            ind_res = SparseMatrix(res_ind.nrows, res_ind.ncols)
-        diag = res_ind[(0, 0)] - ind_res[(0, 0)]
-        ok = res_ind == ind_res.shift_diagonal(diag)
-        if expected is not None:
-            ok = ok and diag == expected
-        elif inferred is None:
-            inferred = diag
-        else:
-            ok = ok and diag == inferred
+        ind = up.transpose()
+        x = chain.ind_res(j) if j > chain.min_n else SparseMatrix(up.nrows, up.nrows)
+        packed = PackedIdentity(up.nrows, up.norm() * ind.norm() + 2 * x.norm())
+        res_ind, ind_res = up.matvec(ind.matvec(packed.rows)), x.matvec(packed.rows)
+        diag = packed.entry(res_ind[0] - ind_res[0], 0) if res_ind else 0  # 0 at an empty level
+        if scaling is None:
+            scaling = diag
+        ok = diag == scaling and res_ind == [v + diag * e for v, e in zip(ind_res, packed.rows)]
         checks.append(CheckResult(
             f"heisenberg level={j}", ok,
             detail=f"Res Ind - Ind Res = {diag} * Id" if ok else "commutator is not scalar",
-            lhs=diag, rhs=expected if expected is not None else inferred,
+            lhs=diag, rhs=scaling,
         ))
     return checks, []
 
@@ -527,29 +523,40 @@ def _failed_fit(chain) -> CheckResult | None:
 
 
 def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
-    """Brute Ind^l Res^l against the polynomial in Ind Res, as matrices. Both
-    grow with l: the brute side restricts once more, and the polynomial side
-    multiplies in f_l's new roots, starting over if they do not extend f_{l-1}'s."""
+    """Brute Ind^l Res^l against f_l(Ind Res) = num/den (X - r_l)...(X - r_1) on
+    a packed identity, den times the one against num times the other. For each
+    l the brute side restricts once more and induces back up; the polynomial
+    side applies X - r for f_l's new roots, starting over if they do not extend
+    f_{l-1}'s. Entries are within prod ||Ind_j|| ||Res_j|| and prod (||X|| + |r|)."""
     levels = chain.level_range(max_n)
     if levels and (failed := _failed_fit(chain)) is not None:
         return [failed], []
-    checks = []
-    for n in levels:
-        x_matrix = chain.ind_res(n)
-        identity = SparseMatrix.identity(x_matrix.nrows)
-        roots, product = (), identity  # product = (X - r_k)...(X - r_1) over roots
-        for l, brute in enumerate(chain.brute_indl_resl(n), 1):
-            f_l = chain.poly(l)
+    checks, ind, step = [], {}, {}  # per level j: Ind_j = Res_j^T and ||Ind_j|| ||Res_j||
+    for n in levels:  # level_range starts just above min_n, so only level n is new
+        ind[n] = chain.res_matrix(n).transpose()
+        step[n] = chain.res_matrix(n).norm() * ind[n].norm()
+        x, polys = chain.ind_res(n), [chain.poly(l) for l in range(1, n - chain.min_n + 1)]
+        x_norm = x.norm()
+        packed = PackedIdentity(x.nrows, max(max(
+            f_l.leading.denominator * prod(step[j] for j in range(n - l + 1, n + 1)),
+            abs(f_l.leading.numerator) * prod(x_norm + abs(r) for r in f_l.roots),
+        ) for l, f_l in enumerate(polys, 1)))
+        down, product, roots = packed.rows, packed.rows, ()  # product: prod (X - r) over roots
+        for l, f_l in enumerate(polys, 1):
+            down = chain.res_matrix(n - l + 1).matvec(down)
+            brute = down
+            for j in range(n - l + 1, n + 1):
+                brute = ind[j].matvec(brute)
             if f_l.roots[: len(roots)] != roots:
-                roots, product = (), identity
+                roots, product = (), packed.rows
             for root in f_l.roots[len(roots):]:
-                product = x_matrix.shift_diagonal(-root) @ product
+                product = [a - root * b for a, b in zip(x.matvec(product), product)]
             roots = f_l.roots
-            poly = product if f_l.leading == 1 else product.scaled(f_l.leading)
+            num, den = f_l.leading.numerator, f_l.leading.denominator
+            ok = [v * den for v in brute] == [v * num for v in product]
             checks.append(CheckResult(
-                f"indres-power n={n} l={l}", brute == poly,
-                detail="Ind^l Res^l equals the polynomial in Ind Res"
-                if brute == poly else "matrix mismatch",
+                f"indres-power n={n} l={l}", ok,
+                detail="Ind^l Res^l equals the polynomial in Ind Res" if ok else "matrix mismatch",
             ))
     return checks, []
 

@@ -12,7 +12,7 @@ from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
-from charcol.verify import export_chain, tasyopari_suite
+from charcol.verify import IngestedChain, export_chain, tasyopari_suite
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
@@ -127,25 +127,43 @@ def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):
     assert reads <= len(x_matrix.data), (reads, len(x_matrix.data))
 
 
-def test_tasyopari_does_at_most_3n_plus_2_products_per_level(monkeypatch):
-    # both sides grow with l by one product each, plus the brute side's Gram
-    # product, so a level costs O(n) products, not O(n^2); every product at
-    # level n has dim(n) columns, which tells the levels apart
-    products = Counter()
-    matmul = SparseMatrix.__matmul__
+def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
+    # both sides act on a packed identity: the brute side restricts once more
+    # for each l and induces back up l times, and the polynomial side applies
+    # X once per new root, so with nested roots a level costs L(L+5)/2 matvecs,
+    # L = n - min_n; its one product is X = Res^T Res, memoized per level. A
+    # run to max_n repeats a run to max_n - 1 and adds level max_n, so two
+    # runs on fresh chains differ by exactly that level
+    counts = Counter()
+    matmul, matvec = SparseMatrix.__matmul__, SparseMatrix.matvec
 
-    def counting(a, b):
-        products[b.ncols] += 1
+    def counting_matmul(a, b):
+        counts["matmul"] += 1
         return matmul(a, b)
 
-    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
-    for chain, max_n in ((SymmetricChain(), 6), (WreathChain(hgroup.builtin_table("Z2")), 5)):
-        products.clear()
-        checks, skipped = tasyopari_suite(chain, max_n)
-        assert skipped == []
-        assert len(checks) == max_n * (max_n + 1) // 2 and all(c.passed for c in checks)
-        dims = {len(chain.basis(n)): n for n in range(1, max_n + 1)}
-        assert len(dims) == max_n and set(products) <= set(dims), (chain.id, products)
-        for dim, count in products.items():
-            assert count <= 3 * dims[dim] + 2, (chain.id, dims[dim], count)
-        assert sum(products.values()) <= sum(3 * n + 2 for n in range(1, max_n + 1))
+    def counting_matvec(a, vec):
+        counts["matvec"] += 1
+        return matvec(a, vec)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(SparseMatrix, "matvec", counting_matvec)
+    upper_sym = export_chain(SymmetricChain(), 7)
+    upper_sym["levels"] = upper_sym["levels"][2:]  # levels 2..7, S_2 the lowest
+    del upper_sym["levels"][0]["res"]
+    chains = ((SymmetricChain, 7), (lambda: WreathChain(hgroup.builtin_table("Z2")), 5),
+              (lambda: IngestedChain(upper_sym), 7))
+    for make, max_n in chains:
+        runs = []
+        for top in range(max_n + 1):
+            counts.clear()
+            chain = make()
+            checks, skipped = tasyopari_suite(chain, top)
+            levels = chain.level_range(top)
+            assert skipped == [] and all(c.passed for c in checks), (chain.id, top)
+            assert len(checks) == sum(n - chain.min_n for n in levels), (chain.id, top)
+            runs.append(Counter(counts))
+        for n in chain.level_range(max_n):
+            level = runs[n] - runs[n - 1]
+            big_l = n - chain.min_n
+            assert level["matmul"] <= 1, (chain.id, n, level)
+            assert level["matvec"] == big_l * (big_l + 5) // 2, (chain.id, n, level)

@@ -28,6 +28,7 @@ from charcol.partitions import (
 from charcol.verify import oracle_column
 
 from dense import from_dense, to_dense
+from poly_matrix import brute_indl_resl
 from printed_data import PRINTED_DELTA_123, PRINTED_PLUS_COLUMNS, PRINTED_Y6
 
 SYM = get_chain("sym")
@@ -115,7 +116,7 @@ def test_falling_factorial_level_mismatch():
 def test_falling_factorial_matches_brute_on_basis_vectors():
     for n in (3, 5, 7):
         x = SYM.ind_res(n)
-        brutes = list(SYM.brute_indl_resl(n))
+        brutes = list(brute_indl_resl(SYM, n))
         for l in (1, 2, n):
             brute = brutes[l - 1]
             for i, lam in enumerate(SYM.basis(n)):

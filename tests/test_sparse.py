@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charcol.chain import normalized
-from charcol.sparse import SparseMatrix
+from charcol.sparse import PackedIdentity, SparseMatrix
+from poly_matrix import identity, scaled, shift_diagonal
 
 
 def dense_mul(a, b):
@@ -40,6 +42,33 @@ def test_matvec_matches_dense(a, vec):
     assert a.matvec(vec) == expect
 
 
+@given(matrix_strategy())
+def test_norm_is_the_largest_absolute_row_sum(a):
+    assert a.norm() == max(sum(map(abs, row)) for row in a.to_dense())
+
+
+@given(matrix_strategy(), matrix_strategy())
+def test_packed_rows_are_equal_exactly_when_the_matrices_are(a, b):
+    packed = PackedIdentity(4, 5)  # matrix_strategy's entries are within 5
+    rows = a.matvec(packed.rows)
+    assert [[packed.entry(row, i) for i in range(4)] for row in rows] == a.to_dense()
+    assert (rows == b.matvec(packed.rows)) == (a == b)
+
+
+def test_packed_identity_round_trips_entries_at_the_bound():
+    # every row of -bound, 0 and bound, so each slot borrows from the slots
+    # below it in every way a row can
+    bound = 7
+    patterns = [list(row) for row in itertools.product((-bound, 0, bound), repeat=4)]
+    matrix = SparseMatrix(len(patterns), 4, {(r, c): v for r, row in enumerate(patterns)
+                                             for c, v in enumerate(row)})
+    packed = PackedIdentity(4, bound)
+    rows = matrix.matvec(packed.rows)
+    assert [[packed.entry(row, i) for i in range(4)] for row in rows] == patterns
+    assert len(set(rows)) == len(patterns)
+    assert packed.width == 5 and packed.rows == [1, 1 << 5, 1 << 10, 1 << 15]
+
+
 def test_shape_checks():
     a = SparseMatrix(2, 3, {(0, 0): 1})
     b = SparseMatrix(2, 3, {(1, 2): 1})
@@ -50,10 +79,10 @@ def test_shape_checks():
 
 
 def test_identity_and_shift():
-    eye = SparseMatrix.identity(3)
+    eye = identity(3)
     assert eye.data == {(i, i): 1 for i in range(3)}
-    assert eye.shift_diagonal(2) == eye.scaled(3)
-    assert eye.shift_diagonal(-1) == SparseMatrix(3, 3)
+    assert shift_diagonal(eye, 2) == scaled(eye, 3)
+    assert shift_diagonal(eye, -1) == SparseMatrix(3, 3)
     assert SparseMatrix(3, 3, {(0, 1): 1}) != SparseMatrix(3, 3)
 
 

@@ -10,6 +10,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charcol import verify
 from charcol.chain import FallingFactorialPoly, SymmetricChain, WreathChain, get_chain
 from charcol.hgroup import builtin_table
 from charcol.partitions import (
@@ -20,7 +21,7 @@ from charcol.partitions import (
     mn_character,
     strip_fixed_points,
 )
-from charcol.sparse import SparseMatrix
+from charcol.sparse import PackedIdentity, SparseMatrix
 from charcol.verify import (
     SUITES,
     IngestedChain,
@@ -34,7 +35,7 @@ from charcol.verify import (
     roots_vs_characters,
     run_suite,
 )
-from poly_matrix import poly_matrix
+from poly_matrix import brute_indl_resl, identity, poly_matrix, scaled, shift_diagonal
 
 SYM = get_chain("sym")
 Z2C = get_chain("z2wreath")
@@ -174,11 +175,11 @@ def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
     x = SYM.ind_res(5)
     dim = len(SYM.basis(5))
     vec = list(range(1, dim + 1))
-    scalar = SparseMatrix.identity(3).scaled(7)
+    scalar = scaled(identity(3), 7)
     for l in range(5):
         poly = params.poly(l)
         assert poly.apply(x.matvec, vec) == poly_matrix(poly, x).matvec(vec), l
-        assert poly_matrix(poly, scalar) == SparseMatrix.identity(3).scaled(poly.value(7)), l
+        assert poly_matrix(poly, scalar) == scaled(identity(3), poly.value(7)), l
 
 
 def test_fit_constant_is_inconclusive():
@@ -729,13 +730,85 @@ def test_tasyopari_starts_over_when_the_roots_do_not_nest():
 
 
 def test_tasyopari_catches_a_wrong_leading_coefficient():
-    class DoubledPoly(SymmetricChain):
+    # the packed check multiplies the polynomial side by the leading
+    # coefficient's numerator and the brute side by its denominator
+    for factor in (2, Fraction(1, 2)):
+        class ScaledPoly(SymmetricChain):
+            def poly(self, l):
+                f_l = super().poly(l)
+                return FallingFactorialPoly(f_l.roots, factor * f_l.leading)
+
+        report = run_suite(ScaledPoly(), "tasyopari", 4)
+        assert [(c.passed, c.detail) for c in report.checks] == [(False, "matrix mismatch")] * 10, factor
+
+
+def test_packed_suites_bound_every_entry_they_compare(monkeypatch):
+    # a packed comparison is exact only if its bound covers every entry of
+    # both sides, here recomputed as matrix products; each suite packs one
+    # identity per level, in level order
+    bounds = []
+
+    class Recording(PackedIdentity):
+        def __init__(self, size, bound):
+            super().__init__(size, bound)
+            bounds.append(bound)
+
+    class HalvedPoly(SymmetricChain):
         def poly(self, l):
             f_l = super().poly(l)
-            return FallingFactorialPoly(f_l.roots, 2 * f_l.leading)
+            return FallingFactorialPoly(f_l.roots, Fraction(1, 2) * f_l.leading)
 
-    report = run_suite(DoubledPoly(), "tasyopari", 4)
-    assert [(c.passed, c.detail) for c in report.checks] == [(False, "matrix mismatch")] * 10
+    def largest(*matrices):
+        return max(abs(v) for m in matrices for v in m.data.values())
+
+    monkeypatch.setattr(verify, "PackedIdentity", Recording)
+    for chain, max_n in ((SymmetricChain(), 7), (WreathChain(builtin_table("Z2")), 4), (HalvedPoly(), 5)):
+        bounds.clear()
+        run_suite(chain, "tasyopari", max_n)
+        for n, bound in zip(chain.level_range(max_n), bounds, strict=True):
+            x = chain.ind_res(n)
+            for l, brute in enumerate(brute_indl_resl(chain, n), 1):
+                f_l = chain.poly(l)
+                product = poly_matrix(FallingFactorialPoly(f_l.roots, f_l.leading.numerator), x)
+                assert largest(scaled(brute, f_l.leading.denominator), product) <= bound, (n, l)
+        bounds.clear()
+        run_suite(chain, "heisenberg", max_n)
+        for j, bound in zip(chain.heisenberg_levels(max_n), bounds, strict=True):
+            up, m = chain.res_matrix(j + 1), chain.heisenberg_scaling
+            x = chain.ind_res(j) if j > chain.min_n else SparseMatrix(up.nrows, up.nrows)
+            res_ind = up @ up.transpose()
+            assert largest(res_ind, x, shift_diagonal(x, m), shift_diagonal(res_ind, -m)) <= bound, j
+
+
+def test_packed_checks_catch_a_wrong_heisenberg_scaling():
+    # with M = 2 the symmetric chain's f_l has roots 0, 2, 4, ...: only
+    # f_1 = X is still right, and no commutator equals 2 Id
+    chain = SymmetricChain()
+    chain.heisenberg_scaling = 2
+    tasyopari = run_suite(chain, "tasyopari", 8).checks
+    assert len(tasyopari) == 36
+    assert [c.name for c in tasyopari if c.passed] == [f"indres-power n={n} l=1" for n in range(1, 9)]
+    heisenberg = run_suite(chain, "heisenberg", 8).checks
+    assert [(c.passed, c.lhs) for c in heisenberg] == [(False, 1)] * 8
+
+
+def test_tasyopari_passes_where_matrix_products_were_too_slow():
+    for chain, max_n in ((SymmetricChain(), 12), (WreathChain(builtin_table("Z2"), "z2wreath"), 7)):
+        report = run_suite(chain, "tasyopari", max_n)
+        assert report.passed and len(report.checks) == max_n * (max_n + 1) // 2, chain.id
+
+
+def test_heisenberg_reads_an_empty_level_as_zero():
+    # a level with no irreps makes the commutator 0 x 0, and M reads 0 there
+    chain = ingest_chain({"levels": [
+        {"n": 0, "order": 1, "basisSize": 0},
+        {"n": 1, "order": 1, "basisSize": 0, "res": []},
+        {"n": 2, "order": 2, "basisSize": 1, "res": []},
+        {"n": 3, "order": 6, "basisSize": 1, "res": [[0, 0, 1]]},
+    ]})
+    checks = run_suite(chain, "heisenberg", 3).checks
+    assert [(c.name, c.passed, c.lhs) for c in checks] == [
+        ("heisenberg level=1", True, 0), ("heisenberg level=2", False, 1)]
 
 
 BAD_PADDING = """
