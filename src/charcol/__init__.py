@@ -12,6 +12,7 @@ from .engine import (
     FallingFactorialPoly,
     ReducedOperator,
     character_column,
+    character_columns,
     odd_column,
     reduced_operator,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "WreathChain",
     "builtin_table",
     "character_column",
+    "character_columns",
     "fit_chain_params",
     "get_chain",
     "ingest_chain",

@@ -57,6 +57,12 @@ class BranchingOperator:
         return tuple(map(tuple, parents))
 
     @cached_property
+    def x_norm_bound(self) -> int:
+        """A bound on ||X||_inf, X = Res^T Res: ||Ind||_inf ||Res||_inf, the most
+        children of a position times the most parents."""
+        return max(map(len, self.children), default=0) * max(map(len, self.parents), default=0)
+
+    @cached_property
     def matrix(self) -> SparseMatrix:
         edges = ((i, j, 1) for j, below in enumerate(self.children) for i in below)
         return SparseMatrix.from_triplets(len(self.codomain), len(self.domain), edges)

@@ -3,10 +3,14 @@
 A column for a class whose support lives at level k is obtained by lifting
 the level-k character data to level n and applying the chain's f_{n-k}, the
 falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
-commutator scaling (1 for symmetric groups, |H| for wreath products). The
-lifted input, a dict {label: coefficient}, is scattered into a dense vector
-through ``basis_index(n)``; each factor multiplies it by X = Ind Res along
-Res's edges, so a column builds no X.
+commutator scaling (1 for symmetric groups, |H| for wreath products).
+``character_columns`` runs one f_{n-k} pass per core level k for many classes:
+each irrep's lift enters with its characters packed into one int, a slot per
+class (``sparse.PackedIdentity``), times the lifts' common denominator D (wreath
+lifts carry 1/dim), so each multiplication by X = Ind Res along Res's edges
+serves every class, and no X is built. The slot width covers ||D input||_inf
+times prod (||X|| + |r|) over f's roots, with ||X|| <= ||Ind|| ||Res||: a bound
+on what the pass computes, right or wrong. ``character_column`` is one class.
 For odd permutations of the symmetric chain, the same polynomial in the
 reduced operator Y on one irrep of each conjugate pair gives the column's
 positive part, and sign pairing reconstructs the rest. ``reduced_operator(n)``
@@ -18,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm, prod
 
-from .chain import Chain, FallingFactorialPoly, get_chain, normalized, require_symmetric  # noqa: F401
+from . import lifting
+from .chain import Chain, FallingFactorialPoly, get_chain, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import InvariantError, lift_column_input
 from .partitions import Partition, conjugate, content_sum, is_odd_class
-from .sparse import SparseMatrix
+from .sparse import PackedIdentity, SparseMatrix
 
 
 @dataclass
@@ -50,21 +56,48 @@ def normalize_class(chain: Chain, cls, n: int):
 
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
                      table: GroupTable | None = None) -> CharacterColumn:
-    """delta at level n: f_{n-k}(X), with X v as Ind(Res v) along Res's edges,
-    applied to the lifted level-k input. Exact; the column's invariants are checked."""
-    core, k = normalize_class(chain, cls, n)
-    if table is None:
-        table = chain.small_table(k, max_order)
-    index = chain.basis_index(n)
-    dense = [0] * len(index)
-    for label, c in lift_column_input(chain, table, core, n).items():
-        dense[index[label]] = c
-    if n > k:  # level 0 has no Res
-        dense = chain.poly(n - k).apply(chain.res_operator(n).times_x, dense)
-    coeffs = normalized(dict(zip(chain.basis(n), dense)))
-    if any(type(v) is not int for v in coeffs.values()):
-        raise InvariantError(f"non-integral column for {cls} at level {n}")
-    return _checked_column(chain, n, core, k, coeffs)
+    """delta at level n: ``character_columns`` for the one class."""
+    return character_columns(chain, (cls,), n, max_order, table)[cls]
+
+
+def character_columns(chain: Chain, classes, n: int, max_order: int | None = None,
+                      table: GroupTable | None = None) -> dict:
+    """{class: its column at level n}, in the order given, from one f_{n-k} pass
+    per core level k: irrep i's lift, times D, carries P_i = sum_c chi_i(c) 2^(W c),
+    a W-bit slot per class. Exact; each column's invariants are checked. A
+    supplied ``table`` is the level-k table of the classes' one core level k."""
+    columns, cores = dict.fromkeys(classes), {}  # cores: level k -> core -> its classes
+    for cls in columns:
+        core, k = normalize_class(chain, cls, n)
+        cores.setdefault(k, {}).setdefault(core, []).append(cls)
+    if table is not None and len(cores) > 1:
+        raise ValueError(f"one table serves one core level, not levels {sorted(cores)}")
+    index, basis = chain.basis_index(n), chain.basis(n)
+    for k, level in cores.items():
+        at_k = table if table is not None else chain.small_table(k, max_order)
+        cols = [lifting.class_column(chain, at_k, core) for core in level]
+        lifts = [(chis, lifting.lift(chain, chain.parse_label(label), n))
+                 for label, _, values in at_k.irreps if any(chis := [values[c] for c in cols])]
+        scale = lcm(*(v.denominator for _, vec in lifts for v in vec.values()))
+        poly, res = chain.poly(n - k), chain.res_operator(n) if n > k else None  # no Res at 0
+        entries = sum(max(map(abs, chis)) * int(scale * max(map(abs, vec.values())))
+                      for chis, vec in lifts)  # bounds every entry of D times an input
+        growth = prod(res.x_norm_bound + abs(r) for r in poly.roots)  # bounds ||f(X)||_inf
+        packed = PackedIdentity(len(cols), entries * growth)
+        dense = [0] * len(basis)
+        for chis, vec in lifts:
+            slots = sum(chi * unit for chi, unit in zip(chis, packed.rows))
+            for label, v in vec.items():
+                dense[index[label]] += int(scale * v) * slots
+        if n > k:
+            dense = poly.apply(res.times_x, dense)
+        for slot, (core, given) in enumerate(level.items()):
+            values = packed.column(dense, slot)
+            if scale > 1 and any(v % scale for v in values):
+                raise InvariantError(f"non-integral column for {given[0]} at level {n}")
+            coeffs = {label: v // scale for label, v in zip(basis, values) if v}
+            columns.update(dict.fromkeys(given, _checked_column(chain, n, core, k, coeffs)))
+    return columns
 
 
 def _checked_column(chain: Chain, n: int, core, k: int, coeffs: dict,

@@ -621,7 +621,8 @@ def format_wreath_label(names: list[str] | tuple[str, ...], label: WreathLabel) 
     return ";".join(f"{names[idx]}:{format_partition(part)}" for idx, part in label)
 
 
-def parse_wreath_label(names: list[str] | tuple[str, ...], text: str) -> WreathLabel:
+@lru_cache(maxsize=None)
+def parse_wreath_label(names: tuple[str, ...], text: str) -> WreathLabel:
     s = text.strip()
     if s in ("e", "", "[]", "()"):
         return ()

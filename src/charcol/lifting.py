@@ -82,14 +82,7 @@ def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> dict:
     ``table`` is the character table at the class's own level k; its irrep
     labels must parse as level-k labels of the chain.
     """
-    class_text = chain.format_class(cls)
-    try:
-        col = table.class_index(class_text)
-    except KeyError:
-        available = [lab for lab, _ in table.classes]
-        raise ValueError(
-            f"class {class_text!r} not present in table {table.name}; classes: {available}"
-        )
+    col = class_column(chain, table, cls)
     coeffs: dict = {}
     for irrep_label, _, values in table.irreps:
         chi = values[col]
@@ -98,3 +91,15 @@ def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> dict:
         for w, v in lift(chain, chain.parse_label(irrep_label), n).items():
             coeffs[w] = coeffs.get(w, 0) + chi * v
     return normalized(coeffs)
+
+
+def class_column(chain: Chain, table: GroupTable, cls) -> int:
+    """The position of a class in ``table``; ValueError if the table lacks it."""
+    class_text = chain.format_class(cls)
+    try:
+        return table.class_index(class_text)
+    except KeyError:
+        available = [lab for lab, _ in table.classes]
+        raise ValueError(
+            f"class {class_text!r} not present in table {table.name}; classes: {available}"
+        )

@@ -180,6 +180,7 @@ def border_strip_column(mu: Partition, diagrams) -> dict:
     return {lam: value for lam in diagrams if (value := mn_character(lam, mu))}
 
 
+@lru_cache(maxsize=None)
 def parse_partition(text: str) -> Partition:
     """Parse the bracketed text form, e.g. "[3,2,1]"; "[]" and "e" mean empty."""
     s = text.strip()

@@ -136,7 +136,13 @@ class PackedIdentity:
         self.width = (2 * bound).bit_length() + 1
         self.rows = [1 << self.width * i for i in range(size)]
 
+    def column(self, rows: list[int], i: int) -> list[int]:
+        """The signed entry in slot i of each row; the lower slots sum to under
+        half of slot i's unit."""
+        low, half, unit = self.width * i, 1 << self.width - 1, 1 << self.width
+        lower_half = 1 << low >> 1
+        return [(((row + lower_half) >> low) + half) % unit - half for row in rows]
+
     def entry(self, row: int, i: int) -> int:
-        """The signed entry in slot i; the lower slots sum to under half of slot i's unit."""
-        low, half = self.width * i, 1 << self.width - 1
-        return (((row + (1 << low >> 1)) >> low) + half) % (1 << self.width) - half
+        """The signed entry in slot i of one row."""
+        return self.column([row], i)[0]

@@ -279,6 +279,8 @@ def _parse_level(pos: int, raw) -> tuple:
     """A level entry as (n, order, basisSize, Res triplets or None, classes or None)."""
     try:
         n, order, basis_size = (_typed(raw[key], int, key) for key in ("n", "order", "basisSize"))
+        if basis_size < 1:
+            raise ValueError("basisSize must be at least 1: every group has its trivial irrep")
         triplets = classes = None
         if raw.get("res") is not None:
             triplets = [tuple(_typed(x, int, "a Res entry") for x in (r, c, v))
@@ -493,14 +495,16 @@ def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
         x = chain.ind_res(j) if j > chain.min_n else SparseMatrix(up.nrows, up.nrows)
         packed = PackedIdentity(up.nrows, up.norm() * ind.norm() + 2 * x.norm())
         res_ind, ind_res = up.matvec(ind.matvec(packed.rows)), x.matvec(packed.rows)
-        diag = packed.entry(res_ind[0] - ind_res[0], 0) if res_ind else 0  # 0 at an empty level
+        diag = packed.entry(res_ind[0] - ind_res[0], 0)
         if scaling is None:
             scaling = diag
-        ok = diag == scaling and res_ind == [v + diag * e for v, e in zip(ind_res, packed.rows)]
+        scalar = res_ind == [v + diag * e for v, e in zip(ind_res, packed.rows)]
+        detail = f"Res Ind - Ind Res = {diag} * Id"
+        if diag != scaling:
+            detail += f", expected {scaling} * Id"
         checks.append(CheckResult(
-            f"heisenberg level={j}", ok,
-            detail=f"Res Ind - Ind Res = {diag} * Id" if ok else "commutator is not scalar",
-            lhs=diag, rhs=scaling,
+            f"heisenberg level={j}", scalar and diag == scaling,
+            detail=detail if scalar else "commutator is not scalar", lhs=diag, rhs=scaling,
         ))
     return checks, []
 
@@ -621,8 +625,9 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
 
 def oracle_suite(chain, max_n: int, max_order: int | None = None):
     """Engine columns against the chain's reference columns, one check per
-    class: the levels stop at the first one whose reference is above the order
-    bound, and that level is the one skipped entry."""
+    class and one ``character_columns`` call per level: the levels stop at the
+    first one whose reference is above the order bound, and that level is the
+    one skipped entry."""
     if chain.reference is None:
         return [], [{"suite": "oracle", "reason": "the chain has no reference columns"}]
     checks = []
@@ -631,8 +636,9 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None):
             reference = chain.reference_columns(n, max_order)
         except SizeBoundError as exc:
             return checks, [{"level": n, "reason": str(exc)}]
-        for cls in chain.classes_at(n, max_order):
-            ok = engine.character_column(chain, cls, n, max_order).coeffs == reference[cls]
+        classes = chain.classes_at(n, max_order)
+        for cls, column in engine.character_columns(chain, classes, n, max_order).items():
+            ok = column.coeffs == reference[cls]
             checks.append(CheckResult(
                 f"oracle-column n={n} class={chain.format_class(cls)}", ok,
                 detail=f"engine equals {chain.reference}" if ok else "mismatch",

@@ -7,12 +7,12 @@ from collections import Counter
 from math import factorial
 
 from charcol import hgroup
-from charcol.chain import SymmetricChain, WreathChain, get_chain
-from charcol.engine import character_column, odd_column, reduced_operator
+from charcol.chain import FallingFactorialPoly, SymmetricChain, WreathChain, get_chain
+from charcol.engine import character_column, normalize_class, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
-from charcol.partitions import enumerate_partitions
+from charcol.partitions import enumerate_partitions, parse_partition
 from charcol.sparse import SparseMatrix
-from charcol.verify import IngestedChain, export_chain, tasyopari_suite
+from charcol.verify import IngestedChain, export_chain, oracle_suite, tasyopari_suite
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
@@ -167,3 +167,45 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
             big_l = n - chain.min_n
             assert level["matmul"] <= 1, (chain.id, n, level)
             assert level["matvec"] == big_l * (big_l + 5) // 2, (chain.id, n, level)
+
+
+def test_oracle_suite_applies_f_once_per_level_and_core_level(monkeypatch):
+    # each level's columns come from one character_columns call, which packs
+    # the classes of one core level k < n into one f_{n-k} pass
+    applied = Counter()
+    apply = FallingFactorialPoly.apply
+
+    def counting(poly, times_x, vec):
+        applied[poly.factors] += 1
+        return apply(poly, times_x, vec)
+
+    monkeypatch.setattr(FallingFactorialPoly, "apply", counting)
+    for chain, max_n in ((SymmetricChain(), 8), (WreathChain(hgroup.builtin_table("Z2")), 5)):
+        applied.clear()
+        checks, skipped = oracle_suite(chain, max_n, max_order=factorial(max_n) * 2**max_n)
+        assert checks and all(c.passed for c in checks) and not skipped
+        expected = Counter()
+        for n in range(1, max_n + 1):
+            core_levels = {normalize_class(chain, cls, n)[1] for cls in chain.classes_at(n)}
+            expected.update(n - k for k in core_levels if k < n)
+        assert applied == expected, chain.id
+
+
+def test_table_columns_parse_each_label_once():
+    # odd_column lifts its input through lift_column_input, which reads the
+    # level-k table's labels for every column; the parsers are memoized
+    hgroup.parse_wreath_label.cache_clear()
+    parse_partition.cache_clear()
+    sym, n = SymmetricChain(), 8
+    for mu in enumerate_partitions(n):
+        if (n - len(mu)) % 2:
+            odd_column(mu, n, sym, max_order=factorial(n))
+        else:
+            character_column(sym, mu, n, max_order=factorial(n))
+    info = parse_partition.cache_info()
+    assert info.hits > 0 and info.misses <= sum(map(len, map(enumerate_partitions, range(n + 1))))
+    z2 = WreathChain(hgroup.builtin_table("Z2"))
+    for cls in z2.classes_at(4):
+        character_column(z2, cls, 5)
+    info = hgroup.parse_wreath_label.cache_info()
+    assert info.hits > 0 and info.misses <= sum(len(z2.basis(k)) for k in range(5))

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcol import partitions, verify
-from charcol.chain import get_chain
+from charcol.chain import WreathChain, get_chain
 from charcol.engine import (
     character_column,
+    character_columns,
     normalize_class,
     odd_column,
     reduced_operator,
 )
-from charcol.hgroup import SizeBoundError, builtin_table, wreath_char_table
-from charcol.lifting import lift_column_input
+from charcol.hgroup import GroupTable, SizeBoundError, builtin_table, wreath_char_table
+from charcol.lifting import lift, lift_column_input
 from charcol.partitions import (
     class_size,
     conjugate,
@@ -30,6 +31,7 @@ from charcol.verify import oracle_column
 from dense import from_dense, to_dense
 from poly_matrix import brute_indl_resl
 from printed_data import PRINTED_DELTA_123, PRINTED_PLUS_COLUMNS, PRINTED_Y6
+from test_chain import S3
 
 SYM = get_chain("sym")
 Z2C = get_chain("z2wreath")
@@ -430,6 +432,68 @@ def test_supplied_table_is_used():
 def test_class_too_large_rejected():
     with pytest.raises(ValueError):
         character_column(SYM, (7,), 6)
+
+
+# -- batched columns --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chain, top", [(SYM, 12), (Z2C, 6)], ids=["sym", "z2wreath"])
+def test_batched_columns_equal_single_and_reference_columns(chain, top):
+    # one call per level packs every class, of every core level, into slots.
+    # Z2 wr S_6's own classes need its brute-force table (over 10 s to build),
+    # so at level 6 the classes are level 5's with a fixed point added, and
+    # the single columns are the reference
+    max_order = factorial(top) * 2**top
+    for n in range(1, top + 1):
+        if n < 6 or chain is SYM:
+            classes = chain.classes_at(n, max_order)
+            reference = chain.reference_columns(n, max_order)
+        else:
+            classes, reference = [chain.embed_class(cls, n) for cls in chain.classes_at(n - 1)], {}
+        assert n == 1 or len({normalize_class(chain, cls, n)[1] for cls in classes}) > 1
+        columns = character_columns(chain, classes, n, max_order)
+        assert list(columns) == list(classes)
+        for cls in classes:
+            single = character_column(chain, cls, n, max_order)
+            assert columns[cls] == single and single.coeffs == reference.get(cls, single.coeffs)
+
+
+def test_batched_columns_divide_out_rational_lifts():
+    # S3's 2-dimensional irrep puts 1/2^pad into its lifts, so the packed input
+    # is scaled by their common denominator D > 1 and divided after decoding.
+    # S3 wr S_n has no brute-force table here: the level-1 table is S3's own,
+    # and the columns are checked by orthogonality with each other and with
+    # the dimensions (the identity's column), besides the engine's own checks
+    chain = WreathChain(S3)
+    one = [((i, (1,)),) for i in range(3)]
+    table = GroupTable("S3 wr S_1", 6, tuple((chain.format_class(c), size) for c, (_, size)
+                                             in zip(one, S3.classes)),
+                       tuple((chain.format_label(w), dim, values) for w, (_, dim, values)
+                             in zip(one, S3.irreps)))
+    trivial = GroupTable("S3 wr S_0", 1, ((chain.format_class(()), 1),),
+                         ((chain.format_label(()), 1, (1,)),))
+    std = chain.parse_label("std:[1]")
+    for n in range(1, 5):
+        assert n == 1 or any(type(v) is not int for v in lift(chain, std, n).values())
+        classes = [chain.embed_class(c, n) for c in one[1:]]  # t and c, core level 1
+        columns = character_columns(chain, classes, n, table=table)
+        dims = character_column(chain, chain.identity_class(n), n, table=trivial).coeffs
+        t, c = (columns[cls].coeffs for cls in classes)
+        for left, right in ((t, c), (t, dims), (c, dims)):
+            assert sum(v * right.get(label, 0) for label, v in left.items()) == 0, n
+        for cls in classes:
+            assert columns[cls] == character_column(chain, cls, n, table=table)
+
+
+def test_batched_columns_reject_what_single_columns_reject():
+    with pytest.raises(ValueError) as single:
+        character_column(SYM, (7,), 6)
+    with pytest.raises(ValueError) as batched:
+        character_columns(SYM, [(3,), (7,)], 6)
+    assert str(batched.value) == str(single.value)
+    # a supplied table is one core level's; classes of levels 2 and 3 need two
+    with pytest.raises(ValueError, match="one table serves one core level"):
+        character_columns(SYM, [(2,), (3,)], 6, table=SYM.small_table(3))
 
 
 def test_engine_modules_do_not_import_the_oracle():

@@ -298,9 +298,9 @@ def test_trivial_wreath_matches_oracle_entrywise():
     for k in range(1, 7):
         table = wreath_char_table(triv, k)
         for lab, _, values in table.irreps:
-            lam = parse_wreath_label(["1"], lab)[0][1]
+            lam = parse_wreath_label(("1",), lab)[0][1]
             for (clab, _), value in zip(table.classes, values):
-                mu = parse_wreath_label(["e"], clab)[0][1]
+                mu = parse_wreath_label(("e",), clab)[0][1]
                 assert value == mn_character(lam, mu)
 
 
@@ -330,7 +330,7 @@ def test_wreath_irrep_dim_formula():
     z2 = builtin_table("Z2")
     table = wreath_char_table(z2, 3)
     for lab, dim, _ in table.irreps:
-        label = parse_wreath_label(["1", "-1"], lab)
+        label = parse_wreath_label(("1", "-1"), lab)
         assert wreath_irrep_dim(z2, label) == dim
 
 
@@ -362,7 +362,7 @@ def test_wreath_level_one_labels():
 
 
 def test_wreath_label_text_round_trip():
-    names = ["1", "-1"]
+    names = ("1", "-1")  # a tuple: the parser is memoized on its arguments
     for label in enumerate_wreath_labels(2, 4):
         assert parse_wreath_label(names, format_wreath_label(names, label)) == label
     with pytest.raises(ValueError):

@@ -542,8 +542,8 @@ def _number_label_and_embedding(payload):
 
 # Each of these was once accepted or misreported: int() truncated a float or read
 # a string, from_triplets summed repeated (row, col) entries, dropping them when
-# they cancelled, str() made the class "2.0" of a float label, and a number
-# embedsTo failed as an unknown class.
+# they cancelled, a level with no irreps passed, str() made the class "2.0" of a
+# float label, and a number embedsTo failed as an unknown class.
 @pytest.mark.parametrize("spoil, level, detail", [
     (_set_res_value(1.7), 2, "a Res entry must be an integer, not 1.7"),
     (_set(3, "order", 6.9), 3, "order must be an integer, not 6.9"),
@@ -551,6 +551,7 @@ def _number_label_and_embedding(payload):
     (_set_res_value(-1), 2, "Res values must be positive"),
     (_append_res_entry([0, 1, 1]), 2, "Res lists a (row, col) pair twice"),
     (_set(1, "basisSize", "1"), 1, "basisSize must be an integer, not '1'"),
+    (_set(1, "basisSize", 0), 1, "basisSize must be at least 1: every group has its trivial irrep"),
     (_set(3, "order", True), 3, "order must be an integer, not True"),
     (lambda p: p["levels"][4]["classes"][0].update(size=1.0), 4,
      "size must be an integer, not 1.0"),
@@ -560,8 +561,9 @@ def _number_label_and_embedding(payload):
     (_set_class(2, "label", 2.0), 2, "label must be a string, not 2.0"),
     (_set_class(2, "embedsTo", 0), 2, "embedsTo must be a string, not 0"),
 ], ids=["float-res-value", "float-order", "cancelling-res-entry", "negative-res-value",
-        "repeated-res-entry", "string-basis-size", "bool-order", "float-class-size", "no-n",
-        "number-label-and-embedding", "int-label", "float-label", "zero-embedding"])
+        "repeated-res-entry", "string-basis-size", "empty-level", "bool-order",
+        "float-class-size", "no-n", "number-label-and-embedding", "int-label", "float-label",
+        "zero-embedding"])
 def test_ingest_rejects_what_it_once_truncated_or_merged(spoil, level, detail):
     payload = export_chain(SYM, 4)
     ingest_chain(payload)  # the export itself is accepted
@@ -790,25 +792,14 @@ def test_packed_checks_catch_a_wrong_heisenberg_scaling():
     assert [c.name for c in tasyopari if c.passed] == [f"indres-power n={n} l=1" for n in range(1, 9)]
     heisenberg = run_suite(chain, "heisenberg", 8).checks
     assert [(c.passed, c.lhs) for c in heisenberg] == [(False, 1)] * 8
+    # each commutator is scalar, just not 2 Id
+    assert {c.detail for c in heisenberg} == {"Res Ind - Ind Res = 1 * Id, expected 2 * Id"}
 
 
 def test_tasyopari_passes_where_matrix_products_were_too_slow():
     for chain, max_n in ((SymmetricChain(), 12), (WreathChain(builtin_table("Z2"), "z2wreath"), 7)):
         report = run_suite(chain, "tasyopari", max_n)
         assert report.passed and len(report.checks) == max_n * (max_n + 1) // 2, chain.id
-
-
-def test_heisenberg_reads_an_empty_level_as_zero():
-    # a level with no irreps makes the commutator 0 x 0, and M reads 0 there
-    chain = ingest_chain({"levels": [
-        {"n": 0, "order": 1, "basisSize": 0},
-        {"n": 1, "order": 1, "basisSize": 0, "res": []},
-        {"n": 2, "order": 2, "basisSize": 1, "res": []},
-        {"n": 3, "order": 6, "basisSize": 1, "res": [[0, 0, 1]]},
-    ]})
-    checks = run_suite(chain, "heisenberg", 3).checks
-    assert [(c.name, c.passed, c.lhs) for c in checks] == [
-        ("heisenberg level=1", True, 0), ("heisenberg level=2", False, 1)]
 
 
 BAD_PADDING = """
