@@ -67,19 +67,27 @@ class BranchingOperator:
         edges = ((i, j, 1) for j, below in enumerate(self.children) for i in below)
         return SparseMatrix.from_triplets(len(self.codomain), len(self.domain), edges)
 
-    def times_x(self, vec: list) -> list:
-        """X v = Ind(Res v): scatter each nonzero coefficient down the edges, then up."""
-        down = [0] * len(self.codomain)
+    def down(self, vec: list) -> list:
+        """Res v: scatter each nonzero level-n coefficient down its edges."""
+        out = [0] * len(self.codomain)
         for c, below in zip(vec, self.children):
             if c:
                 for i in below:
-                    down[i] += c
+                    out[i] += c
+        return out
+
+    def up(self, vec: list) -> list:
+        """Ind v = Res^T v: scatter each nonzero level-(n-1) coefficient up its edges."""
         out = [0] * len(self.domain)
-        for d, above in zip(down, self.parents):
+        for d, above in zip(vec, self.parents):
             if d:
                 for j in above:
                     out[j] += d
-        return [x if type(x) is int else _norm(x) for x in out]
+        return out
+
+    def times_x(self, vec: list) -> list:
+        """X v = Ind(Res v), with integral Fractions as ints."""
+        return [x if type(x) is int else _norm(x) for x in self.up(self.down(vec))]
 
 
 def normalized(vec: dict) -> dict:
@@ -122,7 +130,7 @@ class FallingFactorialPoly:
 class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
 
-    The suites need ``res_matrix`` and ``ind_res`` (built on it), the levels
+    The suites need ``res_operator`` and ``ind_res`` (built on it), the levels
     ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as
     ``poly(l)``, and
     the class data: ``group_order``, ``classes_at``, ``identity_class``,
@@ -177,13 +185,10 @@ class Chain:
             self._res_cache[n] = BranchingOperator(n, self.basis(n), self.basis(n - 1), children)
         return self._res_cache[n]
 
-    def res_matrix(self, n: int) -> SparseMatrix:
-        return self.res_operator(n).matrix
-
     def ind_res(self, n: int) -> SparseMatrix:
         """X = Ind Res at level n, i.e. Res^T Res; the McKay adjacency of Ind(t)."""
         if n not in self._x_cache:
-            res = self.res_matrix(n)
+            res = self.res_operator(n).matrix
             self._x_cache[n] = res.transpose() @ res
         return self._x_cache[n]
 

@@ -65,7 +65,10 @@ def check_order(order: int, max_order: int | None, what: str) -> None:
     """SizeBoundError if a group of this order is above the bound: max_order,
     else CHARCOL_MAX_ORDER, else 10000."""
     env = os.environ.get(MAX_ORDER_ENV)
-    bound = int(max_order) if max_order is not None else int(env) if env else DEFAULT_MAX_ORDER
+    try:
+        bound = int(max_order) if max_order is not None else int(env) if env else DEFAULT_MAX_ORDER
+    except ValueError:
+        raise ValueError(f"{MAX_ORDER_ENV} must be an integer, not {env!r}") from None
     if order > bound:
         raise SizeBoundError(order, bound, what)
 

@@ -5,8 +5,8 @@ rational arithmetic; floats never appear. Storage is a dict keyed by
 (row, col) holding nonzero entries only. Bases reach thousands of labels
 (S_28 has 3,718, Z2 wr S_20 has 24,842), but Res has at most one entry per
 removable box of a label, so Res and X stay sparse. The suites check
-operator identities on a ``PackedIdentity``, one int per row, so a
-``matvec`` applies a matrix to every column at once.
+operator identities on a ``PackedIdentity``, one int per row, so X's
+``matvec`` (or Res's edges) acts on every column at once.
 """
 
 from __future__ import annotations
@@ -88,13 +88,6 @@ class SparseMatrix:
             if x:
                 out[r] = out[r] + v * x
         return [x if type(x) is int else _norm(x) for x in out]
-
-    def norm(self) -> Scalar:
-        """The infinity norm: the largest absolute row sum."""
-        sums: dict[int, Scalar] = {}
-        for (r, _), v in self.data.items():
-            sums[r] = sums.get(r, 0) + abs(v)
-        return max(sums.values(), default=0)
 
     def to_dense(self) -> list[list[Scalar]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]

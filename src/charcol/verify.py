@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import prod
 
 from . import engine, lifting
-from .chain import Chain, FallingFactorialPoly
+from .chain import BranchingOperator, Chain, FallingFactorialPoly
 from .hgroup import SizeBoundError, _typed
 from .partitions import Partition, border_strip_column, enumerate_partitions, pad_with_fixed_points
-from .sparse import PackedIdentity, SparseMatrix
+from .sparse import PackedIdentity
 
 # ---------------------------------------------------------------------------
 # Border-strip oracle
@@ -233,12 +233,8 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
     candidates = {}
     for m in (l, l + 1):
         try:
-            labels = chain.classes_at(m, max_order)
-            values = set()
-            for h in labels:
-                if h == chain.identity_class(m):
-                    continue
-                values.add(chain.ind_t_character(h, m))
+            values = {chain.ind_t_character(h, m) for h in chain.classes_at(m, max_order)
+                      if h != chain.identity_class(m)}
         except (SizeBoundError, IngestError) as exc:
             candidates[m] = {"error": str(exc)}
             continue
@@ -268,10 +264,9 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class IngestedLevel:
-    n: int
     order: int
     basis_size: int
-    res: SparseMatrix | None
+    res: BranchingOperator | None  # positions as labels
     classes: dict[str, tuple[int, str | None]] | None  # label -> (size, embedsTo), as listed
 
 
@@ -310,15 +305,17 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
     rows = below.basis_size if below else 0
     res = None
     if triplets is not None:
-        try:
-            res = SparseMatrix.from_triplets(rows, basis_size, triplets)
-        except IndexError as exc:
-            raise IngestError(f"Res at level {n} has entries outside its "
-                              f"{rows}x{basis_size} shape") from exc
+        children = [[] for _ in range(basis_size)]
+        for r, c, v in triplets:  # an edge of multiplicity v, listed v times
+            if not (0 <= r < rows and 0 <= c < basis_size):
+                raise IngestError(f"Res at level {n} has entries outside its {rows}x{basis_size} shape")
+            children[c] += [r] * v
+        res = BranchingOperator(n, tuple(range(basis_size)), tuple(range(rows)),
+                                tuple(map(tuple, children)))
     if below is not None:
         if res is None:
             raise IngestError(f"level {n} is missing its Res matrix")
-        rank = res.row_rank()
+        rank = res.matrix.row_rank()
         if rank != rows:
             raise IngestError(f"not a surjective chain: Res at level {n} "
                               f"has row rank {rank} < {rows}")
@@ -332,14 +329,14 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
             if embeds is not None and embeds not in classes:
                 raise IngestError(
                     f"level {n - 1}: class {lab!r} embeds to unknown class {embeds!r}")
-    return IngestedLevel(n, order, basis_size, res, classes)
+    return IngestedLevel(order, basis_size, res, classes)
 
 
 class IngestedChain(Chain):
     """A user-supplied surjective chain from the parsed ingestion JSON: per-level
-    Res matrices, orders, and optional class data with explicit upward
-    embeddings. Each level is parsed, the levels must be consecutive, and one
-    upward pass checks each level against the one below it (IngestError).
+    Res (as edges between positions), orders, and optional class data with
+    explicit upward embeddings. Each level is parsed, the levels must be
+    consecutive, and one upward pass checks each against the one below (IngestError).
 
     Convention: the first class at each level is the identity class. Class
     sizes come from the class data: upward along ``embedsTo``, downward as the
@@ -384,7 +381,7 @@ class IngestedChain(Chain):
     def group_order(self, n: int) -> int:
         return self._level(n).order
 
-    def res_matrix(self, n: int) -> SparseMatrix:
+    def res_operator(self, n: int) -> BranchingOperator:
         res = self._level(n).res
         if res is None:
             raise IngestError(f"level {n} has no Res matrix")
@@ -449,6 +446,8 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
     (row, col, multiplicity) counts of its branching edges, sorted by (row, col),
     and class rows with the identity class first; levels above the order bound
     get no class rows."""
+    if max_n < 0:
+        raise ValueError(f"maxN must be non-negative, not {max_n}")
     levels = []
     for n in range(max_n + 1):
         entry: dict = {"n": n, "order": chain.group_order(n), "basisSize": len(chain.basis(n))}
@@ -481,8 +480,8 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
 def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
     """Res Ind - Ind Res = M Id on R(G_n), with M = |H| for built-in chains
     and a consistent inferred constant for ingested ones, checked on a packed
-    identity with M read as the difference's entry (0, 0); every entry
-    compared is within ||Res|| ||Ind|| + 2 ||X||.
+    identity with M read as the difference's entry (0, 0); Res Ind runs along
+    Res's edges, and every entry compared is within ``x_norm_bound`` + 2 ||X||.
 
     Level 0 of a built-in chain uses the empty lower ring, so the commutator
     there is Res Ind alone. Ingested chains are only checked at levels where
@@ -490,11 +489,11 @@ def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
     """
     checks, scaling = [], chain.heisenberg_scaling  # None: M is the first level's, then held
     for j in chain.heisenberg_levels(max_n):
-        up = chain.res_matrix(j + 1)
-        ind = up.transpose()
-        x = chain.ind_res(j) if j > chain.min_n else SparseMatrix(up.nrows, up.nrows)
-        packed = PackedIdentity(up.nrows, up.norm() * ind.norm() + 2 * x.norm())
-        res_ind, ind_res = up.matvec(ind.matvec(packed.rows)), x.matvec(packed.rows)
+        up, lowest = chain.res_operator(j + 1), j == chain.min_n  # lowest: Ind Res is 0
+        x_norm = 0 if lowest else chain.res_operator(j).x_norm_bound
+        packed = PackedIdentity(len(up.codomain), up.x_norm_bound + 2 * x_norm)
+        res_ind = up.down(up.up(packed.rows))
+        ind_res = [0] * len(packed.rows) if lowest else chain.ind_res(j).matvec(packed.rows)
         diag = packed.entry(res_ind[0] - ind_res[0], 0)
         if scaling is None:
             scaling = diag
@@ -529,32 +528,28 @@ def _failed_fit(chain) -> CheckResult | None:
 def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
     """Brute Ind^l Res^l against f_l(Ind Res) = num/den (X - r_l)...(X - r_1) on
     a packed identity, den times the one against num times the other. For each
-    l the brute side restricts once more and induces back up; the polynomial
-    side applies X - r for f_l's new roots, starting over if they do not extend
-    f_{l-1}'s. Entries are within prod ||Ind_j|| ||Res_j|| and prod (||X|| + |r|)."""
+    l the brute side restricts once more and induces back up along Res's edges;
+    the polynomial side applies X - r for f_l's new roots, starting over if they
+    do not extend f_{l-1}'s. Entries are within prod ``x_norm_bound`` and prod (||X|| + |r|)."""
     levels = chain.level_range(max_n)
     if levels and (failed := _failed_fit(chain)) is not None:
         return [failed], []
-    checks, ind, step = [], {}, {}  # per level j: Ind_j = Res_j^T and ||Ind_j|| ||Res_j||
-    for n in levels:  # level_range starts just above min_n, so only level n is new
-        ind[n] = chain.res_matrix(n).transpose()
-        step[n] = chain.res_matrix(n).norm() * ind[n].norm()
+    checks, res = [], chain.res_operator
+    for n in levels:
         x, polys = chain.ind_res(n), [chain.poly(l) for l in range(1, n - chain.min_n + 1)]
-        x_norm = x.norm()
         packed = PackedIdentity(x.nrows, max(max(
-            f_l.leading.denominator * prod(step[j] for j in range(n - l + 1, n + 1)),
-            abs(f_l.leading.numerator) * prod(x_norm + abs(r) for r in f_l.roots),
+            f_l.leading.denominator * prod(res(j).x_norm_bound for j in range(n - l + 1, n + 1)),
+            abs(f_l.leading.numerator) * prod(res(n).x_norm_bound + abs(r) for r in f_l.roots),
         ) for l, f_l in enumerate(polys, 1)))
         down, product, roots = packed.rows, packed.rows, ()  # product: prod (X - r) over roots
         for l, f_l in enumerate(polys, 1):
-            down = chain.res_matrix(n - l + 1).matvec(down)
+            down = res(n - l + 1).down(down)
             brute = down
             for j in range(n - l + 1, n + 1):
-                brute = ind[j].matvec(brute)
+                brute = res(j).up(brute)
             if f_l.roots[: len(roots)] != roots:
                 roots, product = (), packed.rows
-            for root in f_l.roots[len(roots):]:
-                product = [a - root * b for a, b in zip(x.matvec(product), product)]
+            product = FallingFactorialPoly(f_l.roots[len(roots):]).apply(x.matvec, product)
             roots = f_l.roots
             num, den = f_l.leading.numerator, f_l.leading.denominator
             ok = [v * den for v in brute] == [v * num for v in product]
@@ -674,12 +669,16 @@ SUITES = ("heisenberg", "tasyopari", "jeongha", "oracle", "lifts", "all")
 def run_suite(chain, suite: str, max_n: int, max_order: int | None = None) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if max_n < 0:
+        raise ValueError(f"maxN must be non-negative, not {max_n}")
     report = SuiteReport(suite, chain.id, max_n)
     # looked up on each call, so a suite replaced on the module is the one that runs
     suites = (heisenberg_suite, tasyopari_suite, jeongha_suite, oracle_suite, lifting_suite)
     for name, run in zip(SUITES, suites):
         if suite in (name, "all"):
             checks, skipped = run(chain, max_n, max_order)
+            if not checks and not skipped:  # an empty report must not read as a pass
+                skipped = [{"suite": name, "reason": f"no level to check up to maxN {max_n}"}]
             report.checks += checks
             report.skipped += skipped
     return report

@@ -37,6 +37,6 @@ def brute_indl_resl(chain, n: int):
     if n <= chain.min_n:
         raise ValueError(f"level {n} has no level below it in chain {chain.id}")
     steps = range(n - 1, chain.min_n, -1)
-    downs = accumulate(steps, lambda down, j: chain.res_matrix(j) @ down,
-                       initial=chain.res_matrix(n))
+    downs = accumulate(steps, lambda down, j: chain.res_operator(j).matrix @ down,
+                       initial=chain.res_operator(n).matrix)
     return (down.transpose() @ down for down in downs)

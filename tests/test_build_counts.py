@@ -7,7 +7,8 @@ from collections import Counter
 from math import factorial
 
 from charcol import hgroup
-from charcol.chain import FallingFactorialPoly, SymmetricChain, WreathChain, get_chain
+from charcol.chain import (BranchingOperator, FallingFactorialPoly, SymmetricChain, WreathChain,
+                           get_chain)
 from charcol.engine import character_column, normalize_class, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions, parse_partition
@@ -129,13 +130,15 @@ def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):
 
 def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
     # both sides act on a packed identity: the brute side restricts once more
-    # for each l and induces back up l times, and the polynomial side applies
-    # X once per new root, so with nested roots a level costs L(L+5)/2 matvecs,
-    # L = n - min_n; its one product is X = Res^T Res, memoized per level. A
-    # run to max_n repeats a run to max_n - 1 and adds level max_n, so two
-    # runs on fresh chains differ by exactly that level
+    # for each l and induces back up l times along Res's edges (L downs and
+    # L(L+1)/2 ups), and the polynomial side applies X's matvec once per new
+    # root (L), so with nested roots a level costs L(L+5)/2 operator
+    # applications, L = n - min_n; its one product is X = Res^T Res, memoized
+    # per level. A run to max_n repeats a run to max_n - 1 and adds level
+    # max_n, so two runs on fresh chains differ by exactly that level
     counts = Counter()
     matmul, matvec = SparseMatrix.__matmul__, SparseMatrix.matvec
+    down, up = BranchingOperator.down, BranchingOperator.up
 
     def counting_matmul(a, b):
         counts["matmul"] += 1
@@ -145,8 +148,18 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
         counts["matvec"] += 1
         return matvec(a, vec)
 
+    def counting_down(op, vec):
+        counts["down"] += 1
+        return down(op, vec)
+
+    def counting_up(op, vec):
+        counts["up"] += 1
+        return up(op, vec)
+
     monkeypatch.setattr(SparseMatrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(SparseMatrix, "matvec", counting_matvec)
+    monkeypatch.setattr(BranchingOperator, "down", counting_down)
+    monkeypatch.setattr(BranchingOperator, "up", counting_up)
     upper_sym = export_chain(SymmetricChain(), 7)
     upper_sym["levels"] = upper_sym["levels"][2:]  # levels 2..7, S_2 the lowest
     del upper_sym["levels"][0]["res"]
@@ -166,7 +179,9 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
             level = runs[n] - runs[n - 1]
             big_l = n - chain.min_n
             assert level["matmul"] <= 1, (chain.id, n, level)
-            assert level["matvec"] == big_l * (big_l + 5) // 2, (chain.id, n, level)
+            assert level["down"] + level["up"] + level["matvec"] == big_l * (big_l + 5) // 2, (
+                chain.id, n, level)
+            assert (level["down"], level["matvec"]) == (big_l, big_l), (chain.id, n, level)
 
 
 def test_oracle_suite_applies_f_once_per_level_and_core_level(monkeypatch):

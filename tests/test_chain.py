@@ -104,7 +104,7 @@ def test_s3_wreath_res_has_multiplicity_two_edges():
     s3c = WreathChain(S3)
     for n in range(1, 6):
         op = s3c.res_operator(n)
-        assert max(s3c.res_matrix(n).data.values()) == 2, n
+        assert max(s3c.res_operator(n).matrix.data.values()) == 2, n
         rows = s3c.basis_index(n - 1)
         counted = {}
         for j, parent in enumerate(op.domain):
@@ -129,6 +129,26 @@ def test_s3_wreath_suites_pass(suite, checks):
     assert all(check.passed for check in report.checks), report.checks
 
 
+def dense_norm(matrix):
+    return max((sum(map(abs, row)) for row in matrix.to_dense()), default=0)
+
+
+@pytest.mark.parametrize("make, top", [(fresh_sym, 7), (fresh_z2, 4), (lambda: WreathChain(S3), 3)],
+                         ids=["sym", "z2wreath", "s3wreath"])
+def test_down_and_up_are_res_and_ind_along_the_edges(make, top):
+    # down scatters along the edges as Res's matrix does, up as its transpose,
+    # and times_x is up after down; ||Ind|| ||Res|| is the bound on ||X||
+    chain = make()
+    for n in range(1, top + 1):
+        op, res = chain.res_operator(n), chain.res_operator(n).matrix
+        ind = res.transpose()
+        vec = [(3 * j) % 7 - 3 for j in range(len(op.domain))]
+        below = [(5 * i) % 9 - 4 for i in range(len(op.codomain))]
+        assert op.down(vec) == res.matvec(vec) and op.up(below) == ind.matvec(below), n
+        assert op.times_x(vec) == op.up(op.down(vec)) == chain.ind_res(n).matvec(vec), n
+        assert op.x_norm_bound == dense_norm(ind) * dense_norm(res) >= dense_norm(chain.ind_res(n)), n
+
+
 def test_ind_res_level_two():
     sym = fresh_sym()
     assert sym.ind_res(2).to_dense() == [[1, 1], [1, 1]]
@@ -138,7 +158,7 @@ def test_ind_res_t_is_t_plus_v():
     sym = fresh_sym()
     for n in (3, 5, 7):
         down = sym.apply_res({(n,): 1})
-        out = from_dense(sym, n, sym.res_matrix(n).transpose().matvec(to_dense(sym, n - 1, down)))
+        out = from_dense(sym, n, sym.res_operator(n).matrix.transpose().matvec(to_dense(sym, n - 1, down)))
         assert out == {(n,): 1, (n - 1, 1): 1}
 
 
@@ -265,7 +285,7 @@ RES_CASES = {"sym": 12, "z2wreath": 7, "trivial": 6}
 
 
 def res_by_matrix(chain, n, vec):
-    return from_dense(chain, n - 1, chain.res_matrix(n).matvec(to_dense(chain, n, vec)))
+    return from_dense(chain, n - 1, chain.res_operator(n).matrix.matvec(to_dense(chain, n, vec)))
 
 
 def typed(vec):

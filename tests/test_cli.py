@@ -305,6 +305,24 @@ def test_verify_lists_a_suite_an_ingested_chain_cannot_run_as_skipped(capsys, tm
     assert entry["suite"] == suite and entry["reason"]
 
 
+@pytest.mark.parametrize("export", [False, True], ids=["report", "export"])
+def test_verify_rejects_a_negative_max_n(capsys, tmp_path, export):
+    # no level to check is not a pass: a negative maxN is a usage error, and
+    # --export writes no file
+    target = tmp_path / "chain.json"
+    argv = ["verify", "--chain", "sym", "--maxN", "-2"] + (["--export", str(target)] if export else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and not target.exists()
+    assert err == "error: maxN must be non-negative, not -2\n"
+
+
+def test_a_non_integer_max_order_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("CHARCOL_MAX_ORDER", "abc")
+    code, out, err = run(capsys, "table", "--chain", "sym", "--k", "3")
+    assert code == 2 and out == ""
+    assert err == "error: CHARCOL_MAX_ORDER must be an integer, not 'abc'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--chain", "sym", "--suite", "heisenberg", "--maxN", "3", "--export"],
     ["table", "--chain", "sym", "--k", "3", "--out"],

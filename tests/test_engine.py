@@ -361,7 +361,7 @@ def test_wreath_columns_are_ind_res_eigenvectors():
 
 def test_apply_ind_of_trivial():
     for n in (2, 4):
-        ind = SYM.res_matrix(n + 1).transpose().matvec(to_dense(SYM, n, {(n,): 1}))
+        ind = SYM.res_operator(n + 1).matrix.transpose().matvec(to_dense(SYM, n, {(n,): 1}))
         assert from_dense(SYM, n + 1, ind) == {(n + 1,): 1, (n, 1): 1}
 
 

@@ -42,11 +42,6 @@ def test_matvec_matches_dense(a, vec):
     assert a.matvec(vec) == expect
 
 
-@given(matrix_strategy())
-def test_norm_is_the_largest_absolute_row_sum(a):
-    assert a.norm() == max(sum(map(abs, row)) for row in a.to_dense())
-
-
 @given(matrix_strategy(), matrix_strategy())
 def test_packed_rows_are_equal_exactly_when_the_matrices_are(a, b):
     packed = PackedIdentity(4, 5)  # matrix_strategy's entries are within 5

@@ -639,7 +639,7 @@ def test_ingested_chain_reports_what_it_lacks():
     payload["levels"][1]["classes"][0]["embedsTo"] = None
     chain = ingest_chain(payload)
     with pytest.raises(IngestError, match="level 0 has no Res matrix"):
-        chain.res_matrix(0)
+        chain.res_operator(0)
     with pytest.raises(IngestError, match="level 4 is not part of the ingested chain"):
         chain.group_order(4)
     with pytest.raises(IngestError, match="class '\\[1\\]' at level 1 has no embedding to level 2"):
@@ -776,7 +776,7 @@ def test_packed_suites_bound_every_entry_they_compare(monkeypatch):
         bounds.clear()
         run_suite(chain, "heisenberg", max_n)
         for j, bound in zip(chain.heisenberg_levels(max_n), bounds, strict=True):
-            up, m = chain.res_matrix(j + 1), chain.heisenberg_scaling
+            up, m = chain.res_operator(j + 1).matrix, chain.heisenberg_scaling
             x = chain.ind_res(j) if j > chain.min_n else SparseMatrix(up.nrows, up.nrows)
             res_ind = up @ up.transpose()
             assert largest(res_ind, x, shift_diagonal(x, m), shift_diagonal(res_ind, -m)) <= bound, j
@@ -911,11 +911,37 @@ def test_suite_reports_are_unchanged(chain_name):
 
 @pytest.mark.parametrize("make", [
     lambda: SYM, lambda: Z2C, lambda: WreathChain(builtin_table("trivial")),
-    lambda: ingest_chain(export_chain(SYM, 7)),
-], ids=["sym", "z2wreath", "trivial", "ingested-sym-7"])
+    lambda: ingest_chain(export_chain(SYM, 7)), lambda: ingest_chain(export_chain(SYM, 1)),
+], ids=["sym", "z2wreath", "trivial", "ingested-sym-7", "ingested-sym-1"])
 @pytest.mark.parametrize("suite", SUITES[:-1])
 def test_no_suite_reports_nothing(make, suite):
-    # a suite that cannot run on a chain says so under skipped, so an empty
-    # report never reads as a pass
-    report = run_suite(make(), suite, 5)
-    assert report.checks or report.skipped
+    # a suite that cannot run on a chain, or has no level to check up to maxN
+    # (maxN 0, or a two-level chain's commutator), says so under skipped, so
+    # an empty report never reads as a pass
+    for max_n in (5, 0):
+        report = run_suite(make(), suite, max_n)
+        assert report.checks or report.skipped, max_n
+        assert all(set(entry) == {"suite", "reason"} or set(entry) == {"level", "reason"}
+                   for entry in report.skipped), report.skipped
+
+
+def test_a_suite_with_no_level_to_check_is_skipped():
+    report = run_suite(ingest_chain(export_chain(SYM, 1)), "heisenberg", 5)
+    assert report.checks == [] and report.passed
+    assert report.skipped == [{"suite": "heisenberg", "reason": "no level to check up to maxN 5"}]
+    report = run_suite(SymmetricChain(), "all", 0)
+    assert [entry["suite"] for entry in report.skipped] == ["heisenberg", "tasyopari", "oracle"]
+    assert report.checks and report.passed
+
+
+@pytest.mark.parametrize("spec, top", [("sym", 7), ("z2wreath", 5)])
+def test_ingestion_rebuilds_the_branching_edges(spec, top):
+    # an edge (r, c) of multiplicity v puts r into children[c] v times; export
+    # sorts each column's rows, so each position's children agree as multisets
+    chain = get_chain(spec)
+    ingested = IngestedChain(export_chain(chain, top))
+    for n in range(1, top + 1):
+        op, again = chain.res_operator(n), ingested.res_operator(n)
+        assert (len(again.domain), len(again.codomain)) == (len(op.domain), len(op.codomain))
+        assert [sorted(c) for c in again.children] == [sorted(c) for c in op.children], n
+        assert again.x_norm_bound == op.x_norm_bound and again.matrix == op.matrix, n
