@@ -8,7 +8,8 @@ so X at level n is Res^T Res, a symmetric sparse integer matrix. Every chain
 hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it,
 at a number or on a dense vector. A sparse vector over a level's irreps, such
 as a lift or a restriction, is a plain dict {label: coefficient} of ints and
-Fractions; ``normalized`` drops its zeros and turns integral Fractions into ints.
+Fractions (wreath lifts carry 1/dim); ``normalized`` drops its zeros and turns
+integral Fractions into ints. Res, Ind and X are integer maps on int vectors.
 
 Memoized per process, because they depend only on the level: the bases
 (``partitions.enumerate_partitions``, ``hgroup.enumerate_wreath_labels``) and
@@ -35,7 +36,7 @@ from math import factorial, inf
 from . import hgroup, partitions
 from .hgroup import GroupTable, WreathLabel
 from .partitions import Partition
-from .sparse import SparseMatrix, _norm
+from .sparse import SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,14 @@ class BranchingOperator:
         return out
 
     def times_x(self, vec: list) -> list:
-        """X v = Ind(Res v), with integral Fractions as ints."""
-        return [x if type(x) is int else _norm(x) for x in self.up(self.down(vec))]
+        """X v = Ind(Res v)."""
+        return self.up(self.down(vec))
 
 
 def normalized(vec: dict) -> dict:
     """A vector {label: coefficient} without its zeros, integral Fractions as ints."""
-    return {label: _norm(c) for label, c in vec.items() if c}
+    return {label: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for label, c in vec.items() if c}
 
 
 @dataclass(frozen=True)
@@ -132,16 +134,17 @@ class Chain:
 
     The suites need ``res_operator`` and ``ind_res`` (built on it), the levels
     ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as
-    ``poly(l)``, and
-    the class data: ``group_order``, ``classes_at``, ``identity_class``,
-    ``format_class`` and ``class_size_from(h, m, j)`` for j above or below m,
-    on which ``ind_t_character`` is built. The engine applies ``poly(l)`` and
-    reads ``class_size_from`` for the column norm; lifting needs
-    ``label_level`` and ``pad_first_row``, and checks at run time that its
-    recursion never revisits a label whose lift is still waiting. A chain may
-    declare two capabilities, or a suite needing one is skipped: ``reference``
-    (``reference_columns``) for the oracle, ``has_irrep_labels`` for lifts
-    and exports.
+    ``poly(l)``, and the class data: ``group_order``, ``classes_at``,
+    ``identity_class``, ``format_class`` and ``class_size_from(h, m, j)`` for
+    j above or below m, on which ``ind_t_character`` is built. ``fit_class``
+    alone decides whether a class fits a level; ``class_size_from`` is built
+    on it and the chain's ``class_size``. The engine calls ``fit_class``,
+    applies ``poly(l)`` and reads ``class_size_from`` for the column norm;
+    lifting needs ``label_level`` and ``pad_first_row``, and checks at run
+    time that its recursion never revisits a label whose lift is still
+    waiting. A chain may declare two capabilities, or a suite needing one is
+    skipped: ``reference`` (``reference_columns``) for the oracle,
+    ``has_irrep_labels`` for lifts and exports.
     """
 
     id: str
@@ -260,7 +263,7 @@ class Chain:
         raise NotImplementedError
 
     def embed_class(self, cls, n: int):
-        """The class of the same element at a higher level (add fixed points)."""
+        """The class of the same element at level n: its ``fit_class`` core with fixed points."""
         raise NotImplementedError
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple:
@@ -280,11 +283,24 @@ class Chain:
         """The trivial irrep's label at level n."""
         raise NotImplementedError
 
+    def class_size(self, cls) -> int:
+        """The size of a class at its own level."""
+        raise NotImplementedError
+
+    def fit_class(self, cls, n: int):
+        """(core class, core level k) of a class given at level n, k = 0 for the
+        identity. A class has the shape of a label, so ``label_level`` is its
+        level with its fixed points; ValueError if that is above n."""
+        if self.label_level(cls) > n:
+            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {n}")
+        return self.strip_class(cls)
+
     def class_size_from(self, cls, m: int, j: int) -> int:
         """|[h] meet G_j| for a class h given at level m: for j >= m the size of
         h's class embedded at level j; for j < m the total size of the level-j
-        classes inside [h], 0 when there are none. ValueError if h is not at level m."""
-        raise NotImplementedError
+        classes inside [h], 0 when there are none; ValueError unless h fits at m."""
+        core, k = self.fit_class(cls, m)  # [h] meets G_j in one class, if k <= j
+        return self.class_size(self.embed_class(core, j)) if k <= j else 0
 
     def ind_t_character(self, cls, m: int) -> Fraction:
         """chi_{Ind(t)} at level m for a class of G_m, via the class-ratio formula
@@ -336,13 +352,10 @@ class SymmetricChain(Chain):
         return core, sum(core)
 
     def embed_class(self, cls: Partition, n: int) -> Partition:
-        return partitions.pad_with_fixed_points(cls, n)
+        core, k = self.fit_class(cls, n)
+        return core + (1,) * (n - k)
 
-    def class_size_from(self, cls: Partition, m: int, j: int) -> int:
-        core, k = self.strip_class(cls)  # [h] meets S_j in one class, if k <= j
-        if k > m:
-            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {m}")
-        return partitions.class_size(self.embed_class(core, j)) if k <= j else 0
+    class_size = staticmethod(partitions.class_size)
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
@@ -423,24 +436,15 @@ class WreathChain(Chain):
         return core_label, sum(sum(p) for _, p in core_label)
 
     def embed_class(self, cls: WreathLabel, n: int) -> WreathLabel:
-        k = sum(sum(p) for _, p in cls)
-        extra = n - k
-        if extra < 0:
-            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {n}")
-        if extra == 0:
-            return cls
-        out = dict(cls)
-        ones = out.get(0, ())
-        out[0] = tuple(sorted(ones + (1,) * extra, reverse=True))
+        core, k = self.fit_class(cls, n)
+        if k == n:  # then cls has no fixed points: it is its core
+            return core
+        out = dict(core)
+        out[0] = out.get(0, ()) + (1,) * (n - k)  # 1 is the smallest part
         return tuple(sorted(out.items()))
 
-    def class_size_from(self, cls: WreathLabel, m: int, j: int) -> int:
-        core, k = self.strip_class(cls)  # [h] meets G_j in one class, if k <= j
-        if k > m:
-            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {m}")
-        if k > j:
-            return 0
-        return hgroup.wreath_class_size_formula(self.h_table, self.embed_class(core, j))
+    def class_size(self, cls: WreathLabel) -> int:
+        return hgroup.wreath_class_size_formula(self.h_table, cls)
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[WreathLabel, ...]:
         return tuple(c.label for c in hgroup.wreath_classes(self.h_table, n, max_order))

@@ -122,6 +122,8 @@ def cmd_mckay(args) -> int:
 
 def cmd_table(args) -> int:
     chain = get_chain(args.chain)
+    if not chain.has_level(args.k):
+        raise ValueError(f"chain {chain.id!r} has no level {args.k}")
     table = chain.small_table(args.k, args.max_order)
     if args.format == "csv":
         header = "," + ",".join(lab for lab, _ in table.classes)

@@ -46,14 +46,6 @@ class CharacterColumn:
         return sum(v * v for v in self.coeffs.values())
 
 
-def normalize_class(chain: Chain, cls, n: int):
-    """Strip fixed points, returning (core class, core level k); k = 0 for the identity."""
-    core, k = chain.strip_class(cls)
-    if k > n:
-        raise ValueError(f"class {chain.format_class(cls)!r} does not fit inside level {n}")
-    return core, k
-
-
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
                      table: GroupTable | None = None) -> CharacterColumn:
     """delta at level n: ``character_columns`` for the one class."""
@@ -68,7 +60,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
     supplied ``table`` is the level-k table of the classes' one core level k."""
     columns, cores = dict.fromkeys(classes), {}  # cores: level k -> core -> its classes
     for cls in columns:
-        core, k = normalize_class(chain, cls, n)
+        core, k = chain.fit_class(cls, n)
         cores.setdefault(k, {}).setdefault(core, []).append(cls)
     if table is not None and len(cores) > 1:
         raise ValueError(f"one table serves one core level, not levels {sorted(cores)}")
@@ -165,9 +157,10 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     """
     chain = chain or get_chain("sym")
     require_symmetric(chain, "odd_column")
-    core, k = normalize_class(chain, tau, n)
+    core, k = chain.fit_class(tau, n)
     if not is_odd_class(core):
-        raise ValueError(f"class {core} is even; odd_column needs an odd permutation")
+        raise ValueError(
+            f"class {chain.format_class(tau)!r} is even; odd_column needs an odd permutation")
     if table is None:
         table = chain.small_table(k, max_order)
     full = lift_column_input(chain, table, core, n)

@@ -1,12 +1,15 @@
-"""Sparse matrices over exact scalars (Python ints and Fractions).
+"""Sparse matrices over exact scalars.
 
-Everything downstream of the branching operators is exact integer or
-rational arithmetic; floats never appear. Storage is a dict keyed by
-(row, col) holding nonzero entries only. Bases reach thousands of labels
-(S_28 has 3,718, Z2 wr S_20 has 24,842), but Res has at most one entry per
-removable box of a label, so Res and X stay sparse. The suites check
-operator identities on a ``PackedIdentity``, one int per row, so X's
-``matvec`` (or Res's edges) acts on every column at once.
+Every operator the package builds or applies (Res, X = Res^T Res, the reduced
+operator Y) is an integer map, applied to integer vectors, so entries are
+kept as given and as the arithmetic makes them, with no pass over their
+types; ``row_rank``, which checks outside input, also takes Fractions. Floats
+never appear. Storage is a dict keyed by (row, col) holding nonzero entries
+only. Bases reach thousands of labels (S_28 has 3,718, Z2 wr S_20 has
+24,842), but Res has at most one entry per removable box of a label, so Res
+and X stay sparse. The suites check operator identities on a
+``PackedIdentity``, one int per row, so X's ``matvec`` (or Res's edges) acts
+on every column at once.
 """
 
 from __future__ import annotations
@@ -15,13 +18,6 @@ from fractions import Fraction
 from math import lcm
 
 Scalar = int | Fraction
-
-
-def _norm(value: Scalar) -> Scalar:
-    """Collapse integral Fractions back to int."""
-    if type(value) is Fraction and value.denominator == 1:
-        return int(value)
-    return value
 
 
 class SparseMatrix:
@@ -38,7 +34,7 @@ class SparseMatrix:
                 if v:
                     if not (0 <= r < nrows and 0 <= c < ncols):
                         raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                    self.data[(r, c)] = _norm(v)
+                    self.data[(r, c)] = v
 
     @classmethod
     def from_triplets(cls, nrows: int, ncols: int, triplets) -> "SparseMatrix":
@@ -76,7 +72,7 @@ class SparseMatrix:
                 rc = (r, c)
                 acc[rc] = acc.get(rc, 0) + av * bv
         out = SparseMatrix(self.nrows, other.ncols)  # entries from valid ones: no bounds check
-        out.data = {rc: v if type(v) is int else _norm(v) for rc, v in acc.items() if v}
+        out.data = {rc: v for rc, v in acc.items() if v}
         return out
 
     def matvec(self, vec: list[Scalar]) -> list[Scalar]:
@@ -87,7 +83,7 @@ class SparseMatrix:
             x = vec[c]
             if x:
                 out[r] = out[r] + v * x
-        return [x if type(x) is int else _norm(x) for x in out]
+        return out
 
     def to_dense(self) -> list[list[Scalar]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]

@@ -9,7 +9,7 @@ from math import factorial
 from charcol import hgroup
 from charcol.chain import (BranchingOperator, FallingFactorialPoly, SymmetricChain, WreathChain,
                            get_chain)
-from charcol.engine import character_column, normalize_class, odd_column, reduced_operator
+from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions, parse_partition
 from charcol.sparse import SparseMatrix
@@ -201,7 +201,7 @@ def test_oracle_suite_applies_f_once_per_level_and_core_level(monkeypatch):
         assert checks and all(c.passed for c in checks) and not skipped
         expected = Counter()
         for n in range(1, max_n + 1):
-            core_levels = {normalize_class(chain, cls, n)[1] for cls in chain.classes_at(n)}
+            core_levels = {chain.fit_class(cls, n)[1] for cls in chain.classes_at(n)}
             expected.update(n - k for k in core_levels if k < n)
         assert applied == expected, chain.id
 

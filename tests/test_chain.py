@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcol.chain import Chain, SymmetricChain, WreathChain, get_chain
+from charcol.engine import reduced_operator
 from charcol.hgroup import GroupTable, builtin_table
 from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
-from charcol.verify import run_suite
+from charcol.verify import export_chain, ingest_chain, run_suite
 from dense import from_dense, to_dense
 from poly_matrix import brute_indl_resl, poly_matrix, shift_diagonal
 
@@ -335,7 +336,7 @@ def abstract_chain_methods() -> list[str]:
 
 def test_built_in_chains_define_every_abstract_chain_method():
     abstract = abstract_chain_methods()
-    assert {"basis", "class_size_from", "classes_at", "strip_class"} <= set(abstract)
+    assert {"basis", "class_size", "classes_at", "strip_class"} <= set(abstract)
     assert "identity_class" not in abstract  # built on embed_class
     missing = [f"{cls.__name__}.{name}" for cls in (SymmetricChain, WreathChain)
                for name in abstract if name not in vars(cls)]
@@ -364,3 +365,43 @@ def test_identity_class_is_the_empty_class_with_fixed_points():
     assert fresh_sym().identity_class(3) == (1, 1, 1)
     assert fresh_z2().identity_class(3) == ((0, (1, 1, 1)),)
     assert fresh_sym().identity_class(0) == fresh_z2().identity_class(0) == ()
+
+
+@pytest.mark.parametrize("make, cls, text, level", [
+    (fresh_sym, (2, 1, 1, 1), "[2,1,1,1]", 2),
+    (fresh_sym, (1, 1, 1), "[1,1,1]", 2),
+    (fresh_z2, ((0, (1, 1, 1)),), "1:[1,1,1]", 1),
+    (fresh_z2, ((0, (2, 1)), (1, (1,))), "1:[2,1];-1:[1]", 3),
+], ids=["sym-transposition", "sym-identity", "z2-identity", "z2-mixed"])
+def test_class_whose_fixed_points_overflow_the_level_does_not_fit(make, cls, text, level):
+    # the core fits at the level and the whole class does not: one check,
+    # fixed points included, for the engine and the class sizes alike
+    chain = make()
+    message = f"^{re.escape(f'class {text!r} does not fit at level {level}')}$"
+    for call in (chain.fit_class, lambda c, n: chain.class_size_from(c, n, n),
+                 lambda c, n: chain.class_size_from(c, n, n - 1), chain.embed_class):
+        with pytest.raises(ValueError, match=message):
+            call(cls, level)
+    own = chain.label_level(cls)
+    assert chain.fit_class(cls, own)[1] <= level and chain.class_size_from(cls, own, level) > 0
+
+
+def test_operators_are_integer_maps():
+    # Res, X and Y are built, and applied to int vectors, without a pass over
+    # entry types: every entry and every product entry must already be an int
+    def ints(values):
+        return all(type(v) is int for v in values)
+
+    ingested = ingest_chain(export_chain(fresh_sym(), 5))
+    for chain, top in ((fresh_sym(), 7), (fresh_z2(), 4), (WreathChain(S3), 3), (ingested, 5)):
+        for n in range(1, top + 1):
+            op = chain.res_operator(n)
+            x = chain.ind_res(n)
+            assert ints(op.matrix.data.values()) and ints(x.data.values()), (chain.id, n)
+            vec = [(-1) ** i * (i % 5) for i in range(len(op.domain))]
+            assert ints(op.times_x(vec)) and ints(x.matvec(vec)), (chain.id, n)
+            assert op.times_x(vec) == x.matvec(vec)
+            assert ints(op.matrix.matvec(vec)) and ints((x @ x).data.values())
+    for n in range(2, 8):
+        y = reduced_operator(n).matrix
+        assert ints(y.data.values()) and ints(y.matvec(list(range(y.ncols)))), n

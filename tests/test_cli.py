@@ -66,12 +66,32 @@ def test_column_bad_label_is_usage_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("spec, cls, n", [("sym", "[3,1]", 2), ("z2wreath", "1:[2]", 1)])
+# the last two cores fit at level n, the classes with their fixed points do not
+@pytest.mark.parametrize("spec, cls, n", [("sym", "[3,1]", 2), ("z2wreath", "1:[2]", 1),
+                                          ("sym", "[2,1,1,1]", 2), ("z2wreath", "1:[1,1,1]", 1)])
 def test_column_class_above_level_names_the_class(capsys, spec, cls, n):
     code, out, err = run(capsys, "column", "--chain", spec, "--class", cls, "--n", str(n))
     assert code == 2
     assert out == ""
-    assert err == f"error: class '{cls}' does not fit inside level {n}\n"
+    assert err == f"error: class '{cls}' does not fit at level {n}\n"
+
+
+@pytest.mark.parametrize("n, message", [
+    (6, "is even; odd_column needs an odd permutation"),
+    (5, "does not fit at level 5"),
+], ids=["even", "above-level"])
+def test_odd_column_refusal_names_the_class_as_typed(capsys, n, message):
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", "[3,1,1,1]", "--n", str(n),
+                         "--odd")
+    assert (code, out) == (2, "")
+    assert err == f"error: class '[3,1,1,1]' {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["sym", "z2wreath"])
+def test_table_at_a_negative_level_names_the_level(capsys, spec):
+    code, out, err = run(capsys, "table", "--chain", spec, "--k", "-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: chain '{spec}' has no level -1\n"
 
 
 def test_column_bound_exceeded_is_exit_3(capsys):
