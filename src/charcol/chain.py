@@ -138,8 +138,8 @@ class Chain:
     ``identity_class``, ``format_class`` and ``class_size_from(h, m, j)`` for
     j above or below m, on which ``ind_t_character`` is built. ``fit_class``
     alone decides whether a class fits a level; ``class_size_from`` is built
-    on it and the chain's ``class_size``. The engine calls ``fit_class``,
-    applies ``poly(l)`` and reads ``class_size_from`` for the column norm;
+    on it and the chain's ``class_size``. The engine fits each class once,
+    applies ``poly(l)`` and reads ``class_size`` of its ``pad_core`` for the norm;
     lifting needs ``label_level`` and ``pad_first_row``, and checks at run
     time that its recursion never revisits a label whose lift is still
     waiting. A chain may declare two capabilities, or a suite needing one is
@@ -264,6 +264,10 @@ class Chain:
 
     def embed_class(self, cls, n: int):
         """The class of the same element at level n: its ``fit_class`` core with fixed points."""
+        return self.pad_core(*self.fit_class(cls, n), n)
+
+    def pad_core(self, core, k: int, n: int):
+        """A ``fit_class`` core of level k with n - k >= 0 fixed points; unchecked."""
         raise NotImplementedError
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple:
@@ -292,7 +296,8 @@ class Chain:
         identity. A class has the shape of a label, so ``label_level`` is its
         level with its fixed points; ValueError if that is above n."""
         if self.label_level(cls) > n:
-            raise ValueError(f"class {self.format_class(cls)!r} does not fit at level {n}")
+            name = self.format_class(cls) if cls else "e"  # the identity as typed
+            raise ValueError(f"class {name!r} does not fit at level {n}")
         return self.strip_class(cls)
 
     def class_size_from(self, cls, m: int, j: int) -> int:
@@ -300,7 +305,7 @@ class Chain:
         h's class embedded at level j; for j < m the total size of the level-j
         classes inside [h], 0 when there are none; ValueError unless h fits at m."""
         core, k = self.fit_class(cls, m)  # [h] meets G_j in one class, if k <= j
-        return self.class_size(self.embed_class(core, j)) if k <= j else 0
+        return self.class_size(self.pad_core(core, k, j)) if k <= j else 0
 
     def ind_t_character(self, cls, m: int) -> Fraction:
         """chi_{Ind(t)} at level m for a class of G_m, via the class-ratio formula
@@ -351,8 +356,7 @@ class SymmetricChain(Chain):
         core = partitions.strip_fixed_points(cls)
         return core, sum(core)
 
-    def embed_class(self, cls: Partition, n: int) -> Partition:
-        core, k = self.fit_class(cls, n)
+    def pad_core(self, core: Partition, k: int, n: int) -> Partition:
         return core + (1,) * (n - k)
 
     class_size = staticmethod(partitions.class_size)
@@ -435,9 +439,8 @@ class WreathChain(Chain):
         core_label = tuple(core)
         return core_label, sum(sum(p) for _, p in core_label)
 
-    def embed_class(self, cls: WreathLabel, n: int) -> WreathLabel:
-        core, k = self.fit_class(cls, n)
-        if k == n:  # then cls has no fixed points: it is its core
+    def pad_core(self, core: WreathLabel, k: int, n: int) -> WreathLabel:
+        if k == n:  # no fixed points to add
             return core
         out = dict(core)
         out[0] = out.get(0, ()) + (1,) * (n - k)  # 1 is the smallest part

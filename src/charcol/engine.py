@@ -15,7 +15,7 @@ For odd permutations of the symmetric chain, the same polynomial in the
 reduced operator Y on one irrep of each conjugate pair gives the column's
 positive part, and sign pairing reconstructs the rest. ``reduced_operator(n)``
 is memoized per process and built from ``get_chain("sym")``'s X, whichever
-symmetric chain ``odd_column`` is given.
+symmetric chain ``odd_column`` is given; it carries its plus basis's conjugates.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ def _checked_column(chain: Chain, n: int, core, k: int, coeffs: dict,
     """The column at level n of the class ``core`` at level k, after the checks
     every column passes: the trivial irrep's entry is 1 and the norm is |G|/|class|;
     a broken one raises InvariantError."""
-    column = CharacterColumn(chain.id, n, chain.embed_class(core, n), coeffs, plus_part)
+    column = CharacterColumn(chain.id, n, chain.pad_core(core, k, n), coeffs, plus_part)
     trivial = column.coeffs.get(chain.trivial_label(n), 0)
     if trivial != 1:
         raise InvariantError(f"column's trivial-irrep entry is {trivial}, not 1")
-    expected = chain.group_order(n) // chain.class_size_from(core, k, n)
+    expected = chain.group_order(n) // chain.class_size(column.class_label)
     if column.norm_squared() != expected:
         raise InvariantError(f"column norm {column.norm_squared()} != |G|/|class| = {expected}")
     return column
@@ -110,10 +110,12 @@ def _checked_column(chain: Chain, n: int, core, k: int, coeffs: dict,
 @dataclass(frozen=True)
 class ReducedOperator:
     """Y = pr_+(t-s) Ind Res on the span of one irrep from each conjugate pair:
-    Y(x, y) = X(x, y) - X(x, conjugate(y))."""
+    Y(x, y) = X(x, y) - X(x, conjugate(y)). It carries the conjugation that
+    defines it: ``plus_conjugates[i]`` is the conjugate of ``plus_basis[i]``."""
 
     level: int
     plus_basis: tuple[Partition, ...]
+    plus_conjugates: tuple[Partition, ...]
     matrix: SparseMatrix
 
 
@@ -124,12 +126,12 @@ def reduced_operator(n: int) -> ReducedOperator:
         raise ValueError("reduced_operator needs n >= 2")
     chain = get_chain("sym")
     basis = chain.basis(n)
+    conj = {lam: conjugate(lam) for lam in basis}  # the one conjugation of the level
     # chi_lambda at a transposition has the sign of lambda's content sum, and
     # conjugation negates both: keep the diagram with the positive character,
     # or the larger diagram of a pair whose character there vanishes.
     plus = tuple(
-        lam for lam in basis
-        if (content_sum(lam), lam) > (content_sum(conjugate(lam)), conjugate(lam))
+        lam for lam in basis if (content_sum(lam), lam) > (content_sum(conj[lam]), conj[lam])
     )
     position = {lam: i for i, lam in enumerate(plus)}
     entries = {}
@@ -139,12 +141,13 @@ def reduced_operator(n: int) -> ReducedOperator:
         if row not in position:
             continue
         if col not in position:  # -X(x, y) goes to Y(x, conjugate(y))
-            col, value = conjugate(col), -value
+            col, value = conj[col], -value
             if col not in position:  # y is self-conjugate
                 continue
         key = (position[row], position[col])
         entries[key] = entries.get(key, 0) + value
-    return ReducedOperator(n, plus, SparseMatrix(len(plus), len(plus), entries))
+    return ReducedOperator(n, plus, tuple(conj[lam] for lam in plus),
+                           SparseMatrix(len(plus), len(plus), entries))
 
 
 def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = None,
@@ -166,13 +169,14 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     full = lift_column_input(chain, table, core, n)
     red = reduced_operator(n)
     # f is linear, so it runs on the integer differences and halves once
-    twice_in = [full.get(lam, 0) - full.get(conjugate(lam), 0) for lam in red.plus_basis]
+    pairs = tuple(zip(red.plus_basis, red.plus_conjugates))  # conjugated once per level
+    twice_in = [full.get(lam, 0) - full.get(lam_c, 0) for lam, lam_c in pairs]
     twice_out = chain.poly(n - k).apply(red.matrix.matvec, twice_in)
     plus_values, coeffs = {}, {}
-    for lam, value in zip(red.plus_basis, twice_out):
+    for (lam, lam_c), value in zip(pairs, twice_out):
         if type(value) is not int or value % 2:
             raise InvariantError(f"odd or non-integral entry at {lam}")
         plus_values[lam] = value // 2
         if value:  # plus_basis has one diagram of each pair and no self-conjugate one
-            coeffs[lam], coeffs[conjugate(lam)] = value // 2, -(value // 2)
+            coeffs[lam], coeffs[lam_c] = value // 2, -(value // 2)
     return _checked_column(chain, n, core, k, coeffs, plus_values)

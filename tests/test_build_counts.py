@@ -6,9 +6,11 @@ Each test starts from cold caches, so it counts what a first run builds.
 from collections import Counter
 from math import factorial
 
-from charcol import hgroup
-from charcol.chain import (BranchingOperator, FallingFactorialPoly, SymmetricChain, WreathChain,
-                           get_chain)
+import pytest
+
+from charcol import engine, hgroup
+from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, SymmetricChain,
+                           WreathChain, get_chain)
 from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions, parse_partition
@@ -126,6 +128,62 @@ def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "__getitem__", counting)
     reduced_operator.__wrapped__(18)
     assert reads <= len(x_matrix.data), (reads, len(x_matrix.data))
+
+
+@pytest.fixture
+def conjugations(monkeypatch):
+    """Counts the engine's calls to ``conjugate``."""
+    calls = Counter()
+    conjugate = engine.conjugate
+
+    def counting(lam):
+        calls["conjugate"] += 1
+        return conjugate(lam)
+
+    monkeypatch.setattr(engine, "conjugate", counting)
+    return calls
+
+
+def test_reduced_operator_conjugates_each_diagram_of_its_level_once(conjugations):
+    n = 12
+    reduced_operator.__wrapped__(n)
+    assert conjugations["conjugate"] == len(enumerate_partitions(n))
+
+
+def test_odd_column_reads_the_conjugates_off_the_reduced_operator(conjugations):
+    # Y carries the conjugate of each plus-basis diagram, so once Y is built an
+    # odd column pairs the diagrams without conjugating any
+    n = 12
+    reduced_operator(n)
+    conjugations.clear()
+    odd_column((6, 4, 2), n, SymmetricChain(), max_order=factorial(n))
+    assert conjugations["conjugate"] == 0
+
+
+@pytest.mark.parametrize("spec, cls, m, js", [
+    ("sym", (3, 2, 1, 1), 7, range(0, 10)),
+    ("z2wreath", ((0, (2, 1)), (1, (1, 1))), 5, range(0, 8)),
+])
+def test_class_data_fits_each_class_once(monkeypatch, spec, cls, m, js):
+    # class_size_from pads its fitted core; a column fits its class once and
+    # pads the core for its label and norm check
+    fits = 0
+    fit_class = Chain.fit_class
+
+    def counting(chain, cls, n):
+        nonlocal fits
+        fits += 1
+        return fit_class(chain, cls, n)
+
+    monkeypatch.setattr(Chain, "fit_class", counting)
+    chain = get_chain(spec)
+    for j in js:
+        fits = 0
+        chain.class_size_from(cls, m, j)
+        assert fits == 1, j
+    fits = 0
+    character_column(chain, cls, m + 1)
+    assert fits == 1
 
 
 def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):

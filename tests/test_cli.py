@@ -76,6 +76,14 @@ def test_column_class_above_level_names_the_class(capsys, spec, cls, n):
     assert err == f"error: class '{cls}' does not fit at level {n}\n"
 
 
+@pytest.mark.parametrize("spec", ["sym", "z2wreath"])
+def test_identity_class_below_level_zero_is_named_as_typed(capsys, spec):
+    # the sym column JSON prints the identity as "[]"; its refusal names it "e"
+    code, out, err = run(capsys, "column", "--chain", spec, "--class", "e", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: class 'e' does not fit at level -1\n"
+
+
 @pytest.mark.parametrize("n, message", [
     (6, "is even; odd_column needs an odd permutation"),
     (5, "does not fit at level 5"),

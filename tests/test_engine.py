@@ -220,6 +220,13 @@ def test_reduced_operator_matches_its_definition_on_dense_x():
         assert red.matrix.to_dense() == expected, n
 
 
+def test_reduced_operator_carries_the_conjugates_of_its_plus_basis():
+    for n in range(2, 15):
+        red = reduced_operator(n)
+        assert red.plus_conjugates == tuple(map(conjugate, red.plus_basis)), n
+        assert not set(red.plus_conjugates) & set(red.plus_basis), n
+
+
 def test_reduced_operator_rejects_n1():
     with pytest.raises(ValueError):
         reduced_operator(1)
