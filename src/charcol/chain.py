@@ -28,6 +28,7 @@ edges at its level and no sparse matrix. Only Res's ``parents`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -63,10 +64,25 @@ class BranchingOperator:
         children of a position times the most parents."""
         return max(map(len, self.children), default=0) * max(map(len, self.parents), default=0)
 
+    @classmethod
+    def from_entries(cls, level: int, domain: tuple, codomain: tuple,
+                     entries) -> "BranchingOperator":
+        """Res from its (row, col, multiplicity) entries: an entry of value v
+        lists row r under column c v times."""
+        children = [[] for _ in domain]
+        for r, c, v in entries:
+            children[c] += [r] * v
+        return cls(level, domain, codomain, tuple(map(tuple, children)))
+
+    def entries(self) -> list:
+        """The (row, col, multiplicity) counts of the edges, sorted by (row, col)."""
+        counts = Counter((i, j) for j, below in enumerate(self.children) for i in below)
+        return [(r, c, v) for (r, c), v in sorted(counts.items())]
+
     @cached_property
     def matrix(self) -> SparseMatrix:
-        edges = ((i, j, 1) for j, below in enumerate(self.children) for i in below)
-        return SparseMatrix.from_triplets(len(self.codomain), len(self.domain), edges)
+        return SparseMatrix(len(self.codomain), len(self.domain),
+                            {(r, c): v for r, c, v in self.entries()})
 
     def down(self, vec: list) -> list:
         """Res v: scatter each nonzero level-n coefficient down its edges."""

@@ -3,21 +3,15 @@
 Every operator the package builds or applies (Res, X = Res^T Res, the reduced
 operator Y) is an integer map, applied to integer vectors, so entries are
 kept as given and as the arithmetic makes them, with no pass over their
-types; ``row_rank``, which checks outside input, also takes Fractions. Floats
-never appear. Storage is a dict keyed by (row, col) holding nonzero entries
-only. Bases reach thousands of labels (S_28 has 3,718, Z2 wr S_20 has
-24,842), but Res has at most one entry per removable box of a label, so Res
-and X stay sparse. The suites check operator identities on a
+types. Floats never appear. Storage is a dict keyed by (row, col) holding
+nonzero entries only. Bases reach thousands of labels (S_28 has 3,718, Z2 wr
+S_20 has 24,842), but Res has at most one entry per removable box of a label,
+so Res and X stay sparse. The suites check operator identities on a
 ``PackedIdentity``, one int per row, so X's ``matvec`` (or Res's edges) acts
 on every column at once.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
-
-Scalar = int | Fraction
 
 
 class SparseMatrix:
@@ -28,7 +22,7 @@ class SparseMatrix:
     def __init__(self, nrows: int, ncols: int, data: dict | None = None):
         self.nrows = nrows
         self.ncols = ncols
-        self.data: dict[tuple[int, int], Scalar] = {}
+        self.data: dict[tuple[int, int], int] = {}
         if data:
             for (r, c), v in data.items():
                 if v:
@@ -36,15 +30,7 @@ class SparseMatrix:
                         raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
                     self.data[(r, c)] = v
 
-    @classmethod
-    def from_triplets(cls, nrows: int, ncols: int, triplets) -> "SparseMatrix":
-        data: dict[tuple[int, int], Scalar] = {}
-        for r, c, v in triplets:
-            if v:
-                data[(r, c)] = data.get((r, c), 0) + v
-        return cls(nrows, ncols, data)
-
-    def __getitem__(self, rc: tuple[int, int]) -> Scalar:
+    def __getitem__(self, rc: tuple[int, int]) -> int:
         return self.data.get(rc, 0)
 
     def __eq__(self, other) -> bool:
@@ -63,10 +49,10 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        by_col: dict[int, list[tuple[int, Scalar]]] = {}
+        by_col: dict[int, list[tuple[int, int]]] = {}
         for (r, k), v in self.data.items():
             by_col.setdefault(k, []).append((r, v))
-        acc: dict[tuple[int, int], Scalar] = {}
+        acc: dict[tuple[int, int], int] = {}
         for (k, c), bv in other.data.items():
             for r, av in by_col.get(k, ()):
                 rc = (r, c)
@@ -75,43 +61,15 @@ class SparseMatrix:
         out.data = {rc: v for rc, v in acc.items() if v}
         return out
 
-    def matvec(self, vec: list[Scalar]) -> list[Scalar]:
+    def matvec(self, vec: list[int]) -> list[int]:
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != ncols {self.ncols}")
-        out: list[Scalar] = [0] * self.nrows
+        out: list[int] = [0] * self.nrows
         for (r, c), v in self.data.items():
             x = vec[c]
             if x:
                 out[r] = out[r] + v * x
         return out
-
-    def to_dense(self) -> list[list[Scalar]]:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.data.items():
-            rows[r][c] = v
-        return rows
-
-    def row_rank(self) -> int:
-        """Exact rank over Q: each row is scaled to integers, then eliminated
-        fraction-free (Bareiss), so every division is exact."""
-        rows = []
-        for row in self.to_dense():
-            scale = lcm(*(v.denominator for v in row))  # an int's denominator is 1
-            rows.append([int(v * scale) for v in row])
-        rank, last_pivot = 0, 1
-        for col in range(self.ncols):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            top, p = rows[rank], rows[rank][col]
-            for i in range(rank + 1, len(rows)):
-                f = rows[i][col]
-                rows[i] = [(p * a - f * b) // last_pivot for a, b in zip(rows[i], top)]
-            rank, last_pivot = rank + 1, p
-            if rank == len(rows):
-                break
-        return rank
 
 
 class PackedIdentity:

@@ -15,7 +15,6 @@ All comparisons are exact rational arithmetic; there are no tolerances.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -271,18 +270,20 @@ class IngestedLevel:
 
 
 def _parse_level(pos: int, raw) -> tuple:
-    """A level entry as (n, order, basisSize, Res triplets or None, classes or None)."""
+    """A level entry as (n, order, basisSize, Res entries or None, classes or None)."""
     try:
         n, order, basis_size = (_typed(raw[key], int, key) for key in ("n", "order", "basisSize"))
+        if order < 1:
+            raise ValueError("order must be at least 1: every group has its identity")
         if basis_size < 1:
             raise ValueError("basisSize must be at least 1: every group has its trivial irrep")
-        triplets = classes = None
+        entries = classes = None
         if raw.get("res") is not None:
-            triplets = [tuple(_typed(x, int, "a Res entry") for x in (r, c, v))
-                        for r, c, v in raw["res"]]
-            if any(v < 1 for _, _, v in triplets):
+            entries = [tuple(_typed(x, int, "a Res entry") for x in (r, c, v))
+                       for r, c, v in raw["res"]]
+            if any(v < 1 for _, _, v in entries):
                 raise ValueError("Res values must be positive")
-            if len({(r, c) for r, c, _ in triplets}) != len(triplets):
+            if len({(r, c) for r, c, _ in entries}) != len(entries):
                 raise ValueError("Res lists a (row, col) pair twice")
         if raw.get("classes") is not None:
             classes = {}
@@ -295,30 +296,56 @@ def _parse_level(pos: int, raw) -> tuple:
         raise IngestError(f"level {where}: malformed level entry: {exc}") from exc
     if classes is not None and len(classes) != len(raw["classes"]):
         raise IngestError(f"level {n}: duplicate class labels")
-    return n, order, basis_size, triplets, classes
+    return n, order, basis_size, entries, classes
+
+
+def row_rank(nrows: int, ncols: int, entries) -> int:
+    """Exact rank over Q of the nrows x ncols integer matrix with the given
+    (row, col, value) entries, eliminated fraction-free (Bareiss) on a dense
+    copy, so every division is exact."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for r, c, v in entries:
+        rows[r][c] = v
+    rank, last_pivot = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top, p = rows[rank], rows[rank][col]
+        for i in range(rank + 1, nrows):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // last_pivot for a, b in zip(rows[i], top)]
+        rank, last_pivot = rank + 1, p
+        if rank == nrows:
+            break
+    return rank
 
 
 def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
     """A parsed level, checked against the checked level below it (None for the
-    lowest level, whose Res, if listed, has no rows)."""
-    n, order, basis_size, triplets, classes = parsed
+    lowest level, whose Res, if listed, has no rows): Res's shape, its rank and
+    each entry's bound are checked on the listed entries before Res is built."""
+    n, order, basis_size, entries, classes = parsed
     rows = below.basis_size if below else 0
-    res = None
-    if triplets is not None:
-        children = [[] for _ in range(basis_size)]
-        for r, c, v in triplets:  # an edge of multiplicity v, listed v times
-            if not (0 <= r < rows and 0 <= c < basis_size):
-                raise IngestError(f"Res at level {n} has entries outside its {rows}x{basis_size} shape")
-            children[c] += [r] * v
-        res = BranchingOperator(n, tuple(range(basis_size)), tuple(range(rows)),
-                                tuple(map(tuple, children)))
+    if entries is not None and any(not (0 <= r < rows and 0 <= c < basis_size)
+                                   for r, c, _ in entries):
+        raise IngestError(f"Res at level {n} has entries outside its {rows}x{basis_size} shape")
     if below is not None:
-        if res is None:
+        if entries is None:
             raise IngestError(f"level {n} is missing its Res matrix")
-        rank = res.matrix.row_rank()
+        rank = row_rank(rows, basis_size, entries)
         if rank != rows:
             raise IngestError(f"not a surjective chain: Res at level {n} "
                               f"has row rank {rank} < {rows}")
+        # v dim W <= dim V, and v dim V <= [G_n : G_{n-1}] dim W by Frobenius reciprocity
+        for r, c, v in entries:
+            if v * v * below.order > order:
+                raise IngestError(
+                    f"not a chain of groups: Res at level {n} has entry {v} at ({r}, {c}), "
+                    f"but v^2 |G_{n - 1}| = {v * v * below.order} > |G_{n}| = {order}")
+    res = None if entries is None else BranchingOperator.from_entries(
+        n, tuple(range(basis_size)), tuple(range(rows)), entries)
     if classes is not None:
         total = sum(size for size, _ in classes.values())
         if total != order:
@@ -452,9 +479,7 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
     for n in range(max_n + 1):
         entry: dict = {"n": n, "order": chain.group_order(n), "basisSize": len(chain.basis(n))}
         if n >= 1:
-            edges = Counter((i, j) for j, below in enumerate(chain.res_operator(n).children)
-                            for i in below)
-            entry["res"] = [[r, c, v] for (r, c), v in sorted(edges.items())]
+            entry["res"] = [list(e) for e in chain.res_operator(n).entries()]
         try:
             labels = chain.classes_at(n, max_order)
         except SizeBoundError:

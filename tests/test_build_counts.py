@@ -15,7 +15,8 @@ from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions, parse_partition
 from charcol.sparse import SparseMatrix
-from charcol.verify import IngestedChain, export_chain, oracle_suite, tasyopari_suite
+from charcol.verify import (IngestedChain, export_chain, ingest_chain, oracle_suite,
+                            tasyopari_suite)
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
@@ -92,6 +93,25 @@ def test_export_writes_res_from_its_edges_and_builds_no_matrix(monkeypatch):
         assert [lv["n"] for lv in levels if "res" in lv] == [1, 2, 3, 4, 5]
         assert sorted(chain._res_cache) == [1, 2, 3, 4, 5] and not chain._x_cache
         assert not any("matrix" in vars(chain.res_operator(n)) for n in range(1, 6))
+    assert built == 0
+
+
+def test_ingestion_checks_the_listed_entries_and_builds_no_matrix(monkeypatch):
+    # the shape, rank and multiplicity checks read the listed (row, col, value)
+    # entries, and Res is built from them as edges, so no SparseMatrix is made
+    payload = export_chain(SymmetricChain(), 9)
+    built = 0
+    init = SparseMatrix.__init__
+
+    def counting(matrix, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counting)
+    chain = ingest_chain(payload)
+    assert chain.max_n == 9
+    assert not any("matrix" in vars(chain.res_operator(n)) for n in range(1, 10))
     assert built == 0
 
 

@@ -13,8 +13,8 @@ from charcol.hgroup import GroupTable, builtin_table
 from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
-from charcol.verify import export_chain, ingest_chain, run_suite
-from dense import from_dense, to_dense
+from charcol.verify import export_chain, ingest_chain, row_rank, run_suite
+from dense import from_dense, matrix_rows, to_dense
 from poly_matrix import brute_indl_resl, poly_matrix, shift_diagonal
 
 
@@ -131,7 +131,7 @@ def test_s3_wreath_suites_pass(suite, checks):
 
 
 def dense_norm(matrix):
-    return max((sum(map(abs, row)) for row in matrix.to_dense()), default=0)
+    return max((sum(map(abs, row)) for row in matrix_rows(matrix)), default=0)
 
 
 @pytest.mark.parametrize("make, top", [(fresh_sym, 7), (fresh_z2, 4), (lambda: WreathChain(S3), 3)],
@@ -152,7 +152,7 @@ def test_down_and_up_are_res_and_ind_along_the_edges(make, top):
 
 def test_ind_res_level_two():
     sym = fresh_sym()
-    assert sym.ind_res(2).to_dense() == [[1, 1], [1, 1]]
+    assert matrix_rows(sym.ind_res(2)) == [[1, 1], [1, 1]]
 
 
 def test_ind_res_t_is_t_plus_v():
@@ -174,7 +174,8 @@ def test_res_full_row_rank():
     for chain, top in ((fresh_sym(), 10), (fresh_z2(), 5)):
         for n in range(1, top + 1):
             op = chain.res_operator(n)
-            assert op.matrix.row_rank() == len(op.codomain), (chain.id, n)
+            rank = row_rank(len(op.codomain), len(op.domain), op.entries())
+            assert rank == len(op.codomain), (chain.id, n)
 
 
 def test_heisenberg_identity():

@@ -222,6 +222,21 @@ def test_verify_unknown_chain_is_usage_error(capsys, spec):
     assert spec in err
 
 
+@pytest.mark.parametrize("suite", ["jeongha", "tasyopari"])
+@pytest.mark.parametrize("level", range(6))
+def test_verify_rejects_an_ingested_order_of_zero(capsys, tmp_path, suite, level):
+    # an order of 0 once ended these suites in a ZeroDivisionError traceback
+    payload = export_chain(SymmetricChain(), 5)
+    payload["levels"][level]["order"] = 0
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--suite", suite,
+                         "--maxN", "5")
+    assert code == 1 and out == ""
+    assert err == (f"error: level {level}: malformed level entry: "
+                   "order must be at least 1: every group has its identity\n")
+
+
 def assert_failed_order_fit(capsys, tmp_path, suite, orders):
     """Verify a chain of one-dimensional levels with the given orders: the
     report fails on fit-params only and runs no check that needs f_l."""

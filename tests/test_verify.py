@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcol import verify
-from charcol.chain import FallingFactorialPoly, SymmetricChain, WreathChain, get_chain
+from charcol.chain import (BranchingOperator, FallingFactorialPoly, SymmetricChain, WreathChain,
+                           get_chain)
 from charcol.hgroup import builtin_table
 from charcol.partitions import (
     class_sign,
@@ -36,6 +37,7 @@ from charcol.verify import (
     run_suite,
 )
 from poly_matrix import brute_indl_resl, identity, poly_matrix, scaled, shift_diagonal
+from test_chain import S3
 
 SYM = get_chain("sym")
 Z2C = get_chain("z2wreath")
@@ -424,17 +426,52 @@ def test_rank_deficient_res_rejected_with_its_rank_computed_once(monkeypatch):
         ]
     }
     ranked = []
-    row_rank = SparseMatrix.row_rank
+    row_rank = verify.row_rank
 
-    def counting(matrix):
-        ranked.append((matrix.nrows, matrix.ncols))
-        return row_rank(matrix)
+    def counting(nrows, ncols, entries):
+        ranked.append((nrows, ncols))
+        return row_rank(nrows, ncols, entries)
 
-    monkeypatch.setattr(SparseMatrix, "row_rank", counting)
+    monkeypatch.setattr(verify, "row_rank", counting)
     with pytest.raises(IngestError) as excinfo:
         ingest_chain(bad)
     assert str(excinfo.value) == "not a surjective chain: Res at level 2 has row rank 1 < 2"
     assert ranked == [(1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("value, accepted", [(2, True), (3, False)])
+def test_res_values_are_bounded_by_frobenius_reciprocity(value, accepted):
+    # v dim W <= dim V and v dim V <= [G_n : G_{n-1}] dim W give v^2 |G_{n-1}| <= |G_n|:
+    # orders 1 and 4 allow an entry of 2 and no more
+    payload = {"levels": [{"n": 0, "order": 1, "basisSize": 1},
+                          {"n": 1, "order": 4, "basisSize": 1, "res": [[0, 0, value]]}]}
+    if accepted:
+        assert ingest_chain(payload).res_operator(1).children == ((0, 0),)
+        return
+    message = ("not a chain of groups: Res at level 1 has entry 3 at (0, 0), "
+               "but v^2 |G_0| = 9 > |G_1| = 4")
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        ingest_chain(payload)
+
+
+def test_a_huge_res_value_is_refused_before_it_is_expanded(monkeypatch):
+    # one entry of 10^6 once cost seconds and megabytes of edges before it was
+    # accepted; it is refused before any edge of its level is listed
+    payload = export_chain(SYM, 5)
+    payload["levels"][3]["res"][0][2] = 10**6  # S_3 -> S_2
+    built = []
+    from_entries = BranchingOperator.from_entries.__func__
+
+    def counting(cls, level, *args):
+        built.append(level)
+        return from_entries(cls, level, *args)
+
+    monkeypatch.setattr(BranchingOperator, "from_entries", classmethod(counting))
+    message = ("not a chain of groups: Res at level 3 has entry 1000000 at (0, 0), "
+               "but v^2 |G_2| = 2000000000000 > |G_3| = 6")
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        ingest_chain(payload)
+    assert built == [1, 2]
 
 
 def test_dimension_mismatch_rejected():
@@ -541,9 +578,10 @@ def _number_label_and_embedding(payload):
 
 
 # Each of these was once accepted or misreported: int() truncated a float or read
-# a string, from_triplets summed repeated (row, col) entries, dropping them when
-# they cancelled, a level with no irreps passed, str() made the class "2.0" of a
-# float label, and a number embedsTo failed as an unknown class.
+# a string, repeated (row, col) entries were summed, and dropped when they
+# cancelled, a level with no irreps passed, str() made the class "2.0" of a
+# float label, a number embedsTo failed as an unknown class, an order of 0
+# ended jeongha and tasyopari in a ZeroDivisionError, and a negative order passed.
 @pytest.mark.parametrize("spoil, level, detail", [
     (_set_res_value(1.7), 2, "a Res entry must be an integer, not 1.7"),
     (_set(3, "order", 6.9), 3, "order must be an integer, not 6.9"),
@@ -560,10 +598,12 @@ def _number_label_and_embedding(payload):
     (_set_class(1, "label", 7), 1, "label must be a string, not 7"),
     (_set_class(2, "label", 2.0), 2, "label must be a string, not 2.0"),
     (_set_class(2, "embedsTo", 0), 2, "embedsTo must be a string, not 0"),
+    (_set(2, "order", 0), 2, "order must be at least 1: every group has its identity"),
+    (_set(3, "order", -6), 3, "order must be at least 1: every group has its identity"),
 ], ids=["float-res-value", "float-order", "cancelling-res-entry", "negative-res-value",
         "repeated-res-entry", "string-basis-size", "empty-level", "bool-order",
         "float-class-size", "no-n", "number-label-and-embedding", "int-label", "float-label",
-        "zero-embedding"])
+        "zero-embedding", "zero-order", "negative-order"])
 def test_ingest_rejects_what_it_once_truncated_or_merged(spoil, level, detail):
     payload = export_chain(SYM, 4)
     ingest_chain(payload)  # the export itself is accepted
@@ -934,14 +974,35 @@ def test_a_suite_with_no_level_to_check_is_skipped():
     assert report.checks and report.passed
 
 
-@pytest.mark.parametrize("spec, top", [("sym", 7), ("z2wreath", 5)])
+def res_payload(chain, top):
+    """Ingestion JSON for levels 0..top of a chain from its orders and Res
+    entries alone, with no class data."""
+    return {"name": chain.id, "levels": [
+        {"n": n, "order": chain.group_order(n), "basisSize": len(chain.basis(n)),
+         **({"res": [list(e) for e in chain.res_operator(n).entries()]} if n else {})}
+        for n in range(top + 1)]}
+
+
+@pytest.mark.parametrize("spec, top", [("sym", 7), ("z2wreath", 5), ("s3wreath", 3)])
 def test_ingestion_rebuilds_the_branching_edges(spec, top):
     # an edge (r, c) of multiplicity v puts r into children[c] v times; export
-    # sorts each column's rows, so each position's children agree as multisets
-    chain = get_chain(spec)
-    ingested = IngestedChain(export_chain(chain, top))
+    # sorts each column's rows, so each position's children agree as multisets.
+    # S3's standard irrep makes entries of 2 in S3 wr S_n; its class data would
+    # need brute-force tables, so that chain is read from its Res entries alone
+    if spec == "s3wreath":
+        chain = WreathChain(S3)
+        payload = res_payload(chain, top)
+        assert max(v for level in payload["levels"][1:] for _, _, v in level["res"]) == 2
+    else:
+        chain = get_chain(spec)
+        payload = export_chain(chain, top)
+    ingested = IngestedChain(payload)
     for n in range(1, top + 1):
         op, again = chain.res_operator(n), ingested.res_operator(n)
         assert (len(again.domain), len(again.codomain)) == (len(op.domain), len(op.codomain))
         assert [sorted(c) for c in again.children] == [sorted(c) for c in op.children], n
         assert again.x_norm_bound == op.x_norm_bound and again.matrix == op.matrix, n
+        assert again.entries() == op.entries(), n
+        assert verify.row_rank(len(op.codomain), len(op.domain), op.entries()) == len(op.codomain)
+        order_below, order = chain.group_order(n - 1), chain.group_order(n)
+        assert all(v * v * order_below <= order for _, _, v in op.entries()), n
