@@ -7,7 +7,12 @@ Two independent construction routes live here:
   cosets at cycle type rho counts the ways to put each cycle of rho into a
   row of nu so that every row is filled exactly. It deliberately does not
   touch the border-strip oracle in ``partitions``; the two are cross-checked
-  against each other in the test suite.
+  against each other in the test suite. The orthogonalization's inner
+  products, like ``GroupTable.validate``'s row orthonormality, compare
+  packed rows (``sparse.PackedIdentity``), one slot per row, whose widths
+  come from proven bounds: a stored row has norm |G|, so no entry above
+  sqrt(|G|), and the Young characters' bound is read off them as computed;
+  validate bounds each slot by sum |size| * max|chi|^2.
 * ``wreath_char_table`` builds H wr S_k tables by explicit brute force over
   enumerated group elements: each array label is induced from a block
   subgroup where its character is a product of block characters and base
@@ -27,7 +32,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
+from operator import mul
 
 from .partitions import (
     InvariantError,
@@ -38,6 +44,7 @@ from .partitions import (
     format_partition,
     parse_partition,
 )
+from .sparse import PackedIdentity
 
 DEFAULT_MAX_ORDER = 10_000
 MAX_ORDER_ENV = "CHARCOL_MAX_ORDER"
@@ -119,15 +126,27 @@ class GroupTable:
                 raise TableValidationError(
                     f"{self.name}: row {label} has values[0]={values[0]} != dim={dim}"
                 )
+        # Row orthonormality on packed ints: column c is packed over the rows,
+        # so row i's weighted sum of columns holds <chi_i, chi_j> in slot j.
+        # Each slot is at most sum |size| * max|chi|^2. So is |order| = |sum
+        # size|, unless every value is 0, when every slot is 0.
         sizes = [size for _, size in self.classes]
+        most = max((abs(a) for _, _, values in self.irreps for a in values), default=0)
+        packed = PackedIdentity(len(self.irreps), sum(map(abs, sizes)) * most * most)
+        columns = [sum(map(mul, column, packed.rows))
+                   for column in zip(*(values for _, _, values in self.irreps))]
         for i, (lu, _, u) in enumerate(self.irreps):
-            for j, (lw, _, w) in enumerate(self.irreps[i:], i):
-                inner = sum(s * a * b for s, a, b in zip(sizes, u, w))
-                expect = self.order if i == j else 0
-                if inner != expect:
+            inner = sum(map(mul, map(mul, sizes, u), columns))
+            if inner == self.order * packed.rows[i]:
+                continue
+            # rows before i matched in every slot, so slots below i match too
+            values = packed.slots(inner, len(self.irreps))
+            for j, (lw, _, _) in enumerate(self.irreps[i:], i):
+                value, expect = values[j], self.order if i == j else 0
+                if value != expect:
                     raise TableValidationError(
                         f"{self.name}: row orthogonality fails for ({lu},{lw}): "
-                        f"sum size*chi*chi = {inner}, expected {expect}"
+                        f"sum size*chi*chi = {value}, expected {expect}"
                     )
         return self
 
@@ -267,31 +286,56 @@ def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ..
     the subgroup shape; each one contains the matching irreducible character
     once plus previously-extracted characters, so subtracting projections
     leaves exactly the new irreducible row (with its standard label).
+
+    Each class column is packed over the rows so far, so ``sum_c size_c xi(c)
+    column_c`` holds ``|G| <xi, chi_j>`` in slot j for every row j at once;
+    the multiples are subtracted from xi packed over the classes, where the
+    new row is decoded.
     """
     classes = _sym_class_order(k)
     sizes = [class_size(mu) for mu in classes]
     order = factorial(k)
+    young = [(nu, [young_permutation_character(nu, mu) for mu in classes])
+             for nu in enumerate_partitions(k)]
+    root = isqrt(order)
+    # slot j holds sum_c size_c xi(c) chi_j(c), so |G| |m_j| is at most this
+    inner_bound = max(sum(s * abs(a) for s, a in zip(sizes, xi)) for _, xi in young) * root
+    by_row = PackedIdentity(len(classes), inner_bound)
+    # xi(c) - sum_j m_j chi_j(c), over at most p(k) rows
+    by_class = PackedIdentity(len(classes), max(abs(a) for _, xi in young for a in xi)
+                              + len(classes) * (inner_bound // order) * root)
+    columns = [0] * len(classes)
+    packed_rows: list[int] = []
     rows: list[tuple[Partition, tuple[int, ...]]] = []
-    for nu in enumerate_partitions(k):
-        vec = [young_permutation_character(nu, mu) for mu in classes]
-        for _, chi in rows:
-            m = sum(s * a * b for s, a, b in zip(sizes, vec, chi))
-            m, rem = divmod(m, order)
+    for nu, xi in young:
+        inner = sum(map(mul, map(mul, sizes, xi), columns))
+        vec = sum(map(mul, xi, by_class.rows))
+        for packed, product in zip(packed_rows, by_row.slots(inner, len(packed_rows))):
+            m, rem = divmod(product, order)
             if rem:
                 raise InvariantError(f"orthogonalization failed at {nu}")
             if m:
-                vec = [a - m * b for a, b in zip(vec, chi)]
-        norm = sum(s * a * a for s, a in zip(sizes, vec))
-        if norm != order or vec[0] <= 0:
+                vec -= m * packed
+        row = tuple(by_class.slots(vec, len(classes)))
+        if sum(map(mul, sizes, map(mul, row, row))) != order or row[0] <= 0:
             raise InvariantError(f"orthogonalization failed at {nu}")
-        rows.append((nu, tuple(vec)))
+        unit = by_row.rows[len(rows)]
+        columns = [column + a * unit for column, a in zip(columns, row)]
+        packed_rows.append(vec)
+        rows.append((nu, row))
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _sym_lookup(k: int) -> tuple[dict, dict]:
+    """S_k's rows by label and its classes' positions, read once per k."""
+    positions = {mu: i for i, mu in enumerate(_sym_class_order(k))}
+    return dict(_symmetric_table_rows(k)), positions
+
+
 def _sym_value(lam: Partition, rho: Partition) -> int:
-    rows = dict(_symmetric_table_rows(sum(lam)))
-    classes = _sym_class_order(sum(lam))
-    return rows[lam][classes.index(tuple(sorted(rho, reverse=True)))]
+    rows, positions = _sym_lookup(sum(lam))
+    return rows[lam][positions[tuple(sorted(rho, reverse=True))]]
 
 
 def symmetric_group_table(k: int, max_order: int | None = None) -> GroupTable:

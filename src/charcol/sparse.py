@@ -93,3 +93,11 @@ class PackedIdentity:
     def entry(self, row: int, i: int) -> int:
         """The signed entry in slot i of one row."""
         return self.column([row], i)[0]
+
+    def slots(self, row: int, count: int) -> list[int]:
+        """The signed entries in slots 0..count-1 of one row, in one pass: half
+        a unit added to each of those slots makes every one of them
+        nonnegative and below a unit, so no slot borrows from the next."""
+        width, half, mask = self.width, 1 << self.width - 1, (1 << self.width) - 1
+        row += half * ((1 << width * count) - 1) // mask
+        return [(row >> low & mask) - half for low in range(0, width * count, width)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from . import engine, lifting
 from .chain import BranchingOperator, Chain, FallingFactorialPoly
@@ -301,25 +301,36 @@ def _parse_level(pos: int, raw) -> tuple:
 
 def row_rank(nrows: int, ncols: int, entries) -> int:
     """Exact rank over Q of the nrows x ncols integer matrix with the given
-    (row, col, value) entries, eliminated fraction-free (Bareiss) on a dense
-    copy, so every division is exact."""
-    rows = [[0] * ncols for _ in range(nrows)]
+    (row, col, value) entries, eliminated on the listed nonzeros: each row, a
+    dict {col: value}, is reduced by the kept row with the same leading column
+    until its leading column is new (it is kept) or it is empty. Each step
+    takes an integer combination that clears the leading entry, then divides
+    by the gcd of what is left, so every division is exact."""
+    kept: dict[int, dict[int, int]] = {}  # leading column -> reduced row
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for r, c, v in entries:
-        rows[r][c] = v
-    rank, last_pivot = 0, 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top, p = rows[rank], rows[rank][col]
-        for i in range(rank + 1, nrows):
-            f = rows[i][col]
-            rows[i] = [(p * a - f * b) // last_pivot for a, b in zip(rows[i], top)]
-        rank, last_pivot = rank + 1, p
-        if rank == nrows:
-            break
-    return rank
+        if v:
+            rows[r][c] = v
+    for row in rows:
+        while row:
+            lead = min(row)
+            top = kept.get(lead)
+            if top is None:
+                kept[lead] = row
+                break
+            g = gcd(top[lead], row[lead])
+            p, f = top[lead] // g, row[lead] // g
+            row = {c: p * v for c, v in row.items()}
+            for c, v in top.items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+    return len(kept)
 
 
 def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:

@@ -1,5 +1,9 @@
+import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from math import comb, factorial
 
@@ -105,6 +109,60 @@ def test_table_validation_rejects(spoil, message):
         GroupTable.from_json_dict(table)
 
 
+# D4 (order 8) as a JSON table: classes e, r^2, r, s, rs
+D4_JSON = {
+    "name": "D4",
+    "order": 8,
+    "classes": [{"label": lab, "size": size}
+                for lab, size in (("e", 1), ("r2", 1), ("r", 2), ("s", 2), ("rs", 2))],
+    "irreps": [{"label": lab, "dim": values[0], "values": values}
+               for lab, values in (("1", [1, 1, 1, 1, 1]), ("a", [1, 1, 1, -1, -1]),
+                                   ("b", [1, 1, -1, 1, -1]), ("c", [1, 1, -1, -1, 1]),
+                                   ("d", [2, -2, 0, 0, 0]))],
+}
+
+
+def pairwise_orthogonality_error(table):
+    """The message of the first row pair (i <= j) whose inner product is off,
+    from one plain sum per pair, or None: the reference for validate()."""
+    sizes = [size for _, size in table.classes]
+    for i, (lu, _, u) in enumerate(table.irreps):
+        for j, (lw, _, w) in enumerate(table.irreps[i:], i):
+            inner = sum(s * a * b for s, a, b in zip(sizes, u, w))
+            expect = table.order if i == j else 0
+            if inner != expect:
+                return (f"{table.name}: row orthogonality fails for ({lu},{lw}): "
+                        f"sum size*chi*chi = {inner}, expected {expect}")
+    return None
+
+
+@pytest.mark.parametrize("table", [symmetric_group_table(5), GroupTable.from_json_dict(D4_JSON)],
+                         ids=["S5", "D4-json"])
+def test_every_single_entry_change_names_the_pairwise_first_failure(table):
+    # -2 at an entry of 1 keeps that row's norm, so the first failure is
+    # another pair; 10**20 widens the slots
+    for i, (label, dim, values) in enumerate(table.irreps):
+        for c in range(len(values)):
+            for delta in (1, -2, 10**20):
+                spoiled = list(values)
+                spoiled[c] += delta
+                irreps = list(table.irreps)
+                irreps[i] = (label, spoiled[0], tuple(spoiled))
+                bad = dataclasses.replace(table, irreps=tuple(irreps))
+                expected = pairwise_orthogonality_error(bad)
+                assert expected is not None
+                with pytest.raises(TableValidationError) as excinfo:
+                    bad.validate()
+                assert str(excinfo.value) == expected, (label, c, delta)
+
+
+def test_validate_agrees_with_the_pairwise_reference_on_sound_tables():
+    for table in (symmetric_group_table(7), wreath_char_table(builtin_table("Z2"), 3),
+                  GroupTable.from_json_dict(D4_JSON), builtin_table("trivial")):
+        assert pairwise_orthogonality_error(table) is None
+        assert table.validate() is table
+
+
 def test_table_json_round_trip():
     t = builtin_table("Z2")
     assert GroupTable.from_json_dict(t.to_json_dict()) == t
@@ -174,13 +232,43 @@ def test_young_permutation_character_counts_exact_fillings():
 
 
 def test_symmetric_table_matches_border_strip_oracle():
-    for k in range(1, 10):
+    for k in range(1, 13):
         table = symmetric_group_table(k, max_order=factorial(k) if k >= 8 else None)
         for lab, dim, values in table.irreps:
             lam = tuple(int(x) for x in lab[1:-1].split(","))
             for (clab, _), value in zip(table.classes, values):
                 mu = tuple(int(x) for x in clab[1:-1].split(","))
                 assert value == mn_character(lam, mu), (lam, mu)
+
+
+# Every Young character of S_4 spoiled at one (nu, mu): the build stops with
+# an InvariantError, which a raise keeps under python -O, as an assert would not
+SPOILED_YOUNG = """
+from charcol import hgroup
+from charcol.partitions import InvariantError, enumerate_partitions
+
+young = hgroup.young_permutation_character
+raised = 0
+for nu in enumerate_partitions(4):
+    for mu in enumerate_partitions(4):
+        hgroup.young_permutation_character = (
+            lambda n, r, bad=(nu, mu): young(n, r) + ((n, r) == bad))
+        hgroup._symmetric_table_rows.cache_clear()
+        try:
+            hgroup._symmetric_table_rows(4)
+        except InvariantError as exc:
+            raised += str(exc).startswith("orthogonalization failed at ")
+print(raised)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_spoiled_young_character_raises_with_and_without_asserts(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-c", SPOILED_YOUNG], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == f"{len(enumerate_partitions(4)) ** 2}\n"
 
 
 def test_symmetric_table_respects_bound():

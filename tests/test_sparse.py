@@ -49,6 +49,7 @@ def test_packed_rows_are_equal_exactly_when_the_matrices_are(a, b):
     packed = PackedIdentity(4, 5)  # matrix_strategy's entries are within 5
     rows = a.matvec(packed.rows)
     assert [[packed.entry(row, i) for i in range(4)] for row in rows] == matrix_rows(a)
+    assert [packed.slots(row, 4) for row in rows] == matrix_rows(a)
     assert (rows == b.matvec(packed.rows)) == (a == b)
 
 
@@ -62,6 +63,9 @@ def test_packed_identity_round_trips_entries_at_the_bound():
     packed = PackedIdentity(4, bound)
     rows = matrix.matvec(packed.rows)
     assert [[packed.entry(row, i) for i in range(4)] for row in rows] == patterns
+    # the lower slots alone, whatever the slots above them hold
+    assert [packed.slots(row, count) for row in rows for count in range(5)] == [
+        pattern[:count] for pattern in patterns for count in range(5)]
     assert len(set(rows)) == len(patterns)
     assert packed.width == 5 and packed.rows == [1, 1 << 5, 1 << 10, 1 << 15]
 

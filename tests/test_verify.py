@@ -415,6 +415,22 @@ def test_zero_row_res_rejected():
         ingest_chain(bad)
 
 
+def test_alternating_groups_are_not_a_surjective_chain():
+    # A_4 <= A_5: irreps 1, w, w', 3 of A_4 (rows) and 1, 3, 3', 4, 5 of A_5
+    # (columns); the two conjugate linear characters w, w' restrict from 5 alone
+    a4_a5 = {
+        "levels": [
+            {"n": 0, "order": 12, "basisSize": 4},
+            {"n": 1, "order": 60, "basisSize": 5,
+             "res": [[0, 0, 1], [3, 1, 1], [3, 2, 1], [0, 3, 1], [3, 3, 1],
+                     [1, 4, 1], [2, 4, 1], [3, 4, 1]]},
+        ]
+    }
+    with pytest.raises(IngestError) as excinfo:
+        ingest_chain(a4_a5)
+    assert str(excinfo.value) == "not a surjective chain: Res at level 1 has row rank 3 < 4"
+
+
 def test_rank_deficient_res_rejected_with_its_rank_computed_once(monkeypatch):
     # no zero row, but the rows of Res at level 2 are dependent over Q
     bad = {
