@@ -5,8 +5,10 @@ Commands: column, lift, indres, mckay, table, verify. Exit statuses:
 or a broken lift invariant), 2 usage error (including an output path that
 cannot be written), 3 resource bound exceeded.
 All outputs are deterministic for a given invocation; payloads carry no
-timestamps. The wreath brute-force order bound defaults to 10000 and can be
-overridden per run with --max-order or globally with CHARCOL_MAX_ORDER.
+timestamps. The group-order bound defaults to 10000 and can be overridden per
+run with --max-order or globally with CHARCOL_MAX_ORDER. It refuses every
+group whose table or classes are built: brute-force wreath products, and also
+S_k tables and border-strip columns, though neither enumerates the group.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chain", default=chain_default, required=chain_default is None,
                        help="chain spec: 'sym', 'z2wreath', or a base-group table JSON path")
         p.add_argument("--max-order", type=int, default=None,
-                       help="brute-force group-order bound (default 10000 or CHARCOL_MAX_ORDER)")
+                       help="order bound on every group whose table or classes are built, "
+                       "S_k included (default 10000 or CHARCOL_MAX_ORDER)")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("column", help="character-table column of a class")

@@ -3,16 +3,20 @@
 Two independent construction routes live here:
 
 * ``symmetric_group_table`` builds S_k character tables from Young-subgroup
-  permutation characters plus exact orthogonalization. The character of S_nu's
-  cosets at cycle type rho counts the ways to put each cycle of rho into a
-  row of nu so that every row is filled exactly. It deliberately does not
-  touch the border-strip oracle in ``partitions``; the two are cross-checked
-  against each other in the test suite. The orthogonalization's inner
-  products, like ``GroupTable.validate``'s row orthonormality, compare
-  packed rows (``sparse.PackedIdentity``), one slot per row, whose widths
-  come from proven bounds: a stored row has norm |G|, so no entry above
-  sqrt(|G|), and the Young characters' bound is read off them as computed;
-  validate bounds each slot by sum |size| * max|chi|^2.
+  permutation characters plus exact orthogonalization. The character xi_nu of
+  S_nu's cosets at cycle type rho is the coefficient of m_nu in the power sum
+  p_rho (Macdonald I.6, the matrix M(p, m)), so one expansion of p_rho gives a
+  whole class column: p_c m_mu adds c to one part of mu (or to a new part 0),
+  and each result lam counts the parts of lam equal to the part that grew.
+  The expansions are memoized on rho, so every suffix of a cycle type is
+  expanded once per process, whichever class and k it came from. It
+  deliberately does not touch the border-strip oracle in ``partitions``; the
+  two are cross-checked against each other in the test suite. The
+  orthogonalization's inner products, like ``GroupTable.validate``'s row
+  orthonormality, compare packed rows (``sparse.PackedIdentity``), one slot
+  per row, whose widths come from proven bounds: a stored row has norm |G|,
+  so no entry above sqrt(|G|), and the Young characters' bound is read off
+  them as computed; validate bounds each slot by sum |size| * max|chi|^2.
 * ``wreath_char_table`` builds H wr S_k tables by explicit brute force over
   enumerated group elements: each array label is induced from a block
   subgroup where its character is a product of block characters and base
@@ -57,7 +61,12 @@ class TableValidationError(ValueError):
 
 
 class SizeBoundError(RuntimeError):
-    """A brute-force computation would exceed the configured group-order bound."""
+    """A group is above the configured order bound.
+
+    The bound refuses every group whose table or classes are built: brute-force
+    wreath tables and classes, and also S_k tables and border-strip reference
+    columns, though neither enumerates the group.
+    """
 
     def __init__(self, order: int, bound: int, what: str):
         self.order = order
@@ -70,12 +79,23 @@ class SizeBoundError(RuntimeError):
 
 def check_order(order: int, max_order: int | None, what: str) -> None:
     """SizeBoundError if a group of this order is above the bound: max_order,
-    else CHARCOL_MAX_ORDER, else 10000."""
+    else CHARCOL_MAX_ORDER, else 10000. A bound that is not an integer, or is
+    negative, is a ValueError that names where it came from."""
     env = os.environ.get(MAX_ORDER_ENV)
-    try:
-        bound = int(max_order) if max_order is not None else int(env) if env else DEFAULT_MAX_ORDER
-    except ValueError:
-        raise ValueError(f"{MAX_ORDER_ENV} must be an integer, not {env!r}") from None
+    where, given, bound = None, None, DEFAULT_MAX_ORDER
+    if max_order is not None:
+        where, given = "max_order", max_order
+        bound = max_order if isinstance(max_order, int) else None
+    elif env:
+        where, given = MAX_ORDER_ENV, env
+        try:
+            bound = int(env)
+        except ValueError:
+            bound = None
+    if bound is None:
+        raise ValueError(f"{where} must be an integer, not {given!r}")
+    if bound < 0:
+        raise ValueError(f"{where} must be non-negative, not {given!r}")
     if order > bound:
         raise SizeBoundError(order, bound, what)
 
@@ -249,28 +269,31 @@ def concrete_base(table: GroupTable) -> ConcreteGroup:
 
 
 @lru_cache(maxsize=None)
-def _placements(cycles: tuple[int, ...], rows: tuple[int, ...]) -> int:
-    """Ways to put each cycle into a row so that every row is filled exactly.
+def _young_column(rho: Partition) -> dict[Partition, int]:
+    """``{nu: xi_nu(rho)}`` for a descending rho: p_rho in the monomial basis.
 
-    Both tuples are descending. The largest cycle goes into each distinct row
-    size that fits it, counted once per row of that size.
+    ``p_c m_mu`` adds c to one part v of mu, or to a new part v = 0, and
+    the result lam = mu - v + (v + c) gets the coefficient of m_mu times
+    the number of parts of lam equal to v + c. Each suffix of rho is one
+    memo entry, shared across classes and across k; the dict returned is the
+    memo's own, to be read and never changed.
     """
-    if not cycles:
-        return 1
-    first, rest = cycles[0], cycles[1:]
-    total = 0
-    for i, size in enumerate(rows):
-        if size >= first and (i == 0 or rows[i - 1] != size):
-            left = tuple(sorted(rows[:i] + (size - first,) + rows[i + 1 :], reverse=True))
-            total += rows.count(size) * _placements(rest, left)
-    return total
-
-
-def young_permutation_character(nu: Partition, rho: Partition) -> int:
-    """Character of the permutation module on cosets of S_nu, at cycle type rho."""
-    if sum(nu) != sum(rho):
-        raise ValueError("nu and rho must partition the same n")
-    return _placements(tuple(sorted(rho, reverse=True)), tuple(sorted(nu, reverse=True)))
+    if not rho:
+        return {(): 1}
+    c, rest = rho[0], rho[1:]
+    column: dict[Partition, int] = {}
+    for mu, a in _young_column(rest).items():
+        parts = mu + (0,)
+        for i, v in enumerate(parts):
+            if i and parts[i - 1] == v:
+                continue  # grow the first part of each size only
+            grown = v + c
+            j = i  # lam stays descending: grown moves left past the parts below it
+            while j and mu[j - 1] < grown:
+                j -= 1
+            lam = mu[:j] + (grown,) + mu[j:i] + mu[i + 1:]
+            column[lam] = column.get(lam, 0) + a * lam.count(grown)
+    return column
 
 
 def _sym_class_order(k: int) -> tuple[Partition, ...]:
@@ -295,8 +318,8 @@ def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ..
     classes = _sym_class_order(k)
     sizes = [class_size(mu) for mu in classes]
     order = factorial(k)
-    young = [(nu, [young_permutation_character(nu, mu) for mu in classes])
-             for nu in enumerate_partitions(k)]
+    expansions = [_young_column(mu) for mu in classes]
+    young = [(nu, [col.get(nu, 0) for col in expansions]) for nu in enumerate_partitions(k)]
     root = isqrt(order)
     # slot j holds sum_c size_c xi(c) chi_j(c), so |G| |m_j| is at most this
     inner_bound = max(sum(s * abs(a) for s, a in zip(sizes, xi)) for _, xi in young) * root

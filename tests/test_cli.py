@@ -366,6 +366,33 @@ def test_a_non_integer_max_order_variable_is_named(capsys, monkeypatch):
     assert err == "error: CHARCOL_MAX_ORDER must be an integer, not 'abc'\n"
 
 
+def table_under_bound(capsys, monkeypatch, how, bound, k):
+    """``charcol table --chain sym --k k`` with the bound set by the flag or the variable."""
+    argv = ["table", "--chain", "sym", "--k", str(k)]
+    if how == "flag":
+        argv += ["--max-order", bound]
+    else:
+        monkeypatch.setenv("CHARCOL_MAX_ORDER", bound)
+    return run(capsys, *argv)
+
+
+# a negative bound once refused every table, even S_0's, with exit 3
+@pytest.mark.parametrize("how, named", [("flag", "max_order must be non-negative, not -5"),
+                                        ("variable", "CHARCOL_MAX_ORDER must be non-negative, not '-5'")],
+                         ids=["flag", "variable"])
+def test_a_negative_max_order_is_a_usage_error(capsys, monkeypatch, how, named):
+    code, out, err = table_under_bound(capsys, monkeypatch, how, "-5", 0)
+    assert code == 2 and out == ""
+    assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("how", ["flag", "variable"])
+def test_a_zero_max_order_is_a_bound(capsys, monkeypatch, how):
+    code, out, err = table_under_bound(capsys, monkeypatch, how, "0", 3)
+    assert code == 3 and out == ""
+    assert err.startswith("error: S_3 has order 6, above the bound 0;") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--chain", "sym", "--suite", "heisenberg", "--maxN", "3", "--export"],
     ["table", "--chain", "sym", "--k", "3", "--out"],

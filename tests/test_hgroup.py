@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -29,7 +30,8 @@ from charcol.hgroup import (
     wreath_inverse,
     wreath_irrep_dim,
     wreath_mult,
-    young_permutation_character,
+    _symmetric_table_rows,
+    _young_column,
 )
 from charcol.partitions import enumerate_partitions, format_partition, mn_character
 
@@ -171,14 +173,33 @@ def test_table_json_round_trip():
 # -- symmetric-group tables from permutation characters ----------------------
 
 
+def young(nu, rho):
+    """xi_nu(rho), read off the expansion of p_rho."""
+    return _young_column(rho).get(nu, 0)
+
+
 def test_young_permutation_character_basics():
     # chi of the natural permutation module = fixed points
     for mu in enumerate_partitions(5):
-        assert young_permutation_character((4, 1), mu) == list(mu).count(1)
+        assert young((4, 1), mu) == list(mu).count(1)
     # the regular module at the identity
-    assert young_permutation_character((1, 1, 1, 1), (1, 1, 1, 1)) == factorial(4)
-    with pytest.raises(ValueError):
-        young_permutation_character((2, 1), (2,))
+    assert young((1, 1, 1, 1), (1, 1, 1, 1)) == factorial(4)
+    assert _young_column(()) == {(): 1}
+
+
+def test_young_column_closed_forms():
+    for k in range(0, 13):
+        whole = (k,) if k else ()
+        for rho in enumerate_partitions(k):
+            # the trivial module: one coset of S_k
+            assert young(whole, rho) == 1, rho
+    for k in range(0, 11):
+        for nu in enumerate_partitions(k):
+            # at the identity every coset is fixed: the multinomial k! / prod nu_i!
+            cosets = factorial(k)
+            for part in nu:
+                cosets //= factorial(part)
+            assert young(nu, (1,) * k) == cosets, nu
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +235,7 @@ def test_young_permutation_character_matches_the_earlier_count():
         for rho in enumerate_partitions(n):
             parts = tuple(sorted(((v, rho.count(v)) for v in set(rho)), reverse=True))
             for nu in enumerate_partitions(n):
-                assert young_permutation_character(nu, rho) == _distribute(parts, nu), (nu, rho)
+                assert young(nu, rho) == _distribute(parts, nu), (nu, rho)
 
 
 def test_young_permutation_character_counts_exact_fillings():
@@ -228,7 +249,7 @@ def test_young_permutation_character_counts_exact_fillings():
                     for cycle, row in zip(rho, rows):
                         filled[row] += cycle
                     fillings += filled == list(nu)
-                assert young_permutation_character(nu, rho) == fillings, (nu, rho)
+                assert young(nu, rho) == fillings, (nu, rho)
 
 
 def test_symmetric_table_matches_border_strip_oracle():
@@ -241,18 +262,34 @@ def test_symmetric_table_matches_border_strip_oracle():
                 assert value == mn_character(lam, mu), (lam, mu)
 
 
+# SHA-256 of repr(_symmetric_table_rows(k)) as the per-pair placement count
+# built them, past the oracle test's reach
+TABLE_ROW_DIGESTS = {
+    13: "07d605c11ce8419f89c642c81d7e47df944fec0cd1758118d4d944a5e28a6399",
+    14: "b9f5cb440c0f1b38eaa36efe988a7b58380f60b3687ecdbabfa9034ef0d91a9c",
+}
+
+
+@pytest.mark.parametrize("k", sorted(TABLE_ROW_DIGESTS))
+def test_symmetric_table_rows_are_byte_identical(k):
+    digest = hashlib.sha256(repr(_symmetric_table_rows(k)).encode()).hexdigest()
+    assert digest == TABLE_ROW_DIGESTS[k]
+
+
 # Every Young character of S_4 spoiled at one (nu, mu): the build stops with
 # an InvariantError, which a raise keeps under python -O, as an assert would not
 SPOILED_YOUNG = """
 from charcol import hgroup
 from charcol.partitions import InvariantError, enumerate_partitions
 
-young = hgroup.young_permutation_character
+young = hgroup._young_column
 raised = 0
 for nu in enumerate_partitions(4):
     for mu in enumerate_partitions(4):
-        hgroup.young_permutation_character = (
-            lambda n, r, bad=(nu, mu): young(n, r) + ((n, r) == bad))
+        # a copy, so the memo keeps the true column
+        hgroup._young_column = (
+            lambda r, nu=nu, mu=mu: {**young(r), nu: young(r).get(nu, 0) + 1} if r == mu
+            else young(r))
         hgroup._symmetric_table_rows.cache_clear()
         try:
             hgroup._symmetric_table_rows(4)
@@ -286,6 +323,19 @@ def test_symmetric_table_bound_holds_after_the_table_is_cached(monkeypatch):
     monkeypatch.setenv("CHARCOL_MAX_ORDER", "10000")
     with pytest.raises(SizeBoundError):
         symmetric_group_table(8)
+
+
+@pytest.mark.parametrize("max_order, message", [
+    ("50000", "max_order must be an integer, not '50000'"),
+    (50000.0, "max_order must be an integer, not 50000.0"),
+    (-1, "max_order must be non-negative, not -1"),
+])
+def test_a_bad_max_order_argument_is_named(monkeypatch, max_order, message):
+    # the variable is set and valid, so the message must not blame it
+    monkeypatch.setenv("CHARCOL_MAX_ORDER", "50000")
+    with pytest.raises(ValueError) as exc:
+        symmetric_group_table(3, max_order=max_order)
+    assert str(exc.value) == message
 
 
 def test_tables_and_labels_are_built_once():
