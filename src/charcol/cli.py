@@ -8,7 +8,8 @@ All outputs are deterministic for a given invocation; payloads carry no
 timestamps. The group-order bound defaults to 10000 and can be overridden per
 run with --max-order or globally with CHARCOL_MAX_ORDER. It refuses every
 group whose table or classes are built: brute-force wreath products, and also
-S_k tables and border-strip columns, though neither enumerates the group.
+S_k tables and border-strip columns, though neither enumerates the group. A
+bound that is not a non-negative integer is a usage error on every command.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from . import mckay, verify
 from .chain import Chain, get_chain, require_symmetric
 from .engine import character_column, odd_column
-from .hgroup import SizeBoundError, load_table
+from .hgroup import SizeBoundError, load_table, order_bound
 from .lifting import InvariantError, lift
 from .partitions import mirrored_order
 from .verify import IngestError, ingest_chain, run_suite
@@ -223,6 +224,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        order_bound(args.max_order)  # a bad bound is refused even where no group is built
         return args.func(args)
     except SizeBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,13 @@ Two independent construction routes live here:
   them as computed; validate bounds each slot by sum |size| * max|chi|^2.
 * ``wreath_char_table`` builds H wr S_k tables by explicit brute force over
   enumerated group elements: each array label is induced from a block
-  subgroup where its character is a product of block characters and base
-  characters along cycles.
+  subgroup K = prod_j H wr S_{s_j}, where its character is a product of block
+  characters and base characters along cycles. Every element of K is
+  enumerated once per block-size composition and tallied by its class in G
+  and its block signature (per block, the cycle type and the sorted H-classes
+  of the cycle products), which fixes every such label's value there. The
+  classes are conjugation orbits under the generators, each conjugation done
+  in one pass, and are checked against the colored cycle types.
 
 Wreath irrep labels and conjugacy-class labels are nested tuples
 ``((index, partition), ...)`` sorted by index with nonempty partitions; the
@@ -33,11 +38,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, isqrt
-from operator import mul
+from operator import itemgetter, mul
 
 from .partitions import (
     InvariantError,
@@ -78,9 +84,16 @@ class SizeBoundError(RuntimeError):
 
 
 def check_order(order: int, max_order: int | None, what: str) -> None:
-    """SizeBoundError if a group of this order is above the bound: max_order,
-    else CHARCOL_MAX_ORDER, else 10000. A bound that is not an integer, or is
-    negative, is a ValueError that names where it came from."""
+    """SizeBoundError if a group of this order is above ``order_bound(max_order)``."""
+    bound = order_bound(max_order)
+    if order > bound:
+        raise SizeBoundError(order, bound, what)
+
+
+def order_bound(max_order: int | None) -> int:
+    """The group-order bound: max_order, else CHARCOL_MAX_ORDER, else 10000.
+    A bound that is not an integer, or is negative, is a ValueError that names
+    where it came from."""
     env = os.environ.get(MAX_ORDER_ENV)
     where, given, bound = None, None, DEFAULT_MAX_ORDER
     if max_order is not None:
@@ -96,8 +109,7 @@ def check_order(order: int, max_order: int | None, what: str) -> None:
         raise ValueError(f"{where} must be an integer, not {given!r}")
     if bound < 0:
         raise ValueError(f"{where} must be non-negative, not {given!r}")
-    if order > bound:
-        raise SizeBoundError(order, bound, what)
+    return bound
 
 
 def _typed(value, kind: type, what: str):
@@ -387,28 +399,9 @@ def _symmetric_group_table_cached(k: int) -> GroupTable:
 
 # ---------------------------------------------------------------------------
 # Wreath products H^k x| S_k: elements, classes, labels
-
-
-def wreath_mult(group: ConcreteGroup, x, y):
-    """(a, s)(b, r) = (a * s.b, s o r) where (s.b)_i = b_{s^-1(i)}."""
-    (bx, px), (by, py) = x, y
-    k = len(px)
-    pinv = [0] * k
-    for i, img in enumerate(px):
-        pinv[img] = i
-    base = tuple(group.mult[bx[i]][by[pinv[i]]] for i in range(k))
-    perm = tuple(px[py[i]] for i in range(k))
-    return (base, perm)
-
-
-def wreath_inverse(group: ConcreteGroup, x):
-    bx, px = x
-    k = len(px)
-    pinv = [0] * k
-    for i, img in enumerate(px):
-        pinv[img] = i
-    base = tuple(group.inverse[bx[px[i]]] for i in range(k))
-    return (base, tuple(pinv))
+#
+# An element is (base, perm), base in H^k and perm in S_k, and
+# (a, s)(b, r) = (a * s.b, s o r) where (s.b)_i = b_{s^-1(i)}.
 
 
 def wreath_elements(group: ConcreteGroup, k: int):
@@ -417,7 +410,10 @@ def wreath_elements(group: ConcreteGroup, k: int):
             yield (base, perm)
 
 
-def _perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _perm_cycles(perm: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """The cycles of a permutation, each from its least point, with their
+    lengths; one memo entry per permutation, read and never changed."""
     seen = [False] * len(perm)
     cycles = []
     for start in range(len(perm)):
@@ -429,81 +425,113 @@ def _perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
             seen[i] = True
             cyc.append(i)
             i = perm[i]
-        cycles.append(cyc)
-    return cycles
+        cycles.append(tuple(cyc))
+    return tuple(cycles), tuple(map(len, cycles))
+
+
+def _cycle_colors(group: ConcreteGroup, base, cycles) -> tuple[int, ...]:
+    """The H-class of the product of the base entries along each cycle."""
+    colors = []
+    for cyc in cycles:
+        prod = 0
+        for i in cyc:
+            prod = group.mult[base[i]][prod]
+        colors.append(group.class_of[prod])
+    return tuple(colors)
+
+
+@lru_cache(maxsize=None)
+def _colored_type(lengths: tuple[int, ...], colors: tuple[int, ...]) -> WreathLabel:
+    """The colored cycle type of cycles of these lengths and H-classes."""
+    colored: dict[int, list[int]] = {}
+    for length, color in zip(lengths, colors):
+        colored.setdefault(color, []).append(length)
+    return tuple(
+        (cls, tuple(sorted(part, reverse=True))) for cls, part in sorted(colored.items())
+    )
 
 
 def colored_cycle_type(group: ConcreteGroup, elem) -> WreathLabel:
     """Class label of a wreath element: each cycle length, colored by the
     H-class of the product of its base entries taken along the cycle."""
     base, perm = elem
-    colored: dict[int, list[int]] = {}
-    for cyc in _perm_cycles(perm):
-        prod = 0
-        for i in cyc:
-            prod = group.mult[base[i]][prod]
-        colored.setdefault(group.class_of[prod], []).append(len(cyc))
-    return tuple(
-        (cls, tuple(sorted(lengths, reverse=True))) for cls, lengths in sorted(colored.items())
-    )
+    cycles, lengths = _perm_cycles(perm)
+    return _colored_type(lengths, _cycle_colors(group, base, cycles))
 
 
 def identity_colored_type(k: int) -> WreathLabel:
     return (((0, (1,) * k),)) if k else ()
 
 
-def _wreath_generators(group: ConcreteGroup, k: int):
-    gens = []
-    idp = tuple(range(k))
+def _conjugations(group: ConcreteGroup, k: int) -> list:
+    """``x -> g x g^-1`` in one pass, for each generator g of H wr S_k in
+    turn: ``((h, e, ..., e), id)`` for each h other than the identity e of H
+    (element 0), then the pure permutations (0 1) and i -> i + 1 (mod k)."""
+    conjugations = []
     if k >= 1:
         for h in range(1, group.size):
-            gens.append(((h,) + (0,) * (k - 1), idp))
+            conjugations.append(partial(_conjugate_by_base, group.mult, h, group.inverse[h]))
     if k >= 2:
-        gens.append(((0,) * k, (1, 0) + tuple(range(2, k))))
-        gens.append(((0,) * k, tuple(range(1, k)) + (0,)))
-    return gens
+        for sigma in ((1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)):
+            inverse = [0] * k
+            for i, img in enumerate(sigma):
+                inverse[img] = i
+            conjugations.append(partial(_conjugate_by_perm, sigma, itemgetter(*inverse)))
+    return conjugations
+
+
+def _conjugate_by_base(mult, h: int, h_inverse: int, x):
+    """g x g^-1 for g = ((h, e, ..., e), id): b_0 becomes h b_0, then
+    b_pi(0) becomes b_pi(0) h^-1; the permutation is unchanged."""
+    base, perm = x
+    b = list(base)
+    b[0] = mult[h][b[0]]
+    j = perm[0]
+    b[j] = mult[b[j]][h_inverse]
+    return tuple(b), perm
+
+
+def _conjugate_by_perm(sigma: tuple[int, ...], reindex, x):
+    """g x g^-1 for g = (1, sigma): base b_{sigma^-1(i)} and permutation
+    sigma pi sigma^-1, where ``reindex`` picks positions sigma^-1(0), ...,
+    sigma^-1(k-1)."""
+    base, perm = x
+    return reindex(base), tuple(map(sigma.__getitem__, reindex(perm)))
 
 
 @dataclass(frozen=True)
 class WreathClass:
+    """A conjugacy class: its colored cycle type, its size, and its
+    sorted-first member."""
+
     label: WreathLabel
-    members: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def representative(self):
-        return self.members[0]
+    size: int
+    representative: tuple
 
 
 @lru_cache(maxsize=None)
 def _wreath_classes_cached(name: str, k: int) -> tuple[WreathClass, ...]:
     group = _CONCRETE[name]
-    gens = _wreath_generators(group, k)
-    inv_gens = [wreath_inverse(group, g) for g in gens]
-    assigned: dict[tuple, int] = {}
+    conjugations = _conjugations(group, k)
+    seen: set[tuple] = set()
     classes: list[WreathClass] = []
     for elem in wreath_elements(group, k):
-        if elem in assigned:
+        if elem in seen:
             continue
         orbit = {elem}
         frontier = [elem]
         while frontier:
             x = frontier.pop()
-            for g, gi in zip(gens, inv_gens):
-                y = wreath_mult(group, wreath_mult(group, g, x), gi)
+            for conjugate in conjugations:
+                y = conjugate(x)
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
         label = colored_cycle_type(group, elem)
         if any(colored_cycle_type(group, y) != label for y in orbit):
             raise InvariantError(f"conjugation orbit of {elem} spans several colored cycle types")
-        idx = len(classes)
-        classes.append(WreathClass(label, tuple(sorted(orbit))))
-        for y in orbit:
-            assigned[y] = idx
+        classes.append(WreathClass(label, len(orbit), min(orbit)))
+        seen |= orbit
     if len({c.label for c in classes}) != len(classes):
         raise InvariantError(f"two conjugation orbits of {name} wr S_{k} share a colored type")
     identity = identity_colored_type(k)
@@ -588,59 +616,76 @@ def wreath_irrep_dim(h_table: GroupTable, label: WreathLabel) -> int:
     return dim
 
 
-def _block_character(group: ConcreteGroup, label: WreathLabel, elem) -> int | None:
-    """Character of the un-induced block representation at a block subgroup
-    element, or None if the permutation does not preserve the blocks.
+def _block_signature(block_of: tuple[int, ...], blocks: int, cycles, lengths, colors) -> tuple:
+    """Per block of a block-preserving element: the cycle type of its
+    permutation there, and the sorted H-classes of its cycle products."""
+    rhos: list[list[int]] = [[] for _ in range(blocks)]
+    hues: list[list[int]] = [[] for _ in range(blocks)]
+    for cyc, length, color in zip(cycles, lengths, colors):
+        j = block_of[cyc[0]]
+        rhos[j].append(length)
+        hues[j].append(color)
+    return tuple((tuple(sorted(rho, reverse=True)), tuple(sorted(hue)))
+                 for rho, hue in zip(rhos, hues))
 
-    On block j carrying (U, lambda): chi = chi_lambda(sigma_j) * prod over
-    cycles of chi_U(cycle product).
-    """
-    base, perm = elem
-    offsets = []
-    start = 0
-    for _, part in label:
-        offsets.append((start, start + sum(part)))
-        start += sum(part)
+
+def _block_value(h_table: GroupTable, label: WreathLabel, signature: tuple) -> int:
+    """The un-induced block character at an element of this block signature:
+    on block j carrying (U, lambda), chi_lambda(rho_j) * prod over its cycles
+    of chi_U(cycle product)."""
     value = 1
-    for (irrep_idx, part), (lo, hi) in zip(label, offsets):
-        block = range(lo, hi)
-        if any(not (lo <= perm[i] < hi) for i in block):
-            return None
-        rel = tuple(perm[i] - lo for i in block)
-        cycles = _perm_cycles(rel)
-        rho = tuple(sorted((len(c) for c in cycles), reverse=True))
+    for (irrep_idx, part), (rho, hue) in zip(label, signature):
         value *= _sym_value(part, rho)
-        if value == 0:
-            return 0
-        for cyc in cycles:
-            prod = 0
-            for i in cyc:
-                prod = group.mult[base[lo + i]][prod]
-            value *= group.table.irreps[irrep_idx][2][group.class_of[prod]]
-            if value == 0:
-                return 0
+        chi = h_table.irreps[irrep_idx][2]
+        for color in hue:
+            value *= chi[color]
     return value
 
 
-def _induced_value(group: ConcreteGroup, label: WreathLabel, cls: WreathClass, order: int) -> int:
-    """Induced-character value at a class: the naive sum (1/|K|) sum_x
-    chi.(x g x^-1), folded over the class members with the centralizer weight
-    |C_G(g)| = |G|/|[g]| (each member appears that many times as x varies)."""
-    block_sizes = [sum(p) for _, p in label]
-    if len(block_sizes) == 1:
-        chi = _block_character(group, label, cls.representative)
-        if chi is None:
-            raise InvariantError(f"{label} has no block character at {cls.representative}")
-        return chi
-    k = sum(block_sizes)
-    k_order = group.size**k
-    for size in block_sizes:
-        k_order *= factorial(size)
-    total = 0
-    for y in cls.members:
-        chi = _block_character(group, label, y)
-        if chi:
-            total += chi
+def _block_subgroup_tally(group: ConcreteGroup, sizes: tuple[int, ...]) -> tuple[int, dict]:
+    """|K| and every element of the block subgroup K = prod_j H wr S_{s_j},
+    tallied as ``{colored cycle type in G: {block signature: count}}``.
+
+    Block j holds positions s_1 + ... + s_{j-1} onward. The elements sharing a
+    permutation share its cycles, so their base entries are tallied by the
+    colors of those cycles first."""
+    block_of = tuple(j for j, size in enumerate(sizes) for _ in range(size))
+    block_perms, start = [], 0
+    for size in sizes:
+        block_perms.append(list(itertools.permutations(range(start, start + size))))
+        start += size
+    bases = list(itertools.product(range(group.size), repeat=start))
+    k_order = 0
+    tally: dict[WreathLabel, dict[tuple, int]] = {}
+    for parts in itertools.product(*block_perms):
+        cycles, lengths = _perm_cycles(tuple(itertools.chain.from_iterable(parts)))
+        colorings = Counter(_cycle_colors(group, base, cycles) for base in bases)
+        for colors, count in colorings.items():
+            by_signature = tally.setdefault(_colored_type(lengths, colors), {})
+            signature = _block_signature(block_of, len(sizes), cycles, lengths, colors)
+            by_signature[signature] = by_signature.get(signature, 0) + count
+        k_order += len(bases)
+    return k_order, tally
+
+
+def _induced_value(group: ConcreteGroup, label: WreathLabel, cls: WreathClass, order: int,
+                   tallies: dict) -> int:
+    """Induced-character value at a class C: the naive sum (1/|K|) sum_x
+    chi(x g x^-1) over x in G, where each member of C appears |C_G(g)| =
+    |G|/|C| times as x varies, so it is |G|/(|C| |K|) times the sum of chi over
+    the elements of K in C. Those are counted by block signature in
+    ``tallies[block sizes]``, one pass over K for every label of the same
+    block sizes. A single-block label is a character of G itself, read at the
+    class representative."""
+    if len(label) == 1:
+        base, perm = cls.representative
+        cycles, lengths = _perm_cycles(perm)
+        colors = _cycle_colors(group, base, cycles)
+        signature = _block_signature((0,) * len(perm), 1, cycles, lengths, colors)
+        return _block_value(group.table, label, signature)
+    k_order, tally = tallies[tuple(sum(p) for _, p in label)]
+    total = sum(count * _block_value(group.table, label, signature)
+                for signature, count in tally.get(cls.label, {}).items())
     value = Fraction(total * (order // cls.size), k_order)
     if value.denominator != 1:
         raise InvariantError(f"non-integral induced character {value} of {label}")
@@ -665,9 +710,15 @@ def _wreath_char_table_cached(h_table: GroupTable, k: int) -> GroupTable:
     order = group.size**k * factorial(k)
     irrep_names = [lab for lab, _, _ in h_table.irreps]
     class_names = [lab for lab, _ in h_table.classes]
+    labels = enumerate_wreath_labels(len(h_table.irreps), k)
+    tallies = {}
+    for label in labels:
+        sizes = tuple(sum(p) for _, p in label)
+        if len(sizes) != 1 and sizes not in tallies:
+            tallies[sizes] = _block_subgroup_tally(group, sizes)
     rows = []
-    for label in enumerate_wreath_labels(len(h_table.irreps), k):
-        values = tuple(_induced_value(group, label, cls, order) for cls in classes)
+    for label in labels:
+        values = tuple(_induced_value(group, label, cls, order, tallies) for cls in classes)
         dim = wreath_irrep_dim(h_table, label)
         rows.append((format_wreath_label(irrep_names, label), dim, values))
     table = GroupTable(

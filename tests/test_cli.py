@@ -386,6 +386,42 @@ def test_a_negative_max_order_is_a_usage_error(capsys, monkeypatch, how, named):
     assert err == f"error: {named}\n"
 
 
+# commands that build no table or class list once never read the bound, and
+# took a negative one without a word
+NO_TABLE_COMMANDS = {
+    "indres": ["indres", "--chain", "sym", "--n", "3"],
+    "lift": ["lift", "--chain", "sym", "--k", "2", "--label", "[2]", "--n", "3"],
+    "mckay": ["mckay", "--chain", "sym", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("how, named", [("flag", "max_order must be non-negative, not -5"),
+                                        ("variable", "CHARCOL_MAX_ORDER must be non-negative, not '-5'")],
+                         ids=["flag", "variable"])
+@pytest.mark.parametrize("command", sorted(NO_TABLE_COMMANDS))
+def test_a_negative_max_order_is_refused_by_every_command(capsys, monkeypatch, command, how, named):
+    argv = list(NO_TABLE_COMMANDS[command])
+    if how == "flag":
+        argv += ["--max-order", "-5"]
+    else:
+        monkeypatch.setenv("CHARCOL_MAX_ORDER", "-5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("how", ["flag", "variable"])
+@pytest.mark.parametrize("command", sorted(NO_TABLE_COMMANDS))
+def test_a_zero_max_order_is_legal_where_no_group_is_built(capsys, monkeypatch, command, how):
+    argv = list(NO_TABLE_COMMANDS[command])
+    if how == "flag":
+        argv += ["--max-order", "0"]
+    else:
+        monkeypatch.setenv("CHARCOL_MAX_ORDER", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
 @pytest.mark.parametrize("how", ["flag", "variable"])
 def test_a_zero_max_order_is_a_bound(capsys, monkeypatch, how):
     code, out, err = table_under_bound(capsys, monkeypatch, how, "0", 3)

@@ -27,10 +27,10 @@ from charcol.hgroup import (
     wreath_class_size_formula,
     wreath_classes,
     wreath_elements,
-    wreath_inverse,
     wreath_irrep_dim,
-    wreath_mult,
+    _conjugations,
     _symmetric_table_rows,
+    _wreath_classes_cached,
     _young_column,
 )
 from charcol.partitions import enumerate_partitions, format_partition, mn_character
@@ -350,6 +350,39 @@ def test_tables_and_labels_are_built_once():
 # -- wreath elements ----------------------------------------------------------
 
 
+def wreath_mult(group, x, y):
+    """The reference product: (a, s)(b, r) = (a * s.b, s o r) where
+    (s.b)_i = b_{s^-1(i)}."""
+    (bx, px), (by, py) = x, y
+    k = len(px)
+    pinv = [0] * k
+    for i, img in enumerate(px):
+        pinv[img] = i
+    base = tuple(group.mult[bx[i]][by[pinv[i]]] for i in range(k))
+    perm = tuple(px[py[i]] for i in range(k))
+    return (base, perm)
+
+
+def wreath_inverse(group, x):
+    bx, px = x
+    k = len(px)
+    pinv = [0] * k
+    for i, img in enumerate(px):
+        pinv[img] = i
+    base = tuple(group.inverse[bx[px[i]]] for i in range(k))
+    return (base, tuple(pinv))
+
+
+def wreath_generators(group, k):
+    """The generators whose one-pass conjugations ``_conjugations`` lists, in
+    its order: ((h, e, ..., e), id) for h != e, then (0 1) and i -> i + 1."""
+    gens = [((h,) + (0,) * (k - 1), tuple(range(k))) for h in range(1, group.size)] if k else []
+    if k >= 2:
+        gens.append(((0,) * k, (1, 0) + tuple(range(2, k))))
+        gens.append(((0,) * k, tuple(range(1, k)) + (0,)))
+    return gens
+
+
 @st.composite
 def wreath_pair(draw, k=3):
     z2 = concrete_base(builtin_table("Z2"))
@@ -375,6 +408,57 @@ def test_wreath_associative(args, pick):
     left = wreath_mult(group, wreath_mult(group, x, y), z)
     right = wreath_mult(group, x, wreath_mult(group, y, z))
     assert left == right
+
+
+@pytest.mark.parametrize("name", ["Z2", "trivial"])
+@pytest.mark.parametrize("k", range(5))
+def test_one_pass_conjugation_is_g_x_g_inverse(name, k):
+    group = concrete_base(builtin_table(name))
+    gens = wreath_generators(group, k)
+    conjugations = _conjugations(group, k)
+    assert len(conjugations) == len(gens)
+    for g, conjugate in zip(gens, conjugations):
+        g_inverse = wreath_inverse(group, g)
+        for x in wreath_elements(group, k):
+            assert conjugate(x) == wreath_mult(group, wreath_mult(group, g, x), g_inverse), (g, x)
+
+
+# A one-pass conjugation that is wrong for one generator: dropped (the
+# identity map, so orbits split and two share a colored type) or followed by
+# a flip of b_0 (so an orbit leaves its colored type). Either way the class
+# build of Z2 wr S_3 raises, each time from the check that sees it.
+SPOILED_CONJUGATION = """
+from charcol import hgroup
+from charcol.partitions import InvariantError
+
+conjugations = hgroup._conjugations
+spoils = [lambda c: (lambda x: x),
+          lambda c: (lambda x: ((c(x)[0][0] ^ 1,) + c(x)[0][1:], c(x)[1]))]
+split = left = 0
+for index in range(len(conjugations(hgroup._CONCRETE["Z2"], 3))):
+    for spoil in spoils:
+        def spoiled(group, k, index=index, spoil=spoil):
+            maps = conjugations(group, k)
+            maps[index] = spoil(maps[index])
+            return maps
+        hgroup._conjugations = spoiled
+        hgroup._wreath_classes_cached.cache_clear()
+        try:
+            hgroup._wreath_classes_cached("Z2", 3)
+        except InvariantError as exc:
+            split += str(exc).startswith("two conjugation orbits of ")
+            left += str(exc).startswith("conjugation orbit of ")
+print(split, left)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_spoiled_conjugation_raises_with_and_without_asserts(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-c", SPOILED_CONJUGATION], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "3 3\n"  # three generators, each dropped once and flipped once
 
 
 def test_colored_type_of_identity():
@@ -470,6 +554,70 @@ def test_wreath_irrep_dim_formula():
     for lab, dim, _ in table.irreps:
         label = parse_wreath_label(("1", "-1"), lab)
         assert wreath_irrep_dim(z2, label) == dim
+
+
+# SHA-256 of json.dumps(table.to_json_dict()), recorded when every class
+# member was summed for every label; any change to a value, label, class
+# order or size shows here.
+TABLE_DIGESTS = {
+    ("Z2", 0): "33519ed3ccaec0c11888401ee46c5150f632d34409cf9d79712a7797405f7379",
+    ("Z2", 1): "b4e7391448093d579abfb7fd54051c8960897b4ce923a61a4838c7d694eae90d",
+    ("Z2", 2): "239e124c132b052c584e7a486da2bd6fd64f58448a8256dd55e8ee460dd10db9",
+    ("Z2", 3): "fc5fcc133cb56d2a2cb10e30955302fd13eb1616564da0964e06ae593b6b6f69",
+    ("Z2", 4): "24c7ee02ee3c8edfeedb54b7ce4e6efc25c1489a3332ce2a8d37a1dade931224",
+    ("Z2", 5): "12ed881d0ddba2f520d8c6a915f55bb1d3bd37133f034377d50e87e5bb007441",
+    ("trivial", 0): "b332994a8f76b9a7b95b881c9698c85c563e90cd22907cb87fe8c25644de95b8",
+    ("trivial", 1): "1ab3431e6934d6e4daf0a6e0315bea3c4f1618789deee2c7f509c052c29e2b27",
+    ("trivial", 2): "f9ee450ec86c9a9f5f77be438185d5b695b467b4f927b3ed4109a19cf4b47820",
+    ("trivial", 3): "6348aeaedd2ad3de6771cd8328bfa21cec3c420ae524432b3cff5c3b1222d3ba",
+    ("trivial", 4): "c3be736b91a94ab2184619a85ef06717bba46e5e50e65fb8879a7e292c99b678",
+    ("trivial", 5): "bef6eea8f70d929d7e625b59c421d32f864c943930c4cf42eaebbc8d4f733d97",
+    ("trivial", 6): "e8e0c58ff1a4d1f408828309a94aa989955f871a2f924608d717f7692e08d04d",
+    ("Z2", 6): "084546bd6d7112d902b5f44f89843dd7ffebca9f93ce42df1bd89e809182bbe4",
+}
+# SHA-256 of json.dumps([[label as lists, size] for each class]), in order.
+CLASS_DIGESTS = {
+    ("Z2", 0): "fa310912173de15282c19da7fcdd24d15efa1a08044c3e432b46382a6970f226",
+    ("Z2", 1): "bb810d270bd653219ea0810aacf9c30d7c0b28e6ae4cde21cf5411c6c966e92c",
+    ("Z2", 2): "b22b0c3d6fa995f2e3bc12df50c34d6528d4d57c1ff3a7ae102eb573cccf5e67",
+    ("Z2", 3): "971111fe0abee40af48278f6112cf858fabb2fb75a242be3a870bb02912a2257",
+    ("Z2", 4): "8f7af9cc12663403f06d69d081dfa378b46f7f722ceaa3c749a9d86405544e8f",
+    ("Z2", 5): "63b4b0d239099f31904ab18706c1042a217ebd25991d618928b8679650aa68f7",
+    ("Z2", 6): "f97c42f9919862f507169a3d255328c059c6143475a1aa64383d047f13ab3bdf",
+    ("trivial", 0): "fa310912173de15282c19da7fcdd24d15efa1a08044c3e432b46382a6970f226",
+    ("trivial", 1): "5226b944688ddf466abf3774c6782f58bbdec23cf72d3359a01e7a7c1e2425a8",
+    ("trivial", 2): "4a8650ed30b2299caf0efef09c09102df6c2e397e3d7e405690b6ab633c0f6a1",
+    ("trivial", 3): "08a4e9d86f1970f26a39de16a2dcdad13c5252a281a9506135df95e342455195",
+    ("trivial", 4): "777f95316f960b23c63bd7f2af12c328b483a83a655db6eea96e1a8e01659f2e",
+    ("trivial", 5): "7bef16cd352e556f29f5188e323a3ef0696d568d33855163bd611ae144ee0636",
+    ("trivial", 6): "efe230528e3dce7e6081fda00736c3ebf393aa428b82d7f02abc74e4f9fc7636",
+}
+
+
+def sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, k", sorted(TABLE_DIGESTS))
+def test_wreath_tables_match_their_pinned_digests(name, k):
+    table = wreath_char_table(builtin_table(name), k, max_order=46080)
+    assert sha256(table.to_json_dict()) == TABLE_DIGESTS[name, k]
+
+
+@pytest.mark.parametrize("name, k", sorted(CLASS_DIGESTS))
+def test_wreath_classes_match_their_pinned_digests(name, k):
+    classes = _wreath_classes_cached(name, k)
+    assert sha256([[list(map(list, c.label)), c.size] for c in classes]) == CLASS_DIGESTS[name, k]
+
+
+def test_class_representative_is_the_least_member():
+    group = concrete_base(builtin_table("Z2"))
+    members = {}
+    for x in wreath_elements(group, 3):
+        members.setdefault(colored_cycle_type(group, x), []).append(x)
+    for cls in wreath_classes(builtin_table("Z2"), 3):
+        assert cls.representative == min(members[cls.label])
+        assert cls.size == len(members[cls.label])
 
 
 def test_wreath_table_needs_concrete_base(tmp_path):
