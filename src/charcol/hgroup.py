@@ -23,9 +23,10 @@ Two independent construction routes live here:
   characters and base characters along cycles. Every element of K is
   enumerated once per block-size composition and tallied by its class in G
   and its block signature (per block, the cycle type and the sorted H-classes
-  of the cycle products), which fixes every such label's value there. The
-  classes are conjugation orbits under the generators, each conjugation done
-  in one pass, and are checked against the colored cycle types.
+  of the cycle products), which fixes every such label's value there. A
+  single block, K = G, is tallied from the class list instead. The classes
+  are conjugation orbits under the generators, each conjugation done in one
+  pass, and are checked against the colored cycle types.
 
 Wreath irrep labels and conjugacy-class labels are nested tuples
 ``((index, partition), ...)`` sorted by index with nonempty partitions; the
@@ -501,12 +502,10 @@ def _conjugate_by_perm(sigma: tuple[int, ...], reindex, x):
 
 @dataclass(frozen=True)
 class WreathClass:
-    """A conjugacy class: its colored cycle type, its size, and its
-    sorted-first member."""
+    """A conjugacy class: its colored cycle type and its size."""
 
     label: WreathLabel
     size: int
-    representative: tuple
 
 
 @lru_cache(maxsize=None)
@@ -530,7 +529,7 @@ def _wreath_classes_cached(name: str, k: int) -> tuple[WreathClass, ...]:
         label = colored_cycle_type(group, elem)
         if any(colored_cycle_type(group, y) != label for y in orbit):
             raise InvariantError(f"conjugation orbit of {elem} spans several colored cycle types")
-        classes.append(WreathClass(label, len(orbit), min(orbit)))
+        classes.append(WreathClass(label, len(orbit)))
         seen |= orbit
     if len({c.label for c in classes}) != len(classes):
         raise InvariantError(f"two conjugation orbits of {name} wr S_{k} share a colored type")
@@ -572,40 +571,36 @@ def wreath_class_size_formula(h_table: GroupTable, colored: WreathLabel) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_wreath_labels(num_h_irreps: int, n: int) -> tuple[WreathLabel, ...]:
-    """Deterministic enumeration of level-n array labels, built once per
-    (number of H-irreps, n).
-
-    Ordered lexicographically by ascending support of H-irrep indices, then by
-    per-slot partitions in canonical (descending lexicographic) order.
-    """
+    """Level-n array labels, built once per (number of H-irreps, n) in order:
+    supports (ascending H-irrep indices) lexicographically, then each slot's
+    partition descending lexicographically, a prefix before its extensions."""
     if n == 0:
         return ((),)
-    labels: list[WreathLabel] = []
-    indices = range(num_h_irreps)
-    for r in range(1, min(num_h_irreps, n) + 1):
-        for support in itertools.combinations(indices, r):
-            for sizes in _compositions(n, r):
-                for parts in itertools.product(
-                    *(enumerate_partitions(size) for size in sizes)
-                ):
-                    labels.append(tuple(zip(support, parts)))
-    labels.sort(
-        key=lambda lab: (
-            tuple(i for i, _ in lab),
-            tuple(tuple(-x for x in p) for _, p in lab),
-        )
-    )
-    return tuple(labels)
+    return tuple(tuple(zip(support, parts)) for support in _supports(0, num_h_irreps, n)
+                 for parts in _slot_partitions(n, len(support)))
 
 
-def _compositions(n: int, r: int):
-    """Compositions of n into r positive parts (any order; caller re-sorts)."""
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(1, n - r + 2):
-        for rest in _compositions(n - first, r - 1):
-            yield (first,) + rest
+def _supports(start: int, stop: int, most: int) -> list:
+    """Nonempty increasing tuples of at most ``most`` indices in [start, stop)."""
+    return [(i,) + rest for i in range(start, stop)
+            for rest in [()] + (_supports(i + 1, stop, most - 1) if most > 1 else [])]
+
+
+def _slot_partitions(n: int, slots: int) -> list:
+    """Tuples of ``slots`` nonempty partitions of total size n, in label order."""
+    if slots == 1:
+        return [(part,) for part in enumerate_partitions(n)]
+    return [(part,) + rest for part in _partitions_upto(n - slots + 1, n)
+            for rest in _slot_partitions(n - sum(part), slots - 1)]
+
+
+@lru_cache(maxsize=None)
+def _partitions_upto(high: int, top: int) -> tuple[Partition, ...]:
+    """Nonempty partitions of size at most ``high`` with parts at most ``top``,
+    in descending lexicographic order, each before its extensions."""
+    return tuple(itertools.chain.from_iterable(
+        [(a,)] + [(a,) + rest for rest in _partitions_upto(high - a, a)]
+        for a in range(min(top, high), 0, -1)))
 
 
 def wreath_irrep_dim(h_table: GroupTable, label: WreathLabel) -> int:
@@ -668,23 +663,16 @@ def _block_subgroup_tally(group: ConcreteGroup, sizes: tuple[int, ...]) -> tuple
     return k_order, tally
 
 
-def _induced_value(group: ConcreteGroup, label: WreathLabel, cls: WreathClass, order: int,
+def _induced_value(h_table: GroupTable, label: WreathLabel, cls: WreathClass, order: int,
                    tallies: dict) -> int:
     """Induced-character value at a class C: the naive sum (1/|K|) sum_x
     chi(x g x^-1) over x in G, where each member of C appears |C_G(g)| =
     |G|/|C| times as x varies, so it is |G|/(|C| |K|) times the sum of chi over
     the elements of K in C. Those are counted by block signature in
-    ``tallies[block sizes]``, one pass over K for every label of the same
-    block sizes. A single-block label is a character of G itself, read at the
-    class representative."""
-    if len(label) == 1:
-        base, perm = cls.representative
-        cycles, lengths = _perm_cycles(perm)
-        colors = _cycle_colors(group, base, cycles)
-        signature = _block_signature((0,) * len(perm), 1, cycles, lengths, colors)
-        return _block_value(group.table, label, signature)
+    ``tallies[block sizes]``, one tally for every label of the same block
+    sizes; a single block is K = G, whose tally is the class list."""
     k_order, tally = tallies[tuple(sum(p) for _, p in label)]
-    total = sum(count * _block_value(group.table, label, signature)
+    total = sum(count * _block_value(h_table, label, signature)
                 for signature, count in tally.get(cls.label, {}).items())
     value = Fraction(total * (order // cls.size), k_order)
     if value.denominator != 1:
@@ -711,14 +699,19 @@ def _wreath_char_table_cached(h_table: GroupTable, k: int) -> GroupTable:
     irrep_names = [lab for lab, _, _ in h_table.irreps]
     class_names = [lab for lab, _ in h_table.classes]
     labels = enumerate_wreath_labels(len(h_table.irreps), k)
-    tallies = {}
+    # K = G for one block: a class's members share its cycle type and sorted colors
+    whole = {}
+    for c in classes:
+        rho = tuple(sorted((x for _, p in c.label for x in p), reverse=True))
+        whole[c.label] = {((rho, tuple(i for i, p in c.label for _ in p)),): c.size}
+    tallies = {(k,): (order, whole)}
     for label in labels:
         sizes = tuple(sum(p) for _, p in label)
-        if len(sizes) != 1 and sizes not in tallies:
+        if sizes not in tallies:
             tallies[sizes] = _block_subgroup_tally(group, sizes)
     rows = []
     for label in labels:
-        values = tuple(_induced_value(group, label, cls, order, tallies) for cls in classes)
+        values = tuple(_induced_value(h_table, label, cls, order, tallies) for cls in classes)
         dim = wreath_irrep_dim(h_table, label)
         rows.append((format_wreath_label(irrep_names, label), dim, values))
     table = GroupTable(

@@ -90,10 +90,6 @@ class PackedIdentity:
         lower_half = 1 << low >> 1
         return [(((row + lower_half) >> low) + half) % unit - half for row in rows]
 
-    def entry(self, row: int, i: int) -> int:
-        """The signed entry in slot i of one row."""
-        return self.column([row], i)[0]
-
     def slots(self, row: int, count: int) -> list[int]:
         """The signed entries in slots 0..count-1 of one row, in one pass: half
         a unit added to each of those slots makes every one of them

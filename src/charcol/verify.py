@@ -530,7 +530,7 @@ def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
         packed = PackedIdentity(len(up.codomain), up.x_norm_bound + 2 * x_norm)
         res_ind = up.down(up.up(packed.rows))
         ind_res = [0] * len(packed.rows) if lowest else chain.ind_res(j).matvec(packed.rows)
-        diag = packed.entry(res_ind[0] - ind_res[0], 0)
+        diag = packed.slots(res_ind[0] - ind_res[0], 1)[0]
         if scaling is None:
             scaling = diag
         scalar = res_ind == [v + diag * e for v, e in zip(ind_res, packed.rows)]

@@ -610,16 +610,6 @@ def test_wreath_classes_match_their_pinned_digests(name, k):
     assert sha256([[list(map(list, c.label)), c.size] for c in classes]) == CLASS_DIGESTS[name, k]
 
 
-def test_class_representative_is_the_least_member():
-    group = concrete_base(builtin_table("Z2"))
-    members = {}
-    for x in wreath_elements(group, 3):
-        members.setdefault(colored_cycle_type(group, x), []).append(x)
-    for cls in wreath_classes(builtin_table("Z2"), 3):
-        assert cls.representative == min(members[cls.label])
-        assert cls.size == len(members[cls.label])
-
-
 def test_wreath_table_needs_concrete_base(tmp_path):
     # a JSON-only H has no multiplication table to brute-force with
     path = tmp_path / "h.json"
@@ -641,6 +631,21 @@ def test_wreath_label_enumeration_counts():
             for a in range(n + 1)
         )
         assert len(labels) == len(set(labels)) == expect
+
+
+@pytest.mark.parametrize("h", range(1, 6))
+def test_wreath_labels_come_in_their_documented_order(h):
+    # every tuple of h partitions of total n, one per H-irrep, with the empty
+    # ones dropped, sorted by support and then by each slot's partition in
+    # descending lexicographic order, a prefix before its extensions
+    def key(label):
+        return tuple(i for i, _ in label), tuple(tuple(-x for x in p) for _, p in label)
+
+    for n in range(10 if h < 4 else 8):
+        labels = [tuple((i, p) for i, p in enumerate(parts) if p)
+                  for sizes in itertools.product(range(n + 1), repeat=h) if sum(sizes) == n
+                  for parts in itertools.product(*map(enumerate_partitions, sizes))]
+        assert enumerate_wreath_labels(h, n) == tuple(sorted(labels, key=key)), (h, n)
 
 
 def test_wreath_level_one_labels():
