@@ -4,20 +4,24 @@ the polynomials f_l with Ind^l Res^l = f_l(X).
 Two chains are built in: the symmetric-group chain (labels are partitions)
 and wreath-product chains over a base group H (labels are arrays pairing
 distinct H-irreps with partitions). Ind is the transpose of Res throughout,
-so X at level n is Res^T Res, a symmetric sparse integer matrix. Every chain
-hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it,
-at a number or on a dense vector. A sparse vector over a level's irreps, such
-as a lift or a restriction, is a plain dict {label: coefficient} of ints and
-Fractions (wreath lifts carry 1/dim); ``normalized`` drops its zeros and turns
-integral Fractions into ints. Res, Ind and X are integer maps on int vectors.
+so X at level n is Res^T Res, a symmetric sparse integer matrix, counted
+along Res's edges: X(a, b) is the number of paths a -> child -> b (X = UD on
+the branching graph). A built-in chain's Res at level 0 maps onto the empty
+lower ring, so X_0 = 0. Every chain hands out f_l as a
+``FallingFactorialPoly``, the one type that evaluates it, at a number or on a
+dense vector. A sparse vector over a level's irreps, such as a lift or a
+restriction, is a plain dict {label: coefficient} of ints and Fractions
+(wreath lifts carry 1/dim); ``normalized`` drops its zeros and turns integral
+Fractions into ints. Res, Ind and X are integer maps on int vectors.
 
 Memoized per process, because they depend only on the level: the bases
 (``partitions.enumerate_partitions``, ``hgroup.enumerate_wreath_labels``) and
 the small level-k tables (``hgroup.symmetric_group_table``,
 ``hgroup.wreath_char_table``), each validated once when it is built.
 Memoized per chain instance, built level by level on demand: the basis
-indices, Res (as branching-graph edges), X = Res^T Res, the lifts and the
-children of each label ``apply_res`` meets. ``get_chain`` is memoized too, so
+indices, Res (as branching-graph edges), X = Res^T Res, the lifts, the
+children of each label ``apply_res`` meets and the class sizes
+``class_size_from`` computes. ``get_chain`` is memoized too, so
 the chains it hands out keep theirs for the life of the process, and
 ``engine.reduced_operator`` builds on ``get_chain("sym")``'s X; a chain built
 directly starts empty, and its memos go when it does. ``apply_res`` restricts
@@ -32,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, inf
+from math import factorial, inf, prod
 
 from . import hgroup, partitions
 from .hgroup import GroupTable, WreathLabel
@@ -126,11 +130,12 @@ class FallingFactorialPoly:
     def factors(self) -> int:
         return len(self.roots)
 
-    def value(self, x):
-        out = self.leading
-        for root in self.roots:
-            out *= x - root
-        return out
+    def value(self, x) -> Fraction:
+        """f_l(x) in integers: for x = p/q, leading * prod (p - r q) / q^l, reduced once."""
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        return Fraction(self.leading.numerator * prod(p - r * q for r in self.roots),
+                        self.leading.denominator * q ** len(self.roots))
 
     def apply(self, times_x, vec: list) -> list:
         """(X - r_l)...(X - r_1) (leading * v) on a dense vector, roots in
@@ -176,6 +181,7 @@ class Chain:
         self._x_cache: dict[int, SparseMatrix] = {}
         self.lift_memo: dict = {}
         self._below: dict = {}  # label -> _children(label), for the labels apply_res has met
+        self._class_sizes: dict = {}  # (class, m, j) -> class_size_from(class, m, j)
 
     # -- bases ---------------------------------------------------------------
 
@@ -196,19 +202,26 @@ class Chain:
         raise NotImplementedError
 
     def res_operator(self, n: int) -> BranchingOperator:
-        if n < 1:
-            raise ValueError("res_operator needs n >= 1")
+        """Res at level n; at the lowest level it maps onto the empty lower ring."""
+        if not self.has_level(n):
+            raise ValueError(f"chain {self.id!r} has no level {n}")
         if n not in self._res_cache:
-            row = self.basis_index(n - 1).__getitem__
+            lowest = n == self.min_n
+            row = {}.__getitem__ if lowest else self.basis_index(n - 1).__getitem__  # no child at 0
             children = tuple(tuple(map(row, self._children(p))) for p in self.basis(n))
-            self._res_cache[n] = BranchingOperator(n, self.basis(n), self.basis(n - 1), children)
+            below = () if lowest else self.basis(n - 1)
+            self._res_cache[n] = BranchingOperator(n, self.basis(n), below, children)
         return self._res_cache[n]
 
     def ind_res(self, n: int) -> SparseMatrix:
-        """X = Ind Res at level n, i.e. Res^T Res; the McKay adjacency of Ind(t)."""
+        """X = Ind Res = Res^T Res at level n, the McKay adjacency of Ind(t):
+        X(a, b) counts the paths a -> child -> b along Res's edges."""
         if n not in self._x_cache:
-            res = self.res_operator(n).matrix
-            self._x_cache[n] = res.transpose() @ res
+            res = self.res_operator(n)
+            x = self._x_cache[n] = SparseMatrix(len(res.domain), len(res.domain))
+            # every path joins two level-n positions, so no entry needs a bounds check
+            x.data = dict(Counter((a, b) for a, below in enumerate(res.children)
+                                  for i in below for b in res.parents[i]))
         return self._x_cache[n]
 
     def has_level(self, n: int) -> bool:
@@ -319,7 +332,14 @@ class Chain:
     def class_size_from(self, cls, m: int, j: int) -> int:
         """|[h] meet G_j| for a class h given at level m: for j >= m the size of
         h's class embedded at level j; for j < m the total size of the level-j
-        classes inside [h], 0 when there are none; ValueError unless h fits at m."""
+        classes inside [h], 0 when there are none; ValueError unless h fits at m.
+        Each (h, m, j) is computed once per chain."""
+        key = (cls, m, j)
+        if key not in self._class_sizes:
+            self._class_sizes[key] = self._class_size_from(cls, m, j)
+        return self._class_sizes[key]
+
+    def _class_size_from(self, cls, m: int, j: int) -> int:
         core, k = self.fit_class(cls, m)  # [h] meets G_j in one class, if k <= j
         return self.class_size(self.pad_core(core, k, j)) if k <= j else 0
 

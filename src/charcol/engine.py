@@ -71,7 +71,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
         lifts = [(chis, lifting.lift(chain, chain.parse_label(label), n))
                  for label, _, values in at_k.irreps if any(chis := [values[c] for c in cols])]
         scale = lcm(*(v.denominator for _, vec in lifts for v in vec.values()))
-        poly, res = chain.poly(n - k), chain.res_operator(n) if n > k else None  # no Res at 0
+        poly, res = chain.poly(n - k), chain.res_operator(n) if n > k else None  # f_0 needs no X
         entries = sum(max(map(abs, chis)) * int(scale * max(map(abs, vec.values())))
                       for chis, vec in lifts)  # bounds every entry of D times an input
         growth = prod(res.x_norm_bound + abs(r) for r in poly.roots)  # bounds ||f(X)||_inf

@@ -6,9 +6,11 @@ kept as given and as the arithmetic makes them, with no pass over their
 types. Floats never appear. Storage is a dict keyed by (row, col) holding
 nonzero entries only. Bases reach thousands of labels (S_28 has 3,718, Z2 wr
 S_20 has 24,842), but Res has at most one entry per removable box of a label,
-so Res and X stay sparse. The suites check operator identities on a
-``PackedIdentity``, one int per row, so X's ``matvec`` (or Res's edges) acts
-on every column at once.
+so Res and X stay sparse. X's entries are counted along Res's edges
+(``Chain.ind_res``), so the package multiplies no two matrices; ``@`` is the
+tests' reference product, and the benchmark's tracing counts its calls. The
+suites check operator identities on a ``PackedIdentity``, one int per row, so
+X's ``matvec`` (or Res's edges) acts on every column at once.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.data)})"
-
-    def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.ncols, self.nrows)
-        out.data = {(c, r): v for (r, c), v in self.data.items()}  # already valid entries
-        return out
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:

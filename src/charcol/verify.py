@@ -452,7 +452,7 @@ class IngestedChain(Chain):
         except KeyError:
             raise IngestError(f"no class {label!r} at level {n}") from None
 
-    def class_size_from(self, label: str, m: int, j: int) -> int:
+    def _class_size_from(self, label: str, m: int, j: int) -> int:
         if j < m:
             self._class_entry(label, m)  # h must be a class at level m
             return sum(self.class_size_from(lab, m - 1, j)
@@ -519,17 +519,17 @@ def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
     identity with M read as the difference's entry (0, 0); Res Ind runs along
     Res's edges, and every entry compared is within ``x_norm_bound`` + 2 ||X||.
 
-    Level 0 of a built-in chain uses the empty lower ring, so the commutator
-    there is Res Ind alone. Ingested chains are only checked at levels where
-    both adjacent Res matrices were supplied.
+    A built-in chain's Res at level 0 maps onto the empty lower ring, so X is
+    0 there and the commutator is Res Ind alone. Ingested chains are only
+    checked at levels where both adjacent Res matrices were supplied.
     """
     checks, scaling = [], chain.heisenberg_scaling  # None: M is the first level's, then held
     for j in chain.heisenberg_levels(max_n):
-        up, lowest = chain.res_operator(j + 1), j == chain.min_n  # lowest: Ind Res is 0
-        x_norm = 0 if lowest else chain.res_operator(j).x_norm_bound
-        packed = PackedIdentity(len(up.codomain), up.x_norm_bound + 2 * x_norm)
+        up = chain.res_operator(j + 1)
+        packed = PackedIdentity(len(up.codomain),
+                                up.x_norm_bound + 2 * chain.res_operator(j).x_norm_bound)
         res_ind = up.down(up.up(packed.rows))
-        ind_res = [0] * len(packed.rows) if lowest else chain.ind_res(j).matvec(packed.rows)
+        ind_res = chain.ind_res(j).matvec(packed.rows)
         diag = packed.slots(res_ind[0] - ind_res[0], 1)[0]
         if scaling is None:
             scaling = diag

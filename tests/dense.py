@@ -1,9 +1,11 @@
 """Vectors {label: coefficient} over a chain's level-n basis as dense lists and
 back: the tests' bridge between the dicts that lifting and ``apply_res`` use
-and the lists that sparse matrices multiply; and a sparse matrix as its dense
-rows."""
+and the lists that sparse matrices multiply; a sparse matrix as its dense
+rows; and a sparse matrix's transpose, the reference X = Res^T @ Res that the
+chains' X, counted along Res's edges, is checked against."""
 
 from charcol.chain import normalized
+from charcol.sparse import SparseMatrix
 
 
 def to_dense(chain, n, vec):
@@ -24,3 +26,8 @@ def matrix_rows(matrix):
     for (r, c), v in matrix.data.items():
         rows[r][c] = v
     return rows
+
+
+def transpose(matrix):
+    """A ``SparseMatrix`` transposed."""
+    return SparseMatrix(matrix.ncols, matrix.nrows, {(c, r): v for (r, c), v in matrix.data.items()})

@@ -4,6 +4,7 @@ matrix products: the tests' reference for the packed checks the suites run."""
 from itertools import accumulate
 
 from charcol.sparse import SparseMatrix
+from dense import transpose
 
 
 def identity(n: int) -> SparseMatrix:
@@ -39,4 +40,4 @@ def brute_indl_resl(chain, n: int):
     steps = range(n - 1, chain.min_n, -1)
     downs = accumulate(steps, lambda down, j: chain.res_operator(j).matrix @ down,
                        initial=chain.res_operator(n).matrix)
-    return (down.transpose() @ down for down in downs)
+    return (transpose(down) @ down for down in downs)

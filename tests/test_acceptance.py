@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb, factorial
 from time import perf_counter
 
-from dense import matrix_rows
+from dense import matrix_rows, transpose
 from printed_data import (
     PRINTED_DELTA_123,
     PRINTED_PLUS_COLUMNS,
@@ -124,7 +124,7 @@ def test_criterion_06_heisenberg_identity():
                 up = chain.res_operator(n + 1).matrix
                 size = len(chain.basis(n))
                 ind_res = chain.ind_res(n) if n >= 1 else SparseMatrix(size, size)
-                assert up @ up.transpose() == shift_diagonal(ind_res, m), (chain.id, n)
+                assert up @ transpose(up) == shift_diagonal(ind_res, m), (chain.id, n)
 
     timed(6, "Res Ind - Ind Res = |H| Id", 10.0, body)
 

@@ -15,8 +15,8 @@ from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions, parse_partition
 from charcol.sparse import SparseMatrix
-from charcol.verify import (IngestedChain, export_chain, ingest_chain, oracle_suite,
-                            tasyopari_suite)
+from charcol.verify import (IngestedChain, export_chain, ingest_chain, jeongha_suite,
+                            oracle_suite, tasyopari_suite)
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
@@ -180,13 +180,18 @@ def test_odd_column_reads_the_conjugates_off_the_reduced_operator(conjugations):
     assert conjugations["conjugate"] == 0
 
 
+FRESH_CHAINS = {"sym": SymmetricChain,
+                "z2wreath": lambda: WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")}
+
+
 @pytest.mark.parametrize("spec, cls, m, js", [
     ("sym", (3, 2, 1, 1), 7, range(0, 10)),
     ("z2wreath", ((0, (2, 1)), (1, (1, 1))), 5, range(0, 8)),
 ])
 def test_class_data_fits_each_class_once(monkeypatch, spec, cls, m, js):
-    # class_size_from pads its fitted core; a column fits its class once and
-    # pads the core for its label and norm check
+    # class_size_from pads its fitted core, once per chain: asked again, it
+    # fits nothing; a column fits its class once and pads the core for its
+    # label and norm check
     fits = 0
     fit_class = Chain.fit_class
 
@@ -196,12 +201,15 @@ def test_class_data_fits_each_class_once(monkeypatch, spec, cls, m, js):
         return fit_class(chain, cls, n)
 
     monkeypatch.setattr(Chain, "fit_class", counting)
-    chain = get_chain(spec)
+    chain = FRESH_CHAINS[spec]()  # get_chain's chains may have memoized the sizes
     for j in js:
         fits = 0
         chain.class_size_from(cls, m, j)
         assert fits == 1, j
     fits = 0
+    for j in js:
+        chain.class_size_from(cls, m, j)
+    assert fits == 0
     character_column(chain, cls, m + 1)
     assert fits == 1
 
@@ -211,9 +219,9 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
     # for each l and induces back up l times along Res's edges (L downs and
     # L(L+1)/2 ups), and the polynomial side applies X's matvec once per new
     # root (L), so with nested roots a level costs L(L+5)/2 operator
-    # applications, L = n - min_n; its one product is X = Res^T Res, memoized
-    # per level. A run to max_n repeats a run to max_n - 1 and adds level
-    # max_n, so two runs on fresh chains differ by exactly that level
+    # applications, L = n - min_n; X is counted along Res's edges, so no
+    # sparse product is taken. A run to max_n repeats a run to max_n - 1 and
+    # adds level max_n, so two runs on fresh chains differ by exactly that level
     counts = Counter()
     matmul, matvec = SparseMatrix.__matmul__, SparseMatrix.matvec
     down, up = BranchingOperator.down, BranchingOperator.up
@@ -256,10 +264,36 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
         for n in chain.level_range(max_n):
             level = runs[n] - runs[n - 1]
             big_l = n - chain.min_n
-            assert level["matmul"] <= 1, (chain.id, n, level)
+            assert level["matmul"] == 0, (chain.id, n, level)
             assert level["down"] + level["up"] + level["matvec"] == big_l * (big_l + 5) // 2, (
                 chain.id, n, level)
             assert (level["down"], level["matvec"]) == (big_l, big_l), (chain.id, n, level)
+
+
+def test_jeongha_computes_each_class_size_once_per_chain(monkeypatch):
+    # the class-ratio checks at (n, l) and (n + 1, l + 1) share sizes of the
+    # same class; each chain computes a (class, m, j) size once, so a second
+    # run on the same chain computes none
+    computed = Counter()
+
+    def counting(original):
+        def count(chain, cls, m, j):
+            computed[cls, m, j] += 1
+            return original(chain, cls, m, j)
+        return count
+
+    for owner in (Chain, IngestedChain):
+        monkeypatch.setattr(owner, "_class_size_from", counting(owner._class_size_from))
+    chains = ((SymmetricChain(), 7), (WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath"), 5),
+              (ingest_chain(export_chain(SymmetricChain(), 7)), 7))
+    for chain, max_n in chains:
+        computed.clear()
+        checks, _ = jeongha_suite(chain, max_n)
+        assert checks and all(c.passed for c in checks), chain.id
+        assert computed and max(computed.values()) == 1, (chain.id, computed.most_common(1))
+        computed.clear()
+        jeongha_suite(chain, max_n)
+        assert not computed, chain.id
 
 
 def test_oracle_suite_applies_f_once_per_level_and_core_level(monkeypatch):

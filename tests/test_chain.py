@@ -14,7 +14,7 @@ from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
 from charcol.verify import export_chain, ingest_chain, row_rank, run_suite
-from dense import from_dense, matrix_rows, to_dense
+from dense import from_dense, matrix_rows, to_dense, transpose
 from poly_matrix import brute_indl_resl, poly_matrix, shift_diagonal
 
 
@@ -142,7 +142,7 @@ def test_down_and_up_are_res_and_ind_along_the_edges(make, top):
     chain = make()
     for n in range(1, top + 1):
         op, res = chain.res_operator(n), chain.res_operator(n).matrix
-        ind = res.transpose()
+        ind = transpose(res)
         vec = [(3 * j) % 7 - 3 for j in range(len(op.domain))]
         below = [(5 * i) % 9 - 4 for i in range(len(op.codomain))]
         assert op.down(vec) == res.matvec(vec) and op.up(below) == ind.matvec(below), n
@@ -159,7 +159,8 @@ def test_ind_res_t_is_t_plus_v():
     sym = fresh_sym()
     for n in (3, 5, 7):
         down = sym.apply_res({(n,): 1})
-        out = from_dense(sym, n, sym.res_operator(n).matrix.transpose().matvec(to_dense(sym, n - 1, down)))
+        ind = transpose(sym.res_operator(n).matrix)
+        out = from_dense(sym, n, ind.matvec(to_dense(sym, n - 1, down)))
         assert out == {(n,): 1, (n - 1, 1): 1}
 
 
@@ -167,7 +168,23 @@ def test_ind_res_symmetry():
     for chain, top in ((fresh_sym(), 10), (fresh_z2(), 5)):
         for n in range(1, top + 1):
             x = chain.ind_res(n)
-            assert x == x.transpose(), (chain.id, n)
+            assert x == transpose(x), (chain.id, n)
+
+
+def test_x_counted_along_the_edges_is_res_transpose_res():
+    # ind_res counts the paths a -> child -> b along Res's edges; the reference
+    # multiplies Res's matrix by its transpose. A built-in chain's Res at level 0
+    # maps onto the empty lower ring, so X_0 is the 1x1 zero matrix; S3 wr S_n
+    # has Res entries of 2, so a path through a child counts with multiplicity
+    ingested = ingest_chain(export_chain(fresh_sym(), 7))
+    for chain, levels in ((fresh_sym(), range(13)), (fresh_z2(), range(7)), (ingested, range(1, 8)),
+                          (WreathChain(S3), range(4))):
+        for n in levels:
+            res, x = chain.res_operator(n).matrix, chain.ind_res(n)
+            reference = transpose(res) @ res
+            assert (x.nrows, x.ncols) == (reference.nrows, reference.ncols), (chain.id, n)
+            assert x.data == reference.data, (chain.id, n)
+    assert fresh_sym().ind_res(0) == fresh_z2().ind_res(0) == SparseMatrix(1, 1)
 
 
 def test_res_full_row_rank():
@@ -185,7 +202,7 @@ def test_heisenberg_identity():
             up = chain.res_operator(n + 1).matrix
             size = len(chain.basis(n))
             ind_res = chain.ind_res(n) if n >= 1 else SparseMatrix(size, size)
-            assert up @ up.transpose() == shift_diagonal(ind_res, m), (chain.id, n)
+            assert up @ transpose(up) == shift_diagonal(ind_res, m), (chain.id, n)
 
 
 def test_brute_indl_resl_l1_equals_ind_res():

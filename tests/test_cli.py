@@ -150,6 +150,27 @@ def test_mckay_dot(capsys):
     assert out.count("--") == 3
 
 
+@pytest.mark.parametrize("spec, label", [("sym", "[]"), ("z2wreath", "e")])
+def test_level_zero_has_the_zero_operator_and_a_one_vertex_graph(capsys, spec, label):
+    # Res at level 0 maps onto the empty lower ring, so X_0 is the 1x1 zero matrix
+    code, out, err = run(capsys, "indres", "--chain", spec, "--n", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 0, "basis": [label], "entries": []}
+    code, out, err = run(capsys, "mckay", "--chain", spec, "--n", "0")
+    assert (code, out, err) == (0, f'graph mckay {{\n  "{label}";\n}}\n', "")
+    code, out, err = run(capsys, "mckay", "--chain", spec, "--n", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 0, "vertices": [label], "edges": []}
+
+
+@pytest.mark.parametrize("spec", ["sym", "z2wreath"])
+def test_indres_and_mckay_at_a_negative_level_are_usage_errors(capsys, spec):
+    code, out, err = run(capsys, "indres", "--chain", spec, "--n", "-1")
+    assert (code, out, err) == (2, "", f"error: chain '{spec}' has no level -1\n")
+    code, out, err = run(capsys, "mckay", "--chain", spec, "--n", "-1")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_mckay_reduced_json(capsys):
     code, out, _ = run(capsys, "mckay", "--chain", "sym", "--n", "6", "--reduced",
                        "--format", "json")

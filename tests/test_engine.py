@@ -27,7 +27,7 @@ from charcol.partitions import (
 )
 from charcol.verify import oracle_column
 
-from dense import from_dense, matrix_rows, to_dense
+from dense import from_dense, matrix_rows, to_dense, transpose
 from poly_matrix import brute_indl_resl
 from printed_data import PRINTED_DELTA_123, PRINTED_PLUS_COLUMNS, PRINTED_Y6
 from test_chain import S3
@@ -367,7 +367,7 @@ def test_wreath_columns_are_ind_res_eigenvectors():
 
 def test_apply_ind_of_trivial():
     for n in (2, 4):
-        ind = SYM.res_operator(n + 1).matrix.transpose().matvec(to_dense(SYM, n, {(n,): 1}))
+        ind = transpose(SYM.res_operator(n + 1).matrix).matvec(to_dense(SYM, n, {(n,): 1}))
         assert from_dense(SYM, n + 1, ind) == {(n + 1,): 1, (n, 1): 1}
 
 

@@ -36,6 +36,7 @@ from charcol.verify import (
     roots_vs_characters,
     run_suite,
 )
+from dense import transpose
 from poly_matrix import brute_indl_resl, identity, poly_matrix, scaled, shift_diagonal
 from test_chain import S3
 
@@ -182,6 +183,19 @@ def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
         poly = params.poly(l)
         assert poly.apply(x.matvec, vec) == poly_matrix(poly, x).matvec(vec), l
         assert poly_matrix(poly, scalar) == scaled(identity(3), poly.value(7)), l
+
+
+def test_poly_value_in_integers_equals_the_product_in_fractions():
+    # value reduces leading * prod (p - r q) / q^l once; the reference
+    # multiplies the factors x - r as Fractions. The suites' characters are
+    # integers, so the denominators are exercised here
+    params = fit_from_ratios((2, 3, 5, 9))
+    for x in (Fraction(7, 3), Fraction(-5, 4), Fraction(9), 0):
+        for poly in [params.poly(l) for l in range(5)] + [SYM.poly(3), Z2C.poly(4)]:
+            expected = poly.leading
+            for root in poly.roots:
+                expected *= x - root
+            assert poly.value(x) == expected and type(poly.value(x)) is Fraction, (x, poly)
 
 
 def test_fit_constant_is_inconclusive():
@@ -696,6 +710,8 @@ def test_ingested_chain_reports_what_it_lacks():
     chain = ingest_chain(payload)
     with pytest.raises(IngestError, match="level 0 has no Res matrix"):
         chain.res_operator(0)
+    with pytest.raises(IngestError, match="level 0 has no Res matrix"):
+        chain.ind_res(0)
     with pytest.raises(IngestError, match="level 4 is not part of the ingested chain"):
         chain.group_order(4)
     with pytest.raises(IngestError, match="class '\\[1\\]' at level 1 has no embedding to level 2"):
@@ -834,7 +850,7 @@ def test_packed_suites_bound_every_entry_they_compare(monkeypatch):
         for j, bound in zip(chain.heisenberg_levels(max_n), bounds, strict=True):
             up, m = chain.res_operator(j + 1).matrix, chain.heisenberg_scaling
             x = chain.ind_res(j) if j > chain.min_n else SparseMatrix(up.nrows, up.nrows)
-            res_ind = up @ up.transpose()
+            res_ind = up @ transpose(up)
             assert largest(res_ind, x, shift_diagonal(x, m), shift_diagonal(res_ind, -m)) <= bound, j
 
 
