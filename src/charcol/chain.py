@@ -22,8 +22,7 @@ Memoized per chain instance, built level by level on demand: the basis
 indices, Res (as branching-graph edges), X = Res^T Res, the lifts, the
 children of each label ``apply_res`` meets and the class sizes
 ``class_size_from`` computes. ``get_chain`` is memoized too, so
-the chains it hands out keep theirs for the life of the process, and
-``engine.reduced_operator`` builds on ``get_chain("sym")``'s X; a chain built
+the chains it hands out keep theirs for the life of the process; a chain built
 directly starts empty, and its memos go when it does. ``apply_res`` restricts
 along the support, so lifting builds no matrix, and a column builds Res's
 edges at its level and no sparse matrix. Only Res's ``parents`` and

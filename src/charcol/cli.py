@@ -115,10 +115,7 @@ def cmd_indres(args) -> int:
 
 def cmd_mckay(args) -> int:
     chain = get_chain(args.chain)
-    if args.reduced:
-        graph = mckay.reduced_graph(args.n, chain)
-    else:
-        graph = mckay.build_graph(chain, args.n)
+    graph = mckay.reduced_graph(args.n, chain) if args.reduced else mckay.build_graph(chain, args.n)
     _write(args, mckay.export(graph, args.format))
     return EXIT_OK
 

@@ -14,22 +14,24 @@ on what the pass computes, right or wrong. ``character_column`` is one class.
 For odd permutations of the symmetric chain, the same polynomial in the
 reduced operator Y on one irrep of each conjugate pair gives the column's
 positive part, and sign pairing reconstructs the rest. ``reduced_operator(n)``
-is memoized per process and built from ``get_chain("sym")``'s X, whichever
-symmetric chain ``odd_column`` is given; it carries its plus basis's conjugates.
+depends on n alone: it is built from Young's lattice, with no chain and no X,
+memoized per process, applies Y = F^T (I - T) F along the edges of its fold F,
+and carries its plus basis's conjugates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm, prod
 
-from . import lifting
-from .chain import Chain, FallingFactorialPoly, get_chain, require_symmetric  # noqa: F401
+from . import lifting, partitions
+from .chain import BranchingOperator, Chain, FallingFactorialPoly, get_chain, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import InvariantError, lift_column_input
 from .partitions import Partition, conjugate, content_sum, is_odd_class
-from .sparse import PackedIdentity, SparseMatrix
+from .sparse import PackedIdentity
 
 
 @dataclass
@@ -110,44 +112,48 @@ def _checked_column(chain: Chain, n: int, core, k: int, coeffs: dict,
 @dataclass(frozen=True)
 class ReducedOperator:
     """Y = pr_+(t-s) Ind Res on the span of one irrep from each conjugate pair:
-    Y(x, y) = X(x, y) - X(x, conjugate(y)). It carries the conjugation that
-    defines it: ``plus_conjugates[i]`` is the conjugate of ``plus_basis[i]``."""
+    Y(x, y) = X(x, y) - X(x, y') = sum_mu Res(mu, x) (Res(mu, y) - Res(mu', y)),
+    so Y = F^T (I - T) F: F = ``fold`` is Res from ``plus_basis`` onto level n-1,
+    T its conjugation, position i to ``mirror[i]``; self-conjugate mu cancel.
+    ``plus_conjugates[i]`` is the conjugate of ``plus_basis[i]``."""
 
     level: int
     plus_basis: tuple[Partition, ...]
     plus_conjugates: tuple[Partition, ...]
-    matrix: SparseMatrix
+    fold: BranchingOperator
+    mirror: tuple[int, ...]
+
+    def times_y(self, vec: list) -> list:
+        """Y v = F^T (F v - T F v)."""
+        down = self.fold.down(vec)
+        return self.fold.up([d - down[j] for d, j in zip(down, self.mirror)])
+
+    @cached_property
+    def entries(self) -> dict:
+        """Y's nonzeros {(i, j): v}: paths i -> mu -> j minus paths i -> mu with mu' below j."""
+        counts, parents = Counter(), self.fold.parents
+        for i, below in enumerate(self.fold.children):
+            counts.update((i, j) for mu in below for j in parents[mu])
+            counts.subtract((i, j) for mu in below for j in parents[self.mirror[mu]])
+        return {key: v for key, v in counts.items() if v}
 
 
 @lru_cache(maxsize=None)
 def reduced_operator(n: int) -> ReducedOperator:
-    """Symmetric chain only; n >= 2 so that a transposition exists."""
-    if n < 2:
-        raise ValueError("reduced_operator needs n >= 2")
-    chain = get_chain("sym")
-    basis = chain.basis(n)
-    conj = {lam: conjugate(lam) for lam in basis}  # the one conjugation of the level
+    """Y at level n of the symmetric chain, from Young's lattice alone."""
+    level = partitions.enumerate_partitions(n)
+    below = partitions.enumerate_partitions(n - 1) if n else ()  # level 0 has no child
+    conj = {lam: conjugate(lam) for lam in level + below}  # the one conjugation of each level
     # chi_lambda at a transposition has the sign of lambda's content sum, and
     # conjugation negates both: keep the diagram with the positive character,
     # or the larger diagram of a pair whose character there vanishes.
-    plus = tuple(
-        lam for lam in basis if (content_sum(lam), lam) > (content_sum(conj[lam]), conj[lam])
-    )
-    position = {lam: i for i, lam in enumerate(plus)}
-    entries = {}
-    # one pass over the nonzeros X(x, y) with x in plus
-    for (r, c), value in chain.ind_res(n).data.items():
-        row, col = basis[r], basis[c]
-        if row not in position:
-            continue
-        if col not in position:  # -X(x, y) goes to Y(x, conjugate(y))
-            col, value = conj[col], -value
-            if col not in position:  # y is self-conjugate
-                continue
-        key = (position[row], position[col])
-        entries[key] = entries.get(key, 0) + value
-    return ReducedOperator(n, plus, tuple(conj[lam] for lam in plus),
-                           SparseMatrix(len(plus), len(plus), entries))
+    plus = tuple(lam for lam in level
+                 if (content_sum(lam), lam) > (content_sum(conj[lam]), conj[lam]))
+    position = {mu: i for i, mu in enumerate(below)}
+    fold = BranchingOperator(n, plus, below, tuple(
+        tuple(position[mu] for mu in partitions.remove_one_box(lam)) for lam in plus))
+    return ReducedOperator(n, plus, tuple(conj[lam] for lam in plus), fold,
+                           tuple(position[conj[mu]] for mu in below))
 
 
 def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = None,
@@ -162,8 +168,8 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     require_symmetric(chain, "odd_column")
     core, k = chain.fit_class(tau, n)
     if not is_odd_class(core):
-        raise ValueError(
-            f"class {chain.format_class(tau)!r} is even; odd_column needs an odd permutation")
+        name = chain.format_class(tau) if tau else "e"  # the identity as typed
+        raise ValueError(f"class {name!r} is even; odd_column needs an odd permutation")
     if table is None:
         table = chain.small_table(k, max_order)
     full = lift_column_input(chain, table, core, n)
@@ -171,7 +177,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     # f is linear, so it runs on the integer differences and halves once
     pairs = tuple(zip(red.plus_basis, red.plus_conjugates))  # conjugated once per level
     twice_in = [full.get(lam, 0) - full.get(lam_c, 0) for lam, lam_c in pairs]
-    twice_out = chain.poly(n - k).apply(red.matrix.matvec, twice_in)
+    twice_out = chain.poly(n - k).apply(red.times_y, twice_in)
     plus_values, coeffs = {}, {}
     for (lam, lam_c), value in zip(pairs, twice_out):
         if type(value) is not int or value % 2:

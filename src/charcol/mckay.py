@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .chain import Chain, get_chain, require_symmetric
 from .engine import reduced_operator
 from .partitions import InvariantError
-from .sparse import SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -25,12 +24,12 @@ class McKayGraph:
     edges: tuple[tuple[int, int, int], ...]  # (i, j, weight) with i <= j
 
 
-def _graph_from_matrix(level: int, vertices: tuple[str, ...], matrix: SparseMatrix) -> McKayGraph:
+def _graph_from_entries(level: int, vertices: tuple[str, ...], entries: dict) -> McKayGraph:
     edges = []
-    for (r, c), v in sorted(matrix.data.items()):
+    for (r, c), v in sorted(entries.items()):
+        if entries.get((c, r), 0) != v:  # either triangle may hold the stray entry
+            raise InvariantError("McKay adjacency must be symmetric")
         if r <= c:
-            if matrix[(c, r)] != v:
-                raise InvariantError("McKay adjacency must be symmetric")
             edges.append((r, c, v))
     return McKayGraph(level, vertices, tuple(edges))
 
@@ -38,16 +37,18 @@ def _graph_from_matrix(level: int, vertices: tuple[str, ...], matrix: SparseMatr
 def build_graph(chain: Chain, n: int) -> McKayGraph:
     """Weighted McKay graph whose adjacency equals Ind Res at level n."""
     labels = tuple(chain.format_label(lab) for lab in chain.basis(n))
-    return _graph_from_matrix(n, labels, chain.ind_res(n))
+    return _graph_from_entries(n, labels, chain.ind_res(n).data)
 
 
 def reduced_graph(n: int, chain: Chain | None = None) -> McKayGraph:
-    """The reduced graph on the reduced operator's vertices."""
+    """The plus basis as vertices, Y's entries as weights; none at n <= 1."""
     chain = chain or get_chain("sym")
     require_symmetric(chain, "the reduced graph")
+    if not chain.has_level(n):
+        raise ValueError(f"chain {chain.id!r} has no level {n}")
     red = reduced_operator(n)
     labels = tuple(chain.format_label(lab) for lab in red.plus_basis)
-    return _graph_from_matrix(n, labels, red.matrix)
+    return _graph_from_entries(n, labels, red.entries)
 
 
 def export_dot(graph: McKayGraph) -> str:

@@ -1,16 +1,16 @@
 """Sparse matrices over exact scalars.
 
-Every operator the package builds or applies (Res, X = Res^T Res, the reduced
-operator Y) is an integer map, applied to integer vectors, so entries are
-kept as given and as the arithmetic makes them, with no pass over their
-types. Floats never appear. Storage is a dict keyed by (row, col) holding
-nonzero entries only. Bases reach thousands of labels (S_28 has 3,718, Z2 wr
-S_20 has 24,842), but Res has at most one entry per removable box of a label,
-so Res and X stay sparse. X's entries are counted along Res's edges
-(``Chain.ind_res``), so the package multiplies no two matrices; ``@`` is the
-tests' reference product, and the benchmark's tracing counts its calls. The
-suites check operator identities on a ``PackedIdentity``, one int per row, so
-X's ``matvec`` (or Res's edges) acts on every column at once.
+Res and X = Res^T Res, the operators ``chain`` builds as matrices, are integer
+maps, applied to integer vectors, so entries are kept as given and as the
+arithmetic makes them, with no pass over their types. Floats never appear.
+Storage is a dict keyed by (row, col) holding nonzero entries only. Bases
+reach thousands of labels (S_28 has 3,718, Z2 wr S_20 has 24,842), but Res has
+at most one entry per removable box of a label, so Res and X stay sparse. X's
+entries are counted along Res's edges (``Chain.ind_res``), so the package
+multiplies no two matrices; ``@`` is the tests' reference product, and the
+benchmark's tracing counts its calls. The suites check operator identities on
+a ``PackedIdentity``, one int per row, so X's ``matvec`` (or Res's edges) acts
+on every column at once.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ class SparseMatrix:
                     if not (0 <= r < nrows and 0 <= c < ncols):
                         raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
                     self.data[(r, c)] = v
-
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        return self.data.get(rc, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):

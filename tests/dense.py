@@ -1,8 +1,9 @@
 """Vectors {label: coefficient} over a chain's level-n basis as dense lists and
 back: the tests' bridge between the dicts that lifting and ``apply_res`` use
-and the lists that sparse matrices multiply; a sparse matrix as its dense
-rows; and a sparse matrix's transpose, the reference X = Res^T @ Res that the
-chains' X, counted along Res's edges, is checked against."""
+and the lists that sparse matrices multiply; a sparse matrix, or an operator's
+entries {(row, col): v}, as dense rows; and a sparse matrix's transpose, the
+reference X = Res^T @ Res that the chains' X, counted along Res's edges, is
+checked against."""
 
 from charcol.chain import normalized
 from charcol.sparse import SparseMatrix
@@ -20,12 +21,18 @@ def from_dense(chain, n, values):
     return normalized(dict(zip(chain.basis(n), values)))
 
 
-def matrix_rows(matrix):
-    """A ``SparseMatrix`` as a list of dense rows."""
-    rows = [[0] * matrix.ncols for _ in range(matrix.nrows)]
-    for (r, c), v in matrix.data.items():
+def entry_rows(entries, nrows, ncols=None):
+    """Entries {(row, col): v}, such as ``ReducedOperator.entries``, as a list of
+    dense rows; square unless ``ncols`` is given."""
+    rows = [[0] * (nrows if ncols is None else ncols) for _ in range(nrows)]
+    for (r, c), v in entries.items():
         rows[r][c] = v
     return rows
+
+
+def matrix_rows(matrix):
+    """A ``SparseMatrix`` as a list of dense rows."""
+    return entry_rows(matrix.data, matrix.nrows, matrix.ncols)
 
 
 def transpose(matrix):

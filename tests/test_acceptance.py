@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb, factorial
 from time import perf_counter
 
-from dense import matrix_rows, transpose
+from dense import entry_rows, transpose
 from printed_data import (
     PRINTED_DELTA_123,
     PRINTED_PLUS_COLUMNS,
@@ -59,7 +59,7 @@ def test_criterion_01_s6_operator():
         x = SYM.ind_res(6)
         index = SYM.basis_index(6)
         order = [index[p] for p in mirrored_order(6)]
-        dense = [[x[(order[i], order[j])] for j in range(11)] for i in range(11)]
+        dense = [[x.data.get((order[i], order[j]), 0) for j in range(11)] for i in range(11)]
         assert dense == PRINTED_X6
 
     timed(1, "S6 operator", 1.0, body)
@@ -77,7 +77,7 @@ def test_criterion_02_s6_column():
 def test_criterion_03_reduced_operator_and_odd_columns():
     def body():
         red = reduced_operator(6)
-        assert matrix_rows(red.matrix) == PRINTED_Y6
+        assert entry_rows(red.entries, 5) == PRINTED_Y6
         assert red.plus_basis == ((6,), (5, 1), (4, 2), (4, 1, 1), (3, 3))
         for tau, expect in PRINTED_PLUS_COLUMNS.items():
             column = odd_column(tau, 6)

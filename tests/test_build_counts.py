@@ -10,7 +10,7 @@ import pytest
 
 from charcol import engine, hgroup
 from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, SymmetricChain,
-                           WreathChain, get_chain)
+                           WreathChain)
 from charcol.engine import character_column, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
 from charcol.partitions import enumerate_partitions, parse_partition
@@ -132,22 +132,18 @@ def test_a_column_finds_each_labels_children_once_below_its_level(monkeypatch):
     assert sum(1 for label in walked if sum(label) == 24) == len(enumerate_partitions(24))
 
 
-def test_reduced_operator_reads_x_once_per_nonzero_at_most(monkeypatch):
-    # Y is built in one pass over X's nonzeros, not by looking up X(x, y) and
-    # X(x, conjugate(y)) for every pair of the plus basis; X itself is built
-    # first, so only the reads count
-    x_matrix = get_chain("sym").ind_res(18)
-    reads = 0
-    getitem = SparseMatrix.__getitem__
+def test_reduced_operator_builds_no_chain_operator_and_no_matrix(monkeypatch):
+    # Y is folded from Young's lattice: no chain's Res or X, and no SparseMatrix
+    def refusing(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"reduced_operator called {name}")
+        return call
 
-    def counting(matrix, rc):
-        nonlocal reads
-        reads += 1
-        return getitem(matrix, rc)
-
-    monkeypatch.setattr(SparseMatrix, "__getitem__", counting)
-    reduced_operator.__wrapped__(18)
-    assert reads <= len(x_matrix.data), (reads, len(x_matrix.data))
+    monkeypatch.setattr(Chain, "ind_res", refusing("Chain.ind_res"))
+    monkeypatch.setattr(Chain, "res_operator", refusing("Chain.res_operator"))
+    monkeypatch.setattr(SparseMatrix, "__init__", refusing("SparseMatrix"))
+    red = reduced_operator.__wrapped__(18)
+    assert red.entries and red.times_y([1] * len(red.plus_basis))
 
 
 @pytest.fixture
@@ -165,9 +161,11 @@ def conjugations(monkeypatch):
 
 
 def test_reduced_operator_conjugates_each_diagram_of_its_level_once(conjugations):
+    # the plus basis pairs the diagrams of level n, the fold's mirror those of n - 1
     n = 12
     reduced_operator.__wrapped__(n)
-    assert conjugations["conjugate"] == len(enumerate_partitions(n))
+    p_n, p_below = len(enumerate_partitions(n)), len(enumerate_partitions(n - 1))
+    assert conjugations["conjugate"] == p_n + p_below == 133
 
 
 def test_odd_column_reads_the_conjugates_off_the_reduced_operator(conjugations):

@@ -421,5 +421,6 @@ def test_operators_are_integer_maps():
             assert op.times_x(vec) == x.matvec(vec)
             assert ints(op.matrix.matvec(vec)) and ints((x @ x).data.values())
     for n in range(2, 8):
-        y = reduced_operator(n).matrix
-        assert ints(y.data.values()) and ints(y.matvec(list(range(y.ncols)))), n
+        red = reduced_operator(n)
+        vec = list(range(len(red.plus_basis)))
+        assert ints(red.entries.values()) and ints(red.times_y(vec)), n

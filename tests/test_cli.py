@@ -95,6 +95,13 @@ def test_odd_column_refusal_names_the_class_as_typed(capsys, n, message):
     assert err == f"error: class '[3,1,1,1]' {message}\n"
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_odd_column_names_the_identity_as_typed(capsys, n):
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", "e", "--n", str(n), "--odd")
+    assert (code, out) == (2, "")
+    assert err == "error: class 'e' is even; odd_column needs an odd permutation\n"
+
+
 @pytest.mark.parametrize("spec", ["sym", "z2wreath"])
 def test_table_at_a_negative_level_names_the_level(capsys, spec):
     code, out, err = run(capsys, "table", "--chain", spec, "--k", "-1")
@@ -169,6 +176,24 @@ def test_indres_and_mckay_at_a_negative_level_are_usage_errors(capsys, spec):
     assert (code, out, err) == (2, "", f"error: chain '{spec}' has no level -1\n")
     code, out, err = run(capsys, "mckay", "--chain", spec, "--n", "-1")
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_reduced_graph_below_level_two_has_no_vertex(capsys, n):
+    # every diagram of at most one box is self-conjugate
+    code, out, err = run(capsys, "mckay", "--chain", "sym", "--n", str(n), "--reduced")
+    assert (code, out, err) == (0, "graph mckay {\n}\n", "")
+    code, out, err = run(capsys, "mckay", "--chain", "sym", "--n", str(n), "--reduced",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": n, "vertices": [], "edges": []}
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_reduced_graph_at_a_negative_level_is_a_usage_error(capsys, fmt):
+    code, out, err = run(capsys, "mckay", "--chain", "sym", "--n", "-1", "--reduced",
+                         "--format", fmt)
+    assert (code, out, err) == (2, "", "error: chain 'sym' has no level -1\n")
 
 
 def test_mckay_reduced_json(capsys):

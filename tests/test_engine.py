@@ -27,7 +27,7 @@ from charcol.partitions import (
 )
 from charcol.verify import oracle_column
 
-from dense import from_dense, matrix_rows, to_dense, transpose
+from dense import entry_rows, from_dense, matrix_rows, to_dense, transpose
 from poly_matrix import brute_indl_resl
 from printed_data import PRINTED_DELTA_123, PRINTED_PLUS_COLUMNS, PRINTED_Y6
 from test_chain import S3
@@ -193,13 +193,13 @@ def test_engine_columns_equal_poly_of_built_x_times_lift(cls, n):
 def test_reduced_operator_n6_matches_printed_matrix():
     red = reduced_operator(6)
     assert red.plus_basis == ((6,), (5, 1), (4, 2), (4, 1, 1), (3, 3))
-    assert matrix_rows(red.matrix) == PRINTED_Y6
+    assert entry_rows(red.entries, 5) == PRINTED_Y6
 
 
 def test_reduced_operator_n2():
     red = reduced_operator(2)
     assert red.plus_basis == ((2,),)
-    assert matrix_rows(red.matrix) == [[0]]
+    assert entry_rows(red.entries, 1) == [[0]]
 
 
 def test_reduced_operator_n4_plus_basis():
@@ -208,8 +208,9 @@ def test_reduced_operator_n4_plus_basis():
 
 
 def test_reduced_operator_matches_its_definition_on_dense_x():
-    # Y(x, y) = X(x, y) - X(x, conjugate(y)) for x, y in the plus basis
-    for n in range(2, 17):
+    # Y(x, y) = X(x, y) - X(x, conjugate(y)) for x, y in the plus basis: the
+    # fold's counted entries, and Y applied to each unit vector, read off X
+    for n in range(0, 17):
         red = reduced_operator(n)
         x = matrix_rows(SYM.ind_res(n))
         index = SYM.basis_index(n)
@@ -217,7 +218,10 @@ def test_reduced_operator_matches_its_definition_on_dense_x():
             [x[index[a]][index[b]] - x[index[a]][index[conjugate(b)]] for b in red.plus_basis]
             for a in red.plus_basis
         ]
-        assert matrix_rows(red.matrix) == expected, n
+        size = len(red.plus_basis)
+        assert entry_rows(red.entries, size) == expected, n
+        units = [[int(i == j) for i in range(size)] for j in range(size)]
+        assert [red.times_y(unit) for unit in units] == [list(col) for col in zip(*expected)], n
 
 
 def test_reduced_operator_carries_the_conjugates_of_its_plus_basis():
@@ -227,9 +231,13 @@ def test_reduced_operator_carries_the_conjugates_of_its_plus_basis():
         assert not set(red.plus_conjugates) & set(red.plus_basis), n
 
 
-def test_reduced_operator_rejects_n1():
-    with pytest.raises(ValueError):
-        reduced_operator(1)
+@pytest.mark.parametrize("n", [0, 1])
+def test_reduced_operator_has_an_empty_plus_basis_below_level_two(n):
+    # every diagram of at most one box is self-conjugate, so Y acts on nothing
+    red = reduced_operator(n)
+    assert red.plus_basis == red.plus_conjugates == ()
+    assert red.entries == {} and red.times_y([]) == []
+    assert red.mirror == (0,) * n  # level n - 1 is the empty diagram, or nothing
 
 
 def test_reduced_operator_does_not_call_the_oracle(monkeypatch):
@@ -267,7 +275,7 @@ def test_odd_columns_plus_parts_match_printed():
 def test_plus_part_of_transposition_is_y_product_on_t():
     red = reduced_operator(6)
     unit = [1, 0, 0, 0, 0]
-    assert SYM.poly(4).apply(red.matrix.matvec, unit) == [1, 3, 3, 2, 1]
+    assert SYM.poly(4).apply(red.times_y, unit) == [1, 3, 3, 2, 1]
 
 
 def test_odd_column_equals_full_column():

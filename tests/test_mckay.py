@@ -8,7 +8,9 @@ import pytest
 
 from charcol.chain import get_chain
 from charcol.engine import reduced_operator
-from charcol.mckay import McKayGraph, build_graph, export, export_dot, reduced_graph
+from charcol.mckay import (McKayGraph, _graph_from_entries, build_graph, export, export_dot,
+                           reduced_graph)
+from charcol.partitions import InvariantError
 from charcol.sparse import SparseMatrix
 
 from printed_data import PRINTED_X6
@@ -27,7 +29,7 @@ def adjacency(graph):
 
 
 def weight(graph, a, b):
-    return adjacency(graph)[graph.vertices.index(a), graph.vertices.index(b)]
+    return adjacency(graph).data.get((graph.vertices.index(a), graph.vertices.index(b)), 0)
 
 
 def graph_from_json(obj):
@@ -79,7 +81,9 @@ def test_reduced_graph_n6_matches_final_figure():
 
 def test_reduced_graph_adjacency_matches_operator():
     for n in range(2, 8):
-        assert adjacency(reduced_graph(n)) == reduced_operator(n).matrix
+        red = reduced_operator(n)
+        size = len(red.plus_basis)
+        assert adjacency(reduced_graph(n)) == SparseMatrix(size, size, red.entries)
 
 
 def test_reduced_graph_n2_single_vertex():
@@ -91,7 +95,14 @@ def test_reduced_graph_n2_single_vertex():
 def test_reduced_graph_n4():
     graph = reduced_graph(4)
     assert graph.vertices == ("[4]", "[3,1]")
-    assert adjacency(graph) == reduced_operator(4).matrix
+    assert adjacency(graph).data == reduced_operator(4).entries
+
+
+# an upper-triangle stray entry is the subprocess test's case below
+@pytest.mark.parametrize("entries", [{(1, 0): 1}, {(0, 1): 1, (1, 0): 2}], ids=["lower", "unequal"])
+def test_asymmetric_entries_raise_from_either_triangle(entries):
+    with pytest.raises(InvariantError, match="McKay adjacency must be symmetric"):
+        _graph_from_entries(2, ("a", "b"), entries)
 
 
 def test_reduced_graph_rejects_wreath():
@@ -144,14 +155,13 @@ def test_unknown_format():
         export(build_graph(SYM, 2), "png")
 
 
-# _graph_from_matrix checks the adjacency's symmetry with a raise, not an
+# _graph_from_entries checks the adjacency's symmetry with a raise, not an
 # assert, so the check survives python -O; lifting re-exports the same class
 ASYMMETRIC = """
 from charcol.lifting import InvariantError
-from charcol.mckay import _graph_from_matrix
-from charcol.sparse import SparseMatrix
+from charcol.mckay import _graph_from_entries
 try:
-    _graph_from_matrix(2, ("a", "b"), SparseMatrix(2, 2, {(0, 1): 1}))
+    _graph_from_entries(2, ("a", "b"), {(0, 1): 1})
 except InvariantError as exc:
     print(exc)
 """

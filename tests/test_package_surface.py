@@ -20,6 +20,9 @@ raise; no module may hold an ``assert``.
 The chain protocol is meant to replace dispatch on the chain's class, so no
 module may hold more ``isinstance`` checks against a concrete chain class than
 it does today.
+
+Only ``chain.py`` may import ``SparseMatrix``: the matrix forms of X and Res
+stay behind one module, and every other operator is applied along its edges.
 """
 
 import ast
@@ -126,3 +129,20 @@ def test_every_package_import_is_used():
                 if name not in names:
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# The package modules that may import ``SparseMatrix``, so that the matrix
+# forms of X and Res stay behind one module; ``sparse.py`` defines it.
+SPARSE_MATRIX_IMPORTERS = {"chain.py"}
+
+
+def test_only_chain_imports_sparse_matrix():
+    importers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            imported = isinstance(node, ast.ImportFrom) and any(
+                alias.name == "SparseMatrix" for alias in node.names)
+            # sparse.SparseMatrix, read through an import of the module
+            if imported or isinstance(node, ast.Attribute) and node.attr == "SparseMatrix":
+                importers.add(path.name)
+    assert importers <= SPARSE_MATRIX_IMPORTERS, f"SparseMatrix imported outside chain.py: {importers}"
