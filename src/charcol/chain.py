@@ -156,7 +156,7 @@ class Chain:
     ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as
     ``poly(l)``, and the class data: ``group_order``, ``classes_at``,
     ``identity_class``, ``format_class`` and ``class_size_from(h, m, j)`` for
-    j above or below m, on which ``ind_t_character`` is built. ``fit_class``
+    j above or below m, on which ``coset_character`` is built. ``fit_class``
     alone decides whether a class fits a level; ``class_size_from`` is built
     on it and the chain's ``class_size``. The engine fits each class once,
     applies ``poly(l)`` and reads ``class_size`` of its ``pad_core`` for the norm;
@@ -342,14 +342,16 @@ class Chain:
         core, k = self.fit_class(cls, m)  # [h] meets G_j in one class, if k <= j
         return self.class_size(self.pad_core(core, k, j)) if k <= j else 0
 
+    def coset_character(self, cls, m: int, j: int, n: int) -> Fraction:
+        """The permutation character of G_n on the cosets of G_j, j <= n, at a
+        class h given at level m: |G_n| |[h] meet G_j| / (|G_j| |[h]_n|), the
+        eigenvalue of Ind^(n-j) Res^(n-j) on h's class function at level n."""
+        inside, size = self.class_size_from(cls, m, j), self.class_size_from(cls, m, n)
+        return Fraction(self.group_order(n) * inside, self.group_order(j) * size)
+
     def ind_t_character(self, cls, m: int) -> Fraction:
-        """chi_{Ind(t)} at level m for a class of G_m, via the class-ratio formula
-        |G_m| |[h]_{m-1}| / (|G_{m-1}| |[h]_m|); 0 when the class misses G_{m-1}."""
-        down = self.class_size_from(cls, m, m - 1)
-        if down == 0:
-            return Fraction(0)
-        up = self.class_size_from(cls, m, m)
-        return Fraction(self.group_order(m) * down, self.group_order(m - 1) * up)
+        """chi_{Ind(t)} at level m for a class of G_m: ``coset_character`` one level down."""
+        return self.coset_character(cls, m, m - 1, m)
 
 
 class SymmetricChain(Chain):

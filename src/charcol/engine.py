@@ -88,7 +88,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
         for slot, (core, given) in enumerate(level.items()):
             values = packed.column(dense, slot)
             if scale > 1 and any(v % scale for v in values):
-                raise InvariantError(f"non-integral column for {given[0]} at level {n}")
+                raise InvariantError(f"non-integral column of {chain.format_class(given[0])} at level {n}")
             coeffs = {label: v // scale for label, v in zip(basis, values) if v}
             columns.update(dict.fromkeys(given, _checked_column(chain, n, core, k, coeffs)))
     return columns
@@ -117,7 +117,6 @@ class ReducedOperator:
     T its conjugation, position i to ``mirror[i]``; self-conjugate mu cancel.
     ``plus_conjugates[i]`` is the conjugate of ``plus_basis[i]``."""
 
-    level: int
     plus_basis: tuple[Partition, ...]
     plus_conjugates: tuple[Partition, ...]
     fold: BranchingOperator
@@ -152,7 +151,7 @@ def reduced_operator(n: int) -> ReducedOperator:
     position = {mu: i for i, mu in enumerate(below)}
     fold = BranchingOperator(n, plus, below, tuple(
         tuple(position[mu] for mu in partitions.remove_one_box(lam)) for lam in plus))
-    return ReducedOperator(n, plus, tuple(conj[lam] for lam in plus), fold,
+    return ReducedOperator(plus, tuple(conj[lam] for lam in plus), fold,
                            tuple(position[conj[mu]] for mu in below))
 
 
@@ -181,7 +180,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     plus_values, coeffs = {}, {}
     for (lam, lam_c), value in zip(pairs, twice_out):
         if type(value) is not int or value % 2:
-            raise InvariantError(f"odd or non-integral entry at {lam}")
+            raise InvariantError(f"odd or non-integral entry at {chain.format_label(lam)}")
         plus_values[lam] = value // 2
         if value:  # plus_basis has one diagram of each pair and no self-conjugate one
             coeffs[lam], coeffs[lam_c] = value // 2, -(value // 2)

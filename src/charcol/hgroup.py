@@ -221,7 +221,11 @@ class GroupTable:
 
 def load_table(path: str) -> GroupTable:
     with open(path) as fh:
-        return GroupTable.from_json_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
+            raise TableValidationError(f"malformed GroupTable JSON: {exc}") from exc
+    return GroupTable.from_json_dict(obj)
 
 
 # Validated once here; builtin_table hands out these immutable tables as they are.

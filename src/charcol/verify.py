@@ -196,21 +196,14 @@ def fit_chain_params(orders) -> ChainParams:
 
 
 def jeongha_class_constraint(chain, h, n: int, l: int) -> CheckResult:
-    """The per-class ratio constraint for a class h given at level n - l:
-
-    f_l(|G_n| |[h]_{n-1}| / (|G_{n-1}| |[h]_n|)) == |G_n| |[h]_{n-l}| / (|G_{n-l}| |[h]_n|)
-    """
+    """The per-class constraint f_l(pi_1(h)) == pi_l(h) for a class h given at level
+    n - l: pi_l, ``coset_character`` on G_n / G_{n-l}, is Ind^l Res^l's eigenvalue at h."""
     m = n - l
     if m < chain.min_n:
         raise ValueError(f"level n - l = {m} is below the chain's lowest level {chain.min_n}")
-    size_m = chain.class_size_from(h, m, m)
-    size_up = chain.class_size_from(h, m, n)
-    size_prev = chain.class_size_from(h, m, n - 1)
-    if size_m == 0 or size_up == 0:
-        raise ValueError(f"class {h} has no members at level {m}")
-    chi = Fraction(chain.group_order(n) * size_prev, chain.group_order(n - 1) * size_up)
+    chi = chain.coset_character(h, m, n - 1, n)
     lhs = chain.poly(l).value(chi)
-    rhs = Fraction(chain.group_order(n) * size_m, chain.group_order(m) * size_up)
+    rhs = chain.coset_character(h, m, m, n)
     name = f"class-constraint n={n} l={l} h={chain.format_class(h)}"
     return CheckResult(
         name, lhs == rhs,
@@ -289,6 +282,8 @@ def _parse_level(pos: int, raw) -> tuple:
             classes = {}
             for c in raw["classes"]:
                 label, size = _typed(c["label"], str, "label"), _typed(c["size"], int, "size")
+                if size < 1:
+                    raise ValueError(f"class {label!r} has size {size}: every class has a member")
                 up = c.get("embedsTo")  # absent or null: no embedding listed
                 classes[label] = (size, None if up is None else _typed(up, str, "embedsTo"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -379,8 +374,8 @@ class IngestedChain(Chain):
     Convention: the first class at each level is the identity class. Class
     sizes come from the class data: upward along ``embedsTo``, downward as the
     sum over the classes one level down that embed into h. f_l and M come from
-    the fitted order recursion; the suites check the levels whose Res matrices
-    were supplied, and l only down to the lowest level.
+    the order recursion, fitted once when the chain is built; the suites check
+    the levels whose Res matrices were supplied, and l only down to the lowest level.
     """
 
     heisenberg_scaling = None
@@ -406,7 +401,7 @@ class IngestedChain(Chain):
         self.levels, below = {}, None
         for n in ns:
             below = self.levels[n] = _checked_level(parsed[n], below)
-        self._params: ChainParams | None = None
+        self._params = fit_chain_params(level.order for level in self.levels.values())
 
     # -- chain protocol used by the suites ----------------------------------
 
@@ -465,9 +460,6 @@ class IngestedChain(Chain):
         return self._class_entry(current, j)[0]
 
     def fitted_params(self) -> ChainParams:
-        if self._params is None:
-            orders = tuple(self.levels[n].order for n in range(self.min_n, self.max_n + 1))
-            self._params = fit_chain_params(orders)
         return self._params
 
 
@@ -475,7 +467,10 @@ def ingest_chain(source) -> IngestedChain:
     """Load and check a chain from the ingestion JSON (a path or the parsed dict)."""
     if isinstance(source, str):
         with open(source) as fh:
-            source = json.load(fh)
+            try:
+                source = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
+                raise IngestError(f"malformed chain JSON: {exc}") from exc
     return IngestedChain(source)
 
 
@@ -612,8 +607,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
             for h in labels:
                 try:
                     checks.append(jeongha_class_constraint(chain, h, n, l))
-                except IngestError:
-                    # class data is missing somewhere along the embedding walk
+                except IngestError:  # class data is missing somewhere along the embedding walk
                     continue
     # (2)-(3) the order recursion and the predicted polynomial family; a chain
     # without a known M takes f_l from this fit, so only the fit is checked

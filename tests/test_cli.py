@@ -283,6 +283,81 @@ def test_verify_rejects_an_ingested_order_of_zero(capsys, tmp_path, suite, level
                    "order must be at least 1: every group has its identity\n")
 
 
+def _ghost_at_level_3(embeds_to=None):
+    def spoil(payload):
+        payload["levels"][3]["classes"].append({"label": "ghost", "size": 0, "embedsTo": embeds_to})
+    return spoil
+
+
+def _ghost_above_level_2(payload):
+    _ghost_at_level_3()(payload)
+    next(c for c in payload["levels"][2]["classes"] if c["label"] == "[2]")["embedsTo"] = "ghost"
+
+
+def _negative_class_balanced(payload):
+    classes = payload["levels"][3]["classes"]
+    classes[1]["size"] += 2
+    classes.append({"label": "neg", "size": -2})
+
+
+# Each of these got past ingestion: jeongha passed the lone empty class, named
+# the wrong class in a usage error for the two that embed to or from one (and
+# roots_vs_characters divided by its size 0), and failed its checks on the
+# negative size, whose class sizes still summed to the order.
+@pytest.mark.parametrize("spoil, label, size", [
+    (_ghost_at_level_3(), "ghost", 0),
+    (_ghost_at_level_3("[4]"), "ghost", 0),
+    (_ghost_above_level_2, "ghost", 0),
+    (_negative_class_balanced, "neg", -2),
+], ids=["empty-class", "empty-class-embedded-up", "class-embedded-into-empty", "negative-size"])
+def test_verify_rejects_a_class_without_members(capsys, tmp_path, spoil, label, size):
+    payload = export_chain(SymmetricChain(), 5)
+    spoil(payload)
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--suite", "jeongha",
+                         "--maxN", "5")
+    assert code == 1 and out == ""
+    assert err == (f"error: level 3: malformed level entry: class {label!r} has size {size}: "
+                   "every class has a member\n")
+
+
+# what fails to decode depends on the locale; how deep JSON may nest, on the interpreter
+NOT_JSON = {"text": (b"not json\n", "Expecting value: line 1 column 1 (char 0)"),
+            "binary": (b"\xff\xfe\x00", None),
+            "nested": (b"[" * 100_000 + b"]" * 100_000, None)}
+
+
+@pytest.mark.parametrize("content, detail", NOT_JSON.values(), ids=NOT_JSON)
+def test_verify_chain_file_that_is_not_json_is_a_rejected_chain(capsys, tmp_path, content, detail):
+    # the parse error once ended in exit 2, with no word of what failed to parse
+    path = tmp_path / "chain.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--chain", str(path), "--maxN", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed chain JSON: ") and err.count("\n") == 1
+    assert detail is None or err == f"error: malformed chain JSON: {detail}\n"
+
+
+@pytest.mark.parametrize("content, detail", NOT_JSON.values(), ids=NOT_JSON)
+def test_column_table_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, content, detail):
+    path = tmp_path / "table.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", "[2]", "--n", "3",
+                         "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed GroupTable JSON: ") and err.count("\n") == 1
+    assert detail is None or err == f"error: malformed GroupTable JSON: {detail}\n"
+
+
+def test_missing_table_file_stays_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", "[2]", "--n", "3",
+                         "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
 def assert_failed_order_fit(capsys, tmp_path, suite, orders):
     """Verify a chain of one-dimensional levels with the given orders: the
     report fails on fit-params only and runs no check that needs f_l."""
@@ -358,6 +433,27 @@ def test_broken_column_invariant_exits_1_with_one_line(tmp_path, flags):
         env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: column's trivial-irrep entry is -1, not 1\n"
+
+
+# Valid tables whose irrep labels are swapped pass validation, and the
+# column's own checks catch them: for the odd class [4], chi_[2,2] - chi_[2,1,1]
+# = -1 is odd; for [3], the column's norm is off.
+@pytest.mark.parametrize("k, swap, argv, message", [
+    (4, ("[3,1]", "[2,2]"), ["--class", "[4]", "--n", "4", "--odd"],
+     "odd or non-integral entry at [3,1]"),
+    (3, ("[2,1]", "[1,1,1]"), ["--class", "[3]", "--n", "5"],
+     "column norm 26 != |G|/|class| = 6"),
+], ids=["odd-entry", "norm"])
+def test_column_from_a_swapped_table_exits_1_with_one_line(capsys, tmp_path, k, swap, argv,
+                                                           message):
+    table = symmetric_group_table(k).to_json_dict()
+    first, second = (next(r for r in table["irreps"] if r["label"] == lab) for lab in swap)
+    first["label"], second["label"] = second["label"], first["label"]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "column", "--chain", "sym", *argv, "--table", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 def test_verify_export_round_trip(capsys, tmp_path):

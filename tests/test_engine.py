@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from math import factorial
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from charcol.engine import (
     reduced_operator,
 )
 from charcol.hgroup import GroupTable, SizeBoundError, builtin_table, wreath_char_table
-from charcol.lifting import lift, lift_column_input
+from charcol.lifting import InvariantError, lift, lift_column_input
 from charcol.partitions import (
     class_size,
     conjugate,
@@ -472,6 +473,17 @@ def test_batched_columns_equal_single_and_reference_columns(chain, top):
             assert columns[cls] == single and single.coeffs == reference.get(cls, single.coeffs)
 
 
+S3_ONE = [((i, (1,)),) for i in range(3)]  # e, t and c of S3 wr S_1, and its irreps
+
+
+def s3_wreath_level_one(chain):
+    """The level-1 table of S3 wr S_n: S3's own, with the chain's labels."""
+    return GroupTable("S3 wr S_1", 6, tuple((chain.format_class(c), size) for c, (_, size)
+                                            in zip(S3_ONE, S3.classes)),
+                      tuple((chain.format_label(w), dim, values) for w, (_, dim, values)
+                            in zip(S3_ONE, S3.irreps)))
+
+
 def test_batched_columns_divide_out_rational_lifts():
     # S3's 2-dimensional irrep puts 1/2^pad into its lifts, so the packed input
     # is scaled by their common denominator D > 1 and divided after decoding.
@@ -479,11 +491,7 @@ def test_batched_columns_divide_out_rational_lifts():
     # and the columns are checked by orthogonality with each other and with
     # the dimensions (the identity's column), besides the engine's own checks
     chain = WreathChain(S3)
-    one = [((i, (1,)),) for i in range(3)]
-    table = GroupTable("S3 wr S_1", 6, tuple((chain.format_class(c), size) for c, (_, size)
-                                             in zip(one, S3.classes)),
-                       tuple((chain.format_label(w), dim, values) for w, (_, dim, values)
-                             in zip(one, S3.irreps)))
+    one, table = S3_ONE, s3_wreath_level_one(chain)
     trivial = GroupTable("S3 wr S_0", 1, ((chain.format_class(()), 1),),
                          ((chain.format_label(()), 1, (1,)),))
     std = chain.parse_label("std:[1]")
@@ -497,6 +505,60 @@ def test_batched_columns_divide_out_rational_lifts():
             assert sum(v * right.get(label, 0) for label, v in left.items()) == 0, n
         for cls in classes:
             assert columns[cls] == character_column(chain, cls, n, table=table)
+
+
+def spoiled(table, irrep, cls, value):
+    """The table with one character value replaced, as an unvalidated GroupTable."""
+    row, col = [lab for lab, _, _ in table.irreps].index(irrep), table.class_index(cls)
+    irreps = [(lab, dim, values[:col] + (value,) + values[col + 1:]) if i == row
+              else (lab, dim, values) for i, (lab, dim, values) in enumerate(table.irreps)]
+    return GroupTable(table.name, table.order, table.classes, tuple(irreps))
+
+
+# A column that breaks an invariant raises its one-line InvariantError and is
+# never returned; each input below breaks one check that no correct input reaches.
+def test_a_wrong_polynomial_leaves_a_non_integral_column():
+    # with M = 3 instead of |S3| = 6, f_2 = X(X - 3) is no longer Ind^2 Res^2,
+    # so it does not clear the 1/2^pad that the standard irrep's lifts carry
+    chain = WreathChain(S3)
+    chain.heisenberg_scaling = 3
+    cls = chain.embed_class(S3_ONE[2], 3)
+    message = "non-integral column of e:[1,1];c:[1] at level 3"
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        character_column(chain, cls, 3, table=s3_wreath_level_one(chain))
+
+
+def test_a_wrong_character_value_breaks_the_column_norm():
+    # chi_[1,1]([2]) = 0 instead of -1 keeps the trivial entry at 1
+    table = spoiled(SYM.small_table(2), "[1,1]", "[2]", 0)
+    with pytest.raises(InvariantError, match=f"^{re.escape('column norm 7 != |G|/|class| = 4')}$"):
+        character_column(SYM, (2,), 4, table=table)
+
+
+def test_a_wrong_character_value_leaves_an_odd_reduced_entry():
+    # the same value leaves the input's [4] entry minus its [1,1,1,1] entry odd,
+    # where every entry of twice a column's plus part is even
+    table = spoiled(SYM.small_table(2), "[1,1]", "[2]", 0)
+    with pytest.raises(InvariantError, match=f"^{re.escape('odd or non-integral entry at [4]')}$"):
+        odd_column((2,), 4, chain=SYM, table=table)
+
+
+@pytest.mark.parametrize("chain, top", [(SYM, 6), (Z2C, 4)], ids=["sym", "z2wreath"])
+def test_columns_are_eigenvectors_of_every_ind_res_power(chain, top):
+    # Ind^l Res^l multiplies h's class function by the permutation character of
+    # G_n on the cosets of G_{n-l}, so h's column is an eigenvector of it with
+    # eigenvalue coset_character(h, n, n - l, n), at every l
+    res = chain.res_operator
+    for n in range(1, top + 1):
+        for cls in chain.classes_at(n):
+            dense = down = dense_column(chain, character_column(chain, cls, n))
+            for l in range(1, n + 1):
+                down = res(n - l + 1).down(down)
+                brute = down
+                for j in range(n - l + 1, n + 1):
+                    brute = res(j).up(brute)
+                value = chain.coset_character(cls, n, n - l, n)
+                assert brute == [value * v for v in dense], (n, cls, l)
 
 
 def test_batched_columns_reject_what_single_columns_reject():

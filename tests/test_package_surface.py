@@ -23,6 +23,10 @@ it does today.
 
 Only ``chain.py`` may import ``SparseMatrix``: the matrix forms of X and Res
 stay behind one module, and every other operator is applied along its edges.
+
+The package's modules together may not grow: the same outputs should come
+from the same code or less, and a change that adds a capability raises the
+ratchet and says why.
 """
 
 import ast
@@ -146,3 +150,13 @@ def test_only_chain_imports_sparse_matrix():
             if imported or isinstance(node, ast.Attribute) and node.attr == "SparseMatrix":
                 importers.add(path.name)
     assert importers <= SPARSE_MATRIX_IMPORTERS, f"SparseMatrix imported outside chain.py: {importers}"
+
+
+# The most lines ``src/charcol/*.py`` may hold together. Lower it when the
+# package shrinks; raise it only with a capability that needs the lines.
+MAX_SRC_LINES = 2968
+
+
+def test_package_does_not_grow():
+    total = sum(len(path.read_text().splitlines()) for path in sorted(PACKAGE.glob("*.py")))
+    assert total <= MAX_SRC_LINES, f"src/charcol/*.py holds {total} lines, above the ratchet"

@@ -369,6 +369,29 @@ def test_class_sizes_agree_with_the_ingested_export_both_ways(chain_name):
     assert compared > top
 
 
+@pytest.mark.parametrize("chain_name", list(CLASS_SIZE_CHAINS))
+def test_coset_characters_agree_with_the_ingested_export(chain_name):
+    # pi = |G_n| |[h] meet G_j| / (|G_j| |[h]_n|) for h given at level m, j <= n;
+    # at j = n it is 1, and a class given below n has the value of its embedding
+    make, top = CLASS_SIZE_CHAINS[chain_name]
+    chain = make()
+    ingested = ingest_chain(export_chain(chain, top))
+    for m in range(top + 1):
+        for h in chain.classes_at(m):
+            label = chain.format_class(h)
+            for n in range(m, top + 1):
+                assert chain.coset_character(h, m, n, n) == 1
+                for j in range(n + 1):
+                    value = chain.coset_character(h, m, j, n)
+                    assert value == ingested.coset_character(label, m, j, n), (label, m, j, n)
+                    assert value == chain.coset_character(chain.embed_class(h, n), n, j, n)
+                    expected = Fraction(chain.group_order(n) * chain.class_size_from(h, m, j),
+                                        chain.group_order(j) * chain.class_size_from(h, m, n))
+                    assert value == expected
+            if m >= 1:
+                assert chain.ind_t_character(h, m) == chain.coset_character(h, m, m - 1, m)
+
+
 def test_class_size_below_the_level_sums_the_classes_inside():
     # [2,1,1] in S_4 meets S_3 in the transpositions (3) and S_2 in one (1);
     # [2,2] and [4] miss S_3
@@ -611,7 +634,8 @@ def _number_label_and_embedding(payload):
 # a string, repeated (row, col) entries were summed, and dropped when they
 # cancelled, a level with no irreps passed, str() made the class "2.0" of a
 # float label, a number embedsTo failed as an unknown class, an order of 0
-# ended jeongha and tasyopari in a ZeroDivisionError, and a negative order passed.
+# ended jeongha and tasyopari in a ZeroDivisionError, a negative order passed,
+# and a class of size 0 or below was read as data.
 @pytest.mark.parametrize("spoil, level, detail", [
     (_set_res_value(1.7), 2, "a Res entry must be an integer, not 1.7"),
     (_set(3, "order", 6.9), 3, "order must be an integer, not 6.9"),
@@ -630,10 +654,14 @@ def _number_label_and_embedding(payload):
     (_set_class(2, "embedsTo", 0), 2, "embedsTo must be a string, not 0"),
     (_set(2, "order", 0), 2, "order must be at least 1: every group has its identity"),
     (_set(3, "order", -6), 3, "order must be at least 1: every group has its identity"),
+    (lambda p: p["levels"][2]["classes"][1].update(size=0), 2,
+     "class '[2]' has size 0: every class has a member"),
+    (lambda p: p["levels"][4]["classes"][0].update(size=-1), 4,
+     "class '[1,1,1,1]' has size -1: every class has a member"),
 ], ids=["float-res-value", "float-order", "cancelling-res-entry", "negative-res-value",
         "repeated-res-entry", "string-basis-size", "empty-level", "bool-order",
         "float-class-size", "no-n", "number-label-and-embedding", "int-label", "float-label",
-        "zero-embedding", "zero-order", "negative-order"])
+        "zero-embedding", "zero-order", "negative-order", "zero-class-size", "negative-class-size"])
 def test_ingest_rejects_what_it_once_truncated_or_merged(spoil, level, detail):
     payload = export_chain(SYM, 4)
     ingest_chain(payload)  # the export itself is accepted
@@ -664,6 +692,18 @@ def test_every_ingested_chain_is_checked_when_it_is_built():
     message = "not a surjective chain: Res at level 3 has row rank 1 < 2"
     with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
         IngestedChain(payload)
+
+
+def test_ingested_chain_fits_its_orders_when_it_is_built(monkeypatch):
+    fits = []
+    fit = verify.fit_chain_params
+    monkeypatch.setattr(verify, "fit_chain_params", lambda orders: fits.append(1) or fit(orders))
+    chain = ingest_chain(export_chain(SYM, 5))
+    assert len(fits) == 1
+    params = chain.fitted_params()
+    assert (params.status, params.B, params.C) == ("ok", 1, 1)
+    assert run_suite(chain, "all", 5).passed and chain.fitted_params() is params
+    assert len(fits) == 1
 
 
 def test_ingested_levels_are_the_listed_ones():
