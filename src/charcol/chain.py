@@ -4,29 +4,26 @@ the polynomials f_l with Ind^l Res^l = f_l(X).
 Two chains are built in: the symmetric-group chain (labels are partitions)
 and wreath-product chains over a base group H (labels are arrays pairing
 distinct H-irreps with partitions). Ind is the transpose of Res throughout,
-so X at level n is Res^T Res, a symmetric sparse integer matrix, counted
-along Res's edges: X(a, b) is the number of paths a -> child -> b (X = UD on
-the branching graph). A built-in chain's Res at level 0 maps onto the empty
-lower ring, so X_0 = 0. Every chain hands out f_l as a
-``FallingFactorialPoly``, the one type that evaluates it, at a number or on a
-dense vector. A sparse vector over a level's irreps, such as a lift or a
-restriction, is a plain dict {label: coefficient} of ints and Fractions
-(wreath lifts carry 1/dim); ``normalized`` drops its zeros and turns integral
-Fractions into ints. Res, Ind and X are integer maps on int vectors.
+so X at level n is Res^T Res, a symmetric integer matrix: X(a, b) counts the
+paths a -> child -> b along Res's edges. A built-in chain's Res at level 0
+maps onto the empty lower ring, so X_0 = 0. The symmetric chain also folds Res
+by conjugation (``sign_fold``) for the columns of one class sign. Every chain
+hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it,
+at a number or on a dense vector. A sparse vector over a level's irreps, such
+as a lift, is a dict {label: coefficient} of ints and Fractions (wreath lifts
+carry 1/dim); ``normalized`` drops its zeros and turns integral Fractions into
+ints. Res, Ind and X are integer maps.
 
-Memoized per process, because they depend only on the level: the bases
-(``partitions.enumerate_partitions``, ``hgroup.enumerate_wreath_labels``) and
-the small level-k tables (``hgroup.symmetric_group_table``,
-``hgroup.wreath_char_table``), each validated once when it is built.
-Memoized per chain instance, built level by level on demand: the basis
-indices, Res (as branching-graph edges), X = Res^T Res, the lifts, the
-children of each label ``apply_res`` meets and the class sizes
-``class_size_from`` computes. ``get_chain`` is memoized too, so
-the chains it hands out keep theirs for the life of the process; a chain built
-directly starts empty, and its memos go when it does. ``apply_res`` restricts
-along the support, so lifting builds no matrix, and a column builds Res's
-edges at its level and no sparse matrix. Only Res's ``parents`` and
-``matrix`` are filled in later, on first use, so concurrent reads are safe.
+Memoized per process, as they depend only on the level: the bases and the
+small level-k tables, each validated once when it is built. Memoized per
+chain instance, built level by level on demand: the basis indices, Res (as
+branching-graph edges), its sign folds, X, the lifts, the children of each
+label ``apply_res`` meets and the class sizes ``class_size_from`` computes.
+``get_chain`` is memoized too, so the chains it hands out keep theirs for the
+life of the process; a chain built directly starts empty, and its memos go
+when it does. Lifting restricts along the support and a column runs on Res's
+or its fold's edges at its own level, so neither builds a sparse matrix. Only
+Res's ``parents`` and ``matrix`` fill in on first use, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -43,38 +40,66 @@ from .partitions import Partition
 from .sparse import SparseMatrix
 
 
+def _scatter(vec: list, edges, minus, size: int) -> list:
+    """vec[j] added along the edges j -> i in ``edges[j]``, less along ``minus``'s (j, [i, ...])."""
+    out = [0] * size
+    for c, targets in zip(vec, edges):
+        if c:
+            for i in targets:
+                out[i] += c
+    for j, targets in minus:
+        for i in targets:
+            out[i] -= vec[j]
+    return out
+
+
+def _transpose(edges, size: int) -> list:
+    """The edges (j, [i, ...]) reversed: [j, ...] for each i < size."""
+    out = [[] for _ in range(size)]
+    for j, targets in edges:
+        for i in targets:
+            out[i].append(j)
+    return out
+
+
 @dataclass(frozen=True)
 class BranchingOperator:
     """Res at level n as branching-graph edges: ``children[j]`` lists the level-(n-1)
-    positions under level-n position j, m times for multiplicity m."""
+    positions under level-n position j, m times for multiplicity m. A ``sign_fold``
+    is one too, on one label of each conjugate pair: ``twins`` holds their conjugates,
+    ``minus`` the (j, [i, ...]) edges that carry -1, and ``up_edges`` and ``up_minus``
+    the way back up, which is not the children reversed. A column pass reads Res
+    itself as the fold of sign 0, each label kept and its own twin."""
 
     level: int
     domain: tuple
     codomain: tuple
     children: tuple
+    sign: int = 0
+    mirror: tuple = ()  # a fold's twins
+    minus: tuple = ()
+    up_edges: tuple = ()
+    up_minus: tuple = ()
+    bound: int = 0  # a fold's bound on ||X||_inf, from its own edge counts
+    kept = property(lambda self: self.domain)
+    twins = property(lambda self: self.mirror or self.domain)
 
     @cached_property
     def parents(self) -> tuple:
-        parents = [[] for _ in self.codomain]
-        for j, below in enumerate(self.children):
-            for i in below:
-                parents[i].append(j)
-        return tuple(map(tuple, parents))
+        return self.up_edges or tuple(map(tuple, _transpose(enumerate(self.children), len(self.codomain))))
 
     @cached_property
     def x_norm_bound(self) -> int:
         """A bound on ||X||_inf, X = Res^T Res: ||Ind||_inf ||Res||_inf, the most
         children of a position times the most parents."""
-        return max(map(len, self.children), default=0) * max(map(len, self.parents), default=0)
+        return self.bound or max(map(len, self.children), default=0) * max(map(len, self.parents), default=0)
 
     @classmethod
     def from_entries(cls, level: int, domain: tuple, codomain: tuple,
                      entries) -> "BranchingOperator":
         """Res from its (row, col, multiplicity) entries: an entry of value v
         lists row r under column c v times."""
-        children = [[] for _ in domain]
-        for r, c, v in entries:
-            children[c] += [r] * v
+        children = _transpose(((r, [c] * v) for r, c, v in entries), len(domain))
         return cls(level, domain, codomain, tuple(map(tuple, children)))
 
     def entries(self) -> list:
@@ -89,25 +114,32 @@ class BranchingOperator:
 
     def down(self, vec: list) -> list:
         """Res v: scatter each nonzero level-n coefficient down its edges."""
-        out = [0] * len(self.codomain)
-        for c, below in zip(vec, self.children):
-            if c:
-                for i in below:
-                    out[i] += c
-        return out
+        return _scatter(vec, self.children, self.minus, len(self.codomain))
 
     def up(self, vec: list) -> list:
         """Ind v = Res^T v: scatter each nonzero level-(n-1) coefficient up its edges."""
-        out = [0] * len(self.domain)
-        for d, above in zip(vec, self.parents):
-            if d:
-                for j in above:
-                    out[j] += d
-        return out
+        return _scatter(vec, self.parents, self.up_minus, len(self.domain))
 
     def times_x(self, vec: list) -> list:
         """X v = Ind(Res v)."""
         return self.up(self.down(vec))
+
+
+def _conjugate_pairs(level, sign: int, near: int):
+    """(kept, twins) of a level for ``sign_fold``: only a diagram whose first row
+    exceeds its first column by ``near`` or less is conjugated; other twins are None."""
+    kept, twins, paired = [], [], set()
+    for lam in level:
+        rows, first = len(lam), lam[0] if lam else 0
+        if first < rows or first == rows and lam in paired:
+            continue
+        twin = partitions.conjugate(lam) if first - rows <= near else None
+        if first == rows:
+            paired.add(twin)
+        if twin != lam or sign > 0:
+            kept.append(lam)
+            twins.append(twin)
+    return kept, twins
 
 
 def normalized(vec: dict) -> dict:
@@ -142,10 +174,7 @@ class FallingFactorialPoly:
         out = list(vec) if self.leading == 1 else [self.leading * v for v in vec]
         for root in self.roots:
             nxt = times_x(out)
-            if root:
-                out = [a - root * b for a, b in zip(nxt, out)]
-            else:
-                out = nxt
+            out = [a - root * b for a, b in zip(nxt, out)] if root else nxt
         return out
 
 
@@ -162,9 +191,9 @@ class Chain:
     applies ``poly(l)`` and reads ``class_size`` of its ``pad_core`` for the norm;
     lifting needs ``label_level`` and ``pad_first_row``, and checks at run
     time that its recursion never revisits a label whose lift is still
-    waiting. A chain may declare two capabilities, or a suite needing one is
-    skipped: ``reference`` (``reference_columns``) for the oracle,
-    ``has_irrep_labels`` for lifts and exports.
+    waiting. A chain may declare capabilities, or what needs one is skipped:
+    ``reference`` (``reference_columns``) for the oracle, ``has_irrep_labels``
+    for lifts and exports, ``class_sign`` with ``sign_fold`` for folded columns.
     """
 
     id: str
@@ -178,6 +207,7 @@ class Chain:
         self._index_cache: dict[int, dict] = {}
         self._res_cache: dict[int, BranchingOperator] = {}
         self._x_cache: dict[int, SparseMatrix] = {}
+        self._fold_cache: dict[tuple, BranchingOperator] = {}
         self.lift_memo: dict = {}
         self._below: dict = {}  # label -> _children(label), for the labels apply_res has met
         self._class_sizes: dict = {}  # (class, m, j) -> class_size_from(class, m, j)
@@ -353,6 +383,8 @@ class Chain:
         """chi_{Ind(t)} at level m for a class of G_m: ``coset_character`` one level down."""
         return self.coset_character(cls, m, m - 1, m)
 
+    class_sign = staticmethod(lambda cls: 0)  # a class's sign for ``sign_fold``; 0: no fold
+
 
 class SymmetricChain(Chain):
     """The chain S_0 <= S_1 <= ...; labels and cycle types are partitions."""
@@ -397,6 +429,37 @@ class SymmetricChain(Chain):
         return core + (1,) * (n - k)
 
     class_size = staticmethod(partitions.class_size)
+    class_sign = staticmethod(partitions.class_sign)
+
+    def sign_fold(self, n: int, sign: int) -> BranchingOperator:
+        """Res at level n folded for sign ``sign``, once per chain, level and sign. A kept
+        diagram's children have a first row at most one shorter than their first column,
+        so only such diagrams are paired below. Going down (sign +1), a self-conjugate
+        child met from a diagram and its twin counts twice; a self-conjugate diagram
+        meets each child pair once."""
+        if (n, sign) not in self._fold_cache:
+            kept, twins = _conjugate_pairs(self.basis(n), sign, n)
+            below, mirror = _conjugate_pairs(self.basis(n - 1), sign, 1) if n else ((), ())
+            at = {mu: i for i, mu in enumerate(below)}
+            flip = {nu: i for i, (mu, nu) in enumerate(zip(below, mirror)) if nu not in (None, mu)}
+            plus, minus = ({**at, **flip}, {}) if sign > 0 else (at, flip)
+            down, down_minus = [], []
+            for j, children in enumerate(map(self._children, kept)):
+                try:
+                    down.append(list(map(plus.__getitem__, children)))
+                except KeyError:  # a twin, or a self-conjugate child dropped for sign -1
+                    down.append([plus[c] for c in children if c in plus])
+                    down_minus.append((j, [minus[c] for c in children if c in minus]))
+            up = _transpose(enumerate(down), len(below)), _transpose(down_minus, len(below))
+            bound = max(map(len, down), default=0) + max((len(m) for _, m in down_minus), default=0)
+            bound *= max((len(a) + len(b) for a, b in zip(*up)), default=0) * (1 + (sign > 0))
+            for i, j in ((i, j) for i, mu in enumerate(below) if mu == mirror[i] for j in up[0][i]):
+                down[j] += [i] if kept[j] != twins[j] else []
+            down = tuple(tuple(set(d) if lam == twin else d) for d, lam, twin in zip(down, kept, twins))
+            self._fold_cache[n, sign] = BranchingOperator(
+                n, tuple(kept), tuple(below), down, sign, tuple(twins), tuple(down_minus),
+                tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js), bound)
+        return self._fold_cache[n, sign]
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
@@ -467,14 +530,9 @@ class WreathChain(Chain):
         return hgroup.wreath_char_table(self.h_table, k, max_order)
 
     def strip_class(self, cls: WreathLabel):
-        core = []
-        for idx, part in cls:
-            if idx == 0:
-                part = partitions.strip_fixed_points(part)
-            if part:
-                core.append((idx, part))
-        core_label = tuple(core)
-        return core_label, sum(sum(p) for _, p in core_label)
+        core = tuple((idx, p) for idx, part in cls  # only H's identity class has fixed points
+                     if (p := partitions.strip_fixed_points(part) if idx == 0 else part))
+        return core, sum(sum(p) for _, p in core)
 
     def pad_core(self, core: WreathLabel, k: int, n: int) -> WreathLabel:
         if k == n:  # no fixed points to add
@@ -496,10 +554,7 @@ class WreathChain(Chain):
                 for j, (cls, _) in enumerate(table.classes)}
 
     def trivial_label(self, n: int) -> WreathLabel:
-        idx = next(
-            i for i, (_, _, values) in enumerate(self.h_table.irreps)
-            if all(v == 1 for v in values)
-        )
+        idx = next(i for i, (_, _, values) in enumerate(self.h_table.irreps) if set(values) == {1})
         return ((idx, (n,)),) if n else ()
 
 

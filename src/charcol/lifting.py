@@ -77,20 +77,23 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> dict:
 
 
 def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> dict:
-    """The vector sum over irreps w of chi_w(class) times the lift of w.
+    """The vector sum over irreps w of chi_w(class) times the lift of w; for a
+    list of classes, {class: its vector}.
 
     ``table`` is the character table at the class's own level k; its irrep
     labels must parse as level-k labels of the chain.
     """
-    col = class_column(chain, table, cls)
-    coeffs: dict = {}
-    for irrep_label, _, values in table.irreps:
-        chi = values[col]
-        if not chi:
-            continue
-        for w, v in lift(chain, chain.parse_label(irrep_label), n).items():
-            coeffs[w] = coeffs.get(w, 0) + chi * v
-    return normalized(coeffs)
+    inputs, lifted = [], {}  # irrep label -> its lift, fetched once for all the classes
+    for c in cls if type(cls) is list else [cls]:
+        col, coeffs = class_column(chain, table, c), {}
+        for label, _, values in table.irreps:
+            if chi := values[col]:
+                vec = lifted.get(label) or lifted.setdefault(
+                    label, lift(chain, chain.parse_label(label), n))
+                for w, v in vec.items():
+                    coeffs[w] = coeffs.get(w, 0) + chi * v
+        inputs.append(normalized(coeffs))
+    return dict(zip(cls, inputs)) if type(cls) is list else inputs[0]
 
 
 def class_column(chain: Chain, table: GroupTable, cls) -> int:

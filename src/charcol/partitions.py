@@ -10,9 +10,8 @@ the polynomial engine or with the permutation-character tables in hgroup.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 
@@ -56,39 +55,31 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose the Young diagram (rows become columns)."""
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
-
-
-def hook_lengths(p: Partition) -> list[list[int]]:
-    conj = conjugate(p)
-    return [[(row - j) + (conj[j] - i) - 1 for j in range(row)] for i, row in enumerate(p)]
+    """Transpose the Young diagram in one pass up the rows: the columns that row i
+    (counted from 1) has beyond the row below it have length i."""
+    out, below = [], 0
+    for i, row in zip(range(len(p), 0, -1), reversed(p)):
+        out += [i] * (row - below)
+        below = row
+    return tuple(out)
 
 
 def dim_irrep(p: Partition) -> int:
     """Dimension of the S_n irrep labelled by p: n! over the product of hooks."""
-    n = sum(p)
-    prod = 1
-    for row in hook_lengths(p):
-        for h in row:
-            prod *= h
-    dim, rem = divmod(factorial(n), prod)
+    conj = conjugate(p)
+    hooks = prod(row - j + conj[j] - i - 1 for i, row in enumerate(p) for j in range(row))
+    dim, rem = divmod(factorial(sum(p)), hooks)
     if rem:
-        raise InvariantError(f"hook product of {p} does not divide {n}!")
+        raise InvariantError(f"hook product of {p} does not divide {sum(p)}!")
     return dim
 
 
 def class_size(mu: Partition) -> int:
     """Size of the S_n conjugacy class with cycle type mu: n!/prod(i^m_i m_i!)."""
-    n = sum(mu)
-    denom = 1
-    for i, m in Counter(mu).items():
-        denom *= i**m * factorial(m)
-    size, rem = divmod(factorial(n), denom)
+    centralizer = prod(i ** mu.count(i) * factorial(mu.count(i)) for i in set(mu))
+    size, rem = divmod(factorial(sum(mu)), centralizer)
     if rem:
-        raise InvariantError(f"centralizer order of {mu} does not divide {n}!")
+        raise InvariantError(f"centralizer order of {mu} does not divide {sum(mu)}!")
     return size
 
 
@@ -135,13 +126,11 @@ def mirrored_order(n: int) -> tuple[Partition, ...]:
 
     For n=6 this is the printed order t, v, p, wedge^2, b, r, sb, s-wedge^2,
     sp, sv, s; it differs from the canonical order only by swapping
-    (3,1,1,1) and (2,2,2).
+    (3,1,1,1) and (2,2,2). The canonical order is descending, so the prefix
+    holds the diagrams that come no later than their conjugates.
     """
-    canonical = enumerate_partitions(n)
-    index = {p: i for i, p in enumerate(canonical)}
-    head = [p for p in canonical if index[p] <= index[conjugate(p)]]
-    tail = [conjugate(p) for p in reversed(head) if conjugate(p) != p]
-    return tuple(head + tail)
+    head = [p for p in enumerate_partitions(n) if p >= conjugate(p)]
+    return tuple(head + [conjugate(p) for p in reversed(head) if conjugate(p) != p])
 
 
 @lru_cache(maxsize=None)

@@ -116,14 +116,8 @@ class ChainParams:
             return FallingFactorialPoly((0,) if l else ())
         if self.status != "ok":
             raise ValueError(f"no f_l from an order fit with status {self.status}")
-        roots = []
-        acc = 0
-        power = 1
-        for _ in range(l):
-            roots.append(self.C * acc)
-            acc += power
-            power *= self.B
-        return FallingFactorialPoly(tuple(roots), Fraction(1, self.B ** (l * (l - 1) // 2)))
+        roots = tuple(self.C * sum(self.B**i for i in range(j)) for j in range(l))
+        return FallingFactorialPoly(roots, Fraction(1, self.B ** (l * (l - 1) // 2)))
 
 
 def fit_from_ratios(ratios) -> ChainParams:
@@ -158,11 +152,8 @@ def fit_from_ratios(ratios) -> ChainParams:
             )
     if b == 0:  # f_l's leading coefficient would be B^(-l(l-1)/2)
         return ChainParams("violation", B=b, C=c, message="B = 0 leaves f_l undefined")
-    notes = []
-    if b == 1 and c >= 1:
-        notes.append(f"wreath family: C = |H| = {c}")
-    else:
-        notes.append(f"no known chain realizes (B, C) = ({b}, {c}); hypothesis only")
+    notes = [f"wreath family: C = |H| = {c}" if b == 1 and c >= 1
+             else f"no known chain realizes (B, C) = ({b}, {c}); hypothesis only"]
     if any(a[i] < i + 1 for i in range(len(a))):
         notes.append("warning: some a_n < n, impossible under the polynomial property "
                      "if orders start at |G_0|")
@@ -358,10 +349,18 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
             raise IngestError(f"level {n}: class sizes sum to {total}, not the order {order}")
         if classes and next(iter(classes.values()))[0] != 1:
             raise IngestError(f"level {n}: first class must be the identity (size 1)")
-        for lab, (_, embeds) in below.classes.items() if below and below.classes else ():
+        inside, identity = dict.fromkeys(classes, 0), next(iter(classes))  # h -> |[h] meet G_{n-1}|
+        for pos, (lab, (size, embeds)) in enumerate((below.classes or {}).items() if below else ()):
             if embeds is not None and embeds not in classes:
                 raise IngestError(
                     f"level {n - 1}: class {lab!r} embeds to unknown class {embeds!r}")
+            if pos == 0 and embeds not in (None, identity):
+                raise IngestError(f"level {n - 1}: the identity {lab!r} embeds to {embeds!r}, "
+                                  f"not to the identity {identity!r}")
+            inside[embeds] = inside.get(embeds, 0) + size
+        for lab in (lab for lab, (size, _) in classes.items() if inside[lab] > size):
+            raise IngestError(f"level {n}: the classes embedding into {lab!r} hold "
+                              f"{inside[lab]} elements, more than its {classes[lab][0]}")
     return IngestedLevel(order, basis_size, res, classes)
 
 
@@ -493,13 +492,10 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
         if labels is not None:
             identity = chain.identity_class(n)
             ordered = [identity] + [lab for lab in labels if lab != identity]
-            rows = []
-            for lab in ordered:
-                row = {"label": chain.format_class(lab), "size": chain.class_size_from(lab, n, n)}
-                if n < max_n:
-                    row["embedsTo"] = chain.format_class(chain.embed_class(lab, n + 1))
-                rows.append(row)
-            entry["classes"] = rows
+            entry["classes"] = [
+                {"label": chain.format_class(lab), "size": chain.class_size_from(lab, n, n),
+                 **({"embedsTo": chain.format_class(chain.embed_class(lab, n + 1))} if n < max_n else {})}
+                for lab in ordered]
         levels.append(entry)
     return {"name": chain.id, "levels": levels}
 

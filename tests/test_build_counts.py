@@ -8,12 +8,12 @@ from math import factorial
 
 import pytest
 
-from charcol import engine, hgroup
+from charcol import hgroup, partitions
 from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, SymmetricChain,
                            WreathChain)
-from charcol.engine import character_column, odd_column, reduced_operator
+from charcol.engine import character_column, character_columns, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
-from charcol.partitions import enumerate_partitions, parse_partition
+from charcol.partitions import conjugate, enumerate_partitions, is_odd_class, parse_partition
 from charcol.sparse import SparseMatrix
 from charcol.verify import (IngestedChain, export_chain, ingest_chain, jeongha_suite,
                             oracle_suite, tasyopari_suite)
@@ -53,7 +53,8 @@ def test_wreath_columns_build_each_level_of_labels_once():
 def test_columns_build_res_only_at_their_own_level(monkeypatch):
     # lifting restricts along the support, and f_l multiplies by X along
     # Res's edges, so a column builds Res at its own level n, never X, and no
-    # sparse matrix at all: Res's matrix form stays unbuilt
+    # sparse matrix at all: Res's matrix form stays unbuilt. A sym column runs
+    # on the sign fold of Res at level n, so it builds that fold and no Res
     built = 0
     init = SparseMatrix.__init__
 
@@ -64,10 +65,10 @@ def test_columns_build_res_only_at_their_own_level(monkeypatch):
 
     monkeypatch.setattr(SparseMatrix, "__init__", counting)
     sym = SymmetricChain()
-    character_column(sym, (4, 3), 24)
-    assert sorted(sym._res_cache) == [24]
+    character_column(sym, (4, 3), 24)  # [4,3,1^17] is odd
+    assert sorted(sym._fold_cache) == [(24, -1)]
+    assert sorted(sym._res_cache) == []
     assert sorted(sym._x_cache) == []
-    assert "matrix" not in vars(sym.res_operator(24))
     z2 = WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")
     character_column(z2, ((0, (2,)), (1, (1,))), 10)
     assert sorted(z2._res_cache) == [10]
@@ -115,9 +116,23 @@ def test_ingestion_checks_the_listed_entries_and_builds_no_matrix(monkeypatch):
     assert built == 0
 
 
+def test_one_sign_runs_on_its_fold_and_both_signs_share_res():
+    # a call whose classes have one sign runs on that sign's fold; classes of
+    # both signs share one pass on Res, which costs what two half passes do
+    n = 10
+    odd = [mu for mu in enumerate_partitions(n) if is_odd_class(mu)]
+    sym = SymmetricChain()
+    character_columns(sym, odd, n, factorial(n))
+    assert sorted(sym._fold_cache) == [(n, -1)] and not sym._res_cache
+    sym = SymmetricChain()
+    character_columns(sym, enumerate_partitions(n), n, factorial(n))
+    assert not sym._fold_cache and sorted(sym._res_cache) == [n]
+
+
 def test_a_column_finds_each_labels_children_once_below_its_level(monkeypatch):
     # the lifts restrict the same labels many times; apply_res memoizes their
-    # children, so only the Res build at n walks a level-n label a second time
+    # children, so only the fold's build at n walks a level-n label a second
+    # time, and it walks the kept diagrams of each conjugate pair alone
     walked = Counter()
     children = SymmetricChain._children
 
@@ -126,14 +141,18 @@ def test_a_column_finds_each_labels_children_once_below_its_level(monkeypatch):
         return children(label)
 
     monkeypatch.setattr(SymmetricChain, "_children", staticmethod(counting))
-    character_column(SymmetricChain(), (4, 3), 24)
+    sym = SymmetricChain()
+    character_column(sym, (4, 3), 24)
     assert max(walked.values()) == 2
     assert all(count == 1 for label, count in walked.items() if sum(label) < 24)
-    assert sum(1 for label in walked if sum(label) == 24) == len(enumerate_partitions(24))
+    kept = sym.sign_fold(24, -1).kept
+    assert {label for label in walked if sum(label) == 24} == set(kept)
+    assert len(kept) == (len(enumerate_partitions(24)) - 11) // 2  # S_24 has 11 self-conjugate diagrams
 
 
 def test_reduced_operator_builds_no_chain_operator_and_no_matrix(monkeypatch):
-    # Y is folded from Young's lattice: no chain's Res or X, and no SparseMatrix
+    # Y is read off the sign-odd fold of Young's lattice: no chain's Res or X,
+    # and no SparseMatrix
     def refusing(name):
         def call(*args, **kwargs):
             raise AssertionError(f"reduced_operator called {name}")
@@ -143,38 +162,57 @@ def test_reduced_operator_builds_no_chain_operator_and_no_matrix(monkeypatch):
     monkeypatch.setattr(Chain, "res_operator", refusing("Chain.res_operator"))
     monkeypatch.setattr(SparseMatrix, "__init__", refusing("SparseMatrix"))
     red = reduced_operator.__wrapped__(18)
-    assert red.entries and red.times_y([1] * len(red.plus_basis))
+    assert red.entries and len(red.plus_basis) == (len(enumerate_partitions(18)) - 5) // 2
 
 
 @pytest.fixture
 def conjugations(monkeypatch):
-    """Counts the engine's calls to ``conjugate``."""
+    """Counts the package's calls to ``partitions.conjugate``."""
     calls = Counter()
-    conjugate = engine.conjugate
+    original = partitions.conjugate
 
     def counting(lam):
         calls["conjugate"] += 1
-        return conjugate(lam)
+        return original(lam)
 
-    monkeypatch.setattr(engine, "conjugate", counting)
+    monkeypatch.setattr(partitions, "conjugate", counting)
     return calls
 
 
+def fold_conjugations(n: int) -> int:
+    """The diagrams a sign fold at level n conjugates: at level n the larger
+    diagram of each pair and the self-conjugate ones, one level down only those
+    whose first row exceeds their first column by at most one."""
+    def paired(lam, near):
+        first, rows = (lam[0], len(lam)) if lam else (0, 0)
+        return rows < first <= rows + near or first == rows and lam >= conjugate(lam)
+
+    return (sum(paired(lam, n) for lam in enumerate_partitions(n))
+            + sum(paired(mu, 1) for mu in enumerate_partitions(n - 1)))
+
+
 def test_reduced_operator_conjugates_each_diagram_of_its_level_once(conjugations):
-    # the plus basis pairs the diagrams of level n, the fold's mirror those of n - 1
+    # the fold conjugates the kept diagram of each pair of level n once, and one
+    # level down only the diagrams near the diagonal, where a kept diagram's
+    # child may lie past it; re-signing to the plus basis conjugates none
     n = 12
     reduced_operator.__wrapped__(n)
     p_n, p_below = len(enumerate_partitions(n)), len(enumerate_partitions(n - 1))
-    assert conjugations["conjugate"] == p_n + p_below == 133
+    assert conjugations["conjugate"] == fold_conjugations(n) == 49 < (p_n + p_below) // 2
 
 
 def test_odd_column_reads_the_conjugates_off_the_reduced_operator(conjugations):
-    # Y carries the conjugate of each plus-basis diagram, so once Y is built an
-    # odd column pairs the diagrams without conjugating any
+    # the pass reads the conjugates off the chain's fold and the plus part reads
+    # the plus basis off Y, so once both are built an odd column conjugates none,
+    # and a fresh chain conjugates only for its own fold
     n = 12
     reduced_operator(n)
+    sym = SymmetricChain()
     conjugations.clear()
-    odd_column((6, 4, 2), n, SymmetricChain(), max_order=factorial(n))
+    odd_column((6, 4, 2), n, sym, max_order=factorial(n))
+    assert conjugations["conjugate"] == fold_conjugations(n)
+    conjugations.clear()
+    odd_column((8, 2, 2), n, sym, max_order=factorial(n))
     assert conjugations["conjugate"] == 0
 
 

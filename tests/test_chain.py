@@ -405,8 +405,8 @@ def test_class_whose_fixed_points_overflow_the_level_does_not_fit(make, cls, tex
 
 
 def test_operators_are_integer_maps():
-    # Res, X and Y are built, and applied to int vectors, without a pass over
-    # entry types: every entry and every product entry must already be an int
+    # Res, X, Y and the sign folds are built, and applied to int vectors, without
+    # a pass over entry types: every entry and every product entry must already be an int
     def ints(values):
         return all(type(v) is int for v in values)
 
@@ -422,5 +422,7 @@ def test_operators_are_integer_maps():
             assert ints(op.matrix.matvec(vec)) and ints((x @ x).data.values())
     for n in range(2, 8):
         red = reduced_operator(n)
-        vec = list(range(len(red.plus_basis)))
-        assert ints(red.entries.values()) and ints(red.times_y(vec)), n
+        assert ints(red.entries.values()), n
+        for sign in (1, -1):
+            fold = fresh_sym().sign_fold(n, sign)
+            assert ints(fold.times_x(list(range(len(fold.kept))))), (n, sign)

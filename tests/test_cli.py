@@ -1,14 +1,17 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from charcol.cli import main
 from charcol.chain import SymmetricChain, get_chain
 from charcol.hgroup import symmetric_group_table
+from charcol.partitions import enumerate_partitions, format_partition, is_odd_class
 from charcol.verify import export_chain, jsonable
 
 
@@ -416,6 +419,70 @@ def test_verify_reports_too_few_orders_to_fit(capsys, tmp_path, chain_json, max_
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+HALVING_SCRIPT = """
+from charcol import SymmetricChain, character_column, odd_column, symmetric_group_table
+from charcol.hgroup import GroupTable
+from charcol.lifting import InvariantError
+
+
+def spoiled(k, irrep, value):
+    # chi_irrep([k]) replaced by value: a table that no longer validates
+    table = symmetric_group_table(k)
+    col = table.class_index(f"[{k}]")
+    return GroupTable(table.name, table.order, table.classes, tuple(
+        (lab, dim, values[:col] + (value,) + values[col + 1:]) if lab == irrep else (lab, dim, values)
+        for lab, dim, values in table.irreps))
+
+
+for column, cls, k, irrep in ((character_column, (3,), 3, "[1,1,1]"), (odd_column, (2,), 2, "[1,1]")):
+    try:
+        chain = SymmetricChain()
+        args = (chain, cls, 4) if column is character_column else (cls, 4, chain)
+        column(*args, table=spoiled(k, irrep, 0))
+    except InvariantError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_the_halving_check_raises_with_and_without_O(flags):
+    # f(X) on a sign fold yields twice the column; an even (sign +1) and an odd
+    # (sign -1) column from a corrupted table leave an odd entry, which is an
+    # InvariantError under -O too
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, *flags, "-c", HALVING_SCRIPT],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "odd or non-integral entry at [4]\n" * 2
+
+
+# SHA-256 over every `column` output of S_0..S_14 (and `--odd` for the odd
+# classes) and every `mckay --reduced` output there, exit codes included,
+# taken before the columns ran on sign folds
+COLUMN_AND_REDUCED_MCKAY_DIGEST = "483ff83d614011c8ada96ff6fe6eedaed673f4e33f1432145b15833003b4b644"
+
+
+def test_column_and_reduced_mckay_outputs_keep_their_bytes(capsys):
+    digest = hashlib.sha256()
+
+    def add(*argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        digest.update(f"{code}\n{out}{err}".encode())
+
+    for n in range(15):
+        for mu in enumerate_partitions(n):
+            argv = ("column", "--chain", "sym", "--class", format_partition(mu), "--n", str(n),
+                    "--max-order", str(factorial(n)))
+            add(*argv)
+            if is_odd_class(mu):
+                add(*argv, "--odd")
+        for fmt in ("dot", "json"):
+            add("mckay", "--chain", "sym", "--n", str(n), "--reduced", "--format", fmt)
+    assert digest.hexdigest() == COLUMN_AND_REDUCED_MCKAY_DIGEST
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_broken_column_invariant_exits_1_with_one_line(tmp_path, flags):
     # a valid S_2 table with its two irrep labels swapped: the column's trivial
@@ -437,12 +504,13 @@ def test_broken_column_invariant_exits_1_with_one_line(tmp_path, flags):
 
 # Valid tables whose irrep labels are swapped pass validation, and the
 # column's own checks catch them: for the odd class [4], chi_[2,2] - chi_[2,1,1]
-# = -1 is odd; for [3], the column's norm is off.
+# = -1 is odd; swapping the conjugates [3,1] and [2,1,1] keeps the input of [4]
+# antisymmetric, so halving passes, and [4,1]'s norm is off.
 @pytest.mark.parametrize("k, swap, argv, message", [
     (4, ("[3,1]", "[2,2]"), ["--class", "[4]", "--n", "4", "--odd"],
      "odd or non-integral entry at [3,1]"),
-    (3, ("[2,1]", "[1,1,1]"), ["--class", "[3]", "--n", "5"],
-     "column norm 26 != |G|/|class| = 6"),
+    (4, ("[3,1]", "[2,1,1]"), ["--class", "[4]", "--n", "5"],
+     "column norm 12 != |G|/|class| = 4"),
 ], ids=["odd-entry", "norm"])
 def test_column_from_a_swapped_table_exits_1_with_one_line(capsys, tmp_path, k, swap, argv,
                                                            message):

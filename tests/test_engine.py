@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcol import partitions, verify
-from charcol.chain import WreathChain, get_chain
+from charcol.chain import SymmetricChain, WreathChain, get_chain
 from charcol.engine import (
     character_column,
     character_columns,
@@ -210,7 +210,7 @@ def test_reduced_operator_n4_plus_basis():
 
 def test_reduced_operator_matches_its_definition_on_dense_x():
     # Y(x, y) = X(x, y) - X(x, conjugate(y)) for x, y in the plus basis: the
-    # fold's counted entries, and Y applied to each unit vector, read off X
+    # entries read off the sign-odd fold, re-signed to the plus basis, read off X
     for n in range(0, 17):
         red = reduced_operator(n)
         x = matrix_rows(SYM.ind_res(n))
@@ -219,26 +219,55 @@ def test_reduced_operator_matches_its_definition_on_dense_x():
             [x[index[a]][index[b]] - x[index[a]][index[conjugate(b)]] for b in red.plus_basis]
             for a in red.plus_basis
         ]
-        size = len(red.plus_basis)
-        assert entry_rows(red.entries, size) == expected, n
-        units = [[int(i == j) for i in range(size)] for j in range(size)]
-        assert [red.times_y(unit) for unit in units] == [list(col) for col in zip(*expected)], n
+        assert entry_rows(red.entries, len(red.plus_basis)) == expected, n
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sign_folds_match_their_definition_on_dense_x(sign):
+    # on the kept diagrams, X's fold sends b to X(a, b) + sign X(a, b') over the
+    # kept a, or to X(a, b) alone for a self-conjugate b: X applied to the
+    # column-symmetric extension of each unit vector, read off X
+    for n in range(0, 15):
+        fold, x = SymmetricChain().sign_fold(n, sign), matrix_rows(SYM.ind_res(n))
+        index = SYM.basis_index(n)
+        for b, twin in zip(fold.kept, fold.twins):
+            unit = [int(lam == b) for lam in fold.kept]
+            column = [x[index[a]][index[b]] + (sign * x[index[a]][index[twin]] if twin != b else 0)
+                      for a in fold.kept]
+            assert fold.times_x(unit) == column, (n, b)
+
+
+def test_sign_folds_carry_the_conjugates_of_their_kept_diagrams():
+    # one diagram of each pair is kept, the one whose first row is at least its
+    # first column; self-conjugate diagrams are kept for sign +1 alone
+    for n in range(0, 15):
+        plus, minus = SymmetricChain().sign_fold(n, 1), SymmetricChain().sign_fold(n, -1)
+        for fold in (plus, minus):
+            assert fold.twins == tuple(map(conjugate, fold.kept)), n
+            assert all(lam[0] >= len(lam) for lam in fold.kept if lam), n
+            assert set(fold.kept) | set(fold.twins) >= set(reduced_operator(n).plus_basis), n
+        assert set(plus.kept) | set(plus.twins) == set(enumerate_partitions(n)), n
+        assert set(minus.kept) == {lam for lam in plus.kept if lam != conjugate(lam)}, n
+        assert len(reduced_operator(n).plus_basis) == len(minus.kept), n
 
 
 def test_reduced_operator_carries_the_conjugates_of_its_plus_basis():
+    # the plus basis holds one diagram of each pair that is not self-conjugate,
+    # and the sign-odd fold Y is read off pairs the same diagrams with their twins
     for n in range(2, 15):
-        red = reduced_operator(n)
-        assert red.plus_conjugates == tuple(map(conjugate, red.plus_basis)), n
-        assert not set(red.plus_conjugates) & set(red.plus_basis), n
+        red, fold = reduced_operator(n), SymmetricChain().sign_fold(n, -1)
+        conjugates = tuple(map(conjugate, red.plus_basis))
+        assert not set(conjugates) & set(red.plus_basis), n
+        assert set(red.plus_basis) | set(conjugates) == set(fold.kept) | set(fold.twins), n
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_reduced_operator_has_an_empty_plus_basis_below_level_two(n):
     # every diagram of at most one box is self-conjugate, so Y acts on nothing
-    red = reduced_operator(n)
-    assert red.plus_basis == red.plus_conjugates == ()
-    assert red.entries == {} and red.times_y([]) == []
-    assert red.mirror == (0,) * n  # level n - 1 is the empty diagram, or nothing
+    red, fold = reduced_operator(n), SymmetricChain().sign_fold(n, -1)
+    assert red.plus_basis == fold.kept == fold.twins == ()
+    assert red.entries == {} and fold.times_x([]) == []
+    assert fold.parents == fold.codomain == ()  # level n - 1 is the empty diagram, dropped, or nothing
 
 
 def test_reduced_operator_does_not_call_the_oracle(monkeypatch):
@@ -276,7 +305,38 @@ def test_odd_columns_plus_parts_match_printed():
 def test_plus_part_of_transposition_is_y_product_on_t():
     red = reduced_operator(6)
     unit = [1, 0, 0, 0, 0]
-    assert SYM.poly(4).apply(red.times_y, unit) == [1, 3, 3, 2, 1]
+
+    def times_y(vec):
+        return [sum(red.entries.get((i, j), 0) * v for j, v in enumerate(vec)) for i in range(5)]
+
+    assert SYM.poly(4).apply(times_y, unit) == [1, 3, 3, 2, 1]
+    assert tuple(odd_column((2,), 6).plus_part.values()) == (1, 3, 3, 2, 1)
+
+
+def test_every_column_of_s1_to_s14_equals_the_oracle_on_its_fold():
+    # each class of each sign and core level runs on its sign fold; an odd one
+    # also through odd_column, whose plus part is the column on Y's plus basis
+    for n in range(1, 15):
+        chain, max_order = SymmetricChain(), factorial(n)
+        reference = chain.reference_columns(n, max_order)
+        plus_basis = reduced_operator(n).plus_basis
+        for mu in enumerate_partitions(n):
+            assert character_column(chain, mu, n, max_order).coeffs == reference[mu], (n, mu)
+            if is_odd_class(mu):
+                column = odd_column(mu, n, chain, max_order)
+                assert column.coeffs == reference[mu], (n, mu)
+                assert column.plus_part == {lam: reference[mu].get(lam, 0) for lam in plus_basis}
+        assert n < 2 or sorted(chain._fold_cache) == [(n, -1), (n, 1)]
+
+
+@pytest.mark.parametrize("cls, n", [((3,), 20), ((7,), 22), ((4, 3), 24), ((2, 2), 26),
+                                    ((5, 2), 28)])
+def test_sym_column_workload_classes_equal_the_oracle(cls, n):
+    # classes of the benchmark's sym-column ops: parts of 2 and up, 2..7 moved points
+    expected = oracle_column(cls, n).coeffs
+    assert character_column(SymmetricChain(), cls, n).coeffs == expected
+    if is_odd_class(cls + (1,) * (n - sum(cls))):
+        assert odd_column(cls, n, SymmetricChain()).coeffs == expected
 
 
 def test_odd_column_equals_full_column():
@@ -529,10 +589,21 @@ def test_a_wrong_polynomial_leaves_a_non_integral_column():
 
 
 def test_a_wrong_character_value_breaks_the_column_norm():
-    # chi_[1,1]([2]) = 0 instead of -1 keeps the trivial entry at 1
-    table = spoiled(SYM.small_table(2), "[1,1]", "[2]", 0)
-    with pytest.raises(InvariantError, match=f"^{re.escape('column norm 7 != |G|/|class| = 4')}$"):
-        character_column(SYM, (2,), 4, table=table)
+    # chi_[2,1]([3]) = 1 instead of -1 keeps the input unchanged by conjugation,
+    # so the halving check passes, and keeps the trivial entry at 1
+    table = spoiled(SYM.small_table(3), "[2,1]", "[3]", 1)
+    with pytest.raises(InvariantError, match=f"^{re.escape('column norm 11 != |G|/|class| = 3')}$"):
+        character_column(SYM, (3,), 4, table=table)
+
+
+@pytest.mark.parametrize("cls, irrep, k, value", [((3,), "[1,1,1]", 3, 0), ((2,), "[1,1]", 2, 0)],
+                         ids=["even", "odd"])
+def test_a_wrong_character_value_leaves_an_odd_folded_entry(cls, irrep, k, value):
+    # the pass on a sign fold yields twice the column, so an input that is not
+    # (anti)symmetric under conjugation leaves an odd entry, at [4] for both
+    table = spoiled(SYM.small_table(k), irrep, f"[{k}]", value)
+    with pytest.raises(InvariantError, match=f"^{re.escape('odd or non-integral entry at [4]')}$"):
+        character_column(SYM, cls, 4, table=table)
 
 
 def test_a_wrong_character_value_leaves_an_odd_reduced_entry():

@@ -124,6 +124,13 @@ def test_conjugate_is_involution_up_to_12():
             assert conjugate(conjugate(p)) == p
 
 
+def test_conjugate_matches_its_definition_up_to_20():
+    # column j of the diagram holds one box of each row longer than j
+    for n in range(0, 21):
+        for p in enumerate_partitions(n):
+            assert conjugate(p) == tuple(sum(1 for x in p if x > j) for j in range(p[0] if p else 0)), p
+
+
 def test_dim_invariant_under_conjugation():
     for n in range(1, 11):
         for p in enumerate_partitions(n):

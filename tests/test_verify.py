@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from charcol import verify
 from charcol.chain import (BranchingOperator, FallingFactorialPoly, SymmetricChain, WreathChain,
                            get_chain)
+from charcol.cli import main as cli_main
 from charcol.hgroup import builtin_table
 from charcol.partitions import (
     class_sign,
@@ -756,6 +757,46 @@ def test_ingested_chain_reports_what_it_lacks():
         chain.group_order(4)
     with pytest.raises(IngestError, match="class '\\[1\\]' at level 1 has no embedding to level 2"):
         chain.class_size_from("[1]", 1, 3)
+
+
+def _swapped_identity_embedding(payload):
+    # level 2's identity [1,1] and [2] trade their embeddings: [1,1] -> [2,1]
+    identity, other = next(lv for lv in payload["levels"] if lv["n"] == 2)["classes"]
+    identity["embedsTo"], other["embedsTo"] = other["embedsTo"], identity["embedsTo"]
+
+
+def test_ingestion_refuses_an_identity_that_embeds_elsewhere(capsys, tmp_path):
+    # such a file once ingested and then failed 6 of 31 jeongha checks without
+    # naming the entry; it is refused with the class named, exit 1 on the command line
+    payload = export_chain(SymmetricChain(), 5)
+    _swapped_identity_embedding(payload)
+    message = "level 2: the identity '[1,1]' embeds to '[2,1]', not to the identity '[1,1,1]'"
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        ingest_chain(payload)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main(["verify", "--chain", str(path), "--suite", "jeongha", "--maxN", "5"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_ingestion_refuses_classes_below_that_outnumber_their_class():
+    # [2] at level 2 (size 1) and the identity [1,1] both embedding into [1,1,1],
+    # of size 1, put 2 elements into a class of 1
+    payload = export_chain(SymmetricChain(), 4)
+    next(lv for lv in payload["levels"] if lv["n"] == 2)["classes"][1]["embedsTo"] = "[1,1,1]"
+    message = "level 3: the classes embedding into '[1,1,1]' hold 2 elements, more than its 1"
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        ingest_chain(payload)
+
+
+@pytest.mark.parametrize("make, top", [(SymmetricChain, 9), (lambda: WreathChain(builtin_table("Z2")), 5),
+                                       (lambda: WreathChain(builtin_table("trivial")), 6)],
+                         ids=["sym", "z2wreath", "trivial"])
+def test_built_in_exports_pass_the_class_checks(make, top):
+    # every identity embeds into the next identity, and the classes one level
+    # down inside each class hold at most its size
+    chain = ingest_chain(export_chain(make(), top))
+    assert chain.max_n == top and all(chain.levels[n].classes for n in range(top + 1))
 
 
 def partial_class_payload():
