@@ -6,8 +6,8 @@ and wreath-product chains over a base group H (labels are arrays pairing
 distinct H-irreps with partitions). Ind is the transpose of Res throughout,
 so X at level n is Res^T Res, a symmetric integer matrix: X(a, b) counts the
 paths a -> child -> b along Res's edges. A built-in chain's Res at level 0
-maps onto the empty lower ring, so X_0 = 0. The symmetric chain also folds Res
-by conjugation (``sign_fold``) for the columns of one class sign. Every chain
+maps onto the empty lower ring, so X_0 = 0. A chain with class signs folds Res
+by its twins (``sign_fold``) for the columns of one sign. Every chain
 hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it,
 at a number or on a dense vector. A sparse vector over a level's irreps, such
 as a lift, is a dict {label: coefficient} of ints and Fractions (wreath lifts
@@ -66,7 +66,7 @@ def _transpose(edges, size: int) -> list:
 class BranchingOperator:
     """Res at level n as branching-graph edges: ``children[j]`` lists the level-(n-1)
     positions under level-n position j, m times for multiplicity m. A ``sign_fold``
-    is one too, on one label of each conjugate pair: ``twins`` holds their conjugates,
+    is one too, on one label of each twin pair: ``twins`` holds their twins,
     ``minus`` the (j, [i, ...]) edges that carry -1, and ``up_edges`` and ``up_minus``
     the way back up, which is not the children reversed. A column pass reads Res
     itself as the fold of sign 0, each label kept and its own twin."""
@@ -193,7 +193,7 @@ class Chain:
     time that its recursion never revisits a label whose lift is still
     waiting. A chain may declare capabilities, or what needs one is skipped:
     ``reference`` (``reference_columns``) for the oracle, ``has_irrep_labels``
-    for lifts and exports, ``class_sign`` with ``sign_fold`` for folded columns.
+    for lifts and exports, ``class_sign`` with ``_twin_pairs`` for ``sign_fold``.
     """
 
     id: str
@@ -385,6 +385,37 @@ class Chain:
 
     class_sign = staticmethod(lambda cls: 0)  # a class's sign for ``sign_fold``; 0: no fold
 
+    def sign_fold(self, n: int, sign: int) -> BranchingOperator:
+        """Res at level n folded for sign ``sign``, once per chain, level and sign, over the
+        (kept, twins) of ``_twin_pairs(m, sign, below)`` at m = n and, below, m = n - 1.
+        Going down (sign +1), a self-twin child met from a label and its twin counts twice,
+        and a self-twin label reaches its kept children alone, as often as each occurs;
+        going up, it keeps every child."""
+        if (n, sign) not in self._fold_cache:
+            kept, twins = self._twin_pairs(n, sign, False)
+            below, mirror = self._twin_pairs(n - 1, sign, True) if n > self.min_n else ((), ())
+            at = {mu: i for i, mu in enumerate(below)}
+            flip = {nu: i for i, (mu, nu) in enumerate(zip(below, mirror)) if nu not in (None, mu)}
+            plus, minus = ({**at, **flip}, {}) if sign > 0 else (at, flip)
+            down, down_minus = [], []
+            for j, children in enumerate(map(self._children, kept)):
+                try:
+                    down.append(list(map(plus.__getitem__, children)))
+                except KeyError:  # a twin, or a self-twin child dropped for sign -1
+                    down.append([plus[c] for c in children if c in plus])
+                    down_minus.append((j, [minus[c] for c in children if c in minus]))
+            up = _transpose(enumerate(down), len(below)), _transpose(down_minus, len(below))
+            bound = max(map(len, down), default=0) + max((len(m) for _, m in down_minus), default=0)
+            bound *= max((len(a) + len(b) for a, b in zip(*up)), default=0) * (1 + (sign > 0))
+            for i, j in ((i, j) for i, mu in enumerate(below) if mu == mirror[i] for j in up[0][i]):
+                down[j].append(i)  # a self-twin label's list is replaced next
+            down = tuple(tuple(at[c] for c in self._children(lam) if c in at) if lam == twin else tuple(d)
+                         for d, lam, twin in zip(down, kept, twins))
+            self._fold_cache[n, sign] = BranchingOperator(
+                n, tuple(kept), tuple(below), down, sign, tuple(twins), tuple(down_minus),
+                tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js), bound)
+        return self._fold_cache[n, sign]
+
 
 class SymmetricChain(Chain):
     """The chain S_0 <= S_1 <= ...; labels and cycle types are partitions."""
@@ -431,35 +462,10 @@ class SymmetricChain(Chain):
     class_size = staticmethod(partitions.class_size)
     class_sign = staticmethod(partitions.class_sign)
 
-    def sign_fold(self, n: int, sign: int) -> BranchingOperator:
-        """Res at level n folded for sign ``sign``, once per chain, level and sign. A kept
-        diagram's children have a first row at most one shorter than their first column,
-        so only such diagrams are paired below. Going down (sign +1), a self-conjugate
-        child met from a diagram and its twin counts twice; a self-conjugate diagram
-        meets each child pair once."""
-        if (n, sign) not in self._fold_cache:
-            kept, twins = _conjugate_pairs(self.basis(n), sign, n)
-            below, mirror = _conjugate_pairs(self.basis(n - 1), sign, 1) if n else ((), ())
-            at = {mu: i for i, mu in enumerate(below)}
-            flip = {nu: i for i, (mu, nu) in enumerate(zip(below, mirror)) if nu not in (None, mu)}
-            plus, minus = ({**at, **flip}, {}) if sign > 0 else (at, flip)
-            down, down_minus = [], []
-            for j, children in enumerate(map(self._children, kept)):
-                try:
-                    down.append(list(map(plus.__getitem__, children)))
-                except KeyError:  # a twin, or a self-conjugate child dropped for sign -1
-                    down.append([plus[c] for c in children if c in plus])
-                    down_minus.append((j, [minus[c] for c in children if c in minus]))
-            up = _transpose(enumerate(down), len(below)), _transpose(down_minus, len(below))
-            bound = max(map(len, down), default=0) + max((len(m) for _, m in down_minus), default=0)
-            bound *= max((len(a) + len(b) for a, b in zip(*up)), default=0) * (1 + (sign > 0))
-            for i, j in ((i, j) for i, mu in enumerate(below) if mu == mirror[i] for j in up[0][i]):
-                down[j] += [i] if kept[j] != twins[j] else []
-            down = tuple(tuple(set(d) if lam == twin else d) for d, lam, twin in zip(down, kept, twins))
-            self._fold_cache[n, sign] = BranchingOperator(
-                n, tuple(kept), tuple(below), down, sign, tuple(twins), tuple(down_minus),
-                tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js), bound)
-        return self._fold_cache[n, sign]
+    def _twin_pairs(self, n: int, sign: int, below: bool) -> tuple:
+        """``_conjugate_pairs``: a kept diagram's children have a first row at most one
+        shorter than their first column, so only such diagrams are paired below."""
+        return _conjugate_pairs(self.basis(n), sign, 1 if below else n)
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
@@ -487,6 +493,9 @@ class WreathChain(Chain):
         self._h_dims = tuple(dim for _, dim, _ in h_table.irreps)
         self._irrep_names = tuple(lab for lab, _, _ in h_table.irreps)
         self._class_names = tuple(lab for lab, _ in h_table.classes)
+        rows = [tuple(values) for _, _, values in h_table.irreps]  # psi: H's first non-trivial linear irrep
+        self._psi = next((v for v, dim in zip(rows, self._h_dims) if dim == 1 and set(v) != {1}), None)
+        self._tensor = self._psi and tuple(rows.index(tuple(map(prod, zip(v, self._psi)))) for v in rows)
 
     def basis(self, n: int) -> tuple[WreathLabel, ...]:
         return hgroup.enumerate_wreath_labels(len(self._h_dims), n)
@@ -543,6 +552,22 @@ class WreathChain(Chain):
 
     def class_size(self, cls: WreathLabel) -> int:
         return hgroup.wreath_class_size_formula(self.h_table, cls)
+
+    def class_sign(self, cls: WreathLabel) -> int:
+        """eta(h) = prod psi(c)^(cycles of colour c); 0, so no fold, without psi."""
+        return prod(self._psi[c] ** len(p) for c, p in cls) if self._psi else 0
+
+    def _twin_pairs(self, n: int, sign: int, below: bool) -> tuple:
+        """T renames each slot's H-irrep i to i (x) psi; a twin is sorted only for the
+        first label of its pair."""
+        kept, twins, paired = [], [], set()
+        for label in self.basis(n):
+            if label not in paired:
+                paired.add(twin := tuple(sorted([(self._tensor[i], p) for i, p in label])))
+                if twin != label or sign > 0:
+                    kept.append(label)
+                    twins.append(twin)
+        return kept, twins
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[WreathLabel, ...]:
         return tuple(c.label for c in hgroup.wreath_classes(self.h_table, n, max_order))

@@ -7,7 +7,7 @@ commutator scaling (1 for symmetric groups, |H| for wreath products).
 ``character_columns`` runs one f_{n-k} pass per core level k for many classes:
 each class's lifted input fills one slot of a packed int (``sparse.PackedIdentity``),
 times the lifts' common denominator D, and X = Ind Res acts along the edges of
-the chain's ``sign_fold`` (one diagram of each conjugate pair) when the classes
+the chain's ``sign_fold`` (one label of each pair of twins) when the classes
 share one sign, or of Res. The slot width covers ||D input||_inf, doubled on a
 fold, times prod (||X|| + |r|) over f's roots: a bound on what the pass
 computes, right or wrong. The fold of sign -1 is the paper's reduced operator

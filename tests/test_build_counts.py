@@ -54,7 +54,8 @@ def test_columns_build_res_only_at_their_own_level(monkeypatch):
     # lifting restricts along the support, and f_l multiplies by X along
     # Res's edges, so a column builds Res at its own level n, never X, and no
     # sparse matrix at all: Res's matrix form stays unbuilt. A sym column runs
-    # on the sign fold of Res at level n, so it builds that fold and no Res
+    # on the sign fold of Res at level n, so it builds that fold and no Res; a
+    # Z2 wreath column runs on the fold by its base group's linear character
     built = 0
     init = SparseMatrix.__init__
 
@@ -70,10 +71,11 @@ def test_columns_build_res_only_at_their_own_level(monkeypatch):
     assert sorted(sym._res_cache) == []
     assert sorted(sym._x_cache) == []
     z2 = WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")
-    character_column(z2, ((0, (2,)), (1, (1,))), 10)
-    assert sorted(z2._res_cache) == [10]
+    character_column(z2, ((0, (2,)), (1, (1,))), 10)  # one cycle of colour -1: sign -1
+    assert sorted(z2._fold_cache) == [(10, -1)]
+    assert sorted(z2._res_cache) == []
     assert sorted(z2._x_cache) == []
-    assert "matrix" not in vars(z2.res_operator(10))
+    assert "matrix" not in vars(z2.sign_fold(10, -1))
     assert built == 0
 
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import re
 from math import factorial
@@ -222,19 +223,99 @@ def test_reduced_operator_matches_its_definition_on_dense_x():
         assert entry_rows(red.entries, len(red.plus_basis)) == expected, n
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_sign_folds_match_their_definition_on_dense_x(sign):
-    # on the kept diagrams, X's fold sends b to X(a, b) + sign X(a, b') over the
-    # kept a, or to X(a, b) alone for a self-conjugate b: X applied to the
-    # column-symmetric extension of each unit vector, read off X
-    for n in range(0, 15):
-        fold, x = SymmetricChain().sign_fold(n, sign), matrix_rows(SYM.ind_res(n))
-        index = SYM.basis_index(n)
+# chains with a sign fold, each with a fresh instance and the levels its test reaches
+FOLDED = {"sym": (SymmetricChain, 15), "z2wreath": (lambda: WreathChain(builtin_table("Z2")), 9),
+          "S3": (lambda: WreathChain(S3), 5)}
+
+
+@pytest.mark.parametrize("sign, name", [pytest.param(sign, name, id=str(sign) if name == "sym" else f"{name}{sign:+d}")
+                                        for name in FOLDED for sign in (1, -1)])
+def test_sign_folds_match_their_definition_on_dense_x(sign, name):
+    # on the kept labels, X's fold sends b to X(a, b) + sign X(a, b') over the
+    # kept a, or to X(a, b) alone for a self-twin b: X applied to the
+    # twin-symmetric extension of each unit vector, read off X. S3's 2-dimensional
+    # irrep is its own twin, and its Res edges have multiplicity 2
+    make, top = FOLDED[name]
+    for n in range(0, top):
+        chain = make()
+        fold, x, index = chain.sign_fold(n, sign), matrix_rows(chain.ind_res(n)), chain.basis_index(n)
         for b, twin in zip(fold.kept, fold.twins):
             unit = [int(lam == b) for lam in fold.kept]
             column = [x[index[a]][index[b]] + (sign * x[index[a]][index[twin]] if twin != b else 0)
                       for a in fold.kept]
             assert fold.times_x(unit) == column, (n, b)
+
+
+# SHA-256 of each sign's folds of the symmetric chain at n = 0..18, over kept,
+# twins, sorted children, minus, up_edges, up_minus and bound, recorded when the
+# fold builder was the symmetric chain's own: one builder for every chain leaves them
+SYM_FOLD_DIGESTS = {
+    1: "242144e1050f00eaa8bc79c49d906f56b0df2c55452502b9c8f040002680f4cf",
+    -1: "d57ad3519da5ebdbd9428b9dbbeba313b3059ce3b60e63e2e03afa289e608642",
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sym_folds_match_their_pinned_digests(sign):
+    text = ""
+    for n in range(19):
+        fold = SymmetricChain().sign_fold(n, sign)
+        text += repr((fold.kept, fold.twins, tuple(tuple(sorted(d)) for d in fold.children), fold.minus,
+                      fold.up_edges, fold.up_minus, fold.bound)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SYM_FOLD_DIGESTS[sign]
+
+
+def test_wreath_class_sign_is_the_eta_row_of_the_brute_force_table():
+    # eta(b, pi) = prod psi(b_i), for psi Z2's sign character, is the irrep -1:[k]
+    # of Z2 wr S_k; class_sign reads it off each class's coloured cycles
+    chain = WreathChain(builtin_table("Z2"))
+    for k in range(1, 5):
+        table = wreath_char_table(builtin_table("Z2"), k)
+        eta = next(values for label, _, values in table.irreps if label == f"-1:[{k}]")
+        assert [chain.class_sign(chain.parse_class(cls)) for cls, _ in table.classes] == list(eta), k
+
+
+def test_wreath_folds_pair_each_label_with_its_tensor_by_psi():
+    # psi = Z2's sign character swaps the two H-irreps of every slot; a label whose
+    # two slots hold one partition is its own twin, kept for sign +1 alone
+    for n in range(0, 9):
+        plus, minus = WreathChain(builtin_table("Z2")).sign_fold(n, 1), WreathChain(builtin_table("Z2")).sign_fold(n, -1)
+        for fold in (plus, minus):
+            assert fold.twins == tuple(tuple(sorted((1 - h, p) for h, p in lam)) for lam in fold.kept), n
+        assert set(plus.kept) | set(plus.twins) == set(Z2C.basis(n)), n
+        assert set(minus.kept) == {lam for lam, twin in zip(plus.kept, plus.twins) if lam != twin}, n
+        assert not set(plus.kept) & {twin for lam, twin in zip(plus.kept, plus.twins) if lam != twin}, n
+
+
+def test_single_wreath_columns_run_on_the_fold_and_equal_res_columns():
+    # one class runs on the fold of its sign. Up to n = 5 its column equals the
+    # brute-force table's; above, the column of a batch of both signs, on Res
+    for n in range(1, 9):
+        chain = WreathChain(builtin_table("Z2"))
+        if n <= 5:
+            expected = chain.reference_columns(n)
+        else:
+            batch = WreathChain(builtin_table("Z2"))
+            classes = [chain.embed_class(c, n) for k in range(0, 6) for c in chain.classes_at(k)
+                       if chain.strip_class(c)[1] == k]
+            assert {chain.class_sign(chain.strip_class(c)[0]) for c in classes} == {1, -1}
+            expected = {c: column.coeffs for c, column in character_columns(batch, classes, n).items()}
+            assert sorted(batch._res_cache) == [n] and not batch._fold_cache
+        for cls, coeffs in expected.items():
+            assert character_column(chain, cls, n).coeffs == coeffs, (n, cls)
+        assert sorted(chain._fold_cache) == [(n, -1), (n, 1)] and not chain._res_cache, n
+
+
+def test_a_wreath_chain_without_a_linear_character_builds_no_fold():
+    # the trivial group's one irrep is trivial, so there is no psi: every class has
+    # sign 0 and its column runs on Res
+    chain = WreathChain(builtin_table("trivial"))
+    for n in range(1, 6):
+        reference = chain.reference_columns(n)
+        for cls in chain.classes_at(n):
+            assert chain.class_sign(cls) == 0
+            assert character_column(chain, cls, n).coeffs == reference[cls], (n, cls)
+    assert not chain._fold_cache and sorted(chain._res_cache) == [1, 2, 3, 4, 5]
 
 
 def test_sign_folds_carry_the_conjugates_of_their_kept_diagrams():
