@@ -193,7 +193,8 @@ class Chain:
     time that its recursion never revisits a label whose lift is still
     waiting. A chain may declare capabilities, or what needs one is skipped:
     ``reference`` (``reference_columns``) for the oracle, ``has_irrep_labels``
-    for lifts and exports, ``class_sign`` with ``_twin_pairs`` for ``sign_fold``.
+    for lifts, columns, tables and exports, ``class_sign`` with ``_twin_pairs``
+    for ``sign_fold``; ``no_classes`` says why a chain's classes are out of reach.
     """
 
     id: str
@@ -202,6 +203,7 @@ class Chain:
     max_n = inf  # the highest; the built-in chains have no top
     reference: str | None = None  # what a passing oracle check says the engine column equals
     has_irrep_labels = False
+    no_classes: str | None = None  # why ``classes_at`` cannot list classes; their checks are skipped
 
     def __init__(self):
         self._index_cache: dict[int, dict] = {}
@@ -496,6 +498,9 @@ class WreathChain(Chain):
         rows = [tuple(values) for _, _, values in h_table.irreps]  # psi: H's first non-trivial linear irrep
         self._psi = next((v for v, dim in zip(rows, self._h_dims) if dim == 1 and set(v) != {1}), None)
         self._tensor = self._psi and tuple(rows.index(tuple(map(prod, zip(v, self._psi)))) for v in rows)
+        if not hgroup.has_multiplication(h_table):  # classes, tables and references are brute force
+            self.reference, self.no_classes = None, (
+                f"H = {h_table.name} comes without the multiplication that brute-force classes need")
 
     def basis(self, n: int) -> tuple[WreathLabel, ...]:
         return hgroup.enumerate_wreath_labels(len(self._h_dims), n)
@@ -588,11 +593,14 @@ def require_symmetric(chain: Chain, what: str):
         raise ValueError(f"{what} is defined for the symmetric chain only")
 
 
+CHAIN_NAMES = ("sym", "z2wreath", *hgroup.BUILTIN_TABLES)
+
+
 @lru_cache(maxsize=None)
-def get_chain(spec: str) -> Chain:
-    """Chain registry: 'sym', 'z2wreath', a built-in group name, or an H JSON path."""
-    if spec == "sym":
+def get_chain(name: str) -> Chain:
+    """A built-in chain by name: 'sym', 'z2wreath', or a built-in group H for H wr S_n."""
+    if name == "sym":
         return SymmetricChain()
-    if spec == "z2wreath":
+    if name == "z2wreath":
         return WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")
-    return WreathChain(hgroup.builtin_table(spec))
+    return WreathChain(hgroup.builtin_table(name))

@@ -1,6 +1,9 @@
 """Command line front end.
 
-Commands: column, lift, indres, mckay, table, verify. Exit statuses:
+Commands: column, lift, indres, mckay, table, verify. Each reads --chain with
+``verify.load_chain``: a built-in name, or a JSON file holding a chain ("levels")
+or a base-group table H ("irreps", "classes") for H wr S_n. An ingested chain
+has positions for irrep labels, so column, lift and table refuse it. Exit statuses:
 0 success, 1 verification failure (a failed suite, a rejected ingested chain,
 or a broken lift invariant), 2 usage error (including an output path that
 cannot be written), 3 resource bound exceeded.
@@ -16,16 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import mckay, verify
-from .chain import Chain, get_chain, require_symmetric
+from .chain import Chain, require_symmetric
 from .engine import character_column, odd_column
 from .hgroup import SizeBoundError, load_table, order_bound
 from .lifting import InvariantError, lift
 from .partitions import mirrored_order
-from .verify import IngestError, ingest_chain, run_suite
+from .verify import IngestError, load_chain, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -41,6 +43,14 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
+def _labelled(chain: Chain, what: str) -> Chain:
+    """The chain, unless it is an ingested one, whose irreps are positions."""
+    if not chain.has_irrep_labels:
+        raise ValueError(f"{what} needs irrep labels, and the ingested chain {chain.id!r} "
+                         "lists positions instead")
+    return chain
+
+
 def _output_order(chain: Chain, n: int, paper_order: bool):
     if paper_order:
         require_symmetric(chain, "--paper-order")
@@ -49,7 +59,7 @@ def _output_order(chain: Chain, n: int, paper_order: bool):
 
 
 def cmd_column(args) -> int:
-    chain = get_chain(args.chain)
+    chain = _labelled(load_chain(args.chain), "column")
     cls = chain.parse_class(args.cls)
     table = load_table(args.table) if args.table else None
     if args.odd:
@@ -84,7 +94,7 @@ def cmd_column(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    chain = get_chain(args.chain)
+    chain = _labelled(load_chain(args.chain), "lift")
     label = chain.parse_label(args.label)
     level = chain.label_level(label)
     if level != args.k:
@@ -99,7 +109,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_indres(args) -> int:
-    chain = get_chain(args.chain)
+    chain = load_chain(args.chain)
     matrix = chain.ind_res(args.n)
     order = _output_order(chain, args.n, args.paper_order)
     position = {chain.basis_index(args.n)[lab]: i for i, lab in enumerate(order)}
@@ -114,14 +124,14 @@ def cmd_indres(args) -> int:
 
 
 def cmd_mckay(args) -> int:
-    chain = get_chain(args.chain)
+    chain = load_chain(args.chain)
     graph = mckay.reduced_graph(args.n, chain) if args.reduced else mckay.build_graph(chain, args.n)
     _write(args, mckay.export(graph, args.format))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    chain = get_chain(args.chain)
+    chain = _labelled(load_chain(args.chain), "table")
     if not chain.has_level(args.k):
         raise ValueError(f"chain {chain.id!r} has no level {args.k}")
     table = chain.small_table(args.k, args.max_order)
@@ -137,11 +147,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    chain = ingest_chain(args.chain) if os.path.isfile(args.chain) else get_chain(args.chain)
+    chain = load_chain(args.chain)
     if args.export:
-        if not chain.has_irrep_labels:
-            raise ValueError("--export needs a built-in chain")
-        payload = verify.export_chain(chain, args.maxN, args.max_order)
+        payload = verify.export_chain(_labelled(chain, "--export"), args.maxN, args.max_order)
         with open(args.export, "w") as fh:
             json.dump(payload, fh, indent=2)
     report = run_suite(chain, args.suite, args.maxN, args.max_order)
@@ -159,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, chain_default=None):
         p.add_argument("--chain", default=chain_default, required=chain_default is None,
-                       help="chain spec: 'sym', 'z2wreath', or a base-group table JSON path")
+                       help="chain spec: 'sym', 'z2wreath', 'trivial', 'Z2', or a JSON file "
+                       "holding a chain ('levels') or a base-group table ('irreps', 'classes')")
         p.add_argument("--max-order", type=int, default=None,
                        help="order bound on every group whose table or classes are built, "
                        "S_k included (default 10000 or CHARCOL_MAX_ORDER)")

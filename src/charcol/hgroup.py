@@ -219,13 +219,19 @@ class GroupTable:
         return table.validate()
 
 
-def load_table(path: str) -> GroupTable:
+def read_json(path: str, malformed):
+    """The JSON value in the file at path; ``malformed(detail)`` is raised for a
+    file that is not JSON, not text, or nested too deep."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
-            raise TableValidationError(f"malformed GroupTable JSON: {exc}") from exc
-    return GroupTable.from_json_dict(obj)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise malformed(str(exc)) from exc
+
+
+def load_table(path: str) -> GroupTable:
+    return GroupTable.from_json_dict(
+        read_json(path, lambda detail: TableValidationError(f"malformed GroupTable JSON: {detail}")))
 
 
 # Validated once here; builtin_table hands out these immutable tables as they are.
@@ -235,15 +241,14 @@ _Z2 = GroupTable(
 ).validate()
 
 
+BUILTIN_TABLES = {"trivial": _TRIVIAL, "Z2": _Z2}
+
+
 def builtin_table(name: str) -> GroupTable:
-    """Built-in base-group table by name, or a validated JSON file by path."""
-    if name == "trivial":
-        return _TRIVIAL
-    if name == "Z2":
-        return _Z2
-    if os.path.exists(name):
-        return load_table(name)
-    raise ValueError(f"unknown group {name!r}: expected 'trivial', 'Z2', or a JSON path")
+    """A built-in base-group table by name; a table file is read by ``load_table``."""
+    if name not in BUILTIN_TABLES:
+        raise ValueError(f"unknown group {name!r}: expected one of {', '.join(BUILTIN_TABLES)}")
+    return BUILTIN_TABLES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +275,19 @@ _CONCRETE = {
 }
 
 
+def has_multiplication(table: GroupTable) -> bool:
+    """Whether the table is a built-in group's, whose multiplication brute force can use."""
+    return table.name in _CONCRETE and _CONCRETE[table.name].table == table
+
+
 def concrete_base(table: GroupTable) -> ConcreteGroup:
-    group = _CONCRETE.get(table.name)
-    if group is None or group.table != table:
+    if not has_multiplication(table):
         raise ValueError(
             f"no explicit multiplication available for group {table.name!r}; "
             "brute-force wreath computations support the built-in base groups only "
             "(supply precomputed wreath tables as GroupTable JSON instead)"
         )
-    return group
+    return _CONCRETE[table.name]
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,22 @@ any chain must satisfy for iterated induction-restriction to be polynomial in
 Ind Res: the per-class ratio constraint, the two-term order recursion
 a_n = B a_{n-1} + C, the resulting polynomial family, and the root/character
 correspondence; they also compare engine columns with the chain's reference
-columns, and check every lift. User-supplied chains enter through
-``ingest_chain``; a suite a chain cannot run is listed under ``skipped``.
+columns, and check every lift. ``load_chain`` reads every ``--chain`` spec. A
+suite or a check a chain cannot run is listed under ``skipped``, and a failed
+comparison names its first differing entry by its labels.
 
 All comparisons are exact rational arithmetic; there are no tolerances.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
 from . import engine, lifting
-from .chain import BranchingOperator, Chain, FallingFactorialPoly
-from .hgroup import SizeBoundError, _typed
+from .chain import CHAIN_NAMES, BranchingOperator, Chain, FallingFactorialPoly, WreathChain, get_chain
+from .hgroup import GroupTable, SizeBoundError, _typed, read_json
 from .partitions import Partition, border_strip_column, enumerate_partitions, pad_with_fixed_points
 from .sparse import PackedIdentity
 
@@ -404,6 +404,12 @@ class IngestedChain(Chain):
 
     # -- chain protocol used by the suites ----------------------------------
 
+    def basis(self, n: int) -> tuple:
+        """Positions 0, 1, ... for the irreps, whose labels the chain does not list."""
+        return tuple(range(self._level(n).basis_size))
+
+    format_label = staticmethod(str)
+
     def _level(self, n: int) -> IngestedLevel:
         try:
             return self.levels[n]
@@ -465,19 +471,36 @@ class IngestedChain(Chain):
 def ingest_chain(source) -> IngestedChain:
     """Load and check a chain from the ingestion JSON (a path or the parsed dict)."""
     if isinstance(source, str):
-        with open(source) as fh:
-            try:
-                source = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
-                raise IngestError(f"malformed chain JSON: {exc}") from exc
+        source = read_json(source, lambda detail: IngestError(f"malformed chain JSON: {detail}"))
     return IngestedChain(source)
+
+
+def load_chain(spec: str) -> Chain:
+    """The chain a ``--chain`` spec names: a name in ``CHAIN_NAMES``, or a JSON file read
+    once, whose top-level keys decide: ``levels`` is a chain (``IngestedChain``), ``irreps``
+    or ``classes`` a base-group table H, for H wr S_n. Any other file is a ValueError."""
+    if spec in CHAIN_NAMES:
+        return get_chain(spec)
+    neither = f"{spec} is neither a chain JSON ('levels') nor a base-group table JSON ('irreps', 'classes')"
+    try:
+        obj = read_json(spec, lambda detail: ValueError(f"{neither}: {detail}"))
+    except FileNotFoundError:
+        names = ", ".join(CHAIN_NAMES)
+        raise ValueError(f"unknown chain {spec!r}: no such file, nor one of {names}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{neither}: it holds a JSON {type(obj).__name__}")
+    if "levels" in obj:
+        return IngestedChain(obj)
+    if {"irreps", "classes"} & obj.keys():
+        return WreathChain(GroupTable.from_json_dict(obj))
+    raise ValueError(f"{neither}: its keys are {sorted(obj)}")
 
 
 def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict:
     """Dump a built-in chain in the ingestion format: each level's Res as the
     (row, col, multiplicity) counts of its branching edges, sorted by (row, col),
-    and class rows with the identity class first; levels above the order bound
-    get no class rows."""
+    and class rows with the identity class first; levels above the order bound,
+    and a chain without classes, get no class rows."""
     if max_n < 0:
         raise ValueError(f"maxN must be non-negative, not {max_n}")
     levels = []
@@ -486,7 +509,7 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
         if n >= 1:
             entry["res"] = [list(e) for e in chain.res_operator(n).entries()]
         try:
-            labels = chain.classes_at(n, max_order)
+            labels = None if chain.no_classes else chain.classes_at(n, max_order)
         except SizeBoundError:
             labels = None
         if labels is not None:
@@ -502,6 +525,15 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
 
 # ---------------------------------------------------------------------------
 # Suites: each is suite(chain, max_n, max_order=None) -> (checks, skipped)
+
+
+def _first_difference(chain, packed: PackedIdentity, lhs: list, rhs: list, labels: tuple) -> tuple:
+    """Where two packed matrices over ``labels`` first differ, rows then columns:
+    ("(row, column)" by their labels, the lhs entry, the rhs entry)."""
+    i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    row, other = packed.slots(lhs[i], len(labels)), packed.slots(rhs[i], len(labels))
+    j = next(j for j, (a, b) in enumerate(zip(row, other)) if a != b)
+    return f"({chain.format_label(labels[i])}, {chain.format_label(labels[j])})", row[j], other[j]
 
 
 def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
@@ -524,14 +556,15 @@ def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
         diag = packed.slots(res_ind[0] - ind_res[0], 1)[0]
         if scaling is None:
             scaling = diag
-        scalar = res_ind == [v + diag * e for v, e in zip(ind_res, packed.rows)]
+        shifted = [v + diag * e for v, e in zip(ind_res, packed.rows)]
         detail = f"Res Ind - Ind Res = {diag} * Id"
         if diag != scaling:
             detail += f", expected {scaling} * Id"
-        checks.append(CheckResult(
-            f"heisenberg level={j}", scalar and diag == scaling,
-            detail=detail if scalar else "commutator is not scalar", lhs=diag, rhs=scaling,
-        ))
+        if res_ind != shifted:
+            at, a, b = _first_difference(chain, packed, res_ind, shifted, up.codomain)
+            detail = f"commutator is not scalar: Res Ind has {a} at {at}, Ind Res + {diag} * Id has {b}"
+        checks.append(CheckResult(f"heisenberg level={j}", res_ind == shifted and diag == scaling,
+                                  detail=detail, lhs=diag, rhs=scaling))
     return checks, []
 
 
@@ -554,19 +587,20 @@ def _failed_fit(chain) -> CheckResult | None:
 
 def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
     """Brute Ind^l Res^l against f_l(Ind Res) = num/den (X - r_l)...(X - r_1) on
-    a packed identity, den times the one against num times the other. For each
-    l the brute side restricts once more and induces back up along Res's edges;
-    the polynomial side applies X - r for f_l's new roots, starting over if they
-    do not extend f_{l-1}'s. Entries are within prod ``x_norm_bound`` and prod (||X|| + |r|)."""
+    a packed identity, den times the one against num times the other, both along
+    Res's edges. For each l the brute side restricts once more and induces back
+    up; the polynomial side applies X = Ind Res for each of f_l's new roots,
+    starting over if they do not extend f_{l-1}'s. Entries are within prod
+    ``x_norm_bound`` and prod (||X|| + |r|). A mismatch names its first entry."""
     levels = chain.level_range(max_n)
     if levels and (failed := _failed_fit(chain)) is not None:
         return [failed], []
     checks, res = [], chain.res_operator
     for n in levels:
-        x, polys = chain.ind_res(n), [chain.poly(l) for l in range(1, n - chain.min_n + 1)]
-        packed = PackedIdentity(x.nrows, max(max(
+        top, polys = res(n), [chain.poly(l) for l in range(1, n - chain.min_n + 1)]
+        packed = PackedIdentity(len(top.domain), max(max(
             f_l.leading.denominator * prod(res(j).x_norm_bound for j in range(n - l + 1, n + 1)),
-            abs(f_l.leading.numerator) * prod(res(n).x_norm_bound + abs(r) for r in f_l.roots),
+            abs(f_l.leading.numerator) * prod(top.x_norm_bound + abs(r) for r in f_l.roots),
         ) for l, f_l in enumerate(polys, 1)))
         down, product, roots = packed.rows, packed.rows, ()  # product: prod (X - r) over roots
         for l, f_l in enumerate(polys, 1):
@@ -576,14 +610,15 @@ def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
                 brute = res(j).up(brute)
             if f_l.roots[: len(roots)] != roots:
                 roots, product = (), packed.rows
-            product = FallingFactorialPoly(f_l.roots[len(roots):]).apply(x.matvec, product)
+            product = FallingFactorialPoly(f_l.roots[len(roots):]).apply(top.times_x, product)
             roots = f_l.roots
             num, den = f_l.leading.numerator, f_l.leading.denominator
-            ok = [v * den for v in brute] == [v * num for v in product]
-            checks.append(CheckResult(
-                f"indres-power n={n} l={l}", ok,
-                detail="Ind^l Res^l equals the polynomial in Ind Res" if ok else "matrix mismatch",
-            ))
+            lhs, rhs = [v * den for v in brute], [v * num for v in product]
+            detail = "Ind^l Res^l equals the polynomial in Ind Res"
+            if lhs != rhs:
+                at, a, b = _first_difference(chain, packed, lhs, rhs, top.domain)
+                detail = f"Ind^{l} Res^{l} has {Fraction(a, den)} at {at}, f_{l}(X) has {Fraction(b, den)}"
+            checks.append(CheckResult(f"indres-power n={n} l={l}", lhs == rhs, detail=detail))
     return checks, []
 
 
@@ -591,9 +626,11 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
     failed = _failed_fit(chain)
     if failed is not None:
         return [failed], []
-    checks = []
+    checks, skipped = [], []
+    if chain.no_classes:  # (1) and (4) need the classes
+        skipped.append({"suite": "jeongha", "reason": f"no class checks: {chain.no_classes}"})
     # (1) per-class ratio constraints at every (n, l) with class data available
-    for n in chain.level_range(max_n):
+    for n in () if chain.no_classes else chain.level_range(max_n):
         for l in range(1, n - chain.min_n + 1):
             m = n - l
             try:
@@ -627,7 +664,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
                 ))
     # (4) roots vs character values, where class data allows; the re-indexed
     # statement reads levels 0 and 1
-    if chain.has_level(0) and chain.has_level(1) and chain.group_order(0) == 1:
+    if not chain.no_classes and chain.has_level(0) and chain.has_level(1) and chain.group_order(0) == 1:
         top = max_n - 1 if chain.group_order(1) == 1 else max_n
         for l in range(1, min(5, top) + 1):
             try:
@@ -641,7 +678,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
                 detail=f"preferred level {report['preferred_level']}, "
                 f"roots {jsonable(report['roots'])}",
             ))
-    return checks, []
+    return checks, skipped
 
 
 def oracle_suite(chain, max_n: int, max_order: int | None = None):
@@ -650,7 +687,7 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None):
     first one whose reference is above the order bound, and that level is the
     one skipped entry."""
     if chain.reference is None:
-        return [], [{"suite": "oracle", "reason": "the chain has no reference columns"}]
+        return [], [{"suite": "oracle", "reason": chain.no_classes or "the chain has no reference columns"}]
     checks = []
     for n in chain.level_range(max_n):
         try:
@@ -659,11 +696,14 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None):
             return checks, [{"level": n, "reason": str(exc)}]
         classes = chain.classes_at(n, max_order)
         for cls, column in engine.character_columns(chain, classes, n, max_order).items():
-            ok = column.coeffs == reference[cls]
-            checks.append(CheckResult(
-                f"oracle-column n={n} class={chain.format_class(cls)}", ok,
-                detail=f"engine equals {chain.reference}" if ok else "mismatch",
-            ))
+            ok, detail = column.coeffs == reference[cls], f"engine equals {chain.reference}"
+            if not ok:
+                got, want = column.coeffs.get, reference[cls].get
+                lab = next(lab for lab in chain.basis(n) if got(lab, 0) != want(lab, 0))
+                detail = (f"engine has {got(lab, 0)} at {chain.format_label(lab)}, "
+                          f"the reference {want(lab, 0)}")
+            checks.append(CheckResult(f"oracle-column n={n} class={chain.format_class(cls)}", ok,
+                                      detail=detail))
     return checks, []
 
 

@@ -253,13 +253,13 @@ def test_class_data_fits_each_class_once(monkeypatch, spec, cls, m, js):
 
 
 def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
-    # both sides act on a packed identity: the brute side restricts once more
-    # for each l and induces back up l times along Res's edges (L downs and
-    # L(L+1)/2 ups), and the polynomial side applies X's matvec once per new
-    # root (L), so with nested roots a level costs L(L+5)/2 operator
-    # applications, L = n - min_n; X is counted along Res's edges, so no
-    # sparse product is taken. A run to max_n repeats a run to max_n - 1 and
-    # adds level max_n, so two runs on fresh chains differ by exactly that level
+    # both sides act on a packed identity along Res's edges: the brute side
+    # restricts once more for each l and induces back up l times (L downs and
+    # L(L+1)/2 ups), and the polynomial side applies X = Ind Res once per new
+    # root (L downs and L ups), so with nested roots a level costs L(L+7)/2
+    # operator applications, L = n - min_n; no X is built, so no sparse matvec
+    # or product is taken. A run to max_n repeats a run to max_n - 1 and adds
+    # level max_n, so two runs on fresh chains differ by exactly that level
     counts = Counter()
     matmul, matvec = SparseMatrix.__matmul__, SparseMatrix.matvec
     down, up = BranchingOperator.down, BranchingOperator.up
@@ -298,14 +298,15 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
             levels = chain.level_range(top)
             assert skipped == [] and all(c.passed for c in checks), (chain.id, top)
             assert len(checks) == sum(n - chain.min_n for n in levels), (chain.id, top)
+            assert chain._x_cache == {}, (chain.id, top)
             runs.append(Counter(counts))
         for n in chain.level_range(max_n):
             level = runs[n] - runs[n - 1]
             big_l = n - chain.min_n
             assert level["matmul"] == 0, (chain.id, n, level)
-            assert level["down"] + level["up"] + level["matvec"] == big_l * (big_l + 5) // 2, (
+            assert level["down"] + level["up"] + level["matvec"] == big_l * (big_l + 7) // 2, (
                 chain.id, n, level)
-            assert (level["down"], level["matvec"]) == (big_l, big_l), (chain.id, n, level)
+            assert (level["down"], level["matvec"]) == (2 * big_l, 0), (chain.id, n, level)
 
 
 def test_jeongha_computes_each_class_size_once_per_chain(monkeypatch):

@@ -5,12 +5,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from charcol.cli import main
 from charcol.chain import SymmetricChain, get_chain
-from charcol.hgroup import symmetric_group_table
+from charcol.hgroup import builtin_table, symmetric_group_table
 from charcol.partitions import enumerate_partitions, format_partition, is_odd_class
 from charcol.verify import export_chain, jsonable
 
@@ -269,6 +270,7 @@ def test_verify_unknown_chain_is_usage_error(capsys, spec):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert spec in err
+    assert err == f"error: unknown chain {spec!r}: no such file, nor one of sym, z2wreath, trivial, Z2\n"
 
 
 @pytest.mark.parametrize("suite", ["jeongha", "tasyopari"])
@@ -325,6 +327,8 @@ def test_verify_rejects_a_class_without_members(capsys, tmp_path, spoil, label, 
                    "every class has a member\n")
 
 
+# the two formats a --chain file may have, as a refusal names them
+FORMATS = "a chain JSON ('levels') nor a base-group table JSON ('irreps', 'classes')"
 # what fails to decode depends on the locale; how deep JSON may nest, on the interpreter
 NOT_JSON = {"text": (b"not json\n", "Expecting value: line 1 column 1 (char 0)"),
             "binary": (b"\xff\xfe\x00", None),
@@ -332,14 +336,18 @@ NOT_JSON = {"text": (b"not json\n", "Expecting value: line 1 column 1 (char 0)")
 
 
 @pytest.mark.parametrize("content, detail", NOT_JSON.values(), ids=NOT_JSON)
-def test_verify_chain_file_that_is_not_json_is_a_rejected_chain(capsys, tmp_path, content, detail):
-    # the parse error once ended in exit 2, with no word of what failed to parse
+def test_verify_chain_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, content, detail):
+    # the parse error once ended in exit 2 with no word of what failed to
+    # parse, then in exit 1 as a malformed chain; a file that is no JSON is
+    # neither format a --chain file may have, so it is a usage error that
+    # names both and keeps the parser's detail
     path = tmp_path / "chain.json"
     path.write_bytes(content)
     code, out, err = run(capsys, "verify", "--chain", str(path), "--maxN", "4")
-    assert code == 1 and out == ""
-    assert err.startswith("error: malformed chain JSON: ") and err.count("\n") == 1
-    assert detail is None or err == f"error: malformed chain JSON: {detail}\n"
+    assert code == 2 and out == ""
+    prefix = f"error: {path} is neither {FORMATS}: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert detail is None or err == f"{prefix}{detail}\n"
 
 
 @pytest.mark.parametrize("content, detail", NOT_JSON.values(), ids=NOT_JSON)
@@ -543,7 +551,7 @@ def test_verify_export_of_an_ingested_chain_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--suite", "heisenberg",
                          "--maxN", "3", "--export", str(tmp_path / "again.json"))
     assert code == 2 and out == ""
-    assert err == "error: --export needs a built-in chain\n"
+    assert err == "error: --export needs irrep labels, and the ingested chain 'sym' lists positions instead\n"
 
 
 @pytest.mark.parametrize("suite", ["oracle", "lifts"])
@@ -734,3 +742,100 @@ def test_full_cli_verify_all_sym_maxn7(capsys):
     code, out, _ = run(capsys, "verify", "--chain", "sym", "--suite", "all", "--maxN", "7")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+# -- one --chain grammar for every command ---------------------------------------
+
+# each command at a level every chain below has; "e" is the identity class and
+# the empty label, at their own level
+COMMANDS = {
+    "column": ["--class", "e", "--n", "3"],
+    "lift": ["--k", "0", "--label", "e", "--n", "3"],
+    "indres": ["--n", "3"],
+    "mckay": ["--n", "3"],
+    "table": ["--k", "2"],
+    "verify": ["--maxN", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def spec_files(tmp_path_factory):
+    """A file of each kind a --chain spec may name: S_3's table from ``table``,
+    the chain ``verify --export`` writes, a file that is no JSON, and JSON of
+    neither format."""
+    root = tmp_path_factory.mktemp("specs")
+    files = {kind: str(root / f"{kind}.json") for kind in ("table", "chain", "text", "neither")}
+    assert main(["table", "--chain", "sym", "--k", "3", "--out", files["table"]]) == 0
+    assert main(["verify", "--chain", "sym", "--maxN", "4", "--export", files["chain"],
+                 "--out", os.devnull]) == 0
+    Path(files["text"]).write_text("not json\n")
+    Path(files["neither"]).write_text(json.dumps({"name": "S3", "order": 6}))
+    return files
+
+
+# S_3 as H has a table but no multiplication, so the brute-force wreath tables
+# that column and table read are refused; an ingested chain has positions, not
+# irrep labels, so column, lift and table refuse it
+LOADER_EXITS = {
+    "name": dict.fromkeys(COMMANDS, 0),
+    "table": {"column": 2, "lift": 0, "indres": 0, "mckay": 0, "table": 2, "verify": 0},
+    "chain": {"column": 2, "lift": 2, "indres": 0, "mckay": 0, "table": 2, "verify": 0},
+    "text": dict.fromkeys(COMMANDS, 2),
+    "neither": dict.fromkeys(COMMANDS, 2),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("kind", LOADER_EXITS)
+def test_every_command_reads_a_chain_spec_the_same_way(capsys, spec_files, kind, command):
+    spec = "sym" if kind == "name" else spec_files[kind]
+    code, out, err = run(capsys, command, "--chain", spec, *COMMANDS[command])
+    assert code == LOADER_EXITS[kind][command]
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    else:
+        assert out and err == ""
+    if kind in ("text", "neither"):
+        assert err.startswith(f"error: {spec} is neither {FORMATS}: ")
+    if kind == "chain" and code:
+        assert err == (f"error: {command} needs irrep labels, and the ingested chain 'sym' "
+                       "lists positions instead\n")
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_an_exported_chain_has_the_edges_and_entries_of_its_source(capsys, spec_files, n):
+    # positions stand in for the labels, in the order of the source's basis
+    outputs = {}
+    for spec in ("sym", spec_files["chain"]):
+        _, mckay_out, _ = run(capsys, "mckay", "--chain", spec, "--n", str(n), "--format", "json")
+        _, indres_out, _ = run(capsys, "indres", "--chain", spec, "--n", str(n))
+        graph, operator = json.loads(mckay_out), json.loads(indres_out)
+        outputs[spec] = (graph["edges"], operator["entries"], len(graph["vertices"]))
+        if spec != "sym":
+            assert graph["vertices"] == operator["basis"] == [str(i) for i in range(len(operator["basis"]))]
+    assert outputs["sym"] == outputs[spec_files["chain"]] and outputs["sym"][0]
+
+
+def test_verify_runs_on_a_wreath_chain_over_a_table_file(capsys, spec_files):
+    # H = S_3 from a table file: every check that needs no multiplication of H
+    # runs and passes; the oracle and jeongha's class checks are skipped
+    code, out, err = run(capsys, "verify", "--chain", spec_files["table"], "--maxN", "3")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["chain"] == "wreath:S3" and report["passed"] is True
+    kinds = {c["name"].split()[0] for c in report["checks"]}
+    assert kinds == {"heisenberg", "indres-power", "fit-params", "fit-polynomial", "lift-exactness"}
+    assert [entry["suite"] for entry in report["skipped"]] == ["jeongha", "oracle"]
+    assert all("multiplication" in entry["reason"] for entry in report["skipped"])
+
+
+def test_a_table_file_of_a_built_in_group_is_that_group(capsys, tmp_path):
+    # Z2's table in a file has Z2's multiplication, so every command prints
+    # what --chain Z2 prints
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(builtin_table("Z2").to_json_dict()))
+    for command in COMMANDS:
+        by_name = run(capsys, command, "--chain", "Z2", *COMMANDS[command])
+        assert run(capsys, command, "--chain", str(path), *COMMANDS[command]) == by_name
+        assert by_name[0] == 0, command

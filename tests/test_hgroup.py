@@ -21,6 +21,7 @@ from charcol.hgroup import (
     enumerate_wreath_labels,
     format_wreath_label,
     identity_colored_type,
+    load_table,
     parse_wreath_label,
     symmetric_group_table,
     wreath_char_table,
@@ -55,6 +56,15 @@ def test_builtin_unknown_name():
         builtin_table("Z3")
 
 
+def test_builtin_table_takes_names_only(tmp_path):
+    # a table file is read by load_table; a path is no name
+    path = tmp_path / "Z2.json"
+    path.write_text(json.dumps(builtin_table("Z2").to_json_dict()))
+    assert load_table(str(path)) == builtin_table("Z2")
+    with pytest.raises(ValueError, match="^unknown group .*: expected one of trivial, Z2$"):
+        builtin_table(str(path))
+
+
 def test_table_validation_catches_duplicate_rows(tmp_path):
     bad = {
         "name": "bad",
@@ -68,7 +78,7 @@ def test_table_validation_catches_duplicate_rows(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     with pytest.raises(TableValidationError, match="orthogonality"):
-        builtin_table(str(path))
+        load_table(str(path))
 
 
 def _table_json():
@@ -614,7 +624,7 @@ def test_wreath_table_needs_concrete_base(tmp_path):
     # a JSON-only H has no multiplication table to brute-force with
     path = tmp_path / "h.json"
     path.write_text(json.dumps(builtin_table("Z2").to_json_dict() | {"name": "myZ2"}))
-    h = builtin_table(str(path))
+    h = load_table(str(path))
     with pytest.raises(ValueError, match="multiplication"):
         wreath_char_table(h, 2)
 

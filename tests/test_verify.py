@@ -886,7 +886,9 @@ def test_tasyopari_starts_over_when_the_roots_do_not_nest():
 
 def test_tasyopari_catches_a_wrong_leading_coefficient():
     # the packed check multiplies the polynomial side by the leading
-    # coefficient's numerator and the brute side by its denominator
+    # coefficient's numerator and the brute side by its denominator; scaled
+    # by factor, f_l(X) first differs from Ind^l Res^l at Ind^l Res^l's first
+    # nonzero entry, rows then columns, which each failed check names
     for factor in (2, Fraction(1, 2)):
         class ScaledPoly(SymmetricChain):
             def poly(self, l):
@@ -894,7 +896,44 @@ def test_tasyopari_catches_a_wrong_leading_coefficient():
                 return FallingFactorialPoly(f_l.roots, factor * f_l.leading)
 
         report = run_suite(ScaledPoly(), "tasyopari", 4)
-        assert [(c.passed, c.detail) for c in report.checks] == [(False, "matrix mismatch")] * 10, factor
+        expect = []
+        for n in range(1, 5):
+            name = [SYM.format_label(lab) for lab in SYM.basis(n)]
+            for l, brute in enumerate(brute_indl_resl(SYM, n), 1):
+                (r, c), v = min(brute.data.items())
+                expect.append((False, f"Ind^{l} Res^{l} has {v} at ({name[r]}, {name[c]}), "
+                                      f"f_{l}(X) has {factor * v}"))
+        assert [(c.passed, c.detail) for c in report.checks] == expect, factor
+        assert len(expect) == 10 and expect[0][1] == f"Ind^1 Res^1 has 1 at ([1], [1]), f_1(X) has {factor}"
+
+
+def test_a_commutator_that_is_not_scalar_names_its_first_differing_entry():
+    # Z2 x Z2 over Z2 over the trivial group: Res Ind = 2 Id at level 1, but
+    # Ind Res is the all-ones 2 x 2 matrix, so the commutator 2 Id - J is no
+    # multiple of the identity; M is read off entry (0, 0) as 1, and entry
+    # (0, 1) is the first to differ; an ingested chain names its positions
+    levels = [{"n": 0, "order": 1, "basisSize": 1},
+              {"n": 1, "order": 2, "basisSize": 2, "res": [[0, 0, 1], [0, 1, 1]]},
+              {"n": 2, "order": 4, "basisSize": 4,
+               "res": [[0, 0, 1], [0, 1, 1], [1, 2, 1], [1, 3, 1]]}]
+    (check,) = run_suite(ingest_chain({"levels": levels}), "heisenberg", 2).checks
+    assert (check.name, check.passed, check.lhs) == ("heisenberg level=1", False, 1)
+    assert check.detail == "commutator is not scalar: Res Ind has 0 at (0, 1), Ind Res + 1 * Id has 1"
+
+
+def test_an_oracle_mismatch_names_its_first_differing_label():
+    # one reference entry spoiled: the check of that class names the label,
+    # the engine's value and the reference's; every other check passes
+    class SpoiledReference(SymmetricChain):
+        def reference_columns(self, n, max_order=None):
+            columns = super().reference_columns(n, max_order)
+            if n == 4:
+                columns[(2, 1, 1)] = dict(columns[(2, 1, 1)]) | {(2, 2): 5}
+            return columns
+
+    report = run_suite(SpoiledReference(), "oracle", 4)
+    failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+    assert failed == [("oracle-column n=4 class=[2,1,1]", "engine has 0 at [2,2], the reference 5")]
 
 
 def test_packed_suites_bound_every_entry_they_compare(monkeypatch):
