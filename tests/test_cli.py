@@ -336,7 +336,7 @@ NOT_JSON = {"text": (b"not json\n", "Expecting value: line 1 column 1 (char 0)")
 
 
 @pytest.mark.parametrize("content, detail", NOT_JSON.values(), ids=NOT_JSON)
-def test_verify_chain_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, content, detail):
+def test_verify_chain_file_that_is_not_json_is_a_rejected_chain(capsys, tmp_path, content, detail):
     # the parse error once ended in exit 2 with no word of what failed to
     # parse, then in exit 1 as a malformed chain; a file that is no JSON is
     # neither format a --chain file may have, so it is a usage error that
