@@ -28,8 +28,7 @@ Res's ``parents`` and ``matrix`` fill in on first use, so concurrent reads are s
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, inf, prod
@@ -62,25 +61,16 @@ def _transpose(edges, size: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class BranchingOperator:
+class BranchingOperator(namedtuple("BranchingOperator", "level domain codomain children sign "
+                                   "mirror minus up_edges up_minus bound", defaults=(0, (), (), (), (), 0))):
     """Res at level n as branching-graph edges: ``children[j]`` lists the level-(n-1)
     positions under level-n position j, m times for multiplicity m. A ``sign_fold``
-    is one too, on one label of each twin pair: ``twins`` holds their twins,
-    ``minus`` the (j, [i, ...]) edges that carry -1, and ``up_edges`` and ``up_minus``
-    the way back up, which is not the children reversed. A column pass reads Res
-    itself as the fold of sign 0, each label kept and its own twin."""
+    is one too, on one label of each twin pair: ``twins`` (``mirror``) holds their twins,
+    ``minus`` the (j, [i, ...]) edges that carry -1, ``up_edges`` and ``up_minus``
+    the way back up, which is not the children reversed, and ``bound`` its bound on
+    ||X||_inf, from its own edge counts. A column pass reads Res itself as the fold
+    of sign 0, each label kept and its own twin."""
 
-    level: int
-    domain: tuple
-    codomain: tuple
-    children: tuple
-    sign: int = 0
-    mirror: tuple = ()  # a fold's twins
-    minus: tuple = ()
-    up_edges: tuple = ()
-    up_minus: tuple = ()
-    bound: int = 0  # a fold's bound on ||X||_inf, from its own edge counts
     kept = property(lambda self: self.domain)
     twins = property(lambda self: self.mirror or self.domain)
 
@@ -148,14 +138,10 @@ def normalized(vec: dict) -> dict:
             for label, c in vec.items() if c}
 
 
-@dataclass(frozen=True)
-class FallingFactorialPoly:
-    """f_l = leading * (X - r_1)...(X - r_l) over its roots r_1, ..., r_l; with
-    no roots it is the constant ``leading``. The built-in chains' f_l is the
-    falling factorial X(X-M)...(X-(l-1)M) with leading coefficient 1."""
-
-    roots: tuple
-    leading: Fraction | int = 1
+class FallingFactorialPoly(namedtuple("FallingFactorialPoly", "roots leading", defaults=(1,))):
+    """f_l = leading * (X - r_1)...(X - r_l) over its roots r_1, ..., r_l, a tuple; with
+    no roots it is the constant ``leading``, an int or a Fraction. The built-in chains'
+    f_l is the falling factorial X(X-M)...(X-(l-1)M) with leading coefficient 1."""
 
     @property
     def factors(self) -> int:

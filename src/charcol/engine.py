@@ -17,8 +17,7 @@ entries on the plus basis, memoized per process.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import repeat
 from math import lcm, prod
@@ -26,19 +25,15 @@ from math import lcm, prod
 from .chain import Chain, FallingFactorialPoly, SymmetricChain, get_chain, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import InvariantError, lift_column_input
-from .partitions import Partition, content_sum, is_odd_class
+from .partitions import content_sum, is_odd_class
 from .sparse import PackedIdentity
 
 
-@dataclass
-class CharacterColumn:
-    """A full character-table column delta_h as a vector over the irrep basis."""
-
-    chain_id: str
-    level: int
-    class_label: object  # the class, embedded at ``level``
-    coeffs: dict
-    plus_part: dict | None = None
+class CharacterColumn(namedtuple("CharacterColumn", "chain_id level class_label coeffs plus_part",
+                                 defaults=(None,))):
+    """A full character-table column delta_h as a vector ``coeffs`` over the irrep
+    basis of ``level``, for ``class_label``, the class embedded at ``level``;
+    ``odd_column`` sets ``plus_part``."""
 
     def norm_squared(self) -> int:
         return sum(v * v for v in self.coeffs.values())
@@ -103,13 +98,10 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
     return columns
 
 
-@dataclass(frozen=True)
-class ReducedOperator:
+class ReducedOperator(namedtuple("ReducedOperator", "plus_basis entries")):
     """Y = pr_+(t-s) Ind Res on the span of one irrep from each conjugate pair:
-    the plus basis, and Y's nonzeros {(i, j): v} with Y(x, y) = X(x, y) - X(x, y')."""
-
-    plus_basis: tuple[Partition, ...]
-    entries: dict
+    the plus basis, a tuple of partitions, and Y's nonzeros {(i, j): v} with
+    Y(x, y) = X(x, y) - X(x, y')."""
 
 
 @lru_cache(maxsize=None)
@@ -140,5 +132,5 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
         name = chain.format_class(tau) if tau else "e"  # the identity as typed
         raise ValueError(f"class {name!r} is even; odd_column needs an odd permutation")
     column = character_column(chain, tau, n, max_order, table)
-    column.plus_part = {lam: column.coeffs.get(lam, 0) for lam in reduced_operator(n).plus_basis}
-    return column
+    plus_part = {lam: column.coeffs.get(lam, 0) for lam in reduced_operator(n).plus_basis}
+    return column._replace(plus_part=plus_part)

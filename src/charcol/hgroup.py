@@ -39,8 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, isqrt
@@ -126,18 +125,13 @@ def _typed(value, kind: type, what: str):
 # Character tables as plain data
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """Conjugacy classes, class sizes, and integer irreducible characters.
+class GroupTable(namedtuple("GroupTable", "name order classes irreps")):
+    """Conjugacy classes, class sizes, and integer irreducible characters:
+    ``classes`` holds (label, size) pairs, ``irreps`` (label, dim, values) rows.
 
     ``classes[0]`` is the identity class, so ``values[0] == dim`` for every
     irrep row. All character values are rational integers by design.
     """
-
-    name: str
-    order: int
-    classes: tuple[tuple[str, int], ...]
-    irreps: tuple[tuple[str, int, tuple[int, ...]], ...]
 
     def validate(self) -> "GroupTable":
         if sum(size for _, size in self.classes) != self.order:
@@ -255,14 +249,10 @@ def builtin_table(name: str) -> GroupTable:
 # Concrete multiplication for the built-in base groups (brute force needs it)
 
 
-@dataclass(frozen=True)
-class ConcreteGroup:
-    """Explicit multiplication table aligned with a GroupTable's class order."""
-
-    table: GroupTable
-    mult: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    class_of: tuple[int, ...]  # element index -> class index in table.classes
+class ConcreteGroup(namedtuple("ConcreteGroup", "table mult inverse class_of")):
+    """Explicit multiplication table aligned with a GroupTable's class order:
+    ``mult[a][b]``, ``inverse[a]`` and ``class_of[a]``, the index in
+    ``table.classes`` of element a's class."""
 
     @property
     def size(self) -> int:
@@ -513,12 +503,8 @@ def _conjugate_by_perm(sigma: tuple[int, ...], reindex, x):
     return reindex(base), tuple(map(sigma.__getitem__, reindex(perm)))
 
 
-@dataclass(frozen=True)
-class WreathClass:
+class WreathClass(namedtuple("WreathClass", "label size")):
     """A conjugacy class: its colored cycle type and its size."""
-
-    label: WreathLabel
-    size: int
 
 
 @lru_cache(maxsize=None)

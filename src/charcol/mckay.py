@@ -10,18 +10,15 @@ produce byte-identical DOT and JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chain import Chain, get_chain, require_symmetric
 from .engine import reduced_operator
 from .partitions import InvariantError
 
 
-@dataclass(frozen=True)
-class McKayGraph:
-    level: int
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (i, j, weight) with i <= j
+class McKayGraph(namedtuple("McKayGraph", "level vertices edges")):
+    """A level's vertex names, and its edges (i, j, weight) with i <= j."""
 
 
 def _graph_from_entries(level: int, vertices: tuple[str, ...], entries: dict) -> McKayGraph:

@@ -15,7 +15,7 @@ All comparisons are exact rational arithmetic; there are no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
@@ -41,13 +41,8 @@ def oracle_column(mu: Partition, n: int):
 # Check results and suite reports
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    lhs: object = None
-    rhs: object = None
+class CheckResult(namedtuple("CheckResult", "name passed detail lhs rhs", defaults=("", None, None))):
+    """One named check, whether it passed, and an exact lhs and rhs where it compares two values."""
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
@@ -70,13 +65,8 @@ def jsonable(value):
     return value
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    chain: str
-    max_n: int
-    checks: list[CheckResult] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)  # suites and levels that did not run
+class SuiteReport(namedtuple("SuiteReport", "suite chain max_n checks skipped")):
+    """A suite's checks on a chain up to ``max_n``, and the suites and levels that did not run."""
 
     @property
     def passed(self) -> bool:
@@ -97,14 +87,9 @@ class SuiteReport:
 # Two-parameter fit of the order ratios
 
 
-@dataclass
-class ChainParams:
-    """Fitted recursion a_n = B a_{n-1} + C over the provided order ratios."""
-
-    status: str  # "ok" | "inconclusive" | "violation" | "underdetermined" (too few orders)
-    B: int | None = None
-    C: int | None = None
-    message: str = ""
+class ChainParams(namedtuple("ChainParams", "status B C message", defaults=(None, None, ""))):
+    """Fitted recursion a_n = B a_{n-1} + C over the provided order ratios, with its
+    ``status``: "ok", "inconclusive", "violation" or "underdetermined" (too few orders)."""
 
     def poly(self, l: int) -> FallingFactorialPoly:
         """The predicted f_l: roots C(1 + B + ... + B^(j-1)) for j < l (the
@@ -218,7 +203,7 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
         try:
             values = {chain.ind_t_character(h, m) for h in chain.classes_at(m, max_order)
                       if h != chain.identity_class(m)}
-        except (SizeBoundError, IngestError) as exc:
+        except (SizeBoundError, ValueError) as exc:  # above the bound, no class data, or no level m
             candidates[m] = {"error": str(exc)}
             continue
         candidates[m] = {
@@ -245,12 +230,9 @@ class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IngestedLevel:
-    order: int
-    basis_size: int
-    res: BranchingOperator | None  # positions as labels
-    classes: dict[str, tuple[int, str | None]] | None  # label -> (size, embedsTo), as listed
+class IngestedLevel(namedtuple("IngestedLevel", "order basis_size res classes")):
+    """A checked level: its Res (positions as labels; the lowest level's maps onto
+    the empty ring) and its classes {label: (size, embedsTo)} as listed, or None."""
 
 
 def _parse_level(pos: int, raw) -> tuple:
@@ -341,8 +323,7 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
                 raise IngestError(
                     f"not a chain of groups: Res at level {n} has entry {v} at ({r}, {c}), "
                     f"but v^2 |G_{n - 1}| = {v * v * below.order} > |G_{n}| = {order}")
-    res = None if entries is None else BranchingOperator.from_entries(
-        n, tuple(range(basis_size)), tuple(range(rows)), entries)
+    res = BranchingOperator.from_entries(n, tuple(range(basis_size)), tuple(range(rows)), entries or ())
     if classes is not None:
         total = sum(size for size, _ in classes.values())
         if total != order:
@@ -411,19 +392,15 @@ class IngestedChain(Chain):
     format_label = staticmethod(str)
 
     def _level(self, n: int) -> IngestedLevel:
-        try:
-            return self.levels[n]
-        except KeyError:
-            raise IngestError(f"level {n} is not part of the ingested chain") from None
+        if not self.has_level(n):
+            raise ValueError(f"chain {self.id!r} has no level {n}")
+        return self.levels[n]
 
     def group_order(self, n: int) -> int:
         return self._level(n).order
 
     def res_operator(self, n: int) -> BranchingOperator:
-        res = self._level(n).res
-        if res is None:
-            raise IngestError(f"level {n} has no Res matrix")
-        return res
+        return self._level(n).res
 
     def heisenberg_levels(self, top: int) -> range:
         return range(self.min_n + 1, min(self.max_n, top + 1))
@@ -626,18 +603,23 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
     failed = _failed_fit(chain)
     if failed is not None:
         return [failed], []
-    checks, skipped = [], []
+    checks, skipped, bounded = [], [], {}  # bounded: level -> why the order bound skips its classes
     if chain.no_classes:  # (1) and (4) need the classes
         skipped.append({"suite": "jeongha", "reason": f"no class checks: {chain.no_classes}"})
+
+    def classes(m: int) -> tuple:
+        try:
+            return chain.classes_at(m, max_order) if chain.has_level(m) else ()
+        except SizeBoundError as exc:
+            bounded[m] = str(exc)
+        except IngestError:  # no class data listed at level m
+            pass
+        return ()
+
     # (1) per-class ratio constraints at every (n, l) with class data available
     for n in () if chain.no_classes else chain.level_range(max_n):
         for l in range(1, n - chain.min_n + 1):
-            m = n - l
-            try:
-                labels = chain.classes_at(m, max_order)
-            except (SizeBoundError, IngestError):
-                continue
-            for h in labels:
+            for h in classes(n - l):
                 try:
                     checks.append(jeongha_class_constraint(chain, h, n, l))
                 except IngestError:  # class data is missing somewhere along the embedding walk
@@ -669,15 +651,17 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
         for l in range(1, min(5, top) + 1):
             try:
                 report = roots_vs_characters(chain, l, max_order)
-            except (SizeBoundError, IngestError, ValueError):
+            except (SizeBoundError, ValueError):
                 continue
-            if not report["evaluable"]:
-                continue  # no class data at the level the verdict needs
+            if not report["evaluable"]:  # no class data at the level the verdict needs
+                classes(report["preferred_level"])  # under skipped if the order bound is why
+                continue
             checks.append(CheckResult(
                 f"roots-vs-characters l={l}", report["passed"],
                 detail=f"preferred level {report['preferred_level']}, "
                 f"roots {jsonable(report['roots'])}",
             ))
+    skipped += [{"suite": "jeongha", "level": m, "reason": why} for m, why in sorted(bounded.items())]
     return checks, skipped
 
 
@@ -737,7 +721,7 @@ def run_suite(chain, suite: str, max_n: int, max_order: int | None = None) -> Su
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if max_n < 0:
         raise ValueError(f"maxN must be non-negative, not {max_n}")
-    report = SuiteReport(suite, chain.id, max_n)
+    report = SuiteReport(suite, chain.id, max_n, [], [])
     # looked up on each call, so a suite replaced on the module is the one that runs
     suites = (heisenberg_suite, tasyopari_suite, jeongha_suite, oracle_suite, lifting_suite)
     for name, run in zip(SUITES, suites):
@@ -745,6 +729,6 @@ def run_suite(chain, suite: str, max_n: int, max_order: int | None = None) -> Su
             checks, skipped = run(chain, max_n, max_order)
             if not checks and not skipped:  # an empty report must not read as a pass
                 skipped = [{"suite": name, "reason": f"no level to check up to maxN {max_n}"}]
-            report.checks += checks
-            report.skipped += skipped
+            report.checks.extend(checks)
+            report.skipped.extend(skipped)
     return report

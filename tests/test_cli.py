@@ -264,6 +264,25 @@ def test_verify_oracle_reports_the_level_above_the_order_bound_as_skipped(capsys
     assert list(payload)[-1] == "skipped"
 
 
+def test_verify_jeongha_lists_the_levels_above_the_order_bound_as_skipped(capsys):
+    # Z2 wr S_6 has order 46080: the class constraints at level 6 are skipped
+    # under the default bound, and run under a raised one
+    code, out, err = run(capsys, "verify", "--chain", "z2wreath", "--suite", "jeongha", "--maxN", "7")
+    assert (code, err) == (0, "")
+    bounded = json.loads(out)
+    assert bounded["passed"] is True and len(bounded["checks"]) == 229
+    assert [(entry["suite"], entry["level"]) for entry in bounded["skipped"]] == [("jeongha", 6)]
+    assert "Z2 wr S_6 has order 46080, above the bound 10000" in bounded["skipped"][0]["reason"]
+    code, out, err = run(capsys, "verify", "--chain", "z2wreath", "--suite", "jeongha", "--maxN", "7",
+                         "--max-order", "100000")
+    assert (code, err) == (0, "")
+    full = json.loads(out)
+    assert full["passed"] is True and "skipped" not in full
+    extra = [c["name"].split()[:3] for c in full["checks"] if c not in bounded["checks"]]
+    assert len(full["checks"]) == 229 + len(extra) == 294
+    assert {(kind, int(n[2:]) - int(l[2:])) for kind, n, l in extra} == {("class-constraint", 6)}
+
+
 @pytest.mark.parametrize("spec", ["/missing.json", "nope"])
 def test_verify_unknown_chain_is_usage_error(capsys, spec):
     code, out, err = run(capsys, "verify", "--chain", spec, "--maxN", "4")
@@ -815,6 +834,23 @@ def test_an_exported_chain_has_the_edges_and_entries_of_its_source(capsys, spec_
         if spec != "sym":
             assert graph["vertices"] == operator["basis"] == [str(i) for i in range(len(operator["basis"]))]
     assert outputs["sym"] == outputs[spec_files["chain"]] and outputs["sym"][0]
+
+
+@pytest.mark.parametrize("command", ["indres", "mckay"])
+@pytest.mark.parametrize("n", [-1, 5])
+def test_a_level_outside_an_ingested_chain_is_a_usage_error(capsys, spec_files, command, n):
+    # the exported chain has levels 0..4; its level is named as --chain sym names one
+    code, out, err = run(capsys, command, "--chain", spec_files["chain"], "--n", str(n))
+    assert (code, out, err) == (2, "", f"error: chain 'sym' has no level {n}\n")
+
+
+def test_an_ingested_chains_lowest_level_has_the_zero_operator(capsys, spec_files):
+    # its Res maps onto the empty ring, as a built-in chain's does at level 0
+    code, out, err = run(capsys, "indres", "--chain", spec_files["chain"], "--n", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 0, "basis": ["0"], "entries": []}
+    code, out, err = run(capsys, "mckay", "--chain", spec_files["chain"], "--n", "0")
+    assert (code, out, err) == (0, 'graph mckay {\n  "0";\n}\n', "")
 
 
 def test_verify_runs_on_a_wreath_chain_over_a_table_file(capsys, spec_files):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -160,7 +159,7 @@ def test_every_single_entry_change_names_the_pairwise_first_failure(table):
                 spoiled[c] += delta
                 irreps = list(table.irreps)
                 irreps[i] = (label, spoiled[0], tuple(spoiled))
-                bad = dataclasses.replace(table, irreps=tuple(irreps))
+                bad = table._replace(irreps=tuple(irreps))
                 expected = pairwise_orthogonality_error(bad)
                 assert expected is not None
                 with pytest.raises(TableValidationError) as excinfo:

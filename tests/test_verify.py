@@ -525,7 +525,7 @@ def test_a_huge_res_value_is_refused_before_it_is_expanded(monkeypatch):
                "but v^2 |G_2| = 2000000000000 > |G_3| = 6")
     with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
         ingest_chain(payload)
-    assert built == [1, 2]
+    assert built == [0, 1, 2]  # level 0's Res maps onto the empty ring
 
 
 def test_dimension_mismatch_rejected():
@@ -749,14 +749,23 @@ def test_ingested_chain_reports_what_it_lacks():
     payload = export_chain(SYM, 3)
     payload["levels"][1]["classes"][0]["embedsTo"] = None
     chain = ingest_chain(payload)
-    with pytest.raises(IngestError, match="level 0 has no Res matrix"):
-        chain.res_operator(0)
-    with pytest.raises(IngestError, match="level 0 has no Res matrix"):
-        chain.ind_res(0)
-    with pytest.raises(IngestError, match="level 4 is not part of the ingested chain"):
+    # the lowest level's Res maps onto the empty ring, as a built-in chain's does
+    assert chain.res_operator(0).children == ((),) and chain.res_operator(0).codomain == ()
+    assert chain.ind_res(0).data == {}
+    # a level outside the chain is the caller's error, not the chain's
+    with pytest.raises(ValueError, match="chain 'sym' has no level 4") as raised:
         chain.group_order(4)
+    assert not isinstance(raised.value, IngestError)
     with pytest.raises(IngestError, match="class '\\[1\\]' at level 1 has no embedding to level 2"):
         chain.class_size_from("[1]", 1, 3)
+
+
+def test_jeongha_above_an_ingested_chains_top_checks_what_the_chain_has():
+    # the roots checks whose level is above the top are left out, as those
+    # without class data are, and no level is listed as skipped
+    chain = ingest_chain(export_chain(SYM, 4))
+    report, below = run_suite(chain, "jeongha", 8), run_suite(chain, "jeongha", 4)
+    assert report.passed and (report.checks, report.skipped) == (below.checks, [])
 
 
 def _swapped_identity_embedding(payload):
