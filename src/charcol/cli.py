@@ -85,9 +85,9 @@ def cmd_column(args) -> int:
             [chain.format_label(lab), oracle.coeffs.get(lab, 0)] for lab in order
         ]
         payload["oracleMatches"] = oracle.coeffs == column.coeffs
-    if args.format == "csv":
-        lines = [f"{lab},{v}" for lab, v in entries]
-        _write(args, "\n".join(lines) + "\n")
+    if args.format == "csv":  # label,value, and with --oracle the oracle's value third
+        ends = [f",{v}" for _, v in payload["oracle"]] if args.oracle else [""] * len(entries)
+        _write(args, "".join(f"{lab},{v}{end}\n" for (lab, v), end in zip(entries, ends)))
     else:
         _write(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

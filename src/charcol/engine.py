@@ -10,9 +10,11 @@ times the lifts' common denominator D, and X = Ind Res acts along the edges of
 the chain's ``sign_fold`` (one label of each pair of twins) when the classes
 share one sign, or of Res. The slot width covers ||D input||_inf, doubled on a
 fold, times prod (||X|| + |r|) over f's roots: a bound on what the pass
-computes, right or wrong. The fold of sign -1 is the paper's reduced operator
-Y; ``odd_column`` reads a column's plus part off ``reduced_operator(n)``, Y's
-entries on the plus basis, memoized per process.
+computes, right or wrong. One loop over the kept labels reads each slot out:
+it checks, halves and divides each entry, mirrors it onto its twin and sums
+the norm; one class's slot is the whole int. The fold of sign -1 is the
+paper's reduced operator Y; ``odd_column`` reads a column's plus part off
+``reduced_operator(n)``, Y's entries on the plus basis, memoized per process.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ class CharacterColumn(namedtuple("CharacterColumn", "chain_id level class_label 
     """A full character-table column delta_h as a vector ``coeffs`` over the irrep
     basis of ``level``, for ``class_label``, the class embedded at ``level``;
     ``odd_column`` sets ``plus_part``."""
-
-    def norm_squared(self) -> int:
-        return sum(v * v for v in self.coeffs.values())
 
 
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
@@ -81,16 +80,19 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
         if n > k:
             dense = poly.apply(op.times_x, dense)
         for slot, (core, given) in enumerate(level.items()):
-            values = packed.column(dense, slot)
-            for odd in (lam for lam, v in zip(op.kept, values) if sign and v % 2):
-                raise InvariantError(f"odd or non-integral entry at {chain.format_label(odd)}")
-            if scale > 1 and any(v % div for v in values):
-                raise InvariantError(f"non-integral column of {chain.format_class(given[0])} at level {n}")
-            coeffs = {t: sign * v // div for t, v in zip(op.twins, values) if v} if sign else {}
-            coeffs.update({lam: v // div for lam, v in zip(op.kept, values) if v})  # over self-twins
+            values = dense if len(level) == 1 else packed.column(dense, slot)  # one slot: the whole int
+            coeffs, norm = {}, 0  # each entry read once; a twin apart from its label counts twice
+            for lam, twin, v in zip(op.kept, op.twins, values):
+                if v:
+                    q = v // div  # halved on a fold, over D
+                    if q * div != v:
+                        if sign and v % 2:
+                            raise InvariantError(f"odd or non-integral entry at {chain.format_label(lam)}")
+                        raise InvariantError(f"non-integral column of {chain.format_class(given[0])} "
+                                             f"at level {n}")
+                    coeffs[twin], coeffs[lam], norm = sign * q, q, norm + (q * q << (twin != lam))
             column = CharacterColumn(chain.id, n, chain.pad_core(core, k, n), coeffs)
-            trivial, norm = coeffs.get(chain.trivial_label(n), 0), column.norm_squared()
-            if trivial != 1:
+            if (trivial := coeffs.get(chain.trivial_label(n), 0)) != 1:
                 raise InvariantError(f"column's trivial-irrep entry is {trivial}, not 1")
             if norm != (expected := chain.group_order(n) // chain.class_size(column.class_label)):
                 raise InvariantError(f"column norm {norm} != |G|/|class| = {expected}")

@@ -55,12 +55,12 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose the Young diagram in one pass up the rows: the columns that row i
-    (counted from 1) has beyond the row below it have length i."""
-    out, below = [], 0
-    for i, row in zip(range(len(p), 0, -1), reversed(p)):
-        out += [i] * (row - below)
-        below = row
+    """Transpose column by column: lambda'_j = #{i : lambda_i > j}, as an index walks up the rows."""
+    out, i = [], len(p)
+    for j in range(p[0] if p else 0):
+        while p[i - 1] <= j:
+            i -= 1
+        out.append(i)
     return tuple(out)
 
 

@@ -603,17 +603,15 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
     failed = _failed_fit(chain)
     if failed is not None:
         return [failed], []
-    checks, skipped, bounded = [], [], {}  # bounded: level -> why the order bound skips its classes
+    checks, skipped, dropped = [], [], {}  # dropped: level -> why checks on its classes are skipped
     if chain.no_classes:  # (1) and (4) need the classes
         skipped.append({"suite": "jeongha", "reason": f"no class checks: {chain.no_classes}"})
 
     def classes(m: int) -> tuple:
         try:
             return chain.classes_at(m, max_order) if chain.has_level(m) else ()
-        except SizeBoundError as exc:
-            bounded[m] = str(exc)
-        except IngestError:  # no class data listed at level m
-            pass
+        except (SizeBoundError, IngestError) as exc:  # above the order bound, or no class data at m
+            dropped.setdefault(m, str(exc))
         return ()
 
     # (1) per-class ratio constraints at every (n, l) with class data available
@@ -622,8 +620,8 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
             for h in classes(n - l):
                 try:
                     checks.append(jeongha_class_constraint(chain, h, n, l))
-                except IngestError:  # class data is missing somewhere along the embedding walk
-                    continue
+                except IngestError as exc:  # class data is missing somewhere along the embedding walk
+                    dropped.setdefault(n - l, str(exc))
     # (2)-(3) the order recursion and the predicted polynomial family; a chain
     # without a known M takes f_l from this fit, so only the fit is checked
     if chain.heisenberg_scaling is None:
@@ -654,14 +652,14 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
             except (SizeBoundError, ValueError):
                 continue
             if not report["evaluable"]:  # no class data at the level the verdict needs
-                classes(report["preferred_level"])  # under skipped if the order bound is why
+                classes(report["preferred_level"])  # under skipped, with the reason
                 continue
             checks.append(CheckResult(
                 f"roots-vs-characters l={l}", report["passed"],
                 detail=f"preferred level {report['preferred_level']}, "
                 f"roots {jsonable(report['roots'])}",
             ))
-    skipped += [{"suite": "jeongha", "level": m, "reason": why} for m, why in sorted(bounded.items())]
+    skipped += [{"suite": "jeongha", "level": m, "reason": why} for m, why in sorted(dropped.items())]
     return checks, skipped
 
 

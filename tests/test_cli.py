@@ -57,6 +57,15 @@ def test_column_odd_and_oracle_flags(capsys):
     assert payload["plusPart"][0] == ["[6]", 1]
 
 
+def test_column_csv_with_oracle_prints_the_oracle_third(capsys):
+    code, out, _ = run(capsys, "column", "--chain", "sym", "--class", "[2,2,1]", "--n", "5",
+                       "--format", "csv", "--oracle")
+    rows = [line.rsplit(",", 2) for line in out.splitlines()]  # labels hold commas
+    assert code == 0 and len(rows) == len(enumerate_partitions(5))
+    assert all(len(row) == 3 and row[2] == row[1] for row in rows), rows
+    assert [row[0] for row in rows] == [format_partition(p) for p in enumerate_partitions(5)]
+
+
 def test_odd_column_from_n15(capsys):
     code, out, _ = run(capsys, "column", "--chain", "sym", "--class", "[2]", "--n", "15",
                        "--odd", "--oracle")

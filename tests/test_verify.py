@@ -99,7 +99,7 @@ def test_oracle_column_examples():
     col = oracle_column((1, 1, 1), 3)
     assert dense_column(SYM, col) == [1, 2, 1]
     col6 = oracle_column((6,), 6)
-    assert col6.norm_squared() == 720 // class_size((6,)) == 6
+    assert sum(v * v for v in col6.coeffs.values()) == 720 // class_size((6,)) == 6
 
 
 def test_oracle_column_pads():
@@ -1095,6 +1095,11 @@ SUITE_SKIPS = {
     "oracle": {"suite": "oracle", "reason": "the chain has no reference columns"},
     "lifts": {"suite": "lifts", "reason": "the chain has no irrep labels"},
 }
+# partial-classes lists no classes at levels 1 and 4: jeongha drops those levels'
+# classes and the checks of the classes at levels 0, 2 and 3 that walk through
+# them, and names each level once, with the first reason
+PARTIAL_CLASS_SKIPS = [{"suite": "jeongha", "level": m,
+                        "reason": f"level {1 if m < 2 else 4} has no class data"} for m in range(5)]
 
 
 @pytest.mark.parametrize("chain_name", list(REPORT_CHAINS))
@@ -1107,6 +1112,8 @@ def test_suite_reports_are_unchanged(chain_name):
         assert digest == REPORT_DIGESTS[f"{chain_name}/{suite}"], suite
         expected = [] if chain_name in BUILT_IN_REPORT_CHAINS else [
             entry for name, entry in SUITE_SKIPS.items() if suite in (name, "all")]
+        if chain_name == "partial-classes" and suite in ("jeongha", "all"):
+            expected = PARTIAL_CLASS_SKIPS + expected
         assert skipped == expected, suite
 
 
