@@ -7,12 +7,14 @@ distinct H-irreps with partitions). Ind is the transpose of Res throughout,
 so X at level n is Res^T Res, a symmetric integer matrix: X(a, b) counts the
 paths a -> child -> b along Res's edges. A built-in chain's Res at level 0
 maps onto the empty lower ring, so X_0 = 0. A chain with class signs folds Res
-by its twins (``sign_fold``) for the columns of one sign. Every chain
-hands out f_l as a ``FallingFactorialPoly``, the one type that evaluates it,
-at a number or on a dense vector. A sparse vector over a level's irreps, such
-as a lift, is a dict {label: coefficient} of ints and Fractions (wreath lifts
-carry 1/dim); ``normalized`` drops its zeros and turns integral Fractions into
-ints. Res, Ind and X are integer maps.
+by its twins (``sign_fold``) for the columns of one sign. Every chain hands
+out f_l as a ``FallingFactorialPoly``, the one type that evaluates it, at a
+number (in ints at an int, if its leading coefficient is integral) or on a
+dense vector. The permutation characters of ``coset_character`` are ints, and
+Fractions only on a spoiled ingested chain. A sparse vector over a level's
+irreps, such as a lift, is a dict {label: coefficient} of ints and Fractions
+(wreath lifts carry 1/dim); ``normalized`` drops its zeros and turns integral
+Fractions into ints. Res, Ind and X are integer maps.
 
 Memoized per process, as they depend only on the level: the bases and the
 small level-k tables, each validated once when it is built. Memoized per
@@ -147,10 +149,12 @@ class FallingFactorialPoly(namedtuple("FallingFactorialPoly", "roots leading", d
     def factors(self) -> int:
         return len(self.roots)
 
-    def value(self, x) -> Fraction:
-        """f_l(x) in integers: for x = p/q, leading * prod (p - r q) / q^l, reduced once."""
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
+    def value(self, x) -> int | Fraction:
+        """f_l(x) in integers: an int for an int x and an integral leading coefficient,
+        else for x = p/q the Fraction leading * prod (p - r q) / q^l, reduced once."""
+        if type(x) is int and self.leading.denominator == 1:
+            return self.leading.numerator * prod(x - r for r in self.roots)
+        p, q = Fraction(x).as_integer_ratio()
         return Fraction(self.leading.numerator * prod(p - r * q for r in self.roots),
                         self.leading.denominator * q ** len(self.roots))
 
@@ -360,14 +364,16 @@ class Chain:
         core, k = self.fit_class(cls, m)  # [h] meets G_j in one class, if k <= j
         return self.class_size(self.pad_core(core, k, j)) if k <= j else 0
 
-    def coset_character(self, cls, m: int, j: int, n: int) -> Fraction:
+    def coset_character(self, cls, m: int, j: int, n: int) -> int | Fraction:
         """The permutation character of G_n on the cosets of G_j, j <= n, at a
         class h given at level m: |G_n| |[h] meet G_j| / (|G_j| |[h]_n|), the
-        eigenvalue of Ind^(n-j) Res^(n-j) on h's class function at level n."""
+        eigenvalue of Ind^(n-j) Res^(n-j) on h's class function at level n. It
+        counts fixed cosets, so it is an int; only a spoiled chain's is a Fraction."""
         inside, size = self.class_size_from(cls, m, j), self.class_size_from(cls, m, n)
-        return Fraction(self.group_order(n) * inside, self.group_order(j) * size)
+        q, r = divmod(num := self.group_order(n) * inside, den := self.group_order(j) * size)
+        return Fraction(num, den) if r else q
 
-    def ind_t_character(self, cls, m: int) -> Fraction:
+    def ind_t_character(self, cls, m: int) -> int | Fraction:
         """chi_{Ind(t)} at level m for a class of G_m: ``coset_character`` one level down."""
         return self.coset_character(cls, m, m - 1, m)
 

@@ -18,8 +18,10 @@ bound that is not a non-negative integer is a usage error on every command.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from contextlib import nullcontext
 
 from . import mckay, verify
 from .chain import Chain, require_symmetric
@@ -35,12 +37,11 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 
-def _write(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(args, text: str, rows=()):
+    """The text, then ``rows`` as CSV rows, one csv.writer quoting every label that holds a comma."""
+    with open(args.out, "w") if getattr(args, "out", None) else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _labelled(chain: Chain, what: str) -> Chain:
@@ -75,19 +76,15 @@ def cmd_column(args) -> int:
         "entries": [[lab, v] for lab, v in entries],
     }
     if args.odd and column.plus_part is not None:
-        payload["plusPart"] = [
-            [chain.format_label(lab), v] for lab, v in column.plus_part.items()
-        ]
+        payload["plusPart"] = [[chain.format_label(lab), v] for lab, v in column.plus_part.items()]
     if args.oracle:
         require_symmetric(chain, "--oracle (the border-strip oracle)")
         oracle = verify.oracle_column(column.class_label, args.n)
-        payload["oracle"] = [
-            [chain.format_label(lab), oracle.coeffs.get(lab, 0)] for lab in order
-        ]
+        payload["oracle"] = [[chain.format_label(lab), oracle.coeffs.get(lab, 0)] for lab in order]
         payload["oracleMatches"] = oracle.coeffs == column.coeffs
     if args.format == "csv":  # label,value, and with --oracle the oracle's value third
-        ends = [f",{v}" for _, v in payload["oracle"]] if args.oracle else [""] * len(entries)
-        _write(args, "".join(f"{lab},{v}{end}\n" for (lab, v), end in zip(entries, ends)))
+        ends = [[v] for _, v in payload["oracle"]] if args.oracle else [[]] * len(entries)
+        _write(args, "", ([lab, v, *end] for (lab, v), end in zip(entries, ends)))
     else:
         _write(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -135,12 +132,9 @@ def cmd_table(args) -> int:
     if not chain.has_level(args.k):
         raise ValueError(f"chain {chain.id!r} has no level {args.k}")
     table = chain.small_table(args.k, args.max_order)
-    if args.format == "csv":
-        header = "," + ",".join(lab for lab, _ in table.classes)
-        lines = [header]
-        for lab, _, values in table.irreps:
-            lines.append(lab + "," + ",".join(str(v) for v in values))
-        _write(args, "\n".join(lines) + "\n")
+    if args.format == "csv":  # a header row of class labels, then one row per irrep
+        header = ["", *(lab for lab, _ in table.classes)]
+        _write(args, "", [header, *([lab, *values] for lab, _, values in table.irreps)])
     else:
         _write(args, json.dumps(table.to_json_dict(), indent=2) + "\n")
     return EXIT_OK

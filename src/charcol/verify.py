@@ -171,20 +171,18 @@ def fit_chain_params(orders) -> ChainParams:
 # Class-ratio constraint and root/character correspondence
 
 
-def jeongha_class_constraint(chain, h, n: int, l: int) -> CheckResult:
+def jeongha_class_constraint(chain, h, n: int, l: int, poly=None) -> CheckResult:
     """The per-class constraint f_l(pi_1(h)) == pi_l(h) for a class h given at level
-    n - l: pi_l, ``coset_character`` on G_n / G_{n-l}, is Ind^l Res^l's eigenvalue at h."""
+    n - l: pi_l, ``coset_character`` on G_n / G_{n-l}, is Ind^l Res^l's eigenvalue at h;
+    ``poly``, if given, is f_l = ``chain.poly(l)``, built once for every class by the suite."""
     m = n - l
     if m < chain.min_n:
         raise ValueError(f"level n - l = {m} is below the chain's lowest level {chain.min_n}")
     chi = chain.coset_character(h, m, n - 1, n)
-    lhs = chain.poly(l).value(chi)
+    lhs = (chain.poly(l) if poly is None else poly).value(chi)
     rhs = chain.coset_character(h, m, m, n)
-    name = f"class-constraint n={n} l={l} h={chain.format_class(h)}"
-    return CheckResult(
-        name, lhs == rhs,
-        detail=f"chi_Ind(t)(h) = {chi}", lhs=lhs, rhs=rhs,
-    )
+    return CheckResult(f"class-constraint n={n} l={l} h={chain.format_class(h)}", lhs == rhs,
+                       detail=f"chi_Ind(t)(h) = {chi}", lhs=lhs, rhs=rhs)
 
 
 def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
@@ -208,7 +206,7 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
             continue
         candidates[m] = {
             "values": sorted(values),
-            "matches_roots": values == {Fraction(r) for r in roots},
+            "matches_roots": values == roots,
         }
     preferred = l + (1 if chain.group_order(1) == 1 else 0)
     verdict = candidates[preferred]
@@ -615,11 +613,13 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
         return ()
 
     # (1) per-class ratio constraints at every (n, l) with class data available
-    for n in () if chain.no_classes else chain.level_range(max_n):
+    levels = () if chain.no_classes else chain.level_range(max_n)
+    polys = [chain.poly(l) for l in range(len(levels) + 1)]  # l <= n - min_n <= len(levels)
+    for n in levels:
         for l in range(1, n - chain.min_n + 1):
             for h in classes(n - l):
                 try:
-                    checks.append(jeongha_class_constraint(chain, h, n, l))
+                    checks.append(jeongha_class_constraint(chain, h, n, l, polys[l]))
                 except IngestError as exc:  # class data is missing somewhere along the embedding walk
                     dropped.setdefault(n - l, str(exc))
     # (2)-(3) the order recursion and the predicted polynomial family; a chain

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -60,7 +61,7 @@ def test_column_odd_and_oracle_flags(capsys):
 def test_column_csv_with_oracle_prints_the_oracle_third(capsys):
     code, out, _ = run(capsys, "column", "--chain", "sym", "--class", "[2,2,1]", "--n", "5",
                        "--format", "csv", "--oracle")
-    rows = [line.rsplit(",", 2) for line in out.splitlines()]  # labels hold commas
+    rows = list(csv.reader(out.splitlines()))  # a label that holds commas is quoted
     assert code == 0 and len(rows) == len(enumerate_partitions(5))
     assert all(len(row) == 3 and row[2] == row[1] for row in rows), rows
     assert [row[0] for row in rows] == [format_partition(p) for p in enumerate_partitions(5)]
@@ -754,9 +755,30 @@ def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--chain", "sym", "--k", "2", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == ",[1,1],[2]"
+    assert lines[0] == ',"[1,1]",[2]'
     assert lines[1] == "[2],1,1"
-    assert lines[2] == "[1,1],1,-1"
+    assert lines[2] == '"[1,1]",1,-1'
+
+
+@pytest.mark.parametrize("chain_name, k", [("sym", 3), ("z2wreath", 2)])
+def test_csv_outputs_read_back_with_a_csv_reader(capsys, chain_name, k):
+    # every label that holds a comma is quoted, so each row has one field per column
+    table = get_chain(chain_name).small_table(k)
+    code, out, _ = run(capsys, "table", "--chain", chain_name, "--k", str(k), "--format", "csv")
+    assert code == 0 and out.endswith("\n") and "\r" not in out
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["", *(lab for lab, _ in table.classes)]
+    assert rows[1:] == [[lab, *map(str, values)] for lab, _, values in table.irreps]
+    for j, (cls, _) in enumerate(table.classes):
+        code, out, _ = run(capsys, "column", "--chain", chain_name, f"--class={cls}", "--n", str(k),
+                           "--format", "csv")
+        column = {lab: values[j] for lab, _, values in table.irreps}
+        assert code == 0 and dict(csv.reader(out.splitlines())) == {
+            lab: str(v) for lab, v in column.items()}, cls
+    code, out, _ = run(capsys, "column", "--chain", "sym", "--class", "[2,1]", "--n", "3",
+                       "--format", "csv", "--oracle")
+    rows = list(csv.reader(out.splitlines()))
+    assert rows == [["[3]", "1", "1"], ["[2,1]", "0", "0"], ["[1,1,1]", "-1", "-1"]]
 
 
 def test_jsonable_renders_fractions():

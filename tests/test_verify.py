@@ -189,14 +189,16 @@ def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
 def test_poly_value_in_integers_equals_the_product_in_fractions():
     # value reduces leading * prod (p - r q) / q^l once; the reference
     # multiplies the factors x - r as Fractions. The suites' characters are
-    # integers, so the denominators are exercised here
+    # integers, so the denominators are exercised here, and the int path at 0
     params = fit_from_ratios((2, 3, 5, 9))
     for x in (Fraction(7, 3), Fraction(-5, 4), Fraction(9), 0):
         for poly in [params.poly(l) for l in range(5)] + [SYM.poly(3), Z2C.poly(4)]:
             expected = poly.leading
             for root in poly.roots:
                 expected *= x - root
-            assert poly.value(x) == expected and type(poly.value(x)) is Fraction, (x, poly)
+            # an int x under an integral leading coefficient stays in ints
+            kind = int if type(x) is int and poly.leading.denominator == 1 else Fraction
+            assert poly.value(x) == expected and type(poly.value(x)) is kind, (x, poly)
 
 
 def test_fit_constant_is_inconclusive():
@@ -402,6 +404,41 @@ def test_class_size_below_the_level_sums_the_classes_inside():
         h = SYM.parse_class(label)
         assert [SYM.class_size_from(h, 4, j) for j in range(1, 5)] == list(sizes)
         assert [ingested.class_size_from(label, 4, j) for j in range(1, 5)] == list(sizes)
+
+
+@pytest.mark.parametrize("chain_name", ["sym", "z2wreath", "trivial"])
+def test_coset_characters_of_the_built_in_chains_are_ints(chain_name):
+    # a permutation character counts fixed cosets, so it divides out exactly
+    chain = get_chain(chain_name)
+    for m in range(7):
+        for h in chain.classes_at(m, max_order=46080):
+            for n in range(m, 8):
+                for j in range(n + 1):
+                    assert type(chain.coset_character(h, m, j, n)) is int, (h, m, j, n)
+
+
+@pytest.mark.parametrize("chain_name", ["sym", "z2wreath", "trivial"])
+def test_class_constraints_of_the_built_in_chains_hold_ints(chain_name):
+    checks = run_suite(get_chain(chain_name), "jeongha", 6).checks
+    constraints = [c for c in checks if c.name.startswith("class-constraint")]
+    assert constraints and all(type(c.lhs) is int and type(c.rhs) is int for c in constraints)
+
+
+def test_a_spoiled_chain_keeps_its_fraction_and_prints_it():
+    # S_4's transpositions listed as 5 and its 4-cycles as 7: the sizes still sum
+    # to 24 and hold the classes below, but pi_1 of [2,1,1] at level 5 is
+    # 120 * 5 / (24 * 10), which no chain of groups has
+    payload = export_chain(SYM, 5)
+    classes = {c["label"]: c for c in payload["levels"][4]["classes"]}
+    classes["[2,1,1]"]["size"], classes["[4]"]["size"] = 5, 7
+    chain = ingest_chain(payload)
+    value = chain.coset_character("[2,1,1]", 4, 4, 5)
+    assert value == Fraction(5, 2) and type(value) is Fraction
+    assert type(chain.coset_character("[2,1,1]", 4, 3, 5)) is int
+    report = run_suite(chain, "jeongha", 5).to_json_dict()
+    check = next(c for c in report["checks"] if c["name"] == "class-constraint n=5 l=1 h=[2,1,1]")
+    assert check == {"name": "class-constraint n=5 l=1 h=[2,1,1]", "passed": True,
+                     "detail": "chi_Ind(t)(h) = 5/2", "lhs": "5/2", "rhs": "5/2"}
 
 
 def test_ind_t_character_needs_class_data_one_level_down():
@@ -1088,6 +1125,25 @@ REPORT_DIGESTS = {
     "const/lifts": "15202d0a8c984c4c85cb30510e4c85b3c8c4947697e3b61c5e384e01f2ecca96",
     "const/all": "b3297d4605565b2d142aaf180b8d31b673ba872ccee40e97e60d587d2fe8cbd5",
 }
+
+
+# The same SHA-256 of whole jeongha reports, ``skipped`` included, at the largest
+# maxN the benchmark's verify workload gives each chain, recorded while the class
+# constraints were still evaluated in Fractions: their lhs and rhs are ints now.
+# z2wreath's classes at levels up to 5 are within the default order bound, so
+# its report at maxN 6 skips nothing.
+JEONGHA_DIGESTS = {
+    ("sym", 10): "9c7dd4cd2c9fffba3b79397de2f9ae9a3337442a360db1af939b489943d294dc",
+    ("z2wreath", 6): "0e37e5362d140ed99572b1bdbc96362a2053dd675c6c4161510530c89e4a0de9",
+    ("ingested-sym-9", 9): "e853cf371a4a8239dbb5cd6ac76765c26244c656b80d360c97788560fa36a32c",
+}
+
+
+@pytest.mark.parametrize("chain_name, max_n", list(JEONGHA_DIGESTS))
+def test_jeongha_reports_at_the_benchmark_sizes_are_unchanged(chain_name, max_n):
+    report = run_suite(REPORT_CHAINS[chain_name][0](), "jeongha", max_n).to_json_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == JEONGHA_DIGESTS[chain_name, max_n]
 
 
 BUILT_IN_REPORT_CHAINS = {"sym", "z2wreath", "trivial"}
