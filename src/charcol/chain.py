@@ -184,7 +184,7 @@ class Chain:
     waiting. A chain may declare capabilities, or what needs one is skipped:
     ``reference`` (``reference_columns``) for the oracle, ``has_irrep_labels``
     for lifts, columns, tables and exports, ``class_sign`` with ``_twin_pairs``
-    for ``sign_fold``; ``no_classes`` says why a chain's classes are out of reach.
+    for ``sign_fold``.
     """
 
     id: str
@@ -193,7 +193,6 @@ class Chain:
     max_n = inf  # the highest; the built-in chains have no top
     reference: str | None = None  # what a passing oracle check says the engine column equals
     has_irrep_labels = False
-    no_classes: str | None = None  # why ``classes_at`` cannot list classes; their checks are skipped
 
     def __init__(self):
         self._index_cache: dict[int, dict] = {}
@@ -476,7 +475,7 @@ class SymmetricChain(Chain):
 class WreathChain(Chain):
     """The chain H^n x| S_n for a fixed base group H with integer characters."""
 
-    reference = "brute-force table column"
+    reference = "wreath Murnaghan-Nakayama rule column"
     has_irrep_labels = True
 
     def __init__(self, h_table: GroupTable, chain_id: str | None = None):
@@ -490,9 +489,6 @@ class WreathChain(Chain):
         rows = [tuple(values) for _, _, values in h_table.irreps]  # psi: H's first non-trivial linear irrep
         self._psi = next((v for v, dim in zip(rows, self._h_dims) if dim == 1 and set(v) != {1}), None)
         self._tensor = self._psi and tuple(rows.index(tuple(map(prod, zip(v, self._psi)))) for v in rows)
-        if not hgroup.has_multiplication(h_table):  # classes, tables and references are brute force
-            self.reference, self.no_classes = None, (
-                f"H = {h_table.name} comes without the multiplication that brute-force classes need")
 
     def basis(self, n: int) -> tuple[WreathLabel, ...]:
         return hgroup.enumerate_wreath_labels(len(self._h_dims), n)

@@ -10,9 +10,11 @@ cannot be written), 3 resource bound exceeded.
 All outputs are deterministic for a given invocation; payloads carry no
 timestamps. The group-order bound defaults to 10000 and can be overridden per
 run with --max-order or globally with CHARCOL_MAX_ORDER. It refuses every
-group whose table or classes are built: brute-force wreath products, and also
-S_k tables and border-strip columns, though neither enumerates the group. A
-bound that is not a non-negative integer is a usage error on every command.
+group whose table or classes are built: wreath products, S_k tables and
+border-strip columns, though none of them enumerates the group. The bound
+stays so that pinned reports, which stop where it stops them, keep their
+bytes. A bound that is not a non-negative integer is a usage error on every
+command.
 """
 
 from __future__ import annotations

@@ -17,16 +17,14 @@ Two independent construction routes live here:
   per row, whose widths come from proven bounds: a stored row has norm |G|,
   so no entry above sqrt(|G|), and the Young characters' bound is read off
   them as computed; validate bounds each slot by sum |size| * max|chi|^2.
-* ``wreath_char_table`` builds H wr S_k tables by explicit brute force over
-  enumerated group elements: each array label is induced from a block
-  subgroup K = prod_j H wr S_{s_j}, where its character is a product of block
-  characters and base characters along cycles. Every element of K is
-  enumerated once per block-size composition and tallied by its class in G
-  and its block signature (per block, the cycle type and the sorted H-classes
-  of the cycle products), which fixes every such label's value there. A
-  single block, K = G, is tallied from the class list instead. The classes
-  are conjugation orbits under the generators, each conjugation done in one
-  pass, and are checked against the colored cycle types.
+* ``wreath_char_table`` builds H wr S_k tables from H's table alone, by the
+  wreath Murnaghan-Nakayama rule (Macdonald, Symmetric Functions and Hall
+  Polynomials, 2nd ed., I, Appendix B): a cycle of length r and H-class c is
+  taken off as an r-rim hook of one slot's partition, weighted by that
+  slot's H-character at c. The rim hooks are ``partitions.rim_hooks``, the
+  border strips of the S_k oracle; the classes are the colored cycle types,
+  listed and sized by formula. Nothing enumerates the group, and any H with
+  integer characters, built in or read from a table file, gets a table.
 
 Wreath irrep labels and conjugacy-class labels are nested tuples
 ``((index, partition), ...)`` sorted by index with nonempty partitions; the
@@ -39,11 +37,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections import Counter, namedtuple
-from fractions import Fraction
-from functools import lru_cache, partial
+from collections import namedtuple
+from functools import lru_cache
 from math import factorial, isqrt
-from operator import itemgetter, mul
+from operator import mul
 
 from .partitions import (
     InvariantError,
@@ -53,6 +50,7 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     parse_partition,
+    rim_hooks,
 )
 from .sparse import PackedIdentity
 
@@ -69,9 +67,9 @@ class TableValidationError(ValueError):
 class SizeBoundError(RuntimeError):
     """A group is above the configured order bound.
 
-    The bound refuses every group whose table or classes are built: brute-force
-    wreath tables and classes, and also S_k tables and border-strip reference
-    columns, though neither enumerates the group.
+    The bound refuses every group whose table or classes are built: wreath
+    tables and classes, S_k tables and border-strip reference columns, though
+    none of them enumerates the group.
     """
 
     def __init__(self, order: int, bound: int, what: str):
@@ -246,41 +244,6 @@ def builtin_table(name: str) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# Concrete multiplication for the built-in base groups (brute force needs it)
-
-
-class ConcreteGroup(namedtuple("ConcreteGroup", "table mult inverse class_of")):
-    """Explicit multiplication table aligned with a GroupTable's class order:
-    ``mult[a][b]``, ``inverse[a]`` and ``class_of[a]``, the index in
-    ``table.classes`` of element a's class."""
-
-    @property
-    def size(self) -> int:
-        return len(self.mult)
-
-
-_CONCRETE = {
-    "trivial": ConcreteGroup(_TRIVIAL, ((0,),), (0,), (0,)),
-    "Z2": ConcreteGroup(_Z2, ((0, 1), (1, 0)), (0, 1), (0, 1)),
-}
-
-
-def has_multiplication(table: GroupTable) -> bool:
-    """Whether the table is a built-in group's, whose multiplication brute force can use."""
-    return table.name in _CONCRETE and _CONCRETE[table.name].table == table
-
-
-def concrete_base(table: GroupTable) -> ConcreteGroup:
-    if not has_multiplication(table):
-        raise ValueError(
-            f"no explicit multiplication available for group {table.name!r}; "
-            "brute-force wreath computations support the built-in base groups only "
-            "(supply precomputed wreath tables as GroupTable JSON instead)"
-        )
-    return _CONCRETE[table.name]
-
-
-# ---------------------------------------------------------------------------
 # Symmetric-group tables from Young-subgroup permutation characters
 
 
@@ -365,18 +328,6 @@ def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ..
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _sym_lookup(k: int) -> tuple[dict, dict]:
-    """S_k's rows by label and its classes' positions, read once per k."""
-    positions = {mu: i for i, mu in enumerate(_sym_class_order(k))}
-    return dict(_symmetric_table_rows(k)), positions
-
-
-def _sym_value(lam: Partition, rho: Partition) -> int:
-    rows, positions = _sym_lookup(sum(lam))
-    return rows[lam][positions[tuple(sorted(rho, reverse=True))]]
-
-
 def symmetric_group_table(k: int, max_order: int | None = None) -> GroupTable:
     """Character table of S_k with partition/cycle-type text labels.
 
@@ -402,146 +353,30 @@ def _symmetric_group_table_cached(k: int) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# Wreath products H^k x| S_k: elements, classes, labels
-#
-# An element is (base, perm), base in H^k and perm in S_k, and
-# (a, s)(b, r) = (a * s.b, s o r) where (s.b)_i = b_{s^-1(i)}.
-
-
-def wreath_elements(group: ConcreteGroup, k: int):
-    for base in itertools.product(range(group.size), repeat=k):
-        for perm in itertools.permutations(range(k)):
-            yield (base, perm)
-
-
-@lru_cache(maxsize=None)
-def _perm_cycles(perm: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
-    """The cycles of a permutation, each from its least point, with their
-    lengths; one memo entry per permutation, read and never changed."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = perm[i]
-        cycles.append(tuple(cyc))
-    return tuple(cycles), tuple(map(len, cycles))
-
-
-def _cycle_colors(group: ConcreteGroup, base, cycles) -> tuple[int, ...]:
-    """The H-class of the product of the base entries along each cycle."""
-    colors = []
-    for cyc in cycles:
-        prod = 0
-        for i in cyc:
-            prod = group.mult[base[i]][prod]
-        colors.append(group.class_of[prod])
-    return tuple(colors)
-
-
-@lru_cache(maxsize=None)
-def _colored_type(lengths: tuple[int, ...], colors: tuple[int, ...]) -> WreathLabel:
-    """The colored cycle type of cycles of these lengths and H-classes."""
-    colored: dict[int, list[int]] = {}
-    for length, color in zip(lengths, colors):
-        colored.setdefault(color, []).append(length)
-    return tuple(
-        (cls, tuple(sorted(part, reverse=True))) for cls, part in sorted(colored.items())
-    )
-
-
-def colored_cycle_type(group: ConcreteGroup, elem) -> WreathLabel:
-    """Class label of a wreath element: each cycle length, colored by the
-    H-class of the product of its base entries taken along the cycle."""
-    base, perm = elem
-    cycles, lengths = _perm_cycles(perm)
-    return _colored_type(lengths, _cycle_colors(group, base, cycles))
+# Wreath products H^k x| S_k: classes by formula
 
 
 def identity_colored_type(k: int) -> WreathLabel:
     return (((0, (1,) * k),)) if k else ()
 
 
-def _conjugations(group: ConcreteGroup, k: int) -> list:
-    """``x -> g x g^-1`` in one pass, for each generator g of H wr S_k in
-    turn: ``((h, e, ..., e), id)`` for each h other than the identity e of H
-    (element 0), then the pure permutations (0 1) and i -> i + 1 (mod k)."""
-    conjugations = []
-    if k >= 1:
-        for h in range(1, group.size):
-            conjugations.append(partial(_conjugate_by_base, group.mult, h, group.inverse[h]))
-    if k >= 2:
-        for sigma in ((1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)):
-            inverse = [0] * k
-            for i, img in enumerate(sigma):
-                inverse[img] = i
-            conjugations.append(partial(_conjugate_by_perm, sigma, itemgetter(*inverse)))
-    return conjugations
-
-
-def _conjugate_by_base(mult, h: int, h_inverse: int, x):
-    """g x g^-1 for g = ((h, e, ..., e), id): b_0 becomes h b_0, then
-    b_pi(0) becomes b_pi(0) h^-1; the permutation is unchanged."""
-    base, perm = x
-    b = list(base)
-    b[0] = mult[h][b[0]]
-    j = perm[0]
-    b[j] = mult[b[j]][h_inverse]
-    return tuple(b), perm
-
-
-def _conjugate_by_perm(sigma: tuple[int, ...], reindex, x):
-    """g x g^-1 for g = (1, sigma): base b_{sigma^-1(i)} and permutation
-    sigma pi sigma^-1, where ``reindex`` picks positions sigma^-1(0), ...,
-    sigma^-1(k-1)."""
-    base, perm = x
-    return reindex(base), tuple(map(sigma.__getitem__, reindex(perm)))
-
-
 class WreathClass(namedtuple("WreathClass", "label size")):
     """A conjugacy class: its colored cycle type and its size."""
 
 
-@lru_cache(maxsize=None)
-def _wreath_classes_cached(name: str, k: int) -> tuple[WreathClass, ...]:
-    group = _CONCRETE[name]
-    conjugations = _conjugations(group, k)
-    seen: set[tuple] = set()
-    classes: list[WreathClass] = []
-    for elem in wreath_elements(group, k):
-        if elem in seen:
-            continue
-        orbit = {elem}
-        frontier = [elem]
-        while frontier:
-            x = frontier.pop()
-            for conjugate in conjugations:
-                y = conjugate(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        label = colored_cycle_type(group, elem)
-        if any(colored_cycle_type(group, y) != label for y in orbit):
-            raise InvariantError(f"conjugation orbit of {elem} spans several colored cycle types")
-        classes.append(WreathClass(label, len(orbit)))
-        seen |= orbit
-    if len({c.label for c in classes}) != len(classes):
-        raise InvariantError(f"two conjugation orbits of {name} wr S_{k} share a colored type")
-    identity = identity_colored_type(k)
-    ordered = [c for c in classes if c.label == identity]
-    ordered += sorted((c for c in classes if c.label != identity), key=lambda c: c.label)
-    return tuple(ordered)
-
-
 def wreath_classes(h_table: GroupTable, k: int, max_order: int | None = None) -> tuple[WreathClass, ...]:
-    group = concrete_base(h_table)
-    check_order(group.size**k * factorial(k), max_order, f"{h_table.name} wr S_{k}")
-    return _wreath_classes_cached(h_table.name, k)
+    """The identity class, then every other colored cycle type (a partition
+    per H-class, of total size k) in sorted order, sized by
+    ``wreath_class_size_formula``; nothing is enumerated."""
+    check_order(h_table.order**k * factorial(k), max_order, f"{h_table.name} wr S_{k}")
+    return _wreath_classes_cached(h_table, k)
+
+
+@lru_cache(maxsize=None)
+def _wreath_classes_cached(h_table: GroupTable, k: int) -> tuple[WreathClass, ...]:
+    identity = identity_colored_type(k)
+    others = sorted(label for label in enumerate_wreath_labels(len(h_table.classes), k) if label != identity)
+    return tuple(WreathClass(label, wreath_class_size_formula(h_table, label)) for label in [identity, *others])
 
 
 def wreath_class_size_formula(h_table: GroupTable, colored: WreathLabel) -> int:
@@ -565,7 +400,7 @@ def wreath_class_size_formula(h_table: GroupTable, colored: WreathLabel) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Wreath irrep labels (array notation) and the brute-force character table
+# Wreath irrep labels (array notation) and the character table
 
 
 @lru_cache(maxsize=None)
@@ -610,77 +445,10 @@ def wreath_irrep_dim(h_table: GroupTable, label: WreathLabel) -> int:
     return dim
 
 
-def _block_signature(block_of: tuple[int, ...], blocks: int, cycles, lengths, colors) -> tuple:
-    """Per block of a block-preserving element: the cycle type of its
-    permutation there, and the sorted H-classes of its cycle products."""
-    rhos: list[list[int]] = [[] for _ in range(blocks)]
-    hues: list[list[int]] = [[] for _ in range(blocks)]
-    for cyc, length, color in zip(cycles, lengths, colors):
-        j = block_of[cyc[0]]
-        rhos[j].append(length)
-        hues[j].append(color)
-    return tuple((tuple(sorted(rho, reverse=True)), tuple(sorted(hue)))
-                 for rho, hue in zip(rhos, hues))
-
-
-def _block_value(h_table: GroupTable, label: WreathLabel, signature: tuple) -> int:
-    """The un-induced block character at an element of this block signature:
-    on block j carrying (U, lambda), chi_lambda(rho_j) * prod over its cycles
-    of chi_U(cycle product)."""
-    value = 1
-    for (irrep_idx, part), (rho, hue) in zip(label, signature):
-        value *= _sym_value(part, rho)
-        chi = h_table.irreps[irrep_idx][2]
-        for color in hue:
-            value *= chi[color]
-    return value
-
-
-def _block_subgroup_tally(group: ConcreteGroup, sizes: tuple[int, ...]) -> tuple[int, dict]:
-    """|K| and every element of the block subgroup K = prod_j H wr S_{s_j},
-    tallied as ``{colored cycle type in G: {block signature: count}}``.
-
-    Block j holds positions s_1 + ... + s_{j-1} onward. The elements sharing a
-    permutation share its cycles, so their base entries are tallied by the
-    colors of those cycles first."""
-    block_of = tuple(j for j, size in enumerate(sizes) for _ in range(size))
-    block_perms, start = [], 0
-    for size in sizes:
-        block_perms.append(list(itertools.permutations(range(start, start + size))))
-        start += size
-    bases = list(itertools.product(range(group.size), repeat=start))
-    k_order = 0
-    tally: dict[WreathLabel, dict[tuple, int]] = {}
-    for parts in itertools.product(*block_perms):
-        cycles, lengths = _perm_cycles(tuple(itertools.chain.from_iterable(parts)))
-        colorings = Counter(_cycle_colors(group, base, cycles) for base in bases)
-        for colors, count in colorings.items():
-            by_signature = tally.setdefault(_colored_type(lengths, colors), {})
-            signature = _block_signature(block_of, len(sizes), cycles, lengths, colors)
-            by_signature[signature] = by_signature.get(signature, 0) + count
-        k_order += len(bases)
-    return k_order, tally
-
-
-def _induced_value(h_table: GroupTable, label: WreathLabel, cls: WreathClass, order: int,
-                   tallies: dict) -> int:
-    """Induced-character value at a class C: the naive sum (1/|K|) sum_x
-    chi(x g x^-1) over x in G, where each member of C appears |C_G(g)| =
-    |G|/|C| times as x varies, so it is |G|/(|C| |K|) times the sum of chi over
-    the elements of K in C. Those are counted by block signature in
-    ``tallies[block sizes]``, one tally for every label of the same block
-    sizes; a single block is K = G, whose tally is the class list."""
-    k_order, tally = tallies[tuple(sum(p) for _, p in label)]
-    total = sum(count * _block_value(h_table, label, signature)
-                for signature, count in tally.get(cls.label, {}).items())
-    value = Fraction(total * (order // cls.size), k_order)
-    if value.denominator != 1:
-        raise InvariantError(f"non-integral induced character {value} of {label}")
-    return int(value)
-
-
 def wreath_char_table(h_table: GroupTable, k: int, max_order: int | None = None) -> GroupTable:
-    """Brute-force character table of H^k x| S_k for a built-in base group H.
+    """Character table of H^k x| S_k from H's table by the wreath
+    Murnaghan-Nakayama rule (Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., I, Appendix B).
 
     Rows are array labels in canonical enumeration order; columns are colored
     cycle types, identity first. Exact row orthogonality, and each row's
@@ -692,34 +460,37 @@ def wreath_char_table(h_table: GroupTable, k: int, max_order: int | None = None)
 
 @lru_cache(maxsize=None)
 def _wreath_char_table_cached(h_table: GroupTable, k: int) -> GroupTable:
-    group = concrete_base(h_table)
-    classes = _wreath_classes_cached(h_table.name, k)
-    order = group.size**k * factorial(k)
+    classes = _wreath_classes_cached(h_table, k)
+    chi = [values for _, _, values in h_table.irreps]
+    memo: dict[tuple, int] = {}  # one build's (label, cycles left) -> value
+
+    def value(label: WreathLabel, cycles: tuple) -> int:
+        """chi^label at the cycles (length r, H-class c), longest first: the
+        first is taken off as an r-rim hook xi of some slot (i, lambda), so
+        chi^label = sum_i chi_i(c) sum_xi (-1)^ht(xi) chi^(label - xi)."""
+        if not cycles:
+            return 1
+        if (label, cycles) not in memo:
+            (r, c), rest = cycles[0], cycles[1:]
+            total = 0
+            for slot, (i, part) in enumerate(label):
+                if chi[i][c]:
+                    head, tail = label[:slot], label[slot + 1:]
+                    total += chi[i][c] * sum(sign * value(head + ((i, less),) + tail if less else head + tail, rest)
+                                             for sign, less in rim_hooks(part, r))
+            memo[label, cycles] = total
+        return memo[label, cycles]
+
+    columns = [tuple(sorted(((r, c) for c, part in cls.label for r in part), reverse=True)) for cls in classes]
     irrep_names = [lab for lab, _, _ in h_table.irreps]
     class_names = [lab for lab, _ in h_table.classes]
-    labels = enumerate_wreath_labels(len(h_table.irreps), k)
-    # K = G for one block: a class's members share its cycle type and sorted colors
-    whole = {}
-    for c in classes:
-        rho = tuple(sorted((x for _, p in c.label for x in p), reverse=True))
-        whole[c.label] = {((rho, tuple(i for i, p in c.label for _ in p)),): c.size}
-    tallies = {(k,): (order, whole)}
-    for label in labels:
-        sizes = tuple(sum(p) for _, p in label)
-        if sizes not in tallies:
-            tallies[sizes] = _block_subgroup_tally(group, sizes)
-    rows = []
-    for label in labels:
-        values = tuple(_induced_value(h_table, label, cls, order, tallies) for cls in classes)
-        dim = wreath_irrep_dim(h_table, label)
-        rows.append((format_wreath_label(irrep_names, label), dim, values))
     table = GroupTable(
         name=f"{h_table.name}_wr_S{k}",
-        order=order,
-        classes=tuple(
-            (format_wreath_label(class_names, cls.label), cls.size) for cls in classes
-        ),
-        irreps=tuple(rows),
+        order=h_table.order**k * factorial(k),
+        classes=tuple((format_wreath_label(class_names, cls.label), cls.size) for cls in classes),
+        irreps=tuple((format_wreath_label(irrep_names, label), wreath_irrep_dim(h_table, label),
+                      tuple(value(label, cycles) for cycles in columns))
+                     for label in enumerate_wreath_labels(len(h_table.irreps), k)),
     )
     return table.validate()
 

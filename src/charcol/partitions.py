@@ -6,10 +6,13 @@ tuple is the unique partition of 0. The same tuples serve as irrep labels
 ``InvariantError`` lives here, the one module every other one imports, and
 so does the border-strip oracle ``mn_character``, which shares no code with
 the polynomial engine or with the permutation-character tables in hgroup.
+Its border strips (``rim_hooks``) also drive hgroup's wreath
+Murnaghan-Nakayama rule.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial, prod
 
@@ -133,34 +136,41 @@ def mirrored_order(n: int) -> tuple[Partition, ...]:
     return tuple(head + [conjugate(p) for p in reversed(head) if conjugate(p) != p])
 
 
-@lru_cache(maxsize=None)
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """chi_lambda(mu) by recursive border-strip removal with sign (-1)^height.
+def rim_hooks(lam: Partition, r: int) -> Iterator[tuple[int, Partition]]:
+    """(sign, lambda less the strip) for each border strip of size r of lambda.
 
     Border strips of size r correspond to first-column hook (beta-set) moves
-    beta_i -> beta_i - r landing outside the set; the height is the number of
-    beta values jumped over.
+    beta_i -> beta_i - r landing outside the set; the sign is (-1)^height,
+    the height being the number of beta values jumped over. A move past
+    beta_{i+1..j-1} moves those rows up one, each one box shorter, and leaves
+    row j-1 what is left of row i; only the last rows can end up empty.
     """
+    m = len(lam)
+    beta = [lam[i] + (m - 1 - i) for i in range(m)]  # strictly decreasing
+    present = set(beta)
+    for i, b in enumerate(beta):
+        nb = b - r
+        if nb < 0 or nb in present:
+            continue
+        j = i + 1
+        while j < m and beta[j] > nb:
+            j += 1
+        rows = lam[:i] + tuple(x - 1 for x in lam[i + 1:j]) + (nb - (m - j),) + lam[j:]
+        yield -1 if (j - i - 1) % 2 else 1, tuple(x for x in rows if x)
+
+
+@lru_cache(maxsize=None)
+def mn_character(lam: Partition, mu: Partition) -> int:
+    """chi_lambda(mu) by recursive border-strip removal with sign (-1)^height."""
     lam = check_partition(lam) if lam else ()
     mu = tuple(sorted(mu, reverse=True))
     if sum(lam) != sum(mu):
         raise ValueError(f"|lambda|={sum(lam)} but |mu|={sum(mu)}")
     if not mu:
         return 1
-    r, rest = mu[0], mu[1:]
-    m = len(lam)
-    beta = tuple(lam[i] + (m - 1 - i) for i in range(m))
-    beta_set = set(beta)
     total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted(beta_set - {b} | {nb}, reverse=True)
-        # Trailing zeros of the recovered shape are empty rows.
-        new_lam = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta))
-        total += (-1) ** height * mn_character(tuple(x for x in new_lam if x > 0), rest)
+    for sign, rest in rim_hooks(lam, mu[0]):
+        total += sign * mn_character(rest, mu[1:])
     return total
 
 

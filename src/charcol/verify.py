@@ -474,8 +474,8 @@ def load_chain(spec: str) -> Chain:
 def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict:
     """Dump a built-in chain in the ingestion format: each level's Res as the
     (row, col, multiplicity) counts of its branching edges, sorted by (row, col),
-    and class rows with the identity class first; levels above the order bound,
-    and a chain without classes, get no class rows."""
+    and class rows with the identity class first; levels above the order bound
+    get no class rows."""
     if max_n < 0:
         raise ValueError(f"maxN must be non-negative, not {max_n}")
     levels = []
@@ -484,10 +484,10 @@ def export_chain(chain: Chain, max_n: int, max_order: int | None = None) -> dict
         if n >= 1:
             entry["res"] = [list(e) for e in chain.res_operator(n).entries()]
         try:
-            labels = None if chain.no_classes else chain.classes_at(n, max_order)
+            labels = chain.classes_at(n, max_order)
         except SizeBoundError:
-            labels = None
-        if labels is not None:
+            labels = ()
+        if labels:
             identity = chain.identity_class(n)
             ordered = [identity] + [lab for lab in labels if lab != identity]
             entry["classes"] = [
@@ -601,9 +601,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
     failed = _failed_fit(chain)
     if failed is not None:
         return [failed], []
-    checks, skipped, dropped = [], [], {}  # dropped: level -> why checks on its classes are skipped
-    if chain.no_classes:  # (1) and (4) need the classes
-        skipped.append({"suite": "jeongha", "reason": f"no class checks: {chain.no_classes}"})
+    checks, dropped = [], {}  # dropped: level -> why checks on its classes are skipped
 
     def classes(m: int) -> tuple:
         try:
@@ -613,7 +611,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
         return ()
 
     # (1) per-class ratio constraints at every (n, l) with class data available
-    levels = () if chain.no_classes else chain.level_range(max_n)
+    levels = chain.level_range(max_n)
     polys = [chain.poly(l) for l in range(len(levels) + 1)]  # l <= n - min_n <= len(levels)
     for n in levels:
         for l in range(1, n - chain.min_n + 1):
@@ -644,7 +642,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
                 ))
     # (4) roots vs character values, where class data allows; the re-indexed
     # statement reads levels 0 and 1
-    if not chain.no_classes and chain.has_level(0) and chain.has_level(1) and chain.group_order(0) == 1:
+    if chain.has_level(0) and chain.has_level(1) and chain.group_order(0) == 1:
         top = max_n - 1 if chain.group_order(1) == 1 else max_n
         for l in range(1, min(5, top) + 1):
             try:
@@ -659,8 +657,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
                 detail=f"preferred level {report['preferred_level']}, "
                 f"roots {jsonable(report['roots'])}",
             ))
-    skipped += [{"suite": "jeongha", "level": m, "reason": why} for m, why in sorted(dropped.items())]
-    return checks, skipped
+    return checks, [{"suite": "jeongha", "level": m, "reason": why} for m, why in sorted(dropped.items())]
 
 
 def oracle_suite(chain, max_n: int, max_order: int | None = None):
@@ -669,7 +666,7 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None):
     first one whose reference is above the order bound, and that level is the
     one skipped entry."""
     if chain.reference is None:
-        return [], [{"suite": "oracle", "reason": chain.no_classes or "the chain has no reference columns"}]
+        return [], [{"suite": "oracle", "reason": "the chain has no reference columns"}]
     checks = []
     for n in chain.level_range(max_n):
         try:

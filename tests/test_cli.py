@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
+import brute_wreath
+from brute_wreath import by_closure, permutation_product
 from charcol.cli import main
 from charcol.chain import SymmetricChain, get_chain
-from charcol.hgroup import builtin_table, symmetric_group_table
+from charcol.hgroup import builtin_table, load_table, symmetric_group_table, wreath_classes
 from charcol.partitions import enumerate_partitions, format_partition, is_odd_class
 from charcol.verify import export_chain, jsonable
 
@@ -823,12 +826,12 @@ def spec_files(tmp_path_factory):
     return files
 
 
-# S_3 as H has a table but no multiplication, so the brute-force wreath tables
-# that column and table read are refused; an ingested chain has positions, not
-# irrep labels, so column, lift and table refuse it
+# S_3 as H is read from its table alone, which the wreath tables need; an
+# ingested chain has positions, not irrep labels, so column, lift and table
+# refuse it
 LOADER_EXITS = {
     "name": dict.fromkeys(COMMANDS, 0),
-    "table": {"column": 2, "lift": 0, "indres": 0, "mckay": 0, "table": 2, "verify": 0},
+    "table": dict.fromkeys(COMMANDS, 0),
     "chain": {"column": 2, "lift": 2, "indres": 0, "mckay": 0, "table": 2, "verify": 0},
     "text": dict.fromkeys(COMMANDS, 2),
     "neither": dict.fromkeys(COMMANDS, 2),
@@ -885,21 +888,34 @@ def test_an_ingested_chains_lowest_level_has_the_zero_operator(capsys, spec_file
 
 
 def test_verify_runs_on_a_wreath_chain_over_a_table_file(capsys, spec_files):
-    # H = S_3 from a table file: every check that needs no multiplication of H
-    # runs and passes; the oracle and jeongha's class checks are skipped
+    # H = S_3 from a table file: every suite runs, the oracle and jeongha's
+    # class checks included, on tables and classes from H's table alone
     code, out, err = run(capsys, "verify", "--chain", spec_files["table"], "--maxN", "3")
     assert (code, err) == (0, "")
     report = json.loads(out)
-    assert report["chain"] == "wreath:S3" and report["passed"] is True
-    kinds = {c["name"].split()[0] for c in report["checks"]}
-    assert kinds == {"heisenberg", "indres-power", "fit-params", "fit-polynomial", "lift-exactness"}
-    assert [entry["suite"] for entry in report["skipped"]] == ["jeongha", "oracle"]
-    assert all("multiplication" in entry["reason"] for entry in report["skipped"])
+    assert report["chain"] == "wreath:S3" and report["passed"] is True and "skipped" not in report
+    kinds = Counter(c["name"].split()[0] for c in report["checks"])
+    assert kinds == {"heisenberg": 3, "indres-power": 6, "class-constraint": 18, "fit-params": 1,
+                     "fit-polynomial": 3, "roots-vs-characters": 3, "oracle-column": 34,
+                     "lift-exactness": 35}
+    # one oracle check per class of S3 wr S_n, n = 1, 2, 3
+    h = load_table(spec_files["table"])
+    assert kinds["oracle-column"] == sum(len(wreath_classes(h, n)) for n in (1, 2, 3))
+
+
+def test_table_of_a_wreath_chain_over_a_table_file_equals_brute_force(capsys, spec_files):
+    # S_3's table lists its classes as [1,1,1], [3], [2,1]; brute force takes
+    # the multiplication from permutations of three points
+    code, out, err = run(capsys, "table", "--chain", spec_files["table"], "--k", "2")
+    assert (code, err) == (0, "")
+    h = load_table(spec_files["table"])
+    group = by_closure(h, permutation_product, [(0, 1, 2), (1, 2, 0), (1, 0, 2)])
+    assert json.loads(out) == brute_wreath.wreath_char_table(group, 2).to_json_dict()
 
 
 def test_a_table_file_of_a_built_in_group_is_that_group(capsys, tmp_path):
-    # Z2's table in a file has Z2's multiplication, so every command prints
-    # what --chain Z2 prints
+    # Z2's table in a file is all that the chain Z2 is built from, so every
+    # command prints what --chain Z2 prints
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(builtin_table("Z2").to_json_dict()))
     for command in COMMANDS:

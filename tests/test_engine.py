@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brute_wreath
 from charcol import partitions, verify
 from charcol.chain import SymmetricChain, WreathChain, get_chain
 from charcol.engine import (
@@ -16,7 +17,7 @@ from charcol.engine import (
     odd_column,
     reduced_operator,
 )
-from charcol.hgroup import GroupTable, SizeBoundError, builtin_table, wreath_char_table
+from charcol.hgroup import GroupTable, SizeBoundError, builtin_table
 from charcol.lifting import InvariantError, lift, lift_column_input
 from charcol.partitions import (
     class_size,
@@ -270,7 +271,7 @@ def test_wreath_class_sign_is_the_eta_row_of_the_brute_force_table():
     # of Z2 wr S_k; class_sign reads it off each class's coloured cycles
     chain = WreathChain(builtin_table("Z2"))
     for k in range(1, 5):
-        table = wreath_char_table(builtin_table("Z2"), k)
+        table = brute_wreath.wreath_char_table(brute_wreath.CONCRETE["Z2"], k)
         eta = next(values for label, _, values in table.irreps if label == f"-1:[{k}]")
         assert [chain.class_sign(chain.parse_class(cls)) for cls, _ in table.classes] == list(eta), k
 
@@ -289,7 +290,7 @@ def test_wreath_folds_pair_each_label_with_its_tensor_by_psi():
 
 def test_single_wreath_columns_run_on_the_fold_and_equal_res_columns():
     # one class runs on the fold of its sign. Up to n = 5 its column equals the
-    # brute-force table's; above, the column of a batch of both signs, on Res
+    # reference's; above, the column of a batch of both signs, on Res
     for n in range(1, 9):
         chain = WreathChain(builtin_table("Z2"))
         if n <= 5:
@@ -451,7 +452,7 @@ def test_reconstruction_sign_pairing():
 
 def test_wreath_columns_match_brute_table():
     for n in (1, 2, 3):
-        table = wreath_char_table(builtin_table("Z2"), n)
+        table = brute_wreath.wreath_char_table(brute_wreath.CONCRETE["Z2"], n)
         for clab, _ in table.classes:
             cls = Z2C.parse_class(clab)
             column = character_column(Z2C, cls, n)
@@ -522,7 +523,7 @@ def test_apply_ind_of_trivial():
 
 
 def test_wreath_column_beyond_table_bound_uses_formula_norm():
-    # level 5 is beyond any brute table we build here; the norm identity still holds
+    # no table of level 5 is built here; the norm identity still holds
     column = character_column(Z2C, ((1, (1,)),), 5)
     size = Z2C.class_size_from(((1, (1,)),), 1, 5)
     assert sum(v * v for v in column.coeffs.values()) * size == Z2C.group_order(5)
@@ -595,23 +596,17 @@ def test_class_too_large_rejected():
 
 @pytest.mark.parametrize("chain, top", [(SYM, 12), (Z2C, 6)], ids=["sym", "z2wreath"])
 def test_batched_columns_equal_single_and_reference_columns(chain, top):
-    # one call per level packs every class, of every core level, into slots.
-    # Z2 wr S_6's own classes need its brute-force table (over 10 s to build),
-    # so at level 6 the classes are level 5's with a fixed point added, and
-    # the single columns are the reference
+    # one call per level packs every class, of every core level, into slots
     max_order = factorial(top) * 2**top
     for n in range(1, top + 1):
-        if n < 6 or chain is SYM:
-            classes = chain.classes_at(n, max_order)
-            reference = chain.reference_columns(n, max_order)
-        else:
-            classes, reference = [chain.embed_class(cls, n) for cls in chain.classes_at(n - 1)], {}
+        classes = chain.classes_at(n, max_order)
+        reference = chain.reference_columns(n, max_order)
         assert n == 1 or len({chain.fit_class(cls, n)[1] for cls in classes}) > 1
         columns = character_columns(chain, classes, n, max_order)
         assert list(columns) == list(classes)
         for cls in classes:
             single = character_column(chain, cls, n, max_order)
-            assert columns[cls] == single and single.coeffs == reference.get(cls, single.coeffs)
+            assert columns[cls] == single and single.coeffs == reference[cls]
 
 
 S3_ONE = [((i, (1,)),) for i in range(3)]  # e, t and c of S3 wr S_1, and its irreps
@@ -628,8 +623,7 @@ def s3_wreath_level_one(chain):
 def test_batched_columns_divide_out_rational_lifts():
     # S3's 2-dimensional irrep puts 1/2^pad into its lifts, so the packed input
     # is scaled by their common denominator D > 1 and divided after decoding.
-    # S3 wr S_n has no brute-force table here: the level-1 table is S3's own,
-    # and the columns are checked by orthogonality with each other and with
+    # The level-1 table is S3's own, and the columns are checked by orthogonality with each other and with
     # the dimensions (the identity's column), besides the engine's own checks
     chain = WreathChain(S3)
     one, table = S3_ONE, s3_wreath_level_one(chain)

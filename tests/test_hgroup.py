@@ -10,13 +10,14 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brute_wreath
+from brute_wreath import (CONCRETE, by_closure, colored_cycle_type, conjugations, permutation_product,
+                          wreath_elements)
 from charcol.hgroup import (
     GroupTable,
     SizeBoundError,
     TableValidationError,
     builtin_table,
-    colored_cycle_type,
-    concrete_base,
     enumerate_wreath_labels,
     format_wreath_label,
     identity_colored_type,
@@ -26,14 +27,12 @@ from charcol.hgroup import (
     wreath_char_table,
     wreath_class_size_formula,
     wreath_classes,
-    wreath_elements,
     wreath_irrep_dim,
-    _conjugations,
     _symmetric_table_rows,
-    _wreath_classes_cached,
     _young_column,
 )
 from charcol.partitions import enumerate_partitions, format_partition, mn_character
+from test_chain import S3
 
 
 def test_builtin_trivial():
@@ -383,7 +382,7 @@ def wreath_inverse(group, x):
 
 
 def wreath_generators(group, k):
-    """The generators whose one-pass conjugations ``_conjugations`` lists, in
+    """The generators whose one-pass conjugations ``conjugations`` lists, in
     its order: ((h, e, ..., e), id) for h != e, then (0 1) and i -> i + 1."""
     gens = [((h,) + (0,) * (k - 1), tuple(range(k))) for h in range(1, group.size)] if k else []
     if k >= 2:
@@ -394,7 +393,7 @@ def wreath_generators(group, k):
 
 @st.composite
 def wreath_pair(draw, k=3):
-    z2 = concrete_base(builtin_table("Z2"))
+    z2 = CONCRETE["Z2"]
     elems = list(wreath_elements(z2, k))
     return z2, draw(st.sampled_from(elems)), draw(st.sampled_from(elems))
 
@@ -422,11 +421,11 @@ def test_wreath_associative(args, pick):
 @pytest.mark.parametrize("name", ["Z2", "trivial"])
 @pytest.mark.parametrize("k", range(5))
 def test_one_pass_conjugation_is_g_x_g_inverse(name, k):
-    group = concrete_base(builtin_table(name))
+    group = CONCRETE[name]
     gens = wreath_generators(group, k)
-    conjugations = _conjugations(group, k)
-    assert len(conjugations) == len(gens)
-    for g, conjugate in zip(gens, conjugations):
+    maps = conjugations(group, k)
+    assert len(maps) == len(gens)
+    for g, conjugate in zip(gens, maps):
         g_inverse = wreath_inverse(group, g)
         for x in wreath_elements(group, k):
             assert conjugate(x) == wreath_mult(group, wreath_mult(group, g, x), g_inverse), (g, x)
@@ -437,23 +436,23 @@ def test_one_pass_conjugation_is_g_x_g_inverse(name, k):
 # a flip of b_0 (so an orbit leaves its colored type). Either way the class
 # build of Z2 wr S_3 raises, each time from the check that sees it.
 SPOILED_CONJUGATION = """
-from charcol import hgroup
+import brute_wreath
 from charcol.partitions import InvariantError
 
-conjugations = hgroup._conjugations
+conjugations = brute_wreath.conjugations
 spoils = [lambda c: (lambda x: x),
           lambda c: (lambda x: ((c(x)[0][0] ^ 1,) + c(x)[0][1:], c(x)[1]))]
 split = left = 0
-for index in range(len(conjugations(hgroup._CONCRETE["Z2"], 3))):
+for index in range(len(conjugations(brute_wreath.CONCRETE["Z2"], 3))):
     for spoil in spoils:
         def spoiled(group, k, index=index, spoil=spoil):
             maps = conjugations(group, k)
             maps[index] = spoil(maps[index])
             return maps
-        hgroup._conjugations = spoiled
-        hgroup._wreath_classes_cached.cache_clear()
+        brute_wreath.conjugations = spoiled
+        brute_wreath.wreath_classes.cache_clear()
         try:
-            hgroup._wreath_classes_cached("Z2", 3)
+            brute_wreath.wreath_classes(brute_wreath.CONCRETE["Z2"], 3)
         except InvariantError as exc:
             split += str(exc).startswith("two conjugation orbits of ")
             left += str(exc).startswith("conjugation orbit of ")
@@ -463,15 +462,15 @@ print(split, left)
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_spoiled_conjugation_raises_with_and_without_asserts(flags):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
     out = subprocess.run([sys.executable, *flags, "-c", SPOILED_CONJUGATION], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "3 3\n"  # three generators, each dropped once and flipped once
 
 
 def test_colored_type_of_identity():
-    z2 = concrete_base(builtin_table("Z2"))
+    z2 = CONCRETE["Z2"]
     assert colored_cycle_type(z2, ((0,) * 3, tuple(range(3)))) == identity_colored_type(3)
 
 
@@ -488,13 +487,11 @@ def test_wreath_class_sizes_z2s2():
 
 
 def test_wreath_class_formula_matches_brute():
-    z2 = builtin_table("Z2")
-    for k in (1, 2, 3):
-        for cls in wreath_classes(z2, k):
-            assert wreath_class_size_formula(z2, cls.label) == cls.size
-    triv = builtin_table("trivial")
-    for cls in wreath_classes(triv, 5):
-        assert wreath_class_size_formula(triv, cls.label) == cls.size
+    # the conjugation orbits, counted, against the centralizer formula
+    for name, k in (("Z2", 1), ("Z2", 2), ("Z2", 3), ("trivial", 5)):
+        group = CONCRETE[name]
+        for cls in brute_wreath.wreath_classes(group, k):
+            assert wreath_class_size_formula(group.table, cls.label) == cls.size
 
 
 def test_wreath_classes_bound():
@@ -615,17 +612,56 @@ def test_wreath_tables_match_their_pinned_digests(name, k):
 
 @pytest.mark.parametrize("name, k", sorted(CLASS_DIGESTS))
 def test_wreath_classes_match_their_pinned_digests(name, k):
-    classes = _wreath_classes_cached(name, k)
+    classes = wreath_classes(builtin_table(name), k, max_order=46080)
     assert sha256([[list(map(list, c.label)), c.size] for c in classes]) == CLASS_DIGESTS[name, k]
 
 
-def test_wreath_table_needs_concrete_base(tmp_path):
-    # a JSON-only H has no multiplication table to brute-force with
-    path = tmp_path / "h.json"
-    path.write_text(json.dumps(builtin_table("Z2").to_json_dict() | {"name": "myZ2"}))
-    h = load_table(str(path))
-    with pytest.raises(ValueError, match="multiplication"):
-        wreath_char_table(h, 2)
+# -- the rule against brute force ----------------------------------------------
+
+
+def quaternion_product(x, y):
+    """(a + bi + cj + dk)(a' + b'i + c'j + d'k), as 4-tuples of integers."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+# One element of each class, in the table's class order. S3 on three points:
+# e, a transposition, a 3-cycle. D4 on the square's corners 0..3: e, r^2, r, a
+# reflection s through corners 0 and 2, and rs. Q8: 1, -1, i, j, k; it has
+# D4's character table, with i, j, k for r, s, rs.
+S3_GROUP = by_closure(S3, permutation_product, [(0, 1, 2), (1, 0, 2), (1, 2, 0)])
+D4_TABLE = GroupTable.from_json_dict(D4_JSON)
+D4_GROUP = by_closure(D4_TABLE, permutation_product,
+                      [(0, 1, 2, 3), (2, 3, 0, 1), (1, 2, 3, 0), (0, 3, 2, 1), (1, 0, 3, 2)])
+Q8_GROUP = by_closure(D4_TABLE._replace(name="Q8"), quaternion_product,
+                      [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+
+
+@pytest.mark.parametrize("group, k", [(CONCRETE[name], k) for name in ("trivial", "Z2") for k in range(7)]
+                         + [(S3_GROUP, k) for k in range(4)],
+                         ids=lambda v: v.table.name if hasattr(v, "table") else str(v))
+def test_the_rule_equals_the_brute_force_table(group, k):
+    # the same GroupTable: labels, class order, sizes and every value
+    assert wreath_char_table(group.table, k, max_order=46080) == brute_wreath.wreath_char_table(group, k)
+    brute = brute_wreath.wreath_classes(group, k)
+    assert wreath_classes(group.table, k, max_order=46080) == brute
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_groups_with_one_table_have_one_wreath_table(k):
+    # D4 and Q8 are not isomorphic, yet share a character table; so their
+    # wreath products share one too, which is what the rule computes from it
+    d4, q8 = (brute_wreath.wreath_char_table(group, k) for group in (D4_GROUP, Q8_GROUP))
+    assert d4 == q8._replace(name=d4.name) == wreath_char_table(D4_TABLE, k)
+
+
+def test_d4_and_q8_are_different_groups():
+    # the control above compares two groups, not one group twice: D4 squares
+    # to the identity on e, r^2 and its four reflections, Q8 on 1 and -1 only
+    assert sum(1 for a in range(8) if D4_GROUP.mult[a][a] == 0) == 6
+    assert sum(1 for a in range(8) if Q8_GROUP.mult[a][a] == 0) == 2
 
 
 # -- label enumeration and text form -------------------------------------------

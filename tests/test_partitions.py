@@ -17,6 +17,7 @@ from charcol.partitions import (
     pad_with_fixed_points,
     parse_partition,
     remove_one_box,
+    rim_hooks,
     strip_fixed_points,
 )
 
@@ -204,3 +205,28 @@ def test_mirrored_order_n6_swaps_the_middle_pair():
 def test_mirrored_order_small_n_matches_canonical():
     for n in (2, 3, 4, 5):
         assert mirrored_order(n) == enumerate_partitions(n)
+
+
+def border_strip_sign(lam, mu):
+    """(-1)^(rows - 1) if lam/mu is a border strip (connected, with no 2x2
+    square of cells), else None: the definition, cell by cell."""
+    cells = {(i, j) for i, row in enumerate(lam) for j in range(mu[i] if i < len(mu) else 0, row)}
+    if not cells or any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells):
+        return None
+    seen, frontier = set(), [min(cells)]
+    while frontier:
+        i, j = frontier.pop()
+        if (i, j) in cells and (i, j) not in seen:
+            seen.add((i, j))
+            frontier += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+    return (-1) ** (len({i for i, _ in cells}) - 1) if seen == cells else None
+
+
+def test_rim_hooks_are_the_border_strips_of_their_definition():
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            for r in range(1, n + 1):
+                inside = [mu for mu in enumerate_partitions(n - r)
+                          if len(mu) <= len(lam) and all(a <= b for a, b in zip(mu, lam))]
+                strips = [(sign, mu) for mu in inside if (sign := border_strip_sign(lam, mu))]
+                assert sorted(rim_hooks(lam, r), key=lambda s: s[1]) == sorted(strips, key=lambda s: s[1]), (lam, r)
