@@ -176,10 +176,12 @@ class GroupTable(namedtuple("GroupTable", "name order classes irreps")):
         return self
 
     def class_index(self, label: str) -> int:
+        """The position of a class in the table; ValueError, listing the table's classes, if absent."""
         for i, (lab, _) in enumerate(self.classes):
             if lab == label:
                 return i
-        raise KeyError(f"class {label!r} not in table {self.name}")
+        available = [lab for lab, _ in self.classes]
+        raise ValueError(f"class {label!r} not present in table {self.name}; classes: {available}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -76,33 +76,20 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> dict:
     return vector
 
 
-def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> dict:
-    """The vector sum over irreps w of chi_w(class) times the lift of w; for a
-    list of classes, {class: its vector}.
+def lift_column_input(chain: Chain, table: GroupTable, classes: list, n: int) -> dict:
+    """{class: the vector sum over irreps w of chi_w(class) times the lift of w}.
 
-    ``table`` is the character table at the class's own level k; its irrep
+    ``table`` is the character table at the classes' own level k; its irrep
     labels must parse as level-k labels of the chain.
     """
-    inputs, lifted = [], {}  # irrep label -> its lift, fetched once for all the classes
-    for c in cls if type(cls) is list else [cls]:
-        col, coeffs = class_column(chain, table, c), {}
+    inputs, lifted = {}, {}  # irrep label -> its lift, fetched once for all the classes
+    for c in classes:
+        col, coeffs = table.class_index(chain.format_class(c)), {}
         for label, _, values in table.irreps:
             if chi := values[col]:
                 vec = lifted.get(label) or lifted.setdefault(
                     label, lift(chain, chain.parse_label(label), n))
                 for w, v in vec.items():
                     coeffs[w] = coeffs.get(w, 0) + chi * v
-        inputs.append(normalized(coeffs))
-    return dict(zip(cls, inputs)) if type(cls) is list else inputs[0]
-
-
-def class_column(chain: Chain, table: GroupTable, cls) -> int:
-    """The position of a class in ``table``; ValueError if the table lacks it."""
-    class_text = chain.format_class(cls)
-    try:
-        return table.class_index(class_text)
-    except KeyError:
-        available = [lab for lab, _ in table.classes]
-        raise ValueError(
-            f"class {class_text!r} not present in table {table.name}; classes: {available}"
-        )
+        inputs[c] = normalized(coeffs)
+    return inputs

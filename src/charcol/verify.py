@@ -186,38 +186,23 @@ def jeongha_class_constraint(chain, h, n: int, l: int, poly=None) -> CheckResult
 
 
 def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
-    """Compare the roots of f_l with the non-identity character values of
-    Ind(t), at both candidate levels l and l+1.
-
-    The re-indexed statement evaluates at level l when G_1 is nontrivial and
-    at level l+1 when G_1 is also trivial (the symmetric chain); the verdict
-    uses that level, and both candidates are reported.
+    """Compare the roots of f_l with the non-identity character values of Ind(t)
+    at the level the re-indexed statement reads: l when G_1 is nontrivial, and
+    l+1 when G_1 is also trivial (the symmetric chain). The report holds that
+    level's ``values``, or the ``error`` that kept them out (above the order
+    bound, no class data, or no such level), and the verdict ``passed``.
     """
     if chain.group_order(0) != 1:
         raise ValueError("root/character correspondence needs G_0 trivial")
     roots = set(chain.poly(l).roots)
-    candidates = {}
-    for m in (l, l + 1):
-        try:
-            values = {chain.ind_t_character(h, m) for h in chain.classes_at(m, max_order)
-                      if h != chain.identity_class(m)}
-        except (SizeBoundError, ValueError) as exc:  # above the bound, no class data, or no level m
-            candidates[m] = {"error": str(exc)}
-            continue
-        candidates[m] = {
-            "values": sorted(values),
-            "matches_roots": values == roots,
-        }
     preferred = l + (1 if chain.group_order(1) == 1 else 0)
-    verdict = candidates[preferred]
-    return {
-        "l": l,
-        "roots": sorted(roots),
-        "levels": candidates,
-        "preferred_level": preferred,
-        "evaluable": "error" not in verdict,
-        "passed": bool(verdict.get("matches_roots")),
-    }
+    report = {"l": l, "roots": sorted(roots), "preferred_level": preferred}
+    try:
+        values = {chain.ind_t_character(h, preferred) for h in chain.classes_at(preferred, max_order)
+                  if h != chain.identity_class(preferred)}
+    except (SizeBoundError, ValueError) as exc:
+        return {**report, "evaluable": False, "passed": False, "error": str(exc)}
+    return {**report, "evaluable": True, "passed": values == roots, "values": sorted(values)}
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +336,10 @@ class IngestedChain(Chain):
 
     Convention: the first class at each level is the identity class. Class
     sizes come from the class data: upward along ``embedsTo``, downward as the
-    sum over the classes one level down that embed into h. f_l and M come from
-    the order recursion, fitted once when the chain is built; the suites check
-    the levels whose Res matrices were supplied, and l only down to the lowest level.
+    sum over the classes one level down that embed into h. f_l comes from the
+    order recursion, fitted once when the chain is built, and M is read off the
+    first commutator by heisenberg; the suites check the levels whose Res
+    matrices were supplied, and l only down to the lowest level.
     """
 
     heisenberg_scaling = None
@@ -377,8 +363,9 @@ class IngestedChain(Chain):
             raise IngestError(f"levels {ns} are not consecutive")
         self.min_n, self.max_n = ns[0], ns[-1]
         self.levels, below = {}, None
-        for n in ns:
+        for n in ns:  # each level's Res goes in the memo Chain.res_operator reads, as a built chain's
             below = self.levels[n] = _checked_level(parsed[n], below)
+            self._res_cache[n] = below.res
         self._params = fit_chain_params(level.order for level in self.levels.values())
 
     # -- chain protocol used by the suites ----------------------------------
@@ -396,9 +383,6 @@ class IngestedChain(Chain):
 
     def group_order(self, n: int) -> int:
         return self._level(n).order
-
-    def res_operator(self, n: int) -> BranchingOperator:
-        return self._level(n).res
 
     def heisenberg_levels(self, top: int) -> range:
         return range(self.min_n + 1, min(self.max_n, top + 1))
@@ -645,10 +629,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
     if chain.has_level(0) and chain.has_level(1) and chain.group_order(0) == 1:
         top = max_n - 1 if chain.group_order(1) == 1 else max_n
         for l in range(1, min(5, top) + 1):
-            try:
-                report = roots_vs_characters(chain, l, max_order)
-            except (SizeBoundError, ValueError):
-                continue
+            report = roots_vs_characters(chain, l, max_order)
             if not report["evaluable"]:  # no class data at the level the verdict needs
                 classes(report["preferred_level"])  # under skipped, with the reason
                 continue

@@ -185,7 +185,7 @@ def test_factored_product_equals_x_route_on_sparse_rational_vectors(spec, n, dat
 @pytest.mark.parametrize("cls, n", [((3,), 20), ((2, 2), 20), ((4, 3), 22), ((5,), 22)])
 def test_engine_columns_equal_poly_of_built_x_times_lift(cls, n):
     core, k = SYM.fit_class(cls, n)
-    vec = lift_column_input(SYM, SYM.small_table(k), core, n)
+    vec = lift_column_input(SYM, SYM.small_table(k), [core], n)[core]
     expected = apply_poly(SYM, SYM.ind_res(n), n - k, n, vec)
     assert character_column(SYM, cls, n).coeffs == expected
 

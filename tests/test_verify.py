@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charcol import verify
-from charcol.chain import (BranchingOperator, FallingFactorialPoly, SymmetricChain, WreathChain,
-                           get_chain)
+from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, SymmetricChain,
+                           WreathChain, get_chain)
 from charcol.cli import main as cli_main
 from charcol.hgroup import builtin_table
 from charcol.partitions import (
@@ -273,9 +273,10 @@ def test_roots_vs_characters_z2():
     report = roots_vs_characters(Z2C, 2)
     assert report["passed"]
     assert report["preferred_level"] == 2
-    assert report["levels"][2]["values"] == [0, 2]
+    assert report["values"] == [0, 2] and "levels" not in report
     # at level 3 the value 4 appears as well, so the naive level does not match
-    assert not report["levels"][3]["matches_roots"]
+    naive = {Z2C.ind_t_character(h, 3) for h in Z2C.classes_at(3) if h != Z2C.identity_class(3)}
+    assert naive == {0, 2, 4} != set(report["roots"])
 
 
 # -- ingestion ---------------------------------------------------------------------
@@ -1199,6 +1200,22 @@ def test_a_suite_with_no_level_to_check_is_skipped():
     report = run_suite(SymmetricChain(), "all", 0)
     assert [entry["suite"] for entry in report.skipped] == ["heisenberg", "tasyopari", "oracle"]
     assert report.checks and report.passed
+
+
+def test_ingested_res_is_served_from_the_per_level_memo():
+    # an ingested chain's checked Res goes in the memo Chain.res_operator reads,
+    # as a built chain's does; a level outside the chain still raises
+    payload = export_chain(SYM, 4)
+    for lv in payload["levels"]:
+        lv["n"] += 1  # levels 1..5, so level 0 is outside the chain too
+    chain = ingest_chain(payload)
+    assert IngestedChain.res_operator is Chain.res_operator
+    assert sorted(chain._res_cache) == [1, 2, 3, 4, 5]
+    for n in range(1, 6):
+        assert chain.res_operator(n) is chain.levels[n].res is chain._res_cache[n]
+    for n in (0, 6):
+        with pytest.raises(ValueError, match=f"^chain 'sym' has no level {n}$"):
+            chain.res_operator(n)
 
 
 @pytest.mark.parametrize("spec, top", [("sym", 7), ("z2wreath", 5), ("s3wreath", 3)])
