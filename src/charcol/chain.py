@@ -63,8 +63,8 @@ def _transpose(edges, size: int) -> list:
     return out
 
 
-class BranchingOperator(namedtuple("BranchingOperator", "level domain codomain children sign "
-                                   "mirror minus up_edges up_minus bound", defaults=(0, (), (), (), (), 0))):
+class BranchingOperator(namedtuple("BranchingOperator", "level domain codomain children "
+                                   "mirror minus up_edges up_minus bound", defaults=((), (), (), (), 0))):
     """Res at level n as branching-graph edges: ``children[j]`` lists the level-(n-1)
     positions under level-n position j, m times for multiplicity m. A ``sign_fold``
     is one too, on one label of each twin pair: ``twins`` (``mirror``) holds their twins,
@@ -405,7 +405,7 @@ class Chain:
             down = tuple(tuple(at[c] for c in self._children(lam) if c in at) if lam == twin else tuple(d)
                          for d, lam, twin in zip(down, kept, twins))
             self._fold_cache[n, sign] = BranchingOperator(
-                n, tuple(kept), tuple(below), down, sign, tuple(twins), tuple(down_minus),
+                n, tuple(kept), tuple(below), down, tuple(twins), tuple(down_minus),
                 tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js), bound)
         return self._fold_cache[n, sign]
 

@@ -105,11 +105,27 @@ class ChainParams(namedtuple("ChainParams", "status B C message", defaults=(None
         return FallingFactorialPoly(roots, Fraction(1, self.B ** (l * (l - 1) // 2)))
 
 
-def fit_from_ratios(ratios) -> ChainParams:
-    a = tuple(int(x) for x in ratios)
-    if len(a) < 3:
-        return ChainParams("underdetermined",
-                           message="need at least three consecutive ratios (four group orders)")
+def fit_chain_params(orders) -> ChainParams:
+    """Fit (B, C) to the ratios a_n = |G_n| / |G_{n-1}| of orders |G_0|, |G_1|, ...
+
+    An order below 1, a ratio that does not divide (Lagrange) or a non-integer B
+    is a constraint violation, constant ratios are inconclusive (the constant
+    chain), too few orders to fix B and C underdetermined.
+    """
+    orders = tuple(int(x) for x in orders)
+    if (low := next((i for i, o in enumerate(orders) if o < 1), None)) is not None:
+        return ChainParams("violation", message=f"|G_{low}| = {orders[low]}: every group has its identity")
+    if len(orders) < 4:
+        return ChainParams("underdetermined", message="need at least four consecutive group orders")
+    a = []
+    for i in range(1, len(orders)):
+        q, rem = divmod(orders[i], orders[i - 1])
+        if rem:
+            return ChainParams(
+                "violation",
+                message=f"|G_{i}| = {orders[i]} is not divisible by |G_{i - 1}| = {orders[i - 1]}",
+            )
+        a.append(q)
     diffs = [a[i + 1] - a[i] for i in range(len(a) - 1)]
     if all(d == 0 for d in diffs):
         return ChainParams(
@@ -143,28 +159,6 @@ def fit_from_ratios(ratios) -> ChainParams:
         notes.append("warning: some a_n < n, impossible under the polynomial property "
                      "if orders start at |G_0|")
     return ChainParams("ok", B=b, C=c, message="; ".join(notes))
-
-
-def fit_chain_params(orders) -> ChainParams:
-    """Fit (B, C) from consecutive group orders |G_0|, |G_1|, ...
-
-    Ratios must divide exactly (Lagrange); non-integer B is a constraint
-    violation, constant ratios are inconclusive (the constant chain), too few
-    orders to fix B and C underdetermined.
-    """
-    orders = tuple(int(x) for x in orders)
-    if len(orders) < 4:
-        return ChainParams("underdetermined", message="need at least four consecutive group orders")
-    ratios = []
-    for i in range(1, len(orders)):
-        q, rem = divmod(orders[i], orders[i - 1])
-        if rem:
-            return ChainParams(
-                "violation",
-                message=f"|G_{i}| = {orders[i]} is not divisible by |G_{i - 1}| = {orders[i - 1]}",
-            )
-        ratios.append(q)
-    return fit_from_ratios(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +360,7 @@ class IngestedChain(Chain):
         for n in ns:  # each level's Res goes in the memo Chain.res_operator reads, as a built chain's
             below = self.levels[n] = _checked_level(parsed[n], below)
             self._res_cache[n] = below.res
-        self._params = fit_chain_params(level.order for level in self.levels.values())
+        self.params = fit_chain_params(level.order for level in self.levels.values())
 
     # -- chain protocol used by the suites ----------------------------------
 
@@ -388,7 +382,7 @@ class IngestedChain(Chain):
         return range(self.min_n + 1, min(self.max_n, top + 1))
 
     def poly(self, l: int) -> FallingFactorialPoly:
-        return self.fitted_params().poly(l)
+        return self.params.poly(l)
 
     def _classes(self, n: int) -> dict:
         classes = self._level(n).classes
@@ -422,9 +416,6 @@ class IngestedChain(Chain):
             if current is None:
                 raise IngestError(f"class {label!r} at level {m} has no embedding to level {level + 1}")
         return self._class_entry(current, j)[0]
-
-    def fitted_params(self) -> ChainParams:
-        return self._params
 
 
 def ingest_chain(source) -> IngestedChain:
@@ -527,21 +518,17 @@ def heisenberg_suite(chain, max_n: int, max_order: int | None = None):
     return checks, []
 
 
-def _fit_check(params: ChainParams) -> CheckResult:
+def _fit_check(chain) -> CheckResult | None:
+    """The fit-params check of a chain that takes f_l from its order fit
+    a_n = B a_{n-1} + C; None when f_l is known. The checks that need f_l are
+    skipped on a chain whose fit failed."""
+    if chain.heisenberg_scaling is not None:
+        return None
+    params = chain.params
     return CheckResult(
         "fit-params", params.status in ("ok", "inconclusive"),
         detail=f"status={params.status} B={params.B} C={params.C} {params.message}".strip(),
     )
-
-
-def _failed_fit(chain) -> CheckResult | None:
-    """The failed fit-params check of a chain that takes f_l from an order fit
-    that found no recursion a_n = B a_{n-1} + C; None when f_l is known. The
-    checks that need f_l are skipped on such a chain."""
-    if chain.heisenberg_scaling is not None:
-        return None
-    check = _fit_check(chain.fitted_params())
-    return None if check.passed else check
 
 
 def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
@@ -552,8 +539,8 @@ def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
     starting over if they do not extend f_{l-1}'s. Entries are within prod
     ``x_norm_bound`` and prod (||X|| + |r|). A mismatch names its first entry."""
     levels = chain.level_range(max_n)
-    if levels and (failed := _failed_fit(chain)) is not None:
-        return [failed], []
+    if levels and (fit := _fit_check(chain)) is not None and not fit.passed:
+        return [fit], []
     checks, res = [], chain.res_operator
     for n in levels:
         top, polys = res(n), [chain.poly(l) for l in range(1, n - chain.min_n + 1)]
@@ -582,9 +569,9 @@ def tasyopari_suite(chain, max_n: int, max_order: int | None = None):
 
 
 def jeongha_suite(chain, max_n: int, max_order: int | None = None):
-    failed = _failed_fit(chain)
-    if failed is not None:
-        return [failed], []
+    fit = _fit_check(chain)
+    if fit is not None and not fit.passed:
+        return [fit], []
     checks, dropped = [], {}  # dropped: level -> why checks on its classes are skipped
 
     def classes(m: int) -> tuple:
@@ -606,8 +593,8 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
                     dropped.setdefault(n - l, str(exc))
     # (2)-(3) the order recursion and the predicted polynomial family; a chain
     # without a known M takes f_l from this fit, so only the fit is checked
-    if chain.heisenberg_scaling is None:
-        checks.append(_fit_check(chain.fitted_params()))
+    if fit is not None:
+        checks.append(fit)
     else:
         orders = tuple(chain.group_order(n) for n in range(max(max_n + 1, 4)))
         params = fit_chain_params(orders)

@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,6 @@ from charcol.verify import (
     IngestError,
     export_chain,
     fit_chain_params,
-    fit_from_ratios,
     ingest_chain,
     jeongha_class_constraint,
     oracle_column,
@@ -150,6 +151,11 @@ def test_class_constraint_all_z2_classes():
 # -- fitting the two-parameter family ---------------------------------------------
 
 
+def orders_of(ratios):
+    """The group orders 1, a_1, a_1 a_2, ... whose consecutive ratios are ``ratios``."""
+    return list(accumulate(ratios, mul, initial=1))
+
+
 def test_fit_sym_orders():
     params = fit_chain_params([factorial(n) for n in range(7)])
     assert (params.status, params.B, params.C) == ("ok", 1, 1)
@@ -164,7 +170,7 @@ def test_fit_z2_orders():
 
 
 def test_fit_hypothetical_ratios():
-    params = fit_from_ratios((2, 3, 5, 9))
+    params = fit_chain_params(orders_of((2, 3, 5, 9)))
     assert (params.status, params.B, params.C) == ("ok", 2, -1)
     assert "no known chain" in params.message
     assert params.poly(3).roots == (0, -1, -3)
@@ -175,7 +181,7 @@ def test_fit_hypothetical_ratios():
 def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
     # B = 2, so f_l has leading coefficient 2^(-l(l-1)/2): apply, matrix and
     # value must agree on it
-    params = fit_from_ratios((2, 3, 5, 9))
+    params = fit_chain_params(orders_of((2, 3, 5, 9)))
     x = SYM.ind_res(5)
     dim = len(SYM.basis(5))
     vec = list(range(1, dim + 1))
@@ -190,7 +196,7 @@ def test_poly_value_in_integers_equals_the_product_in_fractions():
     # value reduces leading * prod (p - r q) / q^l once; the reference
     # multiplies the factors x - r as Fractions. The suites' characters are
     # integers, so the denominators are exercised here, and the int path at 0
-    params = fit_from_ratios((2, 3, 5, 9))
+    params = fit_chain_params(orders_of((2, 3, 5, 9)))
     for x in (Fraction(7, 3), Fraction(-5, 4), Fraction(9), 0):
         for poly in [params.poly(l) for l in range(5)] + [SYM.poly(3), Z2C.poly(4)]:
             expected = poly.leading
@@ -202,13 +208,13 @@ def test_poly_value_in_integers_equals_the_product_in_fractions():
 
 
 def test_fit_constant_is_inconclusive():
-    params = fit_from_ratios((3, 3, 3, 3))
+    params = fit_chain_params(orders_of((3, 3, 3, 3)))
     assert params.status == "inconclusive"
     assert params.poly(5).value(7) == 7  # f_l = X
 
 
 def test_fit_non_integer_b_is_violation():
-    params = fit_from_ratios((1, 3, 6, 10))
+    params = fit_chain_params(orders_of((1, 3, 6, 10)))
     assert params.status == "violation"
     assert "not an integer" in params.message
 
@@ -216,7 +222,7 @@ def test_fit_non_integer_b_is_violation():
 def test_fit_with_b_zero_is_violation():
     # ratios 2, 3, 3, 3 satisfy a_n = 0 a_{n-1} + 3, but f_l's leading
     # coefficient B^(-l(l-1)/2) is undefined for B = 0
-    params = fit_from_ratios((2, 3, 3, 3))
+    params = fit_chain_params(orders_of((2, 3, 3, 3)))
     assert (params.status, params.B, params.C) == ("violation", 0, 3)
     assert "B = 0" in params.message
     with pytest.raises(ValueError):
@@ -224,7 +230,7 @@ def test_fit_with_b_zero_is_violation():
 
 
 def test_fit_inconsistent_recursion_is_violation():
-    params = fit_from_ratios((2, 3, 5, 8))
+    params = fit_chain_params(orders_of((2, 3, 5, 8)))
     assert params.status == "violation"
 
 
@@ -234,13 +240,20 @@ def test_fit_rejects_non_dividing_orders():
     assert "divisible" in params.message
 
 
+def test_fit_refuses_orders_below_one():
+    # every group has its identity: a zero order once divided by zero, and
+    # alternating signs read as the constant ratio -2, an inconclusive fit
+    for orders, message in (((0, 1, 2, 3), "|G_0| = 0: every group has its identity"),
+                            ((1, -2, 4, -8), "|G_1| = -2: every group has its identity")):
+        assert fit_chain_params(orders) == ("violation", None, None, message)
+
+
 def test_fit_needs_four_orders():
     # too few orders, or ratios that change only at the last step, fix no
     # (B, C): the fit is underdetermined, a failed fit rather than an error
     for params, message in (
         (fit_chain_params((1, 2, 6)), "need at least four consecutive group orders"),
-        (fit_from_ratios((1, 2)), "need at least three consecutive ratios (four group orders)"),
-        (fit_from_ratios((1, 1, 2)), "ratios change only at the last step; supply more orders"),
+        (fit_chain_params(orders_of((1, 1, 2))), "ratios change only at the last step; supply more orders"),
     ):
         assert (params.status, params.B, params.C, params.message) == (
             "underdetermined", None, None, message)
@@ -254,7 +267,7 @@ def test_fit_recovers_planted_recursion(b, c, a1):
     ratios = [a1]
     for _ in range(5):
         ratios.append(b * ratios[-1] + c)
-    params = fit_from_ratios(tuple(ratios))
+    params = fit_chain_params(orders_of(ratios))
     assert params.status == "ok" and (params.B, params.C) == (b, c)
 
 
@@ -475,7 +488,7 @@ def constant_chain_payload(levels=5):
 
 def test_constant_chain_passes_with_f_equals_x():
     chain = ingest_chain(constant_chain_payload())
-    assert chain.fitted_params().status == "inconclusive"
+    assert chain.params.status == "inconclusive"
     report = run_suite(chain, "all", 4)
     assert report.passed, [c for c in report.checks if not c.passed]
 
@@ -739,9 +752,9 @@ def test_ingested_chain_fits_its_orders_when_it_is_built(monkeypatch):
     monkeypatch.setattr(verify, "fit_chain_params", lambda orders: fits.append(1) or fit(orders))
     chain = ingest_chain(export_chain(SYM, 5))
     assert len(fits) == 1
-    params = chain.fitted_params()
+    params = chain.params
     assert (params.status, params.B, params.C) == ("ok", 1, 1)
-    assert run_suite(chain, "all", 5).passed and chain.fitted_params() is params
+    assert run_suite(chain, "all", 5).passed and chain.params is params
     assert len(fits) == 1
 
 
