@@ -117,23 +117,6 @@ class BranchingOperator(namedtuple("BranchingOperator", "level domain codomain c
         return self.up(self.down(vec))
 
 
-def _conjugate_pairs(level, sign: int, near: int):
-    """(kept, twins) of a level for ``sign_fold``: only a diagram whose first row
-    exceeds its first column by ``near`` or less is conjugated; other twins are None."""
-    kept, twins, paired = [], [], set()
-    for lam in level:
-        rows, first = len(lam), lam[0] if lam else 0
-        if first < rows or first == rows and lam in paired:
-            continue
-        twin = partitions.conjugate(lam) if first - rows <= near else None
-        if first == rows:
-            paired.add(twin)
-        if twin != lam or sign > 0:
-            kept.append(lam)
-            twins.append(twin)
-    return kept, twins
-
-
 def normalized(vec: dict) -> dict:
     """A vector {label: coefficient} without its zeros, integral Fractions as ints."""
     return {label: c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -456,9 +439,21 @@ class SymmetricChain(Chain):
     class_sign = staticmethod(partitions.class_sign)
 
     def _twin_pairs(self, n: int, sign: int, below: bool) -> tuple:
-        """``_conjugate_pairs``: a kept diagram's children have a first row at most one
-        shorter than their first column, so only such diagrams are paired below."""
-        return _conjugate_pairs(self.basis(n), sign, 1 if below else n)
+        """Only a diagram whose first row exceeds its first column by ``near`` or less gets
+        its conjugate as twin; other twins are None. A kept diagram's children have a first
+        row at most one shorter than their first column, so only such are paired below."""
+        kept, twins, paired, near = [], [], set(), 1 if below else n
+        for lam in self.basis(n):
+            rows, first = len(lam), lam[0] if lam else 0
+            if first < rows or first == rows and lam in paired:
+                continue
+            twin = partitions.conjugate(lam) if first - rows <= near else None
+            if first == rows:
+                paired.add(twin)
+            if twin != lam or sign > 0:
+                kept.append(lam)
+                twins.append(twin)
+        return kept, twins
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
@@ -566,10 +561,10 @@ class WreathChain(Chain):
         return tuple(c.label for c in hgroup.wreath_classes(self.h_table, n, max_order))
 
     def reference_columns(self, n: int, max_order: int | None = None) -> dict:
-        table = self.small_table(n, max_order)
-        rows = [(self.parse_label(lab), values) for lab, _, values in table.irreps]
-        return {self.parse_class(cls): {label: values[j] for label, values in rows if values[j]}
-                for j, (cls, _) in enumerate(table.classes)}
+        table = self.small_table(n, max_order)  # rows in basis order, columns in classes_at order
+        rows = list(zip(self.basis(n), (values for _, _, values in table.irreps), strict=True))
+        return {cls: {label: values[j] for label, values in rows if values[j]}
+                for j, (cls, _) in enumerate(zip(self.classes_at(n, max_order), table.classes, strict=True))}
 
     def trivial_label(self, n: int) -> WreathLabel:
         idx = next(i for i, (_, _, values) in enumerate(self.h_table.irreps) if set(values) == {1})

@@ -77,7 +77,7 @@ def cmd_column(args) -> int:
         "class": chain.format_class(column.class_label),
         "entries": [[lab, v] for lab, v in entries],
     }
-    if args.odd and column.plus_part is not None:
+    if args.odd:
         payload["plusPart"] = [[chain.format_label(lab), v] for lab, v in column.plus_part.items()]
     if args.oracle:
         require_symmetric(chain, "--oracle (the border-strip oracle)")
@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True,
                    help="class label: cycle type like '[3,1,1]' or colored type like '1:[1];-1:[1]'")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--odd", action="store_true", help="route through the reduced operator")
+    p.add_argument("--odd", action="store_true",
+                   help="refuse an even class; add plusPart, the column on the reduced operator's plus basis")
     p.add_argument("--table", default=None,
                    help="GroupTable JSON for the class's own level, replacing the built-in one")
     p.add_argument("--oracle", action="store_true",

@@ -27,7 +27,7 @@ from math import lcm, prod
 from .chain import Chain, FallingFactorialPoly, SymmetricChain, get_chain, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import InvariantError, lift_column_input
-from .partitions import content_sum, is_odd_class
+from .partitions import content_sum
 from .sparse import PackedIdentity
 
 
@@ -130,7 +130,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     fold, with its entries on ``reduced_operator(n).plus_basis`` as ``plus_part``."""
     chain = chain or get_chain("sym")
     require_symmetric(chain, "odd_column")
-    if not is_odd_class(chain.fit_class(tau, n)[0]):
+    if chain.class_sign(chain.fit_class(tau, n)[0]) != -1:
         name = chain.format_class(tau) if tau else "e"  # the identity as typed
         raise ValueError(f"class {name!r} is even; odd_column needs an odd permutation")
     column = character_column(chain, tau, n, max_order, table)

@@ -82,14 +82,12 @@ def lift_column_input(chain: Chain, table: GroupTable, classes: list, n: int) ->
     ``table`` is the character table at the classes' own level k; its irrep
     labels must parse as level-k labels of the chain.
     """
-    inputs, lifted = {}, {}  # irrep label -> its lift, fetched once for all the classes
+    inputs = {}
     for c in classes:
         col, coeffs = table.class_index(chain.format_class(c)), {}
         for label, _, values in table.irreps:
             if chi := values[col]:
-                vec = lifted.get(label) or lifted.setdefault(
-                    label, lift(chain, chain.parse_label(label), n))
-                for w, v in vec.items():
+                for w, v in lift(chain, chain.parse_label(label), n).items():
                     coeffs[w] = coeffs.get(w, 0) + chi * v
         inputs[c] = normalized(coeffs)
     return inputs

@@ -368,7 +368,7 @@ class IngestedChain(Chain):
         """Positions 0, 1, ... for the irreps, whose labels the chain does not list."""
         return tuple(range(self._level(n).basis_size))
 
-    format_label = staticmethod(str)
+    format_label = format_class = staticmethod(str)
 
     def _level(self, n: int) -> IngestedLevel:
         if not self.has_level(n):
@@ -395,9 +395,6 @@ class IngestedChain(Chain):
 
     def identity_class(self, n: int) -> str:
         return self.classes_at(n)[0]
-
-    def format_class(self, cls: str) -> str:
-        return cls
 
     def _class_entry(self, label: str, n: int):
         try:
@@ -640,7 +637,7 @@ def oracle_suite(chain, max_n: int, max_order: int | None = None):
         try:
             reference = chain.reference_columns(n, max_order)
         except SizeBoundError as exc:
-            return checks, [{"level": n, "reason": str(exc)}]
+            return checks, [{"suite": "oracle", "level": n, "reason": str(exc)}]
         classes = chain.classes_at(n, max_order)
         for cls, column in engine.character_columns(chain, classes, n, max_order).items():
             ok, detail = column.coeffs == reference[cls], f"engine equals {chain.reference}"

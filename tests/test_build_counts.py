@@ -13,7 +13,7 @@ from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, Symme
                            WreathChain)
 from charcol.engine import character_column, character_columns, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
-from charcol.partitions import conjugate, enumerate_partitions, is_odd_class, parse_partition
+from charcol.partitions import class_sign, conjugate, enumerate_partitions, parse_partition
 from charcol.sparse import SparseMatrix
 from charcol.verify import (IngestedChain, export_chain, ingest_chain, jeongha_suite,
                             oracle_suite, tasyopari_suite)
@@ -122,7 +122,7 @@ def test_one_sign_runs_on_its_fold_and_both_signs_share_res():
     # a call whose classes have one sign runs on that sign's fold; classes of
     # both signs share one pass on Res, which costs what two half passes do
     n = 10
-    odd = [mu for mu in enumerate_partitions(n) if is_odd_class(mu)]
+    odd = [mu for mu in enumerate_partitions(n) if class_sign(mu) == -1]
     sym = SymmetricChain()
     character_columns(sym, odd, n, factorial(n))
     assert sorted(sym._fold_cache) == [(n, -1)] and not sym._res_cache

@@ -16,7 +16,7 @@ from brute_wreath import by_closure, permutation_product
 from charcol.cli import main
 from charcol.chain import SymmetricChain, get_chain
 from charcol.hgroup import builtin_table, load_table, symmetric_group_table, wreath_classes
-from charcol.partitions import enumerate_partitions, format_partition, is_odd_class
+from charcol.partitions import class_sign, enumerate_partitions, format_partition
 from charcol.verify import export_chain, jsonable
 
 
@@ -516,7 +516,7 @@ def test_column_and_reduced_mckay_outputs_keep_their_bytes(capsys):
             argv = ("column", "--chain", "sym", "--class", format_partition(mu), "--n", str(n),
                     "--max-order", str(factorial(n)))
             add(*argv)
-            if is_odd_class(mu):
+            if class_sign(mu) == -1:
                 add(*argv, "--odd")
         for fmt in ("dot", "json"):
             add("mckay", "--chain", "sym", "--n", str(n), "--reduced", "--format", fmt)

@@ -20,11 +20,11 @@ from charcol.engine import (
 from charcol.hgroup import GroupTable, SizeBoundError, builtin_table
 from charcol.lifting import InvariantError, lift, lift_column_input
 from charcol.partitions import (
+    class_sign,
     class_size,
     conjugate,
     dim_irrep,
     enumerate_partitions,
-    is_odd_class,
     mirrored_order,
     mn_character,
 )
@@ -404,7 +404,7 @@ def test_every_column_of_s1_to_s14_equals_the_oracle_on_its_fold():
         plus_basis = reduced_operator(n).plus_basis
         for mu in enumerate_partitions(n):
             assert character_column(chain, mu, n, max_order).coeffs == reference[mu], (n, mu)
-            if is_odd_class(mu):
+            if class_sign(mu) == -1:
                 column = odd_column(mu, n, chain, max_order)
                 assert column.coeffs == reference[mu], (n, mu)
                 assert column.plus_part == {lam: reference[mu].get(lam, 0) for lam in plus_basis}
@@ -417,14 +417,14 @@ def test_sym_column_workload_classes_equal_the_oracle(cls, n):
     # classes of the benchmark's sym-column ops: parts of 2 and up, 2..7 moved points
     expected = oracle_column(cls, n).coeffs
     assert character_column(SymmetricChain(), cls, n).coeffs == expected
-    if is_odd_class(cls + (1,) * (n - sum(cls))):
+    if class_sign(cls + (1,) * (n - sum(cls))) == -1:
         assert odd_column(cls, n, SymmetricChain()).coeffs == expected
 
 
 def test_odd_column_equals_full_column():
     for n in range(2, 8):
         for mu in enumerate_partitions(n):
-            if is_odd_class(mu):
+            if class_sign(mu) == -1:
                 assert odd_column(mu, n).coeffs == character_column(SYM, mu, n).coeffs
 
 

@@ -338,6 +338,7 @@ def test_z2_oracle_suite_stops_at_the_order_bound():
     assert report.checks == below.checks
     # Z2 wr S_6 has order 46080: level 6 is reported as skipped, with the bound's message
     assert report.skipped == [{
+        "suite": "oracle",
         "level": 6,
         "reason": "Z2 wr S_6 has order 46080, above the bound 10000; raise it via "
         "--max-order / CHARCOL_MAX_ORDER or supply the table as GroupTable JSON",
@@ -352,9 +353,17 @@ def test_sym_oracle_suite_skips_the_first_level_above_the_order_bound():
     assert report.passed
     assert len(report.checks) == sum(len(enumerate_partitions(n)) for n in range(1, 8)) == 44
     assert all(c.passed for c in report.checks)
-    assert [entry["level"] for entry in report.skipped] == [8]
+    assert [(entry["suite"], entry["level"]) for entry in report.skipped] == [("oracle", 8)]
     assert report.skipped[0]["reason"].startswith("S_8 has order 40320, above the bound 10000")
     assert report.checks == run_suite(SYM, "oracle", 7).checks
+
+
+def test_every_skipped_entry_of_an_all_report_names_its_suite():
+    # z2wreath's level 6 is above the order bound for both jeongha and the oracle
+    for chain, top, expected in ((SYM, 8, [("oracle", 8)]), (Z2C, 7, [("jeongha", 6), ("oracle", 6)])):
+        skipped = run_suite(chain, "all", top).skipped
+        assert all("suite" in entry for entry in skipped), chain.id
+        assert [(entry["suite"], entry["level"]) for entry in skipped] == expected
 
 
 # -- class sizes up and down the chain ----------------------------------------------
