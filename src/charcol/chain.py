@@ -133,13 +133,8 @@ class FallingFactorialPoly(namedtuple("FallingFactorialPoly", "roots leading", d
         return len(self.roots)
 
     def value(self, x) -> int | Fraction:
-        """f_l(x) in integers: an int for an int x and an integral leading coefficient,
-        else for x = p/q the Fraction leading * prod (p - r q) / q^l, reduced once."""
-        if type(x) is int and self.leading.denominator == 1:
-            return self.leading.numerator * prod(x - r for r in self.roots)
-        p, q = Fraction(x).as_integer_ratio()
-        return Fraction(self.leading.numerator * prod(p - r * q for r in self.roots),
-                        self.leading.denominator * q ** len(self.roots))
+        """f_l(x) = leading * prod (x - r): an int when x and the leading coefficient are."""
+        return self.leading * prod(x - r for r in self.roots)
 
     def apply(self, times_x, vec: list) -> list:
         """(X - r_l)...(X - r_1) (leading * v) on a dense vector, roots in

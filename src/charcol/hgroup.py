@@ -412,31 +412,19 @@ def enumerate_wreath_labels(num_h_irreps: int, n: int) -> tuple[WreathLabel, ...
     partition descending lexicographically, a prefix before its extensions."""
     if n == 0:
         return ((),)
-    return tuple(tuple(zip(support, parts)) for support in _supports(0, num_h_irreps, n)
+    supports = sorted(c for size in range(1, n + 1) for c in itertools.combinations(range(num_h_irreps), size))
+    return tuple(tuple(zip(support, parts)) for support in supports
                  for parts in _slot_partitions(n, len(support)))
-
-
-def _supports(start: int, stop: int, most: int) -> list:
-    """Nonempty increasing tuples of at most ``most`` indices in [start, stop)."""
-    return [(i,) + rest for i in range(start, stop)
-            for rest in [()] + (_supports(i + 1, stop, most - 1) if most > 1 else [])]
 
 
 def _slot_partitions(n: int, slots: int) -> list:
     """Tuples of ``slots`` nonempty partitions of total size n, in label order."""
     if slots == 1:
         return [(part,) for part in enumerate_partitions(n)]
-    return [(part,) + rest for part in _partitions_upto(n - slots + 1, n)
-            for rest in _slot_partitions(n - sum(part), slots - 1)]
-
-
-@lru_cache(maxsize=None)
-def _partitions_upto(high: int, top: int) -> tuple[Partition, ...]:
-    """Nonempty partitions of size at most ``high`` with parts at most ``top``,
-    in descending lexicographic order, each before its extensions."""
-    return tuple(itertools.chain.from_iterable(
-        [(a,)] + [(a,) + rest for rest in _partitions_upto(high - a, a)]
-        for a in range(min(top, high), 0, -1)))
+    # sorted by negated parts: descending lexicographically, a prefix before its extensions
+    firsts = sorted((part for size in range(1, n - slots + 2) for part in enumerate_partitions(size)),
+                    key=lambda part: [-p for p in part])
+    return [(part,) + rest for part in firsts for rest in _slot_partitions(n - sum(part), slots - 1)]
 
 
 def wreath_irrep_dim(h_table: GroupTable, label: WreathLabel) -> int:

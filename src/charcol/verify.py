@@ -93,8 +93,8 @@ class ChainParams(namedtuple("ChainParams", "status B C message", defaults=(None
 
     def poly(self, l: int) -> FallingFactorialPoly:
         """The predicted f_l: roots C(1 + B + ... + B^(j-1)) for j < l (the
-        first is 0), leading coefficient B^(-l(l-1)/2); f_l = X for the
-        constant chain."""
+        first is 0), leading coefficient B^(-l(l-1)/2), an int when that is
+        +-1, so f_l(x) stays in ints; f_l = X for the constant chain."""
         if l < 0:
             raise ValueError("l must be non-negative")
         if self.status == "inconclusive":
@@ -102,7 +102,8 @@ class ChainParams(namedtuple("ChainParams", "status B C message", defaults=(None
         if self.status != "ok":
             raise ValueError(f"no f_l from an order fit with status {self.status}")
         roots = tuple(self.C * sum(self.B**i for i in range(j)) for j in range(l))
-        return FallingFactorialPoly(roots, Fraction(1, self.B ** (l * (l - 1) // 2)))
+        leading = Fraction(1, self.B ** (l * (l - 1) // 2))
+        return FallingFactorialPoly(roots, leading.numerator if leading.denominator == 1 else leading)
 
 
 def fit_chain_params(orders) -> ChainParams:
@@ -207,9 +208,9 @@ class IngestError(ValueError):
     pass
 
 
-class IngestedLevel(namedtuple("IngestedLevel", "order basis_size res classes")):
-    """A checked level: its Res (positions as labels; the lowest level's maps onto
-    the empty ring) and its classes {label: (size, embedsTo)} as listed, or None."""
+class IngestedLevel(namedtuple("IngestedLevel", "order res classes")):
+    """A checked level: its Res (positions as labels, its domain the basis; the lowest level's
+    maps onto the empty ring) and its classes {label: (size, embedsTo)} as listed, or None."""
 
 
 def _parse_level(pos: int, raw) -> tuple:
@@ -283,7 +284,7 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
     lowest level, whose Res, if listed, has no rows): Res's shape, its rank and
     each entry's bound are checked on the listed entries before Res is built."""
     n, order, basis_size, entries, classes = parsed
-    rows = below.basis_size if below else 0
+    rows = len(below.res.domain) if below else 0
     if entries is not None and any(not (0 <= r < rows and 0 <= c < basis_size)
                                    for r, c, _ in entries):
         raise IngestError(f"Res at level {n} has entries outside its {rows}x{basis_size} shape")
@@ -319,7 +320,7 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
         for lab in (lab for lab, (size, _) in classes.items() if inside[lab] > size):
             raise IngestError(f"level {n}: the classes embedding into {lab!r} hold "
                               f"{inside[lab]} elements, more than its {classes[lab][0]}")
-    return IngestedLevel(order, basis_size, res, classes)
+    return IngestedLevel(order, res, classes)
 
 
 class IngestedChain(Chain):
@@ -366,7 +367,7 @@ class IngestedChain(Chain):
 
     def basis(self, n: int) -> tuple:
         """Positions 0, 1, ... for the irreps, whose labels the chain does not list."""
-        return tuple(range(self._level(n).basis_size))
+        return self._level(n).res.domain
 
     format_label = format_class = staticmethod(str)
 
@@ -405,8 +406,10 @@ class IngestedChain(Chain):
     def _class_size_from(self, label: str, m: int, j: int) -> int:
         if j < m:
             self._class_entry(label, m)  # h must be a class at level m
-            return sum(self.class_size_from(lab, m - 1, j)
-                       for lab, (_, up) in self._classes(m - 1).items() if up == label)
+            below = self._classes(m - 1)
+            for lab in (lab for lab, (_, up) in below.items() if up is None):
+                raise IngestError(f"class {lab!r} at level {m - 1} has no embedding to level {m}")
+            return sum(self.class_size_from(lab, m - 1, j) for lab, (_, up) in below.items() if up == label)
         current = label
         for level in range(m, j):
             current = self._class_entry(current, level)[1]
@@ -614,8 +617,9 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
         top = max_n - 1 if chain.group_order(1) == 1 else max_n
         for l in range(1, min(5, top) + 1):
             report = roots_vs_characters(chain, l, max_order)
-            if not report["evaluable"]:  # no class data at the level the verdict needs
-                classes(report["preferred_level"])  # under skipped, with the reason
+            if not report["evaluable"]:  # the verdict's level has no values: skipped, with the reason
+                if chain.has_level(report["preferred_level"]):
+                    dropped.setdefault(report["preferred_level"], report["error"])
                 continue
             checks.append(CheckResult(
                 f"roots-vs-characters l={l}", report["passed"],

@@ -83,6 +83,15 @@ def test_column_bad_label_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("cls, message", [
+    ("1[2]", "cannot parse wreath label '1[2]': missing ':' in '1[2]'"),
+    ("1:[]", "empty partition in wreath label '1:[]'"),
+])
+def test_column_bad_wreath_label_is_usage_error(capsys, cls, message):
+    code, out, err = run(capsys, "column", "--chain", "z2wreath", "--class", cls, "--n", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # the last two cores fit at level n, the classes with their fixed points do not
 @pytest.mark.parametrize("spec, cls, n", [("sym", "[3,1]", 2), ("z2wreath", "1:[2]", 1),
                                           ("sym", "[2,1,1,1]", 2), ("z2wreath", "1:[1,1,1]", 1)])
@@ -815,14 +824,15 @@ COMMANDS = {
 def spec_files(tmp_path_factory):
     """A file of each kind a --chain spec may name: S_3's table from ``table``,
     the chain ``verify --export`` writes, a file that is no JSON, and JSON of
-    neither format."""
+    neither format: an object with other keys, and a list."""
     root = tmp_path_factory.mktemp("specs")
-    files = {kind: str(root / f"{kind}.json") for kind in ("table", "chain", "text", "neither")}
+    files = {kind: str(root / f"{kind}.json") for kind in ("table", "chain", "text", "neither", "list")}
     assert main(["table", "--chain", "sym", "--k", "3", "--out", files["table"]]) == 0
     assert main(["verify", "--chain", "sym", "--maxN", "4", "--export", files["chain"],
                  "--out", os.devnull]) == 0
     Path(files["text"]).write_text("not json\n")
     Path(files["neither"]).write_text(json.dumps({"name": "S3", "order": 6}))
+    Path(files["list"]).write_text(json.dumps([{"levels": []}]))
     return files
 
 
@@ -835,6 +845,7 @@ LOADER_EXITS = {
     "chain": {"column": 2, "lift": 2, "indres": 0, "mckay": 0, "table": 2, "verify": 0},
     "text": dict.fromkeys(COMMANDS, 2),
     "neither": dict.fromkeys(COMMANDS, 2),
+    "list": dict.fromkeys(COMMANDS, 2),
 }
 
 
@@ -849,8 +860,10 @@ def test_every_command_reads_a_chain_spec_the_same_way(capsys, spec_files, kind,
         assert "Traceback" not in err
     else:
         assert out and err == ""
-    if kind in ("text", "neither"):
+    if kind in ("text", "neither", "list"):
         assert err.startswith(f"error: {spec} is neither {FORMATS}: ")
+    if kind == "list":
+        assert err.endswith(": it holds a JSON list\n")
     if kind == "chain" and code:
         assert err == (f"error: {command} needs irrep labels, and the ingested chain 'sym' "
                        "lists positions instead\n")

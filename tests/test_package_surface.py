@@ -160,7 +160,7 @@ def test_only_chain_imports_sparse_matrix():
 
 # The most lines ``src/charcol/*.py`` may hold together. Lower it when the
 # package shrinks; raise it only with a capability that needs the lines.
-MAX_SRC_LINES = 2724
+MAX_SRC_LINES = 2711
 
 
 def test_package_does_not_grow():

@@ -178,6 +178,17 @@ def test_fit_hypothetical_ratios():
     assert params.poly(2).value(9) == Fraction(9 * 10, 2)  # (1/B) x (x - C) at x = 9
 
 
+def test_fitted_poly_has_an_int_leading_coefficient_when_it_is_one_or_minus_one():
+    # B = -1, so B^(-l(l-1)/2) is +-1 and the class constraints stay in ints
+    params = fit_chain_params(orders_of((2, 3, 2, 3)))
+    assert (params.status, params.B, params.C) == ("ok", -1, 5)
+    polys = [params.poly(l) for l in range(5)]
+    assert [poly.leading for poly in polys] == [1, 1, -1, -1, 1]
+    assert all(type(poly.leading) is int and type(poly.value(7)) is int for poly in polys)
+    with pytest.raises(ValueError, match="^l must be non-negative$"):
+        params.poly(-1)
+
+
 def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
     # B = 2, so f_l has leading coefficient 2^(-l(l-1)/2): apply, matrix and
     # value must agree on it
@@ -193,17 +204,17 @@ def test_fitted_poly_with_leading_coefficient_evaluates_consistently():
 
 
 def test_poly_value_in_integers_equals_the_product_in_fractions():
-    # value reduces leading * prod (p - r q) / q^l once; the reference
-    # multiplies the factors x - r as Fractions. The suites' characters are
-    # integers, so the denominators are exercised here, and the int path at 0
+    # the reference multiplies the factors x - r one at a time. The suites'
+    # characters are integers, so Fraction arguments are exercised here, and
+    # the int path at 0
     params = fit_chain_params(orders_of((2, 3, 5, 9)))
     for x in (Fraction(7, 3), Fraction(-5, 4), Fraction(9), 0):
         for poly in [params.poly(l) for l in range(5)] + [SYM.poly(3), Z2C.poly(4)]:
             expected = poly.leading
             for root in poly.roots:
                 expected *= x - root
-            # an int x under an integral leading coefficient stays in ints
-            kind = int if type(x) is int and poly.leading.denominator == 1 else Fraction
+            # value has the reference's type: an int x under an int leading coefficient stays in ints
+            kind = type(expected)
             assert poly.value(x) == expected and type(poly.value(x)) is kind, (x, poly)
 
 
@@ -473,6 +484,11 @@ def test_ind_t_character_needs_class_data_one_level_down():
     assert chain.ind_t_character("[2,1,1]", 4) == 2  # levels 3 and 4 have theirs
     with pytest.raises(IngestError, match="no class '\\[9\\]' at level 4"):
         chain.ind_t_character("[9]", 4)
+    # a class one level down without its embedding leaves the sum unknown, as a gap does
+    payload = export_chain(SYM, 4)
+    next(c for c in payload["levels"][2]["classes"] if c["label"] == "[2]")["embedsTo"] = None
+    with pytest.raises(IngestError, match=re.escape("class '[2]' at level 2 has no embedding to level 3")):
+        ingest_chain(payload).ind_t_character("[2,1]", 3)
 
 
 def constant_chain_payload(levels=5):
@@ -884,6 +900,35 @@ def test_partial_class_data_degrades_gracefully():
     assert not any("n=5 l=4" in c.name for c in report.checks if "class-constraint" in c.name)
 
 
+def single_gap_payloads(payload):
+    """Copies of an export with one gap each: a level without its classes, or
+    one class without its embedsTo."""
+    for pos, level in enumerate(payload["levels"]):
+        for i in [None] + [i for i, c in enumerate(level["classes"]) if "embedsTo" in c]:
+            spoiled = json.loads(json.dumps(payload))
+            if i is None:
+                del spoiled["levels"][pos]["classes"]
+            else:
+                spoiled["levels"][pos]["classes"][i]["embedsTo"] = None
+            yield spoiled
+
+
+@pytest.mark.parametrize("chain, top, variants", [(SYM, 6, 26), (Z2C, 4, 23)], ids=["sym", "z2wreath"])
+def test_every_single_class_data_gap_is_skipped_not_failed(chain, top, variants):
+    # a gap once read as a class of no elements, and failed roots checks, or
+    # dropped a roots check without a skipped entry; each gap now fails no check,
+    # and each roots l is a check or a skipped entry at the level it reads
+    shift = 1 if chain.group_order(1) == 1 else 0
+    count = 0
+    for count, payload in enumerate(single_gap_payloads(export_chain(chain, top)), 1):
+        report = run_suite(ingest_chain(payload), "jeongha", top)
+        assert report.passed, (count, [c.name for c in report.checks if not c.passed])
+        names, skipped = {c.name for c in report.checks}, {entry["level"] for entry in report.skipped}
+        for l in range(1, min(5, top - shift) + 1):
+            assert f"roots-vs-characters l={l}" in names or l + shift in skipped, (count, l)
+    assert count == variants
+
+
 def test_roots_report_marks_unavailable_levels():
     payload = export_chain(SYM, 4)
     for lv in payload["levels"]:
@@ -893,6 +938,21 @@ def test_roots_report_marks_unavailable_levels():
     report = roots_vs_characters(chain, 3)  # preferred level 4 has no class data
     assert report["preferred_level"] == 4
     assert not report["evaluable"]
+
+
+def test_the_class_checks_refuse_a_level_they_cannot_read():
+    with pytest.raises(ValueError, match="^level n - l = -1 is below the chain's lowest level 0$"):
+        jeongha_class_constraint(SYM, (), 2, 3)
+    # Z2 wr S_n from n = 1, renumbered from 0: G_0 = Z2 is not trivial
+    payload = export_chain(Z2C, 4)
+    del payload["levels"][0]
+    del payload["levels"][0]["res"]
+    for level in payload["levels"]:
+        level["n"] -= 1
+    chain = ingest_chain(payload)
+    assert chain.group_order(0) == 2
+    with pytest.raises(ValueError, match="^root/character correspondence needs G_0 trivial$"):
+        roots_vs_characters(chain, 1)
 
 
 @pytest.mark.parametrize("shift", [-1, 2])
@@ -1179,9 +1239,10 @@ SUITE_SKIPS = {
 }
 # partial-classes lists no classes at levels 1 and 4: jeongha drops those levels'
 # classes and the checks of the classes at levels 0, 2 and 3 that walk through
-# them, and names each level once, with the first reason
+# them, and names each level once, with the first reason; roots-vs-characters
+# l=4 reads level 5, whose class sizes sum over level 4, so level 5 is skipped too
 PARTIAL_CLASS_SKIPS = [{"suite": "jeongha", "level": m,
-                        "reason": f"level {1 if m < 2 else 4} has no class data"} for m in range(5)]
+                        "reason": f"level {1 if m < 2 else 4} has no class data"} for m in range(6)]
 
 
 @pytest.mark.parametrize("chain_name", list(REPORT_CHAINS))
