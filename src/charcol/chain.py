@@ -63,7 +63,7 @@ def _transpose(edges, size: int) -> list:
     return out
 
 
-class BranchingOperator(namedtuple("BranchingOperator", "level domain codomain children "
+class BranchingOperator(namedtuple("BranchingOperator", "domain codomain children "
                                    "mirror minus up_edges up_minus bound", defaults=((), (), (), (), 0))):
     """Res at level n as branching-graph edges: ``children[j]`` lists the level-(n-1)
     positions under level-n position j, m times for multiplicity m. A ``sign_fold``
@@ -87,12 +87,11 @@ class BranchingOperator(namedtuple("BranchingOperator", "level domain codomain c
         return self.bound or max(map(len, self.children), default=0) * max(map(len, self.parents), default=0)
 
     @classmethod
-    def from_entries(cls, level: int, domain: tuple, codomain: tuple,
-                     entries) -> "BranchingOperator":
+    def from_entries(cls, domain: tuple, codomain: tuple, entries) -> "BranchingOperator":
         """Res from its (row, col, multiplicity) entries: an entry of value v
         lists row r under column c v times."""
         children = _transpose(((r, [c] * v) for r, c, v in entries), len(domain))
-        return cls(level, domain, codomain, tuple(map(tuple, children)))
+        return cls(domain, codomain, tuple(map(tuple, children)))
 
     def entries(self) -> list:
         """The (row, col, multiplicity) counts of the edges, sorted by (row, col)."""
@@ -208,7 +207,7 @@ class Chain:
             row = {}.__getitem__ if lowest else self.basis_index(n - 1).__getitem__  # no child at 0
             children = tuple(tuple(map(row, self._children(p))) for p in self.basis(n))
             below = () if lowest else self.basis(n - 1)
-            self._res_cache[n] = BranchingOperator(n, self.basis(n), below, children)
+            self._res_cache[n] = BranchingOperator(self.basis(n), below, children)
         return self._res_cache[n]
 
     def ind_res(self, n: int) -> SparseMatrix:
@@ -383,7 +382,7 @@ class Chain:
             down = tuple(tuple(at[c] for c in self._children(lam) if c in at) if lam == twin else tuple(d)
                          for d, lam, twin in zip(down, kept, twins))
             self._fold_cache[n, sign] = BranchingOperator(
-                n, tuple(kept), tuple(below), down, tuple(twins), tuple(down_minus),
+                tuple(kept), tuple(below), down, tuple(twins), tuple(down_minus),
                 tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js), bound)
         return self._fold_cache[n, sign]
 

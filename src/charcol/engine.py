@@ -31,7 +31,7 @@ from .partitions import content_sum
 from .sparse import PackedIdentity
 
 
-class CharacterColumn(namedtuple("CharacterColumn", "chain_id level class_label coeffs plus_part",
+class CharacterColumn(namedtuple("CharacterColumn", "level class_label coeffs plus_part",
                                  defaults=(None,))):
     """A full character-table column delta_h as a vector ``coeffs`` over the irrep
     basis of ``level``, for ``class_label``, the class embedded at ``level``;
@@ -91,7 +91,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
                         raise InvariantError(f"non-integral column of {chain.format_class(given[0])} "
                                              f"at level {n}")
                     coeffs[twin], coeffs[lam], norm = sign * q, q, norm + (q * q << (twin != lam))
-            column = CharacterColumn(chain.id, n, chain.pad_core(core, k, n), coeffs)
+            column = CharacterColumn(n, chain.pad_core(core, k, n), coeffs)
             if (trivial := coeffs.get(chain.trivial_label(n), 0)) != 1:
                 raise InvariantError(f"column's trivial-irrep entry is {trivial}, not 1")
             if norm != (expected := chain.group_order(n) // chain.class_size(column.class_label)):

@@ -73,8 +73,6 @@ class SizeBoundError(RuntimeError):
     """
 
     def __init__(self, order: int, bound: int, what: str):
-        self.order = order
-        self.bound = bound
         super().__init__(
             f"{what} has order {order}, above the bound {bound}; raise it via "
             f"--max-order / {MAX_ORDER_ENV} or supply the table as GroupTable JSON"

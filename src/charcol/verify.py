@@ -34,7 +34,7 @@ def oracle_column(mu: Partition, n: int):
     border-strip oracle alone."""
     full = pad_with_fixed_points(tuple(sorted(mu, reverse=True)), n)
     coeffs = border_strip_column(full, enumerate_partitions(n))
-    return engine.CharacterColumn("sym", n, full, coeffs)
+    return engine.CharacterColumn(n, full, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +56,10 @@ class CheckResult(namedtuple("CheckResult", "name passed detail lhs rhs", defaul
 
 
 def jsonable(value):
-    """An exact scalar, or a list of them, as JSON: a non-integral Fraction
-    becomes the string "p/q", an integral one an int."""
+    """An exact scalar as JSON: a non-integral Fraction becomes the string
+    "p/q", an integral one an int."""
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else int(value)
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
     return value
 
 
@@ -109,11 +107,13 @@ class ChainParams(namedtuple("ChainParams", "status B C message", defaults=(None
 def fit_chain_params(orders) -> ChainParams:
     """Fit (B, C) to the ratios a_n = |G_n| / |G_{n-1}| of orders |G_0|, |G_1|, ...
 
-    An order below 1, a ratio that does not divide (Lagrange) or a non-integer B
-    is a constraint violation, constant ratios are inconclusive (the constant
-    chain), too few orders to fix B and C underdetermined.
+    An order that is not an int or is below 1, a ratio that does not divide
+    (Lagrange) or a non-integer B is a constraint violation, constant ratios are
+    inconclusive (the constant chain), too few orders to fix B and C underdetermined.
     """
-    orders = tuple(int(x) for x in orders)
+    orders = tuple(orders)
+    if (bad := next((i for i, o in enumerate(orders) if type(o) is not int), None)) is not None:
+        return ChainParams("violation", message=f"|G_{bad}| = {orders[bad]!r}: a group order is an integer")
     if (low := next((i for i, o in enumerate(orders) if o < 1), None)) is not None:
         return ChainParams("violation", message=f"|G_{low}| = {orders[low]}: every group has its identity")
     if len(orders) < 4:
@@ -245,8 +245,8 @@ def _parse_level(pos: int, raw) -> tuple:
     return n, order, basis_size, entries, classes
 
 
-def row_rank(nrows: int, ncols: int, entries) -> int:
-    """Exact rank over Q of the nrows x ncols integer matrix with the given
+def row_rank(nrows: int, entries) -> int:
+    """Exact rank over Q of the integer matrix with nrows rows and the given
     (row, col, value) entries, eliminated on the listed nonzeros: each row, a
     dict {col: value}, is reduced by the kept row with the same leading column
     until its leading column is new (it is kept) or it is empty. Each step
@@ -291,7 +291,7 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
     if below is not None:
         if entries is None:
             raise IngestError(f"level {n} is missing its Res matrix")
-        rank = row_rank(rows, basis_size, entries)
+        rank = row_rank(rows, entries)
         if rank != rows:
             raise IngestError(f"not a surjective chain: Res at level {n} "
                               f"has row rank {rank} < {rows}")
@@ -301,7 +301,7 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
                 raise IngestError(
                     f"not a chain of groups: Res at level {n} has entry {v} at ({r}, {c}), "
                     f"but v^2 |G_{n - 1}| = {v * v * below.order} > |G_{n}| = {order}")
-    res = BranchingOperator.from_entries(n, tuple(range(basis_size)), tuple(range(rows)), entries or ())
+    res = BranchingOperator.from_entries(tuple(range(basis_size)), tuple(range(rows)), entries or ())
     if classes is not None:
         total = sum(size for size, _ in classes.values())
         if total != order:
@@ -576,7 +576,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
 
     def classes(m: int) -> tuple:
         try:
-            return chain.classes_at(m, max_order) if chain.has_level(m) else ()
+            return chain.classes_at(m, max_order)
         except (SizeBoundError, IngestError) as exc:  # above the order bound, or no class data at m
             dropped.setdefault(m, str(exc))
         return ()
@@ -624,7 +624,7 @@ def jeongha_suite(chain, max_n: int, max_order: int | None = None):
             checks.append(CheckResult(
                 f"roots-vs-characters l={l}", report["passed"],
                 detail=f"preferred level {report['preferred_level']}, "
-                f"roots {jsonable(report['roots'])}",
+                f"roots {report['roots']}",
             ))
     return checks, [{"suite": "jeongha", "level": m, "reason": why} for m, why in sorted(dropped.items())]
 

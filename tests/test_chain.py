@@ -191,7 +191,7 @@ def test_res_full_row_rank():
     for chain, top in ((fresh_sym(), 10), (fresh_z2(), 5)):
         for n in range(1, top + 1):
             op = chain.res_operator(n)
-            rank = row_rank(len(op.codomain), len(op.domain), op.entries())
+            rank = row_rank(len(op.codomain), op.entries())
             assert rank == len(op.codomain), (chain.id, n)
 
 

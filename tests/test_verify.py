@@ -259,6 +259,16 @@ def test_fit_refuses_orders_below_one():
         assert fit_chain_params(orders) == ("violation", None, None, message)
 
 
+def test_fit_refuses_orders_that_are_not_ints():
+    # a float or string order was truncated by int() and read as S_n's orders,
+    # an "ok" fit with (B, C) = (1, 1); a bool is no order either
+    for orders, message in (((1, 1, 2, 6.9), "|G_3| = 6.9: a group order is an integer"),
+                            (("1", "1", "2", "6"), "|G_0| = '1': a group order is an integer"),
+                            ((1, True, 2, 6), "|G_1| = True: a group order is an integer")):
+        assert fit_chain_params(orders) == ("violation", None, None, message)
+    assert fit_chain_params((1, 1, 2, 6))[:3] == ("ok", 1, 1)
+
+
 def test_fit_needs_four_orders():
     # too few orders, or ratios that change only at the last step, fix no
     # (B, C): the fit is underdetermined, a failed fit rather than an error
@@ -558,15 +568,15 @@ def test_rank_deficient_res_rejected_with_its_rank_computed_once(monkeypatch):
     ranked = []
     row_rank = verify.row_rank
 
-    def counting(nrows, ncols, entries):
-        ranked.append((nrows, ncols))
-        return row_rank(nrows, ncols, entries)
+    def counting(nrows, entries):
+        ranked.append(nrows)
+        return row_rank(nrows, entries)
 
     monkeypatch.setattr(verify, "row_rank", counting)
     with pytest.raises(IngestError) as excinfo:
         ingest_chain(bad)
     assert str(excinfo.value) == "not a surjective chain: Res at level 2 has row rank 1 < 2"
-    assert ranked == [(1, 2), (2, 3)]
+    assert ranked == [1, 2]
 
 
 @pytest.mark.parametrize("value, accepted", [(2, True), (3, False)])
@@ -592,16 +602,16 @@ def test_a_huge_res_value_is_refused_before_it_is_expanded(monkeypatch):
     built = []
     from_entries = BranchingOperator.from_entries.__func__
 
-    def counting(cls, level, *args):
-        built.append(level)
-        return from_entries(cls, level, *args)
+    def counting(cls, *args):
+        built.append(args)
+        return from_entries(cls, *args)
 
     monkeypatch.setattr(BranchingOperator, "from_entries", classmethod(counting))
     message = ("not a chain of groups: Res at level 3 has entry 1000000 at (0, 0), "
                "but v^2 |G_2| = 2000000000000 > |G_3| = 6")
     with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
         ingest_chain(payload)
-    assert built == [0, 1, 2]  # level 0's Res maps onto the empty ring
+    assert len(built) == 3  # levels 0 to 2; level 0's Res maps onto the empty ring
 
 
 def test_dimension_mismatch_rejected():
@@ -1146,6 +1156,22 @@ def test_lifts_suite_catches_bad_padding_with_and_without_asserts(flags):
     assert out.split() == ["7", "12"]
 
 
+def test_lifts_suite_reports_each_failed_lift_in_process():
+    chain = SymmetricChain()
+    pad = chain.pad_first_row
+    chain.pad_first_row = lambda label, n: (pad(label, n)[0], 2)
+    report = run_suite(chain, "lifts", 3)
+    failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+    assert not report.passed and len(report.checks) == 7
+    assert failed == [
+        ("lift-exactness k=0 label=[]", "padding of () at level 1 restricts with coefficient 1, expected 1/2"),
+        ("lift-exactness k=1 label=[1]", "padding of (1,) at level 2 restricts with coefficient 1, expected 1/2"),
+        ("lift-exactness k=2 label=[2]", "padding of (2,) at level 3 restricts with coefficient 1, expected 1/2"),
+        ("lift-exactness k=2 label=[1,1]",
+         "padding of (1, 1) at level 3 restricts with coefficient 1, expected 1/2"),
+    ]
+
+
 def test_heisenberg_suite_z2_to_four():
     report = run_suite(Z2C, "heisenberg", 4)
     assert report.passed
@@ -1317,6 +1343,6 @@ def test_ingestion_rebuilds_the_branching_edges(spec, top):
         assert [sorted(c) for c in again.children] == [sorted(c) for c in op.children], n
         assert again.x_norm_bound == op.x_norm_bound and again.matrix == op.matrix, n
         assert again.entries() == op.entries(), n
-        assert verify.row_rank(len(op.codomain), len(op.domain), op.entries()) == len(op.codomain)
+        assert verify.row_rank(len(op.codomain), op.entries()) == len(op.codomain)
         order_below, order = chain.group_order(n - 1), chain.group_order(n)
         assert all(v * v * order_below <= order for _, _, v in op.entries()), n
