@@ -200,10 +200,8 @@ class Chain:
 
     def res_operator(self, n: int) -> BranchingOperator:
         """Res at level n; at the lowest level it maps onto the empty lower ring."""
-        if not self.has_level(n):
-            raise ValueError(f"chain {self.id!r} has no level {n}")
         if n not in self._res_cache:
-            lowest = n == self.min_n
+            lowest = self.check_level(n) == self.min_n
             row = {}.__getitem__ if lowest else self.basis_index(n - 1).__getitem__  # no child at 0
             children = tuple(tuple(map(row, self._children(p))) for p in self.basis(n))
             below = () if lowest else self.basis(n - 1)
@@ -223,6 +221,12 @@ class Chain:
 
     def has_level(self, n: int) -> bool:
         return self.min_n <= n <= self.max_n
+
+    def check_level(self, n: int) -> int:
+        """n, or the ValueError every command prints for a level the chain does not have."""
+        if not self.has_level(n):
+            raise ValueError(f"chain {self.id!r} has no level {n}")
+        return n
 
     def level_range(self, top: int) -> range:
         """The levels above the lowest one, up to top and the chain's own top,
@@ -400,24 +404,15 @@ class SymmetricChain(Chain):
 
     _children = staticmethod(partitions.remove_one_box)
 
-    def label_level(self, label: Partition) -> int:
-        return sum(label)
+    label_level = staticmethod(sum)
 
     def pad_first_row(self, label: Partition, n: int):
         padded = (label[0] + n - sum(label),) + label[1:] if label else (n,)
         return padded, 1
 
-    def format_label(self, label: Partition) -> str:
-        return partitions.format_partition(label)
-
-    def parse_label(self, text: str) -> Partition:
-        return partitions.parse_partition(text)
-
-    format_class = format_label
-    parse_class = parse_label
-
-    def group_order(self, n: int) -> int:
-        return factorial(n)
+    format_label = format_class = staticmethod(partitions.format_partition)
+    parse_label = parse_class = staticmethod(partitions.parse_partition)
+    group_order = staticmethod(factorial)
 
     def small_table(self, k: int, max_order: int | None = None) -> GroupTable:
         return hgroup.symmetric_group_table(k, max_order)

@@ -131,9 +131,7 @@ def cmd_mckay(args) -> int:
 
 def cmd_table(args) -> int:
     chain = _labelled(load_chain(args.chain), "table")
-    if not chain.has_level(args.k):
-        raise ValueError(f"chain {chain.id!r} has no level {args.k}")
-    table = chain.small_table(args.k, args.max_order)
+    table = chain.small_table(chain.check_level(args.k), args.max_order)
     if args.format == "csv":  # a header row of class labels, then one row per irrep
         header = ["", *(lab for lab, _ in table.classes)]
         _write(args, "", [header, *([lab, *values] for lab, _, values in table.irreps)])

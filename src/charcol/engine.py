@@ -31,11 +31,9 @@ from .partitions import content_sum
 from .sparse import PackedIdentity
 
 
-class CharacterColumn(namedtuple("CharacterColumn", "level class_label coeffs plus_part",
-                                 defaults=(None,))):
-    """A full character-table column delta_h as a vector ``coeffs`` over the irrep
-    basis of ``level``, for ``class_label``, the class embedded at ``level``;
-    ``odd_column`` sets ``plus_part``."""
+class CharacterColumn(namedtuple("CharacterColumn", "class_label coeffs plus_part", defaults=(None,))):
+    """A full character-table column delta_h as a vector ``coeffs`` over the irrep basis of
+    ``class_label``'s level, the class embedded there; ``odd_column`` sets ``plus_part``."""
 
 
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
@@ -91,7 +89,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
                         raise InvariantError(f"non-integral column of {chain.format_class(given[0])} "
                                              f"at level {n}")
                     coeffs[twin], coeffs[lam], norm = sign * q, q, norm + (q * q << (twin != lam))
-            column = CharacterColumn(n, chain.pad_core(core, k, n), coeffs)
+            column = CharacterColumn(chain.pad_core(core, k, n), coeffs)
             if (trivial := coeffs.get(chain.trivial_label(n), 0)) != 1:
                 raise InvariantError(f"column's trivial-irrep entry is {trivial}, not 1")
             if norm != (expected := chain.group_order(n) // chain.class_size(column.class_label)):

@@ -94,7 +94,7 @@ def order_bound(max_order: int | None) -> int:
     where, given, bound = None, None, DEFAULT_MAX_ORDER
     if max_order is not None:
         where, given = "max_order", max_order
-        bound = max_order if isinstance(max_order, int) else None
+        bound = max_order if type(max_order) is int else None
     elif env:
         where, given = MAX_ORDER_ENV, env
         try:
@@ -408,6 +408,8 @@ def enumerate_wreath_labels(num_h_irreps: int, n: int) -> tuple[WreathLabel, ...
     """Level-n array labels, built once per (number of H-irreps, n) in order:
     supports (ascending H-irrep indices) lexicographically, then each slot's
     partition descending lexicographically, a prefix before its extensions."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n == 0:
         return ((),)
     supports = sorted(c for size in range(1, n + 1) for c in itertools.combinations(range(num_h_irreps), size))

@@ -33,7 +33,7 @@ def _graph_from_entries(level: int, vertices: tuple[str, ...], entries: dict) ->
 
 def build_graph(chain: Chain, n: int) -> McKayGraph:
     """Weighted McKay graph whose adjacency equals Ind Res at level n."""
-    labels = tuple(chain.format_label(lab) for lab in chain.basis(n))
+    labels = tuple(chain.format_label(lab) for lab in chain.basis(chain.check_level(n)))
     return _graph_from_entries(n, labels, chain.ind_res(n).data)
 
 
@@ -41,9 +41,7 @@ def reduced_graph(n: int, chain: Chain | None = None) -> McKayGraph:
     """The plus basis as vertices, Y's entries as weights; none at n <= 1."""
     chain = chain or get_chain("sym")
     require_symmetric(chain, "the reduced graph")
-    if not chain.has_level(n):
-        raise ValueError(f"chain {chain.id!r} has no level {n}")
-    red = reduced_operator(n)
+    red = reduced_operator(chain.check_level(n))
     labels = tuple(chain.format_label(lab) for lab in red.plus_basis)
     return _graph_from_entries(n, labels, red.entries)
 

@@ -26,7 +26,10 @@ class InvariantError(AssertionError):
 
 
 def check_partition(parts) -> Partition:
-    p = tuple(int(x) for x in parts)
+    """The parts if they are ints (no bool, float or string is truncated), positive, weakly decreasing."""
+    p = tuple(parts)
+    if any(type(x) is not int for x in p):
+        raise ValueError(f"partition parts must be integers: {p}")
     if any(x < 1 for x in p):
         raise ValueError(f"partition parts must be positive: {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from charcol.chain import Chain, SymmetricChain, WreathChain, get_chain
 from charcol.engine import reduced_operator
-from charcol.hgroup import GroupTable, builtin_table
+from charcol.hgroup import GroupTable, builtin_table, enumerate_wreath_labels
 from charcol.lifting import lift
 from charcol.partitions import enumerate_partitions
 from charcol.sparse import SparseMatrix
@@ -34,6 +34,16 @@ S3 = GroupTable(
     (("e", 1), ("t", 3), ("c", 2)),
     (("triv", 1, (1, 1, 1)), ("sgn", 1, (1, -1, 1)), ("std", 2, (2, 0, -1))),
 )
+
+
+@pytest.mark.parametrize("h", ["trivial", "Z2"])
+def test_a_negative_wreath_level_is_refused_as_the_symmetric_one_is(h):
+    # not a level with no irreps
+    chain = WreathChain(builtin_table(h))
+    for basis in (chain.basis, SymmetricChain().basis,
+                  lambda n: enumerate_wreath_labels(len(chain.h_table.irreps), n)):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            basis(-1)
 
 
 def test_get_chain_is_memoized():

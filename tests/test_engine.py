@@ -46,11 +46,11 @@ def apply_poly(chain, x, l, n, vec):
 
 def dense_column(chain, column):
     """The column's entries in ``chain.basis`` order, zeros included."""
-    return [column.coeffs.get(label, 0) for label in chain.basis(column.level)]
+    return [column.coeffs.get(label, 0) for label in chain.basis(chain.label_level(column.class_label))]
 
 
 def printed_vector(column):
-    return tuple(column.coeffs.get(p, 0) for p in mirrored_order(column.level))
+    return tuple(column.coeffs.get(p, 0) for p in mirrored_order(sum(column.class_label)))
 
 
 def test_delta_123_matches_printed_column():

@@ -336,6 +336,7 @@ def test_symmetric_table_bound_holds_after_the_table_is_cached(monkeypatch):
 @pytest.mark.parametrize("max_order, message", [
     ("50000", "max_order must be an integer, not '50000'"),
     (50000.0, "max_order must be an integer, not 50000.0"),
+    (True, "max_order must be an integer, not True"),
     (-1, "max_order must be non-negative, not -1"),
 ])
 def test_a_bad_max_order_argument_is_named(monkeypatch, max_order, message):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from math import factorial
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charcol.partitions import (
+    check_partition,
     class_size,
     class_sign,
     conjugate,
@@ -14,6 +16,7 @@ from charcol.partitions import (
     enumerate_partitions,
     format_partition,
     mirrored_order,
+    mn_character,
     pad_with_fixed_points,
     parse_partition,
     remove_one_box,
@@ -177,8 +180,26 @@ def test_text_round_trip(p):
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_partition("[oops]")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^partition parts must be weakly decreasing: \(1, 2\)$"):
         parse_partition("[1,2]")  # increasing
+
+
+def test_parse_reads_brackets_around_blanks_as_empty():
+    assert parse_partition("[ ]") == ()
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1.2), ("3", "1"), (True,), (2, 1.0)])
+def test_check_partition_refuses_parts_that_are_not_ints(parts):
+    # int() would truncate them: (2.7, 1.2) read as [2,1], ("3", "1") as [3,1]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'partition parts must be integers: {parts}')}$"):
+        check_partition(parts)
+
+
+@pytest.mark.parametrize("parts, mu", [((2.7, 1.2), (1, 1, 1)), (("3", "1"), (2, 2))])
+def test_mn_character_refuses_parts_that_int_would_truncate(parts, mu):
+    mn_character(tuple(map(int, parts)), mu)  # the truncated reading is memoized, and is not their key
+    with pytest.raises(ValueError, match=f"^{re.escape(f'partition parts must be integers: {parts}')}$"):
+        mn_character(parts, mu)
 
 
 def test_strip_and_pad():

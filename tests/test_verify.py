@@ -48,7 +48,7 @@ Z2C = get_chain("z2wreath")
 
 def dense_column(chain, column):
     """The column's entries in ``chain.basis`` order, zeros included."""
-    return [column.coeffs.get(label, 0) for label in chain.basis(column.level)]
+    return [column.coeffs.get(label, 0) for label in chain.basis(chain.label_level(column.class_label))]
 
 
 # -- Murnaghan-Nakayama oracle ---------------------------------------------------
