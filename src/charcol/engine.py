@@ -52,6 +52,12 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
     the level-k table of the classes' one core level k."""
     columns, cores = dict.fromkeys(classes), {}  # cores: level k -> core -> its classes
     for cls in columns:
+        try:  # a class is its own text read back, as the command line reads every class
+            known = chain.parse_class(chain.format_class(cls)) == cls
+        except IndexError:  # an H-class index past H's table
+            known = False
+        if not known:
+            raise ValueError(f"{cls!r} is not a class of chain {chain.id!r}")
         core, k = chain.fit_class(cls, n)
         cores.setdefault(k, {}).setdefault(core, []).append(cls)
     if table is not None and len(cores) > 1:

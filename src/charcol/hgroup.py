@@ -275,14 +275,9 @@ def _young_column(rho: Partition) -> dict[Partition, int]:
     return column
 
 
-def _sym_class_order(k: int) -> tuple[Partition, ...]:
-    identity = (1,) * k
-    return (identity,) + tuple(mu for mu in enumerate_partitions(k) if mu != identity)
-
-
 @lru_cache(maxsize=None)
-def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
-    """Irreducible S_k characters by exact orthogonalization of Young characters.
+def _symmetric_table(k: int) -> GroupTable:
+    """S_k's table, its irreducible characters by exact orthogonalization of Young characters.
 
     Permutation characters are processed in descending lexicographic order of
     the subgroup shape; each one contains the matching irreducible character
@@ -294,7 +289,8 @@ def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ..
     the multiples are subtracted from xi packed over the classes, where the
     new row is decoded.
     """
-    classes = _sym_class_order(k)
+    identity = (1,) * k
+    classes = (identity,) + tuple(mu for mu in enumerate_partitions(k) if mu != identity)
     sizes = [class_size(mu) for mu in classes]
     order = factorial(k)
     expansions = [_young_column(mu) for mu in classes]
@@ -308,7 +304,7 @@ def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ..
                               + len(classes) * (inner_bound // order) * root)
     columns = [0] * len(classes)
     packed_rows: list[int] = []
-    rows: list[tuple[Partition, tuple[int, ...]]] = []
+    irreps: list[tuple[str, int, tuple[int, ...]]] = []
     for nu, xi in young:
         inner = sum(map(mul, map(mul, sizes, xi), columns))
         vec = sum(map(mul, xi, by_class.rows))
@@ -321,11 +317,12 @@ def _symmetric_table_rows(k: int) -> tuple[tuple[Partition, tuple[int, ...]], ..
         row = tuple(by_class.slots(vec, len(classes)))
         if sum(map(mul, sizes, map(mul, row, row))) != order or row[0] <= 0:
             raise InvariantError(f"orthogonalization failed at {nu}")
-        unit = by_row.rows[len(rows)]
+        unit = by_row.rows[len(irreps)]
         columns = [column + a * unit for column, a in zip(columns, row)]
         packed_rows.append(vec)
-        rows.append((nu, row))
-    return tuple(rows)
+        irreps.append((format_partition(nu), row[0], row))
+    table = GroupTable(f"S{k}", order, tuple(zip(map(format_partition, classes), sizes)), tuple(irreps))
+    return table.validate()
 
 
 def symmetric_group_table(k: int, max_order: int | None = None) -> GroupTable:
@@ -335,21 +332,7 @@ def symmetric_group_table(k: int, max_order: int | None = None) -> GroupTable:
     once per process.
     """
     check_order(factorial(k), max_order, f"S_{k}")
-    return _symmetric_group_table_cached(k)
-
-
-@lru_cache(maxsize=None)
-def _symmetric_group_table_cached(k: int) -> GroupTable:
-    classes = _sym_class_order(k)
-    table = GroupTable(
-        name=f"S{k}",
-        order=factorial(k),
-        classes=tuple((format_partition(mu), class_size(mu)) for mu in classes),
-        irreps=tuple(
-            (format_partition(lam), row[0], row) for lam, row in _symmetric_table_rows(k)
-        ),
-    )
-    return table.validate()
+    return _symmetric_table(k)
 
 
 # ---------------------------------------------------------------------------

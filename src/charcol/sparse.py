@@ -24,13 +24,7 @@ class SparseMatrix:
     def __init__(self, nrows: int, ncols: int, data: dict | None = None):
         self.nrows = nrows
         self.ncols = ncols
-        self.data: dict[tuple[int, int], int] = {}
-        if data:
-            for (r, c), v in data.items():
-                if v:
-                    if not (0 <= r < nrows and 0 <= c < ncols):
-                        raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                    self.data[(r, c)] = v
+        self.data: dict[tuple[int, int], int] = {rc: v for rc, v in (data or {}).items() if v}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -51,9 +45,7 @@ class SparseMatrix:
             for r, av in by_col.get(k, ()):
                 rc = (r, c)
                 acc[rc] = acc.get(rc, 0) + av * bv
-        out = SparseMatrix(self.nrows, other.ncols)  # entries from valid ones: no bounds check
-        out.data = {rc: v for rc, v in acc.items() if v}
-        return out
+        return SparseMatrix(self.nrows, other.ncols, acc)
 
     def matvec(self, vec: list[int]) -> list[int]:
         if len(vec) != self.ncols:

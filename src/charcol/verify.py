@@ -22,7 +22,8 @@ from math import gcd, prod
 from . import engine, lifting
 from .chain import CHAIN_NAMES, BranchingOperator, Chain, FallingFactorialPoly, WreathChain, get_chain
 from .hgroup import GroupTable, SizeBoundError, _typed, read_json
-from .partitions import Partition, border_strip_column, enumerate_partitions, pad_with_fixed_points
+from .partitions import (Partition, border_strip_column, check_partition, enumerate_partitions,
+                         pad_with_fixed_points)
 from .sparse import PackedIdentity
 
 # ---------------------------------------------------------------------------
@@ -32,7 +33,7 @@ from .sparse import PackedIdentity
 def oracle_column(mu: Partition, n: int):
     """The exact level-n column of the class with cycle type mu, by the
     border-strip oracle alone."""
-    full = pad_with_fixed_points(tuple(sorted(mu, reverse=True)), n)
+    full = pad_with_fixed_points(check_partition(sorted(mu, reverse=True)), n)
     coeffs = border_strip_column(full, enumerate_partitions(n))
     return engine.CharacterColumn(full, coeffs)
 

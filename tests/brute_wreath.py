@@ -29,10 +29,9 @@ from charcol.hgroup import (
     format_wreath_label,
     identity_colored_type,
     wreath_irrep_dim,
-    _sym_class_order,
-    _symmetric_table_rows,
+    _symmetric_table,
 )
-from charcol.partitions import InvariantError
+from charcol.partitions import InvariantError, parse_partition
 
 
 class ConcreteGroup(namedtuple("ConcreteGroup", "table mult inverse class_of")):
@@ -203,7 +202,9 @@ def wreath_classes(group: ConcreteGroup, k: int) -> tuple:
 @lru_cache(maxsize=None)
 def sym_lookup(k: int) -> tuple:
     """S_k's rows by label, from Young characters, and its classes' positions."""
-    return dict(_symmetric_table_rows(k)), {mu: i for i, mu in enumerate(_sym_class_order(k))}
+    table = _symmetric_table(k)
+    return ({parse_partition(lab): values for lab, _, values in table.irreps},
+            {parse_partition(lab): i for i, (lab, _) in enumerate(table.classes)})
 
 
 def sym_value(lam: tuple, rho: tuple) -> int:

@@ -20,7 +20,7 @@ from charcol.verify import (IngestedChain, export_chain, ingest_chain, jeongha_s
 
 
 def test_full_s12_table_validates_each_small_table_once(monkeypatch):
-    hgroup._symmetric_group_table_cached.cache_clear()
+    hgroup._symmetric_table.cache_clear()
     validated = Counter()
     validate = GroupTable.validate
 

@@ -591,6 +591,33 @@ def test_class_too_large_rejected():
         character_column(SYM, (7,), 6)
 
 
+# Values that are not a class's own text read back: each gave another class's
+# column, a bare IndexError or a table lookup's "not present" before the engine
+# read every class back from its text, as the command line does
+NOT_CLASSES = [
+    (SYM, (2, -1, 1), "must be positive"), (SYM, (0, 2), "must be positive"),
+    (SYM, (True, 2), "cannot parse partition"), (SYM, (1, 2), "weakly decreasing"),
+    (SYM, (2, 3), "weakly decreasing"),
+    (Z2C, ((0, (2,)), (0, (1,))), "duplicate component"), (Z2C, ((1, ()), (0, (2,))), "empty partition"),
+    (Z2C, ((5, (2,)),), "not a class of chain 'z2wreath'"), (Z2C, ((-1, (2,)),), "not a class of chain"),
+    (Z2C, ((1, (2, -1)),), "must be positive"), (Z2C, ((1, (2,)), (0, (2,))), "not a class of chain"),
+]
+
+
+@pytest.mark.parametrize("chain, cls, match", [pytest.param(*case, id=f"{case[0].id}-{case[1]}".replace(" ", ""))
+                                               for case in NOT_CLASSES])
+def test_the_engine_refuses_a_value_that_is_not_a_class(chain, cls, match):
+    with pytest.raises(ValueError, match=match):
+        character_column(chain, cls, 6)
+    with pytest.raises(ValueError, match=match):  # among valid classes too
+        character_columns(chain, [chain.identity_class(6), cls], 6)
+
+
+def test_odd_column_refuses_an_unsorted_cycle_type():
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        odd_column((1, 2), 4)
+
+
 # -- batched columns --------------------------------------------------------------
 
 

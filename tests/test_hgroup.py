@@ -28,10 +28,10 @@ from charcol.hgroup import (
     wreath_class_size_formula,
     wreath_classes,
     wreath_irrep_dim,
-    _symmetric_table_rows,
+    _symmetric_table,
     _young_column,
 )
-from charcol.partitions import enumerate_partitions, format_partition, mn_character
+from charcol.partitions import enumerate_partitions, format_partition, mn_character, parse_partition
 from test_chain import S3
 
 
@@ -270,8 +270,8 @@ def test_symmetric_table_matches_border_strip_oracle():
                 assert value == mn_character(lam, mu), (lam, mu)
 
 
-# SHA-256 of repr(_symmetric_table_rows(k)) as the per-pair placement count
-# built them, past the oracle test's reach
+# SHA-256 of repr of the (partition, row) pairs of _symmetric_table(k) as the
+# per-pair placement count built them, past the oracle test's reach
 TABLE_ROW_DIGESTS = {
     13: "07d605c11ce8419f89c642c81d7e47df944fec0cd1758118d4d944a5e28a6399",
     14: "b9f5cb440c0f1b38eaa36efe988a7b58380f60b3687ecdbabfa9034ef0d91a9c",
@@ -280,7 +280,8 @@ TABLE_ROW_DIGESTS = {
 
 @pytest.mark.parametrize("k", sorted(TABLE_ROW_DIGESTS))
 def test_symmetric_table_rows_are_byte_identical(k):
-    digest = hashlib.sha256(repr(_symmetric_table_rows(k)).encode()).hexdigest()
+    rows = tuple((parse_partition(lab), values) for lab, _, values in _symmetric_table(k).irreps)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == TABLE_ROW_DIGESTS[k]
 
 
@@ -298,9 +299,9 @@ for nu in enumerate_partitions(4):
         hgroup._young_column = (
             lambda r, nu=nu, mu=mu: {**young(r), nu: young(r).get(nu, 0) + 1} if r == mu
             else young(r))
-        hgroup._symmetric_table_rows.cache_clear()
+        hgroup._symmetric_table.cache_clear()
         try:
-            hgroup._symmetric_table_rows(4)
+            hgroup._symmetric_table(4)
         except InvariantError as exc:
             raised += str(exc).startswith("orthogonalization failed at ")
 print(raised)

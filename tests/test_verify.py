@@ -107,6 +107,14 @@ def test_oracle_column_pads():
     assert oracle_column((2,), 6).coeffs == oracle_column((2, 1, 1, 1, 1), 6).coeffs
 
 
+@pytest.mark.parametrize("mu, match", [((2, -1, 1), "positive"), ((0, 2), "positive"), ((True, 2), "integers")],
+                         ids=["negative", "zero", "bool"])
+def test_oracle_column_refuses_a_part_that_is_not_a_positive_int(mu, match):
+    # each gave a column, empty or of another class, from the yardstick itself
+    with pytest.raises(ValueError, match=f"partition parts must be {match}"):
+        oracle_column(mu, 6)
+
+
 # -- conjugacy-class constraint ---------------------------------------------------
 
 
