@@ -19,8 +19,9 @@ Fractions into ints. Res, Ind and X are integer maps.
 Memoized per process, as they depend only on the level: the bases and the
 small level-k tables, each validated once when it is built. Memoized per
 chain instance, built level by level on demand: the basis indices, Res (as
-branching-graph edges), its sign folds, X, the lifts, the children of each
-label ``apply_res`` meets and the class sizes ``class_size_from`` computes.
+branching-graph edges), its sign folds, the lifts, the children of each label
+``apply_res`` meets and the class sizes ``class_size_from`` computes. X is
+counted along Res's edges on each ``ind_res`` call.
 ``get_chain`` is memoized too, so the chains it hands out keep theirs for the
 life of the process; a chain built directly starts empty, and its memos go
 when it does. Lifting restricts along the support and a column runs on Res's
@@ -174,7 +175,6 @@ class Chain:
     def __init__(self):
         self._index_cache: dict[int, dict] = {}
         self._res_cache: dict[int, BranchingOperator] = {}
-        self._x_cache: dict[int, SparseMatrix] = {}
         self._fold_cache: dict[tuple, BranchingOperator] = {}
         self.lift_memo: dict = {}
         self._below: dict = {}  # label -> _children(label), for the labels apply_res has met
@@ -211,13 +211,12 @@ class Chain:
     def ind_res(self, n: int) -> SparseMatrix:
         """X = Ind Res = Res^T Res at level n, the McKay adjacency of Ind(t):
         X(a, b) counts the paths a -> child -> b along Res's edges."""
-        if n not in self._x_cache:
-            res = self.res_operator(n)
-            x = self._x_cache[n] = SparseMatrix(len(res.domain), len(res.domain))
-            # path counts are positive, so X skips the constructor's zero filter, a third of its build
-            x.data = dict(Counter((a, b) for a, below in enumerate(res.children)
-                                  for i in below for b in res.parents[i]))
-        return self._x_cache[n]
+        res = self.res_operator(n)
+        x = SparseMatrix(len(res.domain), len(res.domain))
+        # path counts are positive, so X skips the constructor's zero filter, a third of its build
+        x.data = dict(Counter((a, b) for a, below in enumerate(res.children)
+                              for i in below for b in res.parents[i]))
+        return x
 
     def has_level(self, n: int) -> bool:
         return self.min_n <= n <= self.max_n

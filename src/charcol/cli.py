@@ -98,10 +98,8 @@ def cmd_lift(args) -> int:
     level = chain.label_level(label)
     if level != args.k:
         raise ValueError(f"label {args.label} lives at level {level}, not k={args.k}")
-    items = sorted(
-        lift(chain, label, args.n).items(),
-        key=lambda kv: chain.basis_index(args.n)[kv[0]],
-    )
+    index = chain.basis_index(args.n)
+    items = sorted(lift(chain, label, args.n).items(), key=lambda kv: index[kv[0]])
     payload = {chain.format_label(lab): verify.jsonable(v) for lab, v in items}
     _write(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -170,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("column", help="character-table column of a class")
     add_common(p)
-    p.add_argument("--class", dest="cls", required=True,
-                   help="class label: cycle type like '[3,1,1]' or colored type like '1:[1];-1:[1]'")
+    p.add_argument("--class", dest="cls", required=True, help="class label: cycle type like '[3,1,1]' or "
+                   "colored type like '1:[1];-1:[1]'; write --class=-1:[2] for one that starts with '-'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--odd", action="store_true",
                    help="refuse an even class; add plusPart, the column on the reduced operator's plus basis")
@@ -187,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="lift an irrep label to a higher level")
     add_common(p)
     p.add_argument("--k", type=int, required=True, help="source level (checked against the label)")
-    p.add_argument("--label", required=True)
+    p.add_argument("--label", required=True, help="irrep label; write --label=-1:[2] for one that starts with '-'")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_lift)
 

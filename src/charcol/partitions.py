@@ -122,7 +122,6 @@ def class_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def mirrored_order(n: int) -> tuple[Partition, ...]:
     """Conjugate-mirrored enumeration: canonical prefix, then conjugates reversed.
 

@@ -31,9 +31,6 @@ class SparseMatrix:
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.data == other.data
 
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.data)})"
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")

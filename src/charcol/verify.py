@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 from . import engine, lifting
 from .chain import CHAIN_NAMES, BranchingOperator, Chain, FallingFactorialPoly, WreathChain, get_chain
@@ -247,14 +247,14 @@ def _parse_level(pos: int, raw) -> tuple:
 
 
 def row_rank(nrows: int, entries) -> int:
-    """Exact rank over Q of the integer matrix with nrows rows and the given
+    """Exact rank over Q of the matrix with nrows rows and the given
     (row, col, value) entries, eliminated on the listed nonzeros: each row, a
     dict {col: value}, is reduced by the kept row with the same leading column
-    until its leading column is new (it is kept) or it is empty. Each step
-    takes an integer combination that clears the leading entry, then divides
-    by the gcd of what is left, so every division is exact."""
-    kept: dict[int, dict[int, int]] = {}  # leading column -> reduced row
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    until its leading column is new (it is kept) or it is empty. A step
+    subtracts the Fraction multiple of the kept row that clears the leading
+    entry, so a row whose leading column is new is kept as it was read."""
+    kept: dict[int, dict] = {}  # leading column -> reduced row
+    rows: list[dict] = [{} for _ in range(nrows)]
     for r, c, v in entries:
         if v:
             rows[r][c] = v
@@ -265,18 +265,13 @@ def row_rank(nrows: int, entries) -> int:
             if top is None:
                 kept[lead] = row
                 break
-            g = gcd(top[lead], row[lead])
-            p, f = top[lead] // g, row[lead] // g
-            row = {c: p * v for c, v in row.items()}
+            f = Fraction(row[lead], top[lead])
             for c, v in top.items():
                 x = row.get(c, 0) - f * v
                 if x:
                     row[c] = x
                 else:
                     del row[c]
-            g = gcd(*row.values())
-            if g > 1:
-                row = {c: v // g for c, v in row.items()}
     return len(kept)
 
 

@@ -69,12 +69,10 @@ def test_columns_build_res_only_at_their_own_level(monkeypatch):
     character_column(sym, (4, 3), 24)  # [4,3,1^17] is odd
     assert sorted(sym._fold_cache) == [(24, -1)]
     assert sorted(sym._res_cache) == []
-    assert sorted(sym._x_cache) == []
     z2 = WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")
     character_column(z2, ((0, (2,)), (1, (1,))), 10)  # one cycle of colour -1: sign -1
     assert sorted(z2._fold_cache) == [(10, -1)]
     assert sorted(z2._res_cache) == []
-    assert sorted(z2._x_cache) == []
     assert "matrix" not in vars(z2.sign_fold(10, -1))
     assert built == 0
 
@@ -94,7 +92,7 @@ def test_export_writes_res_from_its_edges_and_builds_no_matrix(monkeypatch):
     for chain in (SymmetricChain(), WreathChain(hgroup.builtin_table("Z2"), chain_id="z2wreath")):
         levels = export_chain(chain, 5)["levels"]
         assert [lv["n"] for lv in levels if "res" in lv] == [1, 2, 3, 4, 5]
-        assert sorted(chain._res_cache) == [1, 2, 3, 4, 5] and not chain._x_cache
+        assert sorted(chain._res_cache) == [1, 2, 3, 4, 5]
         assert not any("matrix" in vars(chain.res_operator(n)) for n in range(1, 6))
     assert built == 0
 
@@ -263,6 +261,11 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
     counts = Counter()
     matmul, matvec = SparseMatrix.__matmul__, SparseMatrix.matvec
     down, up = BranchingOperator.down, BranchingOperator.up
+    ind_res = Chain.ind_res
+
+    def counting_ind_res(chain, n):
+        counts["ind_res"] += 1
+        return ind_res(chain, n)
 
     def counting_matmul(a, b):
         counts["matmul"] += 1
@@ -284,6 +287,7 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "matvec", counting_matvec)
     monkeypatch.setattr(BranchingOperator, "down", counting_down)
     monkeypatch.setattr(BranchingOperator, "up", counting_up)
+    monkeypatch.setattr(Chain, "ind_res", counting_ind_res)
     upper_sym = export_chain(SymmetricChain(), 7)
     upper_sym["levels"] = upper_sym["levels"][2:]  # levels 2..7, S_2 the lowest
     del upper_sym["levels"][0]["res"]
@@ -298,7 +302,7 @@ def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
             levels = chain.level_range(top)
             assert skipped == [] and all(c.passed for c in checks), (chain.id, top)
             assert len(checks) == sum(n - chain.min_n for n in levels), (chain.id, top)
-            assert chain._x_cache == {}, (chain.id, top)
+            assert counts["ind_res"] == 0, (chain.id, top)
             runs.append(Counter(counts))
         for n in chain.level_range(max_n):
             level = runs[n] - runs[n - 1]

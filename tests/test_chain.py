@@ -286,14 +286,14 @@ def test_fresh_wreath_chains_share_equal_bases():
 
 
 @pytest.mark.parametrize("make", [fresh_sym, fresh_z2])
-def test_chains_built_directly_own_their_res_x_and_lifts(make):
+def test_chains_built_directly_own_their_res_and_lifts(make):
     # only bases and small tables are memoized per process, so a dropped
-    # chain takes its Res, X and lifts with it and a second chain starts empty
+    # chain takes its Res and lifts with it and a second chain starts empty
     one, two = make(), make()
     lift(one, one.trivial_label(2), 6)
     one.ind_res(6)
-    assert one._res_cache and one._x_cache and one.lift_memo and one._below
-    assert not (two._res_cache or two._x_cache or two.lift_memo or two._below)
+    assert one._res_cache and one.lift_memo and one._below
+    assert not (two._res_cache or two.lift_memo or two._below)
 
 
 @pytest.mark.parametrize("make", [fresh_sym, fresh_z2])

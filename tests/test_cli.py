@@ -140,6 +140,20 @@ def test_odd_column_names_the_identity_as_typed(capsys, n):
     assert err == "error: class 'e' is even; odd_column needs an odd permutation\n"
 
 
+@pytest.mark.parametrize("command, option, extra, printed", [
+    ("column", "--class", ("--n", "2"), '"class": "-1:[2]"'),
+    ("lift", "--label", ("--k", "2", "--n", "3"), '"-1:[3]": 1'),
+], ids=["class", "label"])
+def test_a_label_that_starts_with_a_minus_needs_the_equals_form(capsys, command, option, extra, printed):
+    # argparse reads "-1:[2]" as an option, so only "--class=-1:[2]" passes it as a value
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--chain", "z2wreath", option, "-1:[2]", *extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: expected one argument\n")
+    code, out, _ = run(capsys, command, "--chain", "z2wreath", f"{option}=-1:[2]", *extra)
+    assert code == 0 and printed in out
+
+
 @pytest.mark.parametrize("spec", ["sym", "z2wreath"])
 def test_table_at_a_negative_level_names_the_level(capsys, spec):
     code, out, err = run(capsys, "table", "--chain", spec, "--k", "-1")

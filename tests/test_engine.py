@@ -618,6 +618,13 @@ def test_odd_column_refuses_an_unsorted_cycle_type():
         odd_column((1, 2), 4)
 
 
+@pytest.mark.parametrize("tau", [(3, -1), (3, 0)])
+def test_odd_column_refuses_a_malformed_class_before_reading_its_sign(tau):
+    # (3, -1) and (3, 0) look even by their parts and lengths, but are no classes
+    with pytest.raises(ValueError, match=r"^partition parts must be positive: "):
+        odd_column(tau, 6)
+
+
 # -- batched columns --------------------------------------------------------------
 
 
