@@ -21,11 +21,11 @@ small level-k tables, each validated once when it is built. Memoized per
 chain instance, built level by level on demand: the basis indices, Res (as
 branching-graph edges), its sign folds, the lifts, the children of each label
 ``apply_res`` meets and the class sizes ``class_size_from`` computes. X is
-counted along Res's edges on each ``ind_res`` call.
-``get_chain`` is memoized too, so the chains it hands out keep theirs for the
-life of the process; a chain built directly starts empty, and its memos go
-when it does. Lifting restricts along the support and a column runs on Res's
-or its fold's edges at its own level, so neither builds a sparse matrix. Only
+counted along Res's edges on each ``ind_res`` call. ``get_chain`` is memoized
+too, so the chains it hands out keep theirs for the life of the process; a
+chain built directly starts empty, and its memos go when it does. Lifting
+sweeps levels along the support (``apply_res``), and a column runs on Res's or
+its fold's edges at its own level, so neither builds a sparse matrix. Only
 Res's ``parents`` and ``matrix`` fill in on first use, so concurrent reads are safe.
 """
 
@@ -242,20 +242,25 @@ class Chain:
             raise ValueError("l must be non-negative")
         return FallingFactorialPoly(tuple(j * self.heisenberg_scaling for j in range(l)))
 
-    def apply_res(self, vec: dict) -> dict:
-        """Res of a vector {label: coefficient}, pushed label by label along its
-        support; lifts restrict the same labels many times, so their children
-        are memoized (and a label is checked to lie above level 0 once)."""
-        out: dict = {}
-        for label, c in vec.items():
-            below = self._below.get(label)
-            if below is None:
-                if self.label_level(label) < 1:
-                    raise ValueError("apply_res needs a vector at level >= 1")
-                below = self._below[label] = self._children(label)
-            for child in below:
-                out[child] = out.get(child, 0) + c
-        return normalized(out)
+    def apply_res(self, vec: dict, times: int = 1) -> dict:
+        """Res^times of a vector {label: coefficient}, pushed label by label along its
+        support and normalized once: what ``times`` one-level calls return or raise, as
+        a coefficient that cancels to 0 on the way is pushed no further. Lifts restrict
+        the same labels many times, so their children are memoized (and a label is
+        checked to lie above level 0 once)."""
+        for step in range(times):
+            out: dict = {}
+            for label, c in vec.items():
+                if c or not step:
+                    below = self._below.get(label)
+                    if below is None:
+                        if self.label_level(label) < 1:
+                            raise ValueError("apply_res needs a vector at level >= 1")
+                        below = self._below[label] = self._children(label)
+                    for child in below:
+                        out[child] = out.get(child, 0) + c
+            vec = out
+        return normalized(vec)
 
     # -- labels and classes ----------------------------------------------------
 
@@ -485,7 +490,7 @@ class WreathChain(Chain):
         return out
 
     def label_level(self, label: WreathLabel) -> int:
-        return sum(sum(p) for _, p in label)
+        return sum([sum(p) for _, p in label])
 
     def pad_first_row(self, label: WreathLabel, n: int):
         """Pads the first slot's partition, or starts slot 0 for the empty label;

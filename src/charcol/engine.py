@@ -71,19 +71,19 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
         op = chain.sign_fold(n, sign) if sign else chain.res_operator(n)
         at_k = table if table is not None else chain.small_table(k, max_order)
         inputs = lift_column_input(chain, at_k, list(level), n)  # {core: its input}
-        scale = lcm(*(v.denominator for vec in inputs.values() for v in vec.values()))
+        scale = lcm(*{v.denominator for vec in inputs.values() for v in vec.values()})
         div = scale * (1 + abs(sign))  # a fold's pass yields twice the columns
-        entries = max(int(scale * max(map(abs, vec.values()), default=0)) for vec in inputs.values())
+        vec, *rest = (part if scale == 1 else {label: (scale * v).numerator for label, v in part.items()}
+                      for part in inputs.values())  # at D = 1 they are ints already, and fresh dicts
+        entries = max(max(map(abs, part.values()), default=0) for part in (vec, *rest))
         poly = chain.poly(n - k)  # ||f(X)||_inf <= prod (||X||_inf + |r|)
         packed = PackedIdentity(len(level), (1 + abs(sign)) * entries * prod(
             op.x_norm_bound + abs(r) for r in poly.roots))
-        vec = {}  # D times the inputs, a slot each
-        for unit, part in zip(packed.rows, inputs.values()):
+        for unit, part in zip(packed.rows[1:], rest):  # D times the inputs, a slot each; slot 0's unit is 1
             for label, v in part.items():
-                vec[label] = vec.get(label, 0) + int(scale * v) * unit
-        dense = list(map(vec.get, op.kept, repeat(0)))  # u, and u + sign T u on a fold
-        if sign:
-            dense = [d + sign * vec.get(t, 0) for d, t in zip(dense, op.twins)]
+                vec[label] = vec.get(label, 0) + v * unit
+        dense = ([vec.get(lam, 0) + sign * vec.get(t, 0) for lam, t in zip(op.kept, op.twins)] if sign
+                 else list(map(vec.get, op.kept, repeat(0))))  # u, and u + sign T u on a fold
         if n > k:
             dense = poly.apply(op.times_x, dense)
         for slot, (core, given) in enumerate(level.items()):

@@ -6,10 +6,10 @@ the inverse dimension power for wreath chains, and subtracts recursively
 lifted lower terms. The recursion never revisits a label whose lift is still
 waiting, checked at runtime: each level has finitely many labels, so that is
 what makes it end. Every lift, a dict {label: coefficient} at level n, is
-verified by restricting it n - k times before it is returned and memoized in
-``chain.lift_memo`` under (label, n). ``Chain.apply_res`` restricts label by
-label along the vector's support, so lifting builds no Res matrix, and
-memoizes each label's children on the chain.
+memoized in ``chain.lift_memo`` under (label, n), looked up there before its
+label is checked and before the recursion enters it. A lift makes two Res^(n-k)
+sweeps, one ``Chain.apply_res(vec, n - k)`` call each (label by label along the
+support, normalized once): the padding's and its verification's.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> dict:
     ``_waiting`` holds the labels further up the recursion whose lifts to
     level n are not finished; the recursion refuses to enter one of them again.
     """
+    key = (label, n)
+    cached = chain.lift_memo.get(key)  # only a key that passed the checks below is memoized
+    if cached is not None:
+        return cached
     k = chain.label_level(label)
     if n < k:
         raise ValueError(f"cannot lift a level-{k} label to level {n}")
-    key = (label, n)
-    cached = chain.lift_memo.get(key)
-    if cached is not None:
-        return cached
     if label not in chain.basis_index(k):
         raise ValueError(f"label {label} not in level-{k} basis of chain {chain.id}")
     if n == k:
@@ -41,37 +41,30 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> dict:
         return vector
 
     padded, scale = chain.pad_first_row(label, n)
-    down = {padded: 1}
-    for _ in range(n - k):
-        down = chain.apply_res(down)
+    down = chain.apply_res({padded: 1}, n - k)
     expected = 1 if scale == 1 else 1 / Fraction(scale)
     if down.get(label, 0) != expected:
-        raise InvariantError(
-            f"padding of {label} at level {n} restricts with coefficient "
-            f"{down.get(label, 0)}, expected {expected}"
-        )
+        raise InvariantError(f"padding of {label} at level {n} restricts with coefficient "
+                             f"{down.get(label, 0)}, expected {expected}")
 
     coeffs = {padded: scale}
     waiting = _waiting | {label}
     for other, mult in sorted(down.items()):
         if other == label:
             continue
-        if other in waiting:
-            raise InvariantError(
-                f"lifting {label} to level {n} revisits {other}, whose lift is still waiting"
-            )
+        lifted = chain.lift_memo.get((other, n))
+        if lifted is None:
+            if other in waiting:
+                raise InvariantError(f"lifting {label} to level {n} revisits {other}, whose lift is still waiting")
+            lifted = lift(chain, other, n, waiting)
         c = -(scale * mult)
-        for w, v in lift(chain, other, n, waiting).items():
+        for w, v in lifted.items():
             coeffs[w] = coeffs.get(w, 0) + c * v
     vector = normalized(coeffs)
 
-    check = vector
-    for _ in range(n - k):
-        check = chain.apply_res(check)
+    check = chain.apply_res(vector, n - k)
     if check != {label: 1}:
-        raise InvariantError(
-            f"lift of {label} to level {n} fails Res^{n - k} verification: {check}"
-        )
+        raise InvariantError(f"lift of {label} to level {n} fails Res^{n - k} verification: {check}")
     chain.lift_memo[key] = vector
     return vector
 

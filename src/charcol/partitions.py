@@ -159,9 +159,11 @@ def rim_hooks(lam: Partition, r: int) -> Iterator[tuple[int, Partition]]:
 
 @lru_cache(maxsize=None)
 def mn_character(lam: Partition, mu: Partition) -> int:
-    """chi_lambda(mu) by recursive border-strip removal with sign (-1)^height."""
-    lam = check_partition(lam) if lam else ()
-    mu = tuple(sorted(mu, reverse=True))
+    """chi_lambda(mu) by recursive border-strip removal with sign (-1)^height. Both are
+    checked inside the memo, mu once sorted, so a hit pays nothing; a key equal to a
+    memoized one, such as (2, 1.0) to (2, 1), is a hit and goes unchecked."""
+    lam = check_partition(lam)
+    mu = check_partition(sorted(mu, reverse=True))
     if sum(lam) != sum(mu):
         raise ValueError(f"|lambda|={sum(lam)} but |mu|={sum(mu)}")
     if not mu:

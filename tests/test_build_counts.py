@@ -13,6 +13,7 @@ from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, Symme
                            WreathChain)
 from charcol.engine import character_column, character_columns, odd_column, reduced_operator
 from charcol.hgroup import GroupTable
+from charcol.lifting import lift
 from charcol.partitions import class_sign, conjugate, enumerate_partitions, parse_partition
 from charcol.sparse import SparseMatrix
 from charcol.verify import (IngestedChain, export_chain, ingest_chain, jeongha_suite,
@@ -127,6 +128,27 @@ def test_one_sign_runs_on_its_fold_and_both_signs_share_res():
     sym = SymmetricChain()
     character_columns(sym, enumerate_partitions(n), n, factorial(n))
     assert not sym._fold_cache and sorted(sym._res_cache) == [n]
+
+
+@pytest.mark.parametrize("make, label", [(SymmetricChain, lambda k: (k,)),
+                                         (lambda: WreathChain(hgroup.builtin_table("Z2")), lambda k: ((0, (k,)),))],
+                         ids=["sym", "z2wreath"])
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 3), (3, 9), (5, 13)])
+def test_a_lift_restricts_in_two_sweeps(monkeypatch, make, label, k, n):
+    # a lift restricts its padding down n - k levels and its result back up for
+    # the Res^(n-k) check, each in one apply_res call; the one-row label pads to
+    # the one-row label at n, which restricts onto it alone, so no lower lift runs
+    sweeps = Counter()
+    apply_res = Chain.apply_res
+
+    def counting(chain, vec, times=1):
+        sweeps[times] += 1
+        return apply_res(chain, vec, times)
+
+    monkeypatch.setattr(Chain, "apply_res", counting)
+    chain = make()
+    assert lift(chain, label(k), n) == {chain.trivial_label(n): 1}
+    assert sweeps == {n - k: 2}
 
 
 def test_a_column_finds_each_labels_children_once_below_its_level(monkeypatch):

@@ -350,6 +350,54 @@ def test_apply_res_needs_level_one():
         fresh_z2().apply_res({(): Fraction(1, 2)})
 
 
+# apply_res(vec, t) restricts t levels in one sweep and normalizes once; it must
+# return, or refuse, what t one-level calls do. S3 wr S_n's 2-dimensional irrep
+# gives Res entries of 2, and its lifts are Fractions.
+SWEEP_CASES = {"sym": (fresh_sym, 7), "z2wreath": (fresh_z2, 5), "S3": (lambda: WreathChain(S3), 4)}
+
+
+def level_by_level(chain, vec, times):
+    for _ in range(times):
+        vec = chain.apply_res(vec)
+    return vec
+
+
+def outcome(restrict, vec, times):
+    """The typed restriction, or the ValueError's message, on a fresh chain."""
+    try:
+        return typed(restrict(vec, times))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec", sorted(SWEEP_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apply_res_sweep_matches_one_level_calls(spec, data):
+    make, top = SWEEP_CASES[spec]
+    n, times = data.draw(st.integers(1, top)), data.draw(st.integers(1, 4))  # times > n reaches level 0
+    labels = data.draw(st.lists(st.sampled_from(make().basis(n)), max_size=6, unique=True))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    vec = {label: data.draw(values) for label in labels}
+    sweep = outcome(make().apply_res, vec, times)
+    assert sweep == outcome(lambda v, t: level_by_level(make(), v, t), vec, times)
+    if times > n and labels:
+        assert sweep in ({}, "apply_res needs a vector at level >= 1")
+
+
+@pytest.mark.parametrize("make, vec, times, expected", [
+    (fresh_sym, {(1, 1): 1, (2,): -1}, 3, {}),  # cancels at level 1
+    (fresh_z2, {((0, (1,)),): 1, ((1, (1,)),): -1}, 2, {}),  # cancels at level 0, then stops
+    (fresh_z2, {((0, (1,)),): 1, ((1, (1,)),): -2}, 2, "apply_res needs a vector at level >= 1"),
+    (fresh_sym, {(): 0}, 1, "apply_res needs a vector at level >= 1"),  # a given zero is still checked
+], ids=["sym-cancels-at-1", "z2-cancels-at-0", "z2-reaches-0", "sym-given-zero"])
+def test_apply_res_sweep_drops_the_zeros_it_makes(make, vec, times, expected):
+    # one-level calls normalize between levels, so a coefficient that cancels
+    # to 0 is never restricted again, and a sweep that empties stops refusing
+    assert outcome(make().apply_res, vec, times) == expected
+    assert outcome(lambda v, t: level_by_level(make(), v, t), vec, times) == expected
+
+
 def abstract_chain_methods() -> list[str]:
     """The ``Chain`` methods whose body, past the docstring, only raises NotImplementedError."""
     (chain_class,) = ast.parse(inspect.getsource(Chain)).body

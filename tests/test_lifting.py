@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from charcol import lifting
 from charcol.chain import SymmetricChain, WreathChain, get_chain
 from charcol.hgroup import GroupTable, builtin_table
 from charcol.lifting import InvariantError, lift, lift_column_input
@@ -34,6 +35,31 @@ def test_lift_is_memoized():
     a = lift(SYM, (3, 2), 8)
     b = lift(SYM, (3, 2), 8)
     assert a is b
+
+
+def test_a_memoized_lift_is_read_before_its_label_is_checked(monkeypatch):
+    chain = SymmetricChain()
+    vec = lift(chain, (3, 2), 8)
+    assert chain.lift_memo[(3, 2), 8] is vec
+
+    def refusing(*args):
+        raise AssertionError("a memoized lift checked its label again")
+
+    monkeypatch.setattr(chain, "label_level", refusing)
+    monkeypatch.setattr(chain, "basis_index", refusing)
+    assert lift(chain, (3, 2), 8) is vec
+
+
+def test_a_lift_reads_its_lower_lifts_from_the_memo(monkeypatch):
+    # (6,2) restricts onto (4,1) and (5,) too; once their lifts are memoized,
+    # lifting (3,2) reads them and enters no recursion
+    chain = SymmetricChain()
+    lower = {w: lift(chain, w, 8) for w in ((5,), (4, 1))}
+    entered = []
+    monkeypatch.setattr(lifting, "lift", lambda chain_, label, *rest: entered.append(label) or lift(chain_, label, *rest))
+    assert lifting.lift(chain, (3, 2), 8) == {(6, 2): 1, (7, 1): -3, (8,): 6}
+    assert entered == [(3, 2)]
+    assert all(chain.lift_memo[w, 8] is vec for w, vec in lower.items())
 
 
 def test_p_lift_formula():

@@ -202,6 +202,20 @@ def test_mn_character_refuses_parts_that_int_would_truncate(parts, mu):
         mn_character(parts, mu)
 
 
+@pytest.mark.parametrize("mu, problem", [
+    ((3, -1, 1), "positive: (3, 1, -1)"),
+    ((1, 1, 0, 1), "positive: (1, 1, 1, 0)"),
+    ((True, 2), "integers: (2, True)"),
+    ((2.5, 0.5), "integers: (2.5, 0.5)"),  # named whole, not by the (0.5,) left after one strip
+])
+def test_mn_character_refuses_a_cycle_type_that_is_not_a_partition(mu, problem):
+    # mu is checked once sorted, inside the memo; a key equal to a memoized one
+    # would be served unchecked, so the memo starts empty
+    mn_character.cache_clear()
+    with pytest.raises(ValueError, match=f"^{re.escape(f'partition parts must be {problem}')}$"):
+        mn_character((2, 1), mu)
+
+
 def test_strip_and_pad():
     assert strip_fixed_points((3, 1, 1, 1)) == (3,)
     assert pad_with_fixed_points((3,), 6) == (3, 1, 1, 1)
