@@ -357,10 +357,6 @@ class Chain:
         q, r = divmod(num := self.group_order(n) * inside, den := self.group_order(j) * size)
         return Fraction(num, den) if r else q
 
-    def ind_t_character(self, cls, m: int) -> int | Fraction:
-        """chi_{Ind(t)} at level m for a class of G_m: ``coset_character`` one level down."""
-        return self.coset_character(cls, m, m - 1, m)
-
     class_sign = staticmethod(lambda cls: 0)  # a class's sign for ``sign_fold``; 0: no fold
 
     def sign_fold(self, n: int, sign: int) -> BranchingOperator:

@@ -98,7 +98,7 @@ def cmd_lift(args) -> int:
     level = chain.label_level(label)
     if level != args.k:
         raise ValueError(f"label {args.label} lives at level {level}, not k={args.k}")
-    index = chain.basis_index(args.n)
+    index = chain.basis_index(chain.check_level(args.n))
     items = sorted(lift(chain, label, args.n).items(), key=lambda kv: index[kv[0]])
     payload = {chain.format_label(lab): verify.jsonable(v) for lab, v in items}
     _write(args, json.dumps(payload, indent=2) + "\n")

@@ -125,8 +125,9 @@ class GroupTable(namedtuple("GroupTable", "name order classes irreps")):
     """Conjugacy classes, class sizes, and integer irreducible characters:
     ``classes`` holds (label, size) pairs, ``irreps`` (label, dim, values) rows.
 
-    ``classes[0]`` is the identity class, so ``values[0] == dim`` for every
-    irrep row. All character values are rational integers by design.
+    ``classes[0]`` is the identity class (size 1), so ``values[0] == dim >= 1``
+    for every irrep row, and one row is all 1s (the trivial character). All
+    character values are rational integers by design.
     """
 
     def validate(self) -> "GroupTable":
@@ -171,6 +172,12 @@ class GroupTable(namedtuple("GroupTable", "name order classes irreps")):
                         f"{self.name}: row orthogonality fails for ({lu},{lw}): "
                         f"sum size*chi*chi = {value}, expected {expect}"
                     )
+        if [size for _, size in self.classes[:1]] != [1]:
+            raise TableValidationError(f"{self.name}: first class must be the identity (size 1)")
+        for label, dim, _ in (row for row in self.irreps if row[1] < 1):
+            raise TableValidationError(f"{self.name}: row {label} has dim={dim}, below 1")
+        if not any(set(values) == {1} for _, _, values in self.irreps):
+            raise TableValidationError(f"{self.name}: no row is the trivial character (all values 1)")
         return self
 
     def class_index(self, label: str) -> int:
@@ -339,10 +346,6 @@ def symmetric_group_table(k: int, max_order: int | None = None) -> GroupTable:
 # Wreath products H^k x| S_k: classes by formula
 
 
-def identity_colored_type(k: int) -> WreathLabel:
-    return (((0, (1,) * k),)) if k else ()
-
-
 class WreathClass(namedtuple("WreathClass", "label size")):
     """A conjugacy class: its colored cycle type and its size."""
 
@@ -357,7 +360,7 @@ def wreath_classes(h_table: GroupTable, k: int, max_order: int | None = None) ->
 
 @lru_cache(maxsize=None)
 def _wreath_classes_cached(h_table: GroupTable, k: int) -> tuple[WreathClass, ...]:
-    identity = identity_colored_type(k)
+    identity = ((0, (1,) * k),) if k else ()  # k fixed points of H's identity class
     others = sorted(label for label in enumerate_wreath_labels(len(h_table.classes), k) if label != identity)
     return tuple(WreathClass(label, wreath_class_size_formula(h_table, label)) for label in [identity, *others])
 

@@ -46,27 +46,13 @@ def reduced_graph(n: int, chain: Chain | None = None) -> McKayGraph:
     return _graph_from_entries(n, labels, red.entries)
 
 
-def export_dot(graph: McKayGraph) -> str:
-    lines = ["graph mckay {"]
-    for name in graph.vertices:
-        lines.append(f'  "{name}";')
-    for i, j, w in graph.edges:
-        lines.append(f'  "{graph.vertices[i]}" -- "{graph.vertices[j]}" [weight={w}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def export_json(graph: McKayGraph) -> dict:
-    return {
-        "n": graph.level,
-        "vertices": list(graph.vertices),
-        "edges": [[i, j, w] for i, j, w in graph.edges],
-    }
-
-
 def export(graph: McKayGraph, fmt: str) -> str:
+    """The graph as DOT (vertices, then edges with their weights) or as indented JSON."""
     if fmt == "dot":
-        return export_dot(graph)
+        lines = ["graph mckay {", *(f'  "{name}";' for name in graph.vertices)]
+        lines += [f'  "{graph.vertices[i]}" -- "{graph.vertices[j]}" [weight={w}];' for i, j, w in graph.edges]
+        return "\n".join(lines) + "\n}\n"
     if fmt == "json":
-        return json.dumps(export_json(graph), indent=2) + "\n"
+        edges = [[i, j, w] for i, j, w in graph.edges]
+        return json.dumps({"n": graph.level, "vertices": list(graph.vertices), "edges": edges}, indent=2) + "\n"
     raise ValueError(f"unknown export format {fmt!r}; use 'dot' or 'json'")

@@ -26,11 +26,6 @@ class SparseMatrix:
         self.ncols = ncols
         self.data: dict[tuple[int, int], int] = {rc: v for rc, v in (data or {}).items() if v}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.data == other.data
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")

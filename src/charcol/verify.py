@@ -191,11 +191,11 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
     if chain.group_order(0) != 1:
         raise ValueError("root/character correspondence needs G_0 trivial")
     roots = set(chain.poly(l).roots)
-    preferred = l + (1 if chain.group_order(1) == 1 else 0)
-    report = {"l": l, "roots": sorted(roots), "preferred_level": preferred}
-    try:
-        values = {chain.ind_t_character(h, preferred) for h in chain.classes_at(preferred, max_order)
-                  if h != chain.identity_class(preferred)}
+    m = l + (1 if chain.group_order(1) == 1 else 0)  # the preferred level
+    report = {"l": l, "roots": sorted(roots), "preferred_level": m}
+    try:  # chi_Ind(t) at level m is the character on the cosets of G_(m-1)
+        values = {chain.coset_character(h, m, m - 1, m) for h in chain.classes_at(m, max_order)
+                  if h != chain.identity_class(m)}
     except (SizeBoundError, ValueError) as exc:
         return {**report, "evaluable": False, "passed": False, "error": str(exc)}
     return {**report, "evaluable": True, "passed": values == roots, "values": sorted(values)}
@@ -207,11 +207,6 @@ def roots_vs_characters(chain, l: int, max_order: int | None = None) -> dict:
 
 class IngestError(ValueError):
     pass
-
-
-class IngestedLevel(namedtuple("IngestedLevel", "order res classes")):
-    """A checked level: its Res (positions as labels, its domain the basis; the lowest level's
-    maps onto the empty ring) and its classes {label: (size, embedsTo)} as listed, or None."""
 
 
 def _parse_level(pos: int, raw) -> tuple:
@@ -275,12 +270,14 @@ def row_rank(nrows: int, entries) -> int:
     return len(kept)
 
 
-def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
-    """A parsed level, checked against the checked level below it (None for the
-    lowest level, whose Res, if listed, has no rows): Res's shape, its rank and
-    each entry's bound are checked on the listed entries before Res is built."""
+def _checked_level(parsed: tuple, below: tuple | None) -> tuple:
+    """A parsed level as (order, Res, classes), checked against the level below as
+    this returned it (None for the lowest level, whose Res, if listed, has no rows):
+    Res's shape, its rank and each entry's bound are checked on the listed entries
+    before Res, positions as labels, is built; classes are {label: (size, embedsTo)} or None."""
     n, order, basis_size, entries, classes = parsed
-    rows = len(below.res.domain) if below else 0
+    below_order, below_res, below_classes = below or (None, None, None)
+    rows = len(below_res.domain) if below else 0
     if entries is not None and any(not (0 <= r < rows and 0 <= c < basis_size)
                                    for r, c, _ in entries):
         raise IngestError(f"Res at level {n} has entries outside its {rows}x{basis_size} shape")
@@ -293,10 +290,10 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
                               f"has row rank {rank} < {rows}")
         # v dim W <= dim V, and v dim V <= [G_n : G_{n-1}] dim W by Frobenius reciprocity
         for r, c, v in entries:
-            if v * v * below.order > order:
+            if v * v * below_order > order:
                 raise IngestError(
                     f"not a chain of groups: Res at level {n} has entry {v} at ({r}, {c}), "
-                    f"but v^2 |G_{n - 1}| = {v * v * below.order} > |G_{n}| = {order}")
+                    f"but v^2 |G_{n - 1}| = {v * v * below_order} > |G_{n}| = {order}")
     res = BranchingOperator.from_entries(tuple(range(basis_size)), tuple(range(rows)), entries or ())
     if classes is not None:
         total = sum(size for size, _ in classes.values())
@@ -305,7 +302,7 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
         if classes and next(iter(classes.values()))[0] != 1:
             raise IngestError(f"level {n}: first class must be the identity (size 1)")
         inside, identity = dict.fromkeys(classes, 0), next(iter(classes))  # h -> |[h] meet G_{n-1}|
-        for pos, (lab, (size, embeds)) in enumerate((below.classes or {}).items() if below else ()):
+        for pos, (lab, (size, embeds)) in enumerate((below_classes or {}).items()):
             if embeds is not None and embeds not in classes:
                 raise IngestError(
                     f"level {n - 1}: class {lab!r} embeds to unknown class {embeds!r}")
@@ -316,7 +313,7 @@ def _checked_level(parsed: tuple, below: IngestedLevel | None) -> IngestedLevel:
         for lab in (lab for lab, (size, _) in classes.items() if inside[lab] > size):
             raise IngestError(f"level {n}: the classes embedding into {lab!r} hold "
                               f"{inside[lab]} elements, more than its {classes[lab][0]}")
-    return IngestedLevel(order, res, classes)
+    return order, res, classes
 
 
 class IngestedChain(Chain):
@@ -353,22 +350,22 @@ class IngestedChain(Chain):
         if ns != list(range(ns[0], ns[-1] + 1)):
             raise IngestError(f"levels {ns} are not consecutive")
         self.min_n, self.max_n = ns[0], ns[-1]
-        self.levels, below = {}, None
+        self._orders, self._class_rows, below = {}, {}, None
         for n in ns:  # each level's Res goes in the memo Chain.res_operator reads, as a built chain's
-            below = self.levels[n] = _checked_level(parsed[n], below)
-            self._res_cache[n] = below.res
-        self.params = fit_chain_params(level.order for level in self.levels.values())
+            below = _checked_level(parsed[n], below)
+            self._orders[n], self._res_cache[n], self._class_rows[n] = below
+        self.params = fit_chain_params(self._orders.values())
 
     # -- chain protocol used by the suites ----------------------------------
 
     def basis(self, n: int) -> tuple:
         """Positions 0, 1, ... for the irreps, whose labels the chain does not list."""
-        return self.levels[self.check_level(n)].res.domain
+        return self._res_cache[self.check_level(n)].domain
 
     format_label = format_class = staticmethod(str)
 
     def group_order(self, n: int) -> int:
-        return self.levels[self.check_level(n)].order
+        return self._orders[self.check_level(n)]
 
     def heisenberg_levels(self, top: int) -> range:
         return range(self.min_n + 1, min(self.max_n, top + 1))
@@ -377,7 +374,7 @@ class IngestedChain(Chain):
         return self.params.poly(l)
 
     def _classes(self, n: int) -> dict:
-        classes = self.levels[self.check_level(n)].classes
+        classes = self._class_rows[self.check_level(n)]
         if classes is None:
             raise IngestError(f"level {n} has no class data")
         return classes

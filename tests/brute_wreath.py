@@ -27,7 +27,6 @@ from charcol.hgroup import (
     builtin_table,
     enumerate_wreath_labels,
     format_wreath_label,
-    identity_colored_type,
     wreath_irrep_dim,
     _symmetric_table,
 )
@@ -122,6 +121,11 @@ def colored_type(lengths: tuple, colors: tuple) -> tuple:
     for length, color in zip(lengths, colors):
         colored.setdefault(color, []).append(length)
     return tuple((cls, tuple(sorted(part, reverse=True))) for cls, part in sorted(colored.items()))
+
+
+def identity_colored_type(k: int) -> tuple:
+    """The identity's colored cycle type: k fixed points of H's identity class."""
+    return ((0, (1,) * k),) if k else ()
 
 
 def colored_cycle_type(group: ConcreteGroup, elem) -> tuple:

@@ -1,9 +1,9 @@
 """Vectors {label: coefficient} over a chain's level-n basis as dense lists and
 back: the tests' bridge between the dicts that lifting and ``apply_res`` use
 and the lists that sparse matrices multiply; a sparse matrix, or an operator's
-entries {(row, col): v}, as dense rows; and a sparse matrix's transpose, the
+entries {(row, col): v}, as dense rows; a sparse matrix's transpose, the
 reference X = Res^T @ Res that the chains' X, counted along Res's edges, is
-checked against."""
+checked against; and the equality of two sparse matrices."""
 
 from charcol.chain import normalized
 from charcol.sparse import SparseMatrix
@@ -33,6 +33,11 @@ def entry_rows(entries, nrows, ncols=None):
 def matrix_rows(matrix):
     """A ``SparseMatrix`` as a list of dense rows."""
     return entry_rows(matrix.data, matrix.nrows, matrix.ncols)
+
+
+def same_matrix(a, b):
+    """Whether two ``SparseMatrix`` objects have one shape and the same nonzero entries."""
+    return (a.nrows, a.ncols, a.data) == (b.nrows, b.ncols, b.data)
 
 
 def transpose(matrix):

@@ -18,6 +18,7 @@ from charcol.chain import SymmetricChain, get_chain
 from charcol.hgroup import builtin_table, load_table, symmetric_group_table, wreath_classes
 from charcol.partitions import class_sign, enumerate_partitions, format_partition
 from charcol.verify import export_chain, jsonable
+from test_hgroup import GROUPLESS_TABLES
 
 
 def run(capsys, *argv):
@@ -220,6 +221,13 @@ def test_level_zero_has_the_zero_operator_and_a_one_vertex_graph(capsys, spec, l
     code, out, err = run(capsys, "mckay", "--chain", spec, "--n", "0", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"n": 0, "vertices": [label], "edges": []}
+
+
+@pytest.mark.parametrize("spec, label", [("sym", "[2]"), ("z2wreath", "1:[2]")])
+def test_lift_to_a_negative_level_names_the_level(capsys, spec, label):
+    # the level is checked before its basis is read, as indres, table and mckay do
+    code, out, err = run(capsys, "lift", "--chain", spec, "--k", "2", "--label", label, "--n", "-1")
+    assert (code, out, err) == (2, "", f"error: chain '{spec}' has no level -1\n")
 
 
 @pytest.mark.parametrize("spec", ["sym", "z2wreath"])
@@ -426,6 +434,21 @@ def test_column_table_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, c
     assert code == 2 and out == ""
     assert err.startswith("error: malformed GroupTable JSON: ") and err.count("\n") == 1
     assert detail is None or err == f"error: malformed GroupTable JSON: {detail}\n"
+
+
+@pytest.mark.parametrize("name", list(GROUPLESS_TABLES))
+@pytest.mark.parametrize("argv", [
+    ("table", "--chain", "{}", "--k", "2"),
+    ("column", "--chain", "{}", "--class", "e", "--n", "3"),
+    ("verify", "--chain", "{}", "--maxN", "3"),
+    ("column", "--chain", "sym", "--class", "[2]", "--n", "3", "--table", "{}"),
+], ids=["table", "column", "verify", "column-table"])
+def test_a_table_no_group_has_is_a_one_line_usage_error(capsys, tmp_path, name, argv):
+    table, message = GROUPLESS_TABLES[name]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table.to_json_dict()))
+    code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_table_file_stays_a_usage_error(capsys, tmp_path):

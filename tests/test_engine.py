@@ -510,7 +510,7 @@ def test_wreath_columns_are_ind_res_eigenvectors():
         x = Z2C.ind_res(n)
         for cls in Z2C.classes_at(n):
             column = character_column(Z2C, cls, n)
-            value = Z2C.ind_t_character(cls, n)
+            value = Z2C.coset_character(cls, n, n - 1, n)
             assert value.denominator == 1
             dense = dense_column(Z2C, column)
             assert x.matvec(dense) == [int(value) * v for v in dense], (n, cls)

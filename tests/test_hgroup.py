@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute_wreath
-from brute_wreath import (CONCRETE, by_closure, colored_cycle_type, conjugations, permutation_product,
-                          wreath_elements)
+from brute_wreath import (CONCRETE, by_closure, colored_cycle_type, conjugations, identity_colored_type,
+                          permutation_product, wreath_elements)
 from charcol.hgroup import (
     GroupTable,
     SizeBoundError,
@@ -20,7 +21,6 @@ from charcol.hgroup import (
     builtin_table,
     enumerate_wreath_labels,
     format_wreath_label,
-    identity_colored_type,
     load_table,
     parse_wreath_label,
     symmetric_group_table,
@@ -171,6 +171,31 @@ def test_validate_agrees_with_the_pairwise_reference_on_sound_tables():
                   GroupTable.from_json_dict(D4_JSON), builtin_table("trivial")):
         assert pairwise_orthogonality_error(table) is None
         assert table.validate() is table
+
+
+# Tables that pass the checks above, sizes, labels and row orthogonality, yet
+# belong to no group, so no wreath table or column is built over them
+GROUPLESS_TABLES = {
+    "negative-dim": (GroupTable("neg", 1, (("e", 1),), (("s", -1, (-1,)),)),
+                     "neg: row s has dim=-1, below 1"),
+    "identity-of-size-2": (GroupTable("id2", 2, (("e", 2),), (("1", 1, (1,)),)),
+                           "id2: first class must be the identity (size 1)"),
+    "no-trivial-row": (GroupTable("had", 4, tuple((c, 1) for c in "abcd"), tuple(
+        (f"r{i}", 1, row) for i, row in enumerate([(1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1),
+                                                   (1, -1, -1, -1)]))),
+                       "had: no row is the trivial character (all values 1)"),
+}
+
+
+@pytest.mark.parametrize("name", list(GROUPLESS_TABLES))
+def test_validation_refuses_tables_no_group_has(name):
+    table, message = GROUPLESS_TABLES[name]
+    assert pairwise_orthogonality_error(table) is None
+    with pytest.raises(TableValidationError, match=f"^{re.escape(message)}$"):
+        GroupTable.from_json_dict(table.to_json_dict())
+    # an earlier check keeps its message
+    with pytest.raises(TableValidationError, match="class sizes sum to"):
+        table._replace(order=table.order + 1).validate()
 
 
 def test_table_json_round_trip():
