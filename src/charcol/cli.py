@@ -27,7 +27,7 @@ from contextlib import nullcontext
 
 from . import mckay, verify
 from .chain import Chain, require_symmetric
-from .engine import character_column, odd_column
+from .engine import character_column, odd_column, reduced_operator
 from .hgroup import SizeBoundError, load_table, order_bound
 from .lifting import InvariantError, lift
 from .partitions import mirrored_order
@@ -78,7 +78,8 @@ def cmd_column(args) -> int:
         "entries": [[lab, v] for lab, v in entries],
     }
     if args.odd:
-        payload["plusPart"] = [[chain.format_label(lab), v] for lab, v in column.plus_part.items()]
+        payload["plusPart"] = [[chain.format_label(lab), column.coeffs.get(lab, 0)]
+                               for lab in reduced_operator(args.n).plus_basis]
     if args.oracle:
         require_symmetric(chain, "--oracle (the border-strip oracle)")
         oracle = verify.oracle_column(column.class_label, args.n)

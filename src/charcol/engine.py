@@ -8,13 +8,14 @@ commutator scaling (1 for symmetric groups, |H| for wreath products).
 each class's lifted input fills one slot of a packed int (``sparse.PackedIdentity``),
 times the lifts' common denominator D, and X = Ind Res acts along the edges of
 the chain's ``sign_fold`` (one label of each pair of twins) when the classes
-share one sign, or of Res. The slot width covers ||D input||_inf, doubled on a
-fold, times prod (||X|| + |r|) over f's roots: a bound on what the pass
+share one sign, or of Res, the fold of sign 0: on each the input at a kept label
+lam is u(lam) + sign u(twin). The slot width covers ||D input||_inf, doubled on
+a fold, times prod (||X|| + |r|) over f's roots: a bound on what the pass
 computes, right or wrong. One loop over the kept labels reads each slot out:
 it checks, halves and divides each entry, mirrors it onto its twin and sums
-the norm; one class's slot is the whole int. The fold of sign -1 is the
-paper's reduced operator Y; ``odd_column`` reads a column's plus part off
-``reduced_operator(n)``, Y's entries on the plus basis, memoized per process.
+the norm; one class's slot is the whole int. The fold of sign -1 is the paper's
+reduced operator Y, so an odd column is a plain column. ``reduced_operator(n)``
+(Y on the plus basis, memoized per process) serves mckay --reduced and column --odd.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from contextlib import suppress
 from functools import lru_cache
-from itertools import repeat
 from math import lcm, prod
 
 from .chain import Chain, FallingFactorialPoly, SymmetricChain, get_chain, require_symmetric  # noqa: F401
@@ -32,9 +32,9 @@ from .partitions import content_sum
 from .sparse import PackedIdentity
 
 
-class CharacterColumn(namedtuple("CharacterColumn", "class_label coeffs plus_part", defaults=(None,))):
+class CharacterColumn(namedtuple("CharacterColumn", "class_label coeffs")):
     """A full character-table column delta_h as a vector ``coeffs`` over the irrep basis of
-    ``class_label``'s level, the class embedded there; ``odd_column`` sets ``plus_part``."""
+    ``class_label``'s level, the class embedded there."""
 
 
 def _checked_class(chain: Chain, cls):
@@ -61,7 +61,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
     the level-k table of the classes' one core level k."""
     columns, cores = dict.fromkeys(classes), {}  # cores: level k -> core -> its classes
     for cls in columns:
-        core, k = chain.fit_class(_checked_class(chain, cls), n)
+        core, k = chain.fit_class(_checked_class(chain, cls), chain.check_level(n))
         cores.setdefault(k, {}).setdefault(core, []).append(cls)
     if table is not None and len(cores) > 1:
         raise ValueError(f"one table serves one core level, not levels {sorted(cores)}")
@@ -82,8 +82,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
         for unit, part in zip(packed.rows[1:], rest):  # D times the inputs, a slot each; slot 0's unit is 1
             for label, v in part.items():
                 vec[label] = vec.get(label, 0) + v * unit
-        dense = ([vec.get(lam, 0) + sign * vec.get(t, 0) for lam, t in zip(op.kept, op.twins)] if sign
-                 else list(map(vec.get, op.kept, repeat(0))))  # u, and u + sign T u on a fold
+        dense = [vec.get(lam, 0) + sign * vec.get(t, 0) for lam, t in zip(op.kept, op.twins)]  # u + sign T u
         if n > k:
             dense = poly.apply(op.times_x, dense)
         for slot, (core, given) in enumerate(level.items()):
@@ -133,13 +132,10 @@ def reduced_operator(n: int) -> ReducedOperator:
 
 def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = None,
                table: GroupTable | None = None) -> CharacterColumn:
-    """``character_column`` of an odd class, whose pass runs on the sign-odd
-    fold, with its entries on ``reduced_operator(n).plus_basis`` as ``plus_part``."""
+    """``character_column`` of an odd class, whose pass runs on the sign-odd fold."""
     chain = chain or get_chain("sym")
     require_symmetric(chain, "odd_column")
-    if chain.class_sign(chain.fit_class(_checked_class(chain, tau), n)[0]) != -1:
+    if chain.class_sign(chain.fit_class(_checked_class(chain, tau), chain.check_level(n))[0]) != -1:
         name = chain.format_class(tau) if tau else "e"  # the identity as typed
         raise ValueError(f"class {name!r} is even; odd_column needs an odd permutation")
-    column = character_column(chain, tau, n, max_order, table)
-    plus_part = {lam: column.coeffs.get(lam, 0) for lam in reduced_operator(n).plus_basis}
-    return column._replace(plus_part=plus_part)
+    return character_column(chain, tau, n, max_order, table)

@@ -81,7 +81,7 @@ def test_criterion_03_reduced_operator_and_odd_columns():
         assert red.plus_basis == ((6,), (5, 1), (4, 2), (4, 1, 1), (3, 3))
         for tau, expect in PRINTED_PLUS_COLUMNS.items():
             column = odd_column(tau, 6)
-            assert tuple(column.plus_part[lam] for lam in red.plus_basis) == expect
+            assert tuple(column.coeffs.get(lam, 0) for lam in red.plus_basis) == expect
             assert column.coeffs == character_column(SYM, tau, 6).coeffs
 
     timed(3, "reduced operator and odd columns", 1.0, body)

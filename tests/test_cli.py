@@ -117,10 +117,17 @@ def test_column_class_above_level_names_the_class(capsys, spec, cls, n):
 
 @pytest.mark.parametrize("spec", ["sym", "z2wreath"])
 def test_identity_class_below_level_zero_is_named_as_typed(capsys, spec):
-    # the sym column JSON prints the identity as "[]"; its refusal names it "e"
+    # a level below the chain's lowest is refused before the class is fitted
     code, out, err = run(capsys, "column", "--chain", spec, "--class", "e", "--n", "-1")
     assert (code, out) == (2, "")
-    assert err == "error: class 'e' does not fit at level -1\n"
+    assert err == f"error: chain '{spec}' has no level -1\n"
+
+
+@pytest.mark.parametrize("odd", [(), ("--odd",)], ids=["plain", "odd"])
+def test_column_below_level_zero_names_the_level(capsys, odd):
+    # column refuses a level as indres, table, mckay and lift do, an odd column too
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", "[2]", "--n", "-1", *odd)
+    assert (code, out, err) == (2, "", "error: chain 'sym' has no level -1\n")
 
 
 @pytest.mark.parametrize("n, message", [
@@ -579,6 +586,49 @@ def test_column_and_reduced_mckay_outputs_keep_their_bytes(capsys):
         for fmt in ("dot", "json"):
             add("mckay", "--chain", "sym", "--n", str(n), "--reduced", "--format", fmt)
     assert digest.hexdigest() == COLUMN_AND_REDUCED_MCKAY_DIGEST
+
+
+# SHA-256 of `column --odd` JSON for each odd class of S_1..S_8, with its plusPart,
+# taken while odd_column still read the plus part off the reduced operator
+ODD_COLUMN_DIGESTS = {
+    (2, "[2]"): "4811ecbed5781a765888b26efb8596f6a90df05b153707ac4396611b9f1b02c8",
+    (3, "[2,1]"): "7942dbfde9bc43a2948ded7a6de7b94c3bcf2cb949d13ea2c61ed588ca3b5cf4",
+    (4, "[4]"): "e0978b7371d5ab89b7c329b2514f6291424844e3eabc070ed03a9b3b7290eb82",
+    (4, "[2,1,1]"): "8e1510bdf8215653e8697969a39ab6ceda689e02bbf817f5fc8ac525aa146dd5",
+    (5, "[4,1]"): "c1346392ab13aee00477256f68a4fc0f69ae7f2d842b1791d74f868f51c09688",
+    (5, "[3,2]"): "ea7d5f18bf3a6cd81d15b4919a1a5192bdf933d6eb28fec85770ed4f5f23fb77",
+    (5, "[2,1,1,1]"): "4ece872ed970086d0f16ae3f890231d08db021fbe5730555f77836374f10804d",
+    (6, "[6]"): "a62be816fc31b593600b7e734df30080b0260b7f4738ce90553f2d4f5b4df7c6",
+    (6, "[4,1,1]"): "7208b9872de42054ea05c2952cc1622fbdd1a8aaaeddee6be6ea9b459e1f8cec",
+    (6, "[3,2,1]"): "a92926600f823cd2573f0511bd66582678f9296ab1d736a3fe1bdc532ed6b5e7",
+    (6, "[2,2,2]"): "f1b15755fd0f368006c1ca35698aa6c95a254c67fa8446217dfa289d0a47e2d6",
+    (6, "[2,1,1,1,1]"): "e6ac5dcf031d6a0569b570f9f494446101ae52ff6002a68d21164f00414d3f99",
+    (7, "[6,1]"): "6651a54a7b6f5328d2c9c2fb7b523ec7387c396c2b9eb6666a52f372b7d82e8b",
+    (7, "[5,2]"): "57468bf6ea0cd9b4d8244e7e1bc603d2df36035201b06316525e3cb5581eaeef",
+    (7, "[4,3]"): "262a040d4e7b8656b0e85f930d59aa3ce1834d6ea8bf208061e67eae5d9427db",
+    (7, "[4,1,1,1]"): "42d0f8b7d3c6f13ac05c7fdf1af7dcfecc1615fa18ab4b0c35fa1ced29d4fe7d",
+    (7, "[3,2,1,1]"): "69e3fdb35a1358d04260c904945a8a2e40159776d4b0ddc01924bad1787eb485",
+    (7, "[2,2,2,1]"): "a7c7560f2d894ffdd2c7931e13523f11118f729ef410a799d8fbf35d2f2f0e86",
+    (7, "[2,1,1,1,1,1]"): "fb15f0635a398943cb219ec3f8393af1a6a699954f090cbcd3af34dba88a5eed",
+    (8, "[8]"): "244a20d20715da9d8de1fd34731f6a96d4b5e35f3a6d67e075f3426de86476d1",
+    (8, "[6,1,1]"): "c8f463b78919356e6dc6946a5becaba69cacac4f1c5815fc0eeb5bf30b3adb34",
+    (8, "[5,2,1]"): "be5dab7cf78c397de8652648406e69abcc0f8e78b0ee5f090b686bc58786e4ce",
+    (8, "[4,3,1]"): "af7486e7e0ae97c55a1e4babb8767d4ec173f9fdfd5373fbadc93534a1238184",
+    (8, "[4,2,2]"): "f85c8863a29b0e7f50d73008fd013e2f68c1f031a677081cad781f81655e591f",
+    (8, "[4,1,1,1,1]"): "a8d85be3a9953cc8c4c5ef59d524e23ea64144298473b1b6123fe4dd244e5247",
+    (8, "[3,3,2]"): "6299d38e12b61e65240bdd17e078d105e1fc7c7980ea7bbfdfa8caadf868e49a",
+    (8, "[3,2,1,1,1]"): "13319b46b82a13a347532931e8b45f610e362fdf0c3b1bbc8d6330ac4304ef03",
+    (8, "[2,2,2,1,1]"): "72cc06a244ae2ba8e58a938bafcfe19c433ce505e9499b0e23c948bdc54083a5",
+    (8, "[2,1,1,1,1,1,1]"): "cf937b4df0971bf05c0d105627ee1f5c5d1506e2f044e639d63a539456c6e2fa",
+}
+
+
+@pytest.mark.parametrize("n, cls", ODD_COLUMN_DIGESTS, ids=[f"{n}:{cls}" for n, cls in ODD_COLUMN_DIGESTS])
+def test_odd_column_output_keeps_its_bytes(capsys, n, cls):
+    code, out, err = run(capsys, "column", "--chain", "sym", "--class", cls, "--n", str(n), "--odd",
+                         "--max-order", str(factorial(n)))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ODD_COLUMN_DIGESTS[n, cls]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])

@@ -12,6 +12,7 @@ import brute_wreath
 from charcol import partitions, verify
 from charcol.chain import SymmetricChain, WreathChain, get_chain
 from charcol.engine import (
+    CharacterColumn,
     character_column,
     character_columns,
     odd_column,
@@ -361,6 +362,18 @@ def test_reduced_operator_does_not_call_the_oracle(monkeypatch):
     assert reduced_operator(6).plus_basis == ((6,), (5, 1), (4, 2), (4, 1, 1), (3, 3))
 
 
+def test_a_cold_odd_column_builds_no_reduced_operator():
+    # the sign -1 fold already is Y's action, so an odd column needs nothing of Y
+    reduced_operator.cache_clear()
+    column = odd_column((2,), 9, SymmetricChain())
+    assert column == character_column(SymmetricChain(), (2,), 9)
+    assert reduced_operator.cache_info().misses == 0
+
+
+def test_a_column_is_its_class_and_its_coefficients():
+    assert CharacterColumn._fields == ("class_label", "coeffs")
+
+
 @pytest.mark.parametrize("n", [15, 16])
 def test_odd_columns_match_oracle_from_n15(n):
     # from n = 15 on, some diagrams that are not self-conjugate, such as
@@ -381,7 +394,7 @@ def test_odd_columns_plus_parts_match_printed():
     red = reduced_operator(6)
     for tau, expect in PRINTED_PLUS_COLUMNS.items():
         column = odd_column(tau, 6)
-        assert tuple(column.plus_part[lam] for lam in red.plus_basis) == expect
+        assert tuple(column.coeffs.get(lam, 0) for lam in red.plus_basis) == expect
 
 
 def test_plus_part_of_transposition_is_y_product_on_t():
@@ -392,12 +405,13 @@ def test_plus_part_of_transposition_is_y_product_on_t():
         return [sum(red.entries.get((i, j), 0) * v for j, v in enumerate(vec)) for i in range(5)]
 
     assert SYM.poly(4).apply(times_y, unit) == [1, 3, 3, 2, 1]
-    assert tuple(odd_column((2,), 6).plus_part.values()) == (1, 3, 3, 2, 1)
+    column = odd_column((2,), 6)
+    assert tuple(column.coeffs.get(lam, 0) for lam in red.plus_basis) == (1, 3, 3, 2, 1)
 
 
 def test_every_column_of_s1_to_s14_equals_the_oracle_on_its_fold():
     # each class of each sign and core level runs on its sign fold; an odd one
-    # also through odd_column, whose plus part is the column on Y's plus basis
+    # also through odd_column, and its entries on Y's plus basis are the oracle's
     for n in range(1, 15):
         chain, max_order = SymmetricChain(), factorial(n)
         reference = chain.reference_columns(n, max_order)
@@ -407,7 +421,8 @@ def test_every_column_of_s1_to_s14_equals_the_oracle_on_its_fold():
             if class_sign(mu) == -1:
                 column = odd_column(mu, n, chain, max_order)
                 assert column.coeffs == reference[mu], (n, mu)
-                assert column.plus_part == {lam: reference[mu].get(lam, 0) for lam in plus_basis}
+                assert ({lam: column.coeffs.get(lam, 0) for lam in plus_basis}
+                        == {lam: reference[mu].get(lam, 0) for lam in plus_basis})
         assert n < 2 or sorted(chain._fold_cache) == [(n, -1), (n, 1)]
 
 
