@@ -160,7 +160,7 @@ class Chain:
     lifting needs ``label_level`` and ``pad_first_row``, and checks at run
     time that its recursion never revisits a label whose lift is still
     waiting. A chain may declare capabilities, or what needs one is skipped:
-    ``reference`` (``reference_columns``) for the oracle, ``has_irrep_labels``
+    ``reference`` (``reference_column``) for the oracle, ``has_irrep_labels``
     for lifts, columns, tables and exports, ``class_sign`` with ``_twin_pairs``
     for ``sign_fold``.
     """
@@ -308,9 +308,9 @@ class Chain:
         """All class labels at level n (each at its own level, unstripped)."""
         raise NotImplementedError
 
-    def reference_columns(self, n: int, max_order: int | None = None) -> dict:
-        """Level n's character columns from a source independent of the engine,
-        as {class: {label: value}} without zeros; SizeBoundError above the bound."""
+    def reference_column(self, cls, n: int, max_order: int | None = None) -> dict:
+        """The level-n column of a class given at level n or below, from a source independent
+        of the engine, as {label: value} without zeros; SizeBoundError above the bound."""
         raise NotImplementedError
 
     def identity_class(self, n: int):
@@ -447,10 +447,10 @@ class SymmetricChain(Chain):
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
         return partitions.enumerate_partitions(n)
 
-    def reference_columns(self, n: int, max_order: int | None = None) -> dict:
+    def reference_column(self, cls: Partition, n: int, max_order: int | None = None) -> dict:
         hgroup.check_order(factorial(n), max_order, f"S_{n}")
-        basis = self.basis(n)
-        return {mu: partitions.border_strip_column(mu, basis) for mu in basis}
+        mu = self.embed_class(cls, n)
+        return {lam: value for lam in self.basis(n) if (value := partitions.mn_character(lam, mu))}
 
     def trivial_label(self, n: int) -> Partition:
         return (n,) if n else ()
@@ -549,11 +549,9 @@ class WreathChain(Chain):
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[WreathLabel, ...]:
         return tuple(c.label for c in hgroup.wreath_classes(self.h_table, n, max_order))
 
-    def reference_columns(self, n: int, max_order: int | None = None) -> dict:
-        table = self.small_table(n, max_order)  # rows in basis order, columns in classes_at order
-        rows = list(zip(self.basis(n), (values for _, _, values in table.irreps), strict=True))
-        return {cls: {label: values[j] for label, values in rows if values[j]}
-                for j, (cls, _) in enumerate(zip(self.classes_at(n, max_order), table.classes, strict=True))}
+    def reference_column(self, cls: WreathLabel, n: int, max_order: int | None = None) -> dict:
+        hgroup.wreath_classes(self.h_table, n, max_order)  # applies the order bound
+        return hgroup.wreath_column(self.h_table, self.embed_class(cls, n))
 
     def trivial_label(self, n: int) -> WreathLabel:
         idx = next(i for i, (_, _, values) in enumerate(self.h_table.irreps) if set(values) == {1})

@@ -17,14 +17,14 @@ Two independent construction routes live here:
   per row, whose widths come from proven bounds: a stored row has norm |G|,
   so no entry above sqrt(|G|), and the Young characters' bound is read off
   them as computed; validate bounds each slot by sum |size| * max|chi|^2.
-* ``wreath_char_table`` builds H wr S_k tables from H's table alone, by the
-  wreath Murnaghan-Nakayama rule (Macdonald, Symmetric Functions and Hall
+* ``wreath_column`` is one class column of H wr S_k, from H's table alone, by
+  the wreath Murnaghan-Nakayama rule (Macdonald, Symmetric Functions and Hall
   Polynomials, 2nd ed., I, Appendix B): a cycle of length r and H-class c is
-  taken off as an r-rim hook of one slot's partition, weighted by that
-  slot's H-character at c. The rim hooks are ``partitions.rim_hooks``, the
-  border strips of the S_k oracle; the classes are the colored cycle types,
-  listed and sized by formula. Nothing enumerates the group, and any H with
-  integer characters, built in or read from a table file, gets a table.
+  taken off as an r-rim hook of one slot's partition (``partitions.rim_hooks``,
+  the S_k oracle's border strips), weighted by that slot's H-character at c.
+  It is memoized by class, and ``wreath_char_table`` is the columns of the
+  colored cycle types, listed and sized by formula. Nothing enumerates the
+  group, and any H with integer characters, built in or from a file, gets a table.
 
 Wreath irrep labels and conjugacy-class labels are nested tuples
 ``((index, partition), ...)`` sorted by index with nonempty partitions; the
@@ -435,29 +435,34 @@ def wreath_char_table(h_table: GroupTable, k: int, max_order: int | None = None)
 
 
 @lru_cache(maxsize=None)
+def wreath_column(h_table: GroupTable, cls: WreathLabel) -> dict[WreathLabel, int]:
+    """``{label: chi^label(cls)}`` over the labels of cls's level, zeros dropped:
+    a longest cycle (length r, H-class c) is taken off as an r-rim hook xi of
+    some slot (i, lambda), so chi^label(cls) = sum_i chi_i(c) sum_xi (-1)^ht(xi)
+    chi^(label - xi)(cls less the cycle). Each class met on the way is one memo
+    entry, shared across classes and levels; the dict returned is the memo's
+    own, to be read and never changed."""
+    if not cls:
+        return {(): 1}
+    r, c = max((part[0], c) for c, part in cls)
+    rest = wreath_column(h_table, tuple((d, p) for d, part in cls if (p := part[1:] if d == c else part)))
+    column = {}
+    for label in enumerate_wreath_labels(len(h_table.irreps), sum(sum(p) for _, p in cls)):
+        total = 0
+        for slot, (i, part) in enumerate(label):
+            if chi := h_table.irreps[i][2][c]:
+                head, tail = label[:slot], label[slot + 1:]
+                total += chi * sum(sign * rest.get(head + ((i, less),) + tail if less else head + tail, 0)
+                                   for sign, less in rim_hooks(part, r))
+        if total:
+            column[label] = total
+    return column
+
+
+@lru_cache(maxsize=None)
 def _wreath_char_table_cached(h_table: GroupTable, k: int) -> GroupTable:
     classes = _wreath_classes_cached(h_table, k)
-    chi = [values for _, _, values in h_table.irreps]
-    memo: dict[tuple, int] = {}  # one build's (label, cycles left) -> value
-
-    def value(label: WreathLabel, cycles: tuple) -> int:
-        """chi^label at the cycles (length r, H-class c), longest first: the
-        first is taken off as an r-rim hook xi of some slot (i, lambda), so
-        chi^label = sum_i chi_i(c) sum_xi (-1)^ht(xi) chi^(label - xi)."""
-        if not cycles:
-            return 1
-        if (label, cycles) not in memo:
-            (r, c), rest = cycles[0], cycles[1:]
-            total = 0
-            for slot, (i, part) in enumerate(label):
-                if chi[i][c]:
-                    head, tail = label[:slot], label[slot + 1:]
-                    total += chi[i][c] * sum(sign * value(head + ((i, less),) + tail if less else head + tail, rest)
-                                             for sign, less in rim_hooks(part, r))
-            memo[label, cycles] = total
-        return memo[label, cycles]
-
-    columns = [tuple(sorted(((r, c) for c, part in cls.label for r in part), reverse=True)) for cls in classes]
+    columns = [wreath_column(h_table, cls.label) for cls in classes]
     irrep_names = [lab for lab, _, _ in h_table.irreps]
     class_names = [lab for lab, _ in h_table.classes]
     table = GroupTable(
@@ -465,7 +470,7 @@ def _wreath_char_table_cached(h_table: GroupTable, k: int) -> GroupTable:
         order=h_table.order**k * factorial(k),
         classes=tuple((format_wreath_label(class_names, cls.label), cls.size) for cls in classes),
         irreps=tuple((format_wreath_label(irrep_names, label), wreath_irrep_dim(h_table, label),
-                      tuple(value(label, cycles) for cycles in columns))
+                      tuple(column.get(label, 0) for column in columns))
                      for label in enumerate_wreath_labels(len(h_table.irreps), k)),
     )
     return table.validate()

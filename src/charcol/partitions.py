@@ -174,11 +174,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def border_strip_column(mu: Partition, diagrams) -> dict:
-    """The column {lambda: chi_lambda(mu)} over the given diagrams, zeros dropped."""
-    return {lam: value for lam in diagrams if (value := mn_character(lam, mu))}
-
-
 @lru_cache(maxsize=None)
 def parse_partition(text: str) -> Partition:
     """Parse the bracketed text form, e.g. "[3,2,1]"; "[]" and "e" mean empty."""

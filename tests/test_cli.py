@@ -370,6 +370,18 @@ def test_verify_rejects_an_ingested_order_of_zero(capsys, tmp_path, suite, level
                    "order must be at least 1: every group has its identity\n")
 
 
+def test_verify_refuses_a_level_far_above_the_others_in_one_line(capsys, tmp_path):
+    # testing the levels for gaps once built the range up to 10**30, and ended
+    # in an OverflowError traceback
+    payload = export_chain(SymmetricChain(), 4)
+    payload["levels"].append({"n": 10**30, "order": 1, "basisSize": 1})
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--maxN", "4")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == f"error: levels [0, 1, 2, 3, 4, {10**30}] are not consecutive\n"
+
+
 def _ghost_at_level_3(embeds_to=None):
     def spoil(payload):
         payload["levels"][3]["classes"].append({"label": "ghost", "size": 0, "embedsTo": embeds_to})

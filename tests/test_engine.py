@@ -295,7 +295,7 @@ def test_single_wreath_columns_run_on_the_fold_and_equal_res_columns():
     for n in range(1, 9):
         chain = WreathChain(builtin_table("Z2"))
         if n <= 5:
-            expected = chain.reference_columns(n)
+            expected = {cls: chain.reference_column(cls, n) for cls in chain.classes_at(n)}
         else:
             batch = WreathChain(builtin_table("Z2"))
             classes = [chain.embed_class(c, n) for k in range(0, 6) for c in chain.classes_at(k)
@@ -313,10 +313,9 @@ def test_a_wreath_chain_without_a_linear_character_builds_no_fold():
     # sign 0 and its column runs on Res
     chain = WreathChain(builtin_table("trivial"))
     for n in range(1, 6):
-        reference = chain.reference_columns(n)
         for cls in chain.classes_at(n):
             assert chain.class_sign(cls) == 0
-            assert character_column(chain, cls, n).coeffs == reference[cls], (n, cls)
+            assert character_column(chain, cls, n).coeffs == chain.reference_column(cls, n), (n, cls)
     assert not chain._fold_cache and sorted(chain._res_cache) == [1, 2, 3, 4, 5]
 
 
@@ -414,15 +413,15 @@ def test_every_column_of_s1_to_s14_equals_the_oracle_on_its_fold():
     # also through odd_column, and its entries on Y's plus basis are the oracle's
     for n in range(1, 15):
         chain, max_order = SymmetricChain(), factorial(n)
-        reference = chain.reference_columns(n, max_order)
         plus_basis = reduced_operator(n).plus_basis
         for mu in enumerate_partitions(n):
-            assert character_column(chain, mu, n, max_order).coeffs == reference[mu], (n, mu)
+            reference = chain.reference_column(mu, n, max_order)
+            assert character_column(chain, mu, n, max_order).coeffs == reference, (n, mu)
             if class_sign(mu) == -1:
                 column = odd_column(mu, n, chain, max_order)
-                assert column.coeffs == reference[mu], (n, mu)
+                assert column.coeffs == reference, (n, mu)
                 assert ({lam: column.coeffs.get(lam, 0) for lam in plus_basis}
-                        == {lam: reference[mu].get(lam, 0) for lam in plus_basis})
+                        == {lam: reference.get(lam, 0) for lam in plus_basis})
         assert n < 2 or sorted(chain._fold_cache) == [(n, -1), (n, 1)]
 
 
@@ -644,18 +643,17 @@ def test_odd_column_refuses_a_malformed_class_before_reading_its_sign(tau):
 
 
 @pytest.mark.parametrize("chain, top", [(SYM, 12), (Z2C, 6)], ids=["sym", "z2wreath"])
-def test_batched_columns_equal_single_and_reference_columns(chain, top):
+def test_batched_columns_equal_each_single_and_reference_column(chain, top):
     # one call per level packs every class, of every core level, into slots
     max_order = factorial(top) * 2**top
     for n in range(1, top + 1):
         classes = chain.classes_at(n, max_order)
-        reference = chain.reference_columns(n, max_order)
         assert n == 1 or len({chain.fit_class(cls, n)[1] for cls in classes}) > 1
         columns = character_columns(chain, classes, n, max_order)
         assert list(columns) == list(classes)
         for cls in classes:
             single = character_column(chain, cls, n, max_order)
-            assert columns[cls] == single and single.coeffs == reference[cls]
+            assert columns[cls] == single and single.coeffs == chain.reference_column(cls, n, max_order)
 
 
 S3_ONE = [((i, (1,)),) for i in range(3)]  # e, t and c of S3 wr S_1, and its irreps

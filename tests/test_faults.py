@@ -48,7 +48,8 @@ def _runs(name):
         k = chain.fit_class(cls, n)[1]
         if chain.group_order(k) <= DEFAULT_MAX_ORDER:
             by_core.setdefault(k, []).append(cls)
-    return chain, n, chain.reference_columns(n, bound), by_core
+    reference = {cls: chain.reference_column(cls, n, bound) for cls in chain.classes_at(n, bound)}
+    return chain, n, reference, by_core
 
 
 def _outcome(chain, cls, n, reference, table=None):

@@ -229,7 +229,7 @@ def test_one_string_refuses_a_missing_level():
 
 # The most lines ``src/charcol/*.py`` may hold together. Lower it when the
 # package shrinks; raise it only with a capability that needs the lines.
-MAX_SRC_LINES = 2640
+MAX_SRC_LINES = 2637
 
 
 def test_package_does_not_grow():

@@ -12,11 +12,12 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charcol import verify
+from charcol import hgroup, verify
 from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, SymmetricChain,
                            WreathChain, get_chain)
 from charcol.cli import main as cli_main
-from charcol.hgroup import builtin_table
+from charcol.engine import character_column
+from charcol.hgroup import SizeBoundError, builtin_table
 from charcol.partitions import (
     class_sign,
     class_size,
@@ -105,6 +106,26 @@ def test_oracle_column_examples():
 
 def test_oracle_column_pads():
     assert oracle_column((2,), 6).coeffs == oracle_column((2, 1, 1, 1, 1), 6).coeffs
+
+
+def test_reference_column_pads_a_short_class_as_oracle_column_does():
+    sym, z2 = SymmetricChain(), WreathChain(builtin_table("Z2"))
+    assert sym.reference_column((2,), 6) == sym.reference_column((2, 1, 1, 1, 1), 6)
+    assert sym.reference_column((2,), 6) == oracle_column((2,), 6).coeffs
+    padded = z2.reference_column(((0, (1, 1, 1, 1)), (1, (1,))), 5)
+    assert z2.reference_column(((1, (1,)),), 5) == padded == character_column(z2, ((1, (1,)),), 5).coeffs
+
+
+def test_a_wreath_reference_column_builds_no_table():
+    # the rule runs class by class: a column at level 6, above the default
+    # bound, builds no level-6 table, nor any table below it
+    z2, cls = WreathChain(builtin_table("Z2")), ((1, (2,)),)
+    with pytest.raises(SizeBoundError, match="Z2 wr S_6 has order 46080, above the bound 10000"):
+        z2.reference_column(cls, 6)
+    hgroup._wreath_char_table_cached.cache_clear()
+    column = z2.reference_column(cls, 6, 46_080)
+    assert hgroup._wreath_char_table_cached.cache_info().currsize == 0
+    assert column == character_column(z2, cls, 6, 46_080).coeffs  # the engine reads the level-2 table
 
 
 @pytest.mark.parametrize("mu, match", [((2, -1, 1), "positive"), ((0, 2), "positive"), ((True, 2), "integers")],
@@ -1070,11 +1091,9 @@ def test_an_oracle_mismatch_names_its_first_differing_label():
     # one reference entry spoiled: the check of that class names the label,
     # the engine's value and the reference's; every other check passes
     class SpoiledReference(SymmetricChain):
-        def reference_columns(self, n, max_order=None):
-            columns = super().reference_columns(n, max_order)
-            if n == 4:
-                columns[(2, 1, 1)] = dict(columns[(2, 1, 1)]) | {(2, 2): 5}
-            return columns
+        def reference_column(self, cls, n, max_order=None):
+            column = super().reference_column(cls, n, max_order)
+            return column | {(2, 2): 5} if (cls, n) == ((2, 1, 1), 4) else column
 
     report = run_suite(SpoiledReference(), "oracle", 4)
     failed = [(c.name, c.detail) for c in report.checks if not c.passed]
