@@ -32,6 +32,7 @@ Res's ``parents`` and ``matrix`` fill in on first use, so concurrent reads are s
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, inf, prod
@@ -153,16 +154,16 @@ class Chain:
     ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as
     ``poly(l)``, and the class data: ``group_order``, ``classes_at``,
     ``identity_class``, ``format_class`` and ``class_size_from(h, m, j)`` for
-    j above or below m, on which ``coset_character`` is built. ``fit_class``
-    alone decides whether a class fits a level; ``class_size_from`` is built
-    on it and the chain's ``class_size``. The engine fits each class once,
-    applies ``poly(l)`` and reads ``class_size`` of its ``pad_core`` for the norm;
-    lifting needs ``label_level`` and ``pad_first_row``, and checks at run
-    time that its recursion never revisits a label whose lift is still
-    waiting. A chain may declare capabilities, or what needs one is skipped:
-    ``reference`` (``reference_column``) for the oracle, ``has_irrep_labels``
-    for lifts, columns, tables and exports, ``class_sign`` with ``_twin_pairs``
-    for ``sign_fold``.
+    j above or below m, on which ``coset_character`` is built. ``check_class`` alone
+    decides whether a tuple is a class, for the engine and each ``reference_column``;
+    ``fit_class`` whether it fits a level, and ``class_size_from`` is built on it and
+    ``class_size``. The engine fits each class once, applies ``poly(l)`` and reads
+    ``class_size`` of its ``pad_core`` for the norm; lifting needs ``label_level`` and
+    ``pad_first_row``, and checks at run time that its recursion never revisits a
+    label whose lift is still waiting. A chain may declare capabilities, or what
+    needs one is skipped: ``reference`` (``reference_column``) for the oracle,
+    ``has_irrep_labels`` for lifts, columns, tables and exports, ``class_sign`` with
+    ``_twin_pairs`` for ``sign_fold``.
     """
 
     id: str
@@ -226,6 +227,13 @@ class Chain:
         if not self.has_level(n):
             raise ValueError(f"chain {self.id!r} has no level {n}")
         return n
+
+    def check_class(self, cls):
+        """cls, if it is its own text read back, as the command line reads every class."""
+        with suppress(IndexError):  # an H-class index past H's table is not a class
+            if self.parse_class(self.format_class(cls)) == cls:
+                return cls
+        raise ValueError(f"{cls!r} is not a class of chain {self.id!r}")
 
     def level_range(self, top: int) -> range:
         """The levels above the lowest one, up to top and the chain's own top,
@@ -448,8 +456,8 @@ class SymmetricChain(Chain):
         return partitions.enumerate_partitions(n)
 
     def reference_column(self, cls: Partition, n: int, max_order: int | None = None) -> dict:
+        mu = self.embed_class(self.check_class(cls), n)
         hgroup.check_order(factorial(n), max_order, f"S_{n}")
-        mu = self.embed_class(cls, n)
         return {lam: value for lam in self.basis(n) if (value := partitions.mn_character(lam, mu))}
 
     def trivial_label(self, n: int) -> Partition:
@@ -550,8 +558,9 @@ class WreathChain(Chain):
         return tuple(c.label for c in hgroup.wreath_classes(self.h_table, n, max_order))
 
     def reference_column(self, cls: WreathLabel, n: int, max_order: int | None = None) -> dict:
+        full = self.embed_class(self.check_class(cls), n)
         hgroup.wreath_classes(self.h_table, n, max_order)  # applies the order bound
-        return hgroup.wreath_column(self.h_table, self.embed_class(cls, n))
+        return hgroup.wreath_column(self.h_table, full)
 
     def trivial_label(self, n: int) -> WreathLabel:
         idx = next(i for i, (_, _, values) in enumerate(self.h_table.irreps) if set(values) == {1})

@@ -81,10 +81,9 @@ def cmd_column(args) -> int:
         payload["plusPart"] = [[chain.format_label(lab), column.coeffs.get(lab, 0)]
                                for lab in reduced_operator(args.n).plus_basis]
     if args.oracle:
-        require_symmetric(chain, "--oracle (the border-strip oracle)")
-        oracle = verify.oracle_column(column.class_label, args.n)
-        payload["oracle"] = [[chain.format_label(lab), oracle.coeffs.get(lab, 0)] for lab in order]
-        payload["oracleMatches"] = oracle.coeffs == column.coeffs
+        oracle = chain.reference_column(column.class_label, args.n, chain.group_order(args.n))
+        payload["oracle"] = [[chain.format_label(lab), oracle.get(lab, 0)] for lab in order]
+        payload["oracleMatches"] = oracle == column.coeffs
     if args.format == "csv":  # label,value, and with --oracle the oracle's value third
         ends = [[v] for _, v in payload["oracle"]] if args.oracle else [[]] * len(entries)
         _write(args, "", ([lab, v, *end] for (lab, v), end in zip(entries, ends)))
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", default=None,
                    help="GroupTable JSON for the class's own level, replacing the built-in one")
     p.add_argument("--oracle", action="store_true",
-                   help="include the border-strip oracle column for comparison")
+                   help="include the chain's reference column, computed without the engine, for comparison")
     p.add_argument("--paper-order", action="store_true",
                    help="print in conjugate-mirrored order for figure comparison")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -21,7 +21,6 @@ reduced operator Y, so an odd column is a plain column. ``reduced_operator(n)``
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from contextlib import suppress
 from functools import lru_cache
 from math import lcm, prod
 
@@ -35,14 +34,6 @@ from .sparse import PackedIdentity
 class CharacterColumn(namedtuple("CharacterColumn", "class_label coeffs")):
     """A full character-table column delta_h as a vector ``coeffs`` over the irrep basis of
     ``class_label``'s level, the class embedded there."""
-
-
-def _checked_class(chain: Chain, cls):
-    """cls, if it is its own text read back, as the command line reads every class."""
-    with suppress(IndexError):  # an H-class index past H's table is not a class
-        if chain.parse_class(chain.format_class(cls)) == cls:
-            return cls
-    raise ValueError(f"{cls!r} is not a class of chain {chain.id!r}")
 
 
 def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
@@ -61,7 +52,7 @@ def character_columns(chain: Chain, classes, n: int, max_order: int | None = Non
     the level-k table of the classes' one core level k."""
     columns, cores = dict.fromkeys(classes), {}  # cores: level k -> core -> its classes
     for cls in columns:
-        core, k = chain.fit_class(_checked_class(chain, cls), chain.check_level(n))
+        core, k = chain.fit_class(chain.check_class(cls), chain.check_level(n))
         cores.setdefault(k, {}).setdefault(core, []).append(cls)
     if table is not None and len(cores) > 1:
         raise ValueError(f"one table serves one core level, not levels {sorted(cores)}")
@@ -135,7 +126,7 @@ def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = 
     """``character_column`` of an odd class, whose pass runs on the sign-odd fold."""
     chain = chain or get_chain("sym")
     require_symmetric(chain, "odd_column")
-    if chain.class_sign(chain.fit_class(_checked_class(chain, tau), chain.check_level(n))[0]) != -1:
+    if chain.class_sign(chain.fit_class(chain.check_class(tau), chain.check_level(n))[0]) != -1:
         name = chain.format_class(tau) if tau else "e"  # the identity as typed
         raise ValueError(f"class {name!r} is even; odd_column needs an odd permutation")
     return character_column(chain, tau, n, max_order, table)

@@ -110,13 +110,6 @@ def strip_fixed_points(mu: Partition) -> Partition:
     return tuple(x for x in mu if x > 1)
 
 
-def pad_with_fixed_points(mu: Partition, n: int) -> Partition:
-    extra = n - sum(mu)
-    if extra < 0:
-        raise ValueError(f"cycle type {mu} does not fit inside S_{n}")
-    return mu + (1,) * extra
-
-
 def class_sign(mu: Partition) -> int:
     """Sign character value at cycle type mu: (-1)^(n - number of parts)."""
     return -1 if (sum(mu) - len(mu)) % 2 else 1

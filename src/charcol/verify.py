@@ -22,7 +22,7 @@ from math import factorial, prod
 from . import engine, lifting
 from .chain import CHAIN_NAMES, BranchingOperator, Chain, FallingFactorialPoly, WreathChain, get_chain
 from .hgroup import GroupTable, SizeBoundError, _typed, read_json
-from .partitions import Partition, check_partition, pad_with_fixed_points
+from .partitions import Partition, check_partition
 from .partitions import enumerate_partitions  # noqa: F401  bench/tracing.py counts its calls here
 from .sparse import PackedIdentity
 
@@ -31,10 +31,9 @@ from .sparse import PackedIdentity
 
 
 def oracle_column(mu: Partition, n: int):
-    """The exact level-n column of the class with cycle type mu, by the
-    border-strip oracle alone."""
-    full = pad_with_fixed_points(check_partition(sorted(mu, reverse=True)), n)
-    return engine.CharacterColumn(full, get_chain("sym").reference_column(full, n, factorial(n)))
+    """The exact level-n column of the class with cycle type mu, by border strips alone."""
+    mu, sym = check_partition(sorted(mu, reverse=True)), get_chain("sym")
+    return engine.CharacterColumn(sym.embed_class(mu, n), sym.reference_column(mu, n, factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,7 @@ def row_rank(nrows: int, entries) -> int:
 def _checked_level(parsed: tuple, below: tuple | None) -> tuple:
     """A parsed level as (order, Res, classes), checked against the level below as
     this returned it (None for the lowest level, whose Res, if listed, has no rows):
-    Res's shape, its rank and each entry's bound are checked on the listed entries
+    Res's shape, rank, entry bounds and empty columns are checked on the listed entries
     before Res, positions as labels, is built; classes are {label: (size, embedsTo)} or None."""
     n, order, basis_size, entries, classes = parsed
     below_order, below_res, below_classes = below or (None, None, None)
@@ -293,6 +292,10 @@ def _checked_level(parsed: tuple, below: tuple | None) -> tuple:
                 raise IngestError(
                     f"not a chain of groups: Res at level {n} has entry {v} at ({r}, {c}), "
                     f"but v^2 |G_{n - 1}| = {v * v * below_order} > |G_{n}| = {order}")
+        listed = {c for _, c, _ in entries}  # its least missing column is at most len(listed)
+        if (c := min(set(range(len(listed) + 1)) - listed)) < basis_size:
+            raise IngestError(f"not a chain of groups: Res at level {n} lists nothing in column {c}, "
+                              "but every irrep restricts to something nonzero")
     res = BranchingOperator.from_entries(tuple(range(basis_size)), tuple(range(rows)), entries or ())
     if classes is not None:
         total = sum(size for size, _ in classes.values())

@@ -15,7 +15,7 @@ import brute_wreath
 from brute_wreath import by_closure, permutation_product
 from charcol.cli import main
 from charcol.chain import SymmetricChain, get_chain
-from charcol.hgroup import builtin_table, load_table, symmetric_group_table, wreath_classes
+from charcol.hgroup import builtin_table, load_table, symmetric_group_table, wreath_classes, wreath_column
 from charcol.partitions import class_sign, enumerate_partitions, format_partition
 from charcol.verify import export_chain, jsonable
 from test_hgroup import GROUPLESS_TABLES
@@ -69,6 +69,19 @@ def test_column_csv_with_oracle_prints_the_oracle_third(capsys):
     assert code == 0 and len(rows) == len(enumerate_partitions(5))
     assert all(len(row) == 3 and row[2] == row[1] for row in rows), rows
     assert [row[0] for row in rows] == [format_partition(p) for p in enumerate_partitions(5)]
+
+
+def test_column_oracle_on_a_wreath_chain_prints_the_wreath_rule(capsys):
+    # --oracle was sym-only, a usage error on every other chain
+    code, out, _ = run(capsys, "column", "--chain", "z2wreath", "--class", "1:[2]", "--n", "6", "--oracle")
+    payload, chain = json.loads(out), get_chain("z2wreath")
+    assert code == 0 and payload["oracleMatches"] is True
+    reference = wreath_column(builtin_table("Z2"), ((0, (2, 1, 1, 1, 1)),))
+    assert payload["oracle"] == [[chain.format_label(lab), reference.get(lab, 0)] for lab in chain.basis(6)]
+    code, out, _ = run(capsys, "column", "--chain", "z2wreath", "--class", "1:[2]", "--n", "6",
+                       "--oracle", "--format", "csv")
+    rows = list(csv.reader(out.splitlines()))
+    assert code == 0 and rows == [[lab, str(v), str(v)] for lab, v in payload["oracle"]]
 
 
 def test_odd_column_from_n15(capsys):
@@ -380,6 +393,31 @@ def test_verify_refuses_a_level_far_above_the_others_in_one_line(capsys, tmp_pat
     code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--maxN", "4")
     assert code == 1 and out == "" and "Traceback" not in err
     assert err == f"error: levels [0, 1, 2, 3, 4, {10**30}] are not consecutive\n"
+
+
+def _no_res_column_at_the_top(payload):
+    top = payload["levels"][-1]
+    top["basisSize"] += 1
+    del top["classes"]
+
+
+def _huge_basis_at_the_top(payload):
+    payload["levels"][-1]["basisSize"] = 10**30
+
+
+# the extra irrep passed verify --suite all with exit 0, and the huge size
+# ended in an OverflowError traceback as its basis was built
+@pytest.mark.parametrize("spoil, top, column", [(_no_res_column_at_the_top, 5, 7), (_huge_basis_at_the_top, 4, 5)],
+                         ids=["extra-irrep", "huge-basis"])
+def test_verify_refuses_a_res_column_that_lists_nothing_in_one_line(capsys, tmp_path, spoil, top, column):
+    payload = export_chain(SymmetricChain(), top)
+    spoil(payload)
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--suite", "all", "--maxN", str(top))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == (f"error: not a chain of groups: Res at level {top} lists nothing in column {column}, "
+                   "but every irrep restricts to something nonzero\n")
 
 
 def _ghost_at_level_3(embeds_to=None):

@@ -17,7 +17,6 @@ from charcol.partitions import (
     format_partition,
     mirrored_order,
     mn_character,
-    pad_with_fixed_points,
     parse_partition,
     remove_one_box,
     rim_hooks,
@@ -218,9 +217,6 @@ def test_mn_character_refuses_a_cycle_type_that_is_not_a_partition(mu, problem):
 
 def test_strip_and_pad():
     assert strip_fixed_points((3, 1, 1, 1)) == (3,)
-    assert pad_with_fixed_points((3,), 6) == (3, 1, 1, 1)
-    with pytest.raises(ValueError):
-        pad_with_fixed_points((3, 2), 4)
 
 
 def test_class_sign():

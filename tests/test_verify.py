@@ -128,6 +128,29 @@ def test_a_wreath_reference_column_builds_no_table():
     assert column == character_column(z2, cls, 6, 46_080).coeffs  # the engine reads the level-2 table
 
 
+@pytest.mark.parametrize("chain, cls", [
+    (SymmetricChain(), (2, -1, 1)),
+    (SymmetricChain(), (1, 2)),
+    (WreathChain(builtin_table("Z2"), "z2wreath"), ((1, (1, 2)),)),
+    (WreathChain(builtin_table("Z2"), "z2wreath"), ((5, (2,)),)),
+], ids=["negative-part", "unsorted", "unsorted-wreath", "h-class-past-the-table"])
+def test_reference_column_refuses_what_the_engine_refuses(chain, cls):
+    # each was read as another class, (2, 1, 1, 1, 1) or the sorted wreath one,
+    # or ended in a bare IndexError
+    with pytest.raises(ValueError) as engine:
+        character_column(chain, cls, 6, 46_080)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(engine.value))}$"):
+        chain.reference_column(cls, 6, 46_080)
+    assert str(engine.value) in ("partition parts must be positive: (2, -1, 1)",
+                                 "partition parts must be weakly decreasing: (1, 2)",
+                                 "((5, (2,)),) is not a class of chain 'z2wreath'")
+
+
+def test_oracle_column_refuses_a_cycle_type_too_large_as_fit_class_does():
+    with pytest.raises(ValueError, match=r"^class '\[3,2\]' does not fit at level 4$"):
+        oracle_column((3, 2), 4)
+
+
 @pytest.mark.parametrize("mu, match", [((2, -1, 1), "positive"), ((0, 2), "positive"), ((True, 2), "integers")],
                          ids=["negative", "zero", "bool"])
 def test_oracle_column_refuses_a_part_that_is_not_a_positive_int(mu, match):
