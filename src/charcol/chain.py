@@ -66,14 +66,13 @@ def _transpose(edges, size: int) -> list:
 
 
 class BranchingOperator(namedtuple("BranchingOperator", "domain codomain children "
-                                   "mirror minus up_edges up_minus bound", defaults=((), (), (), (), 0))):
+                                   "mirror minus up_edges up_minus", defaults=((), (), (), ()))):
     """Res at level n as branching-graph edges: ``children[j]`` lists the level-(n-1)
     positions under level-n position j, m times for multiplicity m. A ``sign_fold``
     is one too, on one label of each twin pair: ``twins`` (``mirror``) holds their twins,
-    ``minus`` the (j, [i, ...]) edges that carry -1, ``up_edges`` and ``up_minus``
-    the way back up, which is not the children reversed, and ``bound`` its bound on
-    ||X||_inf, from its own edge counts. A column pass reads Res itself as the fold
-    of sign 0, each label kept and its own twin."""
+    ``minus`` the (j, [i, ...]) edges that carry -1, and ``up_edges`` and ``up_minus``
+    the way back up, which is not the children reversed. A column pass reads Res
+    itself as the fold of sign 0, each label kept and its own twin."""
 
     kept = property(lambda self: self.domain)
     twins = property(lambda self: self.mirror or self.domain)
@@ -84,9 +83,9 @@ class BranchingOperator(namedtuple("BranchingOperator", "domain codomain childre
 
     @cached_property
     def x_norm_bound(self) -> int:
-        """A bound on ||X||_inf, X = Res^T Res: ||Ind||_inf ||Res||_inf, the most
-        children of a position times the most parents."""
-        return self.bound or max(map(len, self.children), default=0) * max(map(len, self.parents), default=0)
+        """A bound on ||X||_inf of Res's X = Res^T Res: ||Ind||_inf ||Res||_inf, the
+        most children of a position times the most parents."""
+        return max(map(len, self.children), default=0) * max(map(len, self.parents), default=0)
 
     @classmethod
     def from_entries(cls, domain: tuple, codomain: tuple, entries) -> "BranchingOperator":
@@ -387,15 +386,13 @@ class Chain:
                     down.append([plus[c] for c in children if c in plus])
                     down_minus.append((j, [minus[c] for c in children if c in minus]))
             up = _transpose(enumerate(down), len(below)), _transpose(down_minus, len(below))
-            bound = max(map(len, down), default=0) + max((len(m) for _, m in down_minus), default=0)
-            bound *= max((len(a) + len(b) for a, b in zip(*up)), default=0) * (1 + (sign > 0))
             for i, j in ((i, j) for i, mu in enumerate(below) if mu == mirror[i] for j in up[0][i]):
                 down[j].append(i)  # a self-twin label's list is replaced next
             down = tuple(tuple(at[c] for c in self._children(lam) if c in at) if lam == twin else tuple(d)
                          for d, lam, twin in zip(down, kept, twins))
             self._fold_cache[n, sign] = BranchingOperator(
                 tuple(kept), tuple(below), down, tuple(twins), tuple(down_minus),
-                tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js), bound)
+                tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js))
         return self._fold_cache[n, sign]
 
 
@@ -559,7 +556,7 @@ class WreathChain(Chain):
 
     def reference_column(self, cls: WreathLabel, n: int, max_order: int | None = None) -> dict:
         full = self.embed_class(self.check_class(cls), n)
-        hgroup.wreath_classes(self.h_table, n, max_order)  # applies the order bound
+        hgroup.check_wreath_order(self.h_table, n, max_order)
         return hgroup.wreath_column(self.h_table, full)
 
     def trivial_label(self, n: int) -> WreathLabel:

@@ -4,31 +4,27 @@ A column for a class whose support lives at level k is obtained by lifting
 the level-k character data to level n and applying the chain's f_{n-k}, the
 falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
 commutator scaling (1 for symmetric groups, |H| for wreath products).
-``character_columns`` runs one f_{n-k} pass per core level k for many classes:
-each class's lifted input fills one slot of a packed int (``sparse.PackedIdentity``),
-times the lifts' common denominator D, and X = Ind Res acts along the edges of
-the chain's ``sign_fold`` (one label of each pair of twins) when the classes
-share one sign, or of Res, the fold of sign 0: on each the input at a kept label
-lam is u(lam) + sign u(twin). The slot width covers ||D input||_inf, doubled on
-a fold, times prod (||X|| + |r|) over f's roots: a bound on what the pass
-computes, right or wrong. One loop over the kept labels reads each slot out:
-it checks, halves and divides each entry, mirrors it onto its twin and sums
-the norm; one class's slot is the whole int. The fold of sign -1 is the paper's
-reduced operator Y, so an odd column is a plain column. ``reduced_operator(n)``
-(Y on the plus basis, memoized per process) serves mckay --reduced and column --odd.
+``character_columns`` lifts a core level's inputs in one call, then runs one
+f_{n-k} pass per class: D u, for u its input and D the lifts' common
+denominator, goes through X = Ind Res along the edges of the ``sign_fold`` for
+the class's sign s (one label of each pair of twins), or of Res, the fold of
+sign 0, as u(lam) + s u(twin) at each kept label lam. One loop over the kept
+labels checks, halves and divides each entry of the result, mirrors it onto its
+twin and sums the norm. The fold of sign -1 is the paper's reduced operator Y,
+so an odd column is a plain column. ``reduced_operator(n)`` (Y on the plus
+basis, memoized per process) serves mckay --reduced and column --odd.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 from .chain import Chain, FallingFactorialPoly, SymmetricChain, get_chain, require_symmetric  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import InvariantError, lift_column_input
 from .partitions import content_sum
-from .sparse import PackedIdentity
 
 
 class CharacterColumn(namedtuple("CharacterColumn", "class_label coeffs")):
@@ -44,42 +40,31 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
 
 def character_columns(chain: Chain, classes, n: int, max_order: int | None = None,
                       table: GroupTable | None = None) -> dict:
-    """{class: its column at level n}, in the order given, from one f_{n-k} pass per
-    core level k: class c's input, times D, fills a W-bit slot 2^(W c). Classes of one
-    sign s run on the chain's ``sign_fold``, where f(X) on u + s T u is twice their
-    columns; classes of both signs share Res, as two half passes cost what one full
-    pass does. Exact, with each column's invariants checked. A supplied ``table`` is
-    the level-k table of the classes' one core level k."""
+    """{class: its column at level n}, in the order given: one table read and one lift call
+    per core level k, then one f_{n-k} pass per class of sign s on the chain's ``sign_fold``,
+    where f(X) on u + s T u is twice its column (on Res for sign 0). Exact, with each column's
+    invariants checked. A supplied ``table`` is the level-k table of the classes' one core level k."""
     columns, cores = dict.fromkeys(classes), {}  # cores: level k -> core -> its classes
     for cls in columns:
         core, k = chain.fit_class(chain.check_class(cls), chain.check_level(n))
         cores.setdefault(k, {}).setdefault(core, []).append(cls)
     if table is not None and len(cores) > 1:
         raise ValueError(f"one table serves one core level, not levels {sorted(cores)}")
-    signs = {chain.class_sign(core) for level in cores.values() for core in level}
-    sign = signs.pop() if len(signs) == 1 else 0
     for k, level in cores.items():
-        op = chain.sign_fold(n, sign) if sign else chain.res_operator(n)
         at_k = table if table is not None else chain.small_table(k, max_order)
         inputs = lift_column_input(chain, at_k, list(level), n)  # {core: its input}
-        scale = lcm(*{v.denominator for vec in inputs.values() for v in vec.values()})
-        div = scale * (1 + abs(sign))  # a fold's pass yields twice the columns
-        vec, *rest = (part if scale == 1 else {label: (scale * v).numerator for label, v in part.items()}
-                      for part in inputs.values())  # at D = 1 they are ints already, and fresh dicts
-        entries = max(max(map(abs, part.values()), default=0) for part in (vec, *rest))
-        poly = chain.poly(n - k)  # ||f(X)||_inf <= prod (||X||_inf + |r|)
-        packed = PackedIdentity(len(level), (1 + abs(sign)) * entries * prod(
-            op.x_norm_bound + abs(r) for r in poly.roots))
-        for unit, part in zip(packed.rows[1:], rest):  # D times the inputs, a slot each; slot 0's unit is 1
-            for label, v in part.items():
-                vec[label] = vec.get(label, 0) + v * unit
-        dense = [vec.get(lam, 0) + sign * vec.get(t, 0) for lam, t in zip(op.kept, op.twins)]  # u + sign T u
-        if n > k:
-            dense = poly.apply(op.times_x, dense)
-        for slot, (core, given) in enumerate(level.items()):
-            values = dense if len(level) == 1 else packed.column(dense, slot)  # one slot: the whole int
+        for core, given in level.items():
+            sign, vec = chain.class_sign(core), inputs[core]
+            op = chain.sign_fold(n, sign) if sign else chain.res_operator(n)
+            scale = lcm(*{v.denominator for v in vec.values()})
+            div = scale * (1 + abs(sign))  # a fold's pass yields twice the column
+            if scale != 1:  # at D = 1 the entries are ints already
+                vec = {label: (scale * v).numerator for label, v in vec.items()}
+            dense = [vec.get(lam, 0) + sign * vec.get(t, 0) for lam, t in zip(op.kept, op.twins)]  # u + sign T u
+            if n > k:
+                dense = chain.poly(n - k).apply(op.times_x, dense)
             coeffs, norm = {}, 0  # each entry read once; a twin apart from its label counts twice
-            for lam, twin, v in zip(op.kept, op.twins, values):
+            for lam, twin, v in zip(op.kept, op.twins, dense):
                 if v:
                     q = v // div  # halved on a fold, over D
                     if q * div != v:

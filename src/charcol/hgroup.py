@@ -354,8 +354,13 @@ def wreath_classes(h_table: GroupTable, k: int, max_order: int | None = None) ->
     """The identity class, then every other colored cycle type (a partition
     per H-class, of total size k) in sorted order, sized by
     ``wreath_class_size_formula``; nothing is enumerated."""
-    check_order(h_table.order**k * factorial(k), max_order, f"{h_table.name} wr S_{k}")
+    check_wreath_order(h_table, k, max_order)
     return _wreath_classes_cached(h_table, k)
+
+
+def check_wreath_order(h_table: GroupTable, k: int, max_order: int | None) -> None:
+    """``check_order`` on H wr S_k, of order |H|^k k!, with no class listed."""
+    check_order(h_table.order**k * factorial(k), max_order, f"{h_table.name} wr S_{k}")
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +435,7 @@ def wreath_char_table(h_table: GroupTable, k: int, max_order: int | None = None)
     cycle types, identity first. Exact row orthogonality, and each row's
     identity value against its dimension, are validated.
     """
-    wreath_classes(h_table, k, max_order)  # applies the order bound
+    check_wreath_order(h_table, k, max_order)
     return _wreath_char_table_cached(h_table, k)
 
 

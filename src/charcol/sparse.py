@@ -8,9 +8,10 @@ reach thousands of labels (S_28 has 3,718, Z2 wr S_20 has 24,842), but Res has
 at most one entry per removable box of a label, so Res and X stay sparse. X's
 entries are counted along Res's edges (``Chain.ind_res``), so the package
 multiplies no two matrices; ``@`` is the tests' reference product, and the
-benchmark's tracing counts its calls. The suites check operator identities on
-a ``PackedIdentity``, one int per row, so X's ``matvec`` (or Res's edges) acts
-on every column at once.
+benchmark's tracing counts its calls. The suites check operator identities, and
+the small tables orthogonality, on a ``PackedIdentity``, one int per row: X's
+``matvec`` (or Res's edges) acts on every column at once, and ``slots`` reads a
+row back.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ class PackedIdentity:
     def __init__(self, size: int, bound: int):
         self.width = (2 * bound).bit_length() + 1
         self.rows = [1 << self.width * i for i in range(size)]
-
-    def column(self, rows: list[int], i: int) -> list[int]:
-        """The signed entry in slot i of each row; the lower slots sum to under
-        half of slot i's unit."""
-        low, half, unit = self.width * i, 1 << self.width - 1, 1 << self.width
-        lower_half = 1 << low >> 1
-        return [(((row + lower_half) >> low) + half) % unit - half for row in rows]
 
     def slots(self, row: int, count: int) -> list[int]:
         """The signed entries in slots 0..count-1 of one row, in one pass: half

@@ -215,6 +215,8 @@ def _parse_level(pos: int, raw) -> tuple:
             raise ValueError("order must be at least 1: every group has its identity")
         if basis_size < 1:
             raise ValueError("basisSize must be at least 1: every group has its trivial irrep")
+        if basis_size > order:
+            raise ValueError(f"basisSize {basis_size} > order {order}: a group has no more irreps than elements")
         entries = classes = None
         if raw.get("res") is not None:
             entries = [tuple(_typed(x, int, "a Res entry") for x in (r, c, v))

@@ -117,9 +117,10 @@ def test_ingestion_checks_the_listed_entries_and_builds_no_matrix(monkeypatch):
     assert built == 0
 
 
-def test_one_sign_runs_on_its_fold_and_both_signs_share_res():
-    # a call whose classes have one sign runs on that sign's fold; classes of
-    # both signs share one pass on Res, which costs what two half passes do
+def test_each_class_runs_on_the_fold_of_its_own_sign():
+    # a call runs each class's pass on the fold of that class's sign: classes
+    # of one sign build that sign's fold alone, and classes of both signs build
+    # both folds and no Res
     n = 10
     odd = [mu for mu in enumerate_partitions(n) if class_sign(mu) == -1]
     sym = SymmetricChain()
@@ -127,7 +128,7 @@ def test_one_sign_runs_on_its_fold_and_both_signs_share_res():
     assert sorted(sym._fold_cache) == [(n, -1)] and not sym._res_cache
     sym = SymmetricChain()
     character_columns(sym, enumerate_partitions(n), n, factorial(n))
-    assert not sym._fold_cache and sorted(sym._res_cache) == [n]
+    assert sorted(sym._fold_cache) == [(n, -1), (n, 1)] and not sym._res_cache
 
 
 @pytest.mark.parametrize("make, label", [(SymmetricChain, lambda k: (k,)),
@@ -361,9 +362,9 @@ def test_jeongha_computes_each_class_size_once_per_chain(monkeypatch):
         assert not computed, chain.id
 
 
-def test_oracle_suite_applies_f_once_per_level_and_core_level(monkeypatch):
-    # each level's columns come from one character_columns call, which packs
-    # the classes of one core level k < n into one f_{n-k} pass
+def test_oracle_suite_applies_f_once_per_class_below_its_level(monkeypatch):
+    # each level's columns come from one character_columns call, which runs one
+    # f_{n-k} pass for each class whose core level k is below n
     applied = Counter()
     apply = FallingFactorialPoly.apply
 
@@ -378,9 +379,27 @@ def test_oracle_suite_applies_f_once_per_level_and_core_level(monkeypatch):
         assert checks and all(c.passed for c in checks) and not skipped
         expected = Counter()
         for n in range(1, max_n + 1):
-            core_levels = {chain.fit_class(cls, n)[1] for cls in chain.classes_at(n)}
+            core_levels = [chain.fit_class(cls, n)[1] for cls in chain.classes_at(n)]
             expected.update(n - k for k in core_levels if k < n)
         assert applied == expected, chain.id
+
+
+def test_the_wreath_order_bound_lists_no_class():
+    # |H|^n n! alone decides the bound: a wreath reference column lists no class
+    # of its level, and above the bound it, the classes and the table refuse
+    # with one message, before any class is listed
+    chain, n = WreathChain(hgroup.builtin_table("Z2")), 9
+    cls = chain.parse_class("1:[2]")
+    hgroup._wreath_classes_cached.cache_clear()
+    assert chain.reference_column(cls, n, chain.group_order(n))[chain.trivial_label(n)] == 1
+    refusals = set()
+    for call, first in ((chain.reference_column, cls), (hgroup.wreath_classes, chain.h_table),
+                        (hgroup.wreath_char_table, chain.h_table)):
+        with pytest.raises(hgroup.SizeBoundError) as refused:
+            call(first, n, 10000)
+        refusals.add(str(refused.value))
+    assert hgroup._wreath_classes_cached.cache_info().misses == 0
+    assert len(refusals) == 1 and refusals.pop().startswith(f"Z2 wr S_9 has order {2**9 * factorial(9)}, ")
 
 
 def test_table_columns_parse_each_label_once():

@@ -311,8 +311,8 @@ def test_verify_pass_and_fail(capsys, tmp_path):
 
     bad = {
         "levels": [
-            {"n": 0, "order": 1, "basisSize": 2},
-            {"n": 1, "order": 2, "basisSize": 2, "res": [[0, 0, 1], [0, 1, 1]]},
+            {"n": 0, "order": 2, "basisSize": 2},
+            {"n": 1, "order": 4, "basisSize": 2, "res": [[0, 0, 1], [0, 1, 1]]},
         ]
     }
     path = tmp_path / "bad.json"
@@ -402,11 +402,12 @@ def _no_res_column_at_the_top(payload):
 
 
 def _huge_basis_at_the_top(payload):
-    payload["levels"][-1]["basisSize"] = 10**30
+    payload["levels"][-1]["basisSize"] = payload["levels"][-1]["order"] = 10**30
 
 
 # the extra irrep passed verify --suite all with exit 0, and the huge size
-# ended in an OverflowError traceback as its basis was built
+# ended in an OverflowError traceback as its basis was built; the order is as
+# huge, so no group-size rule refuses the basis first
 @pytest.mark.parametrize("spoil, top, column", [(_no_res_column_at_the_top, 5, 7), (_huge_basis_at_the_top, 4, 5)],
                          ids=["extra-irrep", "huge-basis"])
 def test_verify_refuses_a_res_column_that_lists_nothing_in_one_line(capsys, tmp_path, spoil, top, column):
@@ -418,6 +419,20 @@ def test_verify_refuses_a_res_column_that_lists_nothing_in_one_line(capsys, tmp_
     assert code == 1 and out == "" and "Traceback" not in err
     assert err == (f"error: not a chain of groups: Res at level {top} lists nothing in column {column}, "
                    "but every irrep restricts to something nonzero\n")
+
+
+# a group has no more irreps than elements; the huge basis at level 0, where
+# no Res column is listed, ended in an OverflowError traceback as it was built
+@pytest.mark.parametrize("level, top", [(0, 3), (4, 4)], ids=["lowest", "top"])
+def test_verify_refuses_a_basis_above_the_order_in_one_line(capsys, tmp_path, level, top):
+    payload = export_chain(SymmetricChain(), top)
+    payload["levels"][level]["basisSize"] = 10**30
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--maxN", str(top))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == (f"error: level {level}: malformed level entry: basisSize {10**30} > order "
+                   f"{factorial(level)}: a group has no more irreps than elements\n")
 
 
 def _ghost_at_level_3(embeds_to=None):

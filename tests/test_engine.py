@@ -249,11 +249,11 @@ def test_sign_folds_match_their_definition_on_dense_x(sign, name):
 
 
 # SHA-256 of each sign's folds of the symmetric chain at n = 0..18, over kept,
-# twins, sorted children, minus, up_edges, up_minus and bound, recorded when the
-# fold builder was the symmetric chain's own: one builder for every chain leaves them
+# twins, sorted children, minus, up_edges and up_minus: the one fold builder
+# every chain shares must leave them
 SYM_FOLD_DIGESTS = {
-    1: "242144e1050f00eaa8bc79c49d906f56b0df2c55452502b9c8f040002680f4cf",
-    -1: "d57ad3519da5ebdbd9428b9dbbeba313b3059ce3b60e63e2e03afa289e608642",
+    1: "4e506478f28851f30462ba64d7404ebb2ee68d0afe94d5495a7003311fd4f347",
+    -1: "3a5a70c12c6f3de476fa64a1d4de5c78680100c4dfd604f9a2407cc55429cbf6",
 }
 
 
@@ -263,7 +263,7 @@ def test_sym_folds_match_their_pinned_digests(sign):
     for n in range(19):
         fold = SymmetricChain().sign_fold(n, sign)
         text += repr((fold.kept, fold.twins, tuple(tuple(sorted(d)) for d in fold.children), fold.minus,
-                      fold.up_edges, fold.up_minus, fold.bound)) + "\n"
+                      fold.up_edges, fold.up_minus)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SYM_FOLD_DIGESTS[sign]
 
 
@@ -289,22 +289,18 @@ def test_wreath_folds_pair_each_label_with_its_tensor_by_psi():
         assert not set(plus.kept) & {twin for lam, twin in zip(plus.kept, plus.twins) if lam != twin}, n
 
 
-def test_single_wreath_columns_run_on_the_fold_and_equal_res_columns():
-    # one class runs on the fold of its sign. Up to n = 5 its column equals the
-    # reference's; above, the column of a batch of both signs, on Res
+def test_wreath_columns_run_on_their_folds_and_equal_reference_columns():
+    # each class runs on the fold of its sign, and its column equals the
+    # reference's: every class's up to n = 5, above it each class whose core is
+    # at level 5 or below
     for n in range(1, 9):
         chain = WreathChain(builtin_table("Z2"))
-        if n <= 5:
-            expected = {cls: chain.reference_column(cls, n) for cls in chain.classes_at(n)}
-        else:
-            batch = WreathChain(builtin_table("Z2"))
-            classes = [chain.embed_class(c, n) for k in range(0, 6) for c in chain.classes_at(k)
-                       if chain.strip_class(c)[1] == k]
-            assert {chain.class_sign(chain.strip_class(c)[0]) for c in classes} == {1, -1}
-            expected = {c: column.coeffs for c, column in character_columns(batch, classes, n).items()}
-            assert sorted(batch._res_cache) == [n] and not batch._fold_cache
-        for cls, coeffs in expected.items():
-            assert character_column(chain, cls, n).coeffs == coeffs, (n, cls)
+        classes = chain.classes_at(n) if n <= 5 else [
+            chain.embed_class(c, n) for k in range(0, 6) for c in chain.classes_at(k) if chain.strip_class(c)[1] == k]
+        assert {chain.class_sign(chain.strip_class(c)[0]) for c in classes} == {1, -1}
+        for cls in classes:
+            assert character_column(chain, cls, n).coeffs == chain.reference_column(cls, n, chain.group_order(n)), \
+                (n, cls)
         assert sorted(chain._fold_cache) == [(n, -1), (n, 1)] and not chain._res_cache, n
 
 
@@ -644,7 +640,7 @@ def test_odd_column_refuses_a_malformed_class_before_reading_its_sign(tau):
 
 @pytest.mark.parametrize("chain, top", [(SYM, 12), (Z2C, 6)], ids=["sym", "z2wreath"])
 def test_batched_columns_equal_each_single_and_reference_column(chain, top):
-    # one call per level packs every class, of every core level, into slots
+    # one call per level takes every class, of every core level
     max_order = factorial(top) * 2**top
     for n in range(1, top + 1):
         classes = chain.classes_at(n, max_order)
@@ -668,8 +664,8 @@ def s3_wreath_level_one(chain):
 
 
 def test_batched_columns_divide_out_rational_lifts():
-    # S3's 2-dimensional irrep puts 1/2^pad into its lifts, so the packed input
-    # is scaled by their common denominator D > 1 and divided after decoding.
+    # S3's 2-dimensional irrep puts 1/2^pad into its lifts, so each class's input
+    # is scaled by its lifts' common denominator D > 1 and its result divided by D.
     # The level-1 table is S3's own, and the columns are checked by orthogonality with each other and with
     # the dimensions (the identity's column), besides the engine's own checks
     chain = WreathChain(S3)

@@ -48,7 +48,6 @@ def test_matvec_matches_dense(a, vec):
 def test_packed_rows_are_equal_exactly_when_the_matrices_are(a, b):
     packed = PackedIdentity(4, 5)  # matrix_strategy's entries are within 5
     rows = a.matvec(packed.rows)
-    assert [packed.column(rows, i) for i in range(4)] == [list(c) for c in zip(*matrix_rows(a))]
     assert [packed.slots(row, 4) for row in rows] == matrix_rows(a)
     assert (rows == b.matvec(packed.rows)) == same_matrix(a, b)
 
@@ -63,7 +62,6 @@ def test_packed_identity_round_trips_entries_at_the_bound():
     packed = PackedIdentity(4, bound)
     rows = matrix.matvec(packed.rows)
     assert [packed.slots(row, 4) for row in rows] == patterns
-    assert [packed.column(rows, i) for i in range(4)] == [list(c) for c in zip(*patterns)]
     # the lower slots alone, whatever the slots above them hold
     assert [packed.slots(row, count) for row in rows for count in range(5)] == [
         pattern[:count] for pattern in patterns for count in range(5)]

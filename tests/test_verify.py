@@ -581,8 +581,8 @@ def test_constant_chain_passes_with_f_equals_x():
 def test_zero_row_res_rejected():
     bad = {
         "levels": [
-            {"n": 0, "order": 1, "basisSize": 2},
-            {"n": 1, "order": 2, "basisSize": 2, "res": [[0, 0, 1], [0, 1, 1]]},
+            {"n": 0, "order": 2, "basisSize": 2},
+            {"n": 1, "order": 4, "basisSize": 2, "res": [[0, 0, 1], [0, 1, 1]]},
         ]
     }
     with pytest.raises(IngestError, match="not a surjective chain.*level 1"):
