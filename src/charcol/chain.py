@@ -161,8 +161,8 @@ class Chain:
     ``pad_first_row``, and checks at run time that its recursion never revisits a
     label whose lift is still waiting. A chain may declare capabilities, or what
     needs one is skipped: ``reference`` (``reference_column``) for the oracle,
-    ``has_irrep_labels`` for lifts, columns, tables and exports, ``class_sign`` with
-    ``_twin_pairs`` for ``sign_fold``.
+    ``has_irrep_labels`` for lifts, columns, tables and exports, ``class_sign`` (a sign
+    character) with ``_twin_pairs`` for ``sign_fold``, ``mirrored_order`` and odd columns.
     """
 
     id: str
@@ -365,6 +365,17 @@ class Chain:
         return Fraction(num, den) if r else q
 
     class_sign = staticmethod(lambda cls: 0)  # a class's sign for ``sign_fold``; 0: no fold
+
+    def check_signed(self) -> "Chain":
+        """The chain, or the ValueError for one without a sign character, whose irreps have no twins."""
+        if not self.class_sign(()):
+            raise ValueError(f"chain {self.id!r} has no sign character, so its irreps have no twins")
+        return self
+
+    def mirrored_order(self, n: int) -> tuple:
+        """Level n's labels that come no later than their twins, in basis order, then those twins reversed."""
+        kept, twins = self.check_signed()._twin_pairs(n, 1, False)
+        return (*kept, *(twin for lam, twin in zip(kept[::-1], twins[::-1]) if twin != lam))
 
     def sign_fold(self, n: int, sign: int) -> BranchingOperator:
         """Res at level n folded for sign ``sign``, once per chain, level and sign, over the

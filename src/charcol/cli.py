@@ -30,7 +30,6 @@ from .chain import Chain, require_symmetric
 from .engine import character_column, odd_column, reduced_operator
 from .hgroup import SizeBoundError, load_table, order_bound
 from .lifting import InvariantError, lift
-from .partitions import mirrored_order
 from .verify import IngestError, load_chain, run_suite
 
 EXIT_OK = 0
@@ -55,10 +54,7 @@ def _labelled(chain: Chain, what: str) -> Chain:
 
 
 def _output_order(chain: Chain, n: int, paper_order: bool):
-    if paper_order:
-        require_symmetric(chain, "--paper-order")
-        return mirrored_order(n)
-    return chain.basis(n)
+    return chain.mirrored_order(n) if paper_order else chain.basis(n)
 
 
 def cmd_column(args) -> int:
@@ -66,6 +62,7 @@ def cmd_column(args) -> int:
     cls = chain.parse_class(args.cls)
     table = load_table(args.table) if args.table else None
     if args.odd:
+        require_symmetric(chain, "column --odd's plusPart")  # the symmetric chain's Y
         column = odd_column(cls, args.n, chain=chain, max_order=args.max_order, table=table)
     else:
         column = character_column(chain, cls, args.n, max_order=args.max_order, table=table)
@@ -172,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "colored type like '1:[1];-1:[1]'; write --class=-1:[2] for one that starts with '-'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--odd", action="store_true",
-                   help="refuse an even class; add plusPart, the column on the reduced operator's plus basis")
+                   help="sym only: refuse an even class; add plusPart, the column on the reduced plus basis")
     p.add_argument("--table", default=None,
                    help="GroupTable JSON for the class's own level, replacing the built-in one")
     p.add_argument("--oracle", action="store_true",
                    help="include the chain's reference column, computed without the engine, for comparison")
     p.add_argument("--paper-order", action="store_true",
-                   help="print in conjugate-mirrored order for figure comparison")
+                   help="print each label before its twin, the twins mirrored (sym: the paper's figure order)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_column)
 
@@ -193,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dump", action="store_true", help="accepted for compatibility; dumping is the default")
-    p.add_argument("--paper-order", action="store_true")
+    p.add_argument("--paper-order", action="store_true", help="order the basis as column --paper-order does")
     p.set_defaults(func=cmd_indres)
 
     p = sub.add_parser("mckay", help="McKay graph export")

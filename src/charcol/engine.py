@@ -21,7 +21,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from math import lcm
 
-from .chain import Chain, FallingFactorialPoly, SymmetricChain, get_chain, require_symmetric  # noqa: F401
+from .chain import Chain, FallingFactorialPoly, SymmetricChain, get_chain  # noqa: F401
 from .hgroup import GroupTable
 from .lifting import InvariantError, lift_column_input
 from .partitions import content_sum
@@ -108,9 +108,8 @@ def reduced_operator(n: int) -> ReducedOperator:
 
 def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = None,
                table: GroupTable | None = None) -> CharacterColumn:
-    """``character_column`` of an odd class, whose pass runs on the sign-odd fold."""
-    chain = chain or get_chain("sym")
-    require_symmetric(chain, "odd_column")
+    """``character_column`` of a class of sign -1, whose pass runs on the chain's sign-odd fold."""
+    chain = (chain or get_chain("sym")).check_signed()
     if chain.class_sign(chain.fit_class(chain.check_class(tau), chain.check_level(n))[0]) != -1:
         name = chain.format_class(tau) if tau else "e"  # the identity as typed
         raise ValueError(f"class {name!r} is even; odd_column needs an odd permutation")

@@ -115,18 +115,6 @@ def class_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-def mirrored_order(n: int) -> tuple[Partition, ...]:
-    """Conjugate-mirrored enumeration: canonical prefix, then conjugates reversed.
-
-    For n=6 this is the printed order t, v, p, wedge^2, b, r, sb, s-wedge^2,
-    sp, sv, s; it differs from the canonical order only by swapping
-    (3,1,1,1) and (2,2,2). The canonical order is descending, so the prefix
-    holds the diagrams that come no later than their conjugates.
-    """
-    head = [p for p in enumerate_partitions(n) if p >= conjugate(p)]
-    return tuple(head + [conjugate(p) for p in reversed(head) if conjugate(p) != p])
-
-
 def rim_hooks(lam: Partition, r: int) -> Iterator[tuple[int, Partition]]:
     """(sign, lambda less the strip) for each border strip of size r of lambda.
 

@@ -238,6 +238,8 @@ def _parse_level(pos: int, raw) -> tuple:
         raise IngestError(f"level {where}: malformed level entry: {exc}") from exc
     if classes is not None and len(classes) != len(raw["classes"]):
         raise IngestError(f"level {n}: duplicate class labels")
+    if classes is not None and len(classes) != basis_size:
+        raise IngestError(f"level {n}: basisSize {basis_size} but classes {len(classes)}: one irrep per class")
     return n, order, basis_size, entries, classes
 
 

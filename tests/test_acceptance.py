@@ -27,7 +27,6 @@ from charcol.partitions import (
     class_size,
     conjugate,
     enumerate_partitions,
-    mirrored_order,
     strip_fixed_points,
 )
 from charcol.sparse import SparseMatrix
@@ -58,7 +57,7 @@ def test_criterion_01_s6_operator():
     def body():
         x = SYM.ind_res(6)
         index = SYM.basis_index(6)
-        order = [index[p] for p in mirrored_order(6)]
+        order = [index[p] for p in SYM.mirrored_order(6)]
         dense = [[x.data.get((order[i], order[j]), 0) for j in range(11)] for i in range(11)]
         assert dense == PRINTED_X6
 
@@ -68,7 +67,7 @@ def test_criterion_01_s6_operator():
 def test_criterion_02_s6_column():
     def body():
         column = character_column(SYM, (3,), 6)
-        vec = tuple(column.coeffs.get(p, 0) for p in mirrored_order(6))
+        vec = tuple(column.coeffs.get(p, 0) for p in SYM.mirrored_order(6))
         assert vec == PRINTED_DELTA_123
 
     timed(2, "S6 column delta_(123)", 1.0, body)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import re
 from fractions import Fraction
@@ -44,6 +45,24 @@ def test_a_negative_wreath_level_is_refused_as_the_symmetric_one_is(h):
                   lambda n: enumerate_wreath_labels(len(chain.h_table.irreps), n)):
         with pytest.raises(ValueError, match="^n must be non-negative$"):
             basis(-1)
+
+
+def test_sym_mirrored_order_keeps_the_digest_of_the_partition_order():
+    # recorded from the conjugate-mirrored order that partitions once computed for sym alone
+    orders = repr([SymmetricChain().mirrored_order(n) for n in range(21)])
+    assert hashlib.sha256(orders.encode()).hexdigest() == (
+        "96f233824d5a5cd1de94634af09ffe6199181d3f651b0b40cc133444519ac1f1")
+
+
+@pytest.mark.parametrize("spec", ["z2wreath", "Z2"])
+@pytest.mark.parametrize("n", range(6))
+def test_wreath_mirrored_order_puts_the_kept_labels_first_and_their_twins_reversed(spec, n):
+    # Z2's sign irrep swaps H's two irreps, so a label's twin swaps the colours 0 and 1
+    chain, twin = get_chain(spec), lambda label: tuple(sorted((1 - i, p) for i, p in label))
+    basis, order = chain.basis(n), chain.mirrored_order(n)
+    kept = [lam for lam in basis if basis.index(lam) <= basis.index(twin(lam))]
+    assert order == (*kept, *(twin(lam) for lam in reversed(kept) if twin(lam) != lam))
+    assert sorted(order) == sorted(basis) and len(set(order)) == len(order)
 
 
 def test_get_chain_is_memoized():

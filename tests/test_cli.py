@@ -223,6 +223,35 @@ def test_indres_paper_order(capsys):
     assert dense == PRINTED_X6
 
 
+def test_paper_order_is_refused_in_one_line_on_a_chain_without_a_sign_character(capsys, tmp_path):
+    # the ingested chain lists positions and no class signs, and trivial has no sign character
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(export_chain(SymmetricChain(), 4)))
+    for spec, name in ((str(chain_path), "sym"), ("trivial", "wreath:trivial")):
+        code, out, err = run(capsys, "indres", "--chain", spec, "--n", "3", "--paper-order")
+        assert (code, out) == (2, "")
+        assert err == f"error: chain {name!r} has no sign character, so its irreps have no twins\n"
+
+
+def test_column_paper_order_mirrors_the_wreath_twins(capsys):
+    # each label once, its eta-twin mirrored, and an eta-odd column changes sign across the mirror
+    code, out, err = run(capsys, "column", "--chain", "z2wreath", "--class=-1:[1]", "--n", "3",
+                         "--paper-order", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(out.splitlines()))
+    chain = get_chain("z2wreath")
+    assert sorted(chain.parse_label(lab) for lab, _ in rows) == sorted(chain.basis(3))
+    values = [int(v) for _, v in rows]
+    assert values == [-v for v in reversed(values)]
+
+
+def test_column_odd_on_a_wreath_chain_is_refused_in_one_line(capsys):
+    # plusPart is read off the symmetric chain's reduced operator
+    code, out, err = run(capsys, "column", "--odd", "--chain", "z2wreath", "--class=-1:[1]", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: column --odd's plusPart is defined for the symmetric chain only\n"
+
+
 def test_mckay_dot(capsys):
     code, out, _ = run(capsys, "mckay", "--chain", "sym", "--n", "2", "--format", "dot")
     assert code == 0
@@ -402,12 +431,15 @@ def _no_res_column_at_the_top(payload):
 
 
 def _huge_basis_at_the_top(payload):
-    payload["levels"][-1]["basisSize"] = payload["levels"][-1]["order"] = 10**30
+    top = payload["levels"][-1]
+    top["basisSize"] = top["order"] = 10**30
+    del top["classes"]
 
 
 # the extra irrep passed verify --suite all with exit 0, and the huge size
 # ended in an OverflowError traceback as its basis was built; the order is as
-# huge, so no group-size rule refuses the basis first
+# huge and no class rows are listed, so no group-size or class-count rule
+# refuses the basis first
 @pytest.mark.parametrize("spoil, top, column", [(_no_res_column_at_the_top, 5, 7), (_huge_basis_at_the_top, 4, 5)],
                          ids=["extra-irrep", "huge-basis"])
 def test_verify_refuses_a_res_column_that_lists_nothing_in_one_line(capsys, tmp_path, spoil, top, column):
@@ -433,6 +465,20 @@ def test_verify_refuses_a_basis_above_the_order_in_one_line(capsys, tmp_path, le
     assert code == 1 and out == "" and "Traceback" not in err
     assert err == (f"error: level {level}: malformed level entry: basisSize {10**30} > order "
                    f"{factorial(level)}: a group has no more irreps than elements\n")
+
+
+# a level's class rows list one class per irrep; level 0's huge basis, declared as
+# large as its order, ended in an OverflowError traceback as it was built, and at
+# 10**6 it was built before the class sizes refused it
+@pytest.mark.parametrize("size", [10**30, 10**6])
+def test_verify_refuses_a_basis_that_is_not_one_irrep_per_class_in_one_line(capsys, tmp_path, size):
+    payload = export_chain(SymmetricChain(), 3)
+    payload["levels"][0]["basisSize"] = payload["levels"][0]["order"] = size
+    chain_path = tmp_path / "sym.json"
+    chain_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--maxN", "3")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == f"error: level 0: basisSize {size} but classes 1: one irrep per class\n"
 
 
 def _ghost_at_level_3(embeds_to=None):

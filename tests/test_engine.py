@@ -26,7 +26,6 @@ from charcol.partitions import (
     conjugate,
     dim_irrep,
     enumerate_partitions,
-    mirrored_order,
     mn_character,
 )
 from charcol.verify import oracle_column
@@ -51,7 +50,7 @@ def dense_column(chain, column):
 
 
 def printed_vector(column):
-    return tuple(column.coeffs.get(p, 0) for p in mirrored_order(sum(column.class_label)))
+    return tuple(column.coeffs.get(p, 0) for p in SYM.mirrored_order(sum(column.class_label)))
 
 
 def test_delta_123_matches_printed_column():
@@ -443,9 +442,21 @@ def test_odd_column_rejects_even_class():
         odd_column((3,), 6)
 
 
-def test_odd_column_rejects_wreath_chain():
-    with pytest.raises(ValueError, match="symmetric chain"):
+def test_odd_column_serves_every_chain_with_a_sign_character():
+    # odd columns once refused every chain but sym; z2wreath's eta-odd columns are its plain
+    # ones, and each changes sign between a label and its twin
+    for n in range(3, 7):
+        twins = dict(zip(*Z2C._twin_pairs(n, 1, False)))
+        order = Z2C.group_order(n)
+        for cls in Z2C.classes_at(n, order):
+            if Z2C.class_sign(cls) == -1:
+                coeffs = odd_column(cls, n, Z2C, order).coeffs
+                assert coeffs == character_column(Z2C, cls, n, order).coeffs == Z2C.reference_column(cls, n, order)
+                assert all(coeffs.get(twin, 0) == -coeffs.get(lam, 0) for lam, twin in twins.items())
+    with pytest.raises(ValueError, match="^class '1:\\[2\\]' is even; odd_column needs an odd permutation$"):
         odd_column(((0, (2,)),), 3, chain=Z2C)
+    with pytest.raises(ValueError, match="^chain 'wreath:trivial' has no sign character, so its irreps have no twins$"):
+        odd_column(((0, (2,)),), 3, chain=get_chain("trivial"))
 
 
 def test_reconstruction_sign_pairing():

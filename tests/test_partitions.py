@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from charcol.chain import SymmetricChain
 from charcol.partitions import (
     check_partition,
     class_size,
@@ -15,7 +16,6 @@ from charcol.partitions import (
     dim_irrep,
     enumerate_partitions,
     format_partition,
-    mirrored_order,
     mn_character,
     parse_partition,
     remove_one_box,
@@ -227,7 +227,7 @@ def test_class_sign():
 
 def test_mirrored_order_n6_swaps_the_middle_pair():
     canonical = enumerate_partitions(6)
-    mirrored = mirrored_order(6)
+    mirrored = SymmetricChain().mirrored_order(6)
     assert mirrored[:6] == canonical[:6]
     assert mirrored[6] == (2, 2, 2) and mirrored[7] == (3, 1, 1, 1)
     assert sorted(mirrored) == sorted(canonical)
@@ -235,7 +235,7 @@ def test_mirrored_order_n6_swaps_the_middle_pair():
 
 def test_mirrored_order_small_n_matches_canonical():
     for n in (2, 3, 4, 5):
-        assert mirrored_order(n) == enumerate_partitions(n)
+        assert SymmetricChain().mirrored_order(n) == enumerate_partitions(n)
 
 
 def border_strip_sign(lam, mu):
