@@ -14,13 +14,13 @@ dense vector. The permutation characters of ``coset_character`` are ints, and
 Fractions only on a spoiled ingested chain. A sparse vector over a level's
 irreps, such as a lift, is a dict {label: coefficient} of ints and Fractions
 (wreath lifts carry 1/dim); ``normalized`` drops its zeros and turns integral
-Fractions into ints. Res, Ind and X are integer maps.
+Fractions into ints.
 
 Memoized per process, as they depend only on the level: the bases and the
 small level-k tables, each validated once when it is built. Memoized per
 chain instance, built level by level on demand: the basis indices, Res (as
-branching-graph edges), its sign folds, the lifts, the children of each label
-``apply_res`` meets and the class sizes ``class_size_from`` computes. X is
+branching-graph edges), its sign folds, the twin tables, the lifts, the children
+of each label ``apply_res`` meets and the class sizes ``class_size_from`` computes. X is
 counted along Res's edges on each ``ind_res`` call. ``get_chain`` is memoized
 too, so the chains it hands out keep theirs for the life of the process; a
 chain built directly starts empty, and its memos go when it does. Lifting
@@ -36,6 +36,7 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, inf, prod
+from operator import add, sub
 
 from . import hgroup, partitions
 from .hgroup import GroupTable, WreathLabel
@@ -150,19 +151,18 @@ class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
 
     The suites need ``res_operator`` and ``ind_res`` (built on it), the levels
-    ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as
-    ``poly(l)``, and the class data: ``group_order``, ``classes_at``,
-    ``identity_class``, ``format_class`` and ``class_size_from(h, m, j)`` for
-    j above or below m, on which ``coset_character`` is built. ``check_class`` alone
-    decides whether a tuple is a class, for the engine and each ``reference_column``;
-    ``fit_class`` whether it fits a level, and ``class_size_from`` is built on it and
-    ``class_size``. The engine fits each class once, applies ``poly(l)`` and reads
-    ``class_size`` of its ``pad_core`` for the norm; lifting needs ``label_level`` and
-    ``pad_first_row``, and checks at run time that its recursion never revisits a
-    label whose lift is still waiting. A chain may declare capabilities, or what
-    needs one is skipped: ``reference`` (``reference_column``) for the oracle,
-    ``has_irrep_labels`` for lifts, columns, tables and exports, ``class_sign`` (a sign
-    character) with ``_twin_pairs`` for ``sign_fold``, ``mirrored_order`` and odd columns.
+    ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as ``poly(l)``,
+    and the class data: ``group_order``, ``classes_at``, ``identity_class``,
+    ``format_class`` and ``class_size_from(h, m, j)`` for j above or below m, on
+    which ``coset_character`` is built. ``check_class`` alone decides whether a tuple
+    is a class, for the engine and each ``reference_column``; ``fit_class`` whether
+    it fits a level, and ``class_size_from`` is built on it and ``class_size``. The
+    engine fits each class once, applies ``poly(l)`` and reads ``class_size`` of its
+    ``pad_core`` for the norm; lifting needs ``label_level`` and ``pad_first_row``.
+    A chain may declare capabilities, or what needs one is skipped: ``reference``
+    (``reference_column``) for the oracle, ``has_irrep_labels`` for lifts, columns,
+    tables and exports, ``class_sign`` (a sign character) with ``_twin_pairs`` for
+    ``sign_fold``, ``twin_table``, ``mirrored_order`` and odd columns.
     """
 
     id: str
@@ -176,6 +176,7 @@ class Chain:
         self._index_cache: dict[int, dict] = {}
         self._res_cache: dict[int, BranchingOperator] = {}
         self._fold_cache: dict[tuple, BranchingOperator] = {}
+        self._twin_tables: dict[tuple, GroupTable] = {}
         self.lift_memo: dict = {}
         self._below: dict = {}  # label -> _children(label), for the labels apply_res has met
         self._class_sizes: dict = {}  # (class, m, j) -> class_size_from(class, m, j)
@@ -374,8 +375,20 @@ class Chain:
 
     def mirrored_order(self, n: int) -> tuple:
         """Level n's labels that come no later than their twins, in basis order, then those twins reversed."""
-        kept, twins = self.check_signed()._twin_pairs(n, 1, False)
+        kept, twins = self.check_signed()._twin_pairs(self.check_level(n), 1, False)
         return (*kept, *(twin for lam, twin in zip(kept[::-1], twins[::-1]) if twin != lam))
+
+    def twin_table(self, k: int, sign: int, max_order: int | None = None) -> GroupTable:
+        """``small_table(k)`` on one label w of each twin pair, row chi_w + sign chi_Tw (chi_w if Tw = w),
+        once per chain, k and sign: T commutes with Res, and a fold reads T x as sign times x."""
+        table = self.small_table(self.check_level(k), max_order)  # the order bound, on every call
+        if (k, sign) not in self._twin_tables:
+            rows, name = {label: values for label, _, values in table.irreps}, self.format_label
+            fold = add if sign > 0 else sub
+            sums = [(name(w), tuple(map(fold, rows[name(w)], rows[name(t)])) if t != w else rows[name(w)])
+                    for w, t in zip(*self._twin_pairs(k, 1, False))]
+            self._twin_tables[k, sign] = table._replace(irreps=tuple((w, u[0], u) for w, u in sums))
+        return self._twin_tables[k, sign]
 
     def sign_fold(self, n: int, sign: int) -> BranchingOperator:
         """Res at level n folded for sign ``sign``, once per chain, level and sign, over the
@@ -384,7 +397,7 @@ class Chain:
         and a self-twin label reaches its kept children alone, as often as each occurs;
         going up, it keeps every child."""
         if (n, sign) not in self._fold_cache:
-            kept, twins = self._twin_pairs(n, sign, False)
+            kept, twins = self._twin_pairs(self.check_level(n), sign, False)
             below, mirror = self._twin_pairs(n - 1, sign, True) if n > self.min_n else ((), ())
             at = {mu: i for i, mu in enumerate(below)}
             flip = {nu: i for i, (mu, nu) in enumerate(zip(below, mirror)) if nu not in (None, mu)}

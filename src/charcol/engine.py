@@ -1,18 +1,7 @@
-"""Character-column computation by falling-factorial polynomials of Ind Res.
-
-A column for a class whose support lives at level k is obtained by lifting
-the level-k character data to level n and applying the chain's f_{n-k}, the
-falling factorial X(X-M)(X-2M)...(X-(n-k-1)M), where M is the chain's
-commutator scaling (1 for symmetric groups, |H| for wreath products).
-``character_columns`` lifts a core level's inputs in one call, then runs one
-f_{n-k} pass per class: D u, for u its input and D the lifts' common
-denominator, goes through X = Ind Res along the edges of the ``sign_fold`` for
-the class's sign s (one label of each pair of twins), or of Res, the fold of
-sign 0, as u(lam) + s u(twin) at each kept label lam. One loop over the kept
-labels checks, halves and divides each entry of the result, mirrors it onto its
-twin and sums the norm. The fold of sign -1 is the paper's reduced operator Y,
-so an odd column is a plain column. ``reduced_operator(n)`` (Y on the plus
-basis, memoized per process) serves mckay --reduced and column --odd.
+"""Character-column computation by falling-factorial polynomials of Ind Res: a class's column
+at level n is f_{n-k}(X) of its core level k's character data lifted to level n (README,
+"character_columns"). ``reduced_operator(n)``, the symmetric Y on the plus basis, memoized
+per process, serves mckay --reduced and column --odd.
 """
 
 from __future__ import annotations
@@ -41,20 +30,22 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
 def character_columns(chain: Chain, classes, n: int, max_order: int | None = None,
                       table: GroupTable | None = None) -> dict:
     """{class: its column at level n}, in the order given: one table read and one lift call
-    per core level k, then one f_{n-k} pass per class of sign s on the chain's ``sign_fold``,
-    where f(X) on u + s T u is twice its column (on Res for sign 0). Exact, with each column's
-    invariants checked. A supplied ``table`` is the level-k table of the classes' one core level k."""
-    columns, cores = dict.fromkeys(classes), {}  # cores: level k -> core -> its classes
+    per core level k and sign s, on the ``twin_table`` for s != 0 below n, then one f_{n-k}
+    pass per class on the chain's ``sign_fold``, where f(X) on u + s T u is twice its column (on
+    Res for s = 0). Exact, with each column's invariants checked. A supplied ``table`` is the
+    whole level-k table of the classes' one core level k, read for every sign."""
+    columns, cores = dict.fromkeys(classes), {}  # cores: (level k, sign) -> core -> its classes
     for cls in columns:
         core, k = chain.fit_class(chain.check_class(cls), chain.check_level(n))
-        cores.setdefault(k, {}).setdefault(core, []).append(cls)
-    if table is not None and len(cores) > 1:
-        raise ValueError(f"one table serves one core level, not levels {sorted(cores)}")
-    for k, level in cores.items():
-        at_k = table if table is not None else chain.small_table(k, max_order)
+        cores.setdefault((k, chain.class_sign(core)), {}).setdefault(core, []).append(cls)
+    if table is not None and len(levels := sorted({k for k, _ in cores})) > 1:
+        raise ValueError(f"one table serves one core level, not levels {levels}")
+    for (k, sign), level in cores.items():  # a signed class lifts one irrep of each twin pair
+        at_k = table if table is not None else (chain.twin_table(k, sign, max_order) if sign and n > k
+                                                else chain.small_table(k, max_order))
         inputs = lift_column_input(chain, at_k, list(level), n)  # {core: its input}
         for core, given in level.items():
-            sign, vec = chain.class_sign(core), inputs[core]
+            vec = inputs[core]
             op = chain.sign_fold(n, sign) if sign else chain.res_operator(n)
             scale = lcm(*{v.denominator for v in vec.values()})
             div = scale * (1 + abs(sign))  # a fold's pass yields twice the column

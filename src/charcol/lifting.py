@@ -1,15 +1,11 @@
 """Lifts along restriction: given an irrep w of G_k, a vector at level n that
 restricts back to w exactly.
 
-The construction pads the first row of the first listed diagram, scales by
-the inverse dimension power for wreath chains, and subtracts recursively
-lifted lower terms. The recursion never revisits a label whose lift is still
-waiting, checked at runtime: each level has finitely many labels, so that is
-what makes it end. Every lift, a dict {label: coefficient} at level n, is
-memoized in ``chain.lift_memo`` under (label, n), looked up there before its
-label is checked and before the recursion enters it. A lift makes two Res^(n-k)
-sweeps, one ``Chain.apply_res(vec, n - k)`` call each (label by label along the
-support, normalized once): the padding's and its verification's.
+The first row is padded (scaled by 1/dim^pad on a wreath chain) and the recursively
+lifted lower terms are subtracted; the recursion never revisits a label whose lift is
+still waiting, checked at run time, which is what makes it end. Every lift is memoized
+in ``chain.lift_memo`` under (label, n), read before its label is checked, and makes
+two ``Chain.apply_res(vec, n - k)`` sweeps: the padding's and its verification's.
 """
 
 from __future__ import annotations
@@ -70,10 +66,10 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> dict:
 
 
 def lift_column_input(chain: Chain, table: GroupTable, classes: list, n: int) -> dict:
-    """{class: the vector sum over irreps w of chi_w(class) times the lift of w}.
+    """{class: the vector sum over the rows w of ``table`` of chi_w(class) times the lift of w}.
 
-    ``table`` is the character table at the classes' own level k; its irrep
-    labels must parse as level-k labels of the chain.
+    ``table`` holds the classes' columns at their own level k: the character table, or a
+    ``Chain.twin_table``, one row per twin pair; its row labels must parse as level-k labels.
     """
     inputs = {}
     for c in classes:

@@ -273,6 +273,88 @@ def test_class_data_fits_each_class_once(monkeypatch, spec, cls, m, js):
     assert fits == 1
 
 
+def core_level_classes(chain, k: int, n: int) -> list:
+    """Every class whose core level is k, embedded at level n."""
+    return [chain.pad_core(cls, k, n) for cls in chain.classes_at(k, chain.group_order(k))
+            if chain.fit_class(cls, k)[1] == k]
+
+
+def lifted_at(chain, k: int) -> set:
+    """The level-k labels whose lifts the chain has memoized."""
+    return {label for label, _ in chain.lift_memo if chain.label_level(label) == k}
+
+
+@pytest.mark.parametrize("spec, k", [("sym", k) for k in range(2, 11)] + [("z2wreath", k) for k in range(1, 6)])
+def test_a_signed_column_lifts_one_irrep_of_each_twin_pair(spec, k):
+    # f_{n-k}(X) reads its input only through Res^(n-k), and the fold reads T x as
+    # sign times x, so the lifts of one label of each twin pair are input enough:
+    # every class of core level k memoizes the lifts of those kept labels alone,
+    # the lower terms of the recursion included, and a column at n = k lifts nothing
+    chain = FRESH_CHAINS[spec]()
+    columns = character_columns(chain, core_level_classes(chain, k, k + 2), k + 2, chain.group_order(k + 2))
+    assert all(chain.class_sign(cls) for cls in columns)
+    kept = chain._twin_pairs(k, 1, False)[0]
+    assert lifted_at(chain, k) == set(kept) and len(kept) < len(chain.basis(k))
+    chain = FRESH_CHAINS[spec]()
+    character_columns(chain, core_level_classes(chain, k, k), k, chain.group_order(k))
+    assert not chain._twin_tables
+
+
+def test_an_unsigned_chain_or_a_supplied_table_lifts_every_irrep():
+    # trivial wr S_n has no sign character, so its columns lift every irrep of the
+    # level-k table; a supplied table is read whole, for classes of either sign,
+    # where the same columns without it lift one irrep of each conjugate pair
+    k, n = 4, 6
+    trivial = WreathChain(hgroup.builtin_table("trivial"))
+    character_columns(trivial, core_level_classes(trivial, k, n), n)
+    assert lifted_at(trivial, k) == set(trivial.basis(k)) and not trivial._twin_tables
+    given, fresh = SymmetricChain(), SymmetricChain()
+    columns = character_columns(given, core_level_classes(given, k, n), n, table=given.small_table(k))
+    assert columns == character_columns(fresh, list(columns), n)
+    assert lifted_at(given, k) == set(given.basis(k)) and not given._twin_tables
+    assert lifted_at(fresh, k) == set(fresh._twin_pairs(k, 1, False)[0]) < set(fresh.basis(k))
+
+
+def twin_of(spec: str, label):
+    """T by hand: the conjugate diagram, or the label with Z2's two irreps swapped."""
+    return conjugate(label) if spec == "sym" else tuple(sorted((1 - i, p) for i, p in label))
+
+
+@pytest.mark.parametrize("spec, top", [("sym", 8), ("z2wreath", 4)])
+def test_a_twin_table_has_one_row_per_twin_pair_built_once(monkeypatch, spec, top):
+    # a row chi_w + s chi_Tw for one label w of each pair {w, Tw}, chi_w alone when
+    # Tw = w, on the classes of small_table(k); each (k, s) is built once per chain,
+    # and the engine's later calls read it back
+    chain = FRESH_CHAINS[spec]()
+    pairings = Counter()
+    twin_pairs = chain._twin_pairs
+
+    def counting(n, sign, below):
+        pairings[n, sign, below] += 1
+        return twin_pairs(n, sign, below)
+
+    monkeypatch.setattr(chain, "_twin_pairs", counting)
+    for k in range(top + 1):
+        small = chain.small_table(k, chain.group_order(k))
+        chi = {chain.parse_label(label): values for label, _, values in small.irreps}
+        for sign in (1, -1):
+            table = chain.twin_table(k, sign, chain.group_order(k))
+            assert table.classes == small.classes
+            rows = [chain.parse_label(label) for label, _, _ in table.irreps]
+            assert sorted(w for w in chain.basis(k) if w in rows or twin_of(spec, w) in rows) == sorted(chain.basis(k))
+            assert not any(twin_of(spec, w) in rows for w in rows if twin_of(spec, w) != w)
+            for (label, dim, values), w in zip(table.irreps, rows):
+                t = twin_of(spec, w)
+                assert values == (tuple(a + sign * b for a, b in zip(chi[w], chi[t])) if t != w else chi[w])
+                assert dim == values[0]
+            assert chain.twin_table(k, sign, chain.group_order(k)) is table
+        assert pairings[k, 1, False] == 2
+    pairings.clear()
+    n = top + 1
+    character_columns(chain, chain.classes_at(n, chain.group_order(n)), n, chain.group_order(n))
+    assert all(pairings[k, 1, False] == 0 for k in range(top + 1))
+
+
 def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):
     # both sides act on a packed identity along Res's edges: the brute side
     # restricts once more for each l and induces back up l times (L downs and

@@ -47,6 +47,17 @@ def test_a_negative_wreath_level_is_refused_as_the_symmetric_one_is(h):
             basis(-1)
 
 
+@pytest.mark.parametrize("make", [fresh_sym, lambda: WreathChain(builtin_table("Z2"), chain_id="z2wreath")],
+                         ids=["sym", "z2wreath"])
+def test_the_twin_methods_refuse_a_level_below_the_lowest_as_every_command_does(make):
+    # the level is checked before its basis is built, which would say "n must be non-negative"
+    chain = make()
+    for call in (chain.mirrored_order, *(lambda n, s=s: chain.sign_fold(n, s) for s in (1, -1)),
+                 *(lambda n, s=s: chain.twin_table(n, s) for s in (1, -1))):
+        with pytest.raises(ValueError, match=f"^chain '{chain.id}' has no level -1$"):
+            call(-1)
+
+
 def test_sym_mirrored_order_keeps_the_digest_of_the_partition_order():
     # recorded from the conjugate-mirrored order that partitions once computed for sym alone
     orders = repr([SymmetricChain().mirrored_order(n) for n in range(21)])

@@ -674,6 +674,43 @@ def s3_wreath_level_one(chain):
                             in zip(S3_ONE, S3.irreps)))
 
 
+# SHA-256 over one line per column, "chain n class coefficients", of every class of
+# sym at n <= 14, z2wreath at n <= 8, S3 wr S_n at n <= 5 (rational lifts), and Z2
+# and trivial wr S_n at n <= 6, each computed singly on one chain and batched per
+# level on another, then six sym classes at n = 24: recorded from the engine that
+# lifted every irrep of each level-k table, which a signed class no longer does
+COLUMN_CASES = {
+    "sym": (SymmetricChain, 14),
+    "z2wreath": (lambda: WreathChain(builtin_table("Z2"), chain_id="z2wreath"), 8),
+    "S3": (lambda: WreathChain(S3), 5),
+    "Z2": (lambda: WreathChain(builtin_table("Z2")), 6),
+    "trivial": (lambda: WreathChain(builtin_table("trivial")), 6),
+}
+COLUMN_DIGEST = (2616, "896327bc48011ccbbb4dd4b3ddba4a8a654b01bf9e82ee4a6e5c7db8a8d7b86d")
+
+
+def column_lines():
+    for name, (make, top) in COLUMN_CASES.items():
+        single, batched = make(), make()
+        for n in range(top + 1):
+            bound = single.group_order(n)
+            classes = single.classes_at(n, bound)
+            columns = character_columns(batched, classes, n, bound)
+            for cls in classes:
+                text = f"{name} {n} {single.format_class(cls) or 'e'}"
+                yield f"{text} {sorted(character_column(single, cls, n, bound).coeffs.items())}"
+                yield f"{text} batched {sorted(columns[cls].coeffs.items())}"
+    chain = SymmetricChain()
+    for cls in [(2,), (3,), (2, 2), (4, 3), (5, 2), (3, 3, 1)]:
+        yield f"sym 24 {cls} {sorted(character_column(chain, cls, 24).coeffs.items())}"
+
+
+def test_every_column_keeps_its_pinned_digest():
+    lines = list(column_lines())
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert (len(lines), digest) == COLUMN_DIGEST
+
+
 def test_batched_columns_divide_out_rational_lifts():
     # S3's 2-dimensional irrep puts 1/2^pad into its lifts, so each class's input
     # is scaled by its lifts' common denominator D > 1 and its result divided by D.
