@@ -1,32 +1,29 @@
 """Irrep bases per level, the branching operators Res, Ind, X = Ind Res, and
 the polynomials f_l with Ind^l Res^l = f_l(X).
 
-Two chains are built in: the symmetric-group chain (labels are partitions)
-and wreath-product chains over a base group H (labels are arrays pairing
-distinct H-irreps with partitions). Ind is the transpose of Res throughout,
-so X at level n is Res^T Res, a symmetric integer matrix: X(a, b) counts the
-paths a -> child -> b along Res's edges. A built-in chain's Res at level 0
-maps onto the empty lower ring, so X_0 = 0. A chain with class signs folds Res
-by its twins (``sign_fold``) for the columns of one sign. Every chain hands
-out f_l as a ``FallingFactorialPoly``, the one type that evaluates it, at a
-number (in ints at an int, if its leading coefficient is integral) or on a
-dense vector. The permutation characters of ``coset_character`` are ints, and
-Fractions only on a spoiled ingested chain. A sparse vector over a level's
-irreps, such as a lift, is a dict {label: coefficient} of ints and Fractions
-(wreath lifts carry 1/dim); ``normalized`` drops its zeros and turns integral
-Fractions into ints.
+Two chains are built in: the symmetric-group chain (labels are partitions) and
+wreath-product chains over a base group H (labels are arrays pairing distinct H-irreps
+with partitions). Ind is the transpose of Res throughout, so X at level n is Res^T Res,
+a symmetric integer matrix. A built-in chain's Res at level 0 maps onto the empty lower
+ring, so X_0 = 0. A chain with class signs folds Res by its twins (``sign_fold``) for
+the columns of one sign. Every chain hands out f_l as a ``FallingFactorialPoly``, the
+one type that evaluates it, at a number (in ints at an int, if its leading coefficient
+is integral) or on a dense vector. The permutation characters of ``coset_character`` are
+ints, and Fractions only on a spoiled ingested chain. A sparse vector over a level's
+irreps, such as a lift, is a dict {label: coefficient} of ints and Fractions (wreath
+lifts carry 1/dim); ``normalized`` drops its zeros and turns integral Fractions into
+ints.
 
-Memoized per process, as they depend only on the level: the bases and the
-small level-k tables, each validated once when it is built. Memoized per
-chain instance, built level by level on demand: the basis indices, Res (as
-branching-graph edges), its sign folds, the twin tables, the lifts, the children
-of each label ``apply_res`` meets and the class sizes ``class_size_from`` computes. X is
-counted along Res's edges on each ``ind_res`` call. ``get_chain`` is memoized
-too, so the chains it hands out keep theirs for the life of the process; a
-chain built directly starts empty, and its memos go when it does. Lifting
-sweeps levels along the support (``apply_res``), and a column runs on Res's or
-its fold's edges at its own level, so neither builds a sparse matrix. Only
-Res's ``parents`` and ``matrix`` fill in on first use, so concurrent reads are safe.
+Memoized per process, as they depend only on the level: the bases and the small level-k
+tables, each validated once when it is built. Memoized per chain instance, built level
+by level on demand: the basis indices, Res (as branching-graph edges), the twin pairs,
+the sign folds and twin tables built on them, the lifts, the children of each label
+``apply_res`` meets and the class sizes ``class_size_from`` computes; X is not.
+``get_chain`` is memoized too, so the chains it hands out keep theirs for the life of
+the process; a chain built directly starts empty, and its memos go when it does. Lifting
+sweeps levels along the support (``apply_res``), and a column runs on Res's or its
+fold's edges at its own level, so neither builds a sparse matrix. Only Res's ``parents``
+and ``matrix`` fill in on first use, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from collections import Counter, namedtuple
 from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import factorial, inf, prod
 from operator import add, sub
 
@@ -150,19 +148,18 @@ class FallingFactorialPoly(namedtuple("FallingFactorialPoly", "roots leading", d
 class Chain:
     """Shared machinery; subclasses provide labels, branching, and class data.
 
-    The suites need ``res_operator`` and ``ind_res`` (built on it), the levels
-    ``min_n`` to ``max_n`` and the ranges the suites run over, f_l as ``poly(l)``,
-    and the class data: ``group_order``, ``classes_at``, ``identity_class``,
-    ``format_class`` and ``class_size_from(h, m, j)`` for j above or below m, on
-    which ``coset_character`` is built. ``check_class`` alone decides whether a tuple
-    is a class, for the engine and each ``reference_column``; ``fit_class`` whether
-    it fits a level, and ``class_size_from`` is built on it and ``class_size``. The
+    The suites need ``res_operator`` and ``ind_res`` (built on it), the levels ``min_n``
+    to ``max_n`` and the ranges the suites run over, f_l as ``poly(l)``, and the class
+    data: ``group_order``, ``classes_at``, ``identity_class``, ``format_class`` and
+    ``class_size_from(h, m, j)`` for j above or below m, on which ``coset_character`` is
+    built. ``check_class`` alone decides whether a tuple is a class, and ``fit_class``
+    whether it fits a level; ``class_size_from`` is built on it and ``class_size``. The
     engine fits each class once, applies ``poly(l)`` and reads ``class_size`` of its
-    ``pad_core`` for the norm; lifting needs ``label_level`` and ``pad_first_row``.
-    A chain may declare capabilities, or what needs one is skipped: ``reference``
+    ``pad_core`` for the norm; lifting needs ``label_level`` and ``pad_first_row``. A
+    chain may declare capabilities, or what needs one is skipped: ``reference``
     (``reference_column``) for the oracle, ``has_irrep_labels`` for lifts, columns,
     tables and exports, ``class_sign`` (a sign character) with ``_twin_pairs`` for
-    ``sign_fold``, ``twin_table``, ``mirrored_order`` and odd columns.
+    ``twin_pairs``, which folds, twin tables, ``mirrored_order`` and odd columns read.
     """
 
     id: str
@@ -176,6 +173,7 @@ class Chain:
         self._index_cache: dict[int, dict] = {}
         self._res_cache: dict[int, BranchingOperator] = {}
         self._fold_cache: dict[tuple, BranchingOperator] = {}
+        self._twin_cache: dict[tuple, tuple] = {}  # (n, below) -> (kept, twins) of _twin_pairs
         self._twin_tables: dict[tuple, GroupTable] = {}
         self.lift_memo: dict = {}
         self._below: dict = {}  # label -> _children(label), for the labels apply_res has met
@@ -367,38 +365,43 @@ class Chain:
 
     class_sign = staticmethod(lambda cls: 0)  # a class's sign for ``sign_fold``; 0: no fold
 
-    def check_signed(self) -> "Chain":
-        """The chain, or the ValueError for one without a sign character, whose irreps have no twins."""
-        if not self.class_sign(()):
-            raise ValueError(f"chain {self.id!r} has no sign character, so its irreps have no twins")
-        return self
+    def twin_pairs(self, n: int, sign: int, below: bool = False) -> tuple:
+        """(kept, twins) of ``_twin_pairs(n, below)``, once per chain, n and below; sign -1 drops the self-twins."""
+        if (n, below) not in self._twin_cache:
+            if not self.class_sign(()):
+                raise ValueError(f"chain {self.id!r} has no sign character, so its irreps have no twins")
+            self._twin_cache[n, below] = tuple(map(tuple, self._twin_pairs(self.check_level(n), below)))
+        kept, twins = self._twin_cache[n, below]
+        if sign > 0:
+            return kept, twins
+        odd = [twin != lam for lam, twin in zip(kept, twins)]
+        return tuple(compress(kept, odd)), tuple(compress(twins, odd))
 
     def mirrored_order(self, n: int) -> tuple:
         """Level n's labels that come no later than their twins, in basis order, then those twins reversed."""
-        kept, twins = self.check_signed()._twin_pairs(self.check_level(n), 1, False)
-        return (*kept, *(twin for lam, twin in zip(kept[::-1], twins[::-1]) if twin != lam))
+        return (*self.twin_pairs(n, 1)[0], *reversed(self.twin_pairs(n, -1)[1]))
 
     def twin_table(self, k: int, sign: int, max_order: int | None = None) -> GroupTable:
         """``small_table(k)`` on one label w of each twin pair, row chi_w + sign chi_Tw (chi_w if Tw = w),
         once per chain, k and sign: T commutes with Res, and a fold reads T x as sign times x."""
-        table = self.small_table(self.check_level(k), max_order)  # the order bound, on every call
+        kept, twins = self.twin_pairs(k, 1)
+        table = self.small_table(k, max_order)  # the order bound, on every call
         if (k, sign) not in self._twin_tables:
             rows, name = {label: values for label, _, values in table.irreps}, self.format_label
             fold = add if sign > 0 else sub
-            sums = [(name(w), tuple(map(fold, rows[name(w)], rows[name(t)])) if t != w else rows[name(w)])
-                    for w, t in zip(*self._twin_pairs(k, 1, False))]
+            sums = [(w, tuple(map(fold, rows[w], rows[name(t)])) if t != lam else rows[w])
+                    for w, lam, t in zip(map(name, kept), kept, twins)]
             self._twin_tables[k, sign] = table._replace(irreps=tuple((w, u[0], u) for w, u in sums))
         return self._twin_tables[k, sign]
 
     def sign_fold(self, n: int, sign: int) -> BranchingOperator:
-        """Res at level n folded for sign ``sign``, once per chain, level and sign, over the
-        (kept, twins) of ``_twin_pairs(m, sign, below)`` at m = n and, below, m = n - 1.
-        Going down (sign +1), a self-twin child met from a label and its twin counts twice,
-        and a self-twin label reaches its kept children alone, as often as each occurs;
+        """Res at level n folded for sign ``sign``, once per chain, level and sign, from ``twin_pairs``
+        at n and, below, n - 1. Going down (sign +1), a self-twin child met from a label and its twin
+        counts twice, and a self-twin label reaches its kept children alone, as often as each occurs;
         going up, it keeps every child."""
         if (n, sign) not in self._fold_cache:
-            kept, twins = self._twin_pairs(self.check_level(n), sign, False)
-            below, mirror = self._twin_pairs(n - 1, sign, True) if n > self.min_n else ((), ())
+            kept, twins = self.twin_pairs(n, sign)
+            below, mirror = self.twin_pairs(n - 1, sign, True) if n > self.min_n else ((), ())
             at = {mu: i for i, mu in enumerate(below)}
             flip = {nu: i for i, (mu, nu) in enumerate(zip(below, mirror)) if nu not in (None, mu)}
             plus, minus = ({**at, **flip}, {}) if sign > 0 else (at, flip)
@@ -415,7 +418,7 @@ class Chain:
             down = tuple(tuple(at[c] for c in self._children(lam) if c in at) if lam == twin else tuple(d)
                          for d, lam, twin in zip(down, kept, twins))
             self._fold_cache[n, sign] = BranchingOperator(
-                tuple(kept), tuple(below), down, tuple(twins), tuple(down_minus),
+                kept, below, down, twins, tuple(down_minus),
                 tuple(map(tuple, up[0])), tuple((i, tuple(js)) for i, js in enumerate(up[1]) if js))
         return self._fold_cache[n, sign]
 
@@ -456,10 +459,9 @@ class SymmetricChain(Chain):
     class_size = staticmethod(partitions.class_size)
     class_sign = staticmethod(partitions.class_sign)
 
-    def _twin_pairs(self, n: int, sign: int, below: bool) -> tuple:
-        """Only a diagram whose first row exceeds its first column by ``near`` or less gets
-        its conjugate as twin; other twins are None. A kept diagram's children have a first
-        row at most one shorter than their first column, so only such are paired below."""
+    def _twin_pairs(self, n: int, below: bool) -> tuple:
+        """A diagram whose first row exceeds its first column by more than ``near`` has twin None: near is
+        1 below, as a kept diagram's children have a first row at most one shorter than their first column."""
         kept, twins, paired, near = [], [], set(), 1 if below else n
         for lam in self.basis(n):
             rows, first = len(lam), lam[0] if lam else 0
@@ -468,9 +470,8 @@ class SymmetricChain(Chain):
             twin = partitions.conjugate(lam) if first - rows <= near else None
             if first == rows:
                 paired.add(twin)
-            if twin != lam or sign > 0:
-                kept.append(lam)
-                twins.append(twin)
+            kept.append(lam)
+            twins.append(twin)
         return kept, twins
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[Partition, ...]:
@@ -563,16 +564,14 @@ class WreathChain(Chain):
         """eta(h) = prod psi(c)^(cycles of colour c); 0, so no fold, without psi."""
         return prod(self._psi[c] ** len(p) for c, p in cls) if self._psi else 0
 
-    def _twin_pairs(self, n: int, sign: int, below: bool) -> tuple:
-        """T renames each slot's H-irrep i to i (x) psi; a twin is sorted only for the
-        first label of its pair."""
+    def _twin_pairs(self, n: int, below: bool) -> tuple:
+        """T renames each slot's H-irrep i to i (x) psi; a twin is sorted only for the first label of its pair."""
         kept, twins, paired = [], [], set()
         for label in self.basis(n):
             if label not in paired:
                 paired.add(twin := tuple(sorted([(self._tensor[i], p) for i, p in label])))
-                if twin != label or sign > 0:
-                    kept.append(label)
-                    twins.append(twin)
+                kept.append(label)
+                twins.append(twin)
         return kept, twins
 
     def classes_at(self, n: int, max_order: int | None = None) -> tuple[WreathLabel, ...]:

@@ -100,8 +100,9 @@ def reduced_operator(n: int) -> ReducedOperator:
 def odd_column(tau, n: int, chain: Chain | None = None, max_order: int | None = None,
                table: GroupTable | None = None) -> CharacterColumn:
     """``character_column`` of a class of sign -1, whose pass runs on the chain's sign-odd fold."""
-    chain = (chain or get_chain("sym")).check_signed()
-    if chain.class_sign(chain.fit_class(chain.check_class(tau), chain.check_level(n))[0]) != -1:
+    chain = chain or get_chain("sym")
+    chain.twin_pairs(n, 1)  # the memoized pairing the fold reads: refuses a chain without twins, or a missing level
+    if chain.class_sign(chain.fit_class(chain.check_class(tau), n)[0]) != -1:
         name = chain.format_class(tau) if tau else "e"  # the identity as typed
         raise ValueError(f"class {name!r} is even; odd_column needs an odd permutation")
     return character_column(chain, tau, n, max_order, table)

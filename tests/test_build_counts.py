@@ -293,7 +293,7 @@ def test_a_signed_column_lifts_one_irrep_of_each_twin_pair(spec, k):
     chain = FRESH_CHAINS[spec]()
     columns = character_columns(chain, core_level_classes(chain, k, k + 2), k + 2, chain.group_order(k + 2))
     assert all(chain.class_sign(cls) for cls in columns)
-    kept = chain._twin_pairs(k, 1, False)[0]
+    kept = chain.twin_pairs(k, 1)[0]
     assert lifted_at(chain, k) == set(kept) and len(kept) < len(chain.basis(k))
     chain = FRESH_CHAINS[spec]()
     character_columns(chain, core_level_classes(chain, k, k), k, chain.group_order(k))
@@ -312,7 +312,7 @@ def test_an_unsigned_chain_or_a_supplied_table_lifts_every_irrep():
     columns = character_columns(given, core_level_classes(given, k, n), n, table=given.small_table(k))
     assert columns == character_columns(fresh, list(columns), n)
     assert lifted_at(given, k) == set(given.basis(k)) and not given._twin_tables
-    assert lifted_at(fresh, k) == set(fresh._twin_pairs(k, 1, False)[0]) < set(fresh.basis(k))
+    assert lifted_at(fresh, k) == set(fresh.twin_pairs(k, 1)[0]) < set(fresh.basis(k))
 
 
 def twin_of(spec: str, label):
@@ -320,20 +320,27 @@ def twin_of(spec: str, label):
     return conjugate(label) if spec == "sym" else tuple(sorted((1 - i, p) for i, p in label))
 
 
+def counted_pairings(monkeypatch, chain) -> Counter:
+    """The chain's ``_twin_pairs`` hook calls from here on, counted by (n, below)."""
+    pairings = Counter()
+    twin_pairs = chain._twin_pairs
+
+    def counting(n, below):
+        pairings[n, below] += 1
+        return twin_pairs(n, below)
+
+    monkeypatch.setattr(chain, "_twin_pairs", counting)
+    return pairings
+
+
 @pytest.mark.parametrize("spec, top", [("sym", 8), ("z2wreath", 4)])
 def test_a_twin_table_has_one_row_per_twin_pair_built_once(monkeypatch, spec, top):
     # a row chi_w + s chi_Tw for one label w of each pair {w, Tw}, chi_w alone when
     # Tw = w, on the classes of small_table(k); each (k, s) is built once per chain,
-    # and the engine's later calls read it back
+    # on the one pairing of level k both signs share, and the engine's later calls
+    # read it back
     chain = FRESH_CHAINS[spec]()
-    pairings = Counter()
-    twin_pairs = chain._twin_pairs
-
-    def counting(n, sign, below):
-        pairings[n, sign, below] += 1
-        return twin_pairs(n, sign, below)
-
-    monkeypatch.setattr(chain, "_twin_pairs", counting)
+    pairings = counted_pairings(monkeypatch, chain)
     for k in range(top + 1):
         small = chain.small_table(k, chain.group_order(k))
         chi = {chain.parse_label(label): values for label, _, values in small.irreps}
@@ -348,11 +355,26 @@ def test_a_twin_table_has_one_row_per_twin_pair_built_once(monkeypatch, spec, to
                 assert values == (tuple(a + sign * b for a, b in zip(chi[w], chi[t])) if t != w else chi[w])
                 assert dim == values[0]
             assert chain.twin_table(k, sign, chain.group_order(k)) is table
-        assert pairings[k, 1, False] == 2
+        assert pairings[k, False] == 1
     pairings.clear()
     n = top + 1
     character_columns(chain, chain.classes_at(n, chain.group_order(n)), n, chain.group_order(n))
-    assert all(pairings[k, 1, False] == 0 for k in range(top + 1))
+    assert all(pairings[k, False] == 0 for k in range(top + 1))
+
+
+@pytest.mark.parametrize("spec, n", [("sym", 9), ("z2wreath", 5)])
+def test_both_folds_and_every_twin_table_below_build_each_pairing_once(monkeypatch, spec, n):
+    # the folds of both signs at n read the pairing of level n and the below form
+    # of level n - 1, and the twin tables of both signs at each k < n the pairing
+    # of level k: one hook call for each (level, below), and none on a second pass
+    chain = FRESH_CHAINS[spec]()
+    pairings = counted_pairings(monkeypatch, chain)
+    for _ in range(2):
+        for sign in (1, -1):
+            chain.sign_fold(n, sign)
+            for k in range(n):
+                chain.twin_table(k, sign, chain.group_order(k))
+    assert pairings == Counter({**{(m, False): 1 for m in range(n + 1)}, (n - 1, True): 1})
 
 
 def test_tasyopari_does_one_product_and_packed_matvecs_per_level(monkeypatch):

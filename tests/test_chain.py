@@ -47,15 +47,21 @@ def test_a_negative_wreath_level_is_refused_as_the_symmetric_one_is(h):
             basis(-1)
 
 
-@pytest.mark.parametrize("make", [fresh_sym, lambda: WreathChain(builtin_table("Z2"), chain_id="z2wreath")],
-                         ids=["sym", "z2wreath"])
-def test_the_twin_methods_refuse_a_level_below_the_lowest_as_every_command_does(make):
-    # the level is checked before its basis is built, which would say "n must be non-negative"
+@pytest.mark.parametrize("make, levels, refusal", [
+    (fresh_sym, (-1,), "has no level -1"),
+    (lambda: WreathChain(builtin_table("Z2"), chain_id="z2wreath"), (-1,), "has no level -1"),
+    (lambda: WreathChain(builtin_table("trivial")), (-1, 2), "has no sign character, so its irreps have no twins"),
+], ids=["sym", "z2wreath", "trivial"])
+def test_the_twin_methods_refuse_a_level_below_the_lowest_as_every_command_does(make, levels, refusal):
+    # the level is checked before its basis is built, which would say "n must be non-negative";
+    # a chain without a sign character is refused first, at every level, in the line
+    # mirrored_order and odd_column print, not with a TypeError on its missing twins
     chain = make()
     for call in (chain.mirrored_order, *(lambda n, s=s: chain.sign_fold(n, s) for s in (1, -1)),
                  *(lambda n, s=s: chain.twin_table(n, s) for s in (1, -1))):
-        with pytest.raises(ValueError, match=f"^chain '{chain.id}' has no level -1$"):
-            call(-1)
+        for n in levels:
+            with pytest.raises(ValueError, match=f"^chain '{chain.id}' {refusal}$"):
+                call(n)
 
 
 def test_sym_mirrored_order_keeps_the_digest_of_the_partition_order():

@@ -446,7 +446,7 @@ def test_odd_column_serves_every_chain_with_a_sign_character():
     # odd columns once refused every chain but sym; z2wreath's eta-odd columns are its plain
     # ones, and each changes sign between a label and its twin
     for n in range(3, 7):
-        twins = dict(zip(*Z2C._twin_pairs(n, 1, False)))
+        twins = dict(zip(*Z2C.twin_pairs(n, 1)))
         order = Z2C.group_order(n)
         for cls in Z2C.classes_at(n, order):
             if Z2C.class_sign(cls) == -1:

@@ -242,7 +242,8 @@ def test_one_string_refuses_a_class_or_a_class_above_its_level(phrase):
 
 
 def test_one_string_refuses_a_chain_without_a_sign_character():
-    """``Chain.check_signed`` alone words the refusal that ``mirrored_order`` and ``odd_column`` raise."""
+    """``Chain.twin_pairs`` alone words the refusal that folds, twin tables, ``mirrored_order`` and
+    ``odd_column`` raise."""
     found = worded(r"has no sign character")
     assert [name for name, _ in found] == ["chain.py"], f"'has no sign character' is worded in {found}"
 
