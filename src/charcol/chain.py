@@ -22,8 +22,8 @@ the sign folds and twin tables built on them, the lifts, the children of each la
 ``get_chain`` is memoized too, so the chains it hands out keep theirs for the life of
 the process; a chain built directly starts empty, and its memos go when it does. Lifting
 sweeps levels along the support (``apply_res``), and a column runs on Res's or its
-fold's edges at its own level, so neither builds a sparse matrix. Only Res's ``parents``
-and ``matrix`` fill in on first use, so concurrent reads are safe.
+fold's edges at its own level, so neither builds a sparse matrix. Only Res's ``parents``,
+``x_norm_bound`` and ``matrix`` fill in on first use, so concurrent reads are safe.
 """
 
 from __future__ import annotations

@@ -29,47 +29,48 @@ def character_column(chain: Chain, cls, n: int, max_order: int | None = None,
 
 def character_columns(chain: Chain, classes, n: int, max_order: int | None = None,
                       table: GroupTable | None = None) -> dict:
-    """{class: its column at level n}, in the order given: one table read and one lift call
-    per core level k and sign s, on the ``twin_table`` for s != 0 below n, then one f_{n-k}
-    pass per class on the chain's ``sign_fold``, where f(X) on u + s T u is twice its column (on
-    Res for s = 0). Exact, with each column's invariants checked. A supplied ``table`` is the
+    """{class: its column at level n}, in the order given: for each fitted core (level k, sign s)
+    one lift of its column input from the level-k table (the ``twin_table`` for s != 0 below n),
+    then one f_{n-k} pass on the chain's ``sign_fold``, where f(X) on u + s T u is twice its column
+    (on Res for s = 0). Exact, with each column's invariants checked. A supplied ``table`` is the
     whole level-k table of the classes' one core level k, read for every sign."""
-    columns, cores = dict.fromkeys(classes), {}  # cores: (level k, sign) -> core -> its classes
+    columns, cores = dict.fromkeys(classes), {}  # cores: (core, level k) -> its classes
     for cls in columns:
-        core, k = chain.fit_class(chain.check_class(cls), chain.check_level(n))
-        cores.setdefault((k, chain.class_sign(core)), {}).setdefault(core, []).append(cls)
-    if table is not None and len(levels := sorted({k for k, _ in cores})) > 1:
-        raise ValueError(f"one table serves one core level, not levels {levels}")
-    for (k, sign), level in cores.items():  # a signed class lifts one irrep of each twin pair
+        cores.setdefault(chain.fit_class(chain.check_class(cls), chain.check_level(n)), []).append(cls)
+    if table is not None and cores:  # a supplied table is the whole table of one core level k
+        if len(levels := sorted({k for _, k in cores})) > 1:
+            raise ValueError(f"one table serves one core level, not levels {levels}")
+        if {chain.parse_label(w) for w, _, _ in table.irreps} != set(chain.basis(levels[0])):
+            raise ValueError(f"table {table.name} does not list the level-{levels[0]} irreps of chain {chain.id!r}")
+    for (core, k), given in cores.items():  # a signed class lifts one irrep of each twin pair
+        sign = chain.class_sign(core)
         at_k = table if table is not None else (chain.twin_table(k, sign, max_order) if sign and n > k
                                                 else chain.small_table(k, max_order))
-        inputs = lift_column_input(chain, at_k, list(level), n)  # {core: its input}
-        for core, given in level.items():
-            vec = inputs[core]
-            op = chain.sign_fold(n, sign) if sign else chain.res_operator(n)
-            scale = lcm(*{v.denominator for v in vec.values()})
-            div = scale * (1 + abs(sign))  # a fold's pass yields twice the column
-            if scale != 1:  # at D = 1 the entries are ints already
-                vec = {label: (scale * v).numerator for label, v in vec.items()}
-            dense = [vec.get(lam, 0) + sign * vec.get(t, 0) for lam, t in zip(op.kept, op.twins)]  # u + sign T u
-            if n > k:
-                dense = chain.poly(n - k).apply(op.times_x, dense)
-            coeffs, norm = {}, 0  # each entry read once; a twin apart from its label counts twice
-            for lam, twin, v in zip(op.kept, op.twins, dense):
-                if v:
-                    q = v // div  # halved on a fold, over D
-                    if q * div != v:
-                        if sign and v % 2:
-                            raise InvariantError(f"odd or non-integral entry at {chain.format_label(lam)}")
-                        raise InvariantError(f"non-integral column of {chain.format_class(given[0])} "
-                                             f"at level {n}")
-                    coeffs[twin], coeffs[lam], norm = sign * q, q, norm + (q * q << (twin != lam))
-            column = CharacterColumn(chain.pad_core(core, k, n), coeffs)
-            if (trivial := coeffs.get(chain.trivial_label(n), 0)) != 1:
-                raise InvariantError(f"column's trivial-irrep entry is {trivial}, not 1")
-            if norm != (expected := chain.group_order(n) // chain.class_size(column.class_label)):
-                raise InvariantError(f"column norm {norm} != |G|/|class| = {expected}")
-            columns.update(dict.fromkeys(given, column))
+        vec = lift_column_input(chain, at_k, core, n)
+        op = chain.sign_fold(n, sign) if sign else chain.res_operator(n)
+        scale = lcm(*{v.denominator for v in vec.values()})
+        div = scale * (1 + abs(sign))  # a fold's pass yields twice the column
+        if scale != 1:  # at D = 1 the entries are ints already
+            vec = {label: (scale * v).numerator for label, v in vec.items()}
+        dense = [vec.get(lam, 0) + sign * vec.get(t, 0) for lam, t in zip(op.kept, op.twins)]  # u + sign T u
+        if n > k:
+            dense = chain.poly(n - k).apply(op.times_x, dense)
+        coeffs, norm = {}, 0  # each entry read once; a twin apart from its label counts twice
+        for lam, twin, v in zip(op.kept, op.twins, dense):
+            if v:
+                q = v // div  # halved on a fold, over D
+                if q * div != v:
+                    if sign and v % 2:
+                        raise InvariantError(f"odd or non-integral entry at {chain.format_label(lam)}")
+                    raise InvariantError(f"non-integral column of {chain.format_class(given[0])} "
+                                         f"at level {n}")
+                coeffs[twin], coeffs[lam], norm = sign * q, q, norm + (q * q << (twin != lam))
+        column = CharacterColumn(chain.pad_core(core, k, n), coeffs)
+        if (trivial := coeffs.get(chain.trivial_label(n), 0)) != 1:
+            raise InvariantError(f"column's trivial-irrep entry is {trivial}, not 1")
+        if norm != (expected := chain.group_order(n) // chain.class_size(column.class_label)):
+            raise InvariantError(f"column norm {norm} != |G|/|class| = {expected}")
+        columns.update(dict.fromkeys(given, column))
     return columns
 
 

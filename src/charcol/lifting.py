@@ -65,18 +65,15 @@ def lift(chain: Chain, label, n: int, _waiting=frozenset()) -> dict:
     return vector
 
 
-def lift_column_input(chain: Chain, table: GroupTable, classes: list, n: int) -> dict:
-    """{class: the vector sum over the rows w of ``table`` of chi_w(class) times the lift of w}.
+def lift_column_input(chain: Chain, table: GroupTable, cls, n: int) -> dict:
+    """The vector sum over the rows w of ``table`` of chi_w(cls) times the lift of w to level n.
 
-    ``table`` holds the classes' columns at their own level k: the character table, or a
+    ``table`` holds ``cls``'s column at its own level k: the character table, or a
     ``Chain.twin_table``, one row per twin pair; its row labels must parse as level-k labels.
     """
-    inputs = {}
-    for c in classes:
-        col, coeffs = table.class_index(chain.format_class(c)), {}
-        for label, _, values in table.irreps:
-            if chi := values[col]:
-                for w, v in lift(chain, chain.parse_label(label), n).items():
-                    coeffs[w] = coeffs.get(w, 0) + chi * v
-        inputs[c] = normalized(coeffs)
-    return inputs
+    col, coeffs = table.class_index(chain.format_class(cls)), {}
+    for label, _, values in table.irreps:
+        if chi := values[col]:
+            for w, v in lift(chain, chain.parse_label(label), n).items():
+                coeffs[w] = coeffs.get(w, 0) + chi * v
+    return normalized(coeffs)

@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from charcol import hgroup, partitions
+from charcol import engine, hgroup, partitions
 from charcol.chain import (BranchingOperator, Chain, FallingFactorialPoly, SymmetricChain,
                            WreathChain)
 from charcol.engine import character_column, character_columns, odd_column, reduced_operator
@@ -313,6 +313,26 @@ def test_an_unsigned_chain_or_a_supplied_table_lifts_every_irrep():
     assert columns == character_columns(fresh, list(columns), n)
     assert lifted_at(given, k) == set(given.basis(k)) and not given._twin_tables
     assert lifted_at(fresh, k) == set(fresh.twin_pairs(k, 1)[0]) < set(fresh.basis(k))
+
+
+@pytest.mark.parametrize("spec, n, calls", [("sym", 6, 11), ("sym", 8, 22), ("z2wreath", 4, 20)])
+def test_a_column_input_is_lifted_once_per_fitted_core(monkeypatch, spec, n, calls):
+    # one character_columns call over a whole level lifts one column input for
+    # each fitted core, whatever its core level or sign; every class here has
+    # its own core, so each class makes exactly one call
+    lifted = []
+    lift_input = engine.lift_column_input
+
+    def counting(*args):
+        lifted.append(args[2])
+        return lift_input(*args)
+
+    monkeypatch.setattr(engine, "lift_column_input", counting)
+    chain = FRESH_CHAINS[spec]()
+    classes = chain.classes_at(n, chain.group_order(n))
+    character_columns(chain, classes, n, chain.group_order(n))
+    assert len(lifted) == len(classes) == calls
+    assert sorted(lifted) == sorted({chain.fit_class(cls, n)[0] for cls in classes})
 
 
 def twin_of(spec: str, label):

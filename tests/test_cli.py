@@ -554,6 +554,25 @@ def test_column_table_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, c
     assert detail is None or err == f"error: malformed GroupTable JSON: {detail}\n"
 
 
+@pytest.mark.parametrize("classes, cls, k, ns", [
+    (("[1,1]", "[2]"), "[2]", 2, (2, 3)),
+    (("[1,1,1]", "[3]"), "[3]", 3, range(3, 8)),
+], ids=["level-2", "level-3"])
+def test_a_table_that_does_not_list_the_level_k_irreps_is_a_one_line_usage_error(capsys, tmp_path, classes,
+                                                                                 cls, k, ns):
+    # a valid order-2 table whose rows are labelled [3] and [2,1]: at level 2 they are
+    # the wrong level's labels, at level 3 too few, and either way no column is lifted
+    rows = [{"label": "[3]", "dim": 1, "values": [1, 1]}, {"label": "[2,1]", "dim": 1, "values": [1, -1]}]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"name": "S2", "order": 2, "irreps": rows,
+                                "classes": [{"label": label, "size": 1} for label in classes]}))
+    for n in ns:
+        code, out, err = run(capsys, "column", "--chain", "sym", "--class", cls, "--n", str(n),
+                             "--table", str(path))
+        message = f"error: table S2 does not list the level-{k} irreps of chain 'sym'\n"
+        assert (code, out, err) == (2, "", message), n
+
+
 @pytest.mark.parametrize("name", list(GROUPLESS_TABLES))
 @pytest.mark.parametrize("argv", [
     ("table", "--chain", "{}", "--k", "2"),

@@ -24,6 +24,7 @@ from charcol.partitions import (
     class_sign,
     class_size,
     conjugate,
+    content_sum,
     dim_irrep,
     enumerate_partitions,
     mn_character,
@@ -185,7 +186,7 @@ def test_factored_product_equals_x_route_on_sparse_rational_vectors(spec, n, dat
 @pytest.mark.parametrize("cls, n", [((3,), 20), ((2, 2), 20), ((4, 3), 22), ((5,), 22)])
 def test_engine_columns_equal_poly_of_built_x_times_lift(cls, n):
     core, k = SYM.fit_class(cls, n)
-    vec = lift_column_input(SYM, SYM.small_table(k), [core], n)[core]
+    vec = lift_column_input(SYM, SYM.small_table(k), core, n)
     expected = apply_poly(SYM, SYM.ind_res(n), n - k, n, vec)
     assert character_column(SYM, cls, n).coeffs == expected
 
@@ -336,6 +337,19 @@ def test_reduced_operator_carries_the_conjugates_of_its_plus_basis():
         conjugates = tuple(map(conjugate, red.plus_basis))
         assert not set(conjugates) & set(red.plus_basis), n
         assert set(red.plus_basis) | set(conjugates) == set(fold.kept) | set(fold.twins), n
+
+
+def test_the_plus_basis_leaves_the_twin_pairing_at_level_fourteen():
+    # the plus basis keeps the diagram of each conjugate pair whose content sum is
+    # positive; the chain's twin pairing keeps the one whose first row is at least
+    # its first column. Through n = 13 the two agree; at n = 14 (6,2,2,2,2) has the
+    # longer first row and (5,5,1,1,1,1) the positive content sum, so a plus basis
+    # read off the pairing would change the pinned reduced outputs from n = 14 on
+    for n in range(14):
+        assert set(SymmetricChain().twin_pairs(n, -1)[0]) == set(reduced_operator(n).plus_basis), n
+    kept, plus = set(SymmetricChain().twin_pairs(14, -1)[0]), set(reduced_operator(14).plus_basis)
+    assert kept - plus == {(6, 2, 2, 2, 2)} and plus - kept == {(5, 5, 1, 1, 1, 1)}
+    assert content_sum((5, 5, 1, 1, 1, 1)) > 0 > content_sum((6, 2, 2, 2, 2))
 
 
 @pytest.mark.parametrize("n", [0, 1])

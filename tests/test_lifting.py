@@ -188,7 +188,7 @@ def test_column_input_k3_formula():
     # (n-2) t + s - v over the level-3 table at class (123)
     for n in (5, 6, 7):
         table = SYM.small_table(3)
-        vec = lift_column_input(SYM, table, [(3,)], n)[(3,)]
+        vec = lift_column_input(SYM, table, (3,), n)
         # the engine's lifts differ from the printed formula's lift choices,
         # so compare after applying Res^(n-3), where all lifts of one class agree
         down = res_power(SYM, vec, n - 3)
@@ -197,13 +197,13 @@ def test_column_input_k3_formula():
 
 def test_column_input_identity_is_trivial():
     table = SYM.small_table(1)
-    assert lift_column_input(SYM, table, [(1,)], 6) == {(1,): {(6,): 1}}
+    assert lift_column_input(SYM, table, (1,), 6) == {(6,): 1}
 
 
 def test_column_input_unknown_class():
     table = SYM.small_table(3)
     with pytest.raises(ValueError, match="not present"):
-        lift_column_input(SYM, table, [(4,)], 6)
+        lift_column_input(SYM, table, (4,), 6)
 
 
 def test_wreath_lift_scaling_is_rational_by_design():

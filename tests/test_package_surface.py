@@ -263,7 +263,7 @@ def test_require_symmetric_is_called_no_more_often():
 
 # The most lines ``src/charcol/*.py`` may hold together. Lower it when the
 # package shrinks; raise it only with a capability that needs the lines.
-MAX_SRC_LINES = 2612
+MAX_SRC_LINES = 2610
 
 
 def test_package_does_not_grow():
